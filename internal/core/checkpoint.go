@@ -18,12 +18,12 @@ import (
 	"io/fs"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"harpocrates/internal/gen"
 	"harpocrates/internal/isa"
 	"harpocrates/internal/sched"
+	"harpocrates/internal/segstore"
 	"harpocrates/internal/stats"
 )
 
@@ -45,7 +45,7 @@ type snapshot struct {
 	rng      []byte
 	hist     *History
 	pop      []*Individual
-	memo     map[uint64]evalEntry
+	memo     evalCache
 
 	// Adaptive sections (version 2; nil/empty on static snapshots).
 	bandit  *sched.State
@@ -134,8 +134,8 @@ func mustMarshalRNG(src interface{ MarshalBinary() ([]byte, error) }) []byte {
 }
 
 // writeSnapshot serializes the snapshot and atomically replaces path
-// (temp file + rename), so an interruption mid-write never corrupts the
-// previous checkpoint.
+// (temp file, fsync, rename), so an interruption or power cut mid-write
+// never corrupts the previous checkpoint.
 func writeSnapshot(path string, s *snapshot) error {
 	var buf bytes.Buffer
 	le := binary.LittleEndian
@@ -191,8 +191,8 @@ func writeSnapshot(path string, s *snapshot) error {
 	for _, k := range keys {
 		e := s.memo[k]
 		put(k)
-		put(e.fitness)
-		put(e.snap)
+		put(e.Fitness)
+		put(e.Snapshot)
 	}
 
 	if version >= snapVersionAdaptive {
@@ -215,22 +215,7 @@ func writeSnapshot(path string, s *snapshot) error {
 		}
 	}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
-	if err != nil {
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := segstore.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
 	return nil
@@ -316,7 +301,7 @@ func readSnapshot(r io.Reader) (*snapshot, error) {
 		return nil, fmt.Errorf("unsupported version %d", version)
 	}
 
-	s := &snapshot{hist: &History{}, memo: make(map[uint64]evalEntry)}
+	s := &snapshot{hist: &History{}, memo: make(evalCache)}
 	if err := get(&s.optsHash); err != nil {
 		return nil, err
 	}
@@ -372,14 +357,14 @@ func readSnapshot(r io.Reader) (*snapshot, error) {
 	}
 	for i := uint32(0); i < nMemo; i++ {
 		var k uint64
-		var e evalEntry
+		var e EvalResult
 		if err := get(&k); err != nil {
 			return nil, err
 		}
-		if err := get(&e.fitness); err != nil {
+		if err := get(&e.Fitness); err != nil {
 			return nil, err
 		}
-		if err := get(&e.snap); err != nil {
+		if err := get(&e.Snapshot); err != nil {
 			return nil, err
 		}
 		s.memo[k] = e

@@ -271,33 +271,13 @@ func (o *Options) normalize() error {
 // program and grades to the same fitness — so mutation re-creating an
 // already-graded genotype (e.g. a no-op mutation draw) need not be
 // simulated again. Serving cached values preserves the GA trajectory
-// exactly.
-type evalCache struct {
-	mu sync.Mutex
-	m  map[uint64]evalEntry
-}
-
-type evalEntry struct {
-	fitness float64
-	snap    coverage.Snapshot
-}
+// exactly. Only evaluate's own goroutine touches it (see planBatch), so
+// it needs no lock.
+type evalCache map[uint64]EvalResult
 
 // hashGenotype keys a genotype by content (gen.Genotype.Hash: the
 // materialization seed and every variant, folded in order).
 func hashGenotype(g *gen.Genotype) uint64 { return g.Hash() }
-
-func (ec *evalCache) get(key uint64) (evalEntry, bool) {
-	ec.mu.Lock()
-	e, ok := ec.m[key]
-	ec.mu.Unlock()
-	return e, ok
-}
-
-func (ec *evalCache) put(key uint64, e evalEntry) {
-	ec.mu.Lock()
-	ec.m[key] = e
-	ec.mu.Unlock()
-}
 
 // Run executes the Harpocrates loop.
 func Run(o Options) (*Result, error) {
@@ -314,7 +294,7 @@ func Run(o Options) (*Result, error) {
 	src := stats.DeriveSource(o.Seed, 0)
 	rng := rand.New(src)
 	hist := &History{}
-	memo := &evalCache{m: make(map[uint64]evalEntry)}
+	memo := make(evalCache)
 	ad := newAdaptiveState(&o)
 
 	stopRun := o.Obs.Phase("core.run")
@@ -338,7 +318,7 @@ func Run(o Options) (*Result, error) {
 		}
 		pop = snap.pop
 		*hist = *snap.hist
-		memo.m = snap.memo
+		memo = snap.memo
 		startIt = snap.nextIt
 		if err := ad.restore(snap); err != nil {
 			stopRun()
@@ -522,7 +502,7 @@ func Run(o Options) (*Result, error) {
 				rng:      mustMarshalRNG(src),
 				hist:     hist,
 				pop:      pop,
-				memo:     memo.m,
+				memo:     memo,
 			}
 			ad.snapshotInto(snap)
 			err := writeSnapshot(o.CheckpointPath, snap)
@@ -571,73 +551,99 @@ func diversity(pop []*Individual) float64 {
 	return float64(len(seen)) / float64(len(pop))
 }
 
-// evaluate materializes and grades a set of individuals in parallel,
-// accounting generation/compilation/evaluation time (Table I). Fitness
-// is memoized by genotype hash: duplicates are served from memo without
-// touching the simulator. When Options.Evaluator is set, uncached
-// genotypes are batched to it instead of being graded in process.
-func evaluate(inds []*Individual, o *Options, hist *History, memo *evalCache) error {
-	if o.Evaluator != nil {
-		return evaluateRemote(inds, o, hist, memo)
+// planBatch decides, before anything is dispatched, which individuals
+// of a batch are actually graded: fresh lists (in batch order) the first
+// occurrence of every genotype the memo does not hold. Everything else —
+// memo hits and in-batch duplicates alike — is served from the memo once
+// the fresh grades are in. Doing this up front, on one goroutine, is what
+// makes History.CacheHits and EvaluatedInstructions independent of
+// Workers and of goroutine timing.
+func planBatch(inds []*Individual, memo evalCache) (keys []uint64, fresh []int) {
+	keys = make([]uint64, len(inds))
+	seen := make(map[uint64]struct{}, len(inds))
+	for i, ind := range inds {
+		keys[i] = hashGenotype(ind.G)
+		if _, ok := memo[keys[i]]; ok {
+			continue
+		}
+		if _, dup := seen[keys[i]]; dup {
+			continue
+		}
+		seen[keys[i]] = struct{}{}
+		fresh = append(fresh, i)
 	}
+	return keys, fresh
+}
+
+// evaluate grades a set of individuals, accounting
+// generation/compilation/evaluation time (Table I). Fitness is memoized
+// by genotype hash: only the batch's fresh genotypes (planBatch) reach
+// the simulator — in process, or through Options.Evaluator when set —
+// and every individual is then filled positionally from the memo.
+func evaluate(inds []*Individual, o *Options, hist *History, memo evalCache) error {
 	stopEval := o.Obs.Phase("core.phase.evaluate")
 	defer stopEval()
 
-	var genNS, compNS, evalNS, instrs, hits int64
-	var mu sync.Mutex
-	var sim simTotals
+	keys, fresh := planBatch(inds, memo)
+	if o.Evaluator != nil {
+		if err := gradeRemote(inds, fresh, o, hist); err != nil {
+			return err
+		}
+	} else {
+		gradeLocal(inds, fresh, o, hist)
+	}
+	for _, i := range fresh {
+		memo[keys[i]] = EvalResult{Fitness: inds[i].Fitness, Snapshot: inds[i].Snapshot}
+	}
+	for i, ind := range inds {
+		e := memo[keys[i]]
+		ind.Fitness, ind.Snapshot = e.Fitness, e.Snapshot
+	}
+	hist.EvaluatedPrograms += len(inds)
+	hist.CacheHits += len(inds) - len(fresh)
+	return nil
+}
 
-	work := make(chan *Individual)
+// gradeLocal materializes and simulates inds[i] for every i in fresh
+// across o.Workers goroutines. Each grade lands in its individual and its
+// cost in its own slot of out, so nothing is shared between workers.
+func gradeLocal(inds []*Individual, fresh []int, o *Options, hist *History) {
+	out := make([]struct {
+		tm  gradeTiming
+		sim simTotals
+	}, len(fresh))
+	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var g, c, e, n, h int64
-			var st simTotals
-			for ind := range work {
-				key := hashGenotype(ind.G)
-				if cached, ok := memo.get(key); ok {
-					ind.Fitness = cached.fitness
-					ind.Snapshot = cached.snap
-					h++
-					continue
-				}
+			for j := range work {
+				ind := inds[fresh[j]]
 				res, r, tm := gradeTimed(ind.G, &o.Gen, o.Core, o.Metric)
-				ind.Fitness = res.Fitness
-				ind.Snapshot = res.Snapshot
-				memo.put(key, evalEntry{fitness: ind.Fitness, snap: ind.Snapshot})
-				g += tm.genNS
-				c += tm.compNS
-				e += tm.evalNS
-				n += tm.insts
-				st.add(r)
+				ind.Fitness, ind.Snapshot = res.Fitness, res.Snapshot
+				out[j].tm = tm
+				out[j].sim.add(r)
 				if o.Obs.Enabled() {
 					o.Obs.Histogram("core.eval.ns").Observe(tm.evalNS)
 				}
 			}
-			mu.Lock()
-			genNS += g
-			compNS += c
-			evalNS += e
-			instrs += n
-			hits += h
-			sim.merge(st)
-			mu.Unlock()
 		}()
 	}
-	for _, ind := range inds {
-		work <- ind
+	for j := range fresh {
+		work <- j
 	}
 	close(work)
 	wg.Wait()
 
-	hist.Times.Generation += time.Duration(genNS)
-	hist.Times.Compilation += time.Duration(compNS)
-	hist.Times.Evaluation += time.Duration(evalNS)
-	hist.EvaluatedPrograms += len(inds)
-	hist.EvaluatedInstructions += uint64(instrs)
-	hist.CacheHits += int(hits)
+	var sim simTotals
+	for j := range out {
+		hist.Times.Generation += time.Duration(out[j].tm.genNS)
+		hist.Times.Compilation += time.Duration(out[j].tm.compNS)
+		hist.Times.Evaluation += time.Duration(out[j].tm.evalNS)
+		hist.EvaluatedInstructions += uint64(out[j].tm.insts)
+		sim.merge(out[j].sim)
+	}
 
 	if o.Obs.Enabled() {
 		o.Obs.Counter("core.sim.cycles").Add(sim.cycles)
@@ -651,7 +657,6 @@ func evaluate(inds []*Individual, o *Options, hist *History, memo *evalCache) er
 			o.Obs.Gauge("core.sim.ipc").Set(float64(sim.instructions) / float64(sim.cycles))
 		}
 	}
-	return nil
 }
 
 // simTotals aggregates simulator counters across one evaluate batch.

@@ -560,3 +560,58 @@ func TestEvaluatorErrorPropagates(t *testing.T) {
 		t.Fatal("evaluator failure swallowed")
 	}
 }
+
+// A batch holding one genotype twice must grade it once whatever the
+// worker count or backend: the duplicate is a memo hit decided before
+// dispatch (planBatch), never a race between two workers.
+func TestInBatchDuplicateGradedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		remote  bool
+	}{
+		{"workers=1", 1, false},
+		{"workers=2", 2, false},
+		{"workers=8", 8, false},
+		{"evaluator", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tinyOptions(coverage.IntAdder)
+			o.Workers = tc.workers
+			ev := &stubEvaluator{}
+			if tc.remote {
+				o.Evaluator = ev
+			}
+			if err := o.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.remote {
+				if err := ev.Configure(o.Structure, o.Gen, o.Core); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewPCG(1, 2))
+			a, b := gen.NewRandom(&o.Gen, rng), gen.NewRandom(&o.Gen, rng)
+			inds := []*Individual{{G: a}, {G: b}, {G: a.Clone()}}
+			hist, memo := &History{}, make(evalCache)
+			if err := evaluate(inds, &o, hist, memo); err != nil {
+				t.Fatal(err)
+			}
+			if hist.CacheHits != 1 || hist.EvaluatedPrograms != 3 {
+				t.Fatalf("CacheHits = %d, EvaluatedPrograms = %d, want 1 and 3", hist.CacheHits, hist.EvaluatedPrograms)
+			}
+			if want := uint64(2 * o.Gen.NumInstrs); hist.EvaluatedInstructions != want {
+				t.Fatalf("EvaluatedInstructions = %d, want %d (duplicate counted once)", hist.EvaluatedInstructions, want)
+			}
+			if tc.remote && ev.graded != 2 {
+				t.Fatalf("evaluator graded %d genotypes, want 2", ev.graded)
+			}
+			if inds[2].Fitness != inds[0].Fitness || inds[2].Snapshot != inds[0].Snapshot {
+				t.Fatal("duplicate not filled with its twin's grade")
+			}
+			if len(memo) != 2 {
+				t.Fatalf("memo holds %d entries, want 2", len(memo))
+			}
+		})
+	}
+}

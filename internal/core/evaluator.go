@@ -93,67 +93,43 @@ func GradeGenotype(g *gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric 
 	return res
 }
 
-// evaluateRemote grades a set of individuals through Options.Evaluator:
-// individuals already memoized are served locally, the remainder is
-// deduplicated by genotype hash and shipped as one batch. The whole
-// remote round-trip is accounted as evaluation time.
-func evaluateRemote(inds []*Individual, o *Options, hist *History, memo *evalCache) error {
-	stopEval := o.Obs.Phase("core.phase.evaluate")
-	defer stopEval()
+// gradeRemote ships inds[i] for every i in fresh to Options.Evaluator as
+// one batch and writes each grade into its individual. The whole remote
+// round-trip is accounted as evaluation time.
+func gradeRemote(inds []*Individual, fresh []int, o *Options, hist *History) error {
+	if len(fresh) == 0 {
+		return nil
+	}
 	t0 := time.Now()
-
-	seen := make(map[uint64]struct{}, len(inds))
-	var batch []*gen.Genotype
-	for _, ind := range inds {
-		key := hashGenotype(ind.G)
-		if _, ok := memo.get(key); ok {
-			continue
-		}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		batch = append(batch, ind.G)
+	batch := make([]*gen.Genotype, len(fresh))
+	for j, i := range fresh {
+		batch[j] = inds[i].G
 	}
-
-	if len(batch) > 0 {
-		results, err := o.Evaluator.EvaluateBatch(batch)
-		if err != nil {
-			return fmt.Errorf("core: remote evaluation: %w", err)
-		}
-		if len(results) != len(batch) {
-			return fmt.Errorf("core: remote evaluation returned %d results for %d genotypes",
-				len(results), len(batch))
-		}
-		var cycles, instrs int64
-		for i, g := range batch {
-			r := results[i]
-			if math.IsNaN(r.Fitness) {
-				r.Fitness = 0 // defense in depth; workers already clamp
-			}
-			memo.put(hashGenotype(g), evalEntry{fitness: r.Fitness, snap: r.Snapshot})
-			hist.EvaluatedInstructions += uint64(len(g.Variants))
-			cycles += int64(r.Snapshot.Cycles)
-			instrs += int64(r.Snapshot.Instructions)
-		}
-		if o.Obs.Enabled() {
-			o.Obs.Counter("core.eval.remote.batches").Inc()
-			o.Obs.Counter("core.eval.remote.genotypes").Add(int64(len(batch)))
-			o.Obs.Counter("core.sim.cycles").Add(cycles)
-			o.Obs.Counter("core.sim.instructions").Add(instrs)
-		}
+	results, err := o.Evaluator.EvaluateBatch(batch)
+	if err != nil {
+		return fmt.Errorf("core: remote evaluation: %w", err)
 	}
-
-	for _, ind := range inds {
-		e, ok := memo.get(hashGenotype(ind.G))
-		if !ok {
-			return fmt.Errorf("core: remote evaluation left genotype %016x ungraded", hashGenotype(ind.G))
-		}
-		ind.Fitness = e.fitness
-		ind.Snapshot = e.snap
+	if len(results) != len(batch) {
+		return fmt.Errorf("core: remote evaluation returned %d results for %d genotypes",
+			len(results), len(batch))
 	}
-	hist.EvaluatedPrograms += len(inds)
-	hist.CacheHits += len(inds) - len(batch)
+	var cycles, instrs int64
+	for j, i := range fresh {
+		r := results[j]
+		if math.IsNaN(r.Fitness) {
+			r.Fitness = 0 // defense in depth; workers already clamp
+		}
+		inds[i].Fitness, inds[i].Snapshot = r.Fitness, r.Snapshot
+		hist.EvaluatedInstructions += uint64(len(batch[j].Variants))
+		cycles += int64(r.Snapshot.Cycles)
+		instrs += int64(r.Snapshot.Instructions)
+	}
+	if o.Obs.Enabled() {
+		o.Obs.Counter("core.eval.remote.batches").Inc()
+		o.Obs.Counter("core.eval.remote.genotypes").Add(int64(len(batch)))
+		o.Obs.Counter("core.sim.cycles").Add(cycles)
+		o.Obs.Counter("core.sim.instructions").Add(instrs)
+	}
 	hist.Times.Evaluation += time.Since(t0)
 	return nil
 }

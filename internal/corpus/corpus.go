@@ -16,10 +16,10 @@
 // Filenames are the 16-hex-digit content hash of the genotype
 // (gen.Genotype.Hash — the same key the evaluator's fitness memo uses)
 // or, for programs without a genotype, of the serialized program bytes.
-// All writes go through a temp file plus atomic rename, so a crashed
-// writer never leaves a torn program or manifest behind, and concurrent
-// adds of the same content are harmless (last rename wins on identical
-// bytes).
+// All writes go through segstore.WriteFileAtomic (temp file, fsync,
+// atomic rename), so a crashed writer or a power cut never leaves a torn
+// program or manifest behind, and concurrent adds of the same content
+// are harmless (last rename wins on identical bytes).
 package corpus
 
 import (
@@ -38,6 +38,7 @@ import (
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
 	"harpocrates/internal/sched"
+	"harpocrates/internal/segstore"
 	"harpocrates/internal/stats"
 )
 
@@ -218,11 +219,11 @@ func (s *Store) Add(p *prog.Program, g *gen.Genotype, meta Meta) (AddResult, err
 	if _, err := p.WriteTo(&pbuf); err != nil {
 		return res, fmt.Errorf("corpus: serialize program: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(s.dir, programDir, key+".hxpg"), pbuf.Bytes()); err != nil {
+	if err := segstore.WriteFileAtomic(filepath.Join(s.dir, programDir, key+".hxpg"), pbuf.Bytes()); err != nil {
 		return res, err
 	}
 	if g != nil {
-		if err := atomicWrite(filepath.Join(s.dir, genotypeDir, key+".gt"), EncodeGenotype(g)); err != nil {
+		if err := segstore.WriteFileAtomic(filepath.Join(s.dir, genotypeDir, key+".gt"), EncodeGenotype(g)); err != nil {
 			return res, err
 		}
 		meta.Seed = g.Seed
@@ -476,7 +477,7 @@ func (s *Store) Export(structure string, k int, outDir string) ([]string, error)
 		}
 		name := fmt.Sprintf("%s-%03d-%s.hxpg", strings.ToLower(structure), i, m.Hash)
 		dst := filepath.Join(outDir, name)
-		if err := atomicWrite(dst, data); err != nil {
+		if err := segstore.WriteFileAtomic(dst, data); err != nil {
 			return nil, err
 		}
 		paths = append(paths, dst)
@@ -493,33 +494,11 @@ func (s *Store) flushLocked() error {
 	if err != nil {
 		return fmt.Errorf("corpus: marshal manifest: %w", err)
 	}
-	return atomicWrite(filepath.Join(s.dir, manifestName), append(data, '\n'))
+	return segstore.WriteFileAtomic(filepath.Join(s.dir, manifestName), append(data, '\n'))
 }
 
 func (s *Store) setSizeGauge() {
 	s.ob.Gauge("corpus.archive.size").Set(float64(len(s.entries)))
-}
-
-// atomicWrite writes data to path via temp file + rename.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("corpus: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("corpus: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("corpus: write %s: %w", path, err)
-	}
-	return nil
 }
 
 // EncodeGenotype serializes a genotype into the HXGT sidecar container

@@ -28,6 +28,7 @@ package gen
 
 import (
 	"math/rand/v2"
+	"sync"
 
 	"harpocrates/internal/isa"
 	"harpocrates/internal/prog"
@@ -94,22 +95,23 @@ func DefaultConfig() Config {
 	}
 }
 
-var defaultPool []isa.VariantID
+// defaultPool is built once; parallel tests and campaign workers all
+// reach DefaultPool.
+var defaultPool = sync.OnceValue(func() []isa.VariantID {
+	var pool []isa.VariantID
+	for _, id := range isa.Deterministic() {
+		switch isa.Lookup(id).Op {
+		case isa.OpDIV, isa.OpIDIV:
+			continue
+		}
+		pool = append(pool, id)
+	}
+	return pool
+})
 
 // DefaultPool returns the default variant pool: every deterministic
 // variant except wide division (runtime-data-dependent traps).
-func DefaultPool() []isa.VariantID {
-	if defaultPool == nil {
-		for _, id := range isa.Deterministic() {
-			switch isa.Lookup(id).Op {
-			case isa.OpDIV, isa.OpIDIV:
-				continue
-			}
-			defaultPool = append(defaultPool, id)
-		}
-	}
-	return defaultPool
-}
+func DefaultPool() []isa.VariantID { return defaultPool() }
 
 // PoolFilter returns the subset of DefaultPool satisfying keep.
 func PoolFilter(keep func(*isa.Variant) bool) []isa.VariantID {

@@ -3,6 +3,7 @@ package inject
 import (
 	"container/list"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/isa"
 	"harpocrates/internal/obs"
+	"harpocrates/internal/segstore"
 	"harpocrates/internal/stats"
 	"harpocrates/internal/uarch"
 )
@@ -30,8 +32,9 @@ import (
 //     Workers-parallel path, queue workers), refcounted so pooled
 //     resources never return to their pools while a campaign still
 //     reads them;
-//   - an optional disk tier (goldendisk.go) under the same key, so a
-//     restarted worker process skips recomputation entirely.
+//   - an optional disk tier (a segstore.Store of encoded HXGA bundles)
+//     under the same key, so a restarted worker process skips
+//     recomputation entirely.
 //
 // Bit-identity is the contract: a campaign served from the cache
 // produces Stats equal to a cold campaign, injection by injection.
@@ -54,8 +57,17 @@ type GoldenKey struct {
 	Config  uint64
 }
 
+// tag is the key's on-disk form in the disk tier.
+func (k GoldenKey) tag() []byte { return segstore.Key(k.Program, k.Config) }
+
+// goldenFormat frames one bundle in the disk tier's golden-XX.log
+// segments. Checkpoint cores carry full memory images, so bundles are
+// MBs where shard results are KBs; the bound only rejects corrupt
+// lengths.
+var goldenFormat = segstore.Format{TagSize: 16, MaxPayload: 256 << 20}
+
 const (
-	goldenShards = 16
+	goldenShards = segstore.Shards
 	// DefaultGoldenCacheEntries is the default in-process capacity in
 	// bundles. Bundles are heavyweight (checkpoint cores hold full
 	// memory images), so the default is sized for "a handful of
@@ -84,7 +96,10 @@ type goldenShard struct {
 type GoldenCache struct {
 	shards   [goldenShards]goldenShard
 	perShard int
-	disk     *goldenDisk
+	// disk persists encoded bundles; nil when memory-only. Only its index
+	// lives in memory — decoded bundles are held (and refcounted) above,
+	// so the store runs without its value LRU.
+	disk *segstore.Store
 }
 
 // NewGoldenCache returns a cache holding at most maxEntries decoded
@@ -103,9 +118,9 @@ func NewGoldenCache(maxEntries int, dir string) (*GoldenCache, error) {
 		g.shards[i].lru = list.New()
 	}
 	if dir != "" {
-		disk, err := openGoldenDisk(dir)
+		disk, err := segstore.OpenStore(dir, "golden-%02x.log", goldenFormat, 0, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("inject: golden cache dir: %w", err)
 		}
 		g.disk = disk
 	}
@@ -117,7 +132,7 @@ func (g *GoldenCache) Close() error {
 	if g == nil || g.disk == nil {
 		return nil
 	}
-	return g.disk.close()
+	return g.disk.Close()
 }
 
 var (
@@ -194,7 +209,8 @@ func (g *GoldenCache) Acquire(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
 func (g *GoldenCache) load(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
 	compute func() *uarch.GoldenArtifacts) (*uarch.GoldenArtifacts, error) {
 	if g.disk != nil {
-		if data, ok := g.disk.get(key); ok {
+		// An unreadable segment is a miss like any other: recompute.
+		if data, src := g.disk.Get(key.tag()); src == segstore.Disk {
 			ga, err := uarch.DecodeGoldenArtifacts(data, prog)
 			if err == nil {
 				ob.Counter("inject.golden.cache.disk_hits").Inc()
@@ -209,8 +225,14 @@ func (g *GoldenCache) load(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
 	ga := compute()
 	ob.Histogram("inject.golden.compute_ns").ObserveDuration(time.Since(start))
 	if g.disk != nil {
+		// Persisting is best-effort; the in-process tier still serves
+		// this process when the write fails.
 		if data, err := uarch.EncodeGoldenArtifacts(ga); err == nil {
-			g.disk.put(key, data, ob)
+			if stored, err := g.disk.Put(key.tag(), data); err != nil {
+				ob.Counter("inject.golden.cache.write_errors").Inc()
+			} else if stored {
+				ob.Counter("inject.golden.cache.puts").Inc()
+			}
 		}
 	}
 	return ga, nil

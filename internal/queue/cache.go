@@ -1,49 +1,29 @@
 package queue
 
 import (
-	"container/list"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"harpocrates/internal/obs"
+	"harpocrates/internal/segstore"
 )
 
-// Cache is the cluster-wide content-addressed result cache: a 16-way
-// sharded on-disk index of encoded shard results keyed by
-// (program hash, config hash, fault-spec hash), with an in-memory LRU
-// of decoded values in front. Each shard owns one append-only segment
-// file guarded by its own lock — there is no manifest.json-style
-// single-file rewrite anywhere on the Put path, so millions of
-// concurrent hits contend only on 1/16th of the keyspace and a Put is
-// one appended record. Segment records are CRC-framed like the WAL's,
-// and a torn tail from a crashed writer is truncated at open.
-//
-// Values for a key are byte-identical by construction (the key hashes
-// every input the computation depends on), so first-write-wins is
-// sound and concurrent Puts of the same key are harmless.
+// Cache is the cluster-wide content-addressed result cache: encoded
+// shard results keyed by (program hash, config hash, fault-spec hash) in
+// a segstore.Store — 16 append-only seg-XX.log segments with an
+// in-memory LRU of values in front, so a Put is one appended record and
+// concurrent hits contend only on 1/16th of the keyspace. This type adds
+// the key encoding and the queue.cache.* metrics.
 type Cache struct {
-	dir    string
-	ob     *obs.Observer
-	memCap int // per-shard LRU capacity (entries)
-	shards [cacheShards]cacheShard
+	st *segstore.Store
+	ob *obs.Observer
 }
 
-const (
-	cacheShards = 16
+// DefaultCacheEntries is the default in-memory LRU capacity.
+const DefaultCacheEntries = 4096
 
-	// segKeySize + len + crc, before the payload.
-	segFrameSize = 3*8 + 4 + 4
-
-	// maxCacheValue bounds one decoded record (a shard result is KBs).
-	maxCacheValue = 64 << 20
-
-	// DefaultCacheEntries is the default in-memory LRU capacity.
-	DefaultCacheEntries = 4096
-)
+// cacheFormat frames one segment record: the 24-byte key as tag; the
+// payload bound (a shard result is KBs) only rejects corrupt lengths.
+var cacheFormat = segstore.Format{TagSize: 24, MaxPayload: 64 << 20}
 
 // CacheKey addresses one shard result by content: the corpus-convention
 // (Mix64 chain) hashes of the program bytes, the scalar configuration
@@ -61,148 +41,54 @@ func (k CacheKey) String() string {
 	return fmt.Sprintf("%016x-%016x-%016x", k.Program, k.Config, k.Spec)
 }
 
-// segRef locates one value inside a shard's segment file.
-type segRef struct {
-	off int64
-	n   int32
-}
-
-// memEntry is one LRU element.
-type memEntry struct {
-	key CacheKey
-	val []byte
-}
-
-type cacheShard struct {
-	mu    sync.Mutex
-	f     *os.File
-	size  int64
-	index map[CacheKey]segRef
-	mem   map[CacheKey]*list.Element
-	lru   *list.List // front = most recently used
-}
+// tag is the key's on-disk form.
+func (k CacheKey) tag() []byte { return segstore.Key(k.Program, k.Config, k.Spec) }
 
 // OpenCache opens (creating if needed) the cache at dir, replaying each
-// shard's segment file into its index. memEntries bounds the decoded
-// values held in memory across all shards (<= 0 means
-// DefaultCacheEntries); the on-disk index is never bounded — evicted
-// values are re-read from their segment on the next hit. The observer
-// may be nil.
+// segment into the index. memEntries bounds the values held in memory
+// across all shards (<= 0 means DefaultCacheEntries); the on-disk index
+// is never bounded — evicted values are re-read from their segment on
+// the next hit. The observer may be nil.
 func OpenCache(dir string, memEntries int, ob *obs.Observer) (*Cache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("queue: %w", err)
-	}
 	if memEntries <= 0 {
 		memEntries = DefaultCacheEntries
 	}
-	c := &Cache{dir: dir, ob: ob, memCap: max(1, memEntries/cacheShards)}
-	for i := range c.shards {
-		if err := c.shards[i].open(filepath.Join(dir, fmt.Sprintf("seg-%02x.log", i))); err != nil {
-			c.Close()
-			return nil, err
-		}
+	st, err := segstore.OpenStore(dir, "seg-%02x.log", cacheFormat,
+		max(1, memEntries/segstore.Shards), ob.Counter("queue.cache.mem_evictions").Add)
+	if err != nil {
+		return nil, fmt.Errorf("queue: open cache: %w", err)
 	}
-	c.ob.Gauge("queue.cache.entries").Set(float64(c.Len()))
+	c := &Cache{st: st, ob: ob}
+	c.ob.Gauge("queue.cache.entries").Set(float64(st.Len()))
 	return c, nil
 }
 
-// open replays one segment file, truncating any torn tail.
-func (s *cacheShard) open(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("queue: open cache segment: %w", err)
-	}
-	s.f = f
-	s.index = make(map[CacheKey]segRef)
-	s.mem = make(map[CacheKey]*list.Element)
-	s.lru = list.New()
-
-	le := binary.LittleEndian
-	var frame [segFrameSize]byte
-	var off int64
-	for {
-		if _, err := f.ReadAt(frame[:], off); err != nil {
-			break // EOF or torn frame
-		}
-		key := CacheKey{
-			Program: le.Uint64(frame[0:8]),
-			Config:  le.Uint64(frame[8:16]),
-			Spec:    le.Uint64(frame[16:24]),
-		}
-		n := le.Uint32(frame[24:28])
-		crc := le.Uint32(frame[28:32])
-		if n > maxCacheValue {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := f.ReadAt(payload, off+segFrameSize); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		if _, ok := s.index[key]; !ok { // first write wins
-			s.index[key] = segRef{off: off + segFrameSize, n: int32(n)}
-		}
-		off += segFrameSize + int64(n)
-	}
-	if err := f.Truncate(off); err != nil {
-		return fmt.Errorf("queue: truncate cache segment tail: %w", err)
-	}
-	s.size = off
-	return nil
-}
-
-// shardFor maps a key to its shard (low bits of the spec hash, which
-// already mixes every component).
-func (c *Cache) shardFor(k CacheKey) *cacheShard {
-	return &c.shards[(k.Program^k.Config^k.Spec)%cacheShards]
-}
-
 // Get returns the cached value for k, reading through to the segment
-// file when the value has been evicted from memory.
+// file when the value has been evicted from memory. An unreadable
+// segment is a miss rather than a failed campaign.
 func (c *Cache) Get(k CacheKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.mem[k]; ok {
-		s.lru.MoveToFront(e)
+	val, src := c.st.Get(k.tag())
+	switch src {
+	case segstore.Disk:
+		c.ob.Counter("queue.cache.disk_hits").Inc()
+		fallthrough
+	case segstore.Memory:
 		c.ob.Counter("queue.cache.hits").Inc()
-		return e.Value.(*memEntry).val, true
-	}
-	ref, ok := s.index[k]
-	if !ok {
-		c.ob.Counter("queue.cache.misses").Inc()
-		return nil, false
-	}
-	val := make([]byte, ref.n)
-	if _, err := s.f.ReadAt(val, ref.off); err != nil {
-		// The index said it was there; treat an unreadable segment as a
-		// miss rather than failing the campaign.
+		return val, true
+	case segstore.Unreadable:
 		c.ob.Counter("queue.cache.read_errors").Inc()
-		c.ob.Counter("queue.cache.misses").Inc()
-		return nil, false
 	}
-	s.insertMemLocked(c, k, val)
-	c.ob.Counter("queue.cache.hits").Inc()
-	c.ob.Counter("queue.cache.disk_hits").Inc()
-	return val, true
+	c.ob.Counter("queue.cache.misses").Inc()
+	return nil, false
 }
 
 // Contains reports whether k is cached, without touching LRU order or
 // the hit/miss counters.
 func (c *Cache) Contains(k CacheKey) bool {
-	if c == nil {
-		return false
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[k]
-	return ok
+	return c != nil && c.st.Contains(k.tag())
 }
 
 // Put stores a value for k. The first write wins; a Put of an already
@@ -212,52 +98,15 @@ func (c *Cache) Put(k CacheKey, val []byte) error {
 	if c == nil {
 		return nil
 	}
-	if len(val) > maxCacheValue {
-		return fmt.Errorf("queue: cache value of %d bytes exceeds limit", len(val))
+	stored, err := c.st.Put(k.tag(), val)
+	if err != nil {
+		return fmt.Errorf("queue: cache put: %w", err)
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if _, ok := s.index[k]; ok {
-		s.mu.Unlock()
-		return nil
+	if stored {
+		c.ob.Counter("queue.cache.puts").Inc()
+		c.ob.Gauge("queue.cache.entries").Set(float64(c.st.Len()))
 	}
-	buf := make([]byte, segFrameSize+len(val))
-	le := binary.LittleEndian
-	le.PutUint64(buf[0:8], k.Program)
-	le.PutUint64(buf[8:16], k.Config)
-	le.PutUint64(buf[16:24], k.Spec)
-	le.PutUint32(buf[24:28], uint32(len(val)))
-	le.PutUint32(buf[28:32], crc32.ChecksumIEEE(val))
-	copy(buf[segFrameSize:], val)
-	if _, err := s.f.WriteAt(buf, s.size); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("queue: cache append: %w", err)
-	}
-	s.index[k] = segRef{off: s.size + segFrameSize, n: int32(len(val))}
-	s.size += int64(len(buf))
-	s.insertMemLocked(c, k, append([]byte(nil), val...))
-	s.mu.Unlock()
-	c.ob.Counter("queue.cache.puts").Inc()
-	// Gauge update happens outside the shard lock (Len re-takes it).
-	c.ob.Gauge("queue.cache.entries").Set(float64(c.Len()))
 	return nil
-}
-
-// insertMemLocked adds a value to the shard's LRU, evicting the least
-// recently used entries past the capacity. Caller holds s.mu.
-func (s *cacheShard) insertMemLocked(c *Cache, k CacheKey, val []byte) {
-	if e, ok := s.mem[k]; ok {
-		s.lru.MoveToFront(e)
-		return
-	}
-	s.mem[k] = s.lru.PushFront(&memEntry{key: k, val: val})
-	for s.lru.Len() > c.memCap {
-		back := s.lru.Back()
-		ent := back.Value.(*memEntry)
-		s.lru.Remove(back)
-		delete(s.mem, ent.key)
-		c.ob.Counter("queue.cache.mem_evictions").Inc()
-	}
 }
 
 // Len returns the number of cached entries (disk index, all shards).
@@ -265,14 +114,7 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.index)
-		s.mu.Unlock()
-	}
-	return n
+	return c.st.Len()
 }
 
 // Sync flushes every segment file.
@@ -280,19 +122,7 @@ func (c *Cache) Sync() error {
 	if c == nil {
 		return nil
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		err := error(nil)
-		if s.f != nil {
-			err = s.f.Sync()
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("queue: cache sync: %w", err)
-		}
-	}
-	return nil
+	return c.st.Sync()
 }
 
 // Close syncs and closes every segment file.
@@ -300,20 +130,5 @@ func (c *Cache) Close() error {
 	if c == nil {
 		return nil
 	}
-	var first error
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		if s.f != nil {
-			if err := s.f.Sync(); err != nil && first == nil {
-				first = err
-			}
-			if err := s.f.Close(); err != nil && first == nil {
-				first = err
-			}
-			s.f = nil
-		}
-		s.mu.Unlock()
-	}
-	return first
+	return c.st.Close()
 }

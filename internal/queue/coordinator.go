@@ -12,6 +12,7 @@ import (
 
 	"harpocrates/internal/dist"
 	"harpocrates/internal/obs"
+	"harpocrates/internal/segstore"
 )
 
 // Options tunes a coordinator.
@@ -112,9 +113,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("queue: coordinator needs a data dir")
-	}
-	if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
-		return nil, fmt.Errorf("queue: %w", err)
 	}
 	cache, err := OpenCache(opts.CacheDir, opts.CacheEntries, opts.Obs)
 	if err != nil {
@@ -872,8 +870,8 @@ func (c *Coordinator) snapshotAndResetLocked() error {
 	if err != nil {
 		return fmt.Errorf("queue: marshal snapshot: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(c.opts.DataDir, "snapshot.json"), data); err != nil {
-		return err
+	if err := segstore.WriteFileAtomic(filepath.Join(c.opts.DataDir, "snapshot.json"), data); err != nil {
+		return fmt.Errorf("queue: %w", err)
 	}
 	return c.wal.Reset()
 }

@@ -18,35 +18,19 @@
 package queue
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sync"
+
+	"harpocrates/internal/segstore"
 )
 
-// WAL container format: an 8-byte header (magic "HQWL", u32 version),
-// then a sequence of CRC-framed records
-//
-//	[1B kind][4B payload len LE][4B crc32(payload) LE][payload]
-//
-// appended with a single write each. Replay reads records until EOF, a
-// torn tail (short frame or payload) or a CRC mismatch; everything
-// after the last intact record is truncated away, so a coordinator
-// killed mid-append restarts from a consistent prefix.
-const (
-	walMagic   = 0x4851574c // "HQWL"
-	walVersion = 1
+// walFormat is the WAL container: an "HQWL" v1 header, then segstore
+// frames whose 1-byte tag is the record kind. The payload bound is large
+// because job submits carry whole program images. Replay stops at a torn
+// tail or CRC mismatch and truncates there, so a coordinator killed
+// mid-append restarts from a consistent prefix.
+var walFormat = segstore.Format{TagSize: 1, Magic: 0x4851574c, Version: 1, MaxPayload: 256 << 20}
 
-	walHeaderSize = 8
-	walFrameSize  = 9 // kind + len + crc
-
-	// maxWALPayload bounds one record (job submits carry whole program
-	// images; shard results are small).
-	maxWALPayload = 256 << 20
-)
+const walHeaderSize = segstore.HeaderSize
 
 // Record is one replayed WAL entry.
 type Record struct {
@@ -54,208 +38,37 @@ type Record struct {
 	Payload []byte
 }
 
-// WAL is an append-only, CRC-checked write-ahead log. Append is safe
-// for concurrent use.
-type WAL struct {
-	path string
-
-	mu sync.Mutex
-	f  *os.File
-}
+// WAL is an append-only, CRC-checked write-ahead log, safe for
+// concurrent use. Besides Append it offers the embedded Log's Reset
+// (truncate back to the header — called right after a snapshot has
+// atomically captured everything the log recorded), Size (byte length,
+// header included; 0 once closed), Sync and Close.
+type WAL struct{ *segstore.Log }
 
 // OpenWAL opens (creating if needed) the log at path and replays it,
 // returning every intact record in append order. A torn or corrupt
 // tail is truncated; a corrupt header is an error (the file is not a
 // WAL — refusing to overwrite beats silently destroying foreign data).
 func OpenWAL(path string) (*WAL, []Record, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("queue: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var recs []Record
+	log, err := segstore.Open(path, walFormat, func(tag []byte, _ int64, payload []byte) {
+		recs = append(recs, Record{Kind: tag[0], Payload: payload})
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("queue: open wal: %w", err)
 	}
-	w := &WAL{path: path, f: f}
-	recs, good, err := replay(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("queue: truncate wal tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("queue: seek wal: %w", err)
-	}
-	return w, recs, nil
-}
-
-// replay scans the whole file, returning the intact records and the
-// offset of the first byte past the last intact record.
-func replay(f *os.File) ([]Record, int64, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("queue: stat wal: %w", err)
-	}
-	le := binary.LittleEndian
-	if info.Size() < walHeaderSize {
-		// Empty or torn header: (re)write it.
-		var hdr [walHeaderSize]byte
-		le.PutUint32(hdr[0:], walMagic)
-		le.PutUint32(hdr[4:], walVersion)
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
-			return nil, 0, fmt.Errorf("queue: write wal header: %w", err)
-		}
-		return nil, walHeaderSize, nil
-	}
-	var hdr [walHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, 0, fmt.Errorf("queue: read wal header: %w", err)
-	}
-	if le.Uint32(hdr[0:]) != walMagic {
-		return nil, 0, fmt.Errorf("queue: %s is not a WAL (bad magic %#x)", f.Name(), le.Uint32(hdr[0:]))
-	}
-	if v := le.Uint32(hdr[4:]); v != walVersion {
-		return nil, 0, fmt.Errorf("queue: unsupported WAL version %d", v)
-	}
-
-	var recs []Record
-	off := int64(walHeaderSize)
-	var frame [walFrameSize]byte
-	for {
-		if _, err := f.ReadAt(frame[:], off); err != nil {
-			break // EOF or torn frame: stop at the last intact record
-		}
-		n := le.Uint32(frame[1:5])
-		crc := le.Uint32(frame[5:9])
-		if n > maxWALPayload {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := f.ReadAt(payload, off+walFrameSize); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt record: everything after it is suspect too
-		}
-		recs = append(recs, Record{Kind: frame[0], Payload: payload})
-		off += walFrameSize + int64(n)
-	}
-	return recs, off, nil
+	return &WAL{log}, recs, nil
 }
 
 // Append durably appends one record: the frame and payload go out in a
 // single write followed by an fsync, so a record either replays intact
 // or is truncated as a torn tail — never half-applied.
 func (w *WAL) Append(kind byte, payload []byte) error {
-	if len(payload) > maxWALPayload {
-		return fmt.Errorf("queue: wal record of %d bytes exceeds limit", len(payload))
-	}
-	buf := make([]byte, walFrameSize+len(payload))
-	buf[0] = kind
-	le := binary.LittleEndian
-	le.PutUint32(buf[1:5], uint32(len(payload)))
-	le.PutUint32(buf[5:9], crc32.ChecksumIEEE(payload))
-	copy(buf[walFrameSize:], payload)
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("queue: wal closed")
-	}
-	if _, err := w.f.Write(buf); err != nil {
+	if _, err := w.Log.Append([]byte{kind}, payload); err != nil {
 		return fmt.Errorf("queue: wal append: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.Sync(); err != nil {
 		return fmt.Errorf("queue: wal sync: %w", err)
-	}
-	return nil
-}
-
-// Reset truncates the log back to its header — called right after a
-// snapshot has atomically captured everything the log recorded.
-func (w *WAL) Reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("queue: wal closed")
-	}
-	if err := w.f.Truncate(walHeaderSize); err != nil {
-		return fmt.Errorf("queue: wal reset: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("queue: wal reset: %w", err)
-	}
-	return w.f.Sync()
-}
-
-// Size returns the log's current byte length, header included (0 once
-// closed). The write offset always sits at end-of-file, so the seek
-// position is the size.
-func (w *WAL) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return 0
-	}
-	off, err := w.f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0
-	}
-	return off
-}
-
-// Sync flushes the log to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
-}
-
-// Close syncs and closes the log.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
-	return err
-}
-
-// atomicWrite writes data to path via temp file + rename (the corpus
-// store's crash-safety idiom).
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("queue: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("queue: write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("queue: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("queue: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("queue: write %s: %w", path, err)
 	}
 	return nil
 }
