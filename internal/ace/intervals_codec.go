@@ -1,74 +1,77 @@
 package ace
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"harpocrates/internal/binfmt"
 )
 
 // Binary layout for embedding an IntervalRecorder inside a larger
 // container (the golden artifact bundle's HXGA codec): little-endian,
 // a uint32 cell count, then per cell the last-write cycle, a span
 // count and the (start, end] span pairs. The recorder's fields are
-// private to this package, so the marshal helpers live here.
+// private to this package, so the walker lives here.
 
 // maxCodecCells bounds a decoded recorder (the largest real recorder —
 // the L1D data array — is a quarter-million cells; 1<<28 leaves three
-// orders of magnitude of headroom while refusing corrupt lengths).
+// orders of magnitude of headroom).
 const maxCodecCells = 1 << 28
+
+// codec walks r's layout in whichever direction c runs; decoding resizes
+// r to the stored cell count (12 bytes is the smallest cell: its
+// last-write cycle and an empty span list).
+func (r *IntervalRecorder) codec(c *binfmt.Codec) {
+	cells := c.Len(len(r.lastWrite), 12, maxCodecCells)
+	if c.Decoding() {
+		r.Reset(cells)
+	}
+	span := func(sp *ivalSpan) {
+		binfmt.U64(c, &sp.start)
+		binfmt.U64(c, &sp.end)
+	}
+	for i := 0; i < len(r.lastWrite) && c.Err() == nil; i++ {
+		binfmt.U64(c, &r.lastWrite[i])
+		binfmt.Slice(c, &r.spans[i], 16, maxCodecCells, span)
+	}
+}
 
 // AppendIntervalRecorder appends r's stable binary encoding to buf and
 // returns the extended slice. r must be non-nil (the container encodes
 // presence itself).
 func AppendIntervalRecorder(buf []byte, r *IntervalRecorder) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.lastWrite)))
-	for i := range r.lastWrite {
-		buf = binary.LittleEndian.AppendUint64(buf, r.lastWrite[i])
-		s := r.spans[i]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		for _, sp := range s {
-			buf = binary.LittleEndian.AppendUint64(buf, sp.start)
-			buf = binary.LittleEndian.AppendUint64(buf, sp.end)
-		}
+	c := binfmt.NewEncoder(buf)
+	r.codec(c)
+	return c.Encoded()
+}
+
+// IntervalRecorderCodec moves one recorder through a container's cursor.
+// Encoding writes *rp, which must be non-nil. Decoding draws a recorder
+// from the pool into *rp (release it with ReleaseIntervalRecorder); when
+// the stream is bad the recorder goes straight back and *rp stays nil,
+// with the error left on c.
+func IntervalRecorderCodec(c *binfmt.Codec, rp **IntervalRecorder) {
+	if !c.Decoding() {
+		(*rp).codec(c)
+		return
 	}
-	return buf
+	r := GetIntervalRecorder(0)
+	if r.codec(c); c.Err() != nil {
+		ReleaseIntervalRecorder(r)
+		return
+	}
+	*rp = r
 }
 
 // DecodeIntervalRecorder parses one recorder from the front of data,
 // returning it (drawn from the recorder pool — release with
 // ReleaseIntervalRecorder) and the number of bytes consumed.
 func DecodeIntervalRecorder(data []byte) (*IntervalRecorder, int, error) {
-	if len(data) < 4 {
-		return nil, 0, fmt.Errorf("ace: truncated interval recorder")
+	c := binfmt.NewDecoder(data)
+	var r *IntervalRecorder
+	if IntervalRecorderCodec(c, &r); c.Err() != nil {
+		return nil, 0, fmt.Errorf("ace: interval recorder: %w", c.Err())
 	}
-	cells := binary.LittleEndian.Uint32(data)
-	if cells > maxCodecCells {
-		return nil, 0, fmt.Errorf("ace: interval recorder cell count %d too large", cells)
-	}
-	off := 4
-	r := GetIntervalRecorder(int(cells))
-	for i := 0; i < int(cells); i++ {
-		if len(data)-off < 12 {
-			ReleaseIntervalRecorder(r)
-			return nil, 0, fmt.Errorf("ace: truncated interval recorder cell %d", i)
-		}
-		r.lastWrite[i] = binary.LittleEndian.Uint64(data[off:])
-		n := binary.LittleEndian.Uint32(data[off+8:])
-		off += 12
-		if n > maxCodecCells || len(data)-off < 16*int(n) {
-			ReleaseIntervalRecorder(r)
-			return nil, 0, fmt.Errorf("ace: truncated interval recorder spans for cell %d", i)
-		}
-		spans := r.spans[i][:0]
-		for j := 0; j < int(n); j++ {
-			spans = append(spans, ivalSpan{
-				start: binary.LittleEndian.Uint64(data[off:]),
-				end:   binary.LittleEndian.Uint64(data[off+8:]),
-			})
-			off += 16
-		}
-		r.spans[i] = spans
-	}
-	return r, off, nil
+	return r, c.Offset(), nil
 }
 
 // ApproxBytes estimates r's in-memory footprint (for cache accounting).

@@ -10,18 +10,18 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
+	"harpocrates/internal/binfmt"
+	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
-	"harpocrates/internal/isa"
 	"harpocrates/internal/sched"
 	"harpocrates/internal/segstore"
 	"harpocrates/internal/stats"
@@ -133,275 +133,151 @@ func mustMarshalRNG(src interface{ MarshalBinary() ([]byte, error) }) []byte {
 	return b
 }
 
-// writeSnapshot serializes the snapshot and atomically replaces path
-// (temp file, fsync, rename), so an interruption or power cut mid-write
-// never corrupts the previous checkpoint.
-func writeSnapshot(path string, s *snapshot) error {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	put := func(v any) { _ = binary.Write(&buf, le, v) }
-	putInd := func(ind *Individual) {
-		put(ind.Fitness)
-		put(ind.Snapshot)
-		put(ind.G.Seed)
-		put(uint32(len(ind.G.Variants)))
-		for _, v := range ind.G.Variants {
-			put(uint16(v))
-		}
-	}
+// Decoder bounds: a snapshot is machine-written, but it still travels
+// through filesystems; a corrupt length field must produce an error,
+// not an arbitrarily large allocation. On top of these ceilings binfmt
+// refuses any count the bytes actually present cannot back.
+const (
+	maxSnapRNGBytes = 1 << 12
+	maxSnapSeries   = 1 << 24
+	maxSnapPop      = 1 << 20
+	maxSnapMemo     = 1 << 26
+	maxSnapArms     = 1 << 8
 
+	// coverageBytes is a coverage.Snapshot on the wire; an individual
+	// adds its fitness and an empty genotype, a memo entry its key and
+	// fitness.
+	coverageBytes   = 40 + 16*int(coverage.NumStructures)
+	individualBytes = 8 + coverageBytes + 12
+	memoEntryBytes  = 16 + coverageBytes
+
+	// maxSnapBytes caps how much of a stream readSnapshot will buffer:
+	// the largest memo the ceilings allow, which dwarfs everything else.
+	maxSnapBytes = maxSnapMemo * 2 * memoEntryBytes
+)
+
+// coverageCodec walks a coverage.Snapshot: cycles, instructions, the
+// three ACE vulnerabilities, then the IBR array and the unit-use array
+// (each whole, not interleaved).
+func coverageCodec(c *binfmt.Codec, s *coverage.Snapshot) {
+	binfmt.U64(c, &s.Cycles)
+	binfmt.U64(c, &s.Instructions)
+	c.F64(&s.IRFVuln)
+	c.F64(&s.L1DVuln)
+	c.F64(&s.FPRFVuln)
+	for i := range s.IBR {
+		c.F64(&s.IBR[i])
+	}
+	for i := range s.UnitUses {
+		binfmt.U64(c, &s.UnitUses[i])
+	}
+}
+
+// codec walks the HXCK layout in whichever direction c runs: header,
+// options hash, next iteration, RNG state, history, population, fitness
+// memo and — from version 2 — the bandit arms and the Pareto archive.
+func (s *snapshot) codec(c *binfmt.Codec) error {
+	dec := c.Decoding()
 	version := uint32(snapVersion)
 	if s.bandit != nil || len(s.archive) > 0 {
 		version = snapVersionAdaptive
 	}
-	put(uint32(snapMagic))
-	put(version)
-	put(s.optsHash)
-	put(uint32(s.nextIt))
-	put(uint32(len(s.rng)))
-	buf.Write(s.rng)
+	version = c.Header(snapMagic, version, snapVersion, snapVersionAdaptive)
+	binfmt.U64(c, &s.optsHash)
+	binfmt.U32(c, &s.nextIt)
+	c.Bytes(&s.rng, maxSnapRNGBytes)
 
-	put(uint32(len(s.hist.Best)))
-	for _, v := range s.hist.Best {
-		put(v)
-	}
-	put(uint32(len(s.hist.MeanTopK)))
-	for _, v := range s.hist.MeanTopK {
-		put(v)
-	}
-	put(uint64(s.hist.EvaluatedPrograms))
-	put(s.hist.EvaluatedInstructions)
-	put(uint64(s.hist.CacheHits))
+	binfmt.Slice(c, &s.hist.Best, 8, maxSnapSeries, c.F64)
+	binfmt.Slice(c, &s.hist.MeanTopK, 8, maxSnapSeries, c.F64)
+	binfmt.U64(c, &s.hist.EvaluatedPrograms)
+	binfmt.U64(c, &s.hist.EvaluatedInstructions)
+	binfmt.U64(c, &s.hist.CacheHits)
 
-	put(uint32(len(s.pop)))
-	for _, ind := range s.pop {
-		putInd(ind)
+	individuals := func(p *[]*Individual) {
+		binfmt.Slice(c, p, individualBytes, maxSnapPop, func(ip **Individual) {
+			if dec {
+				*ip = &Individual{G: &gen.Genotype{}}
+			}
+			ind := *ip
+			c.F64(&ind.Fitness)
+			coverageCodec(c, &ind.Snapshot)
+			ind.G.Codec(c)
+		})
 	}
+	individuals(&s.pop)
 
 	// The fitness memo makes the resumed run's cache behaviour (and so
 	// History.CacheHits / EvaluatedInstructions) identical, not just the
 	// trajectory. Keys are written sorted so the same state always
-	// serializes to the same bytes.
-	keys := make([]uint64, 0, len(s.memo))
-	for k := range s.memo {
-		keys = append(keys, k)
+	// serializes to the same bytes, and must arrive that way.
+	var keys []uint64
+	if !dec {
+		keys = slices.Sorted(maps.Keys(s.memo))
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	put(uint32(len(keys)))
-	for _, k := range keys {
-		e := s.memo[k]
-		put(k)
-		put(e.Fitness)
-		put(e.Snapshot)
-	}
+	var prev *uint64
+	binfmt.Slice(c, &keys, memoEntryBytes, maxSnapMemo, func(k *uint64) {
+		binfmt.U64(c, k)
+		if dec && prev != nil && *k <= *prev {
+			c.Fail("memo keys out of order")
+		}
+		prev = k
+		e := s.memo[*k]
+		c.F64(&e.Fitness)
+		coverageCodec(c, &e.Snapshot)
+		if dec && c.Err() == nil {
+			s.memo[*k] = e
+		}
+	})
 
 	if version >= snapVersionAdaptive {
 		// Bandit arm state, positional over the portfolio (0 arms when
 		// the run is Pareto-only).
+		var st sched.State
 		if s.bandit != nil {
-			put(uint32(len(s.bandit.Pulls)))
-			for i := range s.bandit.Pulls {
-				put(s.bandit.Pulls[i])
-				put(s.bandit.Rewards[i])
-			}
-		} else {
-			put(uint32(0))
+			st = *s.bandit
+		}
+		nArms := c.Len(len(st.Pulls), 16, maxSnapArms)
+		if dec && nArms > 0 {
+			st = sched.State{Pulls: make([]uint64, nArms), Rewards: make([]float64, nArms)}
+			s.bandit = &st
+		}
+		for i := 0; i < nArms; i++ {
+			binfmt.U64(c, &st.Pulls[i])
+			c.F64(&st.Rewards[i])
 		}
 		// Pareto archive members; vectors are recomputed from the stored
 		// coverage snapshots on restore.
-		put(uint32(len(s.archive)))
-		for _, ind := range s.archive {
-			putInd(ind)
-		}
+		individuals(&s.archive)
 	}
+	return c.End()
+}
 
-	if err := segstore.WriteFileAtomic(path, buf.Bytes()); err != nil {
+// writeSnapshot serializes the snapshot and atomically replaces path
+// (temp file, fsync, rename), so an interruption or power cut mid-write
+// never corrupts the previous checkpoint.
+func writeSnapshot(path string, s *snapshot) error {
+	c := binfmt.NewEncoder(nil)
+	_ = s.codec(c) // the walker only fails when decoding
+	if err := segstore.WriteFileAtomic(path, c.Encoded()); err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
 	return nil
 }
 
-// Decoder bounds: a snapshot is machine-written, but it still travels
-// through filesystems; a corrupt length field must produce an error,
-// not an arbitrarily large allocation.
-const (
-	maxSnapRNGBytes = 1 << 12
-	maxSnapSeries   = 1 << 24
-	maxSnapPop      = 1 << 20
-	maxSnapVariants = 1 << 24
-	maxSnapMemo     = 1 << 26
-	maxSnapArms     = 1 << 8
-)
-
-// readSnapshot deserializes a snapshot written by writeSnapshot.
+// readSnapshot deserializes a snapshot written by writeSnapshot. The
+// stream is buffered incrementally and decoded from memory, so a hostile
+// length backed by a short file costs only the bytes present.
 func readSnapshot(r io.Reader) (*snapshot, error) {
-	le := binary.LittleEndian
-	get := func(v any) error { return binary.Read(r, le, v) }
-	getLen := func(limit uint32, what string) (uint32, error) {
-		var n uint32
-		if err := get(&n); err != nil {
-			return 0, err
-		}
-		if n > limit {
-			return 0, fmt.Errorf("unreasonable %s count %d", what, n)
-		}
-		return n, nil
-	}
-	getFloats := func(what string) ([]float64, error) {
-		n, err := getLen(maxSnapSeries, what)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
-		for i := range out {
-			if err := get(&out[i]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-
-	getInd := func() (*Individual, error) {
-		ind := &Individual{G: &gen.Genotype{}}
-		if err := get(&ind.Fitness); err != nil {
-			return nil, err
-		}
-		if err := get(&ind.Snapshot); err != nil {
-			return nil, err
-		}
-		if err := get(&ind.G.Seed); err != nil {
-			return nil, err
-		}
-		nVar, err := getLen(maxSnapVariants, "variant")
-		if err != nil {
-			return nil, err
-		}
-		ind.G.Variants = make([]isa.VariantID, nVar)
-		for j := range ind.G.Variants {
-			var v uint16
-			if err := get(&v); err != nil {
-				return nil, err
-			}
-			ind.G.Variants[j] = isa.VariantID(v)
-		}
-		return ind, nil
-	}
-
-	var magic, version uint32
-	if err := get(&magic); err != nil {
+	data, err := io.ReadAll(io.LimitReader(r, int64(maxSnapBytes)+1))
+	if err != nil {
 		return nil, err
 	}
-	if magic != snapMagic {
-		return nil, fmt.Errorf("bad magic %#x", magic)
+	if len(data) > maxSnapBytes {
+		return nil, fmt.Errorf("snapshot exceeds %d bytes", maxSnapBytes)
 	}
-	if err := get(&version); err != nil {
-		return nil, err
-	}
-	if version != snapVersion && version != snapVersionAdaptive {
-		return nil, fmt.Errorf("unsupported version %d", version)
-	}
-
 	s := &snapshot{hist: &History{}, memo: make(evalCache)}
-	if err := get(&s.optsHash); err != nil {
+	if err := s.codec(binfmt.NewDecoder(data)); err != nil {
 		return nil, err
-	}
-	var nextIt uint32
-	if err := get(&nextIt); err != nil {
-		return nil, err
-	}
-	s.nextIt = int(nextIt)
-	nRNG, err := getLen(maxSnapRNGBytes, "rng state")
-	if err != nil {
-		return nil, err
-	}
-	s.rng = make([]byte, nRNG)
-	if _, err := io.ReadFull(r, s.rng); err != nil {
-		return nil, err
-	}
-
-	if s.hist.Best, err = getFloats("history"); err != nil {
-		return nil, err
-	}
-	if s.hist.MeanTopK, err = getFloats("history"); err != nil {
-		return nil, err
-	}
-	var evalProgs, cacheHits uint64
-	if err := get(&evalProgs); err != nil {
-		return nil, err
-	}
-	if err := get(&s.hist.EvaluatedInstructions); err != nil {
-		return nil, err
-	}
-	if err := get(&cacheHits); err != nil {
-		return nil, err
-	}
-	s.hist.EvaluatedPrograms = int(evalProgs)
-	s.hist.CacheHits = int(cacheHits)
-
-	nPop, err := getLen(maxSnapPop, "population")
-	if err != nil {
-		return nil, err
-	}
-	s.pop = make([]*Individual, nPop)
-	for i := range s.pop {
-		ind, err := getInd()
-		if err != nil {
-			return nil, err
-		}
-		s.pop[i] = ind
-	}
-
-	nMemo, err := getLen(maxSnapMemo, "memo")
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nMemo; i++ {
-		var k uint64
-		var e EvalResult
-		if err := get(&k); err != nil {
-			return nil, err
-		}
-		if err := get(&e.Fitness); err != nil {
-			return nil, err
-		}
-		if err := get(&e.Snapshot); err != nil {
-			return nil, err
-		}
-		s.memo[k] = e
-	}
-
-	if version >= snapVersionAdaptive {
-		nArms, err := getLen(maxSnapArms, "bandit arm")
-		if err != nil {
-			return nil, err
-		}
-		if nArms > 0 {
-			st := &sched.State{
-				Pulls:   make([]uint64, nArms),
-				Rewards: make([]float64, nArms),
-			}
-			for i := uint32(0); i < nArms; i++ {
-				if err := get(&st.Pulls[i]); err != nil {
-					return nil, err
-				}
-				if err := get(&st.Rewards[i]); err != nil {
-					return nil, err
-				}
-			}
-			s.bandit = st
-		}
-		nArch, err := getLen(maxSnapPop, "archive")
-		if err != nil {
-			return nil, err
-		}
-		s.archive = make([]*Individual, nArch)
-		for i := range s.archive {
-			ind, err := getInd()
-			if err != nil {
-				return nil, err
-			}
-			s.archive[i] = ind
-		}
 	}
 	return s, nil
 }

@@ -24,7 +24,6 @@ package corpus
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,8 +32,8 @@ import (
 	"strings"
 	"sync"
 
+	"harpocrates/internal/binfmt"
 	"harpocrates/internal/gen"
-	"harpocrates/internal/isa"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
 	"harpocrates/internal/sched"
@@ -502,62 +501,27 @@ func (s *Store) setSizeGauge() {
 }
 
 // EncodeGenotype serializes a genotype into the HXGT sidecar container
-// (magic, version, materialization seed, variant sequence). It is also
-// the genotype wire format of the internal/dist protocol.
+// (magic, version, then gen.Genotype.Codec's body: materialization
+// seed, variant sequence). It is also the genotype wire format of the
+// internal/dist protocol.
 func EncodeGenotype(g *gen.Genotype) []byte {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	put := func(v any) { _ = binary.Write(&buf, le, v) }
-	put(uint32(genoMagic))
-	put(uint32(genoVersion))
-	put(g.Seed)
-	put(uint32(len(g.Variants)))
-	for _, v := range g.Variants {
-		put(uint16(v))
-	}
-	return buf.Bytes()
+	c := binfmt.NewEncoder(make([]byte, 0, 20+2*len(g.Variants)))
+	_ = genotypeCodec(c, g) // the walker only fails when decoding
+	return c.Encoded()
 }
 
 // DecodeGenotype deserializes an HXGT genotype container written by
 // EncodeGenotype, rejecting truncated and over-long payloads.
 func DecodeGenotype(data []byte) (*gen.Genotype, error) {
-	r := bytes.NewReader(data)
-	le := binary.LittleEndian
-	get := func(v any) error { return binary.Read(r, le, v) }
-	var magic, version uint32
-	if err := get(&magic); err != nil {
-		return nil, err
-	}
-	if magic != genoMagic {
-		return nil, fmt.Errorf("corpus: bad genotype magic %#x", magic)
-	}
-	if err := get(&version); err != nil {
-		return nil, err
-	}
-	if version != genoVersion {
-		return nil, fmt.Errorf("corpus: unsupported genotype version %d", version)
-	}
 	g := &gen.Genotype{}
-	if err := get(&g.Seed); err != nil {
-		return nil, err
-	}
-	var n uint32
-	if err := get(&n); err != nil {
-		return nil, err
-	}
-	if n > 1<<24 {
-		return nil, fmt.Errorf("corpus: unreasonable variant count %d", n)
-	}
-	g.Variants = make([]isa.VariantID, n)
-	for i := range g.Variants {
-		var v uint16
-		if err := get(&v); err != nil {
-			return nil, err
-		}
-		g.Variants[i] = isa.VariantID(v)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("corpus: %d trailing genotype bytes", r.Len())
+	if err := genotypeCodec(binfmt.NewDecoder(data), g); err != nil {
+		return nil, fmt.Errorf("corpus: genotype: %w", err)
 	}
 	return g, nil
+}
+
+func genotypeCodec(c *binfmt.Codec, g *gen.Genotype) error {
+	c.Header(genoMagic, genoVersion)
+	g.Codec(c)
+	return c.End()
 }

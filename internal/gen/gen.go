@@ -30,6 +30,7 @@ import (
 	"math/rand/v2"
 	"sync"
 
+	"harpocrates/internal/binfmt"
 	"harpocrates/internal/isa"
 	"harpocrates/internal/prog"
 	"harpocrates/internal/stats"
@@ -169,6 +170,18 @@ func (g *Genotype) Hash() uint64 {
 		h = stats.Mix64(h, uint64(v))
 	}
 	return h
+}
+
+// MaxCodecVariants bounds a decoded variant sequence.
+const MaxCodecVariants = 1 << 24
+
+// Codec walks the genotype's binary body — u64 seed, u32-counted u16
+// variant IDs — in whichever direction c runs. It is the one genotype
+// layout: the HXGT sidecar (and so the dist wire) wraps it in a header,
+// the HXCK snapshot embeds it per individual.
+func (g *Genotype) Codec(c *binfmt.Codec) {
+	binfmt.U64(c, &g.Seed)
+	binfmt.Slice(c, &g.Variants, 2, MaxCodecVariants, func(v *isa.VariantID) { binfmt.U16(c, v) })
 }
 
 // Clone deep-copies the genotype.

@@ -1,10 +1,9 @@
 package inject
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+
+	"harpocrates/internal/binfmt"
 )
 
 // Shard-result container format ("HXSR"): the compact, versioned binary
@@ -20,83 +19,48 @@ const (
 	statsMagic   = 0x48585352 // "HXSR"
 	statsVersion = 1
 
-	// maxCodecOutcomes bounds a decoded outcome vector (a campaign far
-	// larger than any real sweep; guards against corrupt length fields).
-	maxCodecOutcomes = 1 << 28
+	// maxStatsOutcomes bounds a decoded outcome vector (a campaign far
+	// larger than any real sweep).
+	maxStatsOutcomes = 1 << 28
 )
+
+// codec walks the HXSR layout — header, seven u32 counters, u64 golden
+// cycles, u32-counted outcome bytes — in whichever direction c runs.
+func (s *Stats) codec(c *binfmt.Codec) error {
+	c.Header(statsMagic, statsVersion)
+	for _, f := range []*int{&s.N, &s.Masked, &s.SDC, &s.Crash, &s.Hang, &s.Trap, &s.Skipped} {
+		binfmt.U32(c, f)
+	}
+	binfmt.U64(c, &s.GoldenCycles)
+	binfmt.Slice(c, &s.Outcomes, 1, maxStatsOutcomes, func(o *Outcome) {
+		binfmt.U8(c, o)
+		if c.Decoding() && *o > Trap {
+			c.Fail("undefined outcome %d", *o)
+		}
+	})
+	// A shard result is one outcome per injection; anything else would be
+	// merged into a campaign whose counters and vector disagree.
+	if c.Decoding() && c.Err() == nil && len(s.Outcomes) != s.N {
+		c.Fail("%d outcomes for N=%d", len(s.Outcomes), s.N)
+	}
+	return c.End()
+}
 
 // EncodeStats serializes shard statistics into the HXSR container.
 func EncodeStats(s *Stats) []byte {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	put := func(v any) { _ = binary.Write(&buf, le, v) }
-	put(uint32(statsMagic))
-	put(uint32(statsVersion))
-	put(uint32(s.N))
-	put(uint32(s.Masked))
-	put(uint32(s.SDC))
-	put(uint32(s.Crash))
-	put(uint32(s.Hang))
-	put(uint32(s.Trap))
-	put(uint32(s.Skipped))
-	put(s.GoldenCycles)
-	put(uint32(len(s.Outcomes)))
-	for _, o := range s.Outcomes {
-		put(uint8(o))
-	}
-	return buf.Bytes()
+	c := binfmt.NewEncoder(make([]byte, 0, 48+len(s.Outcomes)))
+	_ = s.codec(c) // the walker only fails when decoding
+	return c.Encoded()
 }
 
 // DecodeStats deserializes an HXSR container written by EncodeStats,
-// rejecting bad magic, unknown versions, truncated payloads,
-// unreasonable lengths and trailing bytes.
+// rejecting bad magic, unknown versions, truncated payloads, lengths the
+// input cannot back, undefined outcome bytes, an outcome vector whose
+// length is not N, and trailing bytes.
 func DecodeStats(data []byte) (*Stats, error) {
-	r := bytes.NewReader(data)
-	le := binary.LittleEndian
-	get := func(v any) error { return binary.Read(r, le, v) }
-	var magic, version uint32
-	if err := get(&magic); err != nil {
-		return nil, fmt.Errorf("inject: stats codec: %w", err)
-	}
-	if magic != statsMagic {
-		return nil, fmt.Errorf("inject: bad stats magic %#x", magic)
-	}
-	if err := get(&version); err != nil {
-		return nil, fmt.Errorf("inject: stats codec: %w", err)
-	}
-	if version != statsVersion {
-		return nil, fmt.Errorf("inject: unsupported stats version %d", version)
-	}
-	var n, masked, sdc, crash, hang, trap, skipped, outcomes uint32
 	s := &Stats{}
-	for _, f := range []*uint32{&n, &masked, &sdc, &crash, &hang, &trap, &skipped} {
-		if err := get(f); err != nil {
-			return nil, fmt.Errorf("inject: stats codec: %w", err)
-		}
-	}
-	if err := get(&s.GoldenCycles); err != nil {
+	if err := s.codec(binfmt.NewDecoder(data)); err != nil {
 		return nil, fmt.Errorf("inject: stats codec: %w", err)
-	}
-	if err := get(&outcomes); err != nil {
-		return nil, fmt.Errorf("inject: stats codec: %w", err)
-	}
-	if outcomes > maxCodecOutcomes {
-		return nil, fmt.Errorf("inject: unreasonable outcome count %d", outcomes)
-	}
-	s.N, s.Masked, s.SDC, s.Crash = int(n), int(masked), int(sdc), int(crash)
-	s.Hang, s.Trap, s.Skipped = int(hang), int(trap), int(skipped)
-	if outcomes > 0 {
-		raw := make([]byte, outcomes)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, fmt.Errorf("inject: stats codec: %w", err)
-		}
-		s.Outcomes = make([]Outcome, outcomes)
-		for i, b := range raw {
-			s.Outcomes[i] = Outcome(b)
-		}
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("inject: %d trailing stats bytes", r.Len())
 	}
 	return s, nil
 }

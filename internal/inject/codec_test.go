@@ -43,6 +43,10 @@ func TestStatsCodecRejects(t *testing.T) {
 		"bad version": append(append([]byte{}, good[:4]...), append([]byte{9, 0, 0, 0}, good[8:]...)...),
 		"truncated":   good[:len(good)-1],
 		"trailing":    append(append([]byte{}, good...), 0),
+		// N (the u32 after the 8-byte header) disagrees with the three
+		// outcomes that follow.
+		"short outcome vector": append(append(append([]byte{}, good[:8]...), 4, 0, 0, 0), good[12:]...),
+		"undefined outcome":    append(append([]byte{}, good[:len(good)-1]...), byte(Trap)+1),
 	}
 	for name, data := range cases {
 		if _, err := DecodeStats(data); err == nil {

@@ -1,12 +1,11 @@
 package prog
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 
+	"harpocrates/internal/binfmt"
 	"harpocrates/internal/isa"
 )
 
@@ -19,34 +18,40 @@ const (
 	serialVersion = 1
 )
 
-// WriteTo serializes the program.
-func (p *Program) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	put := func(v any) { _ = binary.Write(&buf, le, v) }
-	putBytes := func(b []byte) {
-		put(uint32(len(b)))
-		buf.Write(b)
-	}
+// Decoder bounds. Every length field of the container is untrusted; on
+// top of these ceilings binfmt refuses any count the bytes actually
+// present cannot back.
+const (
+	maxSerialField   = 1 << 30 // a name, a region, the instruction bytes
+	maxSerialRegions = 64
+	// maxSerialBytes is the largest container those ceilings allow; it
+	// caps how much of a stream ReadProgram will buffer.
+	maxSerialBytes = (maxSerialRegions + 2) * maxSerialField
+)
 
-	put(uint32(serialMagic))
-	put(uint32(serialVersion))
-	putBytes([]byte(p.Name))
-	for _, v := range p.InitGPR {
-		put(v)
+// codec walks the HXPG layout in whichever direction c runs: header,
+// name, initial GPR/XMM/flags, the regions (name, base, u32 size, a flag
+// byte — bit 0 writable, bit 1 data present — and the data when
+// present), then a u32 instruction count and the length-prefixed
+// isa-encoded instruction bytes.
+func (p *Program) codec(c *binfmt.Codec) error {
+	c.Header(serialMagic, serialVersion)
+	c.String(&p.Name, maxSerialField)
+	for i := range p.InitGPR {
+		binfmt.U64(c, &p.InitGPR[i])
 	}
-	for _, x := range p.InitXMM {
-		put(x[0])
-		put(x[1])
+	for i := range p.InitXMM {
+		binfmt.U64(c, &p.InitXMM[i][0])
+		binfmt.U64(c, &p.InitXMM[i][1])
 	}
-	put(uint8(p.InitFlags))
+	binfmt.U8(c, &p.InitFlags)
 
-	put(uint32(len(p.Regions)))
-	for i := range p.Regions {
-		r := &p.Regions[i]
-		putBytes([]byte(r.Name))
-		put(r.Base)
-		put(uint32(r.size()))
+	binfmt.Slice(c, &p.Regions, 17, maxSerialRegions, func(r *RegionSpec) {
+		c.String(&r.Name, maxSerialField)
+		binfmt.U64(c, &r.Base)
+		// A zero-fill region's size is backed by no bytes, so only the
+		// ceiling applies here; RawN checks a data region's against the input.
+		size := c.Len(r.size(), 0, maxSerialField)
 		var flags uint8
 		if r.Writable {
 			flags |= 1
@@ -54,154 +59,69 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 		if r.Data != nil {
 			flags |= 2
 		}
-		put(flags)
-		if r.Data != nil {
-			buf.Write(r.Data)
+		binfmt.U8(c, &flags)
+		if c.Decoding() {
+			r.Writable = flags&1 != 0
+		}
+		if flags&2 != 0 {
+			c.RawN(&r.Data, size)
+		} else if c.Decoding() {
+			r.Size = size
+		}
+	})
+
+	nInsts := len(p.Insts)
+	binfmt.U32(c, &nInsts)
+	var enc []byte
+	if !c.Decoding() {
+		for _, in := range p.Insts {
+			enc = isa.Encode(enc, in)
 		}
 	}
-
-	put(uint32(len(p.Insts)))
-	var enc []byte
-	for _, in := range p.Insts {
-		enc = isa.Encode(enc, in)
+	c.Bytes(&enc, maxSerialField)
+	if c.Decoding() && c.Err() == nil {
+		// nInsts is untrusted too, but each iteration consumes at least
+		// one byte of enc, so the loop is bounded by the input.
+		for i := 0; i < nInsts; i++ {
+			in, n, err := isa.Decode(enc)
+			if err != nil {
+				c.Fail("instruction %d: %w", i, err)
+				break
+			}
+			p.Insts = append(p.Insts, in)
+			enc = enc[n:]
+		}
+		if len(enc) != 0 {
+			c.Fail("%d trailing bytes after instructions", len(enc))
+		}
 	}
-	putBytes(enc)
+	return c.End()
+}
 
-	n, err := w.Write(buf.Bytes())
+// WriteTo serializes the program.
+func (p *Program) WriteTo(w io.Writer) (int64, error) {
+	c := binfmt.NewEncoder(nil)
+	_ = p.codec(c) // the walker only fails when decoding
+	n, err := w.Write(c.Encoded())
 	return int64(n), err
 }
 
-// ReadProgram deserializes a program written by WriteTo.
+// ReadProgram deserializes a program written by WriteTo. The stream is
+// buffered incrementally (io.ReadAll grows as bytes arrive) and decoded
+// from memory, so a hostile length claim backed by a short stream costs
+// only the bytes actually present; bytes after the container are an
+// error.
 func ReadProgram(r io.Reader) (*Program, error) {
-	le := binary.LittleEndian
-	get := func(v any) error { return binary.Read(r, le, v) }
-	// readN reads exactly n bytes. The length fields of the container are
-	// untrusted: the count is bounded before any allocation, and the copy
-	// grows incrementally (io.CopyN buffers) so a hostile length claim
-	// backed by a short stream costs only the bytes actually present, not
-	// an up-front make([]byte, n).
-	readN := func(n uint32, what string) ([]byte, error) {
-		if n > 1<<30 {
-			return nil, fmt.Errorf("prog: unreasonable %s size %d", what, n)
-		}
-		var bb bytes.Buffer
-		if _, err := io.CopyN(&bb, r, int64(n)); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		return bb.Bytes(), nil
+	data, err := io.ReadAll(io.LimitReader(r, maxSerialBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("prog: read: %w", err)
 	}
-	getBytes := func() ([]byte, error) {
-		var n uint32
-		if err := get(&n); err != nil {
-			return nil, err
-		}
-		return readN(n, "field")
+	if len(data) > maxSerialBytes {
+		return nil, fmt.Errorf("prog: container exceeds %d bytes", maxSerialBytes)
 	}
-
-	var magic, version uint32
-	if err := get(&magic); err != nil {
-		return nil, err
-	}
-	if magic != serialMagic {
-		return nil, fmt.Errorf("prog: bad magic %#x", magic)
-	}
-	if err := get(&version); err != nil {
-		return nil, err
-	}
-	if version != serialVersion {
-		return nil, fmt.Errorf("prog: unsupported version %d", version)
-	}
-
 	p := &Program{}
-	name, err := getBytes()
-	if err != nil {
-		return nil, err
-	}
-	p.Name = string(name)
-	for i := range p.InitGPR {
-		if err := get(&p.InitGPR[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := range p.InitXMM {
-		if err := get(&p.InitXMM[i][0]); err != nil {
-			return nil, err
-		}
-		if err := get(&p.InitXMM[i][1]); err != nil {
-			return nil, err
-		}
-	}
-	var fl uint8
-	if err := get(&fl); err != nil {
-		return nil, err
-	}
-	p.InitFlags = isa.Flags(fl)
-
-	var nRegions uint32
-	if err := get(&nRegions); err != nil {
-		return nil, err
-	}
-	if nRegions > 64 {
-		return nil, fmt.Errorf("prog: unreasonable region count %d", nRegions)
-	}
-	for i := uint32(0); i < nRegions; i++ {
-		var spec RegionSpec
-		rn, err := getBytes()
-		if err != nil {
-			return nil, err
-		}
-		spec.Name = string(rn)
-		if err := get(&spec.Base); err != nil {
-			return nil, err
-		}
-		var size uint32
-		if err := get(&size); err != nil {
-			return nil, err
-		}
-		// The region size is as untrusted as every other length field:
-		// unchecked, a corrupt file could demand up to 64 × 4 GiB of
-		// allocations (one per region) before any read failed.
-		if size > 1<<30 {
-			return nil, fmt.Errorf("prog: unreasonable region size %d", size)
-		}
-		var flags uint8
-		if err := get(&flags); err != nil {
-			return nil, err
-		}
-		spec.Writable = flags&1 != 0
-		if flags&2 != 0 {
-			data, err := readN(size, "region")
-			if err != nil {
-				return nil, err
-			}
-			spec.Data = data
-		} else {
-			spec.Size = int(size)
-		}
-		p.Regions = append(p.Regions, spec)
-	}
-
-	var nInsts uint32
-	if err := get(&nInsts); err != nil {
-		return nil, err
-	}
-	enc, err := getBytes()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nInsts; i++ {
-		in, n, derr := isa.Decode(enc)
-		if derr != nil {
-			return nil, fmt.Errorf("prog: instruction %d: %w", i, derr)
-		}
-		p.Insts = append(p.Insts, in)
-		enc = enc[n:]
-	}
-	if len(enc) != 0 {
-		return nil, fmt.Errorf("prog: %d trailing bytes after instructions", len(enc))
+	if err := p.codec(binfmt.NewDecoder(data)); err != nil {
+		return nil, fmt.Errorf("prog: %w", err)
 	}
 	return p, p.Validate()
 }

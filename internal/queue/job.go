@@ -140,7 +140,7 @@ func (j *job) decodeShardValue(i int, value []byte) error {
 		if err != nil {
 			return err
 		}
-		if st.N != s.hi-s.lo || len(st.Outcomes) != st.N {
+		if st.N != s.hi-s.lo {
 			return fmt.Errorf("queue: cached shard [%d,%d) holds %d outcomes", s.lo, s.hi, st.N)
 		}
 		return nil

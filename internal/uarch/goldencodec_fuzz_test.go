@@ -1,0 +1,131 @@
+package uarch
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand/v2"
+	"testing"
+
+	"harpocrates/internal/ace"
+	"harpocrates/internal/binfmt/binfmttest"
+	"harpocrates/internal/coverage"
+	"harpocrates/internal/isa"
+)
+
+// smallBundle computes the golden artifacts of a 50-instruction program
+// on a deliberately small core (1 KiB L1D, no L2, 16-entry gshare) with
+// every section populated — all three interval recorders, a trajectory
+// and two mid-run checkpoints with a busy ROB — and returns the program
+// and the bundle's HXGA bytes.
+func smallBundle(t testing.TB) ([]isa.Inst, []byte) {
+	t.Helper()
+	prog := randomProgram(rand.New(rand.NewPCG(31, 32)), 50, false)
+	cfg := Config{L1D: CacheConfig{SizeBytes: 1024, Ways: 2, LineBytes: 64}, GshareBits: 4}.WithDefaults()
+	cfg.RecordIRFIntervals = true
+	cfg.RecordFPRFIntervals = true
+	cfg.RecordL1DIntervals = true
+	ga := &GoldenArtifacts{Trajectory: GetDeltaTrajectory(8)}
+	defer ga.Release()
+	cfg.DeltaRecord = ga.Trajectory
+	cfg.OnCycle = func(c *Core, cyc uint64) {
+		if cyc == 8 || cyc == 20 {
+			ga.Checkpoints = append(ga.Checkpoints, c.Checkpoint())
+		}
+	}
+	ga.Result = Run(prog, newInitState(t, 3), cfg)
+	if len(ga.Checkpoints) != 2 || len(ga.Trajectory.Points) == 0 || ga.Checkpoints[1].core.robCnt == 0 {
+		t.Fatalf("fixture lost a section: %d checkpoints, %d trajectory points", len(ga.Checkpoints), len(ga.Trajectory.Points))
+	}
+	data, err := EncodeGoldenArtifacts(ga)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, data
+}
+
+// TestGoldenCodecRejectsUnbackedCounts: a valid header followed by a
+// length at the format ceiling and no body is refused without
+// allocating for it, at the first length of the container and at the
+// first one inside an interval recorder.
+func TestGoldenCodecRejectsUnbackedCounts(t *testing.T) {
+	prog, data := smallBundle(t)
+	ceiling := []byte{0, 0, 0, 0x10} // 1<<28
+	claims := map[string][]byte{
+		"config length": append(append([]byte{}, data[:8]...), ceiling...),
+	}
+	// The IRF recorder's presence byte follows the header, the config
+	// blob and the result's fixed fields (no crash in the fixture).
+	at := 8 + 4 + int(binary.LittleEndian.Uint32(data[8:])) + 40 + 16*int(coverage.NumStructures) + 1 + 2 + 8 + 1 + 72
+	if data[at] != 1 || binary.LittleEndian.Uint32(data[at+1:]) == 0 {
+		t.Fatal("fixture has no IRF recorder where the layout puts it")
+	}
+	claims["recorder cells"] = append(append([]byte{}, data[:at+1]...), ceiling...)
+	recs := ace.LiveIntervalRecorders()
+	for name, claim := range claims {
+		var err error
+		if got := binfmttest.AllocatedBy(func() { _, err = DecodeGoldenArtifacts(claim, prog) }); got > 1<<16 {
+			t.Errorf("%s: decoding %d bytes allocated %d", name, len(claim), got)
+		}
+		if err == nil {
+			t.Errorf("%s: unbacked length accepted", name)
+		}
+	}
+	if got := ace.LiveIntervalRecorders(); got != recs {
+		t.Fatalf("failed decodes leaked %d interval recorders", got-recs)
+	}
+}
+
+// TestGoldenCodecRefusesNonCanonicalConfig: the JSON config blob is the
+// one free-form field of the container; a blob that parses to the same
+// config but is not the encoder's bytes (here: a trailing space) must be
+// refused, or decode→encode would not be the identity.
+func TestGoldenCodecRefusesNonCanonicalConfig(t *testing.T) {
+	prog, data := smallBundle(t)
+	n := binary.LittleEndian.Uint32(data[8:])
+	spaced := binary.LittleEndian.AppendUint32(append([]byte{}, data[:8]...), n+1)
+	spaced = append(append(append(spaced, data[12:12+n]...), ' '), data[12+n:]...)
+	cks := LiveCheckpoints()
+	if _, err := DecodeGoldenArtifacts(spaced, prog); err == nil {
+		t.Fatal("non-canonical config blob accepted")
+	}
+	if got := LiveCheckpoints(); got != cks {
+		t.Fatalf("failed decode leaked %d checkpoints", got-cks)
+	}
+}
+
+// FuzzDecodeGoldenArtifacts: arbitrary bytes never panic, never
+// allocate beyond a pooled core plus a small multiple of the input, and
+// never leak a pooled checkpoint, recorder or trajectory; whatever
+// decodes re-encodes to exactly the input.
+func FuzzDecodeGoldenArtifacts(f *testing.F) {
+	prog, good := smallBundle(f)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(good[:len(good)-1])
+	flipped := append([]byte{}, good...)
+	flipped[8] ^= 0x80 // the config blob's length
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cks, recs, trajs := LiveCheckpoints(), ace.LiveIntervalRecorders(), LiveDeltaTrajectories()
+		var ga *GoldenArtifacts
+		var err error
+		// A first decode may have to build the pooled core it fills in.
+		if got := binfmttest.AllocatedBy(func() { ga, err = DecodeGoldenArtifacts(data, prog) }); got > 4<<20+8*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err == nil {
+			out, encErr := EncodeGoldenArtifacts(ga)
+			if encErr != nil {
+				t.Fatalf("decoded bundle does not re-encode: %v", encErr)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("re-encoding differs (%d bytes in, %d out)", len(data), len(out))
+			}
+			ga.Release()
+		}
+		if c, r, tr := LiveCheckpoints(), ace.LiveIntervalRecorders(), LiveDeltaTrajectories(); c != cks || r != recs || tr != trajs {
+			t.Fatalf("leaked %d checkpoints, %d recorders, %d trajectories", c-cks, r-recs, tr-trajs)
+		}
+	})
+}
