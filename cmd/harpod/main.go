@@ -12,9 +12,11 @@
 //
 // The worker is stateless — every request carries the full campaign or
 // evaluation configuration — so workers can join, die and be replaced
-// at any point without coordination. The optional -cache directory
-// holds a content-addressed result cache consulted before every
-// simulate; point several workers at one shared filesystem to pool it.
+// at any point without coordination. With -pull, the optional -cache
+// directory holds a content-addressed result cache consulted before
+// every simulate; point several workers at one shared filesystem to
+// pool it. The -name, -cache* and -*golden-cache* flags configure the
+// pull worker only and are refused without -pull.
 //
 // GET /metrics serves the Prometheus text exposition on the same
 // listener.
@@ -40,18 +42,29 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9090", "address to listen on")
 		pull         = flag.String("pull", "", "harpoq coordinator URL to pull shards from (work-stealing mode)")
-		name         = flag.String("name", "", "worker name reported in leases (default addr)")
-		cacheDir     = flag.String("cache", "", "worker-side content-addressed result cache directory")
-		cacheEntries = flag.Int("cache-entries", 0, "in-memory cache entries (0 = default)")
+		name         = flag.String("name", "", "with -pull: worker name reported in leases (default addr)")
+		cacheDir     = flag.String("cache", "", "with -pull: worker-side content-addressed result cache directory")
+		cacheEntries = flag.Int("cache-entries", 0, "with -pull: in-memory cache entries (0 = default)")
 
-		goldenCacheDir     = flag.String("golden-cache", "", "persist golden artifact bundles in this directory (restarted workers skip recomputing golden runs)")
-		goldenCacheEntries = flag.Int("golden-cache-entries", 0, "in-memory golden bundles (0 = default)")
-		noGoldenCache      = flag.Bool("no-golden-cache", false, "disable golden artifact reuse on this worker (ablation)")
+		goldenCacheDir     = flag.String("golden-cache", "", "with -pull: persist golden artifact bundles in this directory (restarted workers skip recomputing golden runs)")
+		goldenCacheEntries = flag.Int("golden-cache-entries", 0, "with -pull: in-memory golden bundles (0 = default)")
+		noGoldenCache      = flag.Bool("no-golden-cache", false, "with -pull: disable golden artifact reuse for pulled shards (ablation)")
 		tracePath          = flag.String("trace", "", "write a JSONL event trace to this file")
 		metrics            = flag.Bool("metrics", false, "print a metrics summary at exit")
 		pprofAddr          = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if *pull == "" {
+		// Only queue.NewWorker reads these; accepting them in push mode
+		// would silently ignore them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "name", "cache", "cache-entries", "golden-cache", "golden-cache-entries", "no-golden-cache":
+				fmt.Fprintf(os.Stderr, "harpod: -%s only applies to a -pull worker; add -pull <harpoq URL>\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 
 	ob, obFinish, err := obs.SetupCLI(*tracePath, *metrics, *pprofAddr)
 	if err != nil {
@@ -79,7 +92,7 @@ func main() {
 	go func() { done <- hs.Serve(ln) }()
 
 	// Pull mode: work-steal from the queue coordinator alongside the
-	// legacy push endpoint.
+	// push endpoint.
 	pullCtx, pullCancel := context.WithCancel(context.Background())
 	pullDone := make(chan struct{})
 	var worker *queue.Worker

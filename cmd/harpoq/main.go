@@ -2,13 +2,12 @@
 // a durable job queue that accepts fault-injection campaigns and GA
 // evaluation batches over HTTP, shards them, serves every shard it can
 // from a cluster-wide content-addressed result cache, and hands the
-// rest to pulling harpod workers (work-stealing) or legacy push-mode
-// workers.
+// rest to pulling workers (work-stealing): harpod -pull processes, or
+// its own in-process workers with -local.
 //
 // Usage:
 //
 //	harpoq -addr 0.0.0.0:9900 -data /var/lib/harpoq
-//	harpoq -addr 0.0.0.0:9900 -data ./q -workers host1:9090,host2:9090
 //	harpoq -addr 0.0.0.0:9900 -data ./q -local 4
 //
 // Every job and shard completion is persisted to an append-only
@@ -30,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -47,8 +45,7 @@ func main() {
 		shardSize    = flag.Int("shard-size", 32, "campaign specs per shard")
 		evalShard    = flag.Int("eval-shard-size", 8, "genotypes per eval shard")
 		leaseTimeout = flag.Duration("lease-timeout", 2*time.Minute, "re-queue a leased shard after this long")
-		workers      = flag.String("workers", "", "comma-separated legacy push-mode harpod URLs")
-		localExec    = flag.Int("local", 0, "in-process executor goroutines (work with no fleet)")
+		localExec    = flag.Int("local", 0, "in-process workers (work with no fleet)")
 		compactWAL   = flag.Int64("compact-wal", 64<<20, "snapshot state and reset the WAL once it exceeds this many bytes (0 disables)")
 		drain        = flag.Duration("drain", 30*time.Second, "shutdown lease-drain budget")
 		tracePath    = flag.String("trace", "", "write a JSONL event trace to this file")
@@ -68,12 +65,6 @@ func main() {
 		ob = obs.New(obs.NewRegistry(), ob.Tracer())
 	}
 
-	var workerURLs []string
-	for _, w := range strings.Split(*workers, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			workerURLs = append(workerURLs, w)
-		}
-	}
 	if *compactWAL <= 0 {
 		*compactWAL = -1 // flag 0 means "off", Options 0 means "default"
 	}
@@ -84,7 +75,6 @@ func main() {
 		ShardSize:       *shardSize,
 		EvalShardSize:   *evalShard,
 		LeaseTimeout:    *leaseTimeout,
-		PushWorkers:     workerURLs,
 		LocalExec:       *localExec,
 		CompactWALBytes: *compactWAL,
 		Obs:             ob,

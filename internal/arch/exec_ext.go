@@ -7,7 +7,7 @@ import (
 	"harpocrates/internal/isa"
 )
 
-// execExt implements the extended instruction families (isa/table2.go).
+// execExt implements the extended instruction families (isa/table_ext.go).
 // It is called from the main dispatch's default arm.
 func (s *State) execExt(in *isa.Inst, v *isa.Variant) (bool, *CrashError) {
 	w := v.Width

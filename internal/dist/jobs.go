@@ -17,8 +17,8 @@ import (
 // *pull* shards via lease/complete (work-stealing) instead of having
 // fixed shard pushes sized for them. The payload shapes reuse the
 // existing v1 request types — an InjectRequest template for campaign
-// jobs and an EvalRequest for GA-evaluation batches — so a legacy
-// push-mode harpod and a pull-mode harpod execute byte-identical work
+// jobs and an EvalRequest for GA-evaluation batches — so a pushed shard
+// (Pool) and a pulled one (queue.Worker) are byte-identical work
 // descriptions.
 const (
 	// PathJobs accepts POST (submit a JobRequest) and GET (list jobs);
@@ -63,6 +63,10 @@ type JobRequest struct {
 	Eval   *EvalRequest   `json:"eval,omitempty"`
 }
 
+// MaxCampaignN bounds one campaign job, so a single submit cannot make
+// the coordinator plan (and allocate) an unbounded shard table.
+const MaxCampaignN = 1 << 24
+
 // Validate checks the kind/payload pairing.
 func (r *JobRequest) Validate() error {
 	switch r.Kind {
@@ -70,8 +74,8 @@ func (r *JobRequest) Validate() error {
 		if r.Inject == nil || r.Eval != nil {
 			return fmt.Errorf("dist: campaign job needs exactly an inject payload")
 		}
-		if r.Inject.N <= 0 {
-			return fmt.Errorf("dist: campaign job needs N > 0")
+		if r.Inject.N <= 0 || r.Inject.N > MaxCampaignN {
+			return fmt.Errorf("dist: campaign job needs 0 < N <= %d", MaxCampaignN)
 		}
 	case JobEval:
 		if r.Eval == nil || r.Inject != nil {
@@ -200,9 +204,9 @@ func NewInjectRequest(c *inject.Campaign, p *prog.Program) (InjectRequest, error
 }
 
 // RunInject executes one campaign shard request in process — the single
-// execution function shared by the push-mode worker handler, the
-// pull-mode worker loop and the coordinator's local/in-process
-// executors, so every path produces bit-identical shard statistics.
+// execution function shared by the push-mode worker handler and the
+// queue worker loop (over HTTP or inside the coordinator), so every path
+// produces bit-identical shard statistics.
 // Golden artifacts are reused through the process-wide cache: every
 // shard of one campaign (and every campaign on the same program and
 // config) computes the instrumented golden run exactly once.
@@ -236,71 +240,9 @@ func RunEval(req *EvalRequest) ([]WireEvalResult, error) {
 	metric := coverage.MetricFor(st)
 	out := make([]WireEvalResult, len(gs))
 	for i, g := range gs {
-		res := core.GradeGenotype(g, &req.Gen, req.Core, metric)
-		out[i] = WireEvalResult{Fitness: res.Fitness, Snapshot: res.Snapshot}
+		out[i] = core.GradeGenotype(g, &req.Gen, req.Core, metric)
 	}
 	return out, nil
-}
-
-// PostInject dispatches one shard request to some live worker of the
-// pool — the coordinator's push-mode fallback for legacy (non-pulling)
-// harpods. Dispatch rotates round-robin over live workers; a worker
-// that keeps failing is evicted (after the pool's usual retries) and
-// the shard moves on to the next survivor. With no live worker left an
-// error is returned and the caller decides (the queue coordinator runs
-// the shard in process).
-func (p *Pool) PostInject(req *InjectRequest) (*inject.Stats, error) {
-	var resp InjectResponse
-	err := p.postAnyWorker(PathInject, "dist.rpc.inject", req, &resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stats.N != req.Hi-req.Lo || len(resp.Stats.Outcomes) != resp.Stats.N {
-		return nil, fmt.Errorf("dist: shard [%d,%d) returned %d outcomes",
-			req.Lo, req.Hi, len(resp.Stats.Outcomes))
-	}
-	return &resp.Stats, nil
-}
-
-// PostEval dispatches one evaluation shard to some live worker (see
-// PostInject).
-func (p *Pool) PostEval(req *EvalRequest) ([]WireEvalResult, error) {
-	var resp EvalResponse
-	if err := p.postAnyWorker(PathEval, "dist.rpc.eval", req, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(req.Genotypes) {
-		return nil, fmt.Errorf("dist: eval shard returned %d results for %d genotypes",
-			len(resp.Results), len(req.Genotypes))
-	}
-	return resp.Results, nil
-}
-
-// postAnyWorker tries one RPC against live workers in round-robin
-// order, evicting each worker that exhausts its retries, until one
-// answers or none remain.
-func (p *Pool) postAnyWorker(path, counter string, reqBody, respBody any) error {
-	live := p.liveWorkers()
-	if len(live) == 0 {
-		return fmt.Errorf("dist: no live workers")
-	}
-	start := int(p.rr.Add(1) - 1)
-	var err error
-	for i := 0; i < len(live); i++ {
-		w := live[(start+i)%len(live)]
-		if !w.isAlive() {
-			continue
-		}
-		p.ob.Counter(counter).Inc()
-		if err = p.withRetries(w, func() error { return p.post(w, path, reqBody, respBody) }); err == nil {
-			return nil
-		}
-		p.evict(w, err)
-	}
-	if err == nil {
-		err = fmt.Errorf("dist: no live workers")
-	}
-	return err
 }
 
 // CampaignFor reconstructs a campaign from a shard request. The

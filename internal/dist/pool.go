@@ -1,26 +1,19 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"harpocrates/internal/core"
-	"harpocrates/internal/coverage"
-	"harpocrates/internal/gen"
 	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
-	"harpocrates/internal/uarch"
 )
 
 // Options tunes the coordinator's view of the unreliable network.
@@ -68,23 +61,9 @@ func (o Options) withDefaults() Options {
 
 // workerHandle tracks one worker's address and health.
 type workerHandle struct {
-	url  string // normalized base URL, no trailing slash
-	name string // host:port, for metrics
-
-	mu    sync.Mutex
-	alive bool
-}
-
-func (w *workerHandle) isAlive() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.alive
-}
-
-func (w *workerHandle) setAlive(v bool) {
-	w.mu.Lock()
-	w.alive = v
-	w.mu.Unlock()
+	url   string // normalized base URL, no trailing slash
+	name  string // host:port, for metrics
+	alive atomic.Bool
 }
 
 // Pool is the coordinator side of the protocol: it shards
@@ -101,9 +80,6 @@ type Pool struct {
 	ob      *obs.Observer
 	client  *http.Client
 	workers []*workerHandle
-	// rr rotates single-shard push dispatch (PostInject/PostEval)
-	// across live workers.
-	rr atomic.Uint64
 }
 
 // New builds a pool over worker base URLs ("http://host:port"; a bare
@@ -117,19 +93,16 @@ func New(urls []string, opts Options) *Pool {
 		client: &http.Client{},
 	}
 	for _, u := range urls {
-		u = strings.TrimSpace(u)
-		if u == "" {
+		if u = NormalizeURL(u); u == "" {
 			continue
 		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		u = strings.TrimRight(u, "/")
 		name := u
 		if parsed, err := url.Parse(u); err == nil && parsed.Host != "" {
 			name = parsed.Host
 		}
-		p.workers = append(p.workers, &workerHandle{url: u, name: name, alive: true})
+		w := &workerHandle{url: u, name: name}
+		w.alive.Store(true)
+		p.workers = append(p.workers, w)
 	}
 	return p
 }
@@ -138,44 +111,21 @@ func New(urls []string, opts Options) *Pool {
 func (p *Pool) Size() int { return len(p.workers) }
 
 // Alive returns the number of workers not yet evicted.
-func (p *Pool) Alive() int {
-	n := 0
-	for _, w := range p.workers {
-		if w.isAlive() {
-			n++
-		}
-	}
-	return n
-}
+func (p *Pool) Alive() int { return len(p.liveWorkers()) }
 
 // Probe health-checks every non-evicted worker, evicting unreachable
 // ones, and returns the number alive.
 func (p *Pool) Probe() int {
 	var wg sync.WaitGroup
-	for _, w := range p.workers {
-		if !w.isAlive() {
-			continue
-		}
+	for _, w := range p.liveWorkers() {
 		wg.Add(1)
 		go func(w *workerHandle) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), min(p.opts.Timeout, 5*time.Second))
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+PathHealthz, nil)
-			if err != nil {
-				p.evict(w, err)
-				return
-			}
 			p.ob.Counter("dist.rpc.healthz").Inc()
-			resp, err := p.client.Do(req)
-			if err != nil {
+			if err := GetJSON(ctx, p.client, w.url+PathHealthz, nil); err != nil {
 				p.evict(w, err)
-				return
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				p.evict(w, fmt.Errorf("healthz status %s", resp.Status))
 			}
 		}(w)
 	}
@@ -186,7 +136,7 @@ func (p *Pool) Probe() int {
 func (p *Pool) liveWorkers() []*workerHandle {
 	var out []*workerHandle
 	for _, w := range p.workers {
-		if w.isAlive() {
+		if w.alive.Load() {
 			out = append(out, w)
 		}
 	}
@@ -194,10 +144,9 @@ func (p *Pool) liveWorkers() []*workerHandle {
 }
 
 func (p *Pool) evict(w *workerHandle, err error) {
-	if !w.isAlive() {
+	if !w.alive.CompareAndSwap(true, false) {
 		return
 	}
-	w.setAlive(false)
 	p.ob.Counter("dist.worker.evictions").Inc()
 	p.ob.Event("worker_evicted", obs.Fields{"worker": w.name, "error": err.Error()})
 }
@@ -206,31 +155,13 @@ func (p *Pool) evict(w *workerHandle, err error) {
 // and decodes the JSON response. Any transport error, timeout or
 // non-200 status is returned as a failure for the retry layer.
 func (p *Pool) post(w *workerHandle, path string, reqBody, respBody any) error {
-	payload, err := json.Marshal(reqBody)
-	if err != nil {
-		return fmt.Errorf("dist: marshal request: %w", err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), p.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+path, bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("dist: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
 	t0 := time.Now()
-	resp, err := p.client.Do(req)
+	err := PostJSON(ctx, p.client, w.url+path, reqBody, respBody)
 	p.ob.Histogram("dist.worker." + w.name + ".ns").ObserveDuration(time.Since(t0))
 	if err != nil {
-		return fmt.Errorf("dist: %s%s: %w", w.url, path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("dist: %s%s: %s: %s", w.url, path, resp.Status,
-			strings.TrimSpace(string(msg)))
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRequestBytes)).Decode(respBody); err != nil {
-		return fmt.Errorf("dist: %s%s: parse response: %w", w.url, path, err)
+		return fmt.Errorf("dist: %w", err)
 	}
 	return nil
 }
@@ -281,17 +212,6 @@ func (p *Pool) runShards(n int, remote func(w *workerHandle, shard int) error, l
 	if n <= 0 {
 		return nil
 	}
-	live := p.liveWorkers()
-	if len(live) == 0 {
-		p.ob.Counter("dist.fallback.local").Add(int64(n))
-		for i := 0; i < n; i++ {
-			if err := local(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	pending := make(chan int, n)
 	for i := 0; i < n; i++ {
 		pending <- i
@@ -302,7 +222,7 @@ func (p *Pool) runShards(n int, remote func(w *workerHandle, shard int) error, l
 	var quitOnce sync.Once
 
 	var wg sync.WaitGroup
-	for _, w := range live {
+	for _, w := range p.liveWorkers() {
 		wg.Add(1)
 		go func(w *workerHandle) {
 			defer wg.Done()
@@ -389,10 +309,6 @@ func (c *Pool) RunCampaign(camp *inject.Campaign, p *prog.Program) (*inject.Stat
 	}
 	stop := c.ob.Phase("dist.coord.campaign")
 	defer stop()
-	if c.Alive() == 0 {
-		c.ob.Counter("dist.fallback.local").Inc()
-		return camp.Run()
-	}
 	progBytes, err := EncodeProgram(p)
 	if err != nil {
 		return nil, err
@@ -430,92 +346,44 @@ func (c *Pool) RunCampaign(camp *inject.Campaign, p *prog.Program) (*inject.Stat
 	return inject.MergeStats(parts)
 }
 
-// poolEvaluator adapts the pool to core.Evaluator: evaluation batches
-// are sharded across workers like campaign specs, with the same retry/
-// evict/re-queue/fallback machinery, and results are reassembled in
-// input order.
-type poolEvaluator struct {
-	p *Pool
-
-	mu     sync.Mutex
-	st     coverage.Structure
-	gen    gen.Config
-	core   uarch.Config
-	metric coverage.Metric
-	ready  bool
-}
-
 // Evaluator returns a core.Evaluator fanning evaluation batches out
-// over the pool (set it as core.Options.Evaluator).
-func (p *Pool) Evaluator() core.Evaluator { return &poolEvaluator{p: p} }
+// over the pool (set it as core.Options.Evaluator): batches are sharded
+// across workers like campaign specs, with the same retry/evict/
+// re-queue/fallback machinery, and results are reassembled in input
+// order.
+func (p *Pool) Evaluator() core.Evaluator { return NewEvaluator(p.evalBatch) }
 
-func (e *poolEvaluator) Configure(st coverage.Structure, gcfg gen.Config, ccfg uarch.Config) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.st = st
-	e.gen = gcfg
-	e.core = ccfg
-	e.metric = coverage.MetricFor(st)
-	e.ready = true
-	return nil
-}
-
-func (e *poolEvaluator) EvaluateBatch(gs []*gen.Genotype) ([]core.EvalResult, error) {
-	e.mu.Lock()
-	if !e.ready {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("dist: evaluator used before Configure")
-	}
-	st, gcfg, ccfg, metric := e.st, e.gen, e.core, e.metric
-	e.mu.Unlock()
-	if len(gs) == 0 {
-		return nil, nil
-	}
-
-	stop := e.p.ob.Phase("dist.coord.eval")
+func (p *Pool) evalBatch(req *EvalRequest) ([]WireEvalResult, error) {
+	stop := p.ob.Phase("dist.coord.eval")
 	defer stop()
-	results := make([]core.EvalResult, len(gs))
-	if e.p.Alive() == 0 {
-		e.p.ob.Counter("dist.fallback.local").Add(int64(len(gs)))
-		for i, g := range gs {
-			results[i] = core.GradeGenotype(g, &gcfg, ccfg, metric)
-		}
-		return results, nil
-	}
-
-	wire := EncodeGenotypes(gs)
-	bounds := shardBounds(len(gs), e.p.shardCount(len(gs)))
-
-	remote := func(w *workerHandle, shard int) error {
+	n := len(req.Genotypes)
+	results := make([]WireEvalResult, n)
+	bounds := shardBounds(n, p.shardCount(n))
+	// run grades one shard through grade and files its results in place.
+	run := func(shard int, grade func(*EvalRequest) ([]WireEvalResult, error)) error {
 		lo, hi := bounds[shard][0], bounds[shard][1]
-		req := EvalRequest{
-			Structure: st.String(),
-			Gen:       gcfg,
-			Core:      ccfg,
-			Genotypes: wire[lo:hi],
-		}
-		var resp EvalResponse
-		e.p.ob.Counter("dist.rpc.eval").Inc()
-		if err := e.p.post(w, PathEval, &req, &resp); err != nil {
+		sreq := *req
+		sreq.Genotypes = req.Genotypes[lo:hi]
+		res, err := grade(&sreq)
+		if err != nil {
 			return err
 		}
-		if len(resp.Results) != hi-lo {
-			return fmt.Errorf("dist: %s: eval shard [%d,%d) returned %d results",
-				w.url, lo, hi, len(resp.Results))
+		if len(res) != hi-lo {
+			return fmt.Errorf("dist: eval shard [%d,%d) returned %d results", lo, hi, len(res))
 		}
-		for i, r := range resp.Results {
-			results[lo+i] = core.EvalResult{Fitness: r.Fitness, Snapshot: r.Snapshot}
-		}
+		copy(results[lo:hi], res)
 		return nil
 	}
-	local := func(shard int) error {
-		lo, hi := bounds[shard][0], bounds[shard][1]
-		for i := lo; i < hi; i++ {
-			results[i] = core.GradeGenotype(gs[i], &gcfg, ccfg, metric)
-		}
-		return nil
+	remote := func(w *workerHandle, shard int) error {
+		return run(shard, func(sreq *EvalRequest) ([]WireEvalResult, error) {
+			var resp EvalResponse
+			p.ob.Counter("dist.rpc.eval").Inc()
+			err := p.post(w, PathEval, sreq, &resp)
+			return resp.Results, err
+		})
 	}
-	if err := e.p.runShards(len(bounds), remote, local); err != nil {
+	local := func(shard int) error { return run(shard, RunEval) }
+	if err := p.runShards(len(bounds), remote, local); err != nil {
 		return nil, err
 	}
 	return results, nil

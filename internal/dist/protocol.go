@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 
+	"harpocrates/internal/core"
 	"harpocrates/internal/corpus"
-	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
 	"harpocrates/internal/inject"
 	"harpocrates/internal/prog"
@@ -87,12 +87,9 @@ type EvalResponse struct {
 	Results []WireEvalResult `json:"results"`
 }
 
-// WireEvalResult mirrors core.EvalResult (kept as a named local type so
-// the wire schema is defined in one package).
-type WireEvalResult struct {
-	Fitness  float64           `json:"fitness"`
-	Snapshot coverage.Snapshot `json:"snapshot"`
-}
+// WireEvalResult is one grade on the wire: core.EvalResult itself, whose
+// JSON tags are the schema.
+type WireEvalResult = core.EvalResult
 
 // HealthzResponse is the worker liveness probe reply.
 type HealthzResponse struct {

@@ -1,17 +1,10 @@
 package dist
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 
 	"harpocrates/internal/obs"
 )
-
-// maxRequestBytes bounds a request body read. Programs are at most a
-// few MB (the HXPG decoder itself enforces per-field bounds); genotype
-// batches of a full population stay well under this.
-const maxRequestBytes = 256 << 20
 
 // Server is the worker side of the protocol: it grades evaluation
 // batches and runs fault-injection shards on behalf of a coordinator.
@@ -38,38 +31,14 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.ob.Counter("dist.worker.healthz").Inc()
-	writeJSON(w, HealthzResponse{OK: true})
-}
-
-// readJSON decodes a bounded POST body; a false return means the
-// response is already written.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		http.Error(w, "parse request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	WriteJSON(w, HealthzResponse{OK: true})
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	stop := s.ob.Phase("dist.worker.phase.eval")
 	defer stop()
 	var req EvalRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	results, err := RunEval(&req)
@@ -79,14 +48,14 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ob.Counter("dist.worker.eval.batches").Inc()
 	s.ob.Counter("dist.worker.eval.genotypes").Add(int64(len(results)))
-	writeJSON(w, EvalResponse{Results: results})
+	WriteJSON(w, EvalResponse{Results: results})
 }
 
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	stop := s.ob.Phase("dist.worker.phase.inject")
 	defer stop()
 	var req InjectRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	st, err := RunInject(&req, s.ob)
@@ -96,5 +65,5 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ob.Counter("dist.worker.inject.shards").Inc()
 	s.ob.Counter("dist.worker.inject.specs").Add(int64(st.N))
-	writeJSON(w, InjectResponse{Stats: *st})
+	WriteJSON(w, InjectResponse{Stats: *st})
 }

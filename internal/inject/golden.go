@@ -393,27 +393,7 @@ func (c *Campaign) computeGoldenArtifacts() *uarch.GoldenArtifacts {
 	traj := uarch.GetDeltaTrajectory(0)
 	cfg.DeltaRecord = traj
 	var cks []*uarch.Checkpoint
-	interval := uint64(defaultCheckpointInterval)
-	next := interval
-	cfg.OnCycle = func(core *uarch.Core, cyc uint64) {
-		if cyc != next {
-			return
-		}
-		if len(cks) >= maxCheckpoints {
-			kept := cks[:0]
-			for j := 1; j < len(cks); j += 2 {
-				cks[j-1].Release()
-				kept = append(kept, cks[j])
-			}
-			if len(cks)%2 == 1 {
-				cks[len(cks)-1].Release()
-			}
-			cks = kept
-			interval *= 2
-		}
-		cks = append(cks, core.Checkpoint())
-		next = cyc + interval
-	}
+	cfg.OnCycle = checkpointEvery(defaultCheckpointInterval, &cks)
 	golden := uarch.Run(c.Prog, c.Init(), cfg)
 	return &uarch.GoldenArtifacts{Result: golden, Checkpoints: cks, Trajectory: traj}
 }

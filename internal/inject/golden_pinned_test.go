@@ -21,13 +21,6 @@ func TestGoldenBundlePinned(t *testing.T) {
 		wantLen    = 4850027
 		wantDigest = 0x9402ba936b7c6111
 	)
-	// A bundle carries a few dead fields as it finds them (the next-PC of
-	// a µop that has not executed, tags of invalid L2 lines), so its bytes
-	// depend on what the pooled core ran before. Two collections empty
-	// every sync.Pool; the golden run then starts from fresh, zeroed cores
-	// — the state the constants were recorded in.
-	runtime.GC()
-	runtime.GC()
 	c := testProgram(t, 400, nil)
 	c.Target = coverage.IRF
 	c.Type = Transient
@@ -58,5 +51,37 @@ func TestGoldenBundlePinned(t *testing.T) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Fatal("Encode(Decode(b)) != b")
+	}
+}
+
+// TestGoldenBundleIgnoresPoolHistory: HXGA bytes are a pure function of
+// (program, config). A bundle computed on pooled cores that last ran a
+// different, longer program must equal, byte for byte, the bundle from
+// fresh cores (two collections empty every sync.Pool).
+func TestGoldenBundleIgnoresPoolHistory(t *testing.T) {
+	encode := func(instrs int, seed uint64) []byte {
+		c := testProgram(t, instrs, nil)
+		c.Seed = seed
+		c.Target = coverage.IRF
+		c.Type = Transient
+		c.N = 8
+		ga := c.computeGoldenArtifacts()
+		defer ga.Release()
+		data, err := uarch.EncodeGoldenArtifacts(ga)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	runtime.GC()
+	runtime.GC()
+	fresh := encode(400, 7)
+	for round := 0; round < 3; round++ {
+		// Leave the pools full of cores, checkpoints and recorders that
+		// hold another program's ROB, L2 tags and interval logs.
+		encode(1500, 8)
+		if dirty := encode(400, 7); !bytes.Equal(dirty, fresh) {
+			t.Fatalf("round %d: bundle from dirty pooled cores differs from the fresh-core bundle", round)
+		}
 	}
 }

@@ -377,6 +377,32 @@ const (
 	maxCheckpoints            = 16
 )
 
+// checkpointEvery returns the golden run's OnCycle hook implementing
+// that policy: it appends to *cks, which holds the surviving snapshots
+// (oldest first) when the run ends.
+func checkpointEvery(interval uint64, cks *[]*uarch.Checkpoint) func(*uarch.Core, uint64) {
+	next := interval
+	return func(core *uarch.Core, cyc uint64) {
+		if cyc != next {
+			return
+		}
+		if all := *cks; len(all) >= maxCheckpoints {
+			kept := all[:0]
+			for j := 1; j < len(all); j += 2 {
+				all[j-1].Release()
+				kept = append(kept, all[j])
+			}
+			if len(all)%2 == 1 {
+				all[len(all)-1].Release()
+			}
+			*cks = kept
+			interval *= 2
+		}
+		*cks = append(*cks, core.Checkpoint())
+		next = cyc + interval
+	}
+}
+
 // faultSpec is one injection's precomputed parameters. Deriving all
 // specs up front (in exactly the RNG order the original per-run code
 // used, so outcomes stay bit-identical for a fixed seed) lets the
@@ -592,26 +618,7 @@ func (c *Campaign) goldenInstrumented() (*uarch.Result, []*uarch.Checkpoint, *ua
 	if interval == 0 {
 		interval = defaultCheckpointInterval
 	}
-	next := interval
-	cfg.OnCycle = func(core *uarch.Core, cyc uint64) {
-		if cyc != next {
-			return
-		}
-		if len(cks) >= maxCheckpoints {
-			kept := cks[:0]
-			for j := 1; j < len(cks); j += 2 {
-				cks[j-1].Release()
-				kept = append(kept, cks[j])
-			}
-			if len(cks)%2 == 1 {
-				cks[len(cks)-1].Release()
-			}
-			cks = kept
-			interval *= 2
-		}
-		cks = append(cks, core.Checkpoint())
-		next = cyc + interval
-	}
+	cfg.OnCycle = checkpointEvery(interval, &cks)
 	golden := uarch.Run(c.Prog, c.Init(), cfg)
 	return golden, cks, traj
 }

@@ -1,22 +1,16 @@
 package queue
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"harpocrates/internal/core"
-	"harpocrates/internal/coverage"
 	"harpocrates/internal/dist"
-	"harpocrates/internal/gen"
 	"harpocrates/internal/inject"
 	"harpocrates/internal/prog"
-	"harpocrates/internal/uarch"
 )
 
 // Client talks to a coordinator. It survives coordinator restarts: the
@@ -39,12 +33,8 @@ type Client struct {
 // NewClient builds a client for a coordinator base URL ("http://host:port";
 // a bare "host:port" gets the scheme prefixed).
 func NewClient(base string) *Client {
-	base = strings.TrimSpace(base)
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
 	return &Client{
-		base:         strings.TrimRight(base, "/"),
+		base:         dist.NormalizeURL(base),
 		client:       &http.Client{},
 		PollInterval: 200 * time.Millisecond,
 		RetryWindow:  2 * time.Minute,
@@ -52,50 +42,22 @@ func NewClient(base string) *Client {
 }
 
 func (c *Client) post(path string, reqBody, respBody any) error {
-	payload, err := json.Marshal(reqBody)
-	if err != nil {
-		return fmt.Errorf("queue: marshal request: %w", err)
-	}
-	resp, err := c.client.Post(c.base+path, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("queue: %s: %w", path, err)
-	}
-	return decodeResp(resp, path, respBody)
+	return wrapErr(dist.PostJSON(context.TODO(), c.client, c.base+path, reqBody, respBody))
 }
 
 func (c *Client) get(path string, respBody any) error {
-	resp, err := c.client.Get(c.base + path)
-	if err != nil {
-		return fmt.Errorf("queue: %s: %w", path, err)
-	}
-	return decodeResp(resp, path, respBody)
+	return wrapErr(dist.GetJSON(context.TODO(), c.client, c.base+path, respBody))
 }
 
-func decodeResp(resp *http.Response, path string, respBody any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("queue: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))
+func wrapErr(err error) error {
+	if err != nil {
+		err = fmt.Errorf("queue: %w", err)
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJobRequestBytes)).Decode(respBody); err != nil {
-		return fmt.Errorf("queue: %s: parse response: %w", path, err)
-	}
-	return nil
+	return err
 }
 
 // Healthz probes the coordinator.
-func (c *Client) Healthz() error {
-	resp, err := c.client.Get(c.base + dist.PathHealthz)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("queue: healthz status %s", resp.Status)
-	}
-	return nil
-}
+func (c *Client) Healthz() error { return c.get(dist.PathHealthz, nil) }
 
 // Submit posts one job.
 func (c *Client) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, error) {
@@ -219,68 +181,22 @@ func (c *Client) RunCampaign(camp *inject.Campaign, p *prog.Program) (*inject.St
 	return res.Stats, nil
 }
 
-// clientEvaluator adapts the client to core.Evaluator: each evaluation
-// batch becomes one queue job, sharded, cached and graded by the
-// fleet, reassembled in input order.
-type clientEvaluator struct {
-	c *Client
-
-	mu    sync.Mutex
-	st    coverage.Structure
-	gen   gen.Config
-	core  uarch.Config
-	ready bool
-}
-
 // Evaluator returns a core.Evaluator backed by the queue (set it as
-// core.Options.Evaluator).
-func (c *Client) Evaluator() core.Evaluator { return &clientEvaluator{c: c} }
-
-func (e *clientEvaluator) Configure(st coverage.Structure, gcfg gen.Config, ccfg uarch.Config) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.st = st
-	e.gen = gcfg
-	e.core = ccfg
-	e.ready = true
-	return nil
-}
-
-func (e *clientEvaluator) EvaluateBatch(gs []*gen.Genotype) ([]core.EvalResult, error) {
-	e.mu.Lock()
-	if !e.ready {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("queue: evaluator used before Configure")
-	}
-	st, gcfg, ccfg := e.st, e.gen, e.core
-	e.mu.Unlock()
-	if len(gs) == 0 {
-		return nil, nil
-	}
-	req := &dist.JobRequest{
-		Kind: dist.JobEval,
-		Eval: &dist.EvalRequest{
-			Structure: st.String(),
-			Gen:       gcfg,
-			Core:      ccfg,
-			Genotypes: dist.EncodeGenotypes(gs),
-		},
-	}
-	sub, err := e.c.Submit(req)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.c.Await(sub.ID, nil)
-	if err != nil {
-		return nil, err
-	}
-	if res.State != dist.JobStateDone || len(res.Results) != len(gs) {
-		return nil, fmt.Errorf("queue: eval job %s ended %s with %d/%d results",
-			sub.ID, res.State, len(res.Results), len(gs))
-	}
-	out := make([]core.EvalResult, len(gs))
-	for i, r := range res.Results {
-		out[i] = core.EvalResult{Fitness: r.Fitness, Snapshot: r.Snapshot}
-	}
-	return out, nil
+// core.Options.Evaluator): each evaluation batch becomes one queue job,
+// sharded, cached and graded by the fleet, reassembled in input order.
+func (c *Client) Evaluator() core.Evaluator {
+	return dist.NewEvaluator(func(req *dist.EvalRequest) ([]dist.WireEvalResult, error) {
+		sub, err := c.Submit(&dist.JobRequest{Kind: dist.JobEval, Eval: req})
+		if err != nil {
+			return nil, err
+		}
+		res, err := c.Await(sub.ID, nil)
+		if err != nil {
+			return nil, err
+		}
+		if res.State != dist.JobStateDone {
+			return nil, fmt.Errorf("queue: eval job %s ended %s", sub.ID, res.State)
+		}
+		return res.Results, nil
+	})
 }

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"harpocrates/internal/dist"
+	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/segstore"
 )
@@ -38,16 +38,10 @@ type Options struct {
 	// it is re-queued for the others (default 2 minutes).
 	LeaseTimeout time.Duration
 
-	// PushWorkers lists legacy push-mode harpod URLs; the coordinator
-	// runs an internal dispatcher that leases shards like any pull
-	// worker and pushes them over the PR 4 request/response protocol.
-	PushWorkers []string
-	// PushOptions tunes the push pool (retries, timeouts).
-	PushOptions dist.Options
-
-	// LocalExec runs that many in-process executor goroutines — the
-	// zero-worker fallback that keeps a fleetless coordinator (or a test)
-	// completing jobs.
+	// LocalExec runs that many in-process Workers — the zero-worker
+	// fallback that keeps a fleetless coordinator (or a test) completing
+	// jobs. They lease through the same Lease/Complete as remote workers,
+	// minus the HTTP hop, and share the process-wide golden cache.
 	LocalExec int
 
 	// CompactWALBytes triggers online WAL compaction: once the log
@@ -91,7 +85,6 @@ type Coordinator struct {
 	ob    *obs.Observer
 	wal   *WAL
 	cache *Cache
-	push  *dist.Pool
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -130,25 +123,34 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		cache.Close()
 		return nil, err
 	}
-	if len(opts.PushWorkers) > 0 {
-		po := opts.PushOptions
-		if po.Obs == nil {
-			po.Obs = opts.Obs
-		}
-		c.push = dist.New(opts.PushWorkers, po)
-		n := max(1, c.push.Probe()*2)
-		for i := 0; i < n; i++ {
-			c.bg.Add(1)
-			go c.executorLoop(fmt.Sprintf("push-%d", i), c.execPush)
-		}
-	}
-	for i := 0; i < opts.LocalExec; i++ {
-		c.bg.Add(1)
-		go c.executorLoop(fmt.Sprintf("local-%d", i), c.execLocal)
-	}
+	c.startLocalWorkers(opts.LocalExec)
 	c.bg.Add(1)
 	go c.expiryLoop()
 	return c, nil
+}
+
+// startLocalWorkers runs n in-process Workers against c until c.stop
+// closes.
+func (c *Coordinator) startLocalWorkers(n int) {
+	if n <= 0 {
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.bg.Add(1)
+	go func() {
+		defer c.bg.Done()
+		<-c.stop
+		cancel()
+	}()
+	for i := 0; i < n; i++ {
+		w := newWorker(WorkerOptions{Name: fmt.Sprintf("local-%d", i), Obs: c.ob}, "queue.shards.executed_local")
+		w.golden = inject.SharedGoldenCache()
+		c.bg.Add(1)
+		go func() {
+			defer c.bg.Done()
+			w.run(ctx, c)
+		}()
+	}
 }
 
 // recover loads snapshot.json, replays the WAL on top, serves cached
@@ -423,14 +425,12 @@ func (c *Coordinator) Lease(worker string, wait time.Duration) (*dist.LeaseRespo
 	deadline := time.Now().Add(wait)
 	for {
 		c.mu.Lock()
-		if c.draining {
-			c.mu.Unlock()
-			return &dist.LeaseResponse{}, nil
-		}
-		c.expireLocked(time.Now())
-		if resp := c.leaseLocked(worker); resp != nil {
-			c.mu.Unlock()
-			return resp, nil
+		if !c.draining { // a draining coordinator grants nothing, but still paces its pollers
+			c.expireLocked(time.Now())
+			if resp := c.leaseLocked(worker); resp != nil {
+				c.mu.Unlock()
+				return resp, nil
+			}
 		}
 		pulse := c.pulse
 		c.mu.Unlock()
@@ -518,9 +518,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		}
 		for _, s := range j.shards {
 			if s.state == shardLeased && now.After(s.deadline) {
-				s.state = shardReady
-				s.lease = 0
-				s.worker = ""
+				s.requeue()
 				expired++
 			}
 		}
@@ -554,23 +552,20 @@ func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteRespons
 		c.ob.Counter("queue.complete.stale").Inc()
 		return &dist.CompleteResponse{OK: true, Stale: true}, nil
 	}
-	if req.Err != "" {
-		s.state = shardReady
-		s.lease = 0
-		s.worker = ""
+	fail := func() {
+		s.requeue()
 		c.ob.Counter("queue.shard.failures").Inc()
 		c.broadcast()
+	}
+	if req.Err != "" {
+		fail()
 		return &dist.CompleteResponse{OK: true}, nil
 	}
 	value, err := j.encodeShardResult(req.Shard, req)
 	if err != nil {
 		// A malformed result is a worker bug: re-queue the shard and
 		// reject the completion.
-		s.state = shardReady
-		s.lease = 0
-		s.worker = ""
-		c.ob.Counter("queue.shard.failures").Inc()
-		c.broadcast()
+		fail()
 		return nil, err
 	}
 	c.ob.Histogram("queue.shard.ns").ObserveDuration(time.Since(s.leasedAt))
@@ -630,7 +625,6 @@ func (c *Coordinator) List() []dist.JobStatus {
 	for _, j := range c.order {
 		out = append(out, j.status())
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
@@ -709,84 +703,6 @@ func (c *Coordinator) expiryLoop() {
 			c.mu.Unlock()
 		}
 	}
-}
-
-// executorLoop is the shared skeleton of the in-process and push-mode
-// dispatchers: lease, execute, complete, repeat.
-func (c *Coordinator) executorLoop(name string, exec func(*dist.LeaseResponse) *dist.CompleteRequest) {
-	defer c.bg.Done()
-	for {
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
-		lease, err := c.Lease(name, 500*time.Millisecond)
-		if err != nil || lease.JobID == "" {
-			continue
-		}
-		comp := exec(lease)
-		comp.Worker = name
-		comp.JobID = lease.JobID
-		comp.Shard = lease.Shard
-		comp.Lease = lease.Lease
-		if _, err := c.Complete(comp); err != nil {
-			c.ob.Counter("queue.executor.complete_errors").Inc()
-		}
-		if comp.Err != "" {
-			// Executor failure (likely every push worker gone): back off
-			// instead of spinning on the same shard.
-			select {
-			case <-c.stop:
-				return
-			case <-time.After(200 * time.Millisecond):
-			}
-		}
-	}
-}
-
-// execLocal runs one leased shard in process.
-func (c *Coordinator) execLocal(lease *dist.LeaseResponse) *dist.CompleteRequest {
-	comp := &dist.CompleteRequest{}
-	if lease.Kind == dist.JobCampaign {
-		st, err := dist.RunInject(lease.Inject, c.ob)
-		if err != nil {
-			comp.Err = err.Error()
-			return comp
-		}
-		comp.Stats = st
-	} else {
-		res, err := dist.RunEval(lease.Eval)
-		if err != nil {
-			comp.Err = err.Error()
-			return comp
-		}
-		comp.Results = res
-	}
-	c.ob.Counter("queue.shards.executed_local").Inc()
-	return comp
-}
-
-// execPush forwards one leased shard to a legacy push-mode worker.
-func (c *Coordinator) execPush(lease *dist.LeaseResponse) *dist.CompleteRequest {
-	comp := &dist.CompleteRequest{}
-	if lease.Kind == dist.JobCampaign {
-		st, err := c.push.PostInject(lease.Inject)
-		if err != nil {
-			comp.Err = err.Error()
-			return comp
-		}
-		comp.Stats = st
-	} else {
-		res, err := c.push.PostEval(lease.Eval)
-		if err != nil {
-			comp.Err = err.Error()
-			return comp
-		}
-		comp.Results = res
-	}
-	c.ob.Counter("queue.shards.executed_push").Inc()
-	return comp
 }
 
 // Close gracefully shuts the coordinator down: new submits and leases

@@ -1,0 +1,76 @@
+package queue
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"harpocrates/internal/dist"
+)
+
+// FuzzServerBodies feeds arbitrary bytes to every /v1/* POST handler of
+// both daemons — dist.Server (harpod) and queue.Server (harpoq) — all of
+// which read their body through dist.ReadJSON. Oracle: no panic, a body
+// that is not JSON is a 400, anything else is a well-formed 2xx/4xx/5xx
+// reply; the body bound is checked once up front. The seeds are shaped
+// like real requests but carry no decodable program or genotype, so no
+// input makes a handler simulate.
+func FuzzServerBodies(f *testing.F) {
+	coord, err := NewCoordinator(Options{DataDir: f.TempDir(), ShardSize: 1 << 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { crashCoordinator(coord) })
+	srv := NewServer(coord)
+	srv.maxLeaseWait = time.Millisecond // a fuzzed wait_ms must not park the fuzzer
+	worker, queue := dist.NewServer(nil).Handler(), srv.Handler()
+	endpoints := []struct {
+		h    http.Handler
+		path string
+	}{
+		{worker, dist.PathInject},
+		{worker, dist.PathEval},
+		{queue, dist.PathJobs},
+		{queue, dist.PathLease},
+		{queue, dist.PathComplete},
+	}
+	post := func(i uint8, body []byte, declared int64) int {
+		ep := endpoints[int(i)%len(endpoints)]
+		req := httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		ep.h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	for i := range endpoints {
+		if code := post(uint8(i), []byte("{}"), dist.MaxBodyBytes+1); code != http.StatusRequestEntityTooLarge {
+			f.Fatalf("%s: oversize body answered %d, want 413", endpoints[i].path, code)
+		}
+	}
+
+	for _, seed := range []string{
+		`{"program":"bm90IEhYUEc=","target":"irf","type":"transient","n":8,"lo":0,"hi":4,"seed":7,"cfg":{}}`,
+		`{"structure":"intadd","gen":{},"core":{},"genotypes":["bm90IEhYR1Q="]}`,
+		`{"kind":"campaign","priority":1,"inject":{"program":"bm90IEhYUEc=","target":"irf","type":"transient","n":8,"seed":7,"cfg":{}}}`,
+		`{"worker":"w","wait_ms":30000}`,
+		`{"worker":"w","job_id":"j-000000","shard":0,"lease":1,"stats":{"n":0},"err":"boom"}`,
+		`{"kind":"eval","eval":{"structure":"intadd","genotypes":["AA=="]}}`,
+		`[1,2`, ``, `null`, `{"n":1e999}`,
+	} {
+		for ep := range endpoints {
+			f.Add(uint8(ep), []byte(seed))
+		}
+	}
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		code := post(endpoint, body, int64(len(body)))
+		if code < 200 || code > 599 {
+			t.Fatalf("status %d", code)
+		}
+		if !json.Valid(body) && code != http.StatusBadRequest {
+			t.Fatalf("malformed body answered %d, want 400", code)
+		}
+	})
+}

@@ -38,6 +38,11 @@ type shardRec struct {
 	value []byte
 }
 
+// requeue returns a leased shard to the ready frontier.
+func (s *shardRec) requeue() {
+	s.state, s.lease, s.worker = shardReady, 0, ""
+}
+
 // job is one durable queue entry.
 type job struct {
 	id   string
@@ -171,20 +176,30 @@ func (j *job) status() dist.JobStatus {
 	if j.req.Kind == dist.JobCampaign && j.done > 0 {
 		// Partial stats: the shard-order merge of the shards done so
 		// far (the full merge once the job is done).
-		var parts []*inject.Stats
-		for _, s := range j.shards {
-			if s.state != shardDone {
-				continue
-			}
-			if dec, err := inject.DecodeStats(s.value); err == nil {
-				parts = append(parts, dec)
-			}
-		}
-		if merged, err := inject.MergeStats(parts); err == nil {
-			st.Stats = merged
-		}
+		st.Stats, _ = j.mergedStats()
 	}
 	return st
+}
+
+// mergedStats decodes the campaign shards done so far and merges them
+// in shard order.
+func (j *job) mergedStats() (*inject.Stats, error) {
+	var parts []*inject.Stats
+	for i, s := range j.shards {
+		if s.state != shardDone {
+			continue
+		}
+		dec, err := inject.DecodeStats(s.value)
+		if err != nil {
+			return nil, fmt.Errorf("queue: job %s shard %d: %w", j.id, i, err)
+		}
+		parts = append(parts, dec)
+	}
+	merged, err := inject.MergeStats(parts)
+	if err != nil {
+		return nil, fmt.Errorf("queue: job %s: %w", j.id, err)
+	}
+	return merged, nil
 }
 
 // result renders the merged terminal result. Caller holds the
@@ -195,17 +210,9 @@ func (j *job) result() (*dist.JobResult, error) {
 		return out, nil
 	}
 	if j.req.Kind == dist.JobCampaign {
-		parts := make([]*inject.Stats, len(j.shards))
-		for i, s := range j.shards {
-			dec, err := inject.DecodeStats(s.value)
-			if err != nil {
-				return nil, fmt.Errorf("queue: job %s shard %d: %w", j.id, i, err)
-			}
-			parts[i] = dec
-		}
-		merged, err := inject.MergeStats(parts)
+		merged, err := j.mergedStats()
 		if err != nil {
-			return nil, fmt.Errorf("queue: job %s: %w", j.id, err)
+			return nil, err
 		}
 		out.Stats = merged
 		return out, nil

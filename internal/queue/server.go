@@ -26,10 +26,12 @@ import (
 //	GET  /metrics            Prometheus text exposition
 type Server struct {
 	coord *Coordinator
+	// maxLeaseWait caps one long poll, whatever the worker asks for.
+	maxLeaseWait time.Duration
 }
 
 // NewServer wraps a coordinator.
-func NewServer(c *Coordinator) *Server { return &Server{coord: c} }
+func NewServer(c *Coordinator) *Server { return &Server{coord: c, maxLeaseWait: 5 * time.Minute} }
 
 // Handler returns the coordinator's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -46,38 +48,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// maxJobRequestBytes bounds one submitted job (programs are KBs;
-// genotype batches can reach MBs).
-const maxJobRequestBytes = 256 << 20
-
-func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
-	if err := dec.Decode(v); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeBody(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 // handleJobs serves POST (submit) and GET (list) on /v1/jobs.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeBody(w, &dist.JobListResponse{Jobs: s.coord.List()})
+		dist.WriteJSON(w, &dist.JobListResponse{Jobs: s.coord.List()})
 	case http.MethodPost:
 		var req dist.JobRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
-		if err := dec.Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if !dist.ReadJSON(w, r, &req) {
 			return
 		}
 		resp, err := s.coord.Submit(&req)
@@ -85,7 +63,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeBody(w, resp)
+		dist.WriteJSON(w, resp)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -111,7 +89,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "no such job", http.StatusNotFound)
 			return
 		}
-		writeBody(w, st)
+		dist.WriteJSON(w, st)
 	case "result":
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -126,7 +104,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("job %s is %s", id, res.State), http.StatusConflict)
 			return
 		}
-		writeBody(w, res)
+		dist.WriteJSON(w, res)
 	case "cancel":
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -136,7 +114,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		writeBody(w, map[string]bool{"ok": true})
+		dist.WriteJSON(w, map[string]bool{"ok": true})
 	case "stream":
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -191,25 +169,22 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string) {
 // handleLease serves the work-stealing long poll.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req dist.LeaseRequest
-	if !readBody(w, r, &req) {
+	if !dist.ReadJSON(w, r, &req) {
 		return
 	}
-	wait := time.Duration(req.WaitMs) * time.Millisecond
-	if wait > 5*time.Minute {
-		wait = 5 * time.Minute
-	}
+	wait := min(time.Duration(req.WaitMs)*time.Millisecond, s.maxLeaseWait)
 	resp, err := s.coord.Lease(req.Worker, wait)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeBody(w, resp)
+	dist.WriteJSON(w, resp)
 }
 
 // handleComplete accepts a worker's shard result.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req dist.CompleteRequest
-	if !readBody(w, r, &req) {
+	if !dist.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := s.coord.Complete(&req)
@@ -217,5 +192,5 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeBody(w, resp)
+	dist.WriteJSON(w, resp)
 }

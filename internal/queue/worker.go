@@ -1,13 +1,9 @@
 package queue
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"harpocrates/internal/dist"
@@ -46,11 +42,38 @@ type WorkerOptions struct {
 	Obs *obs.Observer
 }
 
-// Worker pulls shards from a coordinator until its context ends: the
-// work-stealing half of the queue. An idle worker long-polls
-// POST /v1/lease; the coordinator hands it the next ready shard by
-// priority and submit order. Faster machines simply come back sooner —
-// load balance emerges with no tuning.
+// leaser is the coordinator as a worker sees it. *Coordinator satisfies
+// it directly (in-process workers, Options.LocalExec); httpLeaser speaks
+// it over POST /v1/lease and /v1/complete.
+type leaser interface {
+	Lease(worker string, wait time.Duration) (*dist.LeaseResponse, error)
+	Complete(req *dist.CompleteRequest) (*dist.CompleteResponse, error)
+}
+
+// httpLeaser is the leaser of a remote coordinator; ctx bounds every
+// request, so cancelling a worker also cuts its long poll short.
+type httpLeaser struct {
+	ctx    context.Context
+	base   string
+	client *http.Client
+}
+
+func (h httpLeaser) Lease(worker string, wait time.Duration) (*dist.LeaseResponse, error) {
+	var resp dist.LeaseResponse
+	req := dist.LeaseRequest{Worker: worker, WaitMs: int(wait / time.Millisecond)}
+	return &resp, dist.PostJSON(h.ctx, h.client, h.base+dist.PathLease, &req, &resp)
+}
+
+func (h httpLeaser) Complete(req *dist.CompleteRequest) (*dist.CompleteResponse, error) {
+	var resp dist.CompleteResponse
+	return &resp, dist.PostJSON(h.ctx, h.client, h.base+dist.PathComplete, req, &resp)
+}
+
+// Worker is the one lease → execute → complete loop of the queue: the
+// work-stealing half. An idle worker long-polls for the next ready
+// shard by priority and submit order; faster machines simply come back
+// sooner — load balance emerges with no tuning. The same loop runs over
+// HTTP (harpod -pull) and inside the coordinator (harpoq -local).
 type Worker struct {
 	base   string
 	opts   WorkerOptions
@@ -58,27 +81,32 @@ type Worker struct {
 	client *http.Client
 	cache  *Cache
 	golden *inject.GoldenCache
+	// executed names the counter of shards actually simulated (cache
+	// hits excluded); in-process workers report under the coordinator's
+	// queue.shards.executed_local.
+	executed string
+	// errorBackoff paces a worker whose lease call or executor failed,
+	// so a restarting coordinator or a poisoned shard is not hammered.
+	errorBackoff time.Duration
 }
 
-// NewWorker builds a worker against a coordinator base URL, opening the
-// optional worker-side cache.
-func NewWorker(base string, opts WorkerOptions) (*Worker, error) {
-	base = strings.TrimSpace(base)
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
+// newWorker builds the transport-independent part of a worker; executed
+// names its counter of shards actually simulated.
+func newWorker(opts WorkerOptions, executed string) *Worker {
 	if opts.Name == "" {
 		opts.Name = "harpod"
 	}
 	if opts.WaitMs <= 0 {
 		opts.WaitMs = 30_000
 	}
-	w := &Worker{
-		base:   strings.TrimRight(base, "/"),
-		opts:   opts,
-		ob:     opts.Obs,
-		client: &http.Client{},
-	}
+	return &Worker{opts: opts, ob: opts.Obs, executed: executed, errorBackoff: time.Second}
+}
+
+// NewWorker builds a worker against a coordinator base URL, opening the
+// optional worker-side cache.
+func NewWorker(base string, opts WorkerOptions) (*Worker, error) {
+	w := newWorker(opts, "queue.worker.shards_executed")
+	w.base, w.client = dist.NormalizeURL(base), &http.Client{}
 	if opts.CacheDir != "" {
 		cache, err := OpenCache(opts.CacheDir, opts.CacheEntries, opts.Obs)
 		if err != nil {
@@ -113,59 +141,48 @@ func (w *Worker) Close() error {
 // errors (coordinator restarting) back off and retry; the loop only
 // ends with the context.
 func (w *Worker) Run(ctx context.Context) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil
-		}
-		lease, err := w.lease(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			w.ob.Counter("queue.worker.lease_errors").Inc()
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(time.Second):
-			}
+	w.run(ctx, httpLeaser{ctx: ctx, base: w.base, client: w.client})
+	return nil
+}
+
+func (w *Worker) run(ctx context.Context, coord leaser) {
+	for ctx.Err() == nil {
+		if w.step(ctx, coord) {
 			continue
 		}
-		if lease.JobID == "" {
-			continue // nothing ready within the long poll
-		}
-		comp := w.execute(lease)
-		comp.Worker = w.opts.Name
-		comp.JobID = lease.JobID
-		comp.Shard = lease.Shard
-		comp.Lease = lease.Lease
-		if err := w.complete(ctx, comp); err != nil {
-			// The coordinator will expire the lease and re-queue; nothing
-			// for the worker to do but move on.
-			w.ob.Counter("queue.worker.complete_errors").Inc()
+		select {
+		case <-ctx.Done():
+		case <-time.After(w.errorBackoff):
 		}
 	}
 }
 
-// lease long-polls the coordinator for one shard.
-func (w *Worker) lease(ctx context.Context) (*dist.LeaseResponse, error) {
-	req := dist.LeaseRequest{Worker: w.opts.Name, WaitMs: w.opts.WaitMs}
-	var resp dist.LeaseResponse
-	if err := w.post(ctx, dist.PathLease, &req, &resp); err != nil {
-		return nil, err
+// step leases, executes and completes at most one shard. A false return
+// asks the loop to back off before the next lease.
+func (w *Worker) step(ctx context.Context, coord leaser) bool {
+	lease, err := coord.Lease(w.opts.Name, time.Duration(w.opts.WaitMs)*time.Millisecond)
+	if err != nil {
+		if ctx.Err() == nil {
+			w.ob.Counter("queue.worker.lease_errors").Inc()
+		}
+		return false
 	}
-	return &resp, nil
-}
-
-// complete returns one shard result.
-func (w *Worker) complete(ctx context.Context, comp *dist.CompleteRequest) error {
-	var resp dist.CompleteResponse
-	if err := w.post(ctx, dist.PathComplete, comp, &resp); err != nil {
-		return err
+	if lease.JobID == "" {
+		return true // nothing ready within the long poll
 	}
-	if resp.Stale {
+	comp := w.execute(lease)
+	comp.Worker = w.opts.Name
+	comp.JobID = lease.JobID
+	comp.Shard = lease.Shard
+	comp.Lease = lease.Lease
+	if resp, err := coord.Complete(comp); err != nil {
+		// The coordinator will expire the lease and re-queue; nothing
+		// for the worker to do but move on.
+		w.ob.Counter("queue.worker.complete_errors").Inc()
+	} else if resp.Stale {
 		w.ob.Counter("queue.worker.stale_completes").Inc()
 	}
-	return nil
+	return comp.Err == ""
 }
 
 // execute runs one leased shard, consulting the worker-side cache
@@ -188,6 +205,7 @@ func (w *Worker) execute(lease *dist.LeaseResponse) *dist.CompleteRequest {
 			comp.Err = err.Error()
 			return comp
 		}
+		w.ob.Counter(w.executed).Inc()
 		comp.Stats = st
 		w.cachePut(key, inject.EncodeStats(st))
 		return comp
@@ -208,6 +226,7 @@ func (w *Worker) execute(lease *dist.LeaseResponse) *dist.CompleteRequest {
 		comp.Err = err.Error()
 		return comp
 	}
+	w.ob.Counter(w.executed).Inc()
 	comp.Results = res
 	if value, err := json.Marshal(res); err == nil {
 		w.cachePut(key, value)
@@ -219,30 +238,4 @@ func (w *Worker) cachePut(key CacheKey, value []byte) {
 	if err := w.cache.Put(key, value); err != nil {
 		w.ob.Counter("queue.worker.cache_put_errors").Inc()
 	}
-}
-
-// post sends one JSON request to the coordinator.
-func (w *Worker) post(ctx context.Context, path string, reqBody, respBody any) error {
-	payload, err := json.Marshal(reqBody)
-	if err != nil {
-		return fmt.Errorf("queue: marshal request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("queue: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("queue: %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("queue: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxJobRequestBytes)).Decode(respBody); err != nil {
-		return fmt.Errorf("queue: %s: parse response: %w", path, err)
-	}
-	return nil
 }

@@ -264,6 +264,12 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 	c.rat = ratSnapshot{}
 
 	c.rob = grow(c.rob, cfg.ROBSize)
+	// uop.reset keeps actualNext (dead until the µop executes), and a
+	// checkpoint serializes it: start every run from zeros so HXGA bytes
+	// never carry what the pooled core ran before.
+	for i := range c.rob {
+		c.rob[i].actualNext = 0
+	}
 	c.robHead, c.robCnt = 0, 0
 	c.iq = c.iq[:0]
 	c.sq = c.sq[:0]

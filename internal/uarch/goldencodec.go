@@ -504,8 +504,21 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 		g.sized("L2 tag count", len(l2.tag))
 		for i := range l2.tag {
 			g.Bool(&l2.valid[i])
-			binfmt.U64(c, &l2.tag[i])
-			binfmt.U64(c, &l2.lastUse[i])
+			// An invalid line's tag and last use are dead until fill
+			// rewrites them (initL2Tags only invalidates): zero on the
+			// wire, whatever the pooled array holds.
+			tag, lastUse := l2.tag[i], l2.lastUse[i]
+			if !l2.valid[i] {
+				tag, lastUse = 0, 0
+			}
+			binfmt.U64(c, &tag)
+			binfmt.U64(c, &lastUse)
+			if dec {
+				if !l2.valid[i] && tag|lastUse != 0 {
+					g.Fail("invalid L2 line carries a tag")
+				}
+				l2.tag[i], l2.lastUse[i] = tag, lastUse
+			}
 		}
 	}
 
