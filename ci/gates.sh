@@ -5,6 +5,7 @@
 #   source ci/gates.sh
 #   bench_schema bench.json
 #   speedup_gate bench.json core.run.miss-chain.skip speedup_vs_naive 2
+#   bench_mbps_gate hash.bench BenchmarkHashBytes 400
 
 set -euo pipefail
 
@@ -32,4 +33,15 @@ speedup_gate() {
 campaign_consistency() {
   jq -e '.masked + .sdc + .crash + .hang + .trap == .n' "$1" > /dev/null
   jq -e '.detected == .sdc + .crash + .hang + .trap' "$1" > /dev/null
+}
+
+# bench_mbps_gate FILE NAME MIN — FILE is `go test -bench` output with
+# exactly one result line for benchmark NAME (b.SetBytes), at MIN MB/s
+# or more.
+bench_mbps_gate() {
+  awk -v name="$2" -v min="$3" '
+    $1 ~ "^" name "(-[0-9]+)?$" {
+      for (i = 2; i < NF; i++) if ($(i + 1) == "MB/s") { n++; if ($i + 0 < min) slow = 1 }
+    }
+    END { exit !(n == 1 && !slow) }' "$1"
 }

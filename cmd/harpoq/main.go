@@ -111,9 +111,12 @@ func main() {
 		}
 	}
 
-	// Graceful shutdown: stop accepting HTTP, drain outstanding leases,
-	// snapshot and flush the durable state.
+	// Graceful shutdown: start the drain first — it answers the workers'
+	// parked long polls, which hs.Shutdown would otherwise wait out —
+	// then stop accepting HTTP, wait for outstanding leases, snapshot
+	// and flush the durable state.
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	coord.Drain()
 	if err := hs.Shutdown(ctx); err != nil {
 		hs.Close()
 	}

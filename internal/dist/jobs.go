@@ -8,7 +8,6 @@ import (
 	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
-	"harpocrates/internal/stats"
 )
 
 // Protocol v1 extensions for the campaign-as-a-service coordinator
@@ -77,6 +76,12 @@ func (r *JobRequest) Validate() error {
 		if r.Inject.N <= 0 || r.Inject.N > MaxCampaignN {
 			return fmt.Errorf("dist: campaign job needs 0 < N <= %d", MaxCampaignN)
 		}
+		if r.Inject.ProgramHash != 0 {
+			// Only the coordinator writes it, into a lease; a job that
+			// named its program by hash would run whatever a worker
+			// happens to hold.
+			return fmt.Errorf("dist: a campaign job carries its program, not a program_hash")
+		}
 	case JobEval:
 		if r.Eval == nil || r.Inject != nil {
 			return fmt.Errorf("dist: eval job needs exactly an eval payload")
@@ -138,12 +143,17 @@ type JobResult struct {
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	WaitMs int    `json:"wait_ms,omitempty"`
+	// Programs are the content hashes of the programs the worker's memo
+	// holds (HeldPrograms); a campaign shard of one of them is leased
+	// with InjectRequest.ProgramHash in place of the bytes.
+	Programs []uint64 `json:"programs,omitempty"`
 }
 
 // LeaseResponse grants one shard (JobID == "" means no work was ready
 // within the poll window). The shard payload is self-contained: Inject
 // arrives with Lo/Hi filled, Eval with the shard's genotype slice, so a
-// pull worker executes it exactly as a pushed request.
+// pull worker executes it exactly as a pushed request — once it has put
+// back a program the coordinator left out because the worker holds it.
 type LeaseResponse struct {
 	JobID string `json:"job_id,omitempty"`
 	Shard int    `json:"shard,omitempty"`
@@ -250,7 +260,7 @@ func RunEval(req *EvalRequest) ([]WireEvalResult, error) {
 // are rebuilt by the campaign itself, so the executing side's faulty
 // runs are bit-identical to the submitting side's.
 func CampaignFor(req *InjectRequest, ob *obs.Observer) (*inject.Campaign, error) {
-	p, err := DecodeProgram(req.Program)
+	p, programHash, err := programs.decode(req.Program, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +292,7 @@ func CampaignFor(req *InjectRequest, ob *obs.Observer) (*inject.Campaign, error)
 		// The golden cache key's program component is the content hash
 		// of the wire bytes — the same convention the queue result cache
 		// uses, so both caches agree about what "same program" means.
-		ProgramHash:   stats.HashBytes(req.Program),
+		ProgramHash:   programHash,
 		NoGoldenCache: req.NoGoldenCache,
 		Obs:           ob,
 	}, nil

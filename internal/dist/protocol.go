@@ -30,8 +30,15 @@ const (
 // the serialized program, the campaign shape and the scalar core
 // configuration (hook fields are rebuilt worker-side from Target/Type).
 type InjectRequest struct {
-	// Program is the HXPG-serialized test program.
-	Program []byte `json:"program"`
+	// Program is the HXPG-serialized test program. Only a lease granted
+	// to a worker that advertised the program (LeaseRequest.Programs)
+	// omits it.
+	Program []byte `json:"program,omitempty"`
+	// ProgramHash stands in for Program in such a lease: the content
+	// hash (stats.HashBytes) of the omitted bytes, which the worker
+	// resolves from its own program memo. It is never a claim about
+	// bytes that do travel — executors hash those themselves.
+	ProgramHash uint64 `json:"program_hash,omitempty"`
 	// Target is the structure name (coverage.Parse form).
 	Target string `json:"target"`
 	// Type is the fault type name (inject.ParseFaultType form).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -88,7 +89,8 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	order     []*job // submit order
+	order     []*job // every job ever submitted, submit order
+	open      []*job // the non-terminal ones, submit order: all the hot paths walk
 	nextSeq   int
 	nextLease uint64
 	pulse     chan struct{} // closed + replaced on every state change
@@ -168,7 +170,8 @@ func (c *Coordinator) recover() error {
 		c.nextSeq = snap.NextSeq
 		for i := range snap.Jobs {
 			sj := &snap.Jobs[i]
-			j := newJob(sj.ID, sj.Seq, sj.Req, sj.Bounds)
+			j := newJob(sj.Req, sj.Bounds)
+			j.id, j.seq = sj.ID, sj.Seq
 			j.state = sj.State
 			j.errMsg = sj.Error
 			for _, d := range sj.Done {
@@ -203,10 +206,16 @@ func (c *Coordinator) recover() error {
 		if j.terminal() {
 			continue
 		}
+		c.open = append(c.open, j)
 		c.serveFromCache(j)
 		c.refreshState(j)
 	}
-	c.ob.Gauge("queue.jobs.open").Set(float64(c.openJobs()))
+	// One fsync for every shard-done just re-served; losing them only
+	// costs the next restart the same cache lookups.
+	if err := c.wal.Sync(); err != nil {
+		c.ob.Counter("queue.wal.errors").Inc()
+	}
+	c.setOpenGauge()
 	return nil
 }
 
@@ -228,7 +237,8 @@ func (c *Coordinator) replayRecord(rec Record) error {
 		if err := ws.Req.Validate(); err != nil {
 			return fmt.Errorf("queue: replay job %s: %w", ws.ID, err)
 		}
-		j := newJob(ws.ID, ws.Seq, ws.Req, ws.Bounds)
+		j := newJob(ws.Req, ws.Bounds)
+		j.id, j.seq = ws.ID, ws.Seq
 		c.jobs[j.id] = j
 		c.order = append(c.order, j)
 		if ws.Seq >= c.nextSeq {
@@ -276,7 +286,7 @@ func (c *Coordinator) applyDone(j *job, i int, value []byte, cached bool, worker
 		j.cached++
 	}
 	if put {
-		if err := c.cache.Put(j.shardKey(i), value); err != nil {
+		if err := c.cache.Put(s.key, value); err != nil {
 			c.ob.Counter("queue.cache.put_errors").Inc()
 		}
 	}
@@ -286,13 +296,14 @@ func (c *Coordinator) applyDone(j *job, i int, value []byte, cached bool, worker
 }
 
 // serveFromCache completes every still-ready shard whose key the cache
-// holds. Caller holds c.mu (or recovery).
+// holds. Their shard-done records are appended but not yet durable: the
+// caller owes one wal.Sync for the lot. Caller holds c.mu (or recovery).
 func (c *Coordinator) serveFromCache(j *job) {
 	for i, s := range j.shards {
 		if s.state != shardReady {
 			continue
 		}
-		value, ok := c.cache.Get(j.shardKey(i))
+		value, ok := c.cache.Get(s.key)
 		if !ok {
 			continue
 		}
@@ -303,7 +314,7 @@ func (c *Coordinator) serveFromCache(j *job) {
 			continue
 		}
 		c.ob.Counter("queue.shards.cached").Inc()
-		c.walShardDone(j, i, value, true, "")
+		c.walShardDone(j, i, value, true, "", false)
 		c.applyDone(j, i, value, true, "", false)
 	}
 }
@@ -315,8 +326,7 @@ func (c *Coordinator) refreshState(j *job) {
 		return
 	}
 	if j.done == len(j.shards) {
-		j.state = dist.JobStateDone
-		j.events = append(j.events, dist.StreamEvent{JobID: j.id, Done: true, State: j.state})
+		c.finish(j, dist.JobStateDone)
 		c.ob.Counter("queue.jobs.completed").Inc()
 		return
 	}
@@ -334,30 +344,39 @@ func anyLeased(j *job) bool {
 	return false
 }
 
-// openJobs counts non-terminal jobs. Caller holds c.mu (or recovery).
-func (c *Coordinator) openJobs() int {
-	n := 0
-	for _, j := range c.order {
-		if !j.terminal() {
-			n++
-		}
+// finish moves an open job to a terminal state: it leaves the open
+// list (keeping the others' submit order) and its stream gets the
+// terminal event. Caller holds c.mu (or recovery).
+func (c *Coordinator) finish(j *job, state string) {
+	j.state = state
+	j.events = append(j.events, dist.StreamEvent{JobID: j.id, Done: true, State: state})
+	if i := slices.Index(c.open, j); i >= 0 {
+		c.open = slices.Delete(c.open, i, i+1)
 	}
-	return n
+	c.setOpenGauge()
 }
 
-// walAppend marshals and appends one record.
-func (c *Coordinator) walAppend(kind byte, v any) error {
+func (c *Coordinator) setOpenGauge() {
+	c.ob.Gauge("queue.jobs.open").Set(float64(len(c.open)))
+}
+
+// walAppend marshals and appends one record; durable also fsyncs it
+// (WAL.Append), otherwise the caller owes a wal.Sync.
+func (c *Coordinator) walAppend(kind byte, v any, durable bool) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("queue: marshal wal record: %w", err)
 	}
-	return c.wal.Append(kind, payload)
+	if durable {
+		return c.wal.Append(kind, payload)
+	}
+	return c.wal.append(kind, payload)
 }
 
-func (c *Coordinator) walShardDone(j *job, i int, value []byte, cached bool, worker string) {
+func (c *Coordinator) walShardDone(j *job, i int, value []byte, cached bool, worker string, durable bool) {
 	if err := c.walAppend(recShardDone, &walShardDone{
 		ID: j.id, Shard: i, Cached: cached, Worker: worker, Value: value,
-	}); err != nil {
+	}, durable); err != nil {
 		// A failed durability write must not lose the in-memory result;
 		// the job still completes, only crash-resume would re-run it.
 		c.ob.Counter("queue.wal.errors").Inc()
@@ -380,7 +399,8 @@ func (c *Coordinator) pulseChan() <-chan struct{} {
 
 // Submit validates, persists and enqueues one job, serving every shard
 // it can from the result cache before any dispatch. It returns once the
-// job is durable.
+// job is durable: the submit record and the shard-done records of the
+// cache-served shards share one fsync.
 func (c *Coordinator) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -391,46 +411,65 @@ func (c *Coordinator) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, err
 	} else {
 		bounds = planBounds(len(req.Eval.Genotypes), c.opts.EvalShardSize)
 	}
+	j := newJob(req, bounds) // hashes the program: before the lock
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
 		return nil, fmt.Errorf("queue: coordinator is shutting down")
 	}
-	seq := c.nextSeq
-	c.nextSeq++
-	id := fmt.Sprintf("j-%06d", seq)
-	j := newJob(id, seq, req, bounds)
-	if err := c.walAppend(recSubmit, &walSubmit{ID: id, Seq: seq, Req: req, Bounds: bounds}); err != nil {
-		c.nextSeq = seq // roll back the unused sequence number
-		return nil, err
+	j.seq = c.nextSeq
+	j.id = fmt.Sprintf("j-%06d", j.seq)
+	if err := c.walAppend(recSubmit, &walSubmit{ID: j.id, Seq: j.seq, Req: req, Bounds: bounds}, false); err != nil {
+		return nil, err // nothing reached the log: the sequence number stays unused
 	}
-	c.jobs[id] = j
+	// From here the log may hold the job's records whatever the sync
+	// says, so its sequence number is spent: a later job reusing the id
+	// would be dropped as a duplicate by replay.
+	c.nextSeq++
+	c.serveFromCache(j)
+	if err := c.wal.Sync(); err != nil {
+		return nil, fmt.Errorf("queue: wal sync: %w", err)
+	}
+	c.ob.Counter("queue.submit.wal_syncs").Inc()
+	c.jobs[j.id] = j
 	c.order = append(c.order, j)
+	c.open = append(c.open, j)
 	c.ob.Counter("queue.jobs.submitted").Inc()
 
-	c.serveFromCache(j)
 	c.refreshState(j)
 	c.maybeCompactLocked()
-	c.ob.Gauge("queue.jobs.open").Set(float64(c.openJobs()))
+	c.setOpenGauge()
 	c.broadcast()
-	return &dist.JobSubmitResponse{ID: id, Shards: len(j.shards), CacheHits: j.cached}, nil
+	return &dist.JobSubmitResponse{ID: j.id, Shards: len(j.shards), CacheHits: j.cached}, nil
 }
 
 // Lease hands the calling worker the next ready shard, long-polling up
 // to wait for one to appear. The pick order is (priority desc, submit
 // order asc, shard index asc): work-stealing with a deterministic
 // frontier. An empty response (JobID == "") means nothing was ready.
-func (c *Coordinator) Lease(worker string, wait time.Duration) (*dist.LeaseResponse, error) {
+//
+// programs are the content hashes of the programs the worker can
+// resolve from its own memo (dist.HeldPrograms): a campaign shard whose
+// program is among them is leased without the bytes, Inject.ProgramHash
+// naming them instead. A worker that passes none gets every lease in
+// full.
+func (c *Coordinator) Lease(worker string, wait time.Duration, programs ...uint64) (*dist.LeaseResponse, error) {
 	deadline := time.Now().Add(wait)
 	for {
 		c.mu.Lock()
-		if !c.draining { // a draining coordinator grants nothing, but still paces its pollers
+		if !c.draining {
 			c.expireLocked(time.Now())
-			if resp := c.leaseLocked(worker); resp != nil {
+			if resp := c.leaseLocked(worker, programs); resp != nil {
 				c.mu.Unlock()
 				return resp, nil
 			}
+		} else if pace := time.Now().Add(drainPace); pace.Before(deadline) {
+			// A draining coordinator grants nothing and cuts every poll
+			// short, parked or new, so shutdown does not wait them out;
+			// the short hold keeps in-process workers from spinning
+			// while the outstanding leases come home.
+			deadline = pace
 		}
 		pulse := c.pulse
 		c.mu.Unlock()
@@ -452,9 +491,12 @@ func (c *Coordinator) Lease(worker string, wait time.Duration) (*dist.LeaseRespo
 	}
 }
 
+// drainPace is how long a draining coordinator still holds a lease poll.
+const drainPace = 100 * time.Millisecond
+
 // leaseLocked picks and leases the next ready shard, or returns nil.
 // Caller holds c.mu.
-func (c *Coordinator) leaseLocked(worker string) *dist.LeaseResponse {
+func (c *Coordinator) leaseLocked(worker string, programs []uint64) *dist.LeaseResponse {
 	j, i := c.nextReadyLocked()
 	if j == nil {
 		return nil
@@ -473,34 +515,29 @@ func (c *Coordinator) leaseLocked(worker string) *dist.LeaseResponse {
 	resp := &dist.LeaseResponse{JobID: j.id, Shard: i, Lease: s.lease, Kind: j.req.Kind}
 	if j.req.Kind == dist.JobCampaign {
 		resp.Inject = j.shardInjectReq(i)
+		if j.program != 0 && slices.Contains(programs, j.program) { // 0 is "no hash" on the wire
+			resp.Inject.Program, resp.Inject.ProgramHash = nil, j.program
+			c.ob.Counter("queue.leases.program_omitted").Inc()
+		}
 	} else {
 		resp.Eval = j.shardEvalReq(i)
 	}
 	return resp
 }
 
-// nextReadyLocked scans for the first ready shard of the best job by
-// (priority desc, submit order asc). The order slice stays
+// nextReadyLocked scans the open jobs for the first ready shard of the
+// best job by (priority desc, submit order asc). The open slice stays
 // submit-ordered; priority is applied by the scan. Caller holds c.mu.
 func (c *Coordinator) nextReadyLocked() (*job, int) {
 	var bestJob *job
 	bestShard := -1
-	for _, j := range c.order {
-		if j.terminal() {
-			continue
-		}
-		if bestJob != nil && (j.prio < bestJob.prio) {
-			continue
-		}
-		if bestJob != nil && j.prio == bestJob.prio && j.seq > bestJob.seq {
-			continue
+	for _, j := range c.open {
+		if bestJob != nil && j.prio <= bestJob.prio {
+			continue // earlier submits win ties
 		}
 		for i, s := range j.shards {
 			if s.state == shardReady {
-				if bestJob == nil || j.prio > bestJob.prio ||
-					(j.prio == bestJob.prio && j.seq < bestJob.seq) {
-					bestJob, bestShard = j, i
-				}
+				bestJob, bestShard = j, i
 				break
 			}
 		}
@@ -512,10 +549,7 @@ func (c *Coordinator) nextReadyLocked() (*job, int) {
 // holds c.mu.
 func (c *Coordinator) expireLocked(now time.Time) {
 	expired := 0
-	for _, j := range c.order {
-		if j.terminal() {
-			continue
-		}
+	for _, j := range c.open {
 		for _, s := range j.shards {
 			if s.state == shardLeased && now.After(s.deadline) {
 				s.requeue()
@@ -573,11 +607,10 @@ func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteRespons
 	if req.Cached {
 		c.ob.Counter("queue.shards.worker_cached").Inc()
 	}
-	c.walShardDone(j, req.Shard, value, req.Cached, req.Worker)
+	c.walShardDone(j, req.Shard, value, req.Cached, req.Worker, true)
 	c.applyDone(j, req.Shard, value, req.Cached, req.Worker, true)
 	c.refreshState(j)
 	c.maybeCompactLocked()
-	c.ob.Gauge("queue.jobs.open").Set(float64(c.openJobs()))
 	c.broadcast()
 	return &dist.CompleteResponse{OK: true}, nil
 }
@@ -594,13 +627,11 @@ func (c *Coordinator) Cancel(id string) error {
 	if j.terminal() {
 		return fmt.Errorf("queue: job %s is already %s", id, j.state)
 	}
-	if err := c.walAppend(recCancel, &walCancel{ID: id}); err != nil {
+	if err := c.walAppend(recCancel, &walCancel{ID: id}, true); err != nil {
 		return err
 	}
-	j.state = dist.JobStateCancelled
-	j.events = append(j.events, dist.StreamEvent{JobID: id, Done: true, State: j.state})
+	c.finish(j, dist.JobStateCancelled)
 	c.ob.Counter("queue.jobs.cancelled").Inc()
-	c.ob.Gauge("queue.jobs.open").Set(float64(c.openJobs()))
 	c.broadcast()
 	return nil
 }
@@ -705,25 +736,34 @@ func (c *Coordinator) expiryLoop() {
 	}
 }
 
+// Drain starts the shutdown: from here submits are refused, no lease is
+// granted and every lease poll, parked or new, is answered empty within
+// drainPace, while completions of outstanding leases are still
+// accepted. A daemon calls it before shutting its HTTP server down,
+// which would otherwise wait out the workers' long polls; Close calls
+// it too. Idempotent.
+func (c *Coordinator) Drain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.draining {
+		c.draining = true
+		c.broadcast()
+	}
+}
+
 // Close gracefully shuts the coordinator down: new submits and leases
 // are refused, in-flight leases get until ctx's deadline to complete
 // (a lease that misses it is simply re-queued on the next start — the
 // WAL already has everything else), the full state is snapshotted
 // atomically, the WAL is reset and every file is flushed and closed.
 func (c *Coordinator) Close(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.broadcast()
-	c.mu.Unlock()
+	c.Drain()
 
 	// Drain: wait for outstanding leases to come home.
 	for {
 		c.mu.Lock()
 		outstanding := 0
-		for _, j := range c.order {
-			if j.terminal() {
-				continue
-			}
+		for _, j := range c.open {
 			for _, s := range j.shards {
 				if s.state == shardLeased {
 					outstanding++

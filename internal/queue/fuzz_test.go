@@ -56,6 +56,7 @@ func FuzzServerBodies(f *testing.F) {
 		`{"structure":"intadd","gen":{},"core":{},"genotypes":["bm90IEhYR1Q="]}`,
 		`{"kind":"campaign","priority":1,"inject":{"program":"bm90IEhYUEc=","target":"irf","type":"transient","n":8,"seed":7,"cfg":{}}}`,
 		`{"worker":"w","wait_ms":30000}`,
+		`{"worker":"w","wait_ms":1,"programs":[10789383270527488036,0,18446744073709551615]}`,
 		`{"worker":"w","job_id":"j-000000","shard":0,"lease":1,"stats":{"n":0},"err":"boom"}`,
 		`{"kind":"eval","eval":{"structure":"intadd","genotypes":["AA=="]}}`,
 		`[1,2`, ``, `null`, `{"n":1e999}`,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"harpocrates/internal/corpus"
 	"harpocrates/internal/dist"
 	"harpocrates/internal/inject"
 )
@@ -24,7 +25,10 @@ const (
 // cache-keys) an old job exactly as planned.
 type shardRec struct {
 	lo, hi int
-	state  shardState
+	// key is the shard's content-addressed cache key, derived once when
+	// the job is built.
+	key   CacheKey
+	state shardState
 
 	lease    uint64
 	worker   string
@@ -49,6 +53,10 @@ type job struct {
 	seq  int
 	prio int
 	req  *dist.JobRequest
+	// program is a campaign job's program content hash (the Program word
+	// of every shard key); a worker that already holds those bytes is
+	// leased shards without them.
+	program uint64
 
 	shards []*shardRec
 	done   int
@@ -74,11 +82,27 @@ func planBounds(n, size int) [][2]int {
 }
 
 // newJob builds the in-memory job for a validated request and planned
-// bounds.
-func newJob(id string, seq int, req *dist.JobRequest, bounds [][2]int) *job {
-	j := &job{id: id, seq: seq, prio: req.Priority, req: req, state: dist.JobStatePending}
-	for _, b := range bounds {
-		j.shards = append(j.shards, &shardRec{lo: b[0], hi: b[1]})
+// bounds; the caller names it (id, seq). This is the one place a job's
+// program bytes and configuration are hashed: every shard key is derived
+// here, equal word for word to CampaignShardKey / EvalShardKey of the
+// shard's request, so submit, completion and replay never touch them
+// again.
+func newJob(req *dist.JobRequest, bounds [][2]int) *job {
+	j := &job{prio: req.Priority, req: req, state: dist.JobStatePending}
+	var key func(lo, hi int) CacheKey
+	if req.Kind == dist.JobCampaign {
+		j.program = corpus.HashBytes(req.Inject.Program)
+		cfg := hashJSON(req.Inject.Cfg)
+		key = func(lo, hi int) CacheKey {
+			return CacheKey{Program: j.program, Config: cfg, Spec: campaignSpec(req.Inject, lo, hi)}
+		}
+	} else {
+		cfg := evalConfig(req.Eval)
+		key = func(lo, hi int) CacheKey { return evalShardKey(req.Eval, cfg, req.Eval.Genotypes[lo:hi]) }
+	}
+	j.shards = make([]*shardRec, len(bounds))
+	for i, b := range bounds {
+		j.shards[i] = &shardRec{lo: b[0], hi: b[1], key: key(b[0], b[1])}
 	}
 	return j
 }
@@ -104,14 +128,6 @@ func (j *job) shardEvalReq(i int) *dist.EvalRequest {
 	req := *j.req.Eval
 	req.Genotypes = j.req.Eval.Genotypes[j.shards[i].lo:j.shards[i].hi]
 	return &req
-}
-
-// shardKey is shard i's content-addressed cache key.
-func (j *job) shardKey(i int) CacheKey {
-	if j.req.Kind == dist.JobCampaign {
-		return CampaignShardKey(j.shardInjectReq(i))
-	}
-	return EvalShardKey(j.shardEvalReq(i))
 }
 
 // encodeShardResult validates and encodes a completion's payload into

@@ -35,11 +35,7 @@ func foldU64(h, v uint64) uint64 { return stats.Mix64(h, v) }
 // foldBytes mixes a length-prefixed byte string into a Mix64 chain
 // (the length prefix keeps concatenations unambiguous).
 func foldBytes(h uint64, b []byte) uint64 {
-	h = stats.Mix64(h, uint64(len(b)))
-	for _, c := range b {
-		h = stats.Mix64(h, uint64(c))
-	}
-	return h
+	return stats.MixBytes(stats.Mix64(h, uint64(len(b))), b)
 }
 
 // hashJSON content-hashes a value's canonical JSON encoding
@@ -59,6 +55,16 @@ func hashJSON(v any) uint64 {
 // CampaignShardKey derives the content-addressed cache key of one
 // campaign shard request ([Lo, Hi) of the campaign's N specs).
 func CampaignShardKey(req *dist.InjectRequest) CacheKey {
+	return CacheKey{
+		Program: corpus.HashBytes(req.Program),
+		Config:  hashJSON(req.Cfg),
+		Spec:    campaignSpec(req, req.Lo, req.Hi),
+	}
+}
+
+// campaignSpec is the Spec word of shard [lo, hi) of the campaign req
+// describes — the only word of a campaign's key that varies by shard.
+func campaignSpec(req *dist.InjectRequest, lo, hi int) uint64 {
 	spec := stats.HashInit
 	spec = foldBytes(spec, []byte(req.Target))
 	spec = foldBytes(spec, []byte(req.Type))
@@ -66,27 +72,33 @@ func CampaignShardKey(req *dist.InjectRequest) CacheKey {
 	spec = foldU64(spec, req.Seed)
 	spec = foldU64(spec, req.IntermittentLen)
 	spec = foldU64(spec, uint64(req.BurstLen))
-	spec = foldU64(spec, uint64(req.Lo))
-	spec = foldU64(spec, uint64(req.Hi))
-	return CacheKey{
-		Program: corpus.HashBytes(req.Program),
-		Config:  hashJSON(req.Cfg),
-		Spec:    spec,
-	}
+	spec = foldU64(spec, uint64(lo))
+	spec = foldU64(spec, uint64(hi))
+	return spec
 }
 
 // EvalShardKey derives the content-addressed cache key of one
 // evaluation shard request (its genotype slice).
 func EvalShardKey(req *dist.EvalRequest) CacheKey {
-	prog := stats.HashInit
-	for _, g := range req.Genotypes {
-		prog = foldBytes(prog, g)
-	}
+	return evalShardKey(req, evalConfig(req), req.Genotypes)
+}
+
+// evalConfig is the Config word every shard of an eval request shares.
+func evalConfig(req *dist.EvalRequest) uint64 {
 	cfg := stats.HashInit
 	cfg = foldU64(cfg, hashJSON(req.Gen))
 	cfg = foldU64(cfg, hashJSON(req.Core))
+	return cfg
+}
+
+// evalShardKey keys the shard of req that grades genotypes.
+func evalShardKey(req *dist.EvalRequest, cfg uint64, genotypes [][]byte) CacheKey {
+	prog := stats.HashInit
+	for _, g := range genotypes {
+		prog = foldBytes(prog, g)
+	}
 	spec := stats.HashInit
 	spec = foldBytes(spec, []byte(req.Structure))
-	spec = foldU64(spec, uint64(len(req.Genotypes)))
+	spec = foldU64(spec, uint64(len(genotypes)))
 	return CacheKey{Program: prog, Config: cfg, Spec: spec}
 }

@@ -1,0 +1,93 @@
+package queue
+
+import (
+	"math/rand/v2"
+	"testing"
+
+	"harpocrates/internal/coverage"
+	"harpocrates/internal/dist"
+	"harpocrates/internal/gen"
+	"harpocrates/internal/uarch"
+)
+
+func evalJob(n int) *dist.JobRequest {
+	gcfg := gen.DefaultConfig()
+	gcfg.NumInstrs = 60
+	rng := rand.New(rand.NewPCG(5, 6))
+	var gs []*gen.Genotype
+	for i := 0; i < n; i++ {
+		gs = append(gs, gen.NewRandom(&gcfg, rng))
+	}
+	return &dist.JobRequest{Kind: dist.JobEval, Eval: &dist.EvalRequest{
+		Structure: coverage.IRF.String(), Gen: gcfg, Core: uarch.DefaultConfig(),
+		Genotypes: dist.EncodeGenotypes(gs),
+	}}
+}
+
+// exportedShardKey is shard i's key by the exported definitions, from
+// the shard's self-contained request — what a worker derives.
+func exportedShardKey(j *job, i int) CacheKey {
+	if j.req.Kind == dist.JobCampaign {
+		return CampaignShardKey(j.shardInjectReq(i))
+	}
+	return EvalShardKey(j.shardEvalReq(i))
+}
+
+// The keys a job derives once (program and configuration hashed a single
+// time, the O(1) spec folded per shard) are word for word the exported
+// per-request keys workers derive, for every shard of both job kinds —
+// fresh, and rebuilt by WAL replay.
+func TestShardKeyEqualsCampaignShardKey(t *testing.T) {
+	c, p := testCampaign(t, 37) // a short last shard
+	dir := t.TempDir()
+	coord := newTestCoordinator(t, dir, 0, nil)
+	check := func(coord *Coordinator, when string) {
+		t.Helper()
+		if len(coord.order) != 2 {
+			t.Fatalf("%s: %d jobs, want 2", when, len(coord.order))
+		}
+		for _, j := range coord.order {
+			if len(j.shards) < 2 {
+				t.Fatalf("%s: %s job planned %d shards", when, j.req.Kind, len(j.shards))
+			}
+			for i, s := range j.shards {
+				if want := exportedShardKey(j, i); s.key != want {
+					t.Fatalf("%s: %s job shard %d key %+v, exported definition %+v", when, j.req.Kind, i, s.key, want)
+				}
+			}
+		}
+	}
+	for _, req := range []*dist.JobRequest{campaignJob(t, c, p), evalJob(11)} {
+		if _, err := coord.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(coord, "submitted")
+	crashCoordinator(coord)
+
+	coord = newTestCoordinator(t, dir, 0, nil)
+	defer closeCoordinator(t, coord)
+	check(coord, "replayed")
+}
+
+// One key recorded from the implementation that hashed the program
+// byte by byte through Mix64: result caches written by older binaries
+// stay addressable.
+func TestCampaignShardKeyPinned(t *testing.T) {
+	ramp := make([]byte, 1000)
+	for i := range ramp {
+		ramp[i] = byte(i*7 + 3)
+	}
+	req := &dist.InjectRequest{
+		Program: ramp, Target: "irf", Type: "transient", N: 40, Lo: 8, Hi: 16,
+		Seed: 7, IntermittentLen: 3, BurstLen: 2, Cfg: uarch.DefaultConfig(),
+	}
+	want := CacheKey{Program: 0x3c69012f8dcb86c5, Config: 0x454f96fea3feffba, Spec: 0x220272ede96ed868}
+	if got := CampaignShardKey(req); got != want {
+		t.Fatalf("CampaignShardKey = %#v, recorded %#v", got, want)
+	}
+	j := newJob(&dist.JobRequest{Kind: dist.JobCampaign, Inject: req}, [][2]int{{0, 8}, {8, 16}})
+	if j.shards[1].key != want {
+		t.Fatalf("job shard key = %#v, recorded %#v", j.shards[1].key, want)
+	}
+}

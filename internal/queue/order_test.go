@@ -1,0 +1,154 @@
+package queue
+
+import (
+	"context"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"harpocrates/internal/dist"
+)
+
+// finishJobs submits n small jobs and cancels each: history a
+// long-lived coordinator accumulates, none of it open.
+func finishJobs(tb testing.TB, coord *Coordinator, n int) {
+	tb.Helper()
+	req := evalJob(1)
+	for i := 0; i < n; i++ {
+		sub, err := coord.Submit(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := coord.Cancel(sub.ID); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// The lease pick order — priority descending, then submit order, then
+// shard index — is the same on a fresh coordinator and behind 2,000
+// finished jobs, which the hot paths no longer walk.
+func TestLeasePickOrder(t *testing.T) {
+	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
+	defer closeCoordinator(t, coord)
+	jobs := []struct{ prio, genotypes int }{ // EvalShardSize 8: 1, 2, 1, 2 shards
+		{0, 3}, {5, 12}, {0, 8}, {5, 9},
+	}
+	type pick struct{ job, shard int }
+	want := []pick{{1, 0}, {1, 1}, {3, 0}, {3, 1}, {0, 0}, {2, 0}}
+
+	for _, history := range []int{0, 2000} {
+		finishJobs(t, coord, history)
+		var ids []string
+		for _, j := range jobs {
+			req := evalJob(j.genotypes)
+			req.Priority = j.prio
+			sub, err := coord.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, sub.ID)
+		}
+		if got := len(coord.open); got != len(jobs) {
+			t.Fatalf("after %d finished jobs: %d open jobs, want %d", history, got, len(jobs))
+		}
+		for n, w := range want {
+			lease, err := coord.Lease("w", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lease.JobID != ids[w.job] || lease.Shard != w.shard {
+				t.Fatalf("after %d finished jobs: lease %d is %s shard %d, want %s shard %d",
+					history, n, lease.JobID, lease.Shard, ids[w.job], w.shard)
+			}
+		}
+		if lease, _ := coord.Lease("w", 0); lease.JobID != "" {
+			t.Fatalf("after %d finished jobs: a seventh lease %+v", history, lease)
+		}
+		for _, id := range ids {
+			if err := coord.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(coord.open) != 0 {
+			t.Fatalf("%d jobs still open after cancelling all", len(coord.open))
+		}
+	}
+}
+
+// One lease + give-back cycle (no WAL traffic) behind 2,000 finished
+// jobs: flat in the history's length now that only open jobs are walked.
+func BenchmarkLeaseAfterHistory(b *testing.B) {
+	coord, err := NewCoordinator(Options{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coord.Close(context.Background())
+	finishJobs(b, coord, 2000)
+	if _, err := coord.Submit(evalJob(1)); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		lease, err := coord.Lease("w", 0)
+		if err != nil || lease.JobID == "" {
+			b.Fatalf("lease %+v, %v", lease, err)
+		}
+		if _, err := coord.Complete(&dist.CompleteRequest{
+			JobID: lease.JobID, Shard: lease.Shard, Lease: lease.Lease, Err: "give back",
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// SIGTERM order of cmd/harpoq: Drain, then http.Server.Shutdown. A
+// worker parked in a 30 s long poll is answered empty by the drain, so
+// the HTTP shutdown does not wait the poll out.
+func TestDrainAnswersParkedLease(t *testing.T) {
+	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
+	defer closeCoordinator(t, coord)
+	srv := httptest.NewUnstartedServer(NewServer(coord).Handler())
+	polling := make(chan struct{}, 1)
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			select {
+			case polling <- struct{}{}:
+			default:
+			}
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	type answer struct {
+		lease dist.LeaseResponse
+		err   error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		var a answer
+		req := dist.LeaseRequest{Worker: "idle", WaitMs: 30_000}
+		a.err = dist.PostJSON(context.Background(), srv.Client(), srv.URL+dist.PathLease, &req, &a.lease)
+		answered <- a
+	}()
+	<-polling // the poll's request is on the server
+
+	t0 := time.Now()
+	coord.Drain()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(t0); took > time.Second {
+		t.Fatalf("shutdown took %v behind a parked lease, want < 1s", took)
+	}
+	if a := <-answered; a.err != nil || a.lease.JobID != "" {
+		t.Fatalf("parked lease answered %+v, %v; want empty", a.lease, a.err)
+	}
+	if _, err := coord.Submit(evalJob(1)); err == nil {
+		t.Fatal("a draining coordinator accepted a submit")
+	}
+}

@@ -173,7 +173,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wait := min(time.Duration(req.WaitMs)*time.Millisecond, s.maxLeaseWait)
-	resp, err := s.coord.Lease(req.Worker, wait)
+	resp, err := s.coord.Lease(req.Worker, wait, req.Programs...)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -64,11 +64,20 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 // single write followed by an fsync, so a record either replays intact
 // or is truncated as a torn tail — never half-applied.
 func (w *WAL) Append(kind byte, payload []byte) error {
-	if _, err := w.Log.Append([]byte{kind}, payload); err != nil {
-		return fmt.Errorf("queue: wal append: %w", err)
+	if err := w.append(kind, payload); err != nil {
+		return err
 	}
 	if err := w.Sync(); err != nil {
 		return fmt.Errorf("queue: wal sync: %w", err)
+	}
+	return nil
+}
+
+// append writes one record without the fsync: the caller owes a Sync,
+// which may cover several records (a submit's).
+func (w *WAL) append(kind byte, payload []byte) error {
+	if _, err := w.Log.Append([]byte{kind}, payload); err != nil {
+		return fmt.Errorf("queue: wal append: %w", err)
 	}
 	return nil
 }

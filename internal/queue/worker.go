@@ -3,6 +3,7 @@ package queue
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -44,9 +45,10 @@ type WorkerOptions struct {
 
 // leaser is the coordinator as a worker sees it. *Coordinator satisfies
 // it directly (in-process workers, Options.LocalExec); httpLeaser speaks
-// it over POST /v1/lease and /v1/complete.
+// it over POST /v1/lease and /v1/complete. programs are the hashes of
+// the programs the worker holds (see Coordinator.Lease).
 type leaser interface {
-	Lease(worker string, wait time.Duration) (*dist.LeaseResponse, error)
+	Lease(worker string, wait time.Duration, programs ...uint64) (*dist.LeaseResponse, error)
 	Complete(req *dist.CompleteRequest) (*dist.CompleteResponse, error)
 }
 
@@ -58,9 +60,9 @@ type httpLeaser struct {
 	client *http.Client
 }
 
-func (h httpLeaser) Lease(worker string, wait time.Duration) (*dist.LeaseResponse, error) {
+func (h httpLeaser) Lease(worker string, wait time.Duration, programs ...uint64) (*dist.LeaseResponse, error) {
 	var resp dist.LeaseResponse
-	req := dist.LeaseRequest{Worker: worker, WaitMs: int(wait / time.Millisecond)}
+	req := dist.LeaseRequest{Worker: worker, WaitMs: int(wait / time.Millisecond), Programs: programs}
 	return &resp, dist.PostJSON(h.ctx, h.client, h.base+dist.PathLease, &req, &resp)
 }
 
@@ -160,7 +162,7 @@ func (w *Worker) run(ctx context.Context, coord leaser) {
 // step leases, executes and completes at most one shard. A false return
 // asks the loop to back off before the next lease.
 func (w *Worker) step(ctx context.Context, coord leaser) bool {
-	lease, err := coord.Lease(w.opts.Name, time.Duration(w.opts.WaitMs)*time.Millisecond)
+	lease, err := coord.Lease(w.opts.Name, time.Duration(w.opts.WaitMs)*time.Millisecond, dist.HeldPrograms()...)
 	if err != nil {
 		if ctx.Err() == nil {
 			w.ob.Counter("queue.worker.lease_errors").Inc()
@@ -190,17 +192,35 @@ func (w *Worker) step(ctx context.Context, coord leaser) bool {
 func (w *Worker) execute(lease *dist.LeaseResponse) *dist.CompleteRequest {
 	comp := &dist.CompleteRequest{}
 	if lease.Kind == dist.JobCampaign {
-		key := CampaignShardKey(lease.Inject)
+		req := lease.Inject
+		if len(req.Program) == 0 && req.ProgramHash != 0 {
+			// The coordinator left the program out because this worker
+			// advertised it; the bytes come back from the worker's own
+			// memo. One evicted in between fails the shard, which is
+			// then leased again, in full.
+			wire, ok := dist.HeldProgram(req.ProgramHash)
+			if !ok {
+				comp.Err = fmt.Sprintf("queue: worker no longer holds program %016x", req.ProgramHash)
+				return comp
+			}
+			req.Program = wire
+		}
+		// Deriving the key is a pass over the program; a worker without
+		// a result cache (nil: every Get misses, every Put is dropped)
+		// skips it.
+		var key CacheKey
+		if w.cache != nil {
+			key = CampaignShardKey(req)
+		}
 		if value, ok := w.cache.Get(key); ok {
-			if st, err := inject.DecodeStats(value); err == nil &&
-				st.N == lease.Inject.Hi-lease.Inject.Lo {
+			if st, err := inject.DecodeStats(value); err == nil && st.N == req.Hi-req.Lo {
 				w.ob.Counter("queue.worker.cache_hits").Inc()
 				comp.Stats = st
 				comp.Cached = true
 				return comp
 			}
 		}
-		st, err := dist.RunInjectCached(lease.Inject, w.ob, w.golden)
+		st, err := dist.RunInjectCached(req, w.ob, w.golden)
 		if err != nil {
 			comp.Err = err.Error()
 			return comp
@@ -211,7 +231,10 @@ func (w *Worker) execute(lease *dist.LeaseResponse) *dist.CompleteRequest {
 		return comp
 	}
 
-	key := EvalShardKey(lease.Eval)
+	var key CacheKey
+	if w.cache != nil {
+		key = EvalShardKey(lease.Eval)
+	}
 	if value, ok := w.cache.Get(key); ok {
 		var res []dist.WireEvalResult
 		if err := json.Unmarshal(value, &res); err == nil && len(res) == len(lease.Eval.Genotypes) {

@@ -25,7 +25,7 @@ type fakeLeaser struct {
 	done      chan struct{} // closed by the first Complete
 }
 
-func (f *fakeLeaser) Lease(worker string, wait time.Duration) (*dist.LeaseResponse, error) {
+func (f *fakeLeaser) Lease(worker string, wait time.Duration, _ ...uint64) (*dist.LeaseResponse, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls++

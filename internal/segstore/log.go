@@ -95,7 +95,7 @@ func Open(path string, format Format, visit func(tag []byte, off int64, payload 
 	var l *Log
 	info, err := f.Stat()
 	if err == nil {
-		l, err = newLog(f, info.Size(), format, visit)
+		l, err = NewLog(f, info.Size(), format, visit)
 	}
 	if err != nil {
 		f.Close()
@@ -104,7 +104,9 @@ func Open(path string, format Format, visit func(tag []byte, off int64, payload 
 	return l, nil
 }
 
-func newLog(f File, size int64, format Format, visit func(tag []byte, off int64, payload []byte)) (*Log, error) {
+// NewLog is Open over an already open file of the given size: what Open
+// does after opening the path, and where a test puts its own File.
+func NewLog(f File, size int64, format Format, visit func(tag []byte, off int64, payload []byte)) (*Log, error) {
 	hdr := format.header()
 	if size < int64(len(hdr)) {
 		// Empty file or torn header: (re)write it.

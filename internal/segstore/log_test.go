@@ -92,7 +92,7 @@ func TestFailedAppendIsOverwritten(t *testing.T) {
 	for _, format := range testFormats {
 		for _, failTrunc := range []bool{false, true} {
 			f := &memFile{}
-			l, err := newLog(f, 0, format, skip)
+			l, err := NewLog(f, 0, format, skip)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestFailedAppendIsOverwritten(t *testing.T) {
 
 			f.failTrunc = false
 			var recs []rec
-			l2, err := newLog(f, int64(len(f.data)), format, collect(&recs))
+			l2, err := NewLog(f, int64(len(f.data)), format, collect(&recs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func FuzzLogReplay(f *testing.F) {
 		hdr := header(format)
 		file := &memFile{data: append([]byte(nil), data...)}
 		var recs []rec
-		l, err := newLog(file, int64(len(data)), format, collect(&recs))
+		l, err := NewLog(file, int64(len(data)), format, collect(&recs))
 		if err != nil {
 			if len(data) < len(hdr) || bytes.HasPrefix(data, hdr) {
 				t.Fatalf("open failed on an acceptable header: %v", err)
@@ -291,7 +291,7 @@ func FuzzLogReplay(f *testing.F) {
 		}
 		// Reopening the truncated file is a fixed point.
 		var again []rec
-		l2, err := newLog(file, good, format, collect(&again))
+		l2, err := NewLog(file, good, format, collect(&again))
 		if err != nil || l2.Size() != good || len(again) != len(recs) {
 			t.Fatalf("reopen: size %d -> %d, %d -> %d records, err %v", good, l2.Size(), len(recs), len(again), err)
 		}

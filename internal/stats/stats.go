@@ -93,15 +93,35 @@ func splitmix(z uint64) uint64 {
 // offset basis).
 const HashInit uint64 = 14695981039346656037
 
+const (
+	fnvPrime = 1099511628211
+	mask64   = 1<<64 - 1
+	// fnvPrime8 is fnvPrime^8 mod 2^64, squared up in steps so no
+	// intermediate constant needs more than 128 bits.
+	fnvPrime2 = fnvPrime * fnvPrime & mask64
+	fnvPrime4 = fnvPrime2 * fnvPrime2 & mask64
+	fnvPrime8 = fnvPrime4 * fnvPrime4 & mask64
+)
+
 // Mix64 folds v into the running content hash h (FNV-1a over v's eight
 // bytes). Used to key memoization caches by value identity: start from
 // HashInit and fold each word of the structure in a fixed order.
 func Mix64(h, v uint64) uint64 {
-	const prime = 1099511628211
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
-		h *= prime
+		h *= fnvPrime
 		v >>= 8
+	}
+	return h
+}
+
+// MixBytes folds each byte of data into h as Mix64(h, uint64(b)) would,
+// in its closed form: for a value below 256 seven of Mix64's eight
+// rounds xor in zero, so the chain step is (h ^ b) * fnvPrime^8 — one
+// multiply per byte instead of eight, bit for bit the same hash.
+func MixBytes(h uint64, data []byte) uint64 {
+	for _, b := range data {
+		h = (h ^ uint64(b)) * fnvPrime8
 	}
 	return h
 }
@@ -110,13 +130,7 @@ func Mix64(h, v uint64) uint64 {
 // content-hashing convention shared by corpus filenames, the queue
 // result-cache keys and the golden artifact cache, so every subsystem
 // agrees about what "same content" means.
-func HashBytes(data []byte) uint64 {
-	h := HashInit
-	for _, b := range data {
-		h = Mix64(h, uint64(b))
-	}
-	return h
-}
+func HashBytes(data []byte) uint64 { return MixBytes(HashInit, data) }
 
 // Thin returns at most k evenly spaced elements of xs (for plotting long
 // convergence series at the paper's sampling intervals).

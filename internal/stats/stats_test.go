@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +100,62 @@ func TestMix64(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// HashBytes is defined by the per-byte Mix64 chain and implemented by
+// its closed form; corpus filenames, result-cache keys and golden keys
+// on disk depend on the two never diverging. The literals were recorded
+// from the Mix64-loop implementation.
+func TestHashBytesMatchesMix64Chain(t *testing.T) {
+	chain := func(h uint64, data []byte) uint64 {
+		for _, b := range data {
+			h = Mix64(h, uint64(b))
+		}
+		return h
+	}
+	rng := rand.New(rand.NewPCG(17, 4))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, rng.IntN(4097))
+		for j := range data {
+			data[j] = byte(rng.Uint32())
+		}
+		if got, want := HashBytes(data), chain(HashInit, data); got != want {
+			t.Fatalf("HashBytes(%d bytes) = %#x, Mix64 chain = %#x", len(data), got, want)
+		}
+		seed := rng.Uint64()
+		if got, want := MixBytes(seed, data), chain(seed, data); got != want {
+			t.Fatalf("MixBytes(%#x, %d bytes) = %#x, Mix64 chain = %#x", seed, len(data), got, want)
+		}
+	}
+	ramp := make([]byte, 1000)
+	for i := range ramp {
+		ramp[i] = byte(i*7 + 3)
+	}
+	for _, v := range []struct {
+		data []byte
+		want uint64
+	}{
+		{nil, HashInit},
+		{[]byte("harpocrates"), 0x8b8ce8337aa8e33},
+		{ramp, 0x3c69012f8dcb86c5},
+	} {
+		if got := HashBytes(v.data); got != v.want {
+			t.Errorf("HashBytes(%d bytes) = %#x, recorded %#x", len(v.data), got, v.want)
+		}
+	}
+}
+
+var hashSink uint64
+
+func BenchmarkHashBytes(b *testing.B) {
+	data := make([]byte, 40<<10) // one HXPG program of the fleet workloads
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	b.SetBytes(int64(len(data)))
+	for b.Loop() {
+		hashSink = HashBytes(data)
 	}
 }
 
