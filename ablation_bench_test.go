@@ -13,6 +13,8 @@ import (
 	"harpocrates/internal/gen"
 	"harpocrates/internal/inject"
 	"harpocrates/internal/mutate"
+	"harpocrates/internal/prog"
+	"harpocrates/internal/stats"
 	"harpocrates/internal/uarch"
 )
 
@@ -86,6 +88,48 @@ func BenchmarkAblationAceWidthMask(b *testing.B) {
 	}
 }
 
+// benchOffOn is the shape of every campaign-level ablation below: each
+// iteration runs the knob's "off" side then its "on" side, fails on any
+// outcome difference between them (the soundness claim the speedup
+// rides on) and accumulates both wall clocks; the off/on ratio is
+// reported as x-speedup. run returns the statistics of every campaign
+// it ran, in a fixed order.
+func benchOffOn(b *testing.B, what string, run func(off bool) ([]*inject.Stats, error)) {
+	var offNS, onNS int64
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		slow, err := run(true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		fast, err := run(false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		for k := range slow {
+			if !slow[k].Equal(fast[k]) {
+				b.Fatalf("%s changed campaign %d statistics: off %+v vs on %+v", what, k, slow[k], fast[k])
+			}
+		}
+		offNS += t1.Sub(t0).Nanoseconds()
+		onNS += t2.Sub(t1).Nanoseconds()
+	}
+	b.ReportMetric(float64(offNS)/float64(onNS), "x-speedup")
+}
+
+// ablationSeed seeds the delta-termination and golden-reuse workloads
+// (experiments.DefaultParams' seed, so the numbers continue the series
+// DESIGN.md §4.12 and §4.16 quote).
+const ablationSeed = 20240704
+
+func ablationProgram(numInstrs, stream int) *prog.Program {
+	cfg := gen.DefaultConfig()
+	cfg.NumInstrs = numInstrs
+	return gen.Materialize(gen.NewRandom(&cfg, stats.Derive(ablationSeed, stream)), &cfg)
+}
+
 // BenchmarkAblationCheckpointedSFI measures the campaign-level effect of
 // checkpointed fast-forward + ACE pre-classification (DESIGN.md §4.7):
 // the same transient-IRF campaign is timed with the optimization off
@@ -96,34 +140,83 @@ func BenchmarkAblationCheckpointedSFI(b *testing.B) {
 	cfg.NumInstrs = 1200
 	rng := rand.New(rand.NewPCG(55, 56))
 	p := gen.Materialize(gen.NewRandom(&cfg, rng), &cfg)
-	campaign := func(noFF bool) *inject.Campaign {
-		return &inject.Campaign{
+	benchOffOn(b, "fast-forward", func(noFF bool) ([]*inject.Stats, error) {
+		c := &inject.Campaign{
 			Prog: p.Insts, Init: p.InitFunc(),
 			Target: coverage.IRF, Type: inject.Transient,
 			N: 96, Seed: 9, Cfg: uarch.DefaultConfig(),
 			NoFastForward: noFF,
 		}
+		st, err := c.Run()
+		return []*inject.Stats{st}, err
+	})
+}
+
+// BenchmarkAblationDeltaTermination measures reconvergence-based early
+// termination of faulty runs (DESIGN.md §4.12): one transient-IRF
+// campaign with NoDeltaTermination (every faulty run simulated to
+// completion) against the identical campaign with it on. The workload
+// is longer and denser in injections than the fast-forward one: delta's
+// win is the simulated tail after a masked fault's last architectural
+// trace, which grows with golden-run length, and it only shows once
+// enough injections survive ACE pre-classification for faulty-run
+// simulation to dominate the campaign.
+func BenchmarkAblationDeltaTermination(b *testing.B) {
+	p := ablationProgram(4000, 7)
+	benchOffOn(b, "delta termination", func(noDelta bool) ([]*inject.Stats, error) {
+		c := &inject.Campaign{
+			Prog: p.Insts, Init: p.InitFunc(),
+			Target: coverage.IRF, Type: inject.Transient,
+			N: 256, Seed: ablationSeed, Cfg: uarch.DefaultConfig(),
+			NoDeltaTermination: noDelta,
+		}
+		st, err := c.Run()
+		return []*inject.Stats{st}, err
+	})
+}
+
+// BenchmarkAblationGoldenReuse measures the golden artifact cache
+// (DESIGN.md §4.16) on the workload it exists for: one program ranked
+// against six structures, all of the plain golden class so a single
+// bundle serves every one. Off, every campaign recomputes the
+// instrumented golden run; on, a fresh cache per iteration sees one
+// cold compute and five warm hits (not an ever-warm steady state).
+// Fault-injection work is identical on both sides.
+func BenchmarkAblationGoldenReuse(b *testing.B) {
+	p := ablationProgram(4000, 8)
+	progHash := stats.Mix64(stats.HashInit, ablationSeed|1)
+	targets := []coverage.Structure{
+		coverage.IRF, coverage.FPRF, coverage.L1D,
+		coverage.Decoder, coverage.Gshare, coverage.LSQ,
 	}
-	var fromZeroNS, fastForwardNS int64
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		slow, err := campaign(true).Run()
-		if err != nil {
-			b.Fatal(err)
+	benchOffOn(b, "golden reuse", func(off bool) ([]*inject.Stats, error) {
+		var gc *inject.GoldenCache // nil: every campaign computes its own golden
+		if !off {
+			var err error
+			if gc, err = inject.NewGoldenCache(0, ""); err != nil {
+				return nil, err
+			}
+			defer func() {
+				gc.Purge()
+				gc.Close()
+			}()
 		}
-		t1 := time.Now()
-		fast, err := campaign(false).Run()
-		if err != nil {
-			b.Fatal(err)
+		out := make([]*inject.Stats, 0, len(targets))
+		for _, target := range targets {
+			c := &inject.Campaign{
+				Prog: p.Insts, Init: p.InitFunc(),
+				Target: target, Type: inject.Transient,
+				N: 8, Seed: ablationSeed, Cfg: uarch.DefaultConfig(),
+				GoldenCache: gc, ProgramHash: progHash,
+			}
+			st, err := c.Run()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, st)
 		}
-		t2 := time.Now()
-		if !slow.Equal(fast) {
-			b.Fatalf("fast-forward changed campaign statistics: %+v vs %+v", slow, fast)
-		}
-		fromZeroNS += t1.Sub(t0).Nanoseconds()
-		fastForwardNS += t2.Sub(t1).Nanoseconds()
-	}
-	b.ReportMetric(float64(fromZeroNS)/float64(fastForwardNS), "x-speedup")
+		return out, nil
+	})
 }
 
 // BenchmarkAblationL1DConstraints quantifies the cache-aware generation

@@ -139,20 +139,6 @@ func BenchmarkGenRate(b *testing.B) {
 	once("rate", func() { experiments.FprintGenRate(os.Stdout, r) })
 }
 
-func BenchmarkSFICampaignSpeed(b *testing.B) {
-	pp := experiments.DefaultParams()
-	var r *experiments.CampaignSpeedResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.CampaignSpeed(pp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.SpeedupX, "x-speedup")
-	once("sfispeed", func() { experiments.FprintCampaignSpeed(os.Stdout, r) })
-}
-
 func BenchmarkDetectionSpeed(b *testing.B) {
 	pp := experiments.DefaultParams()
 	var r *experiments.SpeedResult

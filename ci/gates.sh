@@ -3,28 +3,10 @@
 # call fails the step.
 #
 #   source ci/gates.sh
-#   bench_schema bench.json
-#   speedup_gate bench.json core.run.miss-chain.skip speedup_vs_naive 2
+#   campaign_consistency camp.json
 #   bench_mbps_gate hash.bench BenchmarkHashBytes 400
 
 set -euo pipefail
-
-# bench_schema FILE — FILE is a non-empty BENCH_*.json array and every
-# row carries the BenchResult core fields.
-bench_schema() {
-  jq -e 'type == "array" and length > 0 and
-         all(.[]; (.name | type) == "string" and
-                  (.iterations | type) == "number" and
-                  (.ns_per_op | type) == "number")' "$1" > /dev/null
-}
-
-# speedup_gate FILE ROW FIELD MIN — exactly one row named ROW exists in
-# FILE and its FIELD is at least MIN.
-speedup_gate() {
-  jq -e --arg name "$2" --arg field "$3" --argjson min "$4" \
-     '[.[] | select(.name == $name) | .[$field] >= $min]
-      | all and length == 1' "$1" > /dev/null
-}
 
 # campaign_consistency FILE — a faultsim/harpocrates one-line campaign
 # summary's outcome counters are self-consistent: the five outcome

@@ -1,5 +1,6 @@
 // Command bench regenerates the paper's tables and figures (the same
-// harnesses as the repository-level Go benchmarks, in CLI form).
+// harnesses as the repository-level Go benchmarks, in CLI form) — paper
+// tables and figures only; timing lives in benchmark/.
 //
 // Usage:
 //
@@ -28,12 +29,7 @@ func main() {
 		rate      = flag.Bool("rate", false, "§VI-A generation-rate comparison")
 		interplay = flag.Bool("interplay", false, "fault-type interplay sweep (§II-D, Fig. 2)")
 		speed     = flag.Bool("speed", false, "§VI-C detection-speed comparison")
-		sfi       = flag.Bool("sfi", false, "SFI campaign fast-forward timing (checkpointed resume vs from-cycle-0)")
-		micro     = flag.Bool("micro", false, "run-loop microbenchmarks (naive vs event-driven cycle skipping)")
-		adapt     = flag.Bool("adaptive", false, "adaptive-vs-static schedule ablation (bandit portfolio + Pareto archive)")
 		all       = flag.Bool("all", false, "run everything")
-
-		jsonPath = flag.String("json", "", "write machine-readable benchmark results (name, ns/op, speedup) to this file")
 
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this file")
 		metrics   = flag.Bool("metrics", false, "print a metrics summary at exit")
@@ -122,39 +118,6 @@ func main() {
 		die(err)
 		experiments.FprintSpeed(os.Stdout, r)
 		fmt.Println()
-	}
-	var jsonResults []experiments.BenchResult
-	if *all || *sfi {
-		r, err := experiments.CampaignSpeed(pp)
-		die(err)
-		experiments.FprintCampaignSpeed(os.Stdout, r)
-		fmt.Println()
-		jsonResults = append(jsonResults,
-			experiments.BenchResult{Name: "sfi.campaign.fastforward.off", Iterations: 1,
-				NsPerOp: float64(r.FromZero.Nanoseconds())},
-			experiments.BenchResult{Name: "sfi.campaign.fastforward.on", Iterations: 1,
-				NsPerOp: float64(r.FastForward.Nanoseconds()), SpeedupVsNaive: r.SpeedupX})
-	}
-	if *all || *micro {
-		rs, err := experiments.Microbench(pp)
-		die(err)
-		experiments.FprintMicrobench(os.Stdout, rs)
-		fmt.Println()
-		jsonResults = append(jsonResults, rs...)
-	}
-	if *all || *adapt {
-		rs, err := experiments.AdaptiveAblation(pp)
-		die(err)
-		experiments.FprintAdaptiveAblation(os.Stdout, rs)
-		fmt.Println()
-		jsonResults = append(jsonResults, rs...)
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		die(err)
-		die(experiments.WriteBenchJSON(f, jsonResults))
-		die(f.Close())
-		fmt.Printf("wrote %d benchmark results to %s\n", len(jsonResults), *jsonPath)
 	}
 	die(obFinish(os.Stdout))
 }

@@ -179,10 +179,7 @@ func main() {
 		NoGoldenCache:   *noGoldenCache,
 		Obs:             ob,
 	}
-	golden := c.Golden()
-	fmt.Printf("program %s: %d instructions, %d cycles golden, IPC %.2f\n",
-		p.Name, golden.Instructions, golden.Cycles,
-		float64(golden.Instructions)/float64(golden.Cycles))
+	fmt.Printf("program %s: %d instructions\n", p.Name, len(p.Insts))
 	fmt.Printf("campaign: target=%v faults=%v injections=%d\n", st, ft, *n)
 	var stats *inject.Stats
 	switch {
@@ -223,6 +220,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	fmt.Printf("golden: %d cycles\n", stats.GoldenCycles)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		if err := enc.Encode(campaignJSON(p.Name, st, ft, *seed, stats, ob)); err != nil {

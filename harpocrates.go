@@ -140,23 +140,7 @@ func Generate(cfg *GenConfig, seed uint64) *Program {
 // tracking for the given structure and returns the result (the
 // Evaluator's grading step).
 func Simulate(p *Program, st Structure) *SimResult {
-	cfg := uarch.DefaultConfig()
-	switch st {
-	case IRF:
-		cfg.TrackIRF = true
-	case L1D:
-		cfg.TrackL1D = true
-	case FPRF:
-		cfg.TrackFPRF = true
-	default:
-		// Functional units are graded by IBR; the microarchitectural
-		// fault sites (decoder, gshare, LSQ, ROB metadata, L2 tags) have
-		// no coverage tracker — they are SFI-only targets.
-		if st.IsFunctionalUnit() {
-			cfg.TrackIBR = true
-		}
-	}
-	return uarch.Run(p.Insts, p.NewState(), cfg)
+	return uarch.Run(p.Insts, p.NewState(), uarch.DefaultConfig().TrackFor(st))
 }
 
 // NewDetectionCampaign builds the standard statistical fault-injection

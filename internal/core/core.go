@@ -230,17 +230,7 @@ func (o *Options) normalize() error {
 	if o.Metric.Score == nil {
 		o.Metric = coverage.MetricFor(o.Structure)
 	}
-	o.Core = o.Core.WithDefaults()
-	switch o.Structure {
-	case coverage.IRF:
-		o.Core.TrackIRF = true
-	case coverage.L1D:
-		o.Core.TrackL1D = true
-	case coverage.FPRF:
-		o.Core.TrackFPRF = true
-	default:
-		o.Core.TrackIBR = true
-	}
+	o.Core = o.Core.WithDefaults().TrackFor(o.Structure)
 	if o.Pareto {
 		// Multi-structure objectives need every tracker the six paper
 		// structures read from.

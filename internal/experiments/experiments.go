@@ -170,18 +170,7 @@ func Measure(p *prog.Program, st coverage.Structure, pp Params) (Measurement, er
 func measure(p *prog.Program, st coverage.Structure, pp Params) (Measurement, error) {
 	m := Measurement{Program: p.Name, Structure: st}
 
-	cfg := uarch.DefaultConfig()
-	switch st {
-	case coverage.IRF:
-		cfg.TrackIRF = true
-	case coverage.L1D:
-		cfg.TrackL1D = true
-	case coverage.FPRF:
-		cfg.TrackFPRF = true
-	default:
-		cfg.TrackIBR = true
-	}
-	r := uarch.Run(p.Insts, p.NewState(), cfg)
+	r := uarch.Run(p.Insts, p.NewState(), uarch.DefaultConfig().TrackFor(st))
 	if !r.Clean() {
 		return m, fmt.Errorf("experiments: %s failed: crash=%v timeout=%v", p.Name, r.Crash, r.TimedOut)
 	}

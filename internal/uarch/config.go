@@ -27,6 +27,7 @@ import (
 	"io"
 
 	"harpocrates/internal/arch"
+	"harpocrates/internal/coverage"
 )
 
 // CycleEvent is one scheduled state mutation of the sparse fault-event
@@ -270,6 +271,24 @@ func (c Config) WithDefaults() Config {
 		fill(&c.L2.HitLatency, d.L2.HitLatency)
 	}
 	fill(&c.MemLatency, d.MemLatency)
+	return c
+}
+
+// TrackFor returns c with the coverage tracker that grades st switched
+// on: a bit array's own ACE tracker, IBR for the functional units, and
+// nothing for the SFI-only fault sites (decoder, gshare, LSQ, ROB
+// metadata, L2 tags), which have no coverage metric.
+func (c Config) TrackFor(st coverage.Structure) Config {
+	switch {
+	case st == coverage.IRF:
+		c.TrackIRF = true
+	case st == coverage.L1D:
+		c.TrackL1D = true
+	case st == coverage.FPRF:
+		c.TrackFPRF = true
+	case st.IsFunctionalUnit():
+		c.TrackIBR = true
+	}
 	return c
 }
 

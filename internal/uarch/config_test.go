@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
 )
 
@@ -22,6 +23,34 @@ func TestWithDefaultsFullyZeroMatchesDefault(t *testing.T) {
 		got.MemLatency != want.MemLatency ||
 		got.FetchWidth != want.FetchWidth || got.GshareBits != want.GshareBits {
 		t.Fatalf("zero config defaulted to %+v, want DefaultConfig", got)
+	}
+}
+
+// TestTrackForEveryStructure pins the structure -> tracker rule for
+// every structure there is: a bit array switches on its own ACE
+// tracker, a functional unit IBR, an SFI-only site nothing.
+func TestTrackForEveryStructure(t *testing.T) {
+	type trackers struct{ irf, l1d, fprf, ibr bool }
+	want := [coverage.NumStructures]trackers{
+		coverage.IRF:      {irf: true},
+		coverage.L1D:      {l1d: true},
+		coverage.FPRF:     {fprf: true},
+		coverage.IntAdder: {ibr: true},
+		coverage.IntMul:   {ibr: true},
+		coverage.FPAdd:    {ibr: true},
+		coverage.FPMul:    {ibr: true},
+		// Decoder, Gshare, LSQ, ROBMeta, L2Tags: no coverage metric.
+	}
+	for st := coverage.Structure(0); st < coverage.NumStructures; st++ {
+		c := DefaultConfig().TrackFor(st)
+		got := trackers{c.TrackIRF, c.TrackL1D, c.TrackFPRF, c.TrackIBR}
+		if got != want[st] {
+			t.Errorf("%v: trackers %+v, want %+v", st, got, want[st])
+		}
+	}
+	// A tracker the caller already set survives (Pareto sets several).
+	if c := (Config{TrackL1D: true}).TrackFor(coverage.IntMul); !c.TrackL1D || !c.TrackIBR {
+		t.Errorf("TrackFor cleared a tracker that was already on: %+v", c)
 	}
 }
 
