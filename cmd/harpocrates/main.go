@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"harpocrates"
-	"harpocrates/internal/core"
 	"harpocrates/internal/corpus"
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/dist"
@@ -40,8 +39,6 @@ func main() {
 		corpusDir  = flag.String("corpus", "", "persistent corpus directory: seed the run from archived elites and auto-archive each iteration's survivors")
 		corpusMax  = flag.Int("corpus-max", 64, "per-structure corpus archive bound (0 = unbounded)")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the checkpoint in the corpus directory (requires -corpus)")
-		adaptive   = flag.Bool("adaptive", false, "bandit-scheduled mutation portfolio (UCB1 over replaceall/point/blockswap/splice/crossoverk) and marginal-coverage corpus seed scheduling")
-		pareto     = flag.Bool("pareto", false, "evolve one population against all six paper structures at once, maintaining a Pareto archive (exported to -corpus under each member's best structure)")
 		jsonOut    = flag.Bool("json", false, "print a deterministic one-line JSON run summary as the last line of output")
 		workers    = flag.String("workers", "", "comma-separated harpod worker URLs to shard evaluation across (e.g. http://host1:9090,http://host2:9090)")
 		queueURL   = flag.String("queue", "", "harpoq coordinator URL: shard evaluation through the durable job queue (and its result cache) instead of direct push")
@@ -81,8 +78,6 @@ func main() {
 	o := harpocrates.Preset(st, *scale)
 	o.Seed = *seed
 	o.Obs = ob
-	o.Adaptive = *adaptive
-	o.Pareto = *pareto
 	if *iterations > 0 {
 		o.Iterations = *iterations
 	}
@@ -110,37 +105,24 @@ func main() {
 		}
 		store.SetBound(*corpusMax)
 		// Warm-start from archived elites (cold start when the archive is
-		// empty) and auto-archive each iteration's survivor set. Adaptive
-		// runs schedule seeds by marginal detected-fault coverage instead
-		// of raw fitness; the static path keeps the fitness order (and
-		// its bit-identical trajectories).
-		var seeds []*harpocrates.Genotype
-		if *adaptive {
-			seeds, err = store.ScheduledElites(st.String(), o.TopK)
-		} else {
-			seeds, err = store.Elites(st.String(), o.TopK)
-		}
+		// empty) and auto-archive each iteration's survivor set.
+		seeds, err := store.Elites(st.String(), o.TopK)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		o.Seeds = seeds
 		gcfg := o.Gen
-		if !*pareto {
-			// Pareto runs export the final front instead: per-iteration
-			// survivors carry mean-objective fitnesses that would not rank
-			// meaningfully against single-structure entries.
-			o.OnTopK = func(it int, top []*harpocrates.Individual) {
-				for _, ind := range top {
-					_, err := store.Add(ind.Program(&gcfg), ind.G, corpus.Meta{
-						Structure: st.String(),
-						Fitness:   ind.Fitness,
-						Iteration: it,
-					})
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "warning: corpus archive: %v\n", err)
-						return
-					}
+		o.OnTopK = func(it int, top []*harpocrates.Individual) {
+			for _, ind := range top {
+				_, err := store.Add(ind.Program(&gcfg), ind.G, corpus.Meta{
+					Structure: st.String(),
+					Fitness:   ind.Fitness,
+					Iteration: it,
+				})
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "warning: corpus archive: %v\n", err)
+					return
 				}
 			}
 		}
@@ -173,12 +155,6 @@ func main() {
 		h.Times.Mutation, h.Times.Generation, h.Times.Compilation, h.Times.Evaluation)
 	fmt.Printf("throughput: %d programs, %d instructions generated and evaluated\n",
 		h.EvaluatedPrograms, h.EvaluatedInstructions)
-	if len(res.Front) > 0 {
-		fmt.Printf("pareto: %d non-dominated programs on the archive front\n", len(res.Front))
-		if store != nil {
-			exportFront(store, res, &o)
-		}
-	}
 	if store != nil {
 		fmt.Printf("corpus: %d programs archived in %s\n", store.Len(), store.Dir())
 	}
@@ -199,53 +175,15 @@ func main() {
 	}
 	var detStats *harpocrates.DetectionStats
 	if *detect > 0 {
-		detProg := best
-		if *pareto && len(res.Front) > 0 {
-			// The front member strongest on the -structure objective is
-			// the campaign target; the scalar best optimizes the mean.
-			cand := res.Best
-			for _, ind := range res.Front {
-				if ind.Snapshot.Value(st) > cand.Snapshot.Value(st) {
-					cand = ind
-				}
-			}
-			detProg = cand.Program(&o.Gen)
-		}
-		detStats = runDetection(detProg, st, *detect, *seed, ob)
+		detStats = runDetection(best, st, *detect, *seed, ob)
 	}
 	if *jsonOut {
-		printSummary(res, st, &o, *adaptive, *pareto, *detect, detStats)
+		printSummary(res, st, &o, *detect, detStats)
 	}
 	if err := obFinish(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// exportFront archives each Pareto front member under the objective
-// structure it is strongest on, so a single multi-structure run feeds
-// all six per-structure corpora.
-func exportFront(store *corpus.Store, res *harpocrates.LoopResult, o *harpocrates.LoopOptions) {
-	gcfg := o.Gen
-	exported := 0
-	for _, ind := range res.Front {
-		bestSt, bestVal := core.ParetoObjectives()[0], -1.0
-		for _, ost := range core.ParetoObjectives() {
-			if v := ind.Snapshot.Value(ost); v > bestVal {
-				bestSt, bestVal = ost, v
-			}
-		}
-		if _, err := store.Add(ind.Program(&gcfg), ind.G, corpus.Meta{
-			Structure: bestSt.String(),
-			Fitness:   bestVal,
-			Iteration: res.Iterations,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: corpus front export: %v\n", err)
-			return
-		}
-		exported++
-	}
-	fmt.Printf("corpus: exported %d Pareto front members\n", exported)
 }
 
 // runSummary is the -json output schema: one deterministic object (no
@@ -254,8 +192,6 @@ func exportFront(store *corpus.Store, res *harpocrates.LoopResult, o *harpocrate
 // two runs printing equal summaries evolved the identical program.
 type runSummary struct {
 	Structure   string  `json:"structure"`
-	Adaptive    bool    `json:"adaptive"`
-	Pareto      bool    `json:"pareto"`
 	Seed        uint64  `json:"seed"`
 	Iterations  int     `json:"iterations"`
 	Converged   bool    `json:"converged"`
@@ -263,7 +199,6 @@ type runSummary struct {
 	CacheHits   int     `json:"cache_hits"`
 	BestFitness float64 `json:"best_fitness"`
 	BestHash    string  `json:"best_hash"`
-	FrontSize   int     `json:"front_size,omitempty"`
 	DetectN     int     `json:"detect_n,omitempty"`
 	Detected    int     `json:"detected,omitempty"`
 	Masked      int     `json:"masked,omitempty"`
@@ -274,11 +209,9 @@ type runSummary struct {
 	Detection   float64 `json:"detection,omitempty"`
 }
 
-func printSummary(res *harpocrates.LoopResult, st harpocrates.Structure, o *harpocrates.LoopOptions, adaptive, pareto bool, detect int, stats *harpocrates.DetectionStats) {
+func printSummary(res *harpocrates.LoopResult, st harpocrates.Structure, o *harpocrates.LoopOptions, detect int, stats *harpocrates.DetectionStats) {
 	s := runSummary{
 		Structure:   st.String(),
-		Adaptive:    adaptive,
-		Pareto:      pareto,
 		Seed:        o.Seed,
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
@@ -286,7 +219,6 @@ func printSummary(res *harpocrates.LoopResult, st harpocrates.Structure, o *harp
 		CacheHits:   res.History.CacheHits,
 		BestFitness: res.Best.Fitness,
 		BestHash:    fmt.Sprintf("%016x", res.Best.G.Hash()),
-		FrontSize:   len(res.Front),
 	}
 	if stats != nil {
 		s.DetectN = detect

@@ -113,10 +113,12 @@ func main() {
 
 	// Graceful shutdown: start the drain first — it answers the workers'
 	// parked long polls, which hs.Shutdown would otherwise wait out —
-	// then stop accepting HTTP, wait for outstanding leases, snapshot
-	// and flush the durable state.
+	// then wait for outstanding leases while the listener can still
+	// take their completions, stop accepting HTTP, snapshot and flush
+	// the durable state.
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	coord.Drain()
+	coord.WaitLeases(ctx)
 	if err := hs.Shutdown(ctx); err != nil {
 		hs.Close()
 	}

@@ -22,20 +22,17 @@ import (
 	"harpocrates/internal/binfmt"
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
-	"harpocrates/internal/sched"
 	"harpocrates/internal/segstore"
 	"harpocrates/internal/stats"
 )
 
-// Binary container format for loop snapshots ("HXCK"). Version 1 is
-// the static-schedule format; version 2 appends the adaptive sections
-// (bandit arm state, Pareto archive) and is written only by runs with
-// Adaptive or Pareto set, so static checkpoints stay byte-identical
-// across releases.
+// Binary container format for loop snapshots ("HXCK"). Version 2 was
+// written by two search modes that have been removed; it is recognised
+// only so that the refusal can say so.
 const (
-	snapMagic           = 0x4858434b // "HXCK"
-	snapVersion         = 1
-	snapVersionAdaptive = 2
+	snapMagic          = 0x4858434b // "HXCK"
+	snapVersion        = 1
+	snapVersionRemoved = 2
 )
 
 // snapshot is the persisted loop state.
@@ -46,10 +43,6 @@ type snapshot struct {
 	hist     *History
 	pop      []*Individual
 	memo     evalCache
-
-	// Adaptive sections (version 2; nil/empty on static snapshots).
-	bandit  *sched.State
-	archive []*Individual
 }
 
 // resumeHash fingerprints every option that shapes the optimization
@@ -80,19 +73,6 @@ func (o *Options) resumeHash() uint64 {
 	}
 	for _, b := range []byte(o.Metric.Name) {
 		h = stats.Mix64(h, uint64(b))
-	}
-	// The adaptive flags reshape the trajectory (operator dispatch,
-	// selection order), so they are folded in — but only when set, which
-	// keeps every pre-existing static hash unchanged and makes a static
-	// snapshot refuse an adaptive resume (and vice versa).
-	if o.Adaptive {
-		h = stats.Mix64(h, 0xada7d1fe)
-		h = stats.Mix64(h, math.Float64bits(o.Sched.Explore))
-		h = stats.Mix64(h, math.Float64bits(o.Sched.UCBC))
-	}
-	if o.Pareto {
-		h = stats.Mix64(h, 0x9a4e7000)
-		h = stats.Mix64(h, uint64(o.ParetoBound))
 	}
 	return h
 }
@@ -142,7 +122,6 @@ const (
 	maxSnapSeries   = 1 << 24
 	maxSnapPop      = 1 << 20
 	maxSnapMemo     = 1 << 26
-	maxSnapArms     = 1 << 8
 
 	// coverageBytes is a coverage.Snapshot on the wire; an individual
 	// adds its fitness and an empty genotype, a memo entry its key and
@@ -174,15 +153,13 @@ func coverageCodec(c *binfmt.Codec, s *coverage.Snapshot) {
 }
 
 // codec walks the HXCK layout in whichever direction c runs: header,
-// options hash, next iteration, RNG state, history, population, fitness
-// memo and — from version 2 — the bandit arms and the Pareto archive.
+// options hash, next iteration, RNG state, history, population and
+// fitness memo.
 func (s *snapshot) codec(c *binfmt.Codec) error {
 	dec := c.Decoding()
-	version := uint32(snapVersion)
-	if s.bandit != nil || len(s.archive) > 0 {
-		version = snapVersionAdaptive
+	if c.Header(snapMagic, snapVersion, snapVersionRemoved) == snapVersionRemoved {
+		c.Fail("HXCK version %d was written by the removed -adaptive/-pareto loop modes; delete the file or resume it with the release that wrote it", snapVersionRemoved)
 	}
-	version = c.Header(snapMagic, version, snapVersion, snapVersionAdaptive)
 	binfmt.U64(c, &s.optsHash)
 	binfmt.U32(c, &s.nextIt)
 	c.Bytes(&s.rng, maxSnapRNGBytes)
@@ -193,18 +170,15 @@ func (s *snapshot) codec(c *binfmt.Codec) error {
 	binfmt.U64(c, &s.hist.EvaluatedInstructions)
 	binfmt.U64(c, &s.hist.CacheHits)
 
-	individuals := func(p *[]*Individual) {
-		binfmt.Slice(c, p, individualBytes, maxSnapPop, func(ip **Individual) {
-			if dec {
-				*ip = &Individual{G: &gen.Genotype{}}
-			}
-			ind := *ip
-			c.F64(&ind.Fitness)
-			coverageCodec(c, &ind.Snapshot)
-			ind.G.Codec(c)
-		})
-	}
-	individuals(&s.pop)
+	binfmt.Slice(c, &s.pop, individualBytes, maxSnapPop, func(ip **Individual) {
+		if dec {
+			*ip = &Individual{G: &gen.Genotype{}}
+		}
+		ind := *ip
+		c.F64(&ind.Fitness)
+		coverageCodec(c, &ind.Snapshot)
+		ind.G.Codec(c)
+	})
 
 	// The fitness memo makes the resumed run's cache behaviour (and so
 	// History.CacheHits / EvaluatedInstructions) identical, not just the
@@ -228,27 +202,6 @@ func (s *snapshot) codec(c *binfmt.Codec) error {
 			s.memo[*k] = e
 		}
 	})
-
-	if version >= snapVersionAdaptive {
-		// Bandit arm state, positional over the portfolio (0 arms when
-		// the run is Pareto-only).
-		var st sched.State
-		if s.bandit != nil {
-			st = *s.bandit
-		}
-		nArms := c.Len(len(st.Pulls), 16, maxSnapArms)
-		if dec && nArms > 0 {
-			st = sched.State{Pulls: make([]uint64, nArms), Rewards: make([]float64, nArms)}
-			s.bandit = &st
-		}
-		for i := 0; i < nArms; i++ {
-			binfmt.U64(c, &st.Pulls[i])
-			c.F64(&st.Rewards[i])
-		}
-		// Pareto archive members; vectors are recomputed from the stored
-		// coverage snapshots on restore.
-		individuals(&s.archive)
-	}
 	return c.End()
 }
 

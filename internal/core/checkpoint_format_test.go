@@ -7,12 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
 	"harpocrates/internal/isa"
-	"harpocrates/internal/sched"
 )
 
 // hxck hand-builds snapshot bytes from the documented layout.
@@ -47,81 +47,107 @@ func (w *hxck) individual(ind *Individual) {
 	}
 }
 
-// TestSnapshotFormatPinned checks both directions of the HXCK codec
-// against hand-built bytes, for the static (version 1) layout and the
-// adaptive (version 2) layout with its bandit and archive tail.
-func TestSnapshotFormatPinned(t *testing.T) {
+func pinnedCoverage() coverage.Snapshot {
 	cov := coverage.Snapshot{Cycles: 10, Instructions: 20, IRFVuln: 0.5, L1DVuln: 0.25, FPRFVuln: 0.125}
 	cov.IBR[0], cov.IBR[coverage.NumStructures-1] = 0.75, -1
 	cov.UnitUses[1] = 0x0102030405060708
-	ind := func(seed uint64) *Individual {
-		return &Individual{Fitness: float64(seed) / 4, Snapshot: cov,
-			G: &gen.Genotype{Seed: seed, Variants: []isa.VariantID{1, 0x0203}}}
-	}
-	static := &snapshot{
+	return cov
+}
+
+func pinnedIndividual(seed uint64) *Individual {
+	return &Individual{Fitness: float64(seed) / 4, Snapshot: pinnedCoverage(),
+		G: &gen.Genotype{Seed: seed, Variants: []isa.VariantID{1, 0x0203}}}
+}
+
+// pinnedSnapshot is the state the format tests serialize, and pinnedV1
+// its version-1 bytes written out field by field.
+func pinnedSnapshot() *snapshot {
+	return &snapshot{
 		optsHash: 0xfeedface, nextIt: 2, rng: []byte{7, 8, 9},
 		hist: &History{Best: []float64{0.5, 0.75}, MeanTopK: []float64{0.25},
 			EvaluatedPrograms: 7, EvaluatedInstructions: 9, CacheHits: 1},
-		pop:  []*Individual{ind(3), ind(4)},
-		memo: evalCache{9: {Fitness: 2, Snapshot: cov}, 5: {Fitness: 1}},
+		pop:  []*Individual{pinnedIndividual(3), pinnedIndividual(4)},
+		memo: evalCache{9: {Fitness: 2, Snapshot: pinnedCoverage()}, 5: {Fitness: 1}},
 	}
-	adaptive := *static
-	adaptive.bandit = &sched.State{Pulls: []uint64{1, 2}, Rewards: []float64{0.5, 1}}
-	adaptive.archive = []*Individual{ind(6)}
+}
 
-	for name, s := range map[string]*snapshot{"v1": static, "v2": &adaptive} {
-		w := &hxck{}
-		w.u32(0x4858434b) // magic
-		if s.bandit == nil {
-			w.u32(1)
-		} else {
-			w.u32(2)
-		}
-		w.u64(s.optsHash)
-		w.u32(uint32(s.nextIt))
-		w.u32(3)
-		w.b = append(w.b, 7, 8, 9)
-		w.u32(2)
-		w.f64(0.5)
-		w.f64(0.75)
-		w.u32(1)
-		w.f64(0.25)
-		w.u64(7)
-		w.u64(9)
-		w.u64(1)
-		w.u32(2)
-		w.individual(s.pop[0])
-		w.individual(s.pop[1])
-		w.u32(2) // memo, ascending by key
-		w.u64(5)
-		w.f64(1)
-		w.coverage(&coverage.Snapshot{})
-		w.u64(9)
-		w.f64(2)
-		w.coverage(&cov)
-		if s.bandit != nil {
-			w.u32(2)
-			w.u64(1)
-			w.f64(0.5)
-			w.u64(2)
-			w.f64(1)
-			w.u32(1)
-			w.individual(s.archive[0])
-		}
+func pinnedV1() *hxck {
+	w := &hxck{}
+	w.u32(0x4858434b) // magic
+	w.u32(1)
+	w.u64(0xfeedface)
+	w.u32(2)
+	w.u32(3)
+	w.b = append(w.b, 7, 8, 9)
+	w.u32(2)
+	w.f64(0.5)
+	w.f64(0.75)
+	w.u32(1)
+	w.f64(0.25)
+	w.u64(7)
+	w.u64(9)
+	w.u64(1)
+	w.u32(2)
+	w.individual(pinnedIndividual(3))
+	w.individual(pinnedIndividual(4))
+	w.u32(2) // memo, ascending by key
+	w.u64(5)
+	w.f64(1)
+	w.coverage(&coverage.Snapshot{})
+	w.u64(9)
+	w.f64(2)
+	cov := pinnedCoverage()
+	w.coverage(&cov)
+	return w
+}
 
-		path := filepath.Join(t.TempDir(), name+".hxck")
-		if err := writeSnapshot(path, s); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := os.ReadFile(path); !bytes.Equal(got, w.b) {
-			t.Fatalf("%s encode:\n got %x\nwant %x", name, got, w.b)
-		}
-		got, err := readSnapshot(bytes.NewReader(w.b))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Fatalf("%s decode:\n got %+v\nwant %+v", name, got, s)
+// TestSnapshotFormatPinned checks both directions of the HXCK codec
+// against hand-built bytes.
+func TestSnapshotFormatPinned(t *testing.T) {
+	s := pinnedSnapshot()
+	want := pinnedV1().b
+
+	path := filepath.Join(t.TempDir(), "v1.hxck")
+	if err := writeSnapshot(path, s); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatalf("encode:\n got %x\nwant %x", got, want)
+	}
+	got, err := readSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("decode:\n got %+v\nwant %+v", got, s)
+	}
+}
+
+// TestResumeRefusesRemovedModeCheckpoint: a version-2 file — the pinned
+// state plus the bandit and archive tail the removed search modes wrote
+// — is refused by name, never decoded and never a silent fresh start.
+func TestResumeRefusesRemovedModeCheckpoint(t *testing.T) {
+	w := pinnedV1()
+	w.b[4] = snapVersionRemoved
+	w.u32(2) // bandit arms: pulls, reward sum
+	w.u64(1)
+	w.f64(0.5)
+	w.u64(2)
+	w.f64(1)
+	w.u32(1) // archive
+	w.individual(pinnedIndividual(6))
+
+	path := filepath.Join(t.TempDir(), "v2.hxck")
+	if err := os.WriteFile(path, w.b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := maybeResume(&Options{Resume: true, CheckpointPath: path})
+	if snap != nil || err == nil {
+		t.Fatalf("version-2 checkpoint: snapshot %v, error %v; want a refusal", snap, err)
+	}
+	for _, want := range []string{"version 2", "removed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
 	"harpocrates/internal/isa"
-	"harpocrates/internal/sched"
 )
 
 func encodeSnapshot(t testing.TB, s *snapshot) []byte {
@@ -49,8 +48,8 @@ func TestReadSnapshotRejectsUnbackedCounts(t *testing.T) {
 
 // FuzzReadSnapshot: arbitrary bytes never panic or allocate beyond a
 // small multiple of the input, and whatever decodes re-encodes to
-// exactly the input. The one exception is a version-2 file whose
-// adaptive tail is empty: the writer emits that state as version 1.
+// exactly the input. The version-2 seeds keep the refusal of a removed
+// mode's file on the fuzzed path.
 func FuzzReadSnapshot(f *testing.F) {
 	cov := coverage.Snapshot{Cycles: 3, IRFVuln: 0.5}
 	s := &snapshot{
@@ -60,9 +59,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		memo: evalCache{7: {Fitness: 0.2, Snapshot: cov}, 3: {}},
 	}
 	v1 := encodeSnapshot(f, s)
-	s.bandit = &sched.State{Pulls: []uint64{1, 0}, Rewards: []float64{1, 0}}
-	s.archive = s.pop
-	v2 := encodeSnapshot(f, s)
+	v2 := append(append([]byte{}, v1...), 0, 0, 0, 0, 0, 0, 0, 0) // no arms, empty archive
+	v2[4] = snapVersionRemoved
 	f.Add(v1)
 	f.Add(v2)
 	f.Add(v1[:len(v1)/2])
@@ -78,13 +76,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want := data
-		if data[4] == snapVersionAdaptive && got.bandit == nil && len(got.archive) == 0 {
-			want = append([]byte{}, data[:len(data)-8]...)
-			want[4] = snapVersion
-		}
-		if out := encodeSnapshot(t, got); !bytes.Equal(out, want) {
-			t.Fatalf("re-encoding differs:\n in  %x\n out %x", want, out)
+		if out := encodeSnapshot(t, got); !bytes.Equal(out, data) {
+			t.Fatalf("re-encoding differs:\n in  %x\n out %x", data, out)
 		}
 	})
 }

@@ -25,7 +25,6 @@ import (
 	"harpocrates/internal/mutate"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
-	"harpocrates/internal/sched"
 	"harpocrates/internal/stats"
 	"harpocrates/internal/uarch"
 )
@@ -93,31 +92,8 @@ type Options struct {
 
 	// Mutate overrides the mutation strategy (default: uniform
 	// instruction replacement, mutate.ReplaceAll — the paper's choice,
-	// §V-B1). Used by the mutation-strategy ablation. Ignored when
-	// Adaptive is set (the bandit owns operator choice).
+	// §V-B1). Used by the mutation-strategy ablation.
 	Mutate func(parent *gen.Genotype, cfg *gen.Config, rng *rand.Rand) *gen.Genotype
-
-	// Adaptive replaces the fixed mutation schedule with a UCB1 bandit
-	// over the operator portfolio (ReplaceAll, Point, BlockSwap, Splice,
-	// CrossoverK), rewarded by offspring-beats-parent outcomes. All
-	// bandit randomness comes from the loop's single PCG stream and the
-	// bandit state rides the checkpoint, so adaptive runs stay
-	// deterministic and resume bit-identically. Off (the default) keeps
-	// the static schedule bit-identical to previous releases.
-	Adaptive bool
-	// Sched tunes the bandit (zero value = defaults). Only read when
-	// Adaptive is set.
-	Sched sched.Config
-
-	// Pareto evolves one population against the paper's six structures
-	// at once (IRF, L1D, IntAdder, IntMul, FPAdd, FPMul) instead of six
-	// independent runs: selection ranks by non-dominated front then
-	// crowding distance, scalar Fitness becomes the mean objective, and
-	// a bounded cross-generation Pareto archive is maintained and
-	// returned as Result.Front.
-	Pareto bool
-	// ParetoBound caps the Pareto archive (0 = default 64).
-	ParetoBound int
 
 	// Evaluator, if set, replaces in-process grading of uncached
 	// individuals with a pluggable backend (the internal/dist worker
@@ -185,10 +161,6 @@ type Result struct {
 	History    *History
 	Iterations int
 	Converged  bool
-	// Front is the cross-generation Pareto archive (Options.Pareto runs
-	// only; nil otherwise), sorted by mean objective desc then genotype
-	// hash for determinism.
-	Front []*Individual
 }
 
 // normalize fills defaults.
@@ -231,19 +203,6 @@ func (o *Options) normalize() error {
 		o.Metric = coverage.MetricFor(o.Structure)
 	}
 	o.Core = o.Core.WithDefaults().TrackFor(o.Structure)
-	if o.Pareto {
-		// Multi-structure objectives need every tracker the six paper
-		// structures read from.
-		o.Core.TrackIRF = true
-		o.Core.TrackL1D = true
-		o.Core.TrackIBR = true
-		if o.ParetoBound <= 0 {
-			o.ParetoBound = 64
-		}
-	}
-	if o.Adaptive {
-		o.Sched = o.Sched.WithDefaults()
-	}
 	if o.Mutate == nil {
 		o.Mutate = mutate.ReplaceAll
 	}
@@ -285,7 +244,6 @@ func Run(o Options) (*Result, error) {
 	rng := rand.New(src)
 	hist := &History{}
 	memo := make(evalCache)
-	ad := newAdaptiveState(&o)
 
 	stopRun := o.Obs.Phase("core.run")
 	runSpan := o.Obs.Span("run", obs.Fields{
@@ -310,11 +268,6 @@ func Run(o Options) (*Result, error) {
 		*hist = *snap.hist
 		memo = snap.memo
 		startIt = snap.nextIt
-		if err := ad.restore(snap); err != nil {
-			stopRun()
-			runSpan.End(obs.Fields{"error": err.Error()})
-			return nil, err
-		}
 		o.Obs.Counter("core.resumes").Inc()
 		runSpan.Event("resume", obs.Fields{"iteration": startIt, "pop": len(pop)})
 	} else {
@@ -339,7 +292,6 @@ func Run(o Options) (*Result, error) {
 			runSpan.End(obs.Fields{"error": err.Error()})
 			return nil, err
 		}
-		ad.observe(pop)
 	}
 
 	converged := false
@@ -347,15 +299,9 @@ func Run(o Options) (*Result, error) {
 	for ; it < o.Iterations; it++ {
 		itSpan := runSpan.Child("iteration", obs.Fields{"it": it})
 
-		// Step 2: selection — advance the top-K programs. Pareto mode
-		// ranks by (non-dominated front, crowding distance) instead of
-		// scalar fitness.
+		// Step 2: selection — advance the top-K programs.
 		stopSel := o.Obs.Phase("core.phase.select")
-		if o.Pareto {
-			paretoSort(pop)
-		} else {
-			sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })
-		}
+		sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })
 		top := pop[:o.TopK]
 
 		hist.Best = append(hist.Best, top[0].Fitness)
@@ -409,31 +355,13 @@ func Run(o Options) (*Result, error) {
 			break
 		}
 
-		// Step 3: mutation — each survivor yields M offspring. Under
-		// Adaptive the bandit picks each offspring's operator; otherwise
-		// the static schedule applies o.Mutate uniformly.
+		// Step 3: mutation — each survivor yields M offspring.
 		tm := time.Now()
 		stopMut := o.Obs.Phase("core.phase.mutate")
 		offspring := make([]*Individual, 0, o.TopK*o.MutantsPerParent)
-		var arms []int
-		if ad.bandit != nil {
-			arms = make([]int, 0, o.TopK*o.MutantsPerParent)
-			for _, parent := range top {
-				for m := 0; m < o.MutantsPerParent; m++ {
-					a := ad.bandit.Select(rng)
-					arms = append(arms, a)
-					child := ad.portfolio[a].apply(parent.G, top, &o.Gen, rng)
-					offspring = append(offspring, &Individual{G: child})
-					if o.Obs.Enabled() {
-						o.Obs.Counter("sched.arm.selected." + ad.portfolio[a].name).Inc()
-					}
-				}
-			}
-		} else {
-			for _, parent := range top {
-				for m := 0; m < o.MutantsPerParent; m++ {
-					offspring = append(offspring, &Individual{G: o.Mutate(parent.G, &o.Gen, rng)})
-				}
+		for _, parent := range top {
+			for m := 0; m < o.MutantsPerParent; m++ {
+				offspring = append(offspring, &Individual{G: o.Mutate(parent.G, &o.Gen, rng)})
 			}
 		}
 		stopMut()
@@ -447,8 +375,6 @@ func Run(o Options) (*Result, error) {
 			runSpan.End(obs.Fields{"error": err.Error()})
 			return nil, err
 		}
-		ad.observe(offspring)
-		ad.reward(offspring, top, arms, &o)
 
 		if o.Obs.Enabled() {
 			// Mutation effectiveness: how offspring fitness moved against
@@ -486,16 +412,14 @@ func Run(o Options) (*Result, error) {
 		// A run resumed from here is on the identical trajectory.
 		if o.CheckpointPath != "" && (it+1)%o.CheckpointEvery == 0 {
 			stopCk := o.Obs.Phase("core.phase.checkpoint")
-			snap := &snapshot{
+			err := writeSnapshot(o.CheckpointPath, &snapshot{
 				optsHash: o.resumeHash(),
 				nextIt:   it + 1,
 				rng:      mustMarshalRNG(src),
 				hist:     hist,
 				pop:      pop,
 				memo:     memo,
-			}
-			ad.snapshotInto(snap)
-			err := writeSnapshot(o.CheckpointPath, snap)
+			})
 			stopCk()
 			if err != nil {
 				stopRun()
@@ -506,18 +430,13 @@ func Run(o Options) (*Result, error) {
 		}
 	}
 
-	if o.Pareto {
-		paretoSort(pop)
-	} else {
-		sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })
-	}
+	sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })
 	res := &Result{
 		Best:       pop[0],
 		TopK:       append([]*Individual(nil), pop[:o.TopK]...),
 		History:    hist,
 		Iterations: it,
 		Converged:  converged,
-		Front:      ad.front(),
 	}
 	stopRun()
 	runSpan.End(obs.Fields{

@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
 	"harpocrates/internal/isa"
+	"harpocrates/internal/mutate"
 	"harpocrates/internal/obs"
+	"harpocrates/internal/stats"
 	"harpocrates/internal/uarch"
 )
 
@@ -613,5 +617,63 @@ func TestInBatchDuplicateGradedOnce(t *testing.T) {
 				t.Fatalf("memo holds %d entries, want 2", len(memo))
 			}
 		})
+	}
+}
+
+// TestStaticPathBitIdentity holds Run to an independent replica of the
+// paper's loop — same RNG stream, same draw order, same selection and
+// mutation schedule — and demands an identical fitness history and
+// final best genotype. Any extra RNG draw, reordered selection or
+// changed dispatch breaks this immediately.
+func TestStaticPathBitIdentity(t *testing.T) {
+	o := tinyOptions(coverage.IntAdder)
+	got, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Independent replica of the legacy loop.
+	ref := tinyOptions(coverage.IntAdder)
+	if err := ref.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(stats.DeriveSource(ref.Seed, 0))
+	pop := make([]*Individual, ref.PopSize)
+	for i := range pop {
+		pop[i] = &Individual{G: gen.NewRandom(&ref.Gen, rng)}
+	}
+	grade := func(inds []*Individual) {
+		for _, ind := range inds {
+			res := GradeGenotype(ind.G, &ref.Gen, ref.Core, ref.Metric)
+			ind.Fitness, ind.Snapshot = res.Fitness, res.Snapshot
+		}
+	}
+	grade(pop)
+	var best []float64
+	for it := 0; it < ref.Iterations; it++ {
+		sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })
+		top := pop[:ref.TopK]
+		best = append(best, top[0].Fitness)
+		if it == ref.Iterations-1 {
+			break
+		}
+		var offspring []*Individual
+		for _, parent := range top {
+			for m := 0; m < ref.MutantsPerParent; m++ {
+				offspring = append(offspring, &Individual{G: mutate.ReplaceAll(parent.G, &ref.Gen, rng)})
+			}
+		}
+		grade(offspring)
+		pop = append(append([]*Individual(nil), top...), offspring...)
+	}
+	sort.SliceStable(pop, func(a, b int) bool { return pop[a].Fitness > pop[b].Fitness })
+
+	if !reflect.DeepEqual(got.History.Best, best) {
+		t.Errorf("static Run fitness history diverged from the legacy loop:\nRun:    %v\nlegacy: %v",
+			got.History.Best, best)
+	}
+	if got.Best.G.Hash() != pop[0].G.Hash() || got.Best.Fitness != pop[0].Fitness {
+		t.Errorf("static Run best diverged: hash %#x fitness %v, legacy hash %#x fitness %v",
+			got.Best.G.Hash(), got.Best.Fitness, pop[0].G.Hash(), pop[0].Fitness)
 	}
 }

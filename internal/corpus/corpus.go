@@ -36,7 +36,6 @@ import (
 	"harpocrates/internal/gen"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
-	"harpocrates/internal/sched"
 	"harpocrates/internal/segstore"
 	"harpocrates/internal/stats"
 )
@@ -389,48 +388,6 @@ func (s *Store) Elites(structure string, k int) ([]*gen.Genotype, error) {
 		g, err := s.Genotype(m.Hash)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: load genotype %s: %w", m.Hash, err)
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-// ScheduledElites returns up to k archived genotypes of the structure
-// ordered by marginal detected-fault coverage (sched.ScheduleSeeds over
-// the entries' DetectedSet vectors) instead of raw fitness: the first
-// seed is the biggest single detector, each next seed adds the most
-// faults the earlier picks missed, and unranked entries fall in behind
-// by fitness. Detected indices are only comparable within one campaign
-// configuration, so entries ranked under a config different from the
-// first ranked entry's compete as unranked rather than poisoning the
-// cover.
-func (s *Store) ScheduledElites(structure string, k int) ([]*gen.Genotype, error) {
-	var metas []*Meta
-	for _, m := range s.ListStructure(structure) {
-		if m.Genotype {
-			metas = append(metas, m)
-		}
-	}
-	var ref *Meta
-	for _, m := range metas {
-		if m.Ranked() {
-			ref = m
-			break
-		}
-	}
-	seeds := make([]sched.SeedInfo, len(metas))
-	for i, m := range metas {
-		seeds[i] = sched.SeedInfo{Key: m.Hash, Fitness: m.Fitness}
-		if ref != nil && m.Ranked() &&
-			m.FaultType == ref.FaultType && m.FaultN == ref.FaultN && m.FaultSeed == ref.FaultSeed {
-			seeds[i].Detected = m.Detected
-		}
-	}
-	var out []*gen.Genotype
-	for _, idx := range sched.ScheduleSeeds(seeds, k) {
-		g, err := s.Genotype(metas[idx].Hash)
-		if err != nil {
-			return nil, fmt.Errorf("corpus: load genotype %s: %w", metas[idx].Hash, err)
 		}
 		out = append(out, g)
 	}

@@ -324,56 +324,3 @@ func TestGenotypeSidecarRejectsCorrupt(t *testing.T) {
 		t.Fatal("sidecar round-trip changed the genotype")
 	}
 }
-
-// TestScheduledElites: seeds with detection vectors are ordered by
-// greedy marginal detected-fault coverage, with unranked entries
-// filling the tail in fitness order.
-func TestScheduledElites(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
-	add := func(seed uint64, fit float64, detected []int) *gen.Genotype {
-		t.Helper()
-		g, p := testProgram(seed)
-		res, err := s.Add(p, g, Meta{Structure: "IntAdder", Fitness: fit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if detected != nil {
-			if err := s.SetDetection(res.Hash, "stuckat", 100, 7, float64(len(detected))/100, detected); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return g
-	}
-	// gBroad covers the most faults; gTop is fitter but redundant with
-	// gBroad plus gEdge; gEdge uniquely covers {9}; gRaw is unranked.
-	gTop := add(30, 0.9, []int{0, 1, 2})
-	gBroad := add(31, 0.5, []int{0, 1, 2, 3, 4})
-	gEdge := add(32, 0.4, []int{9})
-	gRaw := add(33, 0.95, nil)
-
-	got, err := s.ScheduledElites("IntAdder", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Coverage-greedy picks first (gBroad's 5 faults, then gEdge's
-	// unique {9}); the zero-gain remainder fills in fitness order
-	// (gRaw 0.95 before gTop 0.9).
-	want := []*gen.Genotype{gBroad, gEdge, gRaw, gTop}
-	if len(got) != len(want) {
-		t.Fatalf("%d seeds, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Hash() != want[i].Hash() {
-			t.Fatalf("seed %d: wrong genotype (coverage-greedy order violated)", i)
-		}
-	}
-
-	// k truncates after scheduling, keeping the coverage-first prefix.
-	got2, err := s.ScheduledElites("IntAdder", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2) != 2 || got2[0].Hash() != gBroad.Hash() || got2[1].Hash() != gEdge.Hash() {
-		t.Fatal("k-truncated schedule lost the coverage-first prefix")
-	}
-}

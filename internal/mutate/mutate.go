@@ -115,52 +115,6 @@ func CrossoverK(a, b *gen.Genotype, k int, rng *rand.Rand) *gen.Genotype {
 	return child
 }
 
-// BlockSwap exchanges two non-overlapping, equal-length blocks of the
-// variant sequence — a structure-preserving reordering: the mutant
-// executes the same multiset of instruction variants in a different
-// order, perturbing dependency chains and unit scheduling without
-// changing pool usage. Sequences shorter than two variants are cloned
-// unchanged.
-func BlockSwap(g *gen.Genotype, cfg *gen.Config, rng *rand.Rand) *gen.Genotype {
-	m := g.Clone()
-	n := len(m.Variants)
-	if n < 2 {
-		return m
-	}
-	// Block length 1..n/2 biased short (uniform over 1..max(1,n/4)).
-	bl := 1 + rng.IntN(max(1, n/4))
-	if 2*bl > n {
-		bl = n / 2
-	}
-	i := rng.IntN(n - 2*bl + 1)
-	j := i + bl + rng.IntN(n-2*bl-i+1)
-	for k := 0; k < bl; k++ {
-		m.Variants[i+k], m.Variants[j+k] = m.Variants[j+k], m.Variants[i+k]
-	}
-	return m
-}
-
-// Splice copies one randomly chosen block of a donor genotype into the
-// same positions of the child — block-level uniform crossover. The
-// child takes a fresh operand seed mixed from both parents (the same
-// SplitMix64 folding CrossoverK uses, offset so identical parent pairs
-// decorrelate between the two operators), so splicing a genotype onto
-// itself still explores the operand space. A donor of different length
-// cannot be spliced positionally; the clone is returned with only the
-// reseed applied.
-func Splice(g, donor *gen.Genotype, cfg *gen.Config, rng *rand.Rand) *gen.Genotype {
-	m := g.Clone()
-	m.Seed = g.Seed*0x9e3779b97f4a7c15 ^ (donor.Seed + 0xd1b54a32d192ed03)
-	n := len(m.Variants)
-	if n == 0 || len(donor.Variants) != n {
-		return m
-	}
-	bl := 1 + rng.IntN(max(1, n/2))
-	i := rng.IntN(n - bl + 1)
-	copy(m.Variants[i:i+bl], donor.Variants[i:i+bl])
-	return m
-}
-
 // Distinct returns the distinct variant IDs present in a genotype (a
 // small helper used by analyses and tests).
 func Distinct(g *gen.Genotype) []isa.VariantID {

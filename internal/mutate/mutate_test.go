@@ -234,103 +234,3 @@ func TestDistinct(t *testing.T) {
 		t.Fatalf("distinct = %d, want 3", len(d))
 	}
 }
-
-func TestBlockSwapPreservesMultiset(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewPCG(21, 22))
-	for trial := 0; trial < 200; trial++ {
-		g := gen.NewRandom(&c, rng)
-		m := BlockSwap(g, &c, rng)
-		if len(m.Variants) != len(g.Variants) {
-			t.Fatal("block swap changed program length")
-		}
-		// A block swap permutes positions: the variant multiset is
-		// invariant.
-		count := map[isa.VariantID]int{}
-		for i := range g.Variants {
-			count[g.Variants[i]]++
-			count[m.Variants[i]]--
-		}
-		for v, n := range count {
-			if n != 0 {
-				t.Fatalf("variant %d multiset count off by %d after block swap", v, n)
-			}
-		}
-	}
-}
-
-func TestBlockSwapMutantsValid(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewPCG(23, 24))
-	g := gen.NewRandom(&c, rng)
-	for i := 0; i < 20; i++ {
-		g = BlockSwap(g, &c, rng)
-		p := gen.Materialize(g, &c)
-		if _, _, err := p.GoldenRun(10 * c.NumInstrs); err != nil {
-			t.Fatalf("block-swap mutant %d crashed: %v", i, err)
-		}
-	}
-}
-
-func TestBlockSwapShortGenotype(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewPCG(25, 26))
-	g := &gen.Genotype{Variants: []isa.VariantID{c.Allowed[0]}, Seed: 1}
-	m := BlockSwap(g, &c, rng)
-	if len(m.Variants) != 1 || m.Variants[0] != g.Variants[0] {
-		t.Fatal("single-instruction block swap must be a clone")
-	}
-}
-
-func TestSpliceCopiesDonorBlock(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewPCG(27, 28))
-	for trial := 0; trial < 200; trial++ {
-		g := gen.NewRandom(&c, rng)
-		d := gen.NewRandom(&c, rng)
-		m := Splice(g, d, &c, rng)
-		if len(m.Variants) != len(g.Variants) {
-			t.Fatal("splice changed program length")
-		}
-		// Every position comes from the parent or the donor, and the
-		// donor-sourced positions form one contiguous block.
-		for i := range m.Variants {
-			if m.Variants[i] != g.Variants[i] && m.Variants[i] != d.Variants[i] {
-				t.Fatal("splice position matches neither parent nor donor")
-			}
-		}
-	}
-}
-
-func TestSpliceLengthMismatchGraceful(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewPCG(29, 30))
-	g := gen.NewRandom(&c, rng)
-	d := &gen.Genotype{Variants: g.Variants[:10], Seed: 7}
-	m := Splice(g, d, &c, rng)
-	if len(m.Variants) != len(g.Variants) {
-		t.Fatal("mismatched splice changed program length")
-	}
-	for i := range m.Variants {
-		if m.Variants[i] != g.Variants[i] {
-			t.Fatal("mismatched splice must leave the parent's variants intact")
-		}
-	}
-	if m.Seed == g.Seed {
-		t.Fatal("splice must perturb the operand seed even on length mismatch")
-	}
-}
-
-func TestSpliceMutantsValid(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewPCG(31, 32))
-	g := gen.NewRandom(&c, rng)
-	d := gen.NewRandom(&c, rng)
-	for i := 0; i < 20; i++ {
-		g = Splice(g, d, &c, rng)
-		p := gen.Materialize(g, &c)
-		if _, _, err := p.GoldenRun(10 * c.NumInstrs); err != nil {
-			t.Fatalf("splice mutant %d crashed: %v", i, err)
-		}
-	}
-}

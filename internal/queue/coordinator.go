@@ -751,15 +751,12 @@ func (c *Coordinator) Drain() {
 	}
 }
 
-// Close gracefully shuts the coordinator down: new submits and leases
-// are refused, in-flight leases get until ctx's deadline to complete
-// (a lease that misses it is simply re-queued on the next start — the
-// WAL already has everything else), the full state is snapshotted
-// atomically, the WAL is reset and every file is flushed and closed.
-func (c *Coordinator) Close(ctx context.Context) error {
-	c.Drain()
-
-	// Drain: wait for outstanding leases to come home.
+// WaitLeases blocks until every outstanding lease has completed or ctx
+// is done, and returns how many were still out. A daemon calls it after
+// Drain and before closing its listener, so that a worker finishing
+// during the drain can still deliver its completion; Close calls it
+// too.
+func (c *Coordinator) WaitLeases(ctx context.Context) int {
 	for {
 		c.mu.Lock()
 		outstanding := 0
@@ -773,17 +770,27 @@ func (c *Coordinator) Close(ctx context.Context) error {
 		pulse := c.pulse
 		c.mu.Unlock()
 		if outstanding == 0 {
-			break
+			return 0
 		}
 		select {
 		case <-ctx.Done():
-			c.ob.Counter("queue.close.undrained_leases").Add(int64(outstanding))
-			goto drained
+			return outstanding
 		case <-pulse:
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-drained:
+}
+
+// Close gracefully shuts the coordinator down: new submits and leases
+// are refused, in-flight leases get until ctx's deadline to complete
+// (a lease that misses it is simply re-queued on the next start — the
+// WAL already has everything else), the full state is snapshotted
+// atomically, the WAL is reset and every file is flushed and closed.
+func (c *Coordinator) Close(ctx context.Context) error {
+	c.Drain()
+	if n := c.WaitLeases(ctx); n > 0 {
+		c.ob.Counter("queue.close.undrained_leases").Add(int64(n))
+	}
 	close(c.stop)
 	c.bg.Wait()
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"harpocrates/internal/dist"
+	"harpocrates/internal/obs"
 )
 
 // finishJobs submits n small jobs and cancels each: history a
@@ -150,5 +151,62 @@ func TestDrainAnswersParkedLease(t *testing.T) {
 	}
 	if _, err := coord.Submit(evalJob(1)); err == nil {
 		t.Fatal("a draining coordinator accepted a submit")
+	}
+}
+
+// The rest of that order: between Drain and http.Server.Shutdown the
+// daemon waits for the outstanding leases, so a worker that finishes
+// during the drain still reaches /v1/complete. Nothing is left
+// undrained and the restarted coordinator has nothing to re-run.
+func TestShutdownTakesCompletionDuringDrain(t *testing.T) {
+	c, p := testCampaign(t, 8) // one shard
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	coord := newTestCoordinator(t, dir, 0, reg)
+	srv := httptest.NewServer(NewServer(coord).Handler())
+	defer srv.Close()
+	sub, err := coord.Submit(campaignJob(t, c, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httpLeaser{ctx: context.Background(), base: srv.URL, client: srv.Client()}
+	lease, err := worker.Lease("w", time.Second)
+	if err != nil || lease.JobID != sub.ID {
+		t.Fatalf("lease %+v, %v", lease, err)
+	}
+	st, err := dist.RunInject(lease.Inject, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	coord.Drain()
+	waited := make(chan int, 1)
+	go func() { waited <- coord.WaitLeases(ctx) }()
+	resp, err := worker.Complete(&dist.CompleteRequest{
+		Worker: "w", JobID: lease.JobID, Shard: lease.Shard, Lease: lease.Lease, Stats: st,
+	})
+	if err != nil || resp.Stale {
+		t.Fatalf("complete during the drain = %+v, %v", resp, err)
+	}
+	if n := <-waited; n != 0 {
+		t.Fatalf("WaitLeases = %d after the completion, want 0", n)
+	}
+	if err := srv.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	closeCoordinator(t, coord)
+	if n := reg.Counter("queue.close.undrained_leases").Load(); n != 0 {
+		t.Fatalf("queue.close.undrained_leases = %d, want 0", n)
+	}
+
+	coord2 := newTestCoordinator(t, dir, 0, nil)
+	defer closeCoordinator(t, coord2)
+	if res, err := coord2.Result(sub.ID); err != nil || res.State != dist.JobStateDone || !res.Stats.Equal(st) {
+		t.Fatalf("restored result %+v, %v; want the completed shard's stats", res, err)
+	}
+	if again, err := coord2.Lease("w", 0); err != nil || again.JobID != "" {
+		t.Fatalf("restarted coordinator leased %+v, %v; want nothing to re-run", again, err)
 	}
 }

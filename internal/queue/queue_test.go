@@ -873,71 +873,3 @@ func TestWALCompactionCrashBetweenSnapshotAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// An adaptive+Pareto refinement run grading through the queue-backed
-// evaluator must stay bit-identical to the all-local run (the operator
-// portfolio and Pareto selection both consume only locally drawn
-// randomness; remote grading returns the same fitness values).
-func TestQueueAdaptiveEvaluatorBitIdentical(t *testing.T) {
-	opts := func() core.Options {
-		o := core.Options{Structure: coverage.IntAdder, Seed: 42}
-		o.Gen = gen.DefaultConfig()
-		o.Gen.NumInstrs = 150
-		o.PopSize = 8
-		o.TopK = 2
-		o.MutantsPerParent = 3
-		o.Iterations = 4
-		o.Adaptive = true
-		o.Pareto = true
-		return o
-	}
-	local, err := core.Run(opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := newTestCoordinator(t, t.TempDir(), 2, nil)
-	defer closeCoordinator(t, coord)
-	srv := httptest.NewServer(NewServer(coord).Handler())
-	defer srv.Close()
-	client := NewClient(srv.URL)
-	client.PollInterval = 20 * time.Millisecond
-
-	qo := opts()
-	qo.Evaluator = client.Evaluator()
-	remote, err := core.Run(qo)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !equalFloats(remote.History.Best, local.History.Best) ||
-		!equalFloats(remote.History.MeanTopK, local.History.MeanTopK) {
-		t.Errorf("queue-evaluated adaptive history diverged:\nremote: %v\nlocal:  %v",
-			remote.History.Best, local.History.Best)
-	}
-	if remote.Best.G.Hash() != local.Best.G.Hash() {
-		t.Errorf("queue-evaluated adaptive best diverged: %#x != %#x",
-			remote.Best.G.Hash(), local.Best.G.Hash())
-	}
-	if len(remote.Front) != len(local.Front) {
-		t.Fatalf("front size %d != local %d", len(remote.Front), len(local.Front))
-	}
-	for i := range remote.Front {
-		if remote.Front[i].G.Hash() != local.Front[i].G.Hash() {
-			t.Errorf("front[%d] diverged: %#x != %#x",
-				i, remote.Front[i].G.Hash(), local.Front[i].G.Hash())
-		}
-	}
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -48,7 +48,7 @@ func TestTrackForEveryStructure(t *testing.T) {
 			t.Errorf("%v: trackers %+v, want %+v", st, got, want[st])
 		}
 	}
-	// A tracker the caller already set survives (Pareto sets several).
+	// A tracker the caller already set survives.
 	if c := (Config{TrackL1D: true}).TrackFor(coverage.IntMul); !c.TrackL1D || !c.TrackIBR {
 		t.Errorf("TrackFor cleared a tracker that was already on: %+v", c)
 	}
