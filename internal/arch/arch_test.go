@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -14,10 +15,10 @@ import (
 func testMem(t testing.TB) *Memory {
 	t.Helper()
 	m := NewMemory()
-	if err := m.AddRegion(&Region{Name: "data", Base: 0x10000, Data: make([]byte, 4096), Writable: true}); err != nil {
+	if err := m.AddRegion(Region{Name: "data", Base: 0x10000, Size: 4096, Writable: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddRegion(&Region{Name: "stack", Base: 0x20000, Data: make([]byte, 4096), Writable: true}); err != nil {
+	if err := m.AddRegion(Region{Name: "stack", Base: 0x20000, Size: 4096, Writable: true}); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -693,22 +694,30 @@ func TestCloneIsolation(t *testing.T) {
 	s.GPR[isa.RAX] = 7
 	c := s.Clone()
 	c.GPR[isa.RAX] = 9
-	c.Mem.Regions()[0].Data[0] = 0xff
+	if err := c.Mem.Write(0x10000, 1, 0xff); err != nil {
+		t.Fatal(err)
+	}
 	if s.GPR[isa.RAX] != 7 {
 		t.Fatal("clone shares GPRs")
 	}
-	if s.Mem.Regions()[0].Data[0] != 0 {
+	if v, _ := s.Mem.Read(0x10000, 1); v != 0 {
 		t.Fatal("clone shares memory")
+	}
+	if v, _ := c.Mem.Read(0x10000, 1); v != 0xff {
+		t.Fatal("clone lost its own write")
 	}
 }
 
 func TestRegionOverlapRejected(t *testing.T) {
 	m := NewMemory()
-	if err := m.AddRegion(&Region{Name: "a", Base: 0x1000, Data: make([]byte, 0x1000)}); err != nil {
+	if err := m.AddRegion(Region{Name: "a", Base: 0x1000, Size: 0x1000}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddRegion(&Region{Name: "b", Base: 0x1800, Data: make([]byte, 0x1000)}); err == nil {
+	if err := m.AddRegion(Region{Name: "b", Base: 0x1800, Size: 0x1000}); err == nil {
 		t.Fatal("overlapping region accepted")
+	}
+	if err := m.AddRegion(Region{Name: "c", Base: ^uint64(0) - 0xfff, Size: 0x2000}); err == nil {
+		t.Fatal("region wrapping the address space accepted")
 	}
 }
 
@@ -789,19 +798,23 @@ func TestMovzxMovsx(t *testing.T) {
 	}
 }
 
-// rescanDigest rebuilds m's regions in a fresh Memory (fresh memories
-// have no cached digest) and returns the from-scratch digest — the
-// reference the incrementally maintained one must always equal.
-func rescanDigest(t *testing.T, m *Memory) uint64 {
+// rescanDigest computes the memory digest from its definition — the XOR
+// of wordDigest over every aligned word of every writable region, the
+// last one zero-padded — reading the bytes through the accessor: the
+// reference the incrementally maintained digest must always equal.
+func rescanDigest(t testing.TB, m *Memory) uint64 {
 	t.Helper()
-	f := NewMemory()
+	var d uint64
 	for _, r := range m.Regions() {
-		data := append([]byte(nil), r.Data...)
-		if err := f.AddRegion(&Region{Name: r.Name, Base: r.Base, Data: data, Writable: r.Writable}); err != nil {
-			t.Fatal(err)
+		if !r.Writable {
+			continue
+		}
+		b := append(m.RegionBytes(r.Name), make([]byte, 7)...)
+		for off := uint64(0); off < r.Size; off += 8 {
+			d ^= wordDigest(r.Base+off, binary.LittleEndian.Uint64(b[off:]))
 		}
 	}
-	return f.Digest()
+	return d
 }
 
 // The incremental memory digest must stay equal to a from-scratch scan
@@ -816,13 +829,16 @@ func TestMemoryDigestIncremental(t *testing.T) {
 	for i := range odd {
 		odd[i] = byte(rng.Uint32())
 	}
-	if err := m.AddRegion(&Region{Name: "odd", Base: 0x1000, Data: odd, Writable: true}); err != nil {
+	if err := m.AddRegion(Region{Name: "odd", Base: 0x1000, Size: 1003, Writable: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddRegion(&Region{Name: "data", Base: 0x10000, Data: make([]byte, 4096), Writable: true}); err != nil {
+	if err := m.WriteBytes(0x1000, odd); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddRegion(&Region{Name: "ro", Base: 0x20000, Data: make([]byte, 256)}); err != nil {
+	if err := m.AddRegion(Region{Name: "data", Base: 0x10000, Size: 4096, Writable: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddRegion(Region{Name: "ro", Base: 0x20000, Size: 256}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := m.Digest(), rescanDigest(t, m); got != want {
@@ -882,5 +898,21 @@ func TestMemoryDigestIncremental(t *testing.T) {
 	}
 	if got, want := m.Digest(), rescanDigest(t, m); got != want {
 		t.Fatalf("source digest changed by clone write: %#x != %#x", got, want)
+	}
+	// A zero word contributes nothing: writing a word and then zeros back
+	// over it — the page stays present — digests like the untouched memory,
+	// whose never-written pages are absent.
+	z, untouched := testMem(t), testMem(t).Digest()
+	if err := z.Write(0x10ff4, 8, 0x0123456789abcdef); err != nil {
+		t.Fatal(err)
+	}
+	if z.Digest() == untouched {
+		t.Fatal("a non-zero word left the digest unchanged")
+	}
+	if err := z.Write(0x10ff4, 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := z.Digest(); got != untouched {
+		t.Fatalf("zeros written back digest %#x, untouched memory %#x", got, untouched)
 	}
 }

@@ -18,7 +18,7 @@ func FuzzExecute(f *testing.F) {
 			return
 		}
 		mem := NewMemory()
-		if err := mem.AddRegion(&Region{Name: "data", Base: 0x10000, Data: make([]byte, 4096), Writable: true}); err != nil {
+		if err := mem.AddRegion(Region{Name: "data", Base: 0x10000, Size: 4096, Writable: true}); err != nil {
 			t.Fatal(err)
 		}
 		s := NewState(mem)

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"harpocrates/internal/isa"
@@ -153,12 +152,11 @@ func (s *State) Clone() *State {
 // registers, the flags, and the content of every writable memory region.
 // This is the "final state of architectural registers and a signature
 // over accessed memory regions" the paper's wrapper computes (§V-D).
-// The memory part comes from Memory.Digest, which is maintained
-// incrementally across writes — campaigns signature megabytes of region
-// data per faulty run, and rescanning it was the single largest line
-// item in their CPU profile. The digest is only ever compared against
-// digests computed in the same process; its exact value carries no
-// meaning.
+// The memory part is Memory.Digest — the one definition of the memory
+// signature, maintained incrementally across writes — so, like Clone,
+// Signature requires a plain *Memory bus. The digest is only ever
+// compared against digests computed in the same process; its exact value
+// carries no meaning.
 func (s *State) Signature() uint64 {
 	const (
 		offset uint64 = 14695981039346656037
@@ -177,29 +175,7 @@ func (s *State) Signature() uint64 {
 		put(x[1])
 	}
 	put(uint64(s.Flags))
-	if m, ok := s.Mem.(*Memory); ok {
-		put(m.Digest())
-		return h
-	}
-	// Other MemBus bindings (none in-tree digest today): fold the raw
-	// bytes word-at-a-time.
-	for _, r := range s.Mem.Regions() {
-		if !r.Writable {
-			continue
-		}
-		b := r.Data
-		for len(b) >= 8 {
-			put(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-		}
-		var tail uint64
-		for i, c := range b {
-			tail |= uint64(c) << (8 * uint(i))
-		}
-		if len(b) > 0 {
-			put(tail)
-		}
-	}
+	put(s.Mem.(*Memory).Digest())
 	return h
 }
 

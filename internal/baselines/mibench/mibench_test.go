@@ -22,7 +22,7 @@ func runKernel(t *testing.T, p *prog.Program) []byte {
 	if _, err := arch.Run(p.Insts, s, 100_000_000); err != nil {
 		t.Fatalf("%s crashed: %v", p.Name, err)
 	}
-	return s.Mem.(*arch.Memory).Region("data").Data
+	return s.Mem.(*arch.Memory).RegionBytes("data")
 }
 
 func getU64(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }

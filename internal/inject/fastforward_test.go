@@ -166,7 +166,7 @@ func loopCampaign(t *testing.T, iters int64) *Campaign {
 	}
 	init := func() *arch.State {
 		m := arch.NewMemory()
-		if err := m.AddRegion(&arch.Region{Name: "stack", Base: 0x20000, Data: make([]byte, 4096), Writable: true}); err != nil {
+		if err := m.AddRegion(arch.Region{Name: "stack", Base: 0x20000, Size: 4096, Writable: true}); err != nil {
 			t.Fatal(err)
 		}
 		s := arch.NewState(m)

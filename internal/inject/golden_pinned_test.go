@@ -11,15 +11,15 @@ import (
 )
 
 // TestGoldenBundlePinned pins the HXGA bytes of a fixed tiny program
-// under DefaultConfig by length and FNV-64a digest. The constants were
-// recorded from the binary of the commit before the codec moved onto
-// internal/binfmt, so this test passing is the proof that no byte of
-// the layout moved; a change to the simulator's golden run (not to the
-// codec) legitimately changes them.
+// under DefaultConfig by length and FNV-64a digest, so no byte of the
+// layout moves unnoticed; a change to the simulator's golden run (not to
+// the codec) legitimately changes them. Re-pinned for HXGA v2, which
+// stores a checkpoint's present memory pages instead of every region
+// whole (v1: 4,850,027 bytes, three 1 MiB zero stacks among them).
 func TestGoldenBundlePinned(t *testing.T) {
 	const (
-		wantLen    = 4850027
-		wantDigest = 0x9402ba936b7c6111
+		wantLen    = 1704623
+		wantDigest = 0xacb387e3cc183104
 	)
 	c := testProgram(t, 400, nil)
 	c.Target = coverage.IRF

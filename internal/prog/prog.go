@@ -23,7 +23,8 @@ const (
 
 // RegionSpec is a memory region template. Data is copied into each fresh
 // state, so repeated runs always start identically. A nil Data with a
-// positive Size yields a zero-filled region (cheap large stacks).
+// positive Size yields a zero-filled region, which costs a fresh state
+// nothing until it is written (cheap large stacks).
 type RegionSpec struct {
 	Name     string
 	Base     uint64
@@ -52,13 +53,23 @@ type Program struct {
 	Regions []RegionSpec
 }
 
+// region returns the guest-memory descriptor of a region template.
+func (r *RegionSpec) region() arch.Region {
+	return arch.Region{Name: r.Name, Base: r.Base, Size: uint64(r.size()), Writable: r.Writable}
+}
+
 // Validate performs structural checks: line-aligned regions (the L1D
-// model requires it) and a stack region when stack instructions appear.
+// model requires it) that neither overlap nor wrap the address space —
+// NewState panics on those, and a program can arrive as bytes.
 func (p *Program) Validate() error {
+	mem := arch.NewMemory()
 	for i := range p.Regions {
 		r := &p.Regions[i]
 		if r.Base%64 != 0 || r.size()%64 != 0 {
 			return fmt.Errorf("prog %q: region %q not 64-byte aligned", p.Name, r.Name)
+		}
+		if err := mem.AddRegion(r.region()); err != nil {
+			return fmt.Errorf("prog %q: %w", p.Name, err)
 		}
 	}
 	return nil
@@ -69,11 +80,10 @@ func (p *Program) NewState() *arch.State {
 	mem := arch.NewMemory()
 	for i := range p.Regions {
 		r := &p.Regions[i]
-		data := make([]byte, r.size())
-		copy(data, r.Data)
-		if err := mem.AddRegion(&arch.Region{Name: r.Name, Base: r.Base, Data: data, Writable: r.Writable}); err != nil {
+		if err := mem.AddRegion(r.region()); err != nil {
 			panic(fmt.Sprintf("prog %q: %v", p.Name, err))
 		}
+		_ = mem.WriteBytes(r.Base, r.Data) // cannot fault: the region was added with Data's size
 	}
 	s := arch.NewState(mem)
 	s.GPR = p.InitGPR

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"harpocrates/internal/binfmt/binfmttest"
 	"harpocrates/internal/isa"
 )
 
@@ -41,10 +42,58 @@ func TestReadRejectsHugeRegionSize(t *testing.T) {
 	t.Log(err)
 }
 
+// TestReadRejectsOverlappingRegions is the regression test for the
+// worker panic: a container whose regions overlap, or whose base + size
+// wraps the address space, decoded fine and then panicked NewState on
+// whichever fleet worker received it. Both are refused at the door now.
+func TestReadRejectsOverlappingRegions(t *testing.T) {
+	for name, regions := range map[string][]RegionSpec{
+		"overlap": {{Name: "a", Base: 0x1000, Size: 0x1000}, {Name: "b", Base: 0x1800, Size: 0x1000}},
+		"wrap":    {{Name: "a", Base: ^uint64(0) - 0xfff, Size: 0x2000}},
+	} {
+		var buf bytes.Buffer
+		if _, err := (&Program{Regions: regions}).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadProgram(&buf); err == nil {
+			t.Errorf("%s: container accepted", name)
+		}
+	}
+}
+
+// TestZeroFillRegionsCostNothing: a 30-odd-byte-per-region container
+// claiming 64 × 1 GiB of zero-fill is legal, and neither decoding it nor
+// building and digesting a state from it may allocate for the claim — a
+// region nobody wrote has no pages.
+func TestZeroFillRegionsCostNothing(t *testing.T) {
+	p := &Program{}
+	for i := 0; i < maxSerialRegions; i++ {
+		p.Regions = append(p.Regions, RegionSpec{Name: "z", Base: uint64(i) << 32, Size: maxSerialField, Writable: true})
+	}
+	var buf bytes.Buffer
+	if _, err := p.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	got := binfmttest.AllocatedBy(func() {
+		var q *Program
+		if q, err = ReadProgram(bytes.NewReader(buf.Bytes())); err == nil {
+			q.NewState().Signature()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 1<<18 {
+		t.Errorf("a %d-byte container claiming 64 GiB of zero-fill allocated %d bytes", buf.Len(), got)
+	}
+}
+
 // FuzzReadProgram exercises the decoder with arbitrary bytes: it must
-// never panic or over-allocate, and anything it accepts must re-encode
-// and re-decode to the same program (the decoder's round-trip
-// property).
+// never panic or over-allocate, anything it accepts must build a state
+// (at a cost bounded by the bytes present, whatever its zero-fill
+// regions claim) and must re-encode and re-decode to the same program
+// (the decoder's round-trip property).
 func FuzzReadProgram(f *testing.F) {
 	// Seed with well-formed containers so the fuzzer starts from valid
 	// structure and mutates length fields, region flags and opcodes.
@@ -63,6 +112,9 @@ func FuzzReadProgram(f *testing.F) {
 		p, err := ReadProgram(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if got := binfmttest.AllocatedBy(func() { p.NewState().Signature() }); got > 1<<16+4*uint64(len(data)) {
+			t.Fatalf("a state for a %d-byte container allocated %d bytes", len(data), got)
 		}
 		// Accepted input: serialization must be stable.
 		var out bytes.Buffer

@@ -7,17 +7,20 @@ import (
 	"harpocrates/internal/arch"
 )
 
-// Checkpoint is an immutable deep-copy snapshot of all simulator state
-// at the start of one cycle: physical register files and free lists,
-// rename maps, ROB/IQ/LSQ contents, cache SRAM and tags, L2 tags, branch
-// predictor, cycle/sequence counters, statistics, ACE trackers and the
-// architectural memory image. Fault-injection campaigns take checkpoints
-// during the instrumented golden run and resume each faulty run from the
-// nearest checkpoint preceding its injection cycle, skipping the
+// Checkpoint is an immutable snapshot of all simulator state at the
+// start of one cycle: physical register files and free lists, rename
+// maps, ROB/IQ/LSQ contents, cache SRAM and tags, L2 tags, branch
+// predictor, cycle/sequence counters, statistics and ACE trackers, all
+// copied, and the architectural memory image, which shares its pages
+// with the core it was taken from (arch.Memory.CloneInto). Campaigns take
+// checkpoints during the instrumented golden run and resume each faulty
+// run from the nearest one preceding its injection cycle, skipping the
 // bit-identical golden prefix.
 //
 // A checkpoint is reusable: restoring copies it again, so any number of
-// runs (including concurrent ones) can resume from the same snapshot.
+// runs can resume from the same snapshot — concurrently too: its memory
+// owns none of its pages, so a restore only reads it and every resumed
+// run copies the pages it goes on to write.
 // Interval recorders and trace sinks are golden-run instrumentation and
 // are not captured.
 type Checkpoint struct {
@@ -41,19 +44,13 @@ var liveCheckpoints atomic.Int64
 // when the checkpoint is no longer needed.
 func (c *Core) Checkpoint() *Checkpoint {
 	liveCheckpoints.Add(1)
-	// Force the memory digest live before copying: the snapshot inherits
-	// it, so every run resumed from this checkpoint computes its output
-	// signature (and delta state hash) incrementally instead of scanning
-	// the whole image — the scan happens once per checkpointed golden
-	// run, not once per faulty run.
-	c.mem.Digest()
 	cp := getPooledCore()
 	cp.copyFrom(c)
 	return &Checkpoint{cycle: c.cycle, core: cp}
 }
 
-// Release returns the checkpoint's storage (a deep core copy holding
-// megabytes of PRF, ROB, cache and memory state) to the core pool. The
+// Release returns the checkpoint's storage (a core copy: PRFs, ROB,
+// cache SRAM, page table) to the core pool. The
 // checkpoint must not be restored from afterwards; Release is idempotent
 // and nil-safe. Callers must ensure no concurrent RestoreFrom is still
 // reading the snapshot.
@@ -70,8 +67,9 @@ func (ck *Checkpoint) Release() {
 // released (leak-test hook).
 func LiveCheckpoints() int64 { return liveCheckpoints.Load() }
 
-// RestoreFrom loads ck's state into c (another deep copy, leaving the
-// checkpoint reusable) and applies the run-specific config overrides:
+// RestoreFrom loads ck's state into c (another copy, sharing the memory
+// pages, leaving the checkpoint reusable) and applies the run-specific
+// config overrides:
 // the OnCycle injection hook, the sparse event schedule and skip knob,
 // the functional-unit hooks and window, the watchdog limit (when
 // non-zero) and the trace sink. Structural parameters always come from
@@ -111,9 +109,10 @@ func RunFromCheckpoint(ck *Checkpoint, cfg Config) *Result {
 	return r
 }
 
-// copyFrom makes c a deep copy of src, reusing c's existing allocations
-// where shapes match (both the checkpoint-restore and core-pool hot
-// paths depend on this to avoid re-allocating megabytes per run).
+// copyFrom makes c a copy of src, reusing c's existing allocations where
+// shapes match (the checkpoint-restore and core-pool hot paths depend on
+// it). Guest memory alone is shared, copy-on-write; src is written only
+// if it still owns pages, which a checkpoint never does.
 func (c *Core) copyFrom(src *Core) {
 	c.cfg = src.cfg
 	c.prog = src.prog

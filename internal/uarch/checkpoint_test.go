@@ -1,7 +1,9 @@
 package uarch
 
 import (
+	"bytes"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -166,6 +168,88 @@ func TestPooledRunDeterministic(t *testing.T) {
 		got := Run(prog, newInitState(t, 9), cfg)
 		if !resultsEqual(ref, got) {
 			t.Fatalf("track=%v: run after pool cross-use diverged", track)
+		}
+	}
+}
+
+// TestCheckpointSharedPagesConcurrent is the aliasing test for the
+// copy-on-write memory (run it under -race): one checkpoint — taken
+// live, then its HXGA-decoded twin — is restored into two pooled cores
+// on two goroutines that run to completion under different injected
+// faults (both store through pages the checkpoint shares with them),
+// while a third goroutine encodes the same checkpoint. A checkpoint
+// owns no page, so all three only read it: each faulty run must equal
+// its from-cycle-0 reference, and afterwards the checkpoint must still
+// restore to the golden result.
+func TestCheckpointSharedPagesConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 42))
+	prog := randomProgram(rng, 400, false)
+	cfg := DefaultConfig()
+	ref := Run(prog, newInitState(t, 7), cfg)
+	if ref.Crash != nil || ref.TimedOut || ref.Writebacks == 0 {
+		t.Fatalf("reference run unusable: crash=%v timedOut=%v writebacks=%d", ref.Crash, ref.TimedOut, ref.Writebacks)
+	}
+	ga := &GoldenArtifacts{Result: ref}
+	defer ga.Release()
+	ckCfg := cfg
+	ckCfg.OnCycle = func(c *Core, cyc uint64) {
+		if cyc == ref.Cycles/3 {
+			ga.Checkpoints = append(ga.Checkpoints, c.Checkpoint())
+		}
+	}
+	Run(prog, newInitState(t, 7), ckCfg)
+	data, err := EncodeGoldenArtifacts(ga)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := DecodeGoldenArtifacts(data, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Release()
+
+	flip := func(reg int) Config {
+		inj := cfg
+		inj.OnCycle = func(c *Core, cyc uint64) {
+			if cyc == ref.Cycles/3+5 {
+				c.FlipIntPRFBit(reg, 3)
+			}
+		}
+		return inj
+	}
+	regs := []int{2, 9}
+	var want [2]*Result
+	for i, reg := range regs {
+		want[i] = Run(prog, newInitState(t, 7), flip(reg))
+	}
+	for name, bundle := range map[string]*GoldenArtifacts{"live": ga, "decoded": twin} {
+		ck := bundle.Checkpoints[0]
+		var wg sync.WaitGroup
+		for i, reg := range regs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 4; round++ {
+					if got := RunFromCheckpoint(ck, flip(reg)); !resultsEqual(want[i], got) {
+						t.Errorf("%s checkpoint, flip r%d: resumed sig=%#x cyc=%d, from-zero sig=%#x cyc=%d",
+							name, reg, got.Signature, got.Cycles, want[i].Signature, want[i].Cycles)
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				if again, err := EncodeGoldenArtifacts(bundle); err != nil || !bytes.Equal(again, data) {
+					t.Errorf("%s checkpoint: concurrent encode differs (err=%v)", name, err)
+				}
+			}
+		}()
+		wg.Wait()
+		if got := RunFromCheckpoint(ck, cfg); !resultsEqual(ref, got) {
+			t.Fatalf("%s checkpoint no longer restores to the golden result: sig=%#x cyc=%d, want sig=%#x cyc=%d",
+				name, got.Signature, got.Cycles, ref.Signature, ref.Cycles)
 		}
 	}
 }

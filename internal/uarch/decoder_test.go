@@ -96,8 +96,7 @@ func TestDecoderFaultTrapKinds(t *testing.T) {
 	}
 	loadInit := func() *arch.State {
 		m := arch.NewMemory()
-		data := make([]byte, 4096)
-		if err := m.AddRegion(&arch.Region{Name: "data", Base: dataBase, Data: data, Writable: true}); err != nil {
+		if err := m.AddRegion(arch.Region{Name: "data", Base: dataBase, Size: 4096, Writable: true}); err != nil {
 			t.Fatal(err)
 		}
 		s := arch.NewState(m)

@@ -39,8 +39,8 @@ import (
 // ROB entries outside the live window ∪ in-flight set hold dead values
 // that rename always resets before reuse, exactly as pooled-core copies
 // carry them; only the live subset is serialized. The memory digest is
-// recomputed lazily on the decode side — it is content-pure, so it
-// matches the encode side's forced-live digest bit for bit.
+// not serialized either: it is content-pure, so the one the decoder's
+// page writes build matches the encode side's bit for bit.
 //
 // Cacheable golden runs never enable ACE trackers or IBR tracking (the
 // inject cacheability gate refuses such configs), so µop ACE/IBR event
@@ -102,8 +102,8 @@ func (ga *GoldenArtifacts) ApproxBytes() int {
 			continue
 		}
 		cp := ck.core
-		for _, reg := range cp.mem.Regions() {
-			n += len(reg.Data)
+		for _, data := range cp.mem.Pages() {
+			n += len(data) // shared pages count once per checkpoint: an upper bound
 		}
 		n += len(cp.cache.data) + 48*len(cp.cache.lines)
 		if cp.cache.l2 != nil {
@@ -119,7 +119,7 @@ func (ga *GoldenArtifacts) ApproxBytes() int {
 // HXGA container framing.
 const (
 	goldenMagic   uint32 = 0x41475848 // "HXGA" little-endian
-	goldenVersion uint32 = 1
+	goldenVersion uint32 = 2          // 1 stored every region whole
 
 	// maxGoldenElems is the format's ceiling on any decoded length
 	// (checkpoints, regions, byte strings, queue lengths); binfmt.Len
@@ -140,6 +140,12 @@ func scrubGoldenConfig(cfg Config) Config {
 	cfg.RecordFPRFIntervals = false
 	cfg.RecordL1DIntervals = false
 	return cfg
+}
+
+// memPage is one present page of a checkpoint's memory image on the wire.
+type memPage struct {
+	addr uint64
+	data []byte
 }
 
 // gaCodec is the HXGA walker: a binfmt cursor plus the format's shared
@@ -335,37 +341,58 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 		return cp
 	}
 
-	// Architectural memory image.
-	var regions []*arch.Region
-	var mem *arch.Memory
-	if dec {
-		mem = arch.NewMemory()
-	} else {
-		regions = cp.mem.Regions()
-	}
-	binfmt.Slice(c, &regions, 17, maxGoldenElems, func(rp **arch.Region) {
-		if dec {
-			*rp = &arch.Region{}
+	// Architectural memory image: the region descriptors, then the pages
+	// that were ever written. Everything else reads as zero on both sides.
+	var regions []arch.Region
+	var pages []memPage
+	mem := arch.NewMemory()
+	if !dec {
+		mem = cp.mem
+		regions = mem.Regions()
+		for addr, data := range mem.Pages() {
+			pages = append(pages, memPage{addr, data})
 		}
-		r := *rp
+	}
+	binfmt.Slice(c, &regions, 21, maxGoldenElems, func(r *arch.Region) {
 		g.String(&r.Name, maxGoldenElems)
 		binfmt.U64(c, &r.Base)
+		binfmt.U64(c, &r.Size)
 		g.Bool(&r.Writable)
-		g.Bytes(&r.Data, maxGoldenElems)
 		if dec && g.Err() == nil {
-			if err := mem.AddRegion(r); err != nil {
+			if err := mem.AddRegion(*r); err != nil {
 				g.Fail("region %q: %v", r.Name, err)
-			} else if all := mem.Regions(); all[len(all)-1] != r {
-				g.Fail("region %q out of address order", r.Name)
+			}
+		}
+	})
+	binfmt.Slice(c, &pages, 13, maxGoldenElems, func(p *memPage) {
+		binfmt.U64(c, &p.addr)
+		g.Bytes(&p.data, arch.PageSize)
+		if dec && g.Err() == nil {
+			if err := mem.WriteBytes(p.addr, p.data); err != nil {
+				g.Fail("page at %#x: %v", p.addr, err)
 			}
 		}
 	})
 	if dec {
+		// Only the encoder's own page list is accepted: the memory's present
+		// pages — whole, each once, in order.
+		i := 0
+		for addr, data := range mem.Pages() {
+			if i < len(pages) && (pages[i].addr != addr || len(pages[i].data) != len(data)) {
+				i = len(pages) // a mismatch: overshoot, so the count below fails too
+			}
+			i++
+		}
+		if i != len(pages) {
+			g.Fail("page list is not the memory's whole pages, each once, in order")
+		}
 		if g.Err() != nil {
 			return nil
 		}
+		// The checkpoint gets a clone: one that owns no page, so restores
+		// only read it (arch.Memory's ownership rule).
 		cp = getPooledCore()
-		cp.init(prog, arch.NewState(mem), cfg)
+		cp.init(prog, arch.NewState(mem.Clone()), cfg)
 	}
 
 	// Scratch architectural execution state (nondet stream position).
@@ -554,7 +581,10 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 func (g gaCodec) bundle(ga *GoldenArtifacts, prog []isa.Inst) {
 	c := g.Codec
 	dec := g.Decoding()
-	g.Header(goldenMagic, goldenVersion)
+	if g.Header(goldenMagic, goldenVersion, 1) == 1 {
+		g.Fail("HXGA version 1 (whole-region memory images) is no longer read: recompute the bundle, and clear the golden cache directory it came from")
+		return
+	}
 
 	// The checkpoint cores' scalar configuration, once for the bundle
 	// (every checkpoint of one golden run shares it; hook fields carry
@@ -630,8 +660,9 @@ func (g gaCodec) bundle(ga *GoldenArtifacts, prog []isa.Inst) {
 			ck = ga.Checkpoints[i]
 		}
 		binfmt.U64(c, &ck.cycle)
-		ck.core = g.core(ck.core, prog, cfg)
-		if dec && g.Err() == nil {
+		// Encoding only reads the checkpoint: restores may be running from it.
+		if core := g.core(ck.core, prog, cfg); dec && g.Err() == nil {
+			ck.core = core
 			liveCheckpoints.Add(1)
 			ga.Checkpoints = append(ga.Checkpoints, ck)
 		}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 
 	"harpocrates/internal/ace"
+	"harpocrates/internal/arch"
 	"harpocrates/internal/binfmt/binfmttest"
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/isa"
@@ -93,9 +96,62 @@ func TestGoldenCodecRefusesNonCanonicalConfig(t *testing.T) {
 	}
 }
 
+// TestGoldenCodecRefusesVersion1: HXGA v1 stored every region whole; a
+// v1 container is refused by name (the disk tier counts that as a miss
+// and recomputes), not misread as v2.
+func TestGoldenCodecRefusesVersion1(t *testing.T) {
+	prog, data := smallBundle(t)
+	v1 := append([]byte{}, data...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	if _, err := DecodeGoldenArtifacts(v1, prog); err == nil || !strings.Contains(err.Error(), "HXGA version 1") {
+		t.Fatalf("version 1 container: %v", err)
+	}
+}
+
+// TestGoldenCodecRefusesNonCanonicalPages: a checkpoint's memory image
+// is its present pages — whole, each once, in address order. The same
+// bytes delivered as two half pages, or a page listed twice, would
+// decode to the same memory and re-encode differently, so both are
+// refused.
+func TestGoldenCodecRefusesNonCanonicalPages(t *testing.T) {
+	prog, data := smallBundle(t)
+	// The first checkpoint's regions are "data" then "stack" (name, base,
+	// size, writable each); the page list follows: a u32 count, then
+	// (u64 address, u32 length, bytes) per page.
+	at := bytes.Index(data, []byte("\x05\x00\x00\x00stack"))
+	if at < 0 {
+		t.Fatal("fixture has no stack region")
+	}
+	at += 4 + 5 + 8 + 8 + 1
+	count := binary.LittleEndian.Uint32(data[at:])
+	first := data[at+4 : at+4+12+arch.PageSize]
+	if count == 0 || binary.LittleEndian.Uint64(first) != dataBase || binary.LittleEndian.Uint32(first[8:]) != arch.PageSize {
+		t.Fatalf("fixture's page list is not where the layout puts it: count %d, first record % x", count, first[:12])
+	}
+	record := func(addr uint64, b []byte) []byte {
+		r := binary.LittleEndian.AppendUint64(nil, addr)
+		return append(binary.LittleEndian.AppendUint32(r, uint32(len(b))), b...)
+	}
+	half := arch.PageSize / 2
+	halves := append(record(dataBase, first[12:12+half]), record(dataBase+uint64(half), first[12+half:])...)
+	cases := map[string][]byte{
+		"two half pages": slices.Concat(data[:at], binary.LittleEndian.AppendUint32(nil, count+1), halves, data[at+4+len(first):]),
+		"page twice":     slices.Concat(data[:at], binary.LittleEndian.AppendUint32(nil, count+1), first, data[at+4:]),
+	}
+	cks := LiveCheckpoints()
+	for name, bad := range cases {
+		if _, err := DecodeGoldenArtifacts(bad, prog); err == nil || !strings.Contains(err.Error(), "page list") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if got := LiveCheckpoints(); got != cks {
+		t.Fatalf("failed decodes leaked %d checkpoints", got-cks)
+	}
+}
+
 // FuzzDecodeGoldenArtifacts: arbitrary bytes never panic, never
-// allocate beyond a pooled core plus a small multiple of the input, and
-// never leak a pooled checkpoint, recorder or trajectory; whatever
+// allocate beyond a pooled core plus a bounded multiple of the input,
+// and never leak a pooled checkpoint, recorder or trajectory; whatever
 // decodes re-encodes to exactly the input.
 func FuzzDecodeGoldenArtifacts(f *testing.F) {
 	prog, good := smallBundle(f)
@@ -110,8 +166,10 @@ func FuzzDecodeGoldenArtifacts(f *testing.F) {
 		cks, recs, trajs := LiveCheckpoints(), ace.LiveIntervalRecorders(), LiveDeltaTrajectories()
 		var ga *GoldenArtifacts
 		var err error
-		// A first decode may have to build the pooled core it fills in.
-		if got := binfmttest.AllocatedBy(func() { ga, err = DecodeGoldenArtifacts(data, prog) }); got > 4<<20+8*uint64(len(data)) {
+		// A first decode may have to build the pooled core it fills in. The
+		// multiple is the worst a page can do: 35 bytes (a one-byte region
+		// and its one page record) draw a whole 4 KiB page.
+		if got := binfmttest.AllocatedBy(func() { ga, err = DecodeGoldenArtifacts(data, prog) }); got > 4<<20+128*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err == nil {

@@ -565,5 +565,3 @@ func (b *execBus) Write128(addr uint64, v [2]uint64) *arch.CrashError {
 	}
 	return b.Write(addr+8, 8, v[1])
 }
-
-func (b *execBus) Regions() []*arch.Region { return b.c.mem.Regions() }

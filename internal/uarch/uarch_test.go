@@ -26,10 +26,13 @@ func newInitState(t testing.TB, seed uint64) *arch.State {
 	for i := range data {
 		data[i] = byte(rng.Uint32())
 	}
-	if err := mem.AddRegion(&arch.Region{Name: "data", Base: dataBase, Data: data, Writable: true}); err != nil {
+	if err := mem.AddRegion(arch.Region{Name: "data", Base: dataBase, Size: dataSize, Writable: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.AddRegion(&arch.Region{Name: "stack", Base: stackBase, Data: make([]byte, stackSize), Writable: true}); err != nil {
+	if err := mem.WriteBytes(dataBase, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.AddRegion(arch.Region{Name: "stack", Base: stackBase, Size: stackSize, Writable: true}); err != nil {
 		t.Fatal(err)
 	}
 	s := arch.NewState(mem)
