@@ -202,6 +202,7 @@ func cmdRank(args []string) {
 		Seed:            *seed,
 		IntermittentLen: *window,
 		Force:           *force,
+		GoldenCache:     inject.SharedGoldenCache(),
 		Obs:             ob,
 		Progress: func(m *corpus.Meta, s *inject.Stats) {
 			fmt.Printf("  %s  %s\n", m.Hash, s)

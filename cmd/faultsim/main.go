@@ -47,8 +47,6 @@ func main() {
 		asJSON = flag.Bool("json", false, "print the campaign result as one JSON object on stdout")
 		list   = flag.Bool("list", false, "list available programs and exit")
 
-		noGoldenCache = flag.Bool("no-golden-cache", false, "disable golden artifact reuse: every campaign (and every worker shard) recomputes its instrumented golden run (ablation)")
-
 		corpusDir = flag.String("corpus", "", "rank a corpus archive: run the campaign on every archived program of the target structure and record detection metadata")
 		resume    = flag.Bool("resume", false, "with -corpus: skip entries already measured with this campaign configuration (resume an interrupted sweep)")
 
@@ -119,7 +117,7 @@ func main() {
 			Seed:            *seed,
 			IntermittentLen: *window,
 			Force:           !*resume,
-			NoGoldenCache:   *noGoldenCache,
+			GoldenCache:     inject.SharedGoldenCache(),
 			Obs:             ob,
 			Progress: func(m *corpus.Meta, s *inject.Stats) {
 				fmt.Printf("  %s  %s\n", m.Hash, s)
@@ -176,7 +174,6 @@ func main() {
 		Cfg:             uarch.DefaultConfig(),
 		GoldenCache:     inject.SharedGoldenCache(),
 		ProgramHash:     corpus.HashProgram(p),
-		NoGoldenCache:   *noGoldenCache,
 		Obs:             ob,
 	}
 	fmt.Printf("program %s: %d instructions\n", p.Name, len(p.Insts))

@@ -48,7 +48,6 @@ func main() {
 
 		goldenCacheDir     = flag.String("golden-cache", "", "with -pull: persist golden artifact bundles in this directory (restarted workers skip recomputing golden runs)")
 		goldenCacheEntries = flag.Int("golden-cache-entries", 0, "with -pull: in-memory golden bundles (0 = default)")
-		noGoldenCache      = flag.Bool("no-golden-cache", false, "with -pull: disable golden artifact reuse for pulled shards (ablation)")
 		tracePath          = flag.String("trace", "", "write a JSONL event trace to this file")
 		metrics            = flag.Bool("metrics", false, "print a metrics summary at exit")
 		pprofAddr          = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -59,7 +58,7 @@ func main() {
 		// would silently ignore them.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "name", "cache", "cache-entries", "golden-cache", "golden-cache-entries", "no-golden-cache":
+			case "name", "cache", "cache-entries", "golden-cache", "golden-cache-entries":
 				fmt.Fprintf(os.Stderr, "harpod: -%s only applies to a -pull worker; add -pull <harpoq URL>\n", f.Name)
 				os.Exit(2)
 			}
@@ -107,7 +106,6 @@ func main() {
 			CacheEntries:       *cacheEntries,
 			GoldenCacheDir:     *goldenCacheDir,
 			GoldenCacheEntries: *goldenCacheEntries,
-			NoGoldenCache:      *noGoldenCache,
 			Obs:                ob,
 		})
 		if err != nil {

@@ -35,12 +35,11 @@ type RankOptions struct {
 	// Workers bounds per-campaign parallelism (0 = GOMAXPROCS).
 	Workers int
 	// GoldenCache, if set, shares golden artifact bundles across the
-	// sweep's campaigns (zero value: inject.SharedGoldenCache()). A
-	// multi-structure sweep over one program computes the golden run
-	// once instead of once per structure.
+	// sweep's campaigns (callers usually pass
+	// inject.SharedGoldenCache()): a multi-structure sweep over one
+	// program computes the golden run once instead of once per
+	// structure. nil means every campaign computes its own.
 	GoldenCache *inject.GoldenCache
-	// NoGoldenCache disables golden reuse for the sweep (ablation).
-	NoGoldenCache bool
 	// Obs receives campaign metrics; nil disables.
 	Obs *obs.Observer
 	// Progress, if set, observes each ranked entry.
@@ -61,10 +60,6 @@ func (s *Store) Rank(opt RankOptions) (ranked, skipped int, err error) {
 		ft = inject.DefaultFaultType(opt.Structure)
 	}
 	cfg := opt.Cfg.WithDefaults()
-	gc := opt.GoldenCache
-	if gc == nil && !opt.NoGoldenCache {
-		gc = inject.SharedGoldenCache()
-	}
 
 	for _, m := range s.ListStructure(opt.Structure.String()) {
 		if !opt.Force && m.Ranked() &&
@@ -86,13 +81,12 @@ func (s *Store) Rank(opt RankOptions) (ranked, skipped int, err error) {
 			Seed:            opt.Seed,
 			Cfg:             cfg,
 			Workers:         opt.Workers,
-			GoldenCache:     gc,
+			GoldenCache:     opt.GoldenCache,
 			// Key by serialized program bytes (not m.Hash, which is the
 			// genotype hash for evolved entries) so local sweeps and
 			// distributed campaigns on the same program agree on the key.
-			ProgramHash:   HashProgram(p),
-			NoGoldenCache: opt.NoGoldenCache,
-			Obs:           opt.Obs,
+			ProgramHash: HashProgram(p),
+			Obs:         opt.Obs,
 		}
 		st, err := c.Run()
 		if err != nil {

@@ -33,19 +33,18 @@ func TestRankConcurrentSharedGoldenCache(t *testing.T) {
 		}
 	}
 
-	rank := func(st coverage.Structure, gc *inject.GoldenCache, noCache, force bool,
+	rank := func(st coverage.Structure, gc *inject.GoldenCache, force bool,
 		ob *obs.Observer) map[string]float64 {
 		got := make(map[string]float64)
 		var mu sync.Mutex
 		ranked, _, err := s.Rank(RankOptions{
-			Structure:     st,
-			Type:          inject.Transient,
-			N:             12,
-			Seed:          5,
-			Force:         force,
-			GoldenCache:   gc,
-			NoGoldenCache: noCache,
-			Obs:           ob,
+			Structure:   st,
+			Type:        inject.Transient,
+			N:           12,
+			Seed:        5,
+			Force:       force,
+			GoldenCache: gc,
+			Obs:         ob,
 			Progress: func(m *Meta, st *inject.Stats) {
 				mu.Lock()
 				got[m.Hash] = m.Detection
@@ -62,8 +61,8 @@ func TestRankConcurrentSharedGoldenCache(t *testing.T) {
 	}
 
 	// Sequential uncached reference.
-	wantIRF := rank(coverage.IRF, nil, true, false, nil)
-	wantL1D := rank(coverage.L1D, nil, true, false, nil)
+	wantIRF := rank(coverage.IRF, nil, false, nil)
+	wantL1D := rank(coverage.L1D, nil, false, nil)
 
 	gc, err := inject.NewGoldenCache(0, "")
 	if err != nil {
@@ -74,8 +73,8 @@ func TestRankConcurrentSharedGoldenCache(t *testing.T) {
 	var wg sync.WaitGroup
 	var gotIRF, gotL1D map[string]float64
 	wg.Add(2)
-	go func() { defer wg.Done(); gotIRF = rank(coverage.IRF, gc, false, true, ob) }()
-	go func() { defer wg.Done(); gotL1D = rank(coverage.L1D, gc, false, true, ob) }()
+	go func() { defer wg.Done(); gotIRF = rank(coverage.IRF, gc, true, ob) }()
+	go func() { defer wg.Done(); gotL1D = rank(coverage.L1D, gc, true, ob) }()
 	wg.Wait()
 
 	for hash, want := range wantIRF {

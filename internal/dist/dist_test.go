@@ -370,56 +370,43 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// Delta-termination knob plumbing: the wire protocol must carry
-// NoDeltaTermination and DeltaInterval to workers, the distributed
-// outcome must be bit-identical with the knob in either position and for
-// any worker count, and the worker-side delta counters must prove the
-// optimization actually ran (or was actually disabled).
+// A worker always runs a shard the one way — checkpoint resume, delta
+// termination, golden reuse — and none of that is on the wire: the
+// distributed outcome must be bit-identical, for any worker count, to
+// the in-process reference that runs every fault to completion, and the
+// worker-side delta counters must prove early termination actually ran.
 func TestDistributedDeltaTermination(t *testing.T) {
 	c, p := testCampaign(t, 40)
-	c.DeltaInterval = 64
+	c.NoDeltaTermination = true
 	local, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, tc := range []struct {
-		name    string
-		noDelta bool
-	}{{"delta-on", false}, {"delta-off", true}} {
-		c.NoDeltaTermination = tc.noDelta
-		for _, workers := range []int{1, 3} {
-			regs := make([]*obs.Registry, workers)
-			urls := make([]string, workers)
-			for i := range urls {
-				regs[i] = obs.NewRegistry()
-				srv := httptest.NewServer(NewServer(obs.New(regs[i], nil)).Handler())
-				t.Cleanup(srv.Close)
-				urls[i] = srv.URL
-			}
-			pool := New(urls, fastOptions())
-			st, err := pool.RunCampaign(c, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !st.Equal(local) {
-				t.Fatalf("%s/%d workers: distributed %+v != local %+v", tc.name, workers, st, local)
-			}
-			var conv, div int64
-			for _, reg := range regs {
-				conv += reg.Counter("inject.delta.converged").Load()
-				div += reg.Counter("inject.delta.diverged").Load()
-			}
-			if tc.noDelta && conv+div != 0 {
-				t.Fatalf("%d workers: NoDeltaTermination=true but workers compared trajectories (converged=%d diverged=%d)",
-					workers, conv, div)
-			}
-			if !tc.noDelta && conv == 0 {
-				t.Fatalf("%d workers: delta on but no worker run reconverged (diverged=%d)", workers, div)
-			}
+	for _, workers := range []int{1, 3} {
+		regs := make([]*obs.Registry, workers)
+		urls := make([]string, workers)
+		for i := range urls {
+			regs[i] = obs.NewRegistry()
+			srv := httptest.NewServer(NewServer(obs.New(regs[i], nil)).Handler())
+			t.Cleanup(srv.Close)
+			urls[i] = srv.URL
+		}
+		st, err := New(urls, fastOptions()).RunCampaign(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Equal(local) {
+			t.Fatalf("%d workers: distributed %+v != local full-run reference %+v", workers, st, local)
+		}
+		var conv, div int64
+		for _, reg := range regs {
+			conv += reg.Counter("inject.delta.converged").Load()
+			div += reg.Counter("inject.delta.diverged").Load()
+		}
+		if conv == 0 {
+			t.Fatalf("%d workers: no worker run reconverged (diverged=%d)", workers, div)
 		}
 	}
-	c.NoDeltaTermination = false
 }
 
 // TestDistributedTrapAndBurstBitIdentical: the trap outcome channel and

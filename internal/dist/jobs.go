@@ -66,7 +66,10 @@ type JobRequest struct {
 // the coordinator plan (and allocate) an unbounded shard table.
 const MaxCampaignN = 1 << 24
 
-// Validate checks the kind/payload pairing.
+// Validate checks the kind/payload pairing and what costs O(1) to check
+// of the payload — names, bounds, the core configuration — so that a
+// job no executor could run is refused rather than made durable. The
+// program and genotype bytes are not decoded here.
 func (r *JobRequest) Validate() error {
 	switch r.Kind {
 	case JobCampaign:
@@ -82,12 +85,18 @@ func (r *JobRequest) Validate() error {
 			// happens to hold.
 			return fmt.Errorf("dist: a campaign job carries its program, not a program_hash")
 		}
+		if _, _, err := r.Inject.shape(); err != nil {
+			return err
+		}
 	case JobEval:
 		if r.Eval == nil || r.Inject != nil {
 			return fmt.Errorf("dist: eval job needs exactly an eval payload")
 		}
 		if len(r.Eval.Genotypes) == 0 {
 			return fmt.Errorf("dist: eval job needs at least one genotype")
+		}
+		if _, err := r.Eval.structure(); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("dist: unknown job kind %q", r.Kind)
@@ -213,20 +222,12 @@ func NewInjectRequest(c *inject.Campaign, p *prog.Program) (InjectRequest, error
 	return campaignRequest(c, progBytes), nil
 }
 
-// RunInject executes one campaign shard request in process — the single
-// execution function shared by the push-mode worker handler and the
-// queue worker loop (over HTTP or inside the coordinator), so every path
-// produces bit-identical shard statistics.
-// Golden artifacts are reused through the process-wide cache: every
-// shard of one campaign (and every campaign on the same program and
-// config) computes the instrumented golden run exactly once.
-func RunInject(req *InjectRequest, ob *obs.Observer) (*inject.Stats, error) {
-	return RunInjectCached(req, ob, inject.SharedGoldenCache())
-}
-
-// RunInjectCached is RunInject against an explicit golden cache —
-// daemons with a disk-backed cache (queue workers) pass their own; nil
-// disables golden reuse for this shard.
+// RunInjectCached executes one campaign shard request in process — the
+// single execution function shared by the push-mode worker handler and
+// the queue worker loop (over HTTP or inside the coordinator), so every
+// path produces bit-identical shard statistics. Every shard that shares
+// gc and a (program, config) key computes the instrumented golden run
+// once; a nil gc means this shard computes its own.
 func RunInjectCached(req *InjectRequest, ob *obs.Observer, gc *inject.GoldenCache) (*inject.Stats, error) {
 	c, err := CampaignFor(req, ob)
 	if err != nil {
@@ -237,9 +238,9 @@ func RunInjectCached(req *InjectRequest, ob *obs.Observer, gc *inject.GoldenCach
 }
 
 // RunEval executes one evaluation shard request in process (see
-// RunInject).
+// RunInjectCached).
 func RunEval(req *EvalRequest) ([]WireEvalResult, error) {
-	st, err := coverage.Parse(req.Structure)
+	st, err := req.structure()
 	if err != nil {
 		return nil, err
 	}
@@ -255,45 +256,56 @@ func RunEval(req *EvalRequest) ([]WireEvalResult, error) {
 	return out, nil
 }
 
+// structure parses the request's structure name and checks its core
+// configuration.
+func (req *EvalRequest) structure() (coverage.Structure, error) {
+	st, err := coverage.Parse(req.Structure)
+	if err == nil {
+		err = req.Core.Validate()
+	}
+	return st, err
+}
+
+// shape parses the request's names and checks its core configuration.
+func (req *InjectRequest) shape() (coverage.Structure, inject.FaultType, error) {
+	target, err := coverage.Parse(req.Target)
+	if err != nil {
+		return 0, 0, err
+	}
+	ftype, err := inject.ParseFaultType(req.Type)
+	if err != nil {
+		return 0, 0, err
+	}
+	return target, ftype, req.Cfg.Validate()
+}
+
 // CampaignFor reconstructs a campaign from a shard request. The
 // hook-free scalar config arrives on the wire; structure-specific hooks
 // are rebuilt by the campaign itself, so the executing side's faulty
 // runs are bit-identical to the submitting side's.
 func CampaignFor(req *InjectRequest, ob *obs.Observer) (*inject.Campaign, error) {
+	target, ftype, err := req.shape()
+	if err != nil {
+		return nil, err
+	}
 	p, programHash, err := programs.decode(req.Program, ob)
 	if err != nil {
 		return nil, err
 	}
-	target, err := coverage.Parse(req.Target)
-	if err != nil {
-		return nil, err
-	}
-	ftype, err := inject.ParseFaultType(req.Type)
-	if err != nil {
-		return nil, err
-	}
-	if req.N <= 0 {
-		return nil, fmt.Errorf("dist: campaign needs N > 0")
-	}
 	return &inject.Campaign{
-		Prog:               p.Insts,
-		Init:               p.InitFunc(),
-		Target:             target,
-		Type:               ftype,
-		N:                  req.N,
-		IntermittentLen:    req.IntermittentLen,
-		BurstLen:           req.BurstLen,
-		Seed:               req.Seed,
-		Cfg:                req.Cfg,
-		CheckpointInterval: req.CheckpointInterval,
-		NoFastForward:      req.NoFastForward,
-		NoDeltaTermination: req.NoDeltaTermination,
-		DeltaInterval:      req.DeltaInterval,
+		Prog:            p.Insts,
+		Init:            p.InitFunc(),
+		Target:          target,
+		Type:            ftype,
+		N:               req.N,
+		IntermittentLen: req.IntermittentLen,
+		BurstLen:        req.BurstLen,
+		Seed:            req.Seed,
+		Cfg:             req.Cfg,
 		// The golden cache key's program component is the content hash
 		// of the wire bytes — the same convention the queue result cache
 		// uses, so both caches agree about what "same program" means.
-		ProgramHash:   programHash,
-		NoGoldenCache: req.NoGoldenCache,
-		Obs:           ob,
+		ProgramHash: programHash,
+		Obs:         ob,
 	}, nil
 }

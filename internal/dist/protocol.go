@@ -29,6 +29,12 @@ const (
 // replay the coordinator's campaign deterministically is explicit:
 // the serialized program, the campaign shape and the scalar core
 // configuration (hook fields are rebuilt worker-side from Target/Type).
+//
+// The wire and the key carry the same fields: apart from the routing
+// pair Program/ProgramHash, every field here is hashed into
+// queue.CampaignShardKey. How fast the executing side gets to the
+// result (checkpoint resume, delta termination, golden reuse) is not a
+// property of a request.
 type InjectRequest struct {
 	// Program is the HXPG-serialized test program. Only a lease granted
 	// to a worker that advertised the program (LeaseRequest.Programs)
@@ -55,16 +61,7 @@ type InjectRequest struct {
 	// (inject.Campaign.BurstLen; 0/1 = single-bit).
 	BurstLen int `json:"burst_len,omitempty"`
 
-	Cfg                uarch.Config `json:"cfg"`
-	CheckpointInterval uint64       `json:"checkpoint_interval,omitempty"`
-	NoFastForward      bool         `json:"no_fast_forward,omitempty"`
-	NoDeltaTermination bool         `json:"no_delta_termination,omitempty"`
-	DeltaInterval      uint64       `json:"delta_interval,omitempty"`
-	// NoGoldenCache disables golden artifact reuse on the executing
-	// side (inject.Campaign.NoGoldenCache) — the ablation knob travels
-	// with the campaign so a submitter's -no-golden-cache means the
-	// same thing on every worker.
-	NoGoldenCache bool `json:"no_golden_cache,omitempty"`
+	Cfg uarch.Config `json:"cfg"`
 }
 
 // InjectResponse carries one shard's partial statistics (Stats.N is
@@ -147,18 +144,13 @@ func DecodeGenotypes(data [][]byte) ([]*gen.Genotype, error) {
 // (shard bounds are filled per dispatch).
 func campaignRequest(c *inject.Campaign, progBytes []byte) InjectRequest {
 	return InjectRequest{
-		Program:            progBytes,
-		Target:             c.Target.String(),
-		Type:               c.Type.String(),
-		N:                  c.N,
-		Seed:               c.Seed,
-		IntermittentLen:    c.IntermittentLen,
-		BurstLen:           c.BurstLen,
-		Cfg:                c.Cfg,
-		CheckpointInterval: c.CheckpointInterval,
-		NoFastForward:      c.NoFastForward,
-		NoDeltaTermination: c.NoDeltaTermination,
-		DeltaInterval:      c.DeltaInterval,
-		NoGoldenCache:      c.NoGoldenCache,
+		Program:         progBytes,
+		Target:          c.Target.String(),
+		Type:            c.Type.String(),
+		N:               c.N,
+		Seed:            c.Seed,
+		IntermittentLen: c.IntermittentLen,
+		BurstLen:        c.BurstLen,
+		Cfg:             c.Cfg,
 	}
 }

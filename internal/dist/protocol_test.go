@@ -76,14 +76,13 @@ func TestInjectRequestJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &inject.Campaign{
-		Target:             coverage.IRF,
-		Type:               inject.Transient,
-		N:                  17,
-		Seed:               99,
-		IntermittentLen:    250,
-		Cfg:                uarch.DefaultConfig(),
-		NoDeltaTermination: true,
-		DeltaInterval:      768,
+		Target:          coverage.IRF,
+		Type:            inject.Transient,
+		N:               17,
+		Seed:            99,
+		IntermittentLen: 250,
+		BurstLen:        3,
+		Cfg:             uarch.DefaultConfig(),
 	}
 	req := campaignRequest(c, progBytes)
 	req.Lo, req.Hi = 3, 11
@@ -95,11 +94,8 @@ func TestInjectRequestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.N != 17 || back.Lo != 3 || back.Hi != 11 || back.Seed != 99 || back.IntermittentLen != 250 {
+	if back.N != 17 || back.Lo != 3 || back.Hi != 11 || back.Seed != 99 || back.IntermittentLen != 250 || back.BurstLen != 3 {
 		t.Fatalf("scalars mangled: %+v", back)
-	}
-	if !back.NoDeltaTermination || back.DeltaInterval != 768 {
-		t.Fatalf("delta knobs mangled: %+v", back)
 	}
 	if !reflect.DeepEqual(back.Cfg, req.Cfg) {
 		t.Fatalf("core config mangled:\n got %+v\nwant %+v", back.Cfg, req.Cfg)

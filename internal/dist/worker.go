@@ -3,6 +3,7 @@ package dist
 import (
 	"net/http"
 
+	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
 )
 
@@ -58,7 +59,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	if !ReadJSON(w, r, &req) {
 		return
 	}
-	st, err := RunInject(&req, s.ob)
+	st, err := RunInjectCached(&req, s.ob, inject.SharedGoldenCache())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

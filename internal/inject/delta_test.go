@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"strings"
 	"testing"
 
 	"harpocrates/internal/ace"
@@ -72,7 +73,7 @@ func TestDeltaTerminationConverges(t *testing.T) {
 	c.Type = Transient
 	c.N = 64
 	c.Seed = 11
-	c.DeltaInterval = 64
+	c.spacing.trajectory = 64
 	c.Obs = obs.New(reg, nil)
 	st, err := c.Run()
 	if err != nil {
@@ -129,7 +130,7 @@ func TestDeltaTerminationValidateAll(t *testing.T) {
 	c.Type = Transient
 	c.N = 48
 	c.Seed = 11
-	c.DeltaInterval = 64
+	c.spacing.trajectory = 64
 	c.ValidateAll = true
 	c.Obs = obs.New(reg, nil)
 	st, err := c.Run()
@@ -201,7 +202,7 @@ func TestCampaignPoolHygiene(t *testing.T) {
 	big.Type = Transient
 	big.N = 8
 	big.Seed = 11
-	big.CheckpointInterval = 16
+	big.spacing.checkpoints = 16
 	if _, err := big.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,4 +219,47 @@ func TestCampaignPoolHygiene(t *testing.T) {
 		t.Fatal("golden timeout not reported")
 	}
 	check("golden-timeout path")
+
+	// The same exits over a shared bundle, where the one release drops a
+	// reference: once the cache lets go, nothing may be left behind.
+	gc, err := NewGoldenCache(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func(maxCycles uint64) *Campaign {
+		c := testProgram(t, 350, nil)
+		c.Target = coverage.IRF
+		c.Type = Transient
+		c.N = 32
+		c.Seed = 11
+		c.Cfg.MaxCycles = maxCycles
+		c.GoldenCache = gc
+		c.ProgramHash = testProgramHash(c)
+		return c
+	}
+	if _, err := shared(0).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shared(5).Run(); err == nil {
+		t.Fatal("golden timeout not reported over a shared bundle")
+	}
+	// ValidateAll failure: a bundle whose IRF log is empty calls every
+	// flip masked, which the simulation of a consumed one contradicts.
+	v := shared(1 << 20)
+	_, release := gc.Acquire(v.goldenKey(), v.Prog, nil, func() *uarch.GoldenArtifacts {
+		ga := v.computeGoldenArtifacts()
+		ace.ReleaseIntervalRecorder(ga.Result.IRFIntervals)
+		ga.Result.IRFIntervals = ace.GetIntervalRecorder(v.Cfg.IntPRF * 64)
+		return ga
+	})
+	release()
+	v.ValidateAll = true
+	if _, err := v.Run(); err == nil || !strings.Contains(err.Error(), "pre-classifier unsound") {
+		t.Fatalf("campaign over an emptied interval log: %v, want the pre-classifier refuted", err)
+	}
+	if gc.Len() != 3 {
+		t.Fatalf("cache holds %d bundles, want 3", gc.Len())
+	}
+	gc.Purge()
+	check("shared bundle: success, golden-timeout and validation-failure paths")
 }

@@ -40,7 +40,7 @@ func TestFastForwardBitIdenticalStats(t *testing.T) {
 				c.Type = tc.typ
 				c.IntermittentLen = 80
 				c.N = tc.n
-				c.CheckpointInterval = 64 // small, to exercise thinning
+				c.spacing.checkpoints = 64 // small, to exercise thinning
 				c.NoFastForward = noFF
 				st, err := c.Run()
 				if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"harpocrates/internal/ace"
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/isa"
 	"harpocrates/internal/obs"
@@ -27,11 +26,10 @@ import (
 // worker leasing six shards of one campaign ran six more. The cache
 // collapses all of them to one compute per (program, config) key:
 //
-//   - an in-process sharded LRU with single-flight, shared by every
-//     campaign in the process (corpus ranking sweeps, the local
-//     Workers-parallel path, queue workers), refcounted so pooled
-//     resources never return to their pools while a campaign still
-//     reads them;
+//   - an in-process LRU with single-flight, shared by every campaign in
+//     the process (corpus ranking sweeps, the local Workers-parallel
+//     path, queue workers), refcounted so pooled resources never return
+//     to their pools while a campaign still reads them;
 //   - an optional disk tier (a segstore.Store of encoded HXGA bundles)
 //     under the same key, so a restarted worker process skips
 //     recomputation entirely.
@@ -42,12 +40,9 @@ import (
 // instrumentation (interval recorders, checkpoints, the delta
 // trajectory) is purely observational, and the key captures exactly
 // the inputs the golden run reads: the program bytes and the scalar
-// fields of goldenConfig, with the FP-netlist class folded in. Knobs
-// that steer only how faulty runs are accelerated — CheckpointInterval,
-// DeltaInterval, NoCycleSkip — are deliberately excluded: bundles
-// computed under different settings of those knobs are interchangeable
-// (checkpoint resume and delta termination are outcome-preserving at
-// any spacing, asserted by differential tests).
+// fields of goldenConfig, with the FP-netlist class folded in. What a
+// shared bundle records is fixed (buildGolden), so it is a pure function
+// of that key.
 
 // GoldenKey identifies one golden run: the content hash of the encoded
 // program and the hash of the scalar golden configuration (with the
@@ -66,36 +61,40 @@ func (k GoldenKey) tag() []byte { return segstore.Key(k.Program, k.Config) }
 // lengths.
 var goldenFormat = segstore.Format{TagSize: 16, MaxPayload: 256 << 20}
 
-const (
-	goldenShards = segstore.Shards
-	// DefaultGoldenCacheEntries is the default in-process capacity in
-	// bundles. Bundles are heavyweight (checkpoint cores hold full
-	// memory images), so the default is sized for "a handful of
-	// programs in flight", not thousands.
-	DefaultGoldenCacheEntries = 64
-)
+// DefaultGoldenCacheEntries is the default in-process capacity in
+// bundles. Bundles are heavyweight (checkpoint cores hold full memory
+// images), so the default is sized for "a handful of programs in
+// flight", not thousands.
+const DefaultGoldenCacheEntries = 64
 
 type goldenEntry struct {
 	key     GoldenKey
-	ready   chan struct{} // closed once ga/err are set
+	ready   chan struct{} // closed once ga is set
 	ga      *uarch.GoldenArtifacts
-	err     error
 	refs    int // campaigns currently reading the bundle
 	evicted bool
 	elem    *list.Element
 }
 
-type goldenShard struct {
-	mu  sync.Mutex
-	m   map[GoldenKey]*goldenEntry
-	lru *list.List // of *goldenEntry; front = most recently used
+// computed reports whether the entry's bundle has been filled in.
+func (e *goldenEntry) computed() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // GoldenCache is the process-wide golden artifact cache. The zero value
 // is not usable; construct with NewGoldenCache.
 type GoldenCache struct {
-	shards   [goldenShards]goldenShard
-	perShard int
+	// mu guards one map lookup and one list move per RunRange; the golden
+	// run itself computes outside it.
+	mu  sync.Mutex
+	m   map[GoldenKey]*goldenEntry
+	lru *list.List // of *goldenEntry; front = most recently used
+	max int
 	// disk persists encoded bundles; nil when memory-only. Only its index
 	// lives in memory — decoded bundles are held (and refcounted) above,
 	// so the store runs without its value LRU.
@@ -105,18 +104,12 @@ type GoldenCache struct {
 // NewGoldenCache returns a cache holding at most maxEntries decoded
 // bundles (<= 0 means DefaultGoldenCacheEntries). dir, when non-empty,
 // adds a disk tier under dir that persists encoded bundles across
-// process restarts; a disk tier that fails to open is reported and the
-// cache runs memory-only.
+// process restarts.
 func NewGoldenCache(maxEntries int, dir string) (*GoldenCache, error) {
 	if maxEntries <= 0 {
 		maxEntries = DefaultGoldenCacheEntries
 	}
-	per := (maxEntries + goldenShards - 1) / goldenShards
-	g := &GoldenCache{perShard: per}
-	for i := range g.shards {
-		g.shards[i].m = make(map[GoldenKey]*goldenEntry)
-		g.shards[i].lru = list.New()
-	}
+	g := &GoldenCache{m: make(map[GoldenKey]*goldenEntry), lru: list.New(), max: maxEntries}
 	if dir != "" {
 		disk, err := segstore.OpenStore(dir, "golden-%02x.log", goldenFormat, 0, nil)
 		if err != nil {
@@ -140,18 +133,14 @@ var (
 	sharedGolden     *GoldenCache
 )
 
-// SharedGoldenCache returns the lazily-created process-wide cache that
-// campaign runners use by default (memory-only; daemons that want a
-// disk tier build their own with NewGoldenCache).
+// SharedGoldenCache returns the lazily-created process-wide cache
+// (memory-only; daemons that want a disk tier build their own with
+// NewGoldenCache).
 func SharedGoldenCache() *GoldenCache {
 	sharedGoldenOnce.Do(func() {
 		sharedGolden, _ = NewGoldenCache(DefaultGoldenCacheEntries, "")
 	})
 	return sharedGolden
-}
-
-func (g *GoldenCache) shardFor(key GoldenKey) *goldenShard {
-	return &g.shards[(key.Program^key.Config)%goldenShards]
 }
 
 // Acquire returns the golden bundle for key, computing it with compute
@@ -162,59 +151,42 @@ func (g *GoldenCache) shardFor(key GoldenKey) *goldenShard {
 // releases. Counters land on ob (per caller, so a corpus sweep and a
 // queue worker sharing one cache each see their own hit rates).
 func (g *GoldenCache) Acquire(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
-	compute func() *uarch.GoldenArtifacts) (*uarch.GoldenArtifacts, func(), error) {
-	sh := g.shardFor(key)
-	sh.mu.Lock()
-	if e, ok := sh.m[key]; ok {
+	compute func() *uarch.GoldenArtifacts) (*uarch.GoldenArtifacts, func()) {
+	g.mu.Lock()
+	e, hit := g.m[key]
+	if hit {
 		e.refs++
-		sh.lru.MoveToFront(e.elem)
-		sh.mu.Unlock()
+		g.lru.MoveToFront(e.elem)
+	} else {
+		e = &goldenEntry{key: key, ready: make(chan struct{}), refs: 1}
+		e.elem = g.lru.PushFront(e)
+		g.m[key] = e
+		g.evictLocked(ob)
+	}
+	g.mu.Unlock()
+	if hit {
 		<-e.ready
-		if e.err != nil {
-			g.release(sh, e)
-			return nil, nil, e.err
-		}
 		ob.Counter("inject.golden.cache.hits").Inc()
-		return e.ga, func() { g.release(sh, e) }, nil
+	} else {
+		ob.Counter("inject.golden.cache.misses").Inc()
+		e.ga = g.load(key, prog, ob, compute)
+		close(e.ready)
+		ob.Gauge("inject.golden.cache.bytes").Set(float64(g.approxBytes()))
 	}
-
-	e := &goldenEntry{key: key, ready: make(chan struct{}), refs: 1}
-	e.elem = sh.lru.PushFront(e)
-	sh.m[key] = e
-	g.evictLocked(sh, ob)
-	sh.mu.Unlock()
-
-	ob.Counter("inject.golden.cache.misses").Inc()
-	ga, err := g.load(key, prog, ob, compute)
-
-	sh.mu.Lock()
-	if err != nil {
-		// Drop the entry so a later campaign retries the computation.
-		delete(sh.m, key)
-		sh.lru.Remove(e.elem)
-		e.evicted = true
-	}
-	e.ga, e.err = ga, err
-	close(e.ready)
-	sh.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	ob.Gauge("inject.golden.cache.bytes").Set(float64(g.approxBytes()))
-	return ga, func() { g.release(sh, e) }, nil
+	return e.ga, func() { g.release(e) }
 }
 
 // load fills a cold entry: disk tier first, then compute (persisting
 // the encoded bundle for the next process).
 func (g *GoldenCache) load(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
-	compute func() *uarch.GoldenArtifacts) (*uarch.GoldenArtifacts, error) {
+	compute func() *uarch.GoldenArtifacts) *uarch.GoldenArtifacts {
 	if g.disk != nil {
 		// An unreadable segment is a miss like any other: recompute.
 		if data, src := g.disk.Get(key.tag()); src == segstore.Disk {
 			ga, err := uarch.DecodeGoldenArtifacts(data, prog)
 			if err == nil {
 				ob.Counter("inject.golden.cache.disk_hits").Inc()
-				return ga, nil
+				return ga
 			}
 			// A bundle that fails to decode (version skew, corruption the
 			// CRC happened to collide on) is recomputed, never fatal.
@@ -235,31 +207,31 @@ func (g *GoldenCache) load(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
 			}
 		}
 	}
-	return ga, nil
+	return ga
 }
 
-// evictLocked trims the shard to capacity, skipping entries that are
-// still being computed or still referenced (the cache may transiently
-// exceed capacity rather than yank a bundle out from under a campaign).
-func (g *GoldenCache) evictLocked(sh *goldenShard, ob *obs.Observer) {
-	for el := sh.lru.Back(); el != nil && sh.lru.Len() > g.perShard; {
+// dropLocked takes a computed entry out of the index. Its pooled
+// resources return now if no campaign reads it, otherwise when the last
+// reader releases.
+func (g *GoldenCache) dropLocked(e *goldenEntry) {
+	delete(g.m, e.key)
+	g.lru.Remove(e.elem)
+	e.evicted = true
+	if e.refs == 0 {
+		e.ga.Release()
+		e.ga = nil
+	}
+}
+
+// evictLocked trims the cache to capacity from the cold end, skipping
+// entries that are still being computed (the cache may transiently
+// exceed capacity rather than drop a bundle nobody has seen yet).
+func (g *GoldenCache) evictLocked(ob *obs.Observer) {
+	for el := g.lru.Back(); el != nil && g.lru.Len() > g.max; {
 		prev := el.Prev()
-		e := el.Value.(*goldenEntry)
-		ready := false
-		select {
-		case <-e.ready:
-			ready = true
-		default:
-		}
-		if ready && e.err == nil {
-			delete(sh.m, e.key)
-			sh.lru.Remove(el)
-			e.evicted = true
+		if e := el.Value.(*goldenEntry); e.computed() {
+			g.dropLocked(e)
 			ob.Counter("inject.golden.cache.evictions").Inc()
-			if e.refs == 0 {
-				e.ga.Release()
-				e.ga = nil
-			}
 		}
 		el = prev
 	}
@@ -267,9 +239,9 @@ func (g *GoldenCache) evictLocked(sh *goldenShard, ob *obs.Observer) {
 
 // release drops one reader reference; the last reader of an evicted
 // entry returns its pooled resources.
-func (g *GoldenCache) release(sh *goldenShard, e *goldenEntry) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+func (g *GoldenCache) release(e *goldenEntry) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	e.refs--
 	if e.refs == 0 && e.evicted && e.ga != nil {
 		e.ga.Release()
@@ -282,54 +254,32 @@ func (g *GoldenCache) release(sh *goldenShard, e *goldenEntry) {
 // of the referenced ones when their last reader releases. In-flight
 // computations survive. For memory-pressure relief and test hygiene.
 func (g *GoldenCache) Purge() {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; {
-			prev := el.Prev()
-			e := el.Value.(*goldenEntry)
-			select {
-			case <-e.ready:
-				delete(sh.m, e.key)
-				sh.lru.Remove(el)
-				e.evicted = true
-				if e.refs == 0 && e.ga != nil {
-					e.ga.Release()
-					e.ga = nil
-				}
-			default:
-			}
-			el = prev
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for el := g.lru.Back(); el != nil; {
+		prev := el.Prev()
+		if e := el.Value.(*goldenEntry); e.computed() {
+			g.dropLocked(e)
 		}
-		sh.mu.Unlock()
+		el = prev
 	}
 }
 
 // Len returns the number of resident bundles (tests).
 func (g *GoldenCache) Len() int {
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.m)
 }
 
 func (g *GoldenCache) approxBytes() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.m {
-			select {
-			case <-e.ready:
-				n += e.ga.ApproxBytes()
-			default:
-			}
+	for _, e := range g.m {
+		if e.computed() {
+			n += e.ga.ApproxBytes()
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }
@@ -361,13 +311,14 @@ func (c *Campaign) goldenKey() GoldenKey {
 	return GoldenKey{Program: c.ProgramHash, Config: stats.Mix64(h, c.goldenClass())}
 }
 
-// goldenCacheable gates the cache. Beyond the obvious knobs, any
+// goldenCacheable gates the cache. Beyond a missing cache or program
+// hash and the from-zero path (which reads only the Result), any
 // configuration that attaches per-run instrumentation to the golden
 // core (ACE/IBR trackers, a trace sink, a caller event schedule, debug
 // scrubbing) is excluded: such state either escapes the serializable
 // bundle or is invisible to the JSON key.
 func (c *Campaign) goldenCacheable() bool {
-	if c.GoldenCache == nil || c.NoGoldenCache || c.NoFastForward || c.ProgramHash == 0 {
+	if c.GoldenCache == nil || c.NoFastForward || c.ProgramHash == 0 {
 		return false
 	}
 	cfg := &c.Cfg
@@ -378,54 +329,60 @@ func (c *Campaign) goldenCacheable() bool {
 	return true
 }
 
-// computeGoldenArtifacts runs the canonical shared-instrumentation
-// golden: all three interval recorders on (any bit-array campaign
-// sharing the bundle can pre-classify) and the delta trajectory always
-// recorded at the default interval (any delta-eligible campaign can
-// terminate against it). Checkpoints use the canonical spacing so the
-// bundle is a pure function of (program, config). All of it is
-// observational: the Result is bit-identical to Golden().
-func (c *Campaign) computeGoldenArtifacts() *uarch.GoldenArtifacts {
+// buildGolden runs the fault-free reference, the campaign's one golden
+// prologue, and returns everything RunRange reads from it. What the run
+// records besides its Result follows from who will read the bundle:
+//
+//   - shared (it goes into a GoldenCache): all three interval logs, the
+//     delta trajectory and checkpoints at the constant spacing, whatever
+//     this campaign targets — a pure function of (program, config) that
+//     any campaign on the key can pre-classify and terminate against;
+//   - not shared: checkpoints plus exactly what this campaign reads —
+//     its own target's log if it pre-classifies (transient faults in a
+//     bit array), the trajectory if it is delta-eligible;
+//   - NoFastForward reads none of it: a bare Result.
+//
+// All of it is observational: the Result is bit-identical to Golden().
+func (c *Campaign) buildGolden(shared bool) *uarch.GoldenArtifacts {
 	cfg := c.goldenConfig()
-	cfg.RecordIRFIntervals = true
-	cfg.RecordFPRFIntervals = true
-	cfg.RecordL1DIntervals = true
-	traj := uarch.GetDeltaTrajectory(0)
-	cfg.DeltaRecord = traj
-	var cks []*uarch.Checkpoint
-	cfg.OnCycle = checkpointEvery(defaultCheckpointInterval, &cks)
-	golden := uarch.Run(c.Prog, c.Init(), cfg)
-	return &uarch.GoldenArtifacts{Result: golden, Checkpoints: cks, Trajectory: traj}
+	if c.NoFastForward {
+		return &uarch.GoldenArtifacts{Result: uarch.Run(c.Prog, c.Init(), cfg)}
+	}
+	spacing := c.spacing
+	if shared {
+		spacing.checkpoints, spacing.trajectory = 0, 0
+	}
+	if spacing.checkpoints == 0 {
+		spacing.checkpoints = checkpointSpacing
+	}
+	// Only the ACE-tracked bit arrays have a consumed-interval
+	// pre-classifier; the microarchitectural sites (decoder, gshare, LSQ,
+	// ROB metadata, L2 tags) are always simulated.
+	premasks := c.Type == Transient
+	cfg.RecordIRFIntervals = shared || premasks && c.Target == coverage.IRF
+	cfg.RecordFPRFIntervals = shared || premasks && c.Target == coverage.FPRF
+	cfg.RecordL1DIntervals = shared || premasks && c.Target == coverage.L1D
+	ga := &uarch.GoldenArtifacts{}
+	if shared || c.deltaEligible() {
+		ga.Trajectory = uarch.GetDeltaTrajectory(spacing.trajectory)
+		cfg.DeltaRecord = ga.Trajectory
+	}
+	cfg.OnCycle = checkpointEvery(spacing.checkpoints, &ga.Checkpoints)
+	ga.Result = uarch.Run(c.Prog, c.Init(), cfg)
+	return ga
 }
 
-// acquireGolden returns the campaign's golden result, checkpoints and
-// (when delta-eligible) trajectory, plus the release the caller must
-// run after the last read. The cached path shares one bundle across
-// every campaign with the same key; the uncached path owns its
-// instrumentation and the release returns it to the pools directly.
-func (c *Campaign) acquireGolden() (*uarch.Result, []*uarch.Checkpoint, *uarch.DeltaTrajectory, func()) {
+// computeGoldenArtifacts builds the shared bundle: a GoldenCache's
+// compute callback.
+func (c *Campaign) computeGoldenArtifacts() *uarch.GoldenArtifacts { return c.buildGolden(true) }
+
+// acquireGolden returns the campaign's golden bundle and the release to
+// run after the last read: a reference to the cache's bundle, or one
+// built for this RunRange alone that the release returns to the pools.
+func (c *Campaign) acquireGolden() (*uarch.GoldenArtifacts, func()) {
 	if c.goldenCacheable() {
-		ga, rel, err := c.GoldenCache.Acquire(c.goldenKey(), c.Prog, c.Obs, c.computeGoldenArtifacts)
-		if err == nil {
-			traj := ga.Trajectory
-			if !c.deltaEligible() {
-				traj = nil
-			}
-			return ga.Result, ga.Checkpoints, traj, rel
-		}
-		// A cache-layer error (cannot happen today — compute is
-		// infallible — but the entry API reserves it) degrades to the
-		// uncached path rather than failing the campaign.
+		return c.GoldenCache.Acquire(c.goldenKey(), c.Prog, c.Obs, c.computeGoldenArtifacts)
 	}
-	golden, cks, traj := c.goldenInstrumented()
-	release := func() {
-		ace.ReleaseIntervalRecorder(golden.IRFIntervals)
-		ace.ReleaseIntervalRecorder(golden.FPRFIntervals)
-		ace.ReleaseIntervalRecorder(golden.L1DIntervals)
-		for _, ck := range cks {
-			ck.Release()
-		}
-		uarch.ReleaseDeltaTrajectory(traj)
-	}
-	return golden, cks, traj, release
+	ga := c.buildGolden(false)
+	return ga, ga.Release
 }

@@ -38,10 +38,11 @@ func testProgramHash(c *Campaign) uint64 {
 // artifact reuse: for every structure class and fault type, a campaign
 // served from the cache (including one served from a warm entry another
 // campaign populated) must produce statistics bit-identical to the same
-// campaign with NoGoldenCache. The cached golden run carries more
-// instrumentation than an uncached one (all three recorders, the
-// trajectory, canonical checkpoint spacing), so this pins that all of
-// it is purely observational.
+// campaign without a cache, and both to the from-zero reference. The
+// shared bundle carries more instrumentation than the one a campaign
+// builds for itself (all three recorders, the trajectory whether or not
+// the campaign is delta-eligible) and NoFastForward carries none, so
+// this pins that all of it is purely observational.
 func TestGoldenCacheBitIdenticalStats(t *testing.T) {
 	cases := []struct {
 		target coverage.Structure
@@ -69,7 +70,7 @@ func TestGoldenCacheBitIdenticalStats(t *testing.T) {
 		tc := tc
 		t.Run(tc.target.String()+"/"+tc.typ.String(), func(t *testing.T) {
 			t.Parallel()
-			run := func(noCache bool) *Stats {
+			run := func(gc *GoldenCache, noFF bool) *Stats {
 				c := testProgram(t, 350, nil)
 				c.Target = tc.target
 				c.Type = tc.typ
@@ -78,21 +79,24 @@ func TestGoldenCacheBitIdenticalStats(t *testing.T) {
 				c.Seed = 11
 				c.GoldenCache = gc
 				c.ProgramHash = testProgramHash(c)
-				c.NoGoldenCache = noCache
+				c.NoFastForward = noFF
 				st, err := c.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				return st
 			}
-			cold := run(true)
-			cached := run(false)
-			warm := run(false)
+			cold := run(nil, false)
+			cached := run(gc, false)
+			warm := run(gc, false)
 			if !cold.Equal(cached) {
 				t.Fatalf("golden cache changed campaign statistics:\ncold:   %+v\ncached: %+v", cold, cached)
 			}
 			if !cold.Equal(warm) {
 				t.Fatalf("warm golden cache changed campaign statistics:\ncold: %+v\nwarm: %+v", cold, warm)
+			}
+			if fromZero := run(nil, true); !cold.Equal(fromZero) {
+				t.Fatalf("a campaign's own bundle changed its statistics:\nfrom cycle 0: %+v\nown bundle:   %+v", fromZero, cold)
 			}
 		})
 	}
@@ -156,9 +160,7 @@ func TestGoldenCacheConcurrentCampaigns(t *testing.T) {
 	targets := []coverage.Structure{coverage.IRF, coverage.FPRF, coverage.L1D, coverage.Gshare}
 	want := make(map[coverage.Structure]*Stats)
 	for _, target := range targets {
-		c := newCampaign(target, nil, nil)
-		c.NoGoldenCache = true
-		st, err := c.Run()
+		st, err := newCampaign(target, nil, nil).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,29 +258,22 @@ func TestGoldenCachePoolHygiene(t *testing.T) {
 
 // TestGoldenCacheEvictionWaitsForReaders: an entry evicted while a
 // campaign still holds it must defer the pool release to the last
-// reader. Exercised directly against Acquire with synthetic bundles
-// whose keys collide onto one shard. Not parallel: counts live
-// trajectories.
+// reader. Exercised directly against Acquire with synthetic bundles in
+// a cache of capacity one. Not parallel: counts live trajectories.
 func TestGoldenCacheEvictionWaitsForReaders(t *testing.T) {
 	baseTraj := uarch.LiveDeltaTrajectories()
-	gc, err := NewGoldenCache(goldenShards, "") // one entry per shard
+	gc, err := NewGoldenCache(1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mk := func() *uarch.GoldenArtifacts {
 		return &uarch.GoldenArtifacts{Trajectory: uarch.GetDeltaTrajectory(0)}
 	}
-	// Same shard (Program % goldenShards == 0), distinct keys.
-	k1 := GoldenKey{Program: 1 * goldenShards}
-	k2 := GoldenKey{Program: 2 * goldenShards}
-	ga1, rel1, err := gc.Acquire(k1, nil, nil, mk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, rel2, err := gc.Acquire(k2, nil, nil, mk); err != nil {
-		t.Fatal(err)
-	} else {
-		rel2() // k2 inserted; its arrival evicted k1, which is still held
+	ga1, rel1 := gc.Acquire(GoldenKey{Program: 1}, nil, nil, mk)
+	_, rel2 := gc.Acquire(GoldenKey{Program: 2}, nil, nil, mk)
+	rel2() // key 2 inserted; its arrival evicted key 1, which is still held
+	if gc.Len() != 1 {
+		t.Fatalf("cache of capacity 1 holds %d bundles", gc.Len())
 	}
 	if ga1.Trajectory == nil {
 		t.Fatal("evicted bundle released while still referenced")
@@ -317,13 +312,8 @@ func TestGoldenKeySensitivity(t *testing.T) {
 	}
 	{
 		c := base()
-		c.CheckpointInterval = 64
-		same["CheckpointInterval"] = c
-	}
-	{
-		c := base()
-		c.DeltaInterval = 64
-		same["DeltaInterval"] = c
+		c.spacing.checkpoints, c.spacing.trajectory = 64, 64
+		same["test-only spacing"] = c
 	}
 	{
 		c := base()
@@ -430,7 +420,7 @@ func TestGoldenCacheUncacheableConfigs(t *testing.T) {
 // deserialized trajectory.
 func TestGoldenDiskTierRestart(t *testing.T) {
 	dir := t.TempDir()
-	run := func(gc *GoldenCache, ob *obs.Observer, noCache bool) *Stats {
+	run := func(gc *GoldenCache, ob *obs.Observer) *Stats {
 		c := testProgram(t, 400, nil)
 		c.Target = coverage.IRF
 		c.Type = Transient
@@ -438,7 +428,6 @@ func TestGoldenDiskTierRestart(t *testing.T) {
 		c.Seed = 11
 		c.GoldenCache = gc
 		c.ProgramHash = testProgramHash(c)
-		c.NoGoldenCache = noCache
 		c.Obs = ob
 		st, err := c.Run()
 		if err != nil {
@@ -446,13 +435,13 @@ func TestGoldenDiskTierRestart(t *testing.T) {
 		}
 		return st
 	}
-	want := run(nil, nil, true)
+	want := run(nil, nil)
 
 	gc1, err := NewGoldenCache(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := run(gc1, nil, false)
+	cold := run(gc1, nil)
 	if err := gc1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +455,7 @@ func TestGoldenDiskTierRestart(t *testing.T) {
 	}
 	defer gc2.Close()
 	reg := obs.NewRegistry()
-	warm := run(gc2, obs.New(reg, nil), false)
+	warm := run(gc2, obs.New(reg, nil))
 	if !want.Equal(warm) {
 		t.Fatalf("disk-restored golden changed statistics:\nwant: %+v\ngot:  %+v", want, warm)
 	}
@@ -478,20 +467,19 @@ func TestGoldenDiskTierRestart(t *testing.T) {
 	}
 
 	// Same-process second campaign with the disk bundle resident: pure
-	// memory hit (N/Seed/DeltaInterval are excluded from the key), still
-	// bit-identical to an uncached run of the same spec, and delta
-	// termination must fire — the deserialized trajectory actually
-	// terminates faulty runs early.
-	deltaRun := func(gc *GoldenCache, ob *obs.Observer, noCache bool) *Stats {
+	// memory hit (N and Seed are excluded from the key), still
+	// bit-identical to an uncached run of the same spec (whose own
+	// trajectory is denser), and delta termination must fire — the
+	// deserialized trajectory actually terminates faulty runs early.
+	deltaRun := func(gc *GoldenCache, ob *obs.Observer) *Stats {
 		c := testProgram(t, 400, nil)
 		c.Target = coverage.IRF
 		c.Type = Transient
 		c.N = 64
 		c.Seed = 11
-		c.DeltaInterval = 64
+		c.spacing.trajectory = 64
 		c.GoldenCache = gc
 		c.ProgramHash = testProgramHash(c)
-		c.NoGoldenCache = noCache
 		c.Obs = ob
 		st, err := c.Run()
 		if err != nil {
@@ -499,8 +487,8 @@ func TestGoldenDiskTierRestart(t *testing.T) {
 		}
 		return st
 	}
-	wantDelta := deltaRun(nil, nil, true)
-	again := deltaRun(gc2, obs.New(reg, nil), false)
+	wantDelta := deltaRun(nil, nil)
+	again := deltaRun(gc2, obs.New(reg, nil))
 	if !wantDelta.Equal(again) {
 		t.Fatal("campaign over the disk-restored bundle diverged from uncached reference")
 	}

@@ -149,11 +149,6 @@ type Campaign struct {
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// CheckpointInterval is the initial spacing (in cycles) of the
-	// fast-forward checkpoints taken during the golden run; the campaign
-	// adaptively doubles it to keep at most a fixed number of snapshots.
-	// 0 means a sensible default.
-	CheckpointInterval uint64
 	// NoFastForward disables checkpointed resume and ACE
 	// pre-classification, simulating every injection from cycle 0 (the
 	// pre-optimization path; kept for ablation and validation).
@@ -171,31 +166,33 @@ type Campaign struct {
 	// bit-identical either way (asserted by differential tests); the knob
 	// exists to prove it and to measure the speedup.
 	NoDeltaTermination bool
-	// DeltaInterval is the spacing (in cycles) of the golden-trajectory
-	// compare points; 0 means uarch.DefaultDeltaInterval.
-	DeltaInterval uint64
 
 	// GoldenCache, when set together with a non-zero ProgramHash, lets
 	// the campaign reuse a previously computed golden bundle (result,
 	// checkpoints, delta trajectory, interval logs) keyed by
 	// (ProgramHash, golden config) instead of re-simulating the
-	// fault-free reference. Outcomes are bit-identical either way
-	// (asserted by differential tests); see golden.go.
+	// fault-free reference; nil means every RunRange computes its own.
+	// Outcomes are bit-identical either way (asserted by differential
+	// tests); see golden.go.
 	GoldenCache *GoldenCache
 	// ProgramHash is the content hash (stats.HashBytes) of the encoded
 	// program bytes. 0 disables the golden cache — the campaign cannot
 	// derive it from Prog alone, since distinct listings could decode
 	// to equal Inst slices only by accident of the caller.
 	ProgramHash uint64
-	// NoGoldenCache disables golden reuse even when a cache is wired
-	// (the ablation knob behind the -no-golden-cache flags).
-	NoGoldenCache bool
 
 	// Obs, if set, receives campaign metrics (per-phase wall-clock
 	// timings, outcome counts, pre-classification and checkpoint-reuse
 	// rates) and a trace span per campaign. Purely observational; nil
 	// disables all instrumentation.
 	Obs *obs.Observer
+
+	// spacing lets in-package tests shrink the cycle spacing of the
+	// checkpoints and trajectory points of a bundle the campaign builds
+	// for itself (zero: checkpointSpacing, uarch.DefaultDeltaInterval), to
+	// reach thinning and many compare points on short programs. A bundle
+	// bound for a GoldenCache ignores it.
+	spacing struct{ checkpoints, trajectory uint64 }
 }
 
 // Stats summarizes a campaign.
@@ -352,8 +349,8 @@ func (c *Campaign) goldenConfig() uarch.Config {
 	// A caller-set Record* flag would make every faulty run draw an
 	// interval recorder from the pool and never release it (recorders
 	// escape through Result, which faulty runs discard): the campaign owns
-	// all instrumentation, so clear the flags here and re-enable exactly
-	// the golden run's target recorder in goldenInstrumented.
+	// all instrumentation, so clear the flags here; buildGolden switches
+	// on the recorders the golden run itself needs.
 	cfg.RecordIRFIntervals = false
 	cfg.RecordFPRFIntervals = false
 	cfg.RecordL1DIntervals = false
@@ -369,12 +366,12 @@ func (c *Campaign) Golden() *uarch.Result {
 }
 
 // Checkpointing parameters: the golden run snapshots its state every
-// defaultCheckpointInterval cycles, and when maxCheckpoints snapshots
+// checkpointSpacing cycles, and when maxCheckpoints snapshots
 // accumulate, every other one is dropped and the spacing doubles — one
 // pass, bounded memory, spacing proportional to program length.
 const (
-	defaultCheckpointInterval = 512
-	maxCheckpoints            = 16
+	checkpointSpacing = 512
+	maxCheckpoints    = 16
 )
 
 // checkpointEvery returns the golden run's OnCycle hook implementing
@@ -585,44 +582,6 @@ func (c *Campaign) deltaQuiesce(sp faultSpec) uint64 {
 	return sp.end
 }
 
-// goldenInstrumented runs the fault-free reference once, collecting
-// fast-forward checkpoints, (for transient bit-array campaigns) the
-// consumed-interval log of the target structure, and (for delta-eligible
-// campaigns) the reconvergence trajectory. The instrumentation is purely
-// observational: the result is bit-identical to Golden().
-func (c *Campaign) goldenInstrumented() (*uarch.Result, []*uarch.Checkpoint, *uarch.DeltaTrajectory) {
-	cfg := c.goldenConfig()
-	if c.NoFastForward {
-		return uarch.Run(c.Prog, c.Init(), cfg), nil, nil
-	}
-	if c.Type == Transient && !c.Target.IsFunctionalUnit() {
-		// Only the ACE-tracked bit arrays have a consumed-interval
-		// pre-classifier; the microarchitectural sites (decoder, gshare,
-		// LSQ, ROB metadata, L2 tags) are always simulated.
-		switch c.Target {
-		case coverage.IRF:
-			cfg.RecordIRFIntervals = true
-		case coverage.FPRF:
-			cfg.RecordFPRFIntervals = true
-		case coverage.L1D:
-			cfg.RecordL1DIntervals = true
-		}
-	}
-	var traj *uarch.DeltaTrajectory
-	if c.deltaEligible() {
-		traj = uarch.GetDeltaTrajectory(c.DeltaInterval)
-		cfg.DeltaRecord = traj
-	}
-	var cks []*uarch.Checkpoint
-	interval := c.CheckpointInterval
-	if interval == 0 {
-		interval = defaultCheckpointInterval
-	}
-	cfg.OnCycle = checkpointEvery(interval, &cks)
-	golden := uarch.Run(c.Prog, c.Init(), cfg)
-	return golden, cks, traj
-}
-
 // recorderFor returns the golden run's interval log for the campaign's
 // target structure (nil when pre-classification does not apply).
 func (c *Campaign) recorderFor(golden *uarch.Result) *ace.IntervalRecorder {
@@ -821,17 +780,16 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	})
 
 	stopGolden := c.Obs.Phase("inject.phase.golden")
-	golden, cks, traj, releaseGolden := c.acquireGolden()
+	ga, releaseGolden := c.acquireGolden()
 	stopGolden()
-	// None of the golden instrumentation escapes RunRange (only outcome
-	// counts do). On the uncached path the release returns the interval
-	// logs' backing arrays, every checkpoint's core snapshot and the
-	// delta trajectory to their pools for the next campaign; on the
-	// cached path it drops this campaign's reference so the cache can do
-	// the same once the bundle is evicted. This defer runs on every exit
-	// path, including the golden-timeout and validation-failure errors,
-	// after wg.Wait has quiesced the workers.
+	// Nothing of the bundle escapes RunRange (only outcome counts do), so
+	// it is released on every exit path, including the golden-timeout and
+	// validation-failure errors, after wg.Wait has quiesced the workers.
 	defer releaseGolden()
+	golden, cks, traj := ga.Result, ga.Checkpoints, ga.Trajectory
+	if !c.deltaEligible() {
+		traj = nil // a shared bundle carries one whoever asks
+	}
 	if !golden.Clean() {
 		// A fault-free run that crashes or hangs has no meaningful output
 		// signature: grading faulty runs against it would silently call
@@ -875,7 +833,7 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	toRun := make([]faultSpec, 0, n)
 	for _, sp := range specs {
 		if rec := c.recorderFor(golden); rec != nil && c.Type == Transient &&
-			golden.Clean() && c.preMasked(sp, rec, golden.Cycles) {
+			c.preMasked(sp, rec, golden.Cycles) {
 			outcomes[sp.idx-lo] = Masked
 			pre[sp.idx-lo] = true
 			if !c.ValidateAll {

@@ -234,8 +234,11 @@ func (c *Coordinator) replayRecord(rec Record) error {
 			c.ob.Counter("queue.wal.replay_duplicates").Inc()
 			return nil
 		}
-		if err := ws.Req.Validate(); err != nil {
-			return fmt.Errorf("queue: replay job %s: %w", ws.ID, err)
+		// Only what newJob dereferences: a job Validate accepted when it was
+		// written but would refuse today is failed by its executor, not here.
+		if req := ws.Req; req == nil || (req.Kind == dist.JobCampaign && req.Inject == nil) ||
+			(req.Kind != dist.JobCampaign && req.Eval == nil) {
+			return fmt.Errorf("queue: replay job %s: request without its payload", ws.ID)
 		}
 		j := newJob(ws.Req, ws.Bounds)
 		j.id, j.seq = ws.ID, ws.Seq
@@ -266,6 +269,9 @@ func (c *Coordinator) replayRecord(rec Record) error {
 		}
 		if j, ok := c.jobs[wc.ID]; ok && !j.terminal() {
 			j.state = dist.JobStateCancelled
+			if wc.Error != "" {
+				j.state, j.errMsg = dist.JobStateFailed, wc.Error
+			}
 		}
 	default:
 		return fmt.Errorf("queue: replay: unknown record kind %d", rec.Kind)
@@ -563,10 +569,17 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
+// maxShardFailures is how many executor errors one shard may report
+// before its job fails: executors are deterministic, so the retries only
+// rule out the worker (a program evicted from its memo, a full disk),
+// and a job re-queued for ever starves every job behind it.
+const maxShardFailures = 3
+
 // Complete accepts a leased shard's result (or failure). Stale leases —
 // expired and possibly re-assigned — are acknowledged and discarded;
 // the re-lease's result is the one that counts, and values are
-// content-determined so the discard can never lose information.
+// content-determined so the discard can never lose information. A
+// shard's maxShardFailures-th executor error fails its job, durably.
 func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -593,6 +606,14 @@ func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteRespons
 	}
 	if req.Err != "" {
 		fail()
+		if s.failures++; s.failures >= maxShardFailures {
+			if err := c.walAppend(recCancel, &walCancel{ID: j.id, Error: req.Err}, true); err != nil {
+				c.ob.Counter("queue.wal.errors").Inc() // fails the same way after a restart
+			}
+			j.errMsg = req.Err
+			c.finish(j, dist.JobStateFailed)
+			c.ob.Counter("queue.jobs.failed").Inc()
+		}
 		return &dist.CompleteResponse{OK: true}, nil
 	}
 	value, err := j.encodeShardResult(req.Shard, req)

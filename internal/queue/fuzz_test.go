@@ -3,12 +3,15 @@ package queue
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"harpocrates/internal/dist"
+	"harpocrates/internal/gen"
+	"harpocrates/internal/uarch"
 )
 
 // FuzzServerBodies feeds arbitrary bytes to every /v1/* POST handler of
@@ -16,8 +19,9 @@ import (
 // which read their body through dist.ReadJSON. Oracle: no panic, a body
 // that is not JSON is a 400, anything else is a well-formed 2xx/4xx/5xx
 // reply; the body bound is checked once up front. The seeds are shaped
-// like real requests but carry no decodable program or genotype, so no
-// input makes a handler simulate.
+// like real requests but carry no decodable program or genotype, or
+// carry one under a core configuration that is refused before a core is
+// built, so no seed makes a handler simulate.
 func FuzzServerBodies(f *testing.F) {
 	coord, err := NewCoordinator(Options{DataDir: f.TempDir(), ShardSize: 1 << 20})
 	if err != nil {
@@ -63,6 +67,31 @@ func FuzzServerBodies(f *testing.F) {
 	} {
 		for ep := range endpoints {
 			f.Add(uint8(ep), []byte(seed))
+		}
+	}
+	// A decodable program or genotype under a configuration no core can
+	// be built from — unset, and partial: these took the executor down
+	// (zero cache sets to divide by, a register file indexed past its end).
+	eval := evalJob(1).Eval
+	wire, err := dist.EncodeProgram(gen.Materialize(gen.NewRandom(&eval.Gen, rand.New(rand.NewPCG(5, 6))), &eval.Gen))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cfg := range []uarch.Config{{}, {IntPRF: 4}} {
+		shard := &dist.InjectRequest{Program: wire, Target: "irf", Type: "transient", N: 8, Hi: 4, Seed: 7, Cfg: cfg}
+		eval.Core = cfg
+		for _, v := range []any{
+			shard, eval,
+			&dist.JobRequest{Kind: dist.JobCampaign, Inject: shard},
+			&dist.JobRequest{Kind: dist.JobEval, Eval: eval},
+		} {
+			seed, err := json.Marshal(v)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for ep := range endpoints {
+				f.Add(uint8(ep), seed)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {

@@ -34,6 +34,7 @@ type shardRec struct {
 	worker   string
 	leasedAt time.Time
 	deadline time.Time
+	failures int // executor errors reported; an expired lease is not one
 
 	cached bool
 	// value is the encoded result of a done shard: HXSR stats bytes for
@@ -269,8 +270,11 @@ type walShardDone struct {
 	Value  []byte `json:"value"`
 }
 
+// walCancel persists a job's end before its shards are done: cancelled
+// by a client, or, with Error set, failed by its executor.
 type walCancel struct {
-	ID string `json:"id"`
+	ID    string `json:"id"`
+	Error string `json:"error,omitempty"`
 }
 
 // snapshot is the atomic full-state capture written at graceful

@@ -23,11 +23,10 @@ import (
 //   - Spec: the fold of the fault or evaluation parameters, including
 //     the shard bounds.
 //
-// Perf-only knobs (CheckpointInterval, NoFastForward,
-// NoDeltaTermination, DeltaInterval) are deliberately excluded from
-// the spec hash: the repo's differential tests prove campaign outcome
-// vectors are bit-identical across all of them, so a result computed
-// under any knob setting is valid for every other.
+// The wire and the key carry the same fields: every field of a
+// dist.InjectRequest lands in one of the three words (ProgramHash only
+// stands in for Program in a lease), which TestWireIsTheKey holds the
+// struct to.
 
 // foldU64 mixes one 64-bit word into a Mix64 chain.
 func foldU64(h, v uint64) uint64 { return stats.Mix64(h, v) }

@@ -1,7 +1,9 @@
 package queue
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"harpocrates/internal/coverage"
@@ -89,5 +91,69 @@ func TestCampaignShardKeyPinned(t *testing.T) {
 	j := newJob(&dist.JobRequest{Kind: dist.JobCampaign, Inject: req}, [][2]int{{0, 8}, {8, 16}})
 	if j.shards[1].key != want {
 		t.Fatalf("job shard key = %#v, recorded %#v", j.shards[1].key, want)
+	}
+}
+
+// perturb changes every JSON-visible leaf under v, one at a time, and
+// hands each perturbed state to visit with the leaf's path.
+func perturb(t *testing.T, path string, v reflect.Value, visit func(path string)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if f.IsExported() && f.Tag.Get("json") != "-" {
+				perturb(t, path+"."+f.Name, v.Field(i), visit)
+			}
+		}
+		return
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			perturb(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i), visit)
+		}
+		return
+	}
+	old := reflect.New(v.Type()).Elem()
+	old.Set(v)
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	default:
+		t.Fatalf("%s: a %v on the wire; teach perturb about it", path, v.Kind())
+	}
+	visit(path)
+	v.Set(old)
+}
+
+// The wire and the key carry the same fields: changing anything a
+// dist.InjectRequest carries, bar the pair that routes the program
+// bytes, changes CampaignShardKey. A field the key does not hash is one
+// the queue would answer from a result computed under another setting
+// of it, so it has no business on the wire.
+func TestWireIsTheKey(t *testing.T) {
+	req := &dist.InjectRequest{
+		Program: []byte("program"), Target: "irf", Type: "transient", N: 40, Lo: 8, Hi: 16,
+		Seed: 7, IntermittentLen: 3, BurstLen: 2, Cfg: uarch.DefaultConfig(),
+	}
+	ref := CampaignShardKey(req)
+	v := reflect.ValueOf(req).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if name == "Program" || name == "ProgramHash" {
+			continue
+		}
+		perturb(t, name, v.Field(i), func(path string) {
+			if CampaignShardKey(req) == ref {
+				t.Errorf("InjectRequest.%s travels the wire but is not in CampaignShardKey", path)
+			}
+		})
+	}
+	if CampaignShardKey(req) != ref {
+		t.Fatal("perturb did not restore the request")
 	}
 }

@@ -174,7 +174,7 @@ func TestShutdownTakesCompletionDuringDrain(t *testing.T) {
 	if err != nil || lease.JobID != sub.ID {
 		t.Fatalf("lease %+v, %v", lease, err)
 	}
-	st, err := dist.RunInject(lease.Inject, nil)
+	st, err := dist.RunInjectCached(lease.Inject, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func TestQueueCrashRestartMidCampaign(t *testing.T) {
 		if err != nil || lease.JobID == "" {
 			t.Fatalf("lease %d: %+v, %v", i, lease, err)
 		}
-		st, err := dist.RunInject(lease.Inject, nil)
+		st, err := dist.RunInjectCached(lease.Inject, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestQueueCrashTruncatedWAL(t *testing.T) {
 		if err != nil || lease.JobID == "" {
 			t.Fatalf("lease %d: %+v, %v", i, lease, err)
 		}
-		st, err := dist.RunInject(lease.Inject, nil)
+		st, err := dist.RunInjectCached(lease.Inject, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func TestQueueLeaseExpiryRequeue(t *testing.T) {
 	if reg.Counter("queue.lease.expirations").Load() == 0 {
 		t.Fatal("no expiration counted")
 	}
-	st, err := dist.RunInject(lease2.Inject, nil)
+	st, err := dist.RunInjectCached(lease2.Inject, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestQueueWorkerSideCache(t *testing.T) {
 		t.Fatalf("warmed %d leases, want %d", len(leases), sub.Shards)
 	}
 	for _, lease := range leases {
-		st, err := dist.RunInject(lease.Inject, nil)
+		st, err := dist.RunInjectCached(lease.Inject, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

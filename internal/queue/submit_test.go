@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"harpocrates/internal/dist"
 	"harpocrates/internal/obs"
@@ -56,10 +57,11 @@ func spyWAL(t *testing.T, c *Coordinator) *spyFile {
 }
 
 // drainWith runs one in-process worker against coord until job id is
-// done and returns its merged result.
+// terminal and returns its merged result.
 func drainWith(t *testing.T, coord *Coordinator, coordSide leaser, reg *obs.Registry, id string) *dist.JobResult {
 	t.Helper()
 	w := newWorker(WorkerOptions{Name: "w", WaitMs: 50, Obs: obs.New(reg, nil)}, "queue.worker.shards_executed")
+	w.errorBackoff = time.Millisecond // a job under test may fail its shards
 	ctx, cancel := context.WithCancel(context.Background())
 	finished := make(chan struct{})
 	go func() { defer close(finished); w.run(ctx, coordSide) }()

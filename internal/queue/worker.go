@@ -36,9 +36,6 @@ type WorkerOptions struct {
 	// GoldenCacheEntries bounds the decoded golden bundles held in
 	// memory (<= 0 means inject.DefaultGoldenCacheEntries).
 	GoldenCacheEntries int
-	// NoGoldenCache disables golden artifact reuse on this worker even
-	// for campaigns that allow it (ablation knob).
-	NoGoldenCache bool
 	// Obs receives worker counters; may be nil.
 	Obs *obs.Observer
 }
@@ -116,14 +113,12 @@ func NewWorker(base string, opts WorkerOptions) (*Worker, error) {
 		}
 		w.cache = cache
 	}
-	if !opts.NoGoldenCache {
-		golden, err := inject.NewGoldenCache(opts.GoldenCacheEntries, opts.GoldenCacheDir)
-		if err != nil {
-			w.cache.Close()
-			return nil, err
-		}
-		w.golden = golden
+	golden, err := inject.NewGoldenCache(opts.GoldenCacheEntries, opts.GoldenCacheDir)
+	if err != nil {
+		w.cache.Close()
+		return nil, err
 	}
+	w.golden = golden
 	return w, nil
 }
 

@@ -113,7 +113,7 @@ func TestWorkerStaleCompletion(t *testing.T) {
 	if comp.Worker != "w" || comp.JobID != lease.JobID || comp.Shard != 3 || comp.Lease != 17 {
 		t.Fatalf("completion identity %+v does not match the lease", comp)
 	}
-	want, err := dist.RunInject(lease.Inject, nil)
+	want, err := dist.RunInjectCached(lease.Inject, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,12 @@
 package uarch
 
 import (
+	"fmt"
 	"io"
 
 	"harpocrates/internal/arch"
 	"harpocrates/internal/coverage"
+	"harpocrates/internal/isa"
 )
 
 // CycleEvent is one scheduled state mutation of the sparse fault-event
@@ -272,6 +274,73 @@ func (c Config) WithDefaults() Config {
 	}
 	fill(&c.MemLatency, d.MemLatency)
 	return c
+}
+
+// Validate reports whether c describes a core the model can build, for
+// configurations that arrive from outside the process (a queued job, a
+// pushed shard): every width, capacity and unit count positive and under
+// a bound that keeps one request from allocating without limit, register
+// files with something left to rename onto, cache geometry that divides.
+// A zero field is an error here, not a default (WithDefaults is for
+// that): the sender's configuration is hashed into cache keys as sent.
+func (c Config) Validate() error {
+	const maxWidth, maxEntries = 64, 1 << 14
+	for _, f := range []struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"FetchWidth", c.FetchWidth, 1, maxWidth},
+		{"RenameWidth", c.RenameWidth, 1, maxWidth},
+		{"IssueWidth", c.IssueWidth, 1, maxWidth},
+		{"CommitWidth", c.CommitWidth, 1, maxWidth},
+		{"FetchQueue", c.FetchQueue, 1, maxEntries},
+		{"ROBSize", c.ROBSize, 1, maxEntries},
+		{"IQSize", c.IQSize, 1, maxEntries},
+		{"LQSize", c.LQSize, 1, maxEntries},
+		{"SQSize", c.SQSize, 1, maxEntries},
+		// The rename map starts out holding one physical register per
+		// architectural one (and one flags register).
+		{"IntPRF", c.IntPRF, isa.NumGPR + 1, maxEntries},
+		{"FPPRF", c.FPPRF, isa.NumXMM + 1, maxEntries},
+		{"FlagPRF", c.FlagPRF, 2, maxEntries},
+		{"NumIntALU", c.NumIntALU, 1, maxWidth},
+		{"NumIntMul", c.NumIntMul, 1, maxWidth},
+		{"NumIntDiv", c.NumIntDiv, 1, maxWidth},
+		{"NumFPAdd", c.NumFPAdd, 1, maxWidth},
+		{"NumFPMul", c.NumFPMul, 1, maxWidth},
+		{"NumFPDiv", c.NumFPDiv, 1, maxWidth},
+		{"NumVecALU", c.NumVecALU, 1, maxWidth},
+		{"NumBranch", c.NumBranch, 1, maxWidth},
+		{"NumMemPort", c.NumMemPort, 1, maxWidth},
+		{"GshareBits", c.GshareBits, 1, 24},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("uarch: config: %s = %d, want %d..%d", f.name, f.v, f.lo, f.hi)
+		}
+	}
+	if err := c.L1D.validGeometry("L1D", 1<<24); err != nil {
+		return err
+	}
+	if c.L2.SizeBytes != 0 { // 0 disables the L2
+		return c.L2.validGeometry("L2", 1<<28)
+	}
+	return nil
+}
+
+// validGeometry checks that the cache divides into at least one set of
+// whole lines; the line size is a power of two because the data array
+// masks addresses with it.
+func (c CacheConfig) validGeometry(name string, maxBytes int) error {
+	switch {
+	case c.LineBytes < 8 || c.LineBytes > 4096 || c.LineBytes&(c.LineBytes-1) != 0:
+		return fmt.Errorf("uarch: config: %s.LineBytes = %d, want a power of two in 8..4096", name, c.LineBytes)
+	case c.Ways < 1 || c.Ways > 1024:
+		return fmt.Errorf("uarch: config: %s.Ways = %d, want 1..1024", name, c.Ways)
+	case c.SizeBytes < c.Ways*c.LineBytes || c.SizeBytes > maxBytes || c.SizeBytes%(c.Ways*c.LineBytes) != 0:
+		return fmt.Errorf("uarch: config: %s.SizeBytes = %d, want a multiple of Ways*LineBytes = %d up to %d",
+			name, c.SizeBytes, c.Ways*c.LineBytes, maxBytes)
+	}
+	return nil
 }
 
 // TrackFor returns c with the coverage tracker that grades st switched

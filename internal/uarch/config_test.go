@@ -115,3 +115,42 @@ func TestFlushCounterMatchesMispredictedBranches(t *testing.T) {
 		t.Fatalf("flushes %d != mispredicts %d", r.Flushes, r.Mispredicts)
 	}
 }
+
+// Validate accepts what WithDefaults produces and refuses the
+// configurations that used to take an executor down: unset, partial
+// (zero widths, a register file smaller than the architectural state),
+// and cache geometry with no whole set.
+func TestConfigValidate(t *testing.T) {
+	for name, c := range map[string]Config{
+		"default":       DefaultConfig(),
+		"zero+defaults": Config{}.WithDefaults(),
+		"small L1D":     Config{L1D: CacheConfig{SizeBytes: 4096, Ways: 1}}.WithDefaults(),
+		"no L2":         Config{IntPRF: 28}.WithDefaults(),
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	mod := func(f func(*Config)) Config {
+		c := DefaultConfig()
+		f(&c)
+		return c
+	}
+	for name, c := range map[string]Config{
+		"unset":             {},
+		"partial":           {IntPRF: 4},
+		"no free int reg":   mod(func(c *Config) { c.IntPRF = 16 }),
+		"no free flags reg": mod(func(c *Config) { c.FlagPRF = 1 }),
+		"negative width":    mod(func(c *Config) { c.IssueWidth = -1 }),
+		"huge ROB":          mod(func(c *Config) { c.ROBSize = 1 << 30 }),
+		"huge predictor":    mod(func(c *Config) { c.GshareBits = 40 }),
+		"L1D without a set": mod(func(c *Config) { c.L1D.SizeBytes = 64 }),
+		"L1D odd line":      mod(func(c *Config) { c.L1D.LineBytes = 48 }),
+		"L1D ragged":        mod(func(c *Config) { c.L1D.SizeBytes += 64 }),
+		"partial L2":        mod(func(c *Config) { c.L2 = CacheConfig{SizeBytes: 1 << 18} }),
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
