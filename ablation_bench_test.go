@@ -192,14 +192,8 @@ func BenchmarkAblationGoldenReuse(b *testing.B) {
 	benchOffOn(b, "golden reuse", func(off bool) ([]*inject.Stats, error) {
 		var gc *inject.GoldenCache // nil: every campaign computes its own golden
 		if !off {
-			var err error
-			if gc, err = inject.NewGoldenCache(0, ""); err != nil {
-				return nil, err
-			}
-			defer func() {
-				gc.Purge()
-				gc.Close()
-			}()
+			gc = inject.NewGoldenCache(0)
+			defer gc.Purge()
 		}
 		out := make([]*inject.Stats, 0, len(targets))
 		for _, target := range targets {

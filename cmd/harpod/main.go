@@ -15,8 +15,8 @@
 // at any point without coordination. With -pull, the optional -cache
 // directory holds a content-addressed result cache consulted before
 // every simulate; point several workers at one shared filesystem to
-// pool it. The -name, -cache* and -*golden-cache* flags configure the
-// pull worker only and are refused without -pull.
+// pool it. The -name, -cache* and -golden-cache-entries flags configure
+// the pull worker only and are refused without -pull.
 //
 // GET /metrics serves the Prometheus text exposition on the same
 // listener.
@@ -46,7 +46,6 @@ func main() {
 		cacheDir     = flag.String("cache", "", "with -pull: worker-side content-addressed result cache directory")
 		cacheEntries = flag.Int("cache-entries", 0, "with -pull: in-memory cache entries (0 = default)")
 
-		goldenCacheDir     = flag.String("golden-cache", "", "with -pull: persist golden artifact bundles in this directory (restarted workers skip recomputing golden runs)")
 		goldenCacheEntries = flag.Int("golden-cache-entries", 0, "with -pull: in-memory golden bundles (0 = default)")
 		tracePath          = flag.String("trace", "", "write a JSONL event trace to this file")
 		metrics            = flag.Bool("metrics", false, "print a metrics summary at exit")
@@ -58,7 +57,7 @@ func main() {
 		// would silently ignore them.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "name", "cache", "cache-entries", "golden-cache", "golden-cache-entries":
+			case "name", "cache", "cache-entries", "golden-cache-entries":
 				fmt.Fprintf(os.Stderr, "harpod: -%s only applies to a -pull worker; add -pull <harpoq URL>\n", f.Name)
 				os.Exit(2)
 			}
@@ -104,7 +103,6 @@ func main() {
 			Name:               wname,
 			CacheDir:           *cacheDir,
 			CacheEntries:       *cacheEntries,
-			GoldenCacheDir:     *goldenCacheDir,
 			GoldenCacheEntries: *goldenCacheEntries,
 			Obs:                ob,
 		})

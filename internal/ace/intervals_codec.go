@@ -10,7 +10,9 @@ import (
 // container (the golden artifact bundle's HXGA codec): little-endian,
 // a uint32 cell count, then per cell the last-write cycle, a span
 // count and the (start, end] span pairs. The recorder's fields are
-// private to this package, so the walker lives here.
+// private to this package, so the walker lives here. Like HXGA it is
+// kept only for the frozen benchmark/layers.go probes and is deleted
+// with them (ROADMAP item 10; see uarch/goldencodec.go).
 
 // maxCodecCells bounds a decoded recorder (the largest real recorder —
 // the L1D data array — is a quarter-million cells; 1<<28 leaves three

@@ -64,10 +64,7 @@ func TestRankConcurrentSharedGoldenCache(t *testing.T) {
 	wantIRF := rank(coverage.IRF, nil, false, nil)
 	wantL1D := rank(coverage.L1D, nil, false, nil)
 
-	gc, err := inject.NewGoldenCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := inject.NewGoldenCache(0)
 	reg := obs.NewRegistry()
 	ob := obs.New(reg, nil)
 	var wg sync.WaitGroup

@@ -266,7 +266,9 @@ func (req *EvalRequest) structure() (coverage.Structure, error) {
 	return st, err
 }
 
-// shape parses the request's names and checks its core configuration.
+// shape parses the request's names and checks its core configuration
+// and that the two, with the burst length, name a fault model the
+// injector implements.
 func (req *InjectRequest) shape() (coverage.Structure, inject.FaultType, error) {
 	target, err := coverage.Parse(req.Target)
 	if err != nil {
@@ -276,7 +278,11 @@ func (req *InjectRequest) shape() (coverage.Structure, inject.FaultType, error) 
 	if err != nil {
 		return 0, 0, err
 	}
-	return target, ftype, req.Cfg.Validate()
+	if err := req.Cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	model := inject.Campaign{Target: target, Type: ftype, BurstLen: req.BurstLen, Cfg: req.Cfg}
+	return target, ftype, model.Validate()
 }
 
 // CampaignFor reconstructs a campaign from a shard request. The

@@ -222,10 +222,7 @@ func TestCampaignPoolHygiene(t *testing.T) {
 
 	// The same exits over a shared bundle, where the one release drops a
 	// reference: once the cache lets go, nothing may be left behind.
-	gc, err := NewGoldenCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := NewGoldenCache(0)
 	shared := func(maxCycles uint64) *Campaign {
 		c := testProgram(t, 350, nil)
 		c.Target = coverage.IRF
@@ -246,7 +243,7 @@ func TestCampaignPoolHygiene(t *testing.T) {
 	// ValidateAll failure: a bundle whose IRF log is empty calls every
 	// flip masked, which the simulation of a consumed one contradicts.
 	v := shared(1 << 20)
-	_, release := gc.Acquire(v.goldenKey(), v.Prog, nil, func() *uarch.GoldenArtifacts {
+	_, release := gc.Acquire(v.goldenKey(), nil, func() *uarch.GoldenArtifacts {
 		ga := v.computeGoldenArtifacts()
 		ace.ReleaseIntervalRecorder(ga.Result.IRFIntervals)
 		ga.Result.IRFIntervals = ace.GetIntervalRecorder(v.Cfg.IntPRF * 64)

@@ -3,14 +3,11 @@ package inject
 import (
 	"container/list"
 	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
 	"harpocrates/internal/coverage"
-	"harpocrates/internal/isa"
 	"harpocrates/internal/obs"
-	"harpocrates/internal/segstore"
 	"harpocrates/internal/stats"
 	"harpocrates/internal/uarch"
 )
@@ -24,15 +21,13 @@ import (
 // the shard bounds. A six-structure ranking sweep over one program
 // therefore used to run six bit-identical golden simulations; a pull
 // worker leasing six shards of one campaign ran six more. The cache
-// collapses all of them to one compute per (program, config) key:
-//
-//   - an in-process LRU with single-flight, shared by every campaign in
-//     the process (corpus ranking sweeps, the local Workers-parallel
-//     path, queue workers), refcounted so pooled resources never return
-//     to their pools while a campaign still reads them;
-//   - an optional disk tier (a segstore.Store of encoded HXGA bundles)
-//     under the same key, so a restarted worker process skips
-//     recomputation entirely.
+// collapses all of them to one compute per (program, config) key: an
+// in-process LRU with single-flight, shared by every campaign in the
+// process (corpus ranking sweeps, the local Workers-parallel path, queue
+// workers), refcounted so pooled resources never return to their pools
+// while a campaign still reads them. A bundle is never persisted: a new
+// process recomputes it, which costs less than writing it down did
+// (EXPERIMENTS.md, "Tried and removed").
 //
 // Bit-identity is the contract: a campaign served from the cache
 // produces Stats equal to a cold campaign, injection by injection.
@@ -52,19 +47,10 @@ type GoldenKey struct {
 	Config  uint64
 }
 
-// tag is the key's on-disk form in the disk tier.
-func (k GoldenKey) tag() []byte { return segstore.Key(k.Program, k.Config) }
-
-// goldenFormat frames one bundle in the disk tier's golden-XX.log
-// segments. Checkpoint cores carry full memory images, so bundles are
-// MBs where shard results are KBs; the bound only rejects corrupt
-// lengths.
-var goldenFormat = segstore.Format{TagSize: 16, MaxPayload: 256 << 20}
-
 // DefaultGoldenCacheEntries is the default in-process capacity in
-// bundles. Bundles are heavyweight (checkpoint cores hold full memory
-// images), so the default is sized for "a handful of programs in
-// flight", not thousands.
+// bundles. Bundles are heavyweight (MBs: up to 16 checkpoints, each with
+// its cache and predictor arrays), so the default is sized for "a
+// handful of programs in flight", not thousands.
 const DefaultGoldenCacheEntries = 64
 
 type goldenEntry struct {
@@ -95,37 +81,15 @@ type GoldenCache struct {
 	m   map[GoldenKey]*goldenEntry
 	lru *list.List // of *goldenEntry; front = most recently used
 	max int
-	// disk persists encoded bundles; nil when memory-only. Only its index
-	// lives in memory — decoded bundles are held (and refcounted) above,
-	// so the store runs without its value LRU.
-	disk *segstore.Store
 }
 
-// NewGoldenCache returns a cache holding at most maxEntries decoded
-// bundles (<= 0 means DefaultGoldenCacheEntries). dir, when non-empty,
-// adds a disk tier under dir that persists encoded bundles across
-// process restarts.
-func NewGoldenCache(maxEntries int, dir string) (*GoldenCache, error) {
+// NewGoldenCache returns a cache holding at most maxEntries bundles
+// (<= 0 means DefaultGoldenCacheEntries).
+func NewGoldenCache(maxEntries int) *GoldenCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultGoldenCacheEntries
 	}
-	g := &GoldenCache{m: make(map[GoldenKey]*goldenEntry), lru: list.New(), max: maxEntries}
-	if dir != "" {
-		disk, err := segstore.OpenStore(dir, "golden-%02x.log", goldenFormat, 0, nil)
-		if err != nil {
-			return nil, fmt.Errorf("inject: golden cache dir: %w", err)
-		}
-		g.disk = disk
-	}
-	return g, nil
-}
-
-// Close releases the disk tier (in-memory bundles stay usable).
-func (g *GoldenCache) Close() error {
-	if g == nil || g.disk == nil {
-		return nil
-	}
-	return g.disk.Close()
+	return &GoldenCache{m: make(map[GoldenKey]*goldenEntry), lru: list.New(), max: maxEntries}
 }
 
 var (
@@ -133,13 +97,9 @@ var (
 	sharedGolden     *GoldenCache
 )
 
-// SharedGoldenCache returns the lazily-created process-wide cache
-// (memory-only; daemons that want a disk tier build their own with
-// NewGoldenCache).
+// SharedGoldenCache returns the lazily-created process-wide cache.
 func SharedGoldenCache() *GoldenCache {
-	sharedGoldenOnce.Do(func() {
-		sharedGolden, _ = NewGoldenCache(DefaultGoldenCacheEntries, "")
-	})
+	sharedGoldenOnce.Do(func() { sharedGolden = NewGoldenCache(0) })
 	return sharedGolden
 }
 
@@ -150,7 +110,7 @@ func SharedGoldenCache() *GoldenCache {
 // go back to their pools only after the last reader of an evicted entry
 // releases. Counters land on ob (per caller, so a corpus sweep and a
 // queue worker sharing one cache each see their own hit rates).
-func (g *GoldenCache) Acquire(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
+func (g *GoldenCache) Acquire(key GoldenKey, ob *obs.Observer,
 	compute func() *uarch.GoldenArtifacts) (*uarch.GoldenArtifacts, func()) {
 	g.mu.Lock()
 	e, hit := g.m[key]
@@ -169,45 +129,13 @@ func (g *GoldenCache) Acquire(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
 		ob.Counter("inject.golden.cache.hits").Inc()
 	} else {
 		ob.Counter("inject.golden.cache.misses").Inc()
-		e.ga = g.load(key, prog, ob, compute)
+		start := time.Now()
+		e.ga = compute()
+		ob.Histogram("inject.golden.compute_ns").ObserveDuration(time.Since(start))
 		close(e.ready)
 		ob.Gauge("inject.golden.cache.bytes").Set(float64(g.approxBytes()))
 	}
 	return e.ga, func() { g.release(e) }
-}
-
-// load fills a cold entry: disk tier first, then compute (persisting
-// the encoded bundle for the next process).
-func (g *GoldenCache) load(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
-	compute func() *uarch.GoldenArtifacts) *uarch.GoldenArtifacts {
-	if g.disk != nil {
-		// An unreadable segment is a miss like any other: recompute.
-		if data, src := g.disk.Get(key.tag()); src == segstore.Disk {
-			ga, err := uarch.DecodeGoldenArtifacts(data, prog)
-			if err == nil {
-				ob.Counter("inject.golden.cache.disk_hits").Inc()
-				return ga
-			}
-			// A bundle that fails to decode (version skew, corruption the
-			// CRC happened to collide on) is recomputed, never fatal.
-			ob.Counter("inject.golden.cache.read_errors").Inc()
-		}
-	}
-	start := time.Now()
-	ga := compute()
-	ob.Histogram("inject.golden.compute_ns").ObserveDuration(time.Since(start))
-	if g.disk != nil {
-		// Persisting is best-effort; the in-process tier still serves
-		// this process when the write fails.
-		if data, err := uarch.EncodeGoldenArtifacts(ga); err == nil {
-			if stored, err := g.disk.Put(key.tag(), data); err != nil {
-				ob.Counter("inject.golden.cache.write_errors").Inc()
-			} else if stored {
-				ob.Counter("inject.golden.cache.puts").Inc()
-			}
-		}
-	}
-	return ga
 }
 
 // dropLocked takes a computed entry out of the index. Its pooled
@@ -315,8 +243,8 @@ func (c *Campaign) goldenKey() GoldenKey {
 // hash and the from-zero path (which reads only the Result), any
 // configuration that attaches per-run instrumentation to the golden
 // core (ACE/IBR trackers, a trace sink, a caller event schedule, debug
-// scrubbing) is excluded: such state either escapes the serializable
-// bundle or is invisible to the JSON key.
+// scrubbing) is excluded: such state is invisible to the JSON key, so
+// the bundle would no longer be a pure function of it.
 func (c *Campaign) goldenCacheable() bool {
 	if c.GoldenCache == nil || c.NoFastForward || c.ProgramHash == 0 {
 		return false
@@ -381,7 +309,7 @@ func (c *Campaign) computeGoldenArtifacts() *uarch.GoldenArtifacts { return c.bu
 // built for this RunRange alone that the release returns to the pools.
 func (c *Campaign) acquireGolden() (*uarch.GoldenArtifacts, func()) {
 	if c.goldenCacheable() {
-		return c.GoldenCache.Acquire(c.goldenKey(), c.Prog, c.Obs, c.computeGoldenArtifacts)
+		return c.GoldenCache.Acquire(c.goldenKey(), c.Obs, c.computeGoldenArtifacts)
 	}
 	ga := c.buildGolden(false)
 	return ga, ga.Release

@@ -62,10 +62,7 @@ func TestGoldenCacheBitIdenticalStats(t *testing.T) {
 		{coverage.FPAdd, Permanent, 8},
 		{coverage.FPMul, Intermittent, 6},
 	}
-	gc, err := NewGoldenCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := NewGoldenCache(0)
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.target.String()+"/"+tc.typ.String(), func(t *testing.T) {
@@ -107,10 +104,7 @@ func TestGoldenCacheBitIdenticalStats(t *testing.T) {
 // compute the golden run once. All six targets share the plain golden
 // class, so the second through sixth campaigns hit.
 func TestGoldenCacheSingleComputePerProgram(t *testing.T) {
-	gc, err := NewGoldenCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := NewGoldenCache(0)
 	reg := obs.NewRegistry()
 	ob := obs.New(reg, nil)
 	targets := []coverage.Structure{
@@ -167,10 +161,7 @@ func TestGoldenCacheConcurrentCampaigns(t *testing.T) {
 		want[target] = st
 	}
 
-	gc, err := NewGoldenCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := NewGoldenCache(0)
 	reg := obs.NewRegistry()
 	ob := obs.New(reg, nil)
 	var wg sync.WaitGroup
@@ -211,10 +202,7 @@ func TestGoldenCachePoolHygiene(t *testing.T) {
 	baseCk := uarch.LiveCheckpoints()
 	baseTraj := uarch.LiveDeltaTrajectories()
 
-	gc, err := NewGoldenCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := NewGoldenCache(0)
 	for _, target := range []coverage.Structure{coverage.IRF, coverage.L1D} {
 		c := testProgram(t, 350, nil)
 		c.Target = target
@@ -262,15 +250,12 @@ func TestGoldenCachePoolHygiene(t *testing.T) {
 // a cache of capacity one. Not parallel: counts live trajectories.
 func TestGoldenCacheEvictionWaitsForReaders(t *testing.T) {
 	baseTraj := uarch.LiveDeltaTrajectories()
-	gc, err := NewGoldenCache(1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := NewGoldenCache(1)
 	mk := func() *uarch.GoldenArtifacts {
 		return &uarch.GoldenArtifacts{Trajectory: uarch.GetDeltaTrajectory(0)}
 	}
-	ga1, rel1 := gc.Acquire(GoldenKey{Program: 1}, nil, nil, mk)
-	_, rel2 := gc.Acquire(GoldenKey{Program: 2}, nil, nil, mk)
+	ga1, rel1 := gc.Acquire(GoldenKey{Program: 1}, nil, mk)
+	_, rel2 := gc.Acquire(GoldenKey{Program: 2}, nil, mk)
 	rel2() // key 2 inserted; its arrival evicted key 1, which is still held
 	if gc.Len() != 1 {
 		t.Fatalf("cache of capacity 1 holds %d bundles", gc.Len())
@@ -376,10 +361,7 @@ func TestGoldenKeySensitivity(t *testing.T) {
 // carry per-run instrumentation must bypass the cache (and still
 // produce a working campaign).
 func TestGoldenCacheUncacheableConfigs(t *testing.T) {
-	gc, err := NewGoldenCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gc := NewGoldenCache(0)
 	c := testProgram(t, 120, nil)
 	c.Target = coverage.IRF
 	c.Type = Transient
@@ -408,95 +390,6 @@ func TestGoldenCacheUncacheableConfigs(t *testing.T) {
 	c2.NoFastForward = true
 	if c2.goldenCacheable() {
 		t.Fatal("NoFastForward must not be cacheable")
-	}
-}
-
-// TestGoldenDiskTierRestart: a fresh cache over the same directory — a
-// restarted worker process — must serve the golden from disk (one
-// decode, zero recomputes) and produce bit-identical statistics. This
-// is the end-to-end exercise of the HXGA codec: the second campaign
-// resumes faulty runs from deserialized checkpoint cores, pre-classifies
-// against a deserialized interval log and delta-terminates against a
-// deserialized trajectory.
-func TestGoldenDiskTierRestart(t *testing.T) {
-	dir := t.TempDir()
-	run := func(gc *GoldenCache, ob *obs.Observer) *Stats {
-		c := testProgram(t, 400, nil)
-		c.Target = coverage.IRF
-		c.Type = Transient
-		c.N = 32
-		c.Seed = 11
-		c.GoldenCache = gc
-		c.ProgramHash = testProgramHash(c)
-		c.Obs = ob
-		st, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	want := run(nil, nil)
-
-	gc1, err := NewGoldenCache(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := run(gc1, nil)
-	if err := gc1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(cold) {
-		t.Fatalf("disk-backed cache changed statistics:\nwant: %+v\ngot:  %+v", want, cold)
-	}
-
-	gc2, err := NewGoldenCache(0, dir) // "restarted process"
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gc2.Close()
-	reg := obs.NewRegistry()
-	warm := run(gc2, obs.New(reg, nil))
-	if !want.Equal(warm) {
-		t.Fatalf("disk-restored golden changed statistics:\nwant: %+v\ngot:  %+v", want, warm)
-	}
-	if got := reg.Counter("inject.golden.cache.disk_hits").Load(); got != 1 {
-		t.Fatalf("restart took %d disk hits, want 1", got)
-	}
-	if got := reg.Histogram("inject.golden.compute_ns").Count(); got != 0 {
-		t.Fatalf("restart recomputed the golden %d times, want 0", got)
-	}
-
-	// Same-process second campaign with the disk bundle resident: pure
-	// memory hit (N and Seed are excluded from the key), still
-	// bit-identical to an uncached run of the same spec (whose own
-	// trajectory is denser), and delta termination must fire — the
-	// deserialized trajectory actually terminates faulty runs early.
-	deltaRun := func(gc *GoldenCache, ob *obs.Observer) *Stats {
-		c := testProgram(t, 400, nil)
-		c.Target = coverage.IRF
-		c.Type = Transient
-		c.N = 64
-		c.Seed = 11
-		c.spacing.trajectory = 64
-		c.GoldenCache = gc
-		c.ProgramHash = testProgramHash(c)
-		c.Obs = ob
-		st, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	wantDelta := deltaRun(nil, nil)
-	again := deltaRun(gc2, obs.New(reg, nil))
-	if !wantDelta.Equal(again) {
-		t.Fatal("campaign over the disk-restored bundle diverged from uncached reference")
-	}
-	if got := reg.Histogram("inject.golden.compute_ns").Count(); got != 0 {
-		t.Fatalf("resident bundle missed: %d recomputes", got)
-	}
-	if reg.Counter("inject.delta.converged").Load() == 0 {
-		t.Fatal("no faulty run delta-terminated against the deserialized trajectory")
 	}
 }
 

@@ -139,9 +139,11 @@ type Campaign struct {
 	// BurstLen is the multi-bit-upset width for the bit-array targets
 	// (IRF, FPRF, L1D): each injection flips (or forces) BurstLen
 	// adjacent bits starting at the drawn position, wrapping within the
-	// entry. 0 or 1 means the classic single-bit model. Burst width is a
-	// campaign parameter, not an RNG draw, so BurstLen=1 campaigns are
-	// bit-identical to pre-burst ones for a fixed seed.
+	// entry. 0 or 1 means the classic single-bit model — the only one the
+	// other targets have — and the entry width (64, 128, one cache line's
+	// bits) is the most. Burst width is a campaign parameter, not an RNG
+	// draw, so BurstLen=1 campaigns are bit-identical to pre-burst ones
+	// for a fixed seed.
 	BurstLen int
 
 	Seed uint64
@@ -724,6 +726,60 @@ func classify(res, golden *uarch.Result) Outcome {
 	}
 }
 
+// burstWidth is the widest multi-bit upset the target's burst model
+// takes: the width of the entry a burst wraps inside, or 1 for the sites
+// whose faults are single-bit only.
+func (c *Campaign) burstWidth() int {
+	switch c.Target {
+	case coverage.IRF:
+		return 64
+	case coverage.FPRF:
+		return 128
+	case coverage.L1D:
+		return c.Cfg.L1D.LineBytes * 8
+	}
+	return 1
+}
+
+// Validate reports whether Target, Type, BurstLen and Cfg name a fault
+// model deriveSpec and cfgFor implement. Anything else is refused here —
+// by RunRange, and by the fleet's doors before a job is made durable —
+// because the injector would otherwise run a different model under the
+// requested label: a "transient" functional-unit campaign is the
+// permanent one, a "permanent" bit-array campaign the windowed one, and
+// a burst wider than its entry flips bits back.
+func (c *Campaign) Validate() error {
+	if c.Target < 0 || c.Target >= coverage.NumStructures {
+		return fmt.Errorf("inject: unknown target structure %d (valid: %s)",
+			int(c.Target), coverage.ValidNames())
+	}
+	var ok bool
+	var models string
+	switch {
+	case c.Target.IsFunctionalUnit():
+		ok = c.Type == Permanent || c.Type == Intermittent
+		models = "permanent or intermittent: a gate stuck-at for the whole run or a window of it"
+	case c.Target > coverage.FPMul:
+		ok = c.Type == Transient
+		models = "transient only"
+	default:
+		ok = c.Type == Transient || c.Type == Intermittent
+		models = "transient or intermittent; a whole-run stuck-at is intermittent with IntermittentLen (faultsim -window) >= 4x the golden run's cycles"
+	}
+	if !ok {
+		return fmt.Errorf("inject: target %v has no %v fault model (%s)", c.Target, c.Type, models)
+	}
+	if w := c.burstWidth(); c.BurstLen < 0 || c.BurstLen > w {
+		return fmt.Errorf("inject: burst length %d outside 0..%d for target %v (0 or 1 = single-bit; only IRF, FPRF and L1D take wider bursts, up to their entry width)",
+			c.BurstLen, w, c.Target)
+	}
+	if c.Target == coverage.L2Tags && c.Cfg.L2.SizeBytes == 0 {
+		return fmt.Errorf("inject: target %v requires an enabled L2 (Cfg.L2.SizeBytes > 0)",
+			c.Target)
+	}
+	return nil
+}
+
 // goldenErr describes why a golden run is not clean.
 func goldenErr(golden *uarch.Result) error {
 	if golden.Crash != nil {
@@ -759,17 +815,8 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	if lo < 0 || hi > c.N || lo >= hi {
 		return nil, fmt.Errorf("inject: bad spec range [%d, %d) of %d", lo, hi, c.N)
 	}
-	if c.Target < 0 || c.Target >= coverage.NumStructures {
-		return nil, fmt.Errorf("inject: unknown target structure %d (valid: %s)",
-			int(c.Target), coverage.ValidNames())
-	}
-	if c.Target > coverage.FPMul && c.Type != Transient {
-		return nil, fmt.Errorf("inject: target %v supports only transient faults (got %v)",
-			c.Target, c.Type)
-	}
-	if c.Target == coverage.L2Tags && c.Cfg.L2.SizeBytes == 0 {
-		return nil, fmt.Errorf("inject: target %v requires an enabled L2 (Cfg.L2.SizeBytes > 0)",
-			c.Target)
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
 	n := hi - lo
 	stopRun := c.Obs.Phase("inject.run")

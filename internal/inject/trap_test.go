@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -222,17 +223,55 @@ func TestBurstDifferential(t *testing.T) {
 	}
 }
 
-// TestNewSitesRejectNonTransient: the microarchitectural sites model
-// single-event upsets only; permanent/intermittent requests must be
-// rejected up front, and L2Tags must demand an enabled L2.
+// TestNewSitesRejectNonTransient: over every structure x fault type x
+// burst length in {-1, 0, 1, entry width, width+1}, exactly the fault
+// models deriveSpec and cfgFor implement run; the rest — a transient
+// functional-unit fault (it ran as the permanent one), a permanent
+// bit-array fault (it ran as the windowed one), anything but single
+// upsets on the microarchitectural sites, a burst that is negative,
+// wider than its entry or aimed at a site without a burst model — is
+// refused by name instead of running as something else. L2Tags must
+// also demand an enabled L2.
 func TestNewSitesRejectNonTransient(t *testing.T) {
-	for _, typ := range []FaultType{Permanent, Intermittent} {
-		c := testProgram(t, 100, nil)
-		c.Target = coverage.Decoder
-		c.Type = typ
-		c.N = 4
-		if _, err := c.Run(); err == nil {
-			t.Fatalf("decoder campaign accepted %v faults", typ)
+	line := uarch.DefaultConfig().L1D.LineBytes * 8
+	widths := map[coverage.Structure]int{coverage.IRF: 64, coverage.FPRF: 128, coverage.L1D: line}
+	for target := coverage.Structure(0); target < coverage.NumStructures; target++ {
+		width := max(widths[target], 1)
+		for _, typ := range []FaultType{Transient, Intermittent, Permanent} {
+			var modelled bool
+			switch {
+			case target.IsFunctionalUnit():
+				modelled = typ != Transient
+			case widths[target] != 0:
+				modelled = typ != Permanent
+			default:
+				modelled = typ == Transient
+			}
+			for _, burst := range []int{-1, 0, 1, width, width + 1} {
+				c := testProgram(t, 60, nil)
+				c.Target, c.Type, c.BurstLen, c.N = target, typ, burst, 2
+				c.IntermittentLen = 8
+				_, err := c.Run()
+				if want := modelled && burst >= 0 && burst <= width; want {
+					if err != nil {
+						t.Errorf("%v/%v burst %d refused: %v", target, typ, burst, err)
+					}
+					continue
+				}
+				if err == nil {
+					t.Errorf("%v/%v burst %d ran", target, typ, burst)
+					continue
+				}
+				named := []string{target.String(), typ.String()}
+				if modelled {
+					named = []string{target.String(), "burst", strconv.Itoa(burst)}
+				}
+				for _, n := range named {
+					if !strings.Contains(err.Error(), n) {
+						t.Errorf("%v/%v burst %d: refusal does not name %q: %v", target, typ, burst, n, err)
+					}
+				}
+			}
 		}
 	}
 	c := testProgram(t, 100, nil)

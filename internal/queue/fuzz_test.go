@@ -20,8 +20,8 @@ import (
 // that is not JSON is a 400, anything else is a well-formed 2xx/4xx/5xx
 // reply; the body bound is checked once up front. The seeds are shaped
 // like real requests but carry no decodable program or genotype, or
-// carry one under a core configuration that is refused before a core is
-// built, so no seed makes a handler simulate.
+// carry one under a core configuration or fault model that is refused
+// before a core is built, so no seed makes a handler simulate.
 func FuzzServerBodies(f *testing.F) {
 	coord, err := NewCoordinator(Options{DataDir: f.TempDir(), ShardSize: 1 << 20})
 	if err != nil {
@@ -77,21 +77,39 @@ func FuzzServerBodies(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	add := func(v any) []byte {
+		seed, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for ep := range endpoints {
+			f.Add(uint8(ep), seed)
+		}
+		return seed
+	}
 	for _, cfg := range []uarch.Config{{}, {IntPRF: 4}} {
 		shard := &dist.InjectRequest{Program: wire, Target: "irf", Type: "transient", N: 8, Hi: 4, Seed: 7, Cfg: cfg}
 		eval.Core = cfg
-		for _, v := range []any{
-			shard, eval,
-			&dist.JobRequest{Kind: dist.JobCampaign, Inject: shard},
-			&dist.JobRequest{Kind: dist.JobEval, Eval: eval},
-		} {
-			seed, err := json.Marshal(v)
-			if err != nil {
-				f.Fatal(err)
-			}
-			for ep := range endpoints {
-				f.Add(uint8(ep), seed)
-			}
+		add(shard)
+		add(eval)
+		add(&dist.JobRequest{Kind: dist.JobCampaign, Inject: shard})
+		add(&dist.JobRequest{Kind: dist.JobEval, Eval: eval})
+	}
+	// A well-formed job — decodable program, buildable core — that names
+	// a fault model the injector does not implement: it used to be made
+	// durable and run as a different model under its label.
+	for _, m := range []struct {
+		target, typ string
+		burst       int
+	}{{"irf", "permanent", 0}, {"intadd", "transient", 0}, {"irf", "transient", 128}} {
+		shard := &dist.InjectRequest{Program: wire, Target: m.target, Type: m.typ, BurstLen: m.burst,
+			N: 8, Hi: 4, Seed: 7, Cfg: uarch.DefaultConfig()}
+		add(shard)
+		job := add(&dist.JobRequest{Kind: dist.JobCampaign, Inject: shard})
+		// endpoints[2] is POST /v1/jobs.
+		if code := post(2, job, int64(len(job))); code != http.StatusBadRequest || len(coord.List()) != 0 {
+			f.Fatalf("%s/%s burst %d job answered %d with %d jobs listed, want 400 and none",
+				m.target, m.typ, m.burst, code, len(coord.List()))
 		}
 	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {

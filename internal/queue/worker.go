@@ -26,15 +26,11 @@ type WorkerOptions struct {
 	CacheEntries int
 	// WaitMs is the long-poll wait per lease request (default 30s).
 	WaitMs int
-	// GoldenCacheDir, if set, persists encoded golden artifact bundles
-	// (inject golden runs: result, checkpoints, trajectory, interval
-	// logs) across worker restarts; empty keeps the golden cache
-	// memory-only. Independent of CacheDir — the result cache skips
-	// whole shards, the golden cache skips the fixed cost of shards
-	// that still simulate.
-	GoldenCacheDir string
-	// GoldenCacheEntries bounds the decoded golden bundles held in
-	// memory (<= 0 means inject.DefaultGoldenCacheEntries).
+	// GoldenCacheEntries bounds the golden bundles (inject golden runs:
+	// result, checkpoints, trajectory, interval logs) held in memory
+	// (<= 0 means inject.DefaultGoldenCacheEntries). Independent of
+	// CacheDir — the result cache skips whole shards, the golden cache
+	// skips the fixed cost of shards that still simulate.
 	GoldenCacheEntries int
 	// Obs receives worker counters; may be nil.
 	Obs *obs.Observer
@@ -113,26 +109,15 @@ func NewWorker(base string, opts WorkerOptions) (*Worker, error) {
 		}
 		w.cache = cache
 	}
-	golden, err := inject.NewGoldenCache(opts.GoldenCacheEntries, opts.GoldenCacheDir)
-	if err != nil {
-		w.cache.Close()
-		return nil, err
-	}
-	w.golden = golden
+	w.golden = inject.NewGoldenCache(opts.GoldenCacheEntries)
 	return w, nil
 }
 
 // Cache exposes the worker-side cache (nil when none was configured).
 func (w *Worker) Cache() *Cache { return w.cache }
 
-// Close releases the worker caches.
-func (w *Worker) Close() error {
-	err := w.cache.Close()
-	if gerr := w.golden.Close(); err == nil {
-		err = gerr
-	}
-	return err
-}
+// Close releases the worker-side result cache.
+func (w *Worker) Close() error { return w.cache.Close() }
 
 // Run pulls and executes shards until ctx is cancelled. Transport
 // errors (coordinator restarting) back off and retry; the loop only

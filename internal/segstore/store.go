@@ -19,10 +19,10 @@ const Shards = 16
 // construction (keys hash every input of the computation), so the first
 // write wins and concurrent Puts of one key are harmless. Only the index
 // is always resident; values are re-read from their segment on demand,
-// behind an optional per-shard LRU of raw values.
+// behind a per-shard LRU of raw values.
 type Store struct {
-	memCap  int           // LRU values per shard; 0 = none
-	onEvict func(n int64) // told of LRU evictions, outside any lock; may be nil
+	memCap  int           // LRU values per shard
+	onEvict func(n int64) // told of LRU evictions, outside any lock
 	entries atomic.Int64
 	shards  [Shards]storeShard
 }
@@ -57,8 +57,7 @@ const (
 // shard i's segment — named by fmt.Sprintf(pattern, i) — into its index.
 // format.TagSize is the key width. lruPerShard bounds the raw values
 // cached in memory per shard; the on-disk index is never bounded.
-// onEvict (may be nil) is told how many values each Get or Put pushed
-// out of the LRU.
+// onEvict is told how many values each Get or Put pushed out of the LRU.
 func OpenStore(dir, pattern string, format Format, lruPerShard int, onEvict func(n int64)) (*Store, error) {
 	s := &Store{memCap: lruPerShard, onEvict: onEvict}
 	for i := range s.shards {
@@ -151,10 +150,8 @@ func (s *Store) Put(key, val []byte) (bool, error) {
 	e := &entry{off: off, n: uint32(len(val))}
 	sh.index[string(key)] = e
 	s.entries.Add(1)
-	if s.memCap > 0 {
-		val = append([]byte(nil), val...) // the LRU keeps this one; the caller keeps theirs
-	}
-	s.rememberAndUnlock(sh, e, val)
+	// The LRU keeps its own copy; the caller keeps theirs.
+	s.rememberAndUnlock(sh, e, append([]byte(nil), val...))
 	return true, nil
 }
 
@@ -163,15 +160,13 @@ func (s *Store) Put(key, val []byte) (bool, error) {
 // reports the evictions.
 func (s *Store) rememberAndUnlock(sh *storeShard, e *entry, val []byte) {
 	evicted := int64(0)
-	if s.memCap > 0 {
-		e.val, e.elem = val, sh.lru.PushFront(e)
-		for ; sh.lru.Len() > s.memCap; evicted++ {
-			old := sh.lru.Remove(sh.lru.Back()).(*entry)
-			old.val, old.elem = nil, nil
-		}
+	e.val, e.elem = val, sh.lru.PushFront(e)
+	for ; sh.lru.Len() > s.memCap; evicted++ {
+		old := sh.lru.Remove(sh.lru.Back()).(*entry)
+		old.val, old.elem = nil, nil
 	}
 	sh.mu.Unlock()
-	if evicted > 0 && s.onEvict != nil {
+	if evicted > 0 {
 		s.onEvict(evicted)
 	}
 }

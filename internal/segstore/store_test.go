@@ -49,8 +49,8 @@ func TestStoreConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopened without an LRU: everything is served from disk.
-	s, err = OpenStore(dir, "seg-%02x.log", format, 0, nil)
+	// Reopened: the index is replayed and values are read through from disk.
+	s, err = OpenStore(dir, "seg-%02x.log", format, 1, func(int64) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,15 +13,24 @@ import (
 	"harpocrates/internal/isa"
 )
 
-// Golden artifact bundle and its stable HXGA codec.
+// Golden artifact bundle and its HXGA codec.
 //
 // A fault-injection campaign's expensive fixed cost is the instrumented
 // golden run: the naive-loop execution that produces the golden Result
 // (with ACE interval logs), the fast-forward checkpoints and the delta
 // trajectory every faulty run rides on. GoldenArtifacts packages those
-// outputs as one shareable, serializable value so the inject package's
-// golden cache can compute them once per (program, config) and reuse
-// them across structures, shards and worker restarts.
+// outputs as one shareable value so the inject package's golden cache
+// can compute them once per (program, config) and reuse them across
+// structures and shards within a process.
+//
+// Nothing in the program encodes a bundle any more: it is recomputed,
+// never persisted (the golden disk tier cost more than the run it saved;
+// EXPERIMENTS.md, "Tried and removed"), so no HXGA byte outlives a
+// process and the format is not a compatibility surface. The codec (and
+// ace/intervals_codec.go under it) stays for one reason only: the frozen
+// benchmark/layers.go probes call EncodeGoldenArtifacts,
+// DecodeGoldenArtifacts and ace.AppendIntervalRecorder. Its deletion is
+// on ROADMAP item 10's worklist; until then its bytes do not move.
 //
 // The format is one set of binfmt walker methods on gaCodec — bundle,
 // result, core, uop, inst, crash — each naming its fields once and
@@ -81,8 +90,8 @@ func (ga *GoldenArtifacts) Release() {
 }
 
 // ApproxBytes estimates the bundle's in-memory footprint, dominated by
-// the checkpoint cores' memory images, cache SRAM and register files —
-// the number the golden cache's bytes gauge and eviction sizing use.
+// the checkpoint cores' L2 tags, cache SRAM, present memory pages and
+// register files — the number the golden cache's bytes gauge reports.
 func (ga *GoldenArtifacts) ApproxBytes() int {
 	if ga == nil {
 		return 0
@@ -119,7 +128,7 @@ func (ga *GoldenArtifacts) ApproxBytes() int {
 // HXGA container framing.
 const (
 	goldenMagic   uint32 = 0x41475848 // "HXGA" little-endian
-	goldenVersion uint32 = 2          // 1 stored every region whole
+	goldenVersion uint32 = 2
 
 	// maxGoldenElems is the format's ceiling on any decoded length
 	// (checkpoints, regions, byte strings, queue lengths); binfmt.Len
@@ -581,10 +590,7 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 func (g gaCodec) bundle(ga *GoldenArtifacts, prog []isa.Inst) {
 	c := g.Codec
 	dec := g.Decoding()
-	if g.Header(goldenMagic, goldenVersion, 1) == 1 {
-		g.Fail("HXGA version 1 (whole-region memory images) is no longer read: recompute the bundle, and clear the golden cache directory it came from")
-		return
-	}
+	g.Header(goldenMagic, goldenVersion)
 
 	// The checkpoint cores' scalar configuration, once for the bundle
 	// (every checkpoint of one golden run shares it; hook fields carry

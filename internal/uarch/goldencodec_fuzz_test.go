@@ -96,18 +96,6 @@ func TestGoldenCodecRefusesNonCanonicalConfig(t *testing.T) {
 	}
 }
 
-// TestGoldenCodecRefusesVersion1: HXGA v1 stored every region whole; a
-// v1 container is refused by name (the disk tier counts that as a miss
-// and recomputes), not misread as v2.
-func TestGoldenCodecRefusesVersion1(t *testing.T) {
-	prog, data := smallBundle(t)
-	v1 := append([]byte{}, data...)
-	binary.LittleEndian.PutUint32(v1[4:], 1)
-	if _, err := DecodeGoldenArtifacts(v1, prog); err == nil || !strings.Contains(err.Error(), "HXGA version 1") {
-		t.Fatalf("version 1 container: %v", err)
-	}
-}
-
 // TestGoldenCodecRefusesNonCanonicalPages: a checkpoint's memory image
 // is its present pages — whole, each once, in address order. The same
 // bytes delivered as two half pages, or a page listed twice, would
