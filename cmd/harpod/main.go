@@ -8,15 +8,14 @@
 // Usage:
 //
 //	harpod -addr 0.0.0.0:9090
-//	harpod -addr 0.0.0.0:9090 -pull http://queue-host:9900 -cache /shared/cache
+//	harpod -addr 0.0.0.0:9090 -pull http://queue-host:9900
 //
 // The worker is stateless — every request carries the full campaign or
-// evaluation configuration — so workers can join, die and be replaced
-// at any point without coordination. With -pull, the optional -cache
-// directory holds a content-addressed result cache consulted before
-// every simulate; point several workers at one shared filesystem to
-// pool it. The -name, -cache* and -golden-cache-entries flags configure
-// the pull worker only and are refused without -pull.
+// evaluation configuration, and it writes nothing to disk — so workers
+// can join, die and be replaced at any point without coordination. A
+// shard already computed is answered by the coordinator, never leased.
+// The -name and -golden-cache-entries flags configure the pull worker
+// only and are refused without -pull.
 //
 // GET /metrics serves the Prometheus text exposition on the same
 // listener.
@@ -40,12 +39,9 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:9090", "address to listen on")
-		pull         = flag.String("pull", "", "harpoq coordinator URL to pull shards from (work-stealing mode)")
-		name         = flag.String("name", "", "with -pull: worker name reported in leases (default addr)")
-		cacheDir     = flag.String("cache", "", "with -pull: worker-side content-addressed result cache directory")
-		cacheEntries = flag.Int("cache-entries", 0, "with -pull: in-memory cache entries (0 = default)")
-
+		addr               = flag.String("addr", "127.0.0.1:9090", "address to listen on")
+		pull               = flag.String("pull", "", "harpoq coordinator URL to pull shards from (work-stealing mode)")
+		name               = flag.String("name", "", "with -pull: worker name reported in leases (default addr)")
 		goldenCacheEntries = flag.Int("golden-cache-entries", 0, "with -pull: in-memory golden bundles (0 = default)")
 		tracePath          = flag.String("trace", "", "write a JSONL event trace to this file")
 		metrics            = flag.Bool("metrics", false, "print a metrics summary at exit")
@@ -57,7 +53,7 @@ func main() {
 		// would silently ignore them.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "name", "cache", "cache-entries", "golden-cache-entries":
+			case "name", "golden-cache-entries":
 				fmt.Fprintf(os.Stderr, "harpod: -%s only applies to a -pull worker; add -pull <harpoq URL>\n", f.Name)
 				os.Exit(2)
 			}
@@ -93,16 +89,13 @@ func main() {
 	// push endpoint.
 	pullCtx, pullCancel := context.WithCancel(context.Background())
 	pullDone := make(chan struct{})
-	var worker *queue.Worker
 	if *pull != "" {
 		wname := *name
 		if wname == "" {
 			wname = ln.Addr().String()
 		}
-		worker, err = queue.NewWorker(*pull, queue.WorkerOptions{
+		worker, err := queue.NewWorker(*pull, queue.WorkerOptions{
 			Name:               wname,
-			CacheDir:           *cacheDir,
-			CacheEntries:       *cacheEntries,
 			GoldenCacheEntries: *goldenCacheEntries,
 			Obs:                ob,
 		})
@@ -138,11 +131,6 @@ func main() {
 	}
 	pullCancel()
 	<-pullDone
-	if worker != nil {
-		if err := worker.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "harpod: close cache:", err)
-		}
-	}
 	if err := obFinish(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

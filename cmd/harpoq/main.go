@@ -1,9 +1,10 @@
 // Command harpoq is the Harpocrates campaign-as-a-service coordinator:
 // a durable job queue that accepts fault-injection campaigns and GA
-// evaluation batches over HTTP, shards them, serves every shard it can
-// from a cluster-wide content-addressed result cache, and hands the
-// rest to pulling workers (work-stealing): harpod -pull processes, or
-// its own in-process workers with -local.
+// evaluation batches over HTTP, shards them, serves every shard some
+// earlier job already computed from its own job table (content-addressed
+// by program, configuration and fault spec), and hands the rest to
+// pulling workers (work-stealing): harpod -pull processes, or its own
+// in-process workers with -local.
 //
 // Usage:
 //
@@ -13,12 +14,13 @@
 // Every job and shard completion is persisted to an append-only
 // CRC-checked write-ahead log under -data; kill -9 the coordinator
 // mid-campaign, restart it, and the queue resumes exactly where it was
-// (in-flight shards are re-queued; cached and logged shards are not
-// re-run). On SIGINT/SIGTERM the coordinator drains outstanding
+// (in-flight shards are re-queued; logged shards are not re-run). The
+// WAL and snapshot.json are all -data holds; they are also the result
+// cache. On SIGINT/SIGTERM the coordinator drains outstanding
 // leases, snapshots its state atomically and exits cleanly.
 //
-// GET /metrics serves the Prometheus text exposition of every queue,
-// cache and simulator counter on the same listener.
+// GET /metrics serves the Prometheus text exposition of every queue and
+// simulator counter on the same listener.
 package main
 
 import (
@@ -39,9 +41,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9900", "address to listen on")
-		dataDir      = flag.String("data", "harpoq-data", "durable state directory (WAL, snapshot, cache)")
-		cacheDir     = flag.String("cache", "", "result cache directory (default <data>/cache)")
-		cacheEntries = flag.Int("cache-entries", 0, "in-memory cache entries (0 = default)")
+		dataDir      = flag.String("data", "harpoq-data", "durable state directory (WAL and snapshot, which also serve repeated shards)")
 		shardSize    = flag.Int("shard-size", 32, "campaign specs per shard")
 		evalShard    = flag.Int("eval-shard-size", 8, "genotypes per eval shard")
 		leaseTimeout = flag.Duration("lease-timeout", 2*time.Minute, "re-queue a leased shard after this long")
@@ -70,8 +70,6 @@ func main() {
 	}
 	coord, err := queue.NewCoordinator(queue.Options{
 		DataDir:         *dataDir,
-		CacheDir:        *cacheDir,
-		CacheEntries:    *cacheEntries,
 		ShardSize:       *shardSize,
 		EvalShardSize:   *evalShard,
 		LeaseTimeout:    *leaseTimeout,

@@ -174,8 +174,7 @@ type LeaseResponse struct {
 }
 
 // CompleteRequest returns a leased shard's result. Err reports an
-// execution failure (the coordinator re-queues the shard). Cached marks
-// a worker-side cache hit (the shard was never simulated).
+// execution failure (the coordinator re-queues the shard).
 type CompleteRequest struct {
 	Worker string `json:"worker"`
 	JobID  string `json:"job_id"`
@@ -185,7 +184,6 @@ type CompleteRequest struct {
 	Stats   *inject.Stats    `json:"stats,omitempty"`
 	Results []WireEvalResult `json:"results,omitempty"`
 	Err     string           `json:"err,omitempty"`
-	Cached  bool             `json:"cached,omitempty"`
 }
 
 // CompleteResponse acknowledges a completion. Stale is set when the

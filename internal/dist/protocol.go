@@ -31,8 +31,8 @@ const (
 // configuration (hook fields are rebuilt worker-side from Target/Type).
 //
 // The wire and the key carry the same fields: apart from the routing
-// pair Program/ProgramHash, every field here is hashed into
-// queue.CampaignShardKey. How fast the executing side gets to the
+// pair Program/ProgramHash, every field here is hashed into the queue's
+// shard key. How fast the executing side gets to the
 // result (checkpoint resume, delta termination, golden reuse) is not a
 // property of a request.
 type InjectRequest struct {

@@ -7,12 +7,19 @@ import (
 	"harpocrates/internal/segstore"
 )
 
-// Cache is the cluster-wide content-addressed result cache: encoded
-// shard results keyed by (program hash, config hash, fault-spec hash) in
-// a segstore.Store — 16 append-only seg-XX.log segments with an
-// in-memory LRU of values in front, so a Put is one appended record and
-// concurrent hits contend only on 1/16th of the keyspace. This type adds
-// the key encoding and the queue.cache.* metrics.
+// Cache is an on-disk content-addressed value store: encoded shard
+// results keyed by (program hash, config hash, fault-spec hash) in a
+// segstore.Store — 16 append-only seg-XX.log segments with an in-memory
+// LRU of values in front. This type adds the key encoding and its own
+// queue.cache.* metrics.
+//
+// Nothing in the queue uses it: the coordinator answers repeated shards
+// from its job table (Coordinator.results), and workers keep no results.
+// Its only caller is the benchmark's storage probe (queue.cache_put_us,
+// queue.cache_get_us), which is why the type, its API and its bytes stay
+// as they were. One directory must never be opened twice at once: each
+// Cache appends at its own tracked offset, so two overwrite each other's
+// records.
 type Cache struct {
 	st *segstore.Store
 	ob *obs.Observer

@@ -18,15 +18,9 @@ import (
 
 // Options tunes a coordinator.
 type Options struct {
-	// DataDir is the durable state directory: wal.log, snapshot.json and
-	// (by default) the result cache live under it.
+	// DataDir is the durable state directory: wal.log and snapshot.json
+	// live under it, and nothing else.
 	DataDir string
-	// CacheDir overrides the result-cache directory (default
-	// DataDir/cache). The cache may be shared read-write with pull-mode
-	// workers on the same filesystem.
-	CacheDir string
-	// CacheEntries bounds the in-memory LRU (entries; 0 = default).
-	CacheEntries int
 
 	// ShardSize is the number of campaign specs per shard (default 32);
 	// EvalShardSize the number of genotypes per eval shard (default 8).
@@ -57,9 +51,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CacheDir == "" {
-		o.CacheDir = filepath.Join(o.DataDir, "cache")
-	}
 	if o.ShardSize <= 0 {
 		o.ShardSize = 32
 	}
@@ -79,18 +70,20 @@ func (o Options) withDefaults() Options {
 // durable jobs, serves them to pulling workers shard by shard
 // (work-stealing: idle workers lease the next ready shard, so
 // heterogeneous machines self-balance), re-queues expired leases,
-// persists every transition to the WAL, and serves every shard it can
-// from the content-addressed result cache instead of dispatching it.
+// persists every transition to the WAL, and serves every shard some job
+// already computed instead of dispatching it.
 type Coordinator struct {
-	opts  Options
-	ob    *obs.Observer
-	wal   *WAL
-	cache *Cache
+	opts Options
+	ob   *obs.Observer
+	wal  *WAL
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []*job // every job ever submitted, submit order
-	open      []*job // the non-terminal ones, submit order: all the hot paths walk
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []*job // every job ever submitted, submit order
+	open  []*job // the non-terminal ones, submit order: all the hot paths walk
+	// results is the result cache: the value of every done shard of every
+	// job in order, by content key. Replay rebuilds it with the jobs.
+	results   map[CacheKey][]byte
 	nextSeq   int
 	nextLease uint64
 	pulse     chan struct{} // closed + replaced on every state change
@@ -109,20 +102,15 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("queue: coordinator needs a data dir")
 	}
-	cache, err := OpenCache(opts.CacheDir, opts.CacheEntries, opts.Obs)
-	if err != nil {
-		return nil, err
-	}
 	c := &Coordinator{
-		opts:  opts,
-		ob:    opts.Obs,
-		cache: cache,
-		jobs:  make(map[string]*job),
-		pulse: make(chan struct{}),
-		stop:  make(chan struct{}),
+		opts:    opts,
+		ob:      opts.Obs,
+		jobs:    make(map[string]*job),
+		results: make(map[CacheKey][]byte),
+		pulse:   make(chan struct{}),
+		stop:    make(chan struct{}),
 	}
 	if err := c.recover(); err != nil {
-		cache.Close()
 		return nil, err
 	}
 	c.startLocalWorkers(opts.LocalExec)
@@ -178,7 +166,7 @@ func (c *Coordinator) recover() error {
 				if d.Shard < 0 || d.Shard >= len(j.shards) {
 					return fmt.Errorf("queue: snapshot job %s: shard %d out of range", sj.ID, d.Shard)
 				}
-				c.applyDone(j, d.Shard, d.Value, d.Cached, d.Worker, false)
+				c.applyDone(j, d.Shard, d.Value, d.Cached, d.Worker)
 			}
 			c.jobs[j.id] = j
 			c.order = append(c.order, j)
@@ -199,9 +187,8 @@ func (c *Coordinator) recover() error {
 	}
 	c.ob.Counter("queue.wal.replayed").Add(int64(len(recs)))
 
-	// Re-derive job states and serve whatever the cache already knows:
-	// a restart with a warm cache re-completes shards without a single
-	// simulate call.
+	// Re-derive job states and serve whatever the table already holds:
+	// a shard another job finished re-completes without a simulate call.
 	for _, j := range c.order {
 		if j.terminal() {
 			continue
@@ -211,7 +198,7 @@ func (c *Coordinator) recover() error {
 		c.refreshState(j)
 	}
 	// One fsync for every shard-done just re-served; losing them only
-	// costs the next restart the same cache lookups.
+	// costs the next restart the same lookups.
 	if err := c.wal.Sync(); err != nil {
 		c.ob.Counter("queue.wal.errors").Inc()
 	}
@@ -260,7 +247,7 @@ func (c *Coordinator) replayRecord(rec Record) error {
 			return fmt.Errorf("queue: replay: job %s shard %d out of range", wd.ID, wd.Shard)
 		}
 		if j.shards[wd.Shard].state != shardDone {
-			c.applyDone(j, wd.Shard, wd.Value, wd.Cached, wd.Worker, false)
+			c.applyDone(j, wd.Shard, wd.Value, wd.Cached, wd.Worker)
 		}
 	case recCancel:
 		var wc walCancel
@@ -279,9 +266,10 @@ func (c *Coordinator) replayRecord(rec Record) error {
 	return nil
 }
 
-// applyDone marks one shard complete and emits its stream event.
-// Caller holds c.mu (or is single-threaded recovery).
-func (c *Coordinator) applyDone(j *job, i int, value []byte, cached bool, worker string, put bool) {
+// applyDone marks one shard complete, indexes its value by key and
+// emits its stream event. Caller holds c.mu (or is single-threaded
+// recovery).
+func (c *Coordinator) applyDone(j *job, i int, value []byte, cached bool, worker string) {
 	s := j.shards[i]
 	s.state = shardDone
 	s.value = value
@@ -291,37 +279,36 @@ func (c *Coordinator) applyDone(j *job, i int, value []byte, cached bool, worker
 	if cached {
 		j.cached++
 	}
-	if put {
-		if err := c.cache.Put(s.key, value); err != nil {
-			c.ob.Counter("queue.cache.put_errors").Inc()
-		}
-	}
+	c.results[s.key] = value
 	j.events = append(j.events, dist.StreamEvent{
 		JobID: j.id, Shard: i, Lo: s.lo, Hi: s.hi, Cached: cached, Worker: worker,
 	})
 }
 
-// serveFromCache completes every still-ready shard whose key the cache
-// holds. Their shard-done records are appended but not yet durable: the
-// caller owes one wal.Sync for the lot. Caller holds c.mu (or recovery).
+// serveFromCache completes every still-ready shard whose key a done
+// shard of any job shares. Their shard-done records are appended but not
+// yet durable: the caller owes one wal.Sync for the lot. Caller holds
+// c.mu (or recovery).
 func (c *Coordinator) serveFromCache(j *job) {
 	for i, s := range j.shards {
 		if s.state != shardReady {
 			continue
 		}
-		value, ok := c.cache.Get(s.key)
+		value, ok := c.results[s.key]
 		if !ok {
+			c.ob.Counter("queue.cache.misses").Inc()
 			continue
 		}
+		c.ob.Counter("queue.cache.hits").Inc()
 		if err := j.decodeShardValue(i, value); err != nil {
-			// A corrupt or mismatched cache entry is treated as a miss;
-			// the shard simulates normally.
+			// A corrupt or mismatched value is treated as a miss; the
+			// shard simulates normally.
 			c.ob.Counter("queue.cache.decode_errors").Inc()
 			continue
 		}
 		c.ob.Counter("queue.shards.cached").Inc()
 		c.walShardDone(j, i, value, true, "", false)
-		c.applyDone(j, i, value, true, "", false)
+		c.applyDone(j, i, value, true, "")
 	}
 }
 
@@ -404,7 +391,7 @@ func (c *Coordinator) pulseChan() <-chan struct{} {
 }
 
 // Submit validates, persists and enqueues one job, serving every shard
-// it can from the result cache before any dispatch. It returns once the
+// some job already computed before any dispatch. It returns once the
 // job is durable: the submit record and the shard-done records of the
 // cache-served shards share one fsync.
 func (c *Coordinator) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, error) {
@@ -625,11 +612,8 @@ func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteRespons
 	}
 	c.ob.Histogram("queue.shard.ns").ObserveDuration(time.Since(s.leasedAt))
 	c.ob.Counter("queue.shards.completed").Inc()
-	if req.Cached {
-		c.ob.Counter("queue.shards.worker_cached").Inc()
-	}
-	c.walShardDone(j, req.Shard, value, req.Cached, req.Worker, true)
-	c.applyDone(j, req.Shard, value, req.Cached, req.Worker, true)
+	c.walShardDone(j, req.Shard, value, false, req.Worker, true)
+	c.applyDone(j, req.Shard, value, false, req.Worker)
 	c.refreshState(j)
 	c.maybeCompactLocked()
 	c.broadcast()
@@ -824,9 +808,6 @@ func (c *Coordinator) Close(ctx context.Context) error {
 	if err := c.wal.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if err := c.cache.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
 	return firstErr
 }
 
@@ -882,7 +863,3 @@ func boundsOf(j *job) [][2]int {
 	}
 	return out
 }
-
-// Cache exposes the coordinator's result cache (worker-side lookups in
-// tests; the CLI surfaces it for inspection).
-func (c *Coordinator) Cache() *Cache { return c.cache }

@@ -112,6 +112,14 @@ func FuzzServerBodies(f *testing.F) {
 				m.target, m.typ, m.burst, code, len(coord.List()))
 		}
 	}
+	// An older harpod marked a completion served from its own result
+	// cache with "cached":true. The field is gone; json.Unmarshal ignores
+	// it, so such a body is answered as it would be without it.
+	legacy := add(json.RawMessage(`{"worker":"w","job_id":"j-000000","shard":0,"lease":1,"stats":{"n":0},"cached":true}`))
+	// endpoints[4] is POST /v1/complete.
+	if code := post(4, legacy, int64(len(legacy))); code < 200 || code >= 500 {
+		f.Fatalf("a completion carrying \"cached\":true answered %d, want 2xx/4xx", code)
+	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
 		code := post(endpoint, body, int64(len(body)))
 		if code < 200 || code > 599 {

@@ -39,7 +39,8 @@ type shardRec struct {
 	cached bool
 	// value is the encoded result of a done shard: HXSR stats bytes for
 	// campaign shards, JSON-encoded []dist.WireEvalResult for eval
-	// shards — the same bytes the WAL records and the cache stores.
+	// shards — the same bytes the WAL records, indexed by key in
+	// Coordinator.results.
 	value []byte
 }
 
@@ -85,7 +86,7 @@ func planBounds(n, size int) [][2]int {
 // newJob builds the in-memory job for a validated request and planned
 // bounds; the caller names it (id, seq). This is the one place a job's
 // program bytes and configuration are hashed: every shard key is derived
-// here, equal word for word to CampaignShardKey / EvalShardKey of the
+// here, equal word for word to campaignShardKey / evalShardKey of the
 // shard's request, so submit, completion and replay never touch them
 // again.
 func newJob(req *dist.JobRequest, bounds [][2]int) *job {
@@ -99,7 +100,7 @@ func newJob(req *dist.JobRequest, bounds [][2]int) *job {
 		}
 	} else {
 		cfg := evalConfig(req.Eval)
-		key = func(lo, hi int) CacheKey { return evalShardKey(req.Eval, cfg, req.Eval.Genotypes[lo:hi]) }
+		key = func(lo, hi int) CacheKey { return evalKey(req.Eval, cfg, req.Eval.Genotypes[lo:hi]) }
 	}
 	j.shards = make([]*shardRec, len(bounds))
 	for i, b := range bounds {

@@ -51,9 +51,10 @@ func hashJSON(v any) uint64 {
 	return corpus.HashBytes(data)
 }
 
-// CampaignShardKey derives the content-addressed cache key of one
-// campaign shard request ([Lo, Hi) of the campaign's N specs).
-func CampaignShardKey(req *dist.InjectRequest) CacheKey {
+// campaignShardKey derives the content-addressed key of one campaign
+// shard request ([Lo, Hi) of the campaign's N specs) — the reference
+// definition newJob's precomputed keys are tested against.
+func campaignShardKey(req *dist.InjectRequest) CacheKey {
 	return CacheKey{
 		Program: corpus.HashBytes(req.Program),
 		Config:  hashJSON(req.Cfg),
@@ -76,10 +77,11 @@ func campaignSpec(req *dist.InjectRequest, lo, hi int) uint64 {
 	return spec
 }
 
-// EvalShardKey derives the content-addressed cache key of one
-// evaluation shard request (its genotype slice).
-func EvalShardKey(req *dist.EvalRequest) CacheKey {
-	return evalShardKey(req, evalConfig(req), req.Genotypes)
+// evalShardKey derives the content-addressed key of one evaluation
+// shard request (its genotype slice) — the reference definition, as
+// campaignShardKey is.
+func evalShardKey(req *dist.EvalRequest) CacheKey {
+	return evalKey(req, evalConfig(req), req.Genotypes)
 }
 
 // evalConfig is the Config word every shard of an eval request shares.
@@ -90,8 +92,8 @@ func evalConfig(req *dist.EvalRequest) uint64 {
 	return cfg
 }
 
-// evalShardKey keys the shard of req that grades genotypes.
-func evalShardKey(req *dist.EvalRequest, cfg uint64, genotypes [][]byte) CacheKey {
+// evalKey keys the shard of req that grades genotypes.
+func evalKey(req *dist.EvalRequest, cfg uint64, genotypes [][]byte) CacheKey {
 	prog := stats.HashInit
 	for _, g := range genotypes {
 		prog = foldBytes(prog, g)

@@ -26,19 +26,19 @@ func evalJob(n int) *dist.JobRequest {
 	}}
 }
 
-// exportedShardKey is shard i's key by the exported definitions, from
-// the shard's self-contained request — what a worker derives.
-func exportedShardKey(j *job, i int) CacheKey {
+// referenceShardKey is shard i's key by the reference definitions, from
+// the shard's self-contained request.
+func referenceShardKey(j *job, i int) CacheKey {
 	if j.req.Kind == dist.JobCampaign {
-		return CampaignShardKey(j.shardInjectReq(i))
+		return campaignShardKey(j.shardInjectReq(i))
 	}
-	return EvalShardKey(j.shardEvalReq(i))
+	return evalShardKey(j.shardEvalReq(i))
 }
 
 // The keys a job derives once (program and configuration hashed a single
-// time, the O(1) spec folded per shard) are word for word the exported
-// per-request keys workers derive, for every shard of both job kinds —
-// fresh, and rebuilt by WAL replay.
+// time, the O(1) spec folded per shard) are word for word the reference
+// per-request keys, for every shard of both job kinds — fresh, and
+// rebuilt by WAL replay.
 func TestShardKeyEqualsCampaignShardKey(t *testing.T) {
 	c, p := testCampaign(t, 37) // a short last shard
 	dir := t.TempDir()
@@ -53,8 +53,8 @@ func TestShardKeyEqualsCampaignShardKey(t *testing.T) {
 				t.Fatalf("%s: %s job planned %d shards", when, j.req.Kind, len(j.shards))
 			}
 			for i, s := range j.shards {
-				if want := exportedShardKey(j, i); s.key != want {
-					t.Fatalf("%s: %s job shard %d key %+v, exported definition %+v", when, j.req.Kind, i, s.key, want)
+				if want := referenceShardKey(j, i); s.key != want {
+					t.Fatalf("%s: %s job shard %d key %+v, reference definition %+v", when, j.req.Kind, i, s.key, want)
 				}
 			}
 		}
@@ -70,28 +70,6 @@ func TestShardKeyEqualsCampaignShardKey(t *testing.T) {
 	coord = newTestCoordinator(t, dir, 0, nil)
 	defer closeCoordinator(t, coord)
 	check(coord, "replayed")
-}
-
-// One key recorded from the implementation that hashed the program
-// byte by byte through Mix64: result caches written by older binaries
-// stay addressable.
-func TestCampaignShardKeyPinned(t *testing.T) {
-	ramp := make([]byte, 1000)
-	for i := range ramp {
-		ramp[i] = byte(i*7 + 3)
-	}
-	req := &dist.InjectRequest{
-		Program: ramp, Target: "irf", Type: "transient", N: 40, Lo: 8, Hi: 16,
-		Seed: 7, IntermittentLen: 3, BurstLen: 2, Cfg: uarch.DefaultConfig(),
-	}
-	want := CacheKey{Program: 0x3c69012f8dcb86c5, Config: 0x454f96fea3feffba, Spec: 0x220272ede96ed868}
-	if got := CampaignShardKey(req); got != want {
-		t.Fatalf("CampaignShardKey = %#v, recorded %#v", got, want)
-	}
-	j := newJob(&dist.JobRequest{Kind: dist.JobCampaign, Inject: req}, [][2]int{{0, 8}, {8, 16}})
-	if j.shards[1].key != want {
-		t.Fatalf("job shard key = %#v, recorded %#v", j.shards[1].key, want)
-	}
 }
 
 // perturb changes every JSON-visible leaf under v, one at a time, and
@@ -132,7 +110,7 @@ func perturb(t *testing.T, path string, v reflect.Value, visit func(path string)
 
 // The wire and the key carry the same fields: changing anything a
 // dist.InjectRequest carries, bar the pair that routes the program
-// bytes, changes CampaignShardKey. A field the key does not hash is one
+// bytes, changes campaignShardKey. A field the key does not hash is one
 // the queue would answer from a result computed under another setting
 // of it, so it has no business on the wire.
 func TestWireIsTheKey(t *testing.T) {
@@ -140,7 +118,7 @@ func TestWireIsTheKey(t *testing.T) {
 		Program: []byte("program"), Target: "irf", Type: "transient", N: 40, Lo: 8, Hi: 16,
 		Seed: 7, IntermittentLen: 3, BurstLen: 2, Cfg: uarch.DefaultConfig(),
 	}
-	ref := CampaignShardKey(req)
+	ref := campaignShardKey(req)
 	v := reflect.ValueOf(req).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
@@ -148,12 +126,12 @@ func TestWireIsTheKey(t *testing.T) {
 			continue
 		}
 		perturb(t, name, v.Field(i), func(path string) {
-			if CampaignShardKey(req) == ref {
-				t.Errorf("InjectRequest.%s travels the wire but is not in CampaignShardKey", path)
+			if campaignShardKey(req) == ref {
+				t.Errorf("InjectRequest.%s travels the wire but is not in campaignShardKey", path)
 			}
 		})
 	}
-	if CampaignShardKey(req) != ref {
+	if campaignShardKey(req) != ref {
 		t.Fatal("perturb did not restore the request")
 	}
 }

@@ -86,7 +86,6 @@ func crashCoordinator(c *Coordinator) {
 	close(c.stop)
 	c.bg.Wait()
 	c.wal.Close()
-	c.cache.Close()
 }
 
 // The acceptance property: a campaign submitted through the queue is
@@ -306,11 +305,6 @@ func TestQueueCrashTruncatedWAL(t *testing.T) {
 	if err := os.WriteFile(walPath, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The torn shard's result is also in the cache — wipe the cache too,
-	// to force a genuine re-run rather than a cache rescue.
-	if err := os.RemoveAll(filepath.Join(dir, "cache")); err != nil {
-		t.Fatal(err)
-	}
 
 	coord2 := newTestCoordinator(t, dir, 2, nil)
 	defer closeCoordinator(t, coord2)
@@ -478,10 +472,10 @@ func TestQueuePriorityOrder(t *testing.T) {
 	}
 }
 
-// Full HTTP round trip: coordinator behind httptest, a pulling Worker
-// with a worker-side cache, a Client submitting and awaiting. The
-// merged result is bit-identical; a second identical job is served by
-// the coordinator cache without the worker seeing a single lease.
+// Full HTTP round trip: coordinator behind httptest, a pulling Worker,
+// a Client submitting and awaiting. The merged result is bit-identical;
+// a second identical job is served by the coordinator without the worker
+// seeing a single lease.
 func TestQueueHTTPEndToEnd(t *testing.T) {
 	cmp, p := testCampaign(t, 40)
 	local, err := cmp.Run()
@@ -496,10 +490,9 @@ func TestQueueHTTPEndToEnd(t *testing.T) {
 
 	wreg := obs.NewRegistry()
 	worker, err := NewWorker(srv.URL, WorkerOptions{
-		Name:     "puller",
-		CacheDir: t.TempDir(),
-		WaitMs:   200,
-		Obs:      obs.New(wreg, nil),
+		Name:   "puller",
+		WaitMs: 200,
+		Obs:    obs.New(wreg, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -558,82 +551,6 @@ func TestQueueHTTPEndToEnd(t *testing.T) {
 	}
 	cancel()
 	<-workerDone
-}
-
-// The worker-side cache short-circuits simulation: a worker that
-// already holds a shard's result completes it as Cached without
-// executing, and the coordinator counts it.
-func TestQueueWorkerSideCache(t *testing.T) {
-	cmp, p := testCampaign(t, 16)
-	reg := obs.NewRegistry()
-	coord := newTestCoordinator(t, t.TempDir(), 0, reg)
-	defer closeCoordinator(t, coord)
-	srv := httptest.NewServer(NewServer(coord).Handler())
-	defer srv.Close()
-
-	cacheDir := t.TempDir()
-	worker, err := NewWorker(srv.URL, WorkerOptions{Name: "w", CacheDir: cacheDir, WaitMs: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer worker.Close()
-
-	// Pre-warm the worker cache by hand: execute the job's shard
-	// requests directly and Put them under their keys.
-	sub, err := NewClient(srv.URL).Submit(campaignJob(t, cmp, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold every shard's lease at once (a failed lease would re-queue
-	// and be handed right back), warm the cache, then fail them all so
-	// the shards re-queue for the real worker.
-	var leases []*dist.LeaseResponse
-	for {
-		lease, err := coord.Lease("warmer", 100*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lease.JobID == "" {
-			break
-		}
-		leases = append(leases, lease)
-	}
-	if len(leases) != sub.Shards {
-		t.Fatalf("warmed %d leases, want %d", len(leases), sub.Shards)
-	}
-	for _, lease := range leases {
-		st, err := dist.RunInjectCached(lease.Inject, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := worker.Cache().Put(CampaignShardKey(lease.Inject), inject.EncodeStats(st)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := coord.Complete(&dist.CompleteRequest{
-			Worker: "warmer", JobID: lease.JobID, Shard: lease.Shard, Lease: lease.Lease,
-			Err: "warm-up only",
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	workerDone := make(chan struct{})
-	go func() { defer close(workerDone); worker.Run(ctx) }()
-	if _, err := coord.Wait(sub.ID); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	<-workerDone
-
-	if got := reg.Counter("queue.shards.worker_cached").Load(); got != int64(sub.Shards) {
-		t.Fatalf("worker-cached completions = %d, want %d", got, sub.Shards)
-	}
-	st, _ := coord.Status(sub.ID)
-	if st.State != dist.JobStateDone {
-		t.Fatalf("job state %s", st.State)
-	}
 }
 
 // The JSONL stream endpoint delivers one event per shard plus the

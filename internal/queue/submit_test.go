@@ -187,7 +187,6 @@ func TestSubmitCrashBeforeSyncReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
 	walPath := filepath.Join(dir, "wal.log")
 	coord := newTestCoordinator(t, dir, 0, nil)
 	sub, err := coord.Submit(campaignJob(t, c, p))
@@ -217,7 +216,7 @@ func TestSubmitCrashBeforeSyncReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		rec, err := NewCoordinator(Options{DataDir: crashDir, CacheDir: cacheDir, ShardSize: 8, Obs: obs.New(reg, nil)})
+		rec, err := NewCoordinator(Options{DataDir: crashDir, ShardSize: 8, Obs: obs.New(reg, nil)})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}

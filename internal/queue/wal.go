@@ -1,12 +1,11 @@
 // Package queue is the campaign-as-a-service layer of the Harpocrates
 // reproduction: a durable job coordinator (submit / status / stream /
 // cancel over the internal/dist v1 wire protocol) with work-stealing
-// lease dispatch across heterogeneous pull-mode workers, a push-mode
-// fallback for legacy workers, crash-safe append-only WAL + snapshot
-// persistence of every job and shard, and a cluster-wide
-// content-addressed result cache keyed by (program hash, config hash,
-// fault-spec hash) so no identical fault is ever simulated twice
-// fleet-wide.
+// lease dispatch across heterogeneous pull-mode workers, crash-safe
+// append-only WAL + snapshot persistence of every job and shard, and a
+// content-addressed result cache — the job table itself, keyed by
+// (program hash, config hash, fault-spec hash) — so no shard any job
+// finished is ever simulated again.
 //
 // Determinism: a job's merged result is assembled from shard results in
 // shard-index order (inject.MergeStats for campaigns, positional

@@ -2,7 +2,6 @@ package queue
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -17,20 +16,12 @@ type WorkerOptions struct {
 	// Name identifies the worker in leases and metrics (default the
 	// process hostname is NOT consulted — pass something meaningful).
 	Name string
-	// CacheDir, if set, opens a worker-side content-addressed result
-	// cache: a leased shard whose key is already cached completes
-	// without simulating, and fresh results are stored for the next
-	// lease. Point several workers at a shared filesystem to pool it.
-	CacheDir string
-	// CacheEntries bounds the worker cache's in-memory LRU.
-	CacheEntries int
 	// WaitMs is the long-poll wait per lease request (default 30s).
 	WaitMs int
 	// GoldenCacheEntries bounds the golden bundles (inject golden runs:
 	// result, checkpoints, trajectory, interval logs) held in memory
-	// (<= 0 means inject.DefaultGoldenCacheEntries). Independent of
-	// CacheDir — the result cache skips whole shards, the golden cache
-	// skips the fixed cost of shards that still simulate.
+	// (<= 0 means inject.DefaultGoldenCacheEntries), so a job's later
+	// shards skip the golden run its first one paid for.
 	GoldenCacheEntries int
 	// Obs receives worker counters; may be nil.
 	Obs *obs.Observer
@@ -74,11 +65,9 @@ type Worker struct {
 	opts   WorkerOptions
 	ob     *obs.Observer
 	client *http.Client
-	cache  *Cache
 	golden *inject.GoldenCache
-	// executed names the counter of shards actually simulated (cache
-	// hits excluded); in-process workers report under the coordinator's
-	// queue.shards.executed_local.
+	// executed names the counter of shards simulated; in-process workers
+	// report under the coordinator's queue.shards.executed_local.
 	executed string
 	// errorBackoff paces a worker whose lease call or executor failed,
 	// so a restarting coordinator or a poisoned shard is not hammered.
@@ -97,27 +86,17 @@ func newWorker(opts WorkerOptions, executed string) *Worker {
 	return &Worker{opts: opts, ob: opts.Obs, executed: executed, errorBackoff: time.Second}
 }
 
-// NewWorker builds a worker against a coordinator base URL, opening the
-// optional worker-side cache.
+// NewWorker builds a worker against a coordinator base URL. It opens
+// no file; the error is always nil.
 func NewWorker(base string, opts WorkerOptions) (*Worker, error) {
 	w := newWorker(opts, "queue.worker.shards_executed")
 	w.base, w.client = dist.NormalizeURL(base), &http.Client{}
-	if opts.CacheDir != "" {
-		cache, err := OpenCache(opts.CacheDir, opts.CacheEntries, opts.Obs)
-		if err != nil {
-			return nil, err
-		}
-		w.cache = cache
-	}
 	w.golden = inject.NewGoldenCache(opts.GoldenCacheEntries)
 	return w, nil
 }
 
-// Cache exposes the worker-side cache (nil when none was configured).
-func (w *Worker) Cache() *Cache { return w.cache }
-
-// Close releases the worker-side result cache.
-func (w *Worker) Close() error { return w.cache.Close() }
+// Close releases nothing — a worker holds no file — and returns nil.
+func (w *Worker) Close() error { return nil }
 
 // Run pulls and executes shards until ctx is cancelled. Transport
 // errors (coordinator restarting) back off and retry; the loop only
@@ -167,8 +146,7 @@ func (w *Worker) step(ctx context.Context, coord leaser) bool {
 	return comp.Err == ""
 }
 
-// execute runs one leased shard, consulting the worker-side cache
-// before simulating and feeding it after.
+// execute runs one leased shard.
 func (w *Worker) execute(lease *dist.LeaseResponse) *dist.CompleteRequest {
 	comp := &dist.CompleteRequest{}
 	if lease.Kind == dist.JobCampaign {
@@ -185,60 +163,20 @@ func (w *Worker) execute(lease *dist.LeaseResponse) *dist.CompleteRequest {
 			}
 			req.Program = wire
 		}
-		// Deriving the key is a pass over the program; a worker without
-		// a result cache (nil: every Get misses, every Put is dropped)
-		// skips it.
-		var key CacheKey
-		if w.cache != nil {
-			key = CampaignShardKey(req)
-		}
-		if value, ok := w.cache.Get(key); ok {
-			if st, err := inject.DecodeStats(value); err == nil && st.N == req.Hi-req.Lo {
-				w.ob.Counter("queue.worker.cache_hits").Inc()
-				comp.Stats = st
-				comp.Cached = true
-				return comp
-			}
-		}
 		st, err := dist.RunInjectCached(req, w.ob, w.golden)
 		if err != nil {
 			comp.Err = err.Error()
 			return comp
 		}
-		w.ob.Counter(w.executed).Inc()
 		comp.Stats = st
-		w.cachePut(key, inject.EncodeStats(st))
-		return comp
-	}
-
-	var key CacheKey
-	if w.cache != nil {
-		key = EvalShardKey(lease.Eval)
-	}
-	if value, ok := w.cache.Get(key); ok {
-		var res []dist.WireEvalResult
-		if err := json.Unmarshal(value, &res); err == nil && len(res) == len(lease.Eval.Genotypes) {
-			w.ob.Counter("queue.worker.cache_hits").Inc()
-			comp.Results = res
-			comp.Cached = true
+	} else {
+		res, err := dist.RunEval(lease.Eval)
+		if err != nil {
+			comp.Err = err.Error()
 			return comp
 		}
-	}
-	res, err := dist.RunEval(lease.Eval)
-	if err != nil {
-		comp.Err = err.Error()
-		return comp
+		comp.Results = res
 	}
 	w.ob.Counter(w.executed).Inc()
-	comp.Results = res
-	if value, err := json.Marshal(res); err == nil {
-		w.cachePut(key, value)
-	}
 	return comp
-}
-
-func (w *Worker) cachePut(key CacheKey, value []byte) {
-	if err := w.cache.Put(key, value); err != nil {
-		w.ob.Counter("queue.worker.cache_put_errors").Inc()
-	}
 }

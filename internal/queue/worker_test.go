@@ -71,9 +71,9 @@ func shardLease(t *testing.T, n int) *dist.LeaseResponse {
 	return &dist.LeaseResponse{JobID: "j-000001", Shard: 3, Lease: 17, Kind: dist.JobCampaign, Inject: req}
 }
 
-func testWorker(t *testing.T, reg *obs.Registry, cacheDir string, backoff time.Duration) *Worker {
+func testWorker(t *testing.T, reg *obs.Registry, backoff time.Duration) *Worker {
 	t.Helper()
-	w, err := NewWorker("unused:1", WorkerOptions{Name: "w", WaitMs: 1, CacheDir: cacheDir, Obs: obs.New(reg, nil)})
+	w, err := NewWorker("unused:1", WorkerOptions{Name: "w", WaitMs: 1, Obs: obs.New(reg, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func testWorker(t *testing.T, reg *obs.Registry, cacheDir string, backoff time.D
 func TestWorkerLeaseErrorsBackOff(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := &fakeLeaser{leaseErr: errors.New("coordinator restarting")}
-	runAgainst(t, testWorker(t, reg, "", 20*time.Millisecond), f, func() { time.Sleep(110 * time.Millisecond) })
+	runAgainst(t, testWorker(t, reg, 20*time.Millisecond), f, func() { time.Sleep(110 * time.Millisecond) })
 	if f.calls < 2 || f.calls > 7 {
 		t.Fatalf("%d lease attempts in 110ms at a 20ms backoff", f.calls)
 	}
@@ -105,7 +105,7 @@ func TestWorkerStaleCompletion(t *testing.T) {
 	reg := obs.NewRegistry()
 	lease := shardLease(t, 4)
 	f := &fakeLeaser{leases: []*dist.LeaseResponse{lease}, stale: true, done: make(chan struct{})}
-	runAgainst(t, testWorker(t, reg, "", time.Second), f, func() { <-f.done })
+	runAgainst(t, testWorker(t, reg, time.Second), f, func() { <-f.done })
 	if got := reg.Counter("queue.worker.stale_completes").Load(); got != 1 {
 		t.Fatalf("stale_completes = %d, want 1", got)
 	}
@@ -122,22 +122,19 @@ func TestWorkerStaleCompletion(t *testing.T) {
 	}
 }
 
-// An executor failure travels back as CompleteRequest.Err, leaves
-// nothing in the worker cache, and paces the next lease.
+// An executor failure travels back as CompleteRequest.Err and paces the
+// next lease.
 func TestWorkerExecutorError(t *testing.T) {
 	reg := obs.NewRegistry()
 	lease := shardLease(t, 4)
 	lease.Inject.Program = []byte("not an HXPG program")
 	f := &fakeLeaser{leases: []*dist.LeaseResponse{lease}, done: make(chan struct{})}
 	// An hour's backoff: a second lease before cancel fails the test.
-	w := testWorker(t, reg, t.TempDir(), time.Hour)
+	w := testWorker(t, reg, time.Hour)
 	runAgainst(t, w, f, func() { <-f.done; time.Sleep(10 * time.Millisecond) })
 	comp := f.completed[0]
-	if comp.Err == "" || comp.Stats != nil || comp.Cached {
+	if comp.Err == "" || comp.Stats != nil {
 		t.Fatalf("completion %+v, want only Err", comp)
-	}
-	if _, ok := w.Cache().Get(CampaignShardKey(lease.Inject)); ok {
-		t.Fatal("failed shard was cached")
 	}
 	if f.calls != 1 {
 		t.Fatalf("%d lease calls; the failed shard should have backed the worker off", f.calls)

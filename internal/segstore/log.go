@@ -1,7 +1,7 @@
 // Package segstore is the repo's one on-disk record layer: a Log of
 // CRC-framed records, a Store (sharded first-write-wins keyed index over
-// Logs) and WriteFileAtomic. The queue result cache, the golden disk
-// tier and the coordinator WAL are all this frame with a different tag
+// Logs) and WriteFileAtomic. The coordinator WAL and queue.Cache (kept
+// for the benchmark's storage probe) are this frame with a different tag
 // width:
 //
 //	[tag: TagSize bytes][u32 payload len LE][u32 crc32-IEEE(payload) LE][payload]

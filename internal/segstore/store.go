@@ -20,6 +20,10 @@ const Shards = 16
 // write wins and concurrent Puts of one key are harmless. Only the index
 // is always resident; values are re-read from their segment on demand,
 // behind a per-shard LRU of raw values.
+//
+// Its one caller is queue.Cache, whose one caller is the benchmark's
+// storage probe; no daemon opens a Store. A Store owns its directory:
+// two Stores over one directory overwrite each other's records.
 type Store struct {
 	memCap  int           // LRU values per shard
 	onEvict func(n int64) // told of LRU evictions, outside any lock
