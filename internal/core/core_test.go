@@ -366,11 +366,14 @@ func TestRunEmitsTraceAndPhaseTimings(t *testing.T) {
 		Name   string         `json:"name"`
 		Fields map[string]any `json:"fields"`
 	}
-	itEnds, runEnds := 0, 0
+	itBegins, itEnds, runEnds := 0, 0, 0
 	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
 		var r rec
 		if err := json.Unmarshal(line, &r); err != nil {
 			t.Fatalf("trace line %d unparseable: %v\n%s", i, err, line)
+		}
+		if r.Ev == "begin" && r.Name == "iteration" {
+			itBegins++
 		}
 		if r.Ev == "end" && r.Name == "iteration" {
 			itEnds++
@@ -382,15 +385,23 @@ func TestRunEmitsTraceAndPhaseTimings(t *testing.T) {
 			runEnds++
 		}
 	}
-	if itEnds != res.Iterations {
-		t.Fatalf("%d iteration end-spans, want %d", itEnds, res.Iterations)
+	if itBegins != res.Iterations || itEnds != res.Iterations {
+		t.Fatalf("%d iteration begin-spans and %d end-spans, want %d", itBegins, itEnds, res.Iterations)
 	}
 	if runEnds != 1 {
 		t.Fatalf("%d run end-spans, want 1", runEnds)
 	}
 
-	// Phase wall-clock timings must account for (nearly) the whole run:
-	// everything outside the named phases is bookkeeping.
+	// Phase wall-clock timings are structural, not a share of the run:
+	// every phase ran, the phases nest inside the run (their sum cannot
+	// exceed it beyond timer granularity), and the select phase left one
+	// history entry per iteration. How much of the run the phases account
+	// for is a wall-clock ratio that a loaded machine moves at will, so it
+	// is not asserted.
+	if len(res.History.Best) != res.Iterations || len(res.History.MeanTopK) != res.Iterations {
+		t.Fatalf("history holds %d best / %d mean entries for %d iterations",
+			len(res.History.Best), len(res.History.MeanTopK), res.Iterations)
+	}
 	phases := []string{
 		"core.phase.generate.wall_ns", "core.phase.evaluate.wall_ns",
 		"core.phase.select.wall_ns", "core.phase.mutate.wall_ns",
@@ -407,8 +418,8 @@ func TestRunEmitsTraceAndPhaseTimings(t *testing.T) {
 	if run <= 0 {
 		t.Fatal("core.run.wall_ns empty")
 	}
-	if float64(sum) < 0.90*float64(run) || float64(sum) > 1.01*float64(run) {
-		t.Fatalf("phase timings sum %d ns vs run %d ns (%.1f%% accounted)",
+	if float64(sum) > 1.01*float64(run) {
+		t.Fatalf("phase timings sum %d ns exceed run %d ns (%.1f%%)",
 			sum, run, 100*float64(sum)/float64(run))
 	}
 	if got := reg.Counter("core.iterations").Load(); got != int64(res.Iterations) {

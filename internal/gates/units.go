@@ -156,9 +156,13 @@ func (u *FPUnit) special(bits uint64) bool {
 	return exp == 0 || exp == 1<<uint(u.expBits)-1
 }
 
+// Bypasses reports whether Op64 answers (a, b) natively rather than
+// through the netlist, so no gate fault can reach the result.
+func (u *FPUnit) Bypasses(a, b uint64) bool { return u.special(a) || u.special(b) }
+
 // Op64 applies the unit to two double bit patterns.
 func (u *FPUnit) Op64(a, b uint64) uint64 {
-	if u.special(a) || u.special(b) {
+	if u.Bypasses(a, b) {
 		fa, fb := math.Float64frombits(a), math.Float64frombits(b)
 		if u.isAdder {
 			return math.Float64bits(fa + fb)

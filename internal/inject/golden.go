@@ -17,10 +17,11 @@ import (
 // Every RunRange pays for one instrumented golden run before it
 // simulates a single fault, and the golden run depends only on the
 // program and the scalar golden configuration — not on the target
-// structure (modulo FP netlist routing), the fault type, the seed or
-// the shard bounds. A six-structure ranking sweep over one program
-// therefore used to run six bit-identical golden simulations; a pull
-// worker leasing six shards of one campaign ran six more. The cache
+// structure (modulo the functional units' golden classes), the fault
+// type, the seed or the shard bounds. A six-structure ranking sweep over
+// one program therefore used to run six bit-identical golden
+// simulations; a pull worker leasing six shards of one campaign ran six
+// more. The cache
 // collapses all of them to one compute per (program, config) key: an
 // in-process LRU with single-flight, shared by every campaign in the
 // process (corpus ranking sweeps, the local Workers-parallel path, queue
@@ -35,7 +36,7 @@ import (
 // instrumentation (interval recorders, checkpoints, the delta
 // trajectory) is purely observational, and the key captures exactly
 // the inputs the golden run reads: the program bytes and the scalar
-// fields of goldenConfig, with the FP-netlist class folded in. What a
+// fields of goldenConfig, with the golden class folded in. What a
 // shared bundle records is fixed (buildGolden), so it is a pure function
 // of that key.
 
@@ -213,15 +214,21 @@ func (g *GoldenCache) approxBytes() int {
 }
 
 // goldenClass distinguishes golden runs whose functional-unit routing
-// differs: FP targets execute through the fault-free netlists
-// (goldenConfig installs the hooks), and hooks are invisible to the
-// config's JSON form, so the class is folded into the key explicitly.
+// or recording differs: FP targets execute through the fault-free
+// netlists (goldenConfig installs the hooks), and each functional-unit
+// target records its own unit's operand stream (buildGolden). Hooks are
+// invisible to the config's JSON form, so the class is folded into the
+// key explicitly. Every other target is class 0.
 func (c *Campaign) goldenClass() uint64 {
 	switch c.Target {
 	case coverage.FPAdd:
 		return 1
 	case coverage.FPMul:
 		return 2
+	case coverage.IntAdder:
+		return 3
+	case coverage.IntMul:
+		return 4
 	}
 	return 0
 }
@@ -261,13 +268,16 @@ func (c *Campaign) goldenCacheable() bool {
 // prologue, and returns everything RunRange reads from it. What the run
 // records besides its Result follows from who will read the bundle:
 //
-//   - shared (it goes into a GoldenCache): all three interval logs, the
-//     delta trajectory and checkpoints at the constant spacing, whatever
-//     this campaign targets — a pure function of (program, config) that
-//     any campaign on the key can pre-classify and terminate against;
+//   - shared (it goes into a GoldenCache): the delta trajectory and
+//     checkpoints at the constant spacing, plus everything any campaign
+//     on the key can pre-classify against — all three interval logs on
+//     class 0, the unit's operand stream on a functional-unit class —
+//     whatever this campaign targets, so the bundle is a pure function
+//     of (program, config, class);
 //   - not shared: checkpoints plus exactly what this campaign reads —
 //     its own target's log if it pre-classifies (transient faults in a
-//     bit array), the trajectory if it is delta-eligible;
+//     bit array), its unit's operand stream (functional units), the
+//     trajectory if it is delta-eligible;
 //   - NoFastForward reads none of it: a bare Result.
 //
 // All of it is observational: the Result is bit-identical to Golden().
@@ -286,16 +296,21 @@ func (c *Campaign) buildGolden(shared bool) *uarch.GoldenArtifacts {
 	// Only the ACE-tracked bit arrays have a consumed-interval
 	// pre-classifier; the microarchitectural sites (decoder, gshare, LSQ,
 	// ROB metadata, L2 tags) are always simulated.
+	fu := c.Target.IsFunctionalUnit()
+	logs := shared && !fu
 	premasks := c.Type == Transient
-	cfg.RecordIRFIntervals = shared || premasks && c.Target == coverage.IRF
-	cfg.RecordFPRFIntervals = shared || premasks && c.Target == coverage.FPRF
-	cfg.RecordL1DIntervals = shared || premasks && c.Target == coverage.L1D
+	cfg.RecordIRFIntervals = logs || premasks && c.Target == coverage.IRF
+	cfg.RecordFPRFIntervals = logs || premasks && c.Target == coverage.FPRF
+	cfg.RecordL1DIntervals = logs || premasks && c.Target == coverage.L1D
 	ga := &uarch.GoldenArtifacts{}
 	if shared || c.deltaEligible() {
 		ga.Trajectory = uarch.GetDeltaTrajectory(spacing.trajectory)
 		cfg.DeltaRecord = ga.Trajectory
 	}
 	cfg.OnCycle = checkpointEvery(spacing.checkpoints, &ga.Checkpoints)
+	if fu {
+		ga.FUStream = c.recordFUStream(&cfg)
+	}
 	ga.Result = uarch.Run(c.Prog, c.Init(), cfg)
 	return ga
 }

@@ -7,9 +7,12 @@
 //   - bit arrays (IRF, L1D): transient single-bit flips with uniformly
 //     random (bit, cycle), and intermittent stuck-at windows;
 //   - functional units (integer adder/multiplier, SSE FP adder/
-//     multiplier): permanent stuck-at-0/1 faults at uniformly sampled
-//     gates of the gate-level unit models, simulated to the end of
-//     execution.
+//     multiplier): permanent stuck-at-0/1 faults (or intermittent
+//     windows of them) at uniformly sampled gates of the gate-level
+//     unit models. Each is first graded against the golden run's operand
+//     stream of its unit: a fault that changes no golden result is
+//     Masked without simulation, any other is simulated from its first
+//     activation to the end of execution (fustream.go).
 //
 // A fault is *detected* when the faulty run deviates from the fault-free
 // run: wrong architectural output (SDC), an architectural exception
@@ -151,15 +154,19 @@ type Campaign struct {
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// NoFastForward disables checkpointed resume and ACE
-	// pre-classification, simulating every injection from cycle 0 (the
+	// NoFastForward disables checkpointed resume and every
+	// pre-classifier — the ACE interval log of bit arrays and the golden
+	// operand stream of functional units — simulating every injection
+	// from cycle 0, functional-unit faults on the plain netlist (the
 	// pre-optimization path; kept for ablation and validation).
 	NoFastForward bool
 	// ValidateAll simulates even provably-masked injections and fails
 	// the campaign if the simulated outcome disagrees with the
 	// pre-classifier (a soundness self-check; slow). It also re-simulates
 	// every delta-terminated run to completion and fails the campaign if
-	// the full run is not Masked.
+	// the full run is not Masked, and re-simulates every functional-unit
+	// fault graded against the operand stream from cycle 0 on the plain
+	// netlist, failing unless the outcome agrees.
 	ValidateAll bool
 	// NoDeltaTermination disables delta resimulation (the ablation /
 	// soundness knob): every simulated injection runs to program
@@ -338,7 +345,7 @@ func targetNetlist(target coverage.Structure) *gates.Netlist {
 // through the fault-free netlists so golden and faulty runs share
 // arithmetic semantics; the integer netlists are bit-exact with native
 // arithmetic (verified by tests), so the golden run skips them for
-// speed.
+// speed. (buildGolden adds the hooks that record the operand stream.)
 func (c *Campaign) goldenConfig() uarch.Config {
 	cfg := c.Cfg
 	cfg.OnCycle = nil
@@ -467,8 +474,10 @@ func (c *Campaign) deriveSpec(i int, goldenCycles uint64, nl *gates.Netlist) fau
 }
 
 // cfgFor builds the faulty-run configuration for one spec, identical to
-// what the pre-optimization per-run code produced.
-func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result) uarch.Config {
+// what the pre-optimization per-run code produced except that a
+// functional-unit fault graded by fu (non-nil) answers the golden
+// operand pairs from fu's table.
+func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result, fu *fuGrader) uarch.Config {
 	cfg := c.goldenConfig()
 	// Give the faulty run headroom before declaring a hang.
 	cfg.MaxCycles = golden.Cycles*4 + 100_000
@@ -544,12 +553,20 @@ func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result) uarch.Config {
 
 	// Functional units: gate-level stuck-at.
 	fault := &gates.StuckAt{Gate: sp.gate, Value: sp.val}
-	cfg.FU = FUHooksFor(c.Target, fault)
+	if fu != nil {
+		cfg.FU = tableHooks(c.Target, fault, fu.stream.Table, fu.out)
+	} else {
+		cfg.FU = FUHooksFor(c.Target, fault)
+	}
 	if c.Type == Intermittent {
-		cfg.FUOutside = FUHooksFor(c.Target, nil)
 		cfg.FUWindow = [2]uint64{sp.start, sp.end}
-		if c.Target == coverage.IntAdder || c.Target == coverage.IntMul {
-			cfg.FUOutside = nil // native semantics are bit-exact
+		switch {
+		case c.Target == coverage.IntAdder || c.Target == coverage.IntMul:
+			// native semantics are bit-exact: FUOutside stays nil
+		case fu != nil:
+			cfg.FUOutside = tableHooks(c.Target, nil, fu.stream.Table, fu.stream.Table.Golden())
+		default:
+			cfg.FUOutside = FUHooksFor(c.Target, nil)
 		}
 	}
 	return cfg
@@ -560,8 +577,10 @@ func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result) uarch.Config {
 // mutating state — at a known cycle, after which reconvergence with the
 // golden trajectory proves the rest of the run identical. Transient and
 // windowed faults quiesce; a permanent functional-unit fault never does
-// (cfgFor arms the faulty netlist for the whole run when Type is not
-// Intermittent), so those campaigns run every injection to completion.
+// (cfgFor arms the faulty unit for the whole run when Type is not
+// Intermittent), so those campaigns run every simulated injection from
+// its first activation to completion; the ones that never activate are
+// not simulated at all (fustream.go).
 func (c *Campaign) deltaEligible() bool {
 	if c.NoDeltaTermination || c.NoFastForward {
 		return false
@@ -639,11 +658,12 @@ func nearestCheckpoint(cks []*uarch.Checkpoint, cycle uint64) *uarch.Checkpoint 
 }
 
 // simulate runs one injection configuration, resuming from the nearest
-// checkpoint preceding the fault's first active cycle when one exists.
-// The prefix before that cycle is bit-identical to the golden run (the
-// fault has not manifested yet), so resuming cannot change the outcome.
-func (c *Campaign) simulate(cfg uarch.Config, sp faultSpec, cks []*uarch.Checkpoint) *uarch.Result {
-	if ck := nearestCheckpoint(cks, sp.start); ck != nil && sp.start > 0 {
+// checkpoint at or before from, the fault's first active cycle, when one
+// exists (from == 0: reset). The prefix before that cycle is
+// bit-identical to the golden run (the fault has not manifested yet), so
+// resuming cannot change the outcome.
+func (c *Campaign) simulate(cfg uarch.Config, from uint64, cks []*uarch.Checkpoint) *uarch.Result {
+	if ck := nearestCheckpoint(cks, from); ck != nil && from > 0 {
 		c.Obs.Counter("inject.resume.checkpoint").Inc()
 		return uarch.RunFromCheckpoint(ck, cfg)
 	}
@@ -651,21 +671,37 @@ func (c *Campaign) simulate(cfg uarch.Config, sp faultSpec, cks []*uarch.Checkpo
 	return uarch.Run(c.Prog, c.Init(), cfg)
 }
 
-// runSpec simulates one injection. When the campaign carries a golden
-// delta trajectory (traj non-nil), the faulty run compares itself
-// against it from the fault's quiesce cycle on and stops at the first
-// full state match — Masked by construction, without simulating the
-// tail. Under ValidateAll every such early termination is re-simulated
-// to completion and the campaign fails if the full run is not Masked.
+// runSpec grades one injection. A functional-unit fault is first graded
+// against the golden operand stream when the campaign has one (fu
+// non-nil): one that changes no golden result is Masked unsimulated
+// (premasked), any other is simulated from its first activation. When
+// the campaign carries a golden delta trajectory (traj non-nil), the
+// faulty run compares itself against it from the fault's quiesce cycle
+// on and stops at the first full state match — Masked by construction,
+// without simulating the tail. Under ValidateAll every such early
+// termination is re-simulated to completion and the campaign fails if
+// the full run is not Masked, and every stream-graded fault is
+// re-simulated from reset (validateFU).
 func (c *Campaign) runSpec(sp faultSpec, golden *uarch.Result, cks []*uarch.Checkpoint,
-	traj *uarch.DeltaTrajectory) (Outcome, error) {
-	cfg := c.cfgFor(sp, golden)
+	traj *uarch.DeltaTrajectory, fu *fuGrader) (out Outcome, premasked bool, err error) {
+	from := sp.start
+	if fu != nil {
+		act, ok := fu.activation(sp, c.Type == Intermittent)
+		if !ok {
+			if c.ValidateAll {
+				err = c.validateFU(sp, golden, nil, 0)
+			}
+			return Masked, true, err
+		}
+		from = act
+	}
+	cfg := c.cfgFor(sp, golden, fu)
 	if traj != nil {
 		cfg.DeltaCompare = traj
 		cfg.DeltaQuiesce = c.deltaQuiesce(sp)
 	}
-	res := c.simulate(cfg, sp, cks)
-	out := classify(res, golden)
+	res := c.simulate(cfg, from, cks)
+	out = classify(res, golden)
 	if traj != nil {
 		if res.Reconverged {
 			c.Obs.Counter("inject.delta.converged").Inc()
@@ -679,8 +715,8 @@ func (c *Campaign) runSpec(sp faultSpec, golden *uarch.Result, cks []*uarch.Chec
 				full := cfg
 				full.DeltaCompare = nil
 				full.DeltaQuiesce = 0
-				if fullOut := classify(c.simulate(full, sp, cks), golden); fullOut != Masked {
-					return out, fmt.Errorf(
+				if fullOut := classify(c.simulate(full, from, cks), golden); fullOut != Masked {
+					return out, false, fmt.Errorf(
 						"inject: delta termination unsound: injection %d (cycle %d) reconverged at cycle %d but simulates as %v",
 						sp.idx, sp.start, res.Cycles, fullOut)
 				}
@@ -689,7 +725,10 @@ func (c *Campaign) runSpec(sp faultSpec, golden *uarch.Result, cks []*uarch.Chec
 			c.Obs.Counter("inject.delta.diverged").Inc()
 		}
 	}
-	return out, nil
+	if fu != nil && c.ValidateAll {
+		return out, false, c.validateFU(sp, golden, res, from)
+	}
+	return out, false, nil
 }
 
 // classify grades a faulty run against the golden run (§II-E). A
@@ -791,9 +830,10 @@ func goldenErr(golden *uarch.Result) error {
 // Run executes the campaign and returns aggregate statistics.
 //
 // The fast path (default) simulates one instrumented golden run, proves
-// un-consumed transient flips masked without simulating them, sorts the
-// remaining injections by fault cycle and resumes each from the nearest
-// preceding checkpoint. Per-outcome counts are bit-identical to the
+// un-consumed transient flips and never-activated functional-unit faults
+// masked without simulating them, sorts the remaining injections by
+// fault cycle and resumes each from the nearest checkpoint preceding its
+// first active cycle. Per-outcome counts are bit-identical to the
 // NoFastForward path for a fixed seed (asserted by tests across all
 // structures and by ValidateAll).
 func (c *Campaign) Run() (*Stats, error) {
@@ -891,21 +931,10 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	}
 	sort.SliceStable(toRun, func(a, b int) bool { return toRun[a].start < toRun[b].start })
 	stopClassify()
-	if c.Obs.Enabled() {
-		premasked := n - len(toRun)
-		if c.ValidateAll {
-			premasked = 0
-			for _, p := range pre {
-				if p {
-					premasked++
-				}
-			}
-		}
-		c.Obs.Counter("inject.premasked").Add(int64(premasked))
-		c.Obs.Counter("inject.simulated").Add(int64(len(toRun)))
-		c.Obs.Gauge("inject.premask.rate").Set(float64(premasked) / float64(n))
-	}
 
+	// Functional-unit faults are graded against the operand stream inside
+	// the pool, not before it: sixty table passes cost about as much as
+	// the whole golden prologue.
 	stopSim := c.Obs.Phase("inject.phase.simulate")
 	workers := c.Workers
 	if workers <= 0 {
@@ -922,30 +951,32 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var fu *fuGrader
+			if ga.FUStream != nil {
+				fu = newFUGrader(ga.FUStream, nl)
+			}
 			for i := range next {
 				sp := toRun[i]
-				out, err := c.runSpec(sp, golden, cks, traj)
-				if err != nil {
+				out, premasked, err := c.runSpec(sp, golden, cks, traj, fu)
+				if err == nil && pre[sp.idx-lo] && out != Masked {
+					err = fmt.Errorf(
+						"inject: pre-classifier unsound: injection %d (cycle %d reg %d bit %d) simulated as %v",
+						sp.idx, sp.start, sp.reg, sp.bit, out)
+				}
+				switch {
+				case err != nil:
 					mu.Lock()
 					if valErr == nil {
 						valErr = err
 					}
 					mu.Unlock()
-					continue
+				case premasked:
+					// outcomes[...] is already Masked. Each index has one
+					// writer; pre is read again only after wg.Wait.
+					pre[sp.idx-lo] = true
+				case !pre[sp.idx-lo]:
+					outcomes[sp.idx-lo] = out
 				}
-				if pre[sp.idx-lo] {
-					if out != Masked {
-						mu.Lock()
-						if valErr == nil {
-							valErr = fmt.Errorf(
-								"inject: pre-classifier unsound: injection %d (cycle %d reg %d bit %d) simulated as %v",
-								sp.idx, sp.start, sp.reg, sp.bit, out)
-						}
-						mu.Unlock()
-					}
-					continue
-				}
-				outcomes[sp.idx-lo] = out
 			}
 		}()
 	}
@@ -958,6 +989,21 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	if valErr != nil {
 		span.End(obs.Fields{"error": valErr.Error()})
 		return nil, valErr
+	}
+	if c.Obs.Enabled() {
+		premasked := 0
+		for _, p := range pre {
+			if p {
+				premasked++
+			}
+		}
+		simulated := n - premasked
+		if c.ValidateAll {
+			simulated = n
+		}
+		c.Obs.Counter("inject.premasked").Add(int64(premasked))
+		c.Obs.Counter("inject.simulated").Add(int64(simulated))
+		c.Obs.Gauge("inject.premask.rate").Set(float64(premasked) / float64(n))
 	}
 
 	st.Outcomes = outcomes

@@ -10,6 +10,7 @@ import (
 	"harpocrates/internal/ace"
 	"harpocrates/internal/arch"
 	"harpocrates/internal/binfmt"
+	"harpocrates/internal/gates"
 	"harpocrates/internal/isa"
 )
 
@@ -64,6 +65,11 @@ type GoldenArtifacts struct {
 	Result      *Result
 	Checkpoints []*Checkpoint
 	Trajectory  *DeltaTrajectory
+	// FUStream is the operand stream of the functional unit a campaign
+	// targets, recorded by the inject package's golden hooks (nil for
+	// every other campaign). Plain memory: the HXGA codec does not encode
+	// it, and nothing needs releasing.
+	FUStream *gates.Stream
 }
 
 // Release returns every pooled resource the bundle references (interval
@@ -87,6 +93,7 @@ func (ga *GoldenArtifacts) Release() {
 	ga.Checkpoints = nil
 	ReleaseDeltaTrajectory(ga.Trajectory)
 	ga.Trajectory = nil
+	ga.FUStream = nil
 }
 
 // ApproxBytes estimates the bundle's in-memory footprint, dominated by
@@ -105,6 +112,11 @@ func (ga *GoldenArtifacts) ApproxBytes() int {
 	}
 	if t := ga.Trajectory; t != nil {
 		n += 32 * cap(t.Points)
+	}
+	if s := ga.FUStream; s != nil {
+		// A call is 16 bytes; a pair costs its key, result, index entry
+		// and share of the packed lane words, about 100 bytes.
+		n += 16*cap(s.Calls) + 100*s.Table.Len()
 	}
 	for _, ck := range ga.Checkpoints {
 		if ck == nil || ck.core == nil {
