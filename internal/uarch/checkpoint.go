@@ -187,6 +187,7 @@ func (c *Core) copyFrom(src *Core) {
 			c.rob[i].inst = &c.decInst
 		}
 	}
+	c.rebuildWakeup()
 
 	c.cycle = src.cycle
 	// Run-loop scratch: wbReadyAt is only a lower bound on the next

@@ -136,6 +136,17 @@ type Core struct {
 	sq       []int // rob indices of in-flight stores, program order
 	inflight []int // rob indices issued but not written back
 
+	// Wake-up lists and ready set (issue_exec.go), derived from iq and
+	// the ready bits. wkHead holds each register's first waiter node (-1
+	// for none), wkFree the free-node chain; rdyOther and rdyLoad are
+	// bitmaps over ROB slots of the waiting µops whose sources are all
+	// ready.
+	wkHead   []int32
+	wkNodes  []wkNode
+	wkFree   int32
+	rdyOther []uint64
+	rdyLoad  []uint64
+
 	fq              []fqEntry
 	fetchPC         int
 	fetchStallUntil uint64
@@ -378,6 +389,7 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 	for f := 1; f < cfg.FlagPRF; f++ {
 		c.flagFree = append(c.flagFree, uint16(f))
 	}
+	c.rebuildWakeup()
 }
 
 // Cycle returns the current cycle (for injection hooks).
@@ -767,6 +779,7 @@ func (c *Core) writeback() {
 			case clsFlag:
 				c.flagRdy[d.phys] = true
 			}
+			c.wake(c.wkReg(d.cls, d.phys))
 		}
 		if u.v != nil && u.v.IsBranch && u.err == nil && u.actualNext != u.predNext {
 			c.squashAfter(idx, u.actualNext)
@@ -815,6 +828,7 @@ func (c *Core) squashAfter(bIdx int, redirect int) {
 			}
 			u.squashed = true
 		}
+		c.readySet(tail)[tail>>6] &^= 1 << (tail & 63)
 		c.robCnt--
 		tail--
 		if tail < 0 {

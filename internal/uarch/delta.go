@@ -33,9 +33,14 @@ import (
 // registers (no reader can hold a freed mapping — any µop that renamed
 // against it must have committed before the overwriter freed it),
 // recomputed-per-cycle scratch (oldestUnexecStore, unit/port counters),
-// scan lower bounds (wbReadyAt), expired timestamps (normalized to 0),
-// per-µop fields that are dead in the µop's current pipeline state, and
-// pure telemetry (hit/miss counters, ACE buffers, skipped-cycle counts).
+// scan lower bounds (wbReadyAt), state derived from hashed state (the
+// wake-up lists, the ready set and each µop's pending count, all
+// functions of the IQ and the ready bits, rebuilt by every copy),
+// expired timestamps (normalized to 0), per-µop fields that are dead in
+// the µop's current pipeline state, and pure telemetry (hit/miss
+// counters, ACE buffers, skipped-cycle counts). TestCoreStateTable*
+// classify every field of the core this way and check the
+// classification against stateHash and copyFrom.
 // Sequence numbers are hashed relative to the core's counter so a faulty
 // run that renamed extra wrong-path µops before squashing back onto the
 // golden trajectory still matches.

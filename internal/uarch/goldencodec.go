@@ -31,7 +31,9 @@ import (
 // ace/intervals_codec.go under it) stays for one reason only: the frozen
 // benchmark/layers.go probes call EncodeGoldenArtifacts,
 // DecodeGoldenArtifacts and ace.AppendIntervalRecorder. Its deletion is
-// on ROADMAP item 10's worklist; until then its bytes do not move.
+// ROADMAP item 5. Its bytes moved once since it stopped being persisted:
+// the µop record lost its waitSrc byte when issue moved to wake-up lists
+// (TestGoldenBundlePinned re-pinned for exactly that).
 //
 // The format is one set of binfmt walker methods on gaCodec — bundle,
 // result, core, uop, inst, crash — each naming its fields once and
@@ -44,7 +46,8 @@ import (
 // codec's field inventory deliberately mirrors Core.copyFrom — the
 // authoritative list of what constitutes dynamic simulator state — and
 // the same exclusions apply: run-loop scratch (progressed, wbReadyAt,
-// skipped), delta arming (re-derived by RestoreFrom) and per-run
+// skipped, the wake-up lists and ready set that copyFrom rebuilds),
+// delta arming (re-derived by RestoreFrom) and per-run
 // instrumentation (trackers, recorders, trace sinks) are not state.
 // ROB entries outside the live window ∪ in-flight set hold dead values
 // that rename always resets before reuse, exactly as pooled-core copies
@@ -300,7 +303,6 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 	}
 	binfmt.U64(c, &u.doneAt)
 	binfmt.I64(c, &u.memLat)
-	binfmt.U8(c, &u.waitSrc)
 	binfmt.I64(c, &u.predNext)
 	binfmt.I64(c, &u.actualNext)
 	binfmt.Slice(c, &u.srcs, 6, maxGoldenElems, func(s *rsrc) {
@@ -490,9 +492,9 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 	if !dec {
 		idxs = liveROB(cp)
 	}
-	// 74 bytes is the smallest µop: index, fixed fields, three empty
+	// 73 bytes is the smallest µop: index, fixed fields, three empty
 	// lists and an absent crash.
-	binfmt.Slice(c, &idxs, 74, maxGoldenElems, func(ip *int) {
+	binfmt.Slice(c, &idxs, 73, maxGoldenElems, func(ip *int) {
 		binfmt.U32(c, ip)
 		if g.Err() != nil {
 			return

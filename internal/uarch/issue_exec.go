@@ -1,6 +1,9 @@
 package uarch
 
 import (
+	"math/bits"
+	"slices"
+
 	"harpocrates/internal/arch"
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/isa"
@@ -32,79 +35,236 @@ func (c *Core) unitCapacity(u isa.Unit) int {
 	return 1
 }
 
-// srcsReady reports whether all of u's renamed sources are ready. A
-// source's readiness is monotonic for the lifetime of a waiting µop (a
-// physical register it reads cannot be reallocated before the µop issues
-// or is squashed), so the index of the first not-ready source is
-// memoized in u.waitSrc: the common retry re-checks one register instead
-// of rescanning the whole list.
-func (c *Core) srcsReady(u *uop) bool {
-	for i := int(u.waitSrc); i < len(u.srcs); i++ {
-		s := &u.srcs[i]
-		ready := false
-		switch s.cls {
-		case clsInt:
-			ready = c.intReady[s.phys]
-		case clsFP:
-			ready = c.fpReady[s.phys]
-		case clsFlag:
-			ready = c.flagRdy[s.phys]
-		}
-		if !ready {
-			u.waitSrc = uint8(i)
-			return false
-		}
-	}
-	return true
+// --- wake-up ----------------------------------------------------------------
+//
+// A waiting µop is never re-tested: rename counts its unready sources
+// (u.pending) and hangs one waiter node per such source on that physical
+// register's list; writeback, the one place a ready bit is set, walks the
+// list and moves each waiter whose count reaches zero into the ready set.
+// A source's readiness is monotonic while a consumer waits (the register
+// it reads cannot be reallocated before the consumer issues or is
+// squashed), so the count is exact. Squash does not unlink its waiters:
+// a node names its µop by ROB slot and sequence number and is ignored
+// once that slot holds another µop, or the same one squashed or issued.
+//
+// The ready set is two bitmaps over ROB slots, loads apart from the rest,
+// so that issue applies the older-unexecuted-store rule as one mask. Age
+// order is circular slot order from robHead. All of it is derived from
+// the IQ and the ready bits: copyFrom and init rebuild it, stateHash and
+// checkpoints never see it.
+
+// wkNode is one waiter on a register's wake-up list.
+type wkNode struct {
+	seq  uint64 // the waiting µop's sequence number
+	idx  int32  // its ROB slot
+	next int32  // next node of the list (or of the free chain), -1 at the end
 }
 
-func (c *Core) computeOldestUnexecStore() {
+// wkReg numbers a physical register across the three files: integer,
+// then FP, then flags.
+func (c *Core) wkReg(cls uint8, phys uint16) int {
+	switch cls {
+	case clsFP:
+		return len(c.intReady) + int(phys)
+	case clsFlag:
+		return len(c.intReady) + len(c.fpReady) + int(phys)
+	}
+	return int(phys)
+}
+
+func (c *Core) physReady(cls uint8, phys uint16) bool {
+	switch cls {
+	case clsFP:
+		return c.fpReady[phys]
+	case clsFlag:
+		return c.flagRdy[phys]
+	}
+	return c.intReady[phys]
+}
+
+// readySet returns the bitmap that holds the µop at ROB slot idx.
+func (c *Core) readySet(idx int) []uint64 {
+	if c.rob[idx].isLoad {
+		return c.rdyLoad
+	}
+	return c.rdyOther
+}
+
+// watch enters the freshly renamed µop at ROB slot idx into the
+// scheduler: on the wake-up list of each unready source, or straight into
+// the ready set when there is none.
+func (c *Core) watch(idx int) {
+	u := &c.rob[idx]
+	u.pending = 0
+	for _, s := range u.srcs {
+		if c.physReady(s.cls, s.phys) {
+			continue
+		}
+		u.pending++
+		r := c.wkReg(s.cls, s.phys)
+		n := c.wkFree
+		if n < 0 {
+			n = int32(len(c.wkNodes))
+			c.wkNodes = append(c.wkNodes, wkNode{})
+		} else {
+			c.wkFree = c.wkNodes[n].next
+		}
+		c.wkNodes[n] = wkNode{seq: u.seq, idx: int32(idx), next: c.wkHead[r]}
+		c.wkHead[r] = n
+	}
+	if u.pending == 0 {
+		c.readySet(idx)[idx>>6] |= 1 << (idx & 63)
+	}
+}
+
+// wake empties register r's wake-up list as its value is written back,
+// moving every live waiter whose last source this was into the ready
+// set.
+func (c *Core) wake(r int) {
+	head := c.wkHead[r]
+	if head < 0 {
+		return
+	}
+	c.wkHead[r] = -1
+	n := head
+	for {
+		w := &c.wkNodes[n]
+		if u := &c.rob[w.idx]; u.seq == w.seq && !u.squashed && u.st == uWaiting {
+			if u.pending--; u.pending == 0 {
+				idx := int(w.idx)
+				c.readySet(idx)[idx>>6] |= 1 << (idx & 63)
+			}
+		}
+		if w.next < 0 {
+			w.next = c.wkFree
+			c.wkFree = head
+			return
+		}
+		n = w.next
+	}
+}
+
+// dropWaiters frees register r's list as rename reallocates r; only
+// squashed µops can still be on it.
+func (c *Core) dropWaiters(r int) {
+	head := c.wkHead[r]
+	if head < 0 {
+		return
+	}
+	c.wkHead[r] = -1
+	n := head
+	for c.wkNodes[n].next >= 0 {
+		n = c.wkNodes[n].next
+	}
+	c.wkNodes[n].next = c.wkFree
+	c.wkFree = head
+}
+
+// rebuildWakeup derives the wake-up lists and the ready set from the IQ
+// and the ready bits (init, and every copy: a checkpoint carries none of
+// it).
+func (c *Core) rebuildWakeup() {
+	c.wkHead = grow(c.wkHead, len(c.intReady)+len(c.fpReady)+len(c.flagRdy))
+	for i := range c.wkHead {
+		c.wkHead[i] = -1
+	}
+	if c.wkNodes == nil {
+		// Room for two waiting sources per IQ entry: a fresh core
+		// allocates its nodes once.
+		c.wkNodes = make([]wkNode, 0, 2*c.cfg.IQSize)
+	}
+	c.wkNodes = c.wkNodes[:0]
+	c.wkFree = -1
+	words := (len(c.rob) + 63) / 64
+	c.rdyOther = grow(c.rdyOther, words)
+	clear(c.rdyOther)
+	c.rdyLoad = grow(c.rdyLoad, words)
+	clear(c.rdyLoad)
+	for _, idx := range c.iq {
+		c.watch(idx)
+	}
+}
+
+// computeOldestUnexecStore records the sequence number of the oldest
+// store that has not executed (^0 if none) and returns its ROB slot (-1).
+func (c *Core) computeOldestUnexecStore() int {
 	c.oldestUnexecStore = ^uint64(0)
 	for _, si := range c.sq {
 		su := &c.rob[si]
 		if !su.squashed && su.st == uWaiting {
 			c.oldestUnexecStore = su.seq
-			return
+			return si
 		}
 	}
+	return -1
 }
 
+// issue walks the ready set in age order and issues what the structural
+// limits admit: issue width, unit capacity, memory ports and the busy
+// dividers. Loads younger than the oldest unexecuted store never reach the
+// walk; the store's own slot stays in, since a read-modify-write µop is
+// that store and a load at once.
 func (c *Core) issue() {
 	c.memPortsUsed = 0
 	for i := range c.unitUsed {
 		c.unitUsed[i] = 0
 	}
-	c.computeOldestUnexecStore()
-	issued := 0
-	kept := c.iq[:0]
-	for _, idx := range c.iq {
-		u := &c.rob[idx]
-		if u.squashed {
-			continue
-		}
-		if issued >= c.cfg.IssueWidth {
-			kept = append(kept, idx)
-			continue
-		}
-		unit := u.v.Unit
-		needMem := u.isLoad || u.isStore
-		if !c.srcsReady(u) ||
-			c.unitUsed[unit] >= c.unitCapacity(unit) ||
-			(needMem && c.memPortsUsed >= c.cfg.NumMemPort) ||
-			(unit == isa.UIntDiv && c.divBusyUntil[0] > c.cycle) ||
-			(unit == isa.UFPDiv && c.divBusyUntil[1] > c.cycle) ||
-			(u.isLoad && c.oldestUnexecStore < u.seq) {
-			kept = append(kept, idx)
-			continue
-		}
-		c.unitUsed[unit]++
-		if needMem {
-			c.memPortsUsed++
-		}
-		c.execUop(idx)
-		issued++
+	n := len(c.rob)
+	head, end := c.robHead, c.robHead+c.robCnt // positions, unwrapped
+	ldEnd := end
+	if st := c.computeOldestUnexecStore(); st >= 0 {
+		ldEnd = head + (st-head+n)%n + 1
 	}
-	c.iq = kept
+	var done [64]int // issued slots, in age order; Config.Validate bounds IssueWidth by 64
+	width := min(c.cfg.IssueWidth, len(done))
+	issued := 0
+	for p := head; p < end && issued < width; {
+		s := p
+		if s >= n {
+			s -= n
+		}
+		w, b := s>>6, s&63
+		span := min(64-b, n-s, end-p)
+		m := ^uint64(0) >> (64 - span) << b
+		lm := uint64(0)
+		if ld := min(span, ldEnd-p); ld > 0 {
+			lm = ^uint64(0) >> (64 - ld) << b
+		}
+		for cand := (c.rdyOther[w] | c.rdyLoad[w]&lm) & m; cand != 0 && issued < width; cand &= cand - 1 {
+			idx := w<<6 | bits.TrailingZeros64(cand)
+			u := &c.rob[idx]
+			unit := u.v.Unit
+			needMem := u.isLoad || u.isStore
+			if c.unitUsed[unit] >= c.unitCapacity(unit) ||
+				(needMem && c.memPortsUsed >= c.cfg.NumMemPort) ||
+				(unit == isa.UIntDiv && c.divBusyUntil[0] > c.cycle) ||
+				(unit == isa.UFPDiv && c.divBusyUntil[1] > c.cycle) {
+				continue
+			}
+			c.unitUsed[unit]++
+			if needMem {
+				c.memPortsUsed++
+			}
+			c.readySet(idx)[w] &^= 1 << (idx & 63)
+			c.execUop(idx)
+			done[issued] = idx
+			issued++
+		}
+		p += span
+	}
+	if issued == 0 {
+		return
+	}
+	// Drop the issued µops from the IQ: both lists are in age order, and
+	// the issued ones are mostly near its head.
+	w, r := 0, 0
+	for _, idx := range done[:issued] {
+		j := r + slices.Index(c.iq[r:], idx)
+		w += copy(c.iq[w:], c.iq[r:j])
+		r = j + 1
+	}
+	w += copy(c.iq[w:], c.iq[r:])
+	c.iq = c.iq[:w]
 }
 
 // activeFU returns the functional-unit hook set in force at the current
@@ -406,6 +566,7 @@ func (c *Core) renameOne(f fqEntry) bool {
 			c.rat.flagRAT = phys
 			c.flagRdy[phys] = false
 		}
+		c.dropWaiters(c.wkReg(d.cls, phys))
 		u.dsts = append(u.dsts, rdst{cls: d.cls, arch: d.arch, phys: phys, old: old})
 	}
 	if v.IsBranch || f.poison {
@@ -420,6 +581,7 @@ func (c *Core) renameOne(f fqEntry) bool {
 		c.nLoads++
 	}
 	c.iq = append(c.iq, idx)
+	c.watch(idx)
 	c.robCnt++
 	return true
 }

@@ -1,0 +1,484 @@
+package uarch
+
+import (
+	"maps"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"harpocrates/internal/ace"
+	"harpocrates/internal/arch"
+	"harpocrates/internal/isa"
+)
+
+// The core's state is listed by hand in copyFrom, stateHash and init.
+// coreState classifies every field of the structs that hold it, once:
+// a field missed in stateHash lets delta termination call a live fault
+// Masked, one missed in copyFrom breaks fast-forward ≡ from-zero, and the
+// differentials catch either only if a test program happens to reach the
+// field. TestCoreStateTableComplete finds every field by reflection;
+// TestCoreStateTablePerturbation proves the table is what the code does.
+
+type stateClass int
+
+func (c stateClass) String() string { return [...]string{"?", "hashed", "copied", "scratch"}[c] }
+
+const (
+	// hashed: copied by copyFrom and folded into stateHash.
+	hashed stateClass = iota + 1
+	// copied: copied by copyFrom, deliberately not hashed.
+	copied
+	// scratch: reset or rebuilt by copyFrom and init; never hashed.
+	scratch
+)
+
+// stateRow classifies one field. The perturbation check changes the field
+// on a mid-run golden core and compares stateHash and a copyFrom of the
+// result against the unperturbed core.
+type stateRow struct {
+	class stateClass
+	// why says, for a field that is not hashed, why it cannot influence
+	// future behaviour (copied) or what re-derives it (scratch).
+	why string
+	// live picks the µop a uop row perturbs (nil: the ROB head).
+	live func(*uop) bool
+	// elem picks the slice or array element to perturb (nil: the first).
+	elem func(*Core) int
+	// prep puts both cores in a state where the field binds, before
+	// either is hashed.
+	prep func(*Core)
+	// mut perturbs the field (nil: the generic perturbation of its value).
+	mut func(*Core)
+	// eq compares the field of two cores (nil: reflect.DeepEqual).
+	eq func(a, b *Core) bool
+}
+
+const (
+	whyConfig    = "run configuration: every run compared against one trajectory shares it"
+	whyTelemetry = "statistics for the Result: nothing reads them back"
+	whyACE       = "ACE bookkeeping: coverage telemetry, credited at commit"
+	whyRecorder  = "interval recorder: golden-run instrumentation, nil in every copy"
+	whyIssueCtr  = "recomputed at the top of every issue stage; copied only because HXGA encodes it"
+	whyTerminal  = "set only as the run stops, before any later compare point"
+	whyWakeup    = "derived from iq and the ready bits: rebuilt by copyFrom and init"
+	whyArming    = "delta arming: re-derived by RestoreFrom"
+)
+
+var (
+	waiting  = func(u *uop) bool { return u.st == uWaiting }
+	issuedOp = func(u *uop) bool { return u.st == uIssued }
+	executed = func(u *uop) bool { return u.st != uWaiting }
+)
+
+// liveInt, liveFP and liveFlag pick a mapped physical register.
+func liveInt(c *Core) int  { return int(c.rat.intRAT[0]) }
+func liveFP(c *Core) int   { return int(c.rat.fpRAT[0]) }
+func liveFlag(c *Core) int { return int(c.rat.flagRAT) }
+
+// firstValid returns the index of the first valid entry.
+func firstValid(valid func(int) bool, n int) int {
+	for i := 0; i < n; i++ {
+		if valid(i) {
+			return i
+		}
+	}
+	return -1
+}
+
+func validLine(c *Core) int {
+	return firstValid(func(i int) bool { return c.cache.lines[i].valid }, len(c.cache.lines))
+}
+
+func validL2(c *Core) int {
+	return firstValid(func(i int) bool { return c.cache.l2.valid[i] }, len(c.cache.l2.valid))
+}
+
+// swapFirst swaps the first two entries of a free list: its order is what
+// future renames pop.
+func swapFirst(s []uint16) { s[0], s[1] = s[1], s[0] }
+
+var coreState = map[string]stateRow{
+	"Core.cfg":   {class: copied, why: whyConfig},
+	"Core.prog":  {class: copied, why: "the program image: immutable, shared by every run of the program", mut: func(c *Core) { p := slices.Clone(c.prog); p[0].Ops[0].Imm++; c.prog = p }},
+	"Core.mem":   {class: hashed, mut: flipMemByte, eq: func(a, b *Core) bool { return a.mem.Digest() == b.mem.Digest() }},
+	"Core.cache": {class: hashed},
+	"Core.bp":    {class: hashed},
+	"Core.irf":   {class: copied, why: whyACE, mut: func(c *Core) { c.irf.OnWrite(liveInt(c), c.cycle+1) }},
+	"Core.fprf":  {class: copied, why: whyACE, mut: func(c *Core) { c.fprf.OnWrite(2*liveFP(c), c.cycle+1) }},
+	"Core.recIRF": {class: scratch, why: whyRecorder,
+		mut: func(c *Core) { c.recIRF = ace.GetIntervalRecorder(64) }},
+	"Core.recFPRF": {class: scratch, why: whyRecorder,
+		mut: func(c *Core) { c.recFPRF = ace.GetIntervalRecorder(64) }},
+	"Core.ibrC":     {class: copied, why: "IBR counters: coverage telemetry, credited at commit"},
+	"Core.intPRF":   {class: hashed, elem: liveInt},
+	"Core.intReady": {class: hashed, elem: liveInt},
+	"Core.intFree":  {class: hashed, mut: func(c *Core) { swapFirst(c.intFree) }},
+	"Core.fpPRF":    {class: hashed, elem: liveFP},
+	"Core.fpReady":  {class: hashed, elem: liveFP},
+	"Core.fpFree":   {class: hashed, mut: func(c *Core) { swapFirst(c.fpFree) }},
+	"Core.flagPRF":  {class: hashed, elem: liveFlag},
+	"Core.flagRdy":  {class: hashed, elem: liveFlag},
+	"Core.flagFree": {class: hashed, mut: func(c *Core) { swapFirst(c.flagFree) }},
+	"Core.rat":      {class: hashed},
+	"Core.rob":      {class: hashed},
+	"Core.robHead":  {class: hashed},
+	"Core.robCnt":   {class: hashed},
+	"Core.iq":       {class: hashed, mut: func(c *Core) { c.iq = c.iq[1:] }},
+	"Core.sq":       {class: hashed, mut: func(c *Core) { c.sq = c.sq[1:] }},
+	"Core.inflight": {class: hashed, mut: func(c *Core) {
+		// Writeback prunes squashed and written-back entries lazily, so
+		// only an issued one binds.
+		i := slices.IndexFunc(c.inflight, func(idx int) bool { return issuedOp(&c.rob[idx]) })
+		c.inflight = slices.Delete(slices.Clone(c.inflight), i, i+1)
+	}},
+	"Core.wkHead":          {class: scratch, why: whyWakeup},
+	"Core.wkNodes":         {class: scratch, why: whyWakeup},
+	"Core.wkFree":          {class: scratch, why: whyWakeup},
+	"Core.rdyOther":        {class: scratch, why: whyWakeup},
+	"Core.rdyLoad":         {class: scratch, why: whyWakeup},
+	"Core.fq":              {class: hashed},
+	"Core.fetchPC":         {class: hashed},
+	"Core.fetchStallUntil": {class: hashed, mut: func(c *Core) { c.fetchStallUntil = c.cycle + 100 }},
+	"Core.decArmed":        {class: hashed},
+	"Core.decBit":          {class: hashed, prep: func(c *Core) { c.decArmed = true }},
+	"Core.decInst": {class: hashed, prep: func(c *Core) {
+		u := &c.rob[c.robHead]
+		u.mutated, u.inst = true, &c.decInst
+	}},
+	"Core.cycle": {class: copied, why: "compare points match at equal cycles; timers hash relative to it",
+		prep: func(c *Core) { c.fetchStallUntil, c.divBusyUntil = 0, [2]uint64{} }},
+	"Core.seq":               {class: hashed},
+	"Core.instret":           {class: hashed},
+	"Core.nLoads":            {class: hashed},
+	"Core.nStores":           {class: hashed},
+	"Core.memPortsUsed":      {class: copied, why: whyIssueCtr},
+	"Core.unitUsed":          {class: copied, why: whyIssueCtr},
+	"Core.divBusyUntil":      {class: hashed, mut: func(c *Core) { c.divBusyUntil[0] = c.cycle + 100 }},
+	"Core.oldestUnexecStore": {class: copied, why: whyIssueCtr},
+	"Core.progressed":        {class: scratch, why: "per-cycle progress flag: copyFrom clears it"},
+	"Core.wbReadyAt":         {class: scratch, why: "lower bound on the next writeback: copyFrom resets it to 0, always safe"},
+	"Core.skipped":           {class: scratch, why: "skipped-cycle telemetry: copyFrom resets it"},
+	"Core.streamDigest":      {class: copied, why: "compared on its own, as the point's Stream, before the state hash"},
+	"Core.deltaHashOn":       {class: scratch, why: whyArming},
+	"Core.deltaNextRec":      {class: scratch, why: whyArming},
+	"Core.deltaCmpIdx":       {class: scratch, why: whyArming},
+	"Core.deltaCmpFrom":      {class: scratch, why: whyArming},
+	"Core.reconverged":       {class: scratch, why: whyArming},
+	"Core.deltaScratch":      {class: scratch, why: "stateHash's free-list scratch, overwritten before use"},
+	// Of the execute stage's scratch state only the nondeterminism
+	// counter binds: execUop loads every operand a µop reads before use
+	// (DebugScrub poisons the rest to prove it).
+	"Core.execState": {class: hashed, mut: func(c *Core) {
+		c.execState.RestoreNondetCounter(c.execState.NondetCounter() + 1)
+	}},
+	"Core.bus": {class: scratch, why: "execute-stage memory bus: copyFrom rebinds it to the copy",
+		mut: func(c *Core) { c.bus.u = &c.rob[c.robHead] },
+		eq: func(a, b *Core) bool {
+			return a.bus == execBus{c: a} && b.bus == execBus{c: b}
+		}},
+	"Core.branches":    {class: copied, why: whyTelemetry},
+	"Core.mispredicts": {class: copied, why: whyTelemetry},
+	"Core.flushes":     {class: copied, why: whyTelemetry},
+	"Core.crash": {class: copied, why: whyTerminal,
+		mut: func(c *Core) { c.crash = &arch.CrashError{Kind: arch.CrashBadBranch} }},
+	"Core.timedOut":   {class: copied, why: whyTerminal},
+	"Core.finished":   {class: copied, why: whyTerminal},
+	"Core.scratchSrc": {class: scratch, why: "rename scratch: copyFrom empties it"},
+	"Core.scratchDst": {class: scratch, why: "rename scratch: copyFrom empties it"},
+
+	"uop.seq": {class: hashed},
+	"uop.pc":  {class: hashed},
+	"uop.v": {class: copied, why: "fixed by pc, or by decInst for a mutated µop",
+		mut: func(c *Core) { u := &c.rob[liveSlot(c, nil)]; u.v = isa.Lookup(u.v.ID + 1) }},
+	"uop.inst": {class: copied, why: "fixed by pc; a mutated µop's is decInst, hashed as such",
+		mut: func(c *Core) { u := &c.rob[liveSlot(c, nil)]; in := *u.inst; in.Ops[0].Imm++; u.inst = &in }},
+	"uop.srcs":       {class: hashed, live: func(u *uop) bool { return len(u.srcs) > 0 }},
+	"uop.dsts":       {class: hashed, live: func(u *uop) bool { return len(u.dsts) > 0 }},
+	"uop.st":         {class: hashed},
+	"uop.doneAt":     {class: hashed, live: issuedOp},
+	"uop.memLat":     {class: copied, why: "execute scratch: folded into doneAt when the µop executes"},
+	"uop.pending":    {class: scratch, why: whyWakeup, live: func(u *uop) bool { return waiting(u) && u.pending > 0 }},
+	"uop.isLoad":     {class: hashed},
+	"uop.isStore":    {class: hashed},
+	"uop.poison":     {class: hashed},
+	"uop.mutated":    {class: hashed},
+	"uop.bad":        {class: hashed},
+	"uop.predNext":   {class: hashed},
+	"uop.actualNext": {class: hashed, live: executed},
+	"uop.snapValid":  {class: hashed},
+	"uop.snap":       {class: hashed, live: func(u *uop) bool { return u.snapValid }},
+	"uop.err": {class: hashed, live: executed, mut: func(c *Core) {
+		u := &c.rob[liveSlot(c, executed)]
+		u.err = &arch.CrashError{Kind: arch.CrashBadBranch, PC: u.pc}
+	}},
+	"uop.writes": {class: hashed, live: executed},
+	"uop.events": {class: copied, why: whyACE},
+	"uop.ibr":    {class: copied, why: "IBR buffer: credited at commit"},
+	"uop.squashed": {class: copied, why: "never set inside the live window: a squash removes a contiguous youngest suffix",
+		live: waiting},
+
+	"dcache.cfg":     {class: copied, why: whyConfig},
+	"dcache.numSets": {class: copied, why: whyConfig},
+	"dcache.lines":   {class: hashed},
+	"dcache.data":    {class: hashed, elem: func(c *Core) int { return validLine(c) * c.cache.cfg.LineBytes }},
+	"dcache.backing": {class: scratch, why: "copyFrom rebinds it to the copy's memory",
+		mut: func(c *Core) { c.cache.backing = arch.NewMemory() },
+		eq: func(a, b *Core) bool {
+			return a.cache.backing == a.mem && b.cache.backing == b.mem
+		}},
+	"dcache.tracker": {class: copied, why: whyACE, mut: func(c *Core) { c.cache.tracker.OnWrite(0, 8, c.cycle+1) }},
+	"dcache.rec": {class: scratch, why: whyRecorder,
+		mut: func(c *Core) { c.cache.rec = ace.GetIntervalRecorder(64) }},
+	"dcache.l2":         {class: hashed},
+	"dcache.l2HitLat":   {class: copied, why: whyConfig},
+	"dcache.memLat":     {class: copied, why: whyConfig},
+	"dcache.prefetch":   {class: copied, why: whyConfig},
+	"dcache.hits":       {class: copied, why: whyTelemetry},
+	"dcache.misses":     {class: copied, why: whyTelemetry},
+	"dcache.writebacks": {class: copied, why: whyTelemetry},
+
+	"cacheLine.valid":   {class: hashed},
+	"cacheLine.dirty":   {class: hashed},
+	"cacheLine.tag":     {class: hashed},
+	"cacheLine.lastUse": {class: hashed},
+	"cacheLine.data":    {class: hashed},
+
+	"l2tags.numSets":    {class: copied, why: whyConfig},
+	"l2tags.ways":       {class: copied, why: whyConfig},
+	"l2tags.lineBytes":  {class: copied, why: whyConfig},
+	"l2tags.valid":      {class: hashed},
+	"l2tags.tag":        {class: hashed, elem: validL2},
+	"l2tags.lastUse":    {class: hashed, elem: validL2},
+	"l2tags.hits":       {class: copied, why: whyTelemetry},
+	"l2tags.misses":     {class: copied, why: whyTelemetry},
+	"l2tags.prefetches": {class: copied, why: whyTelemetry},
+
+	"gshare.history": {class: hashed},
+	"gshare.mask":    {class: copied, why: whyConfig},
+	"gshare.table":   {class: hashed},
+}
+
+// stateStructs are the structs whose every field coreState classifies. A
+// field of one of these types is composite: its own rows are the check.
+var stateStructs = map[string]reflect.Type{
+	"Core":      reflect.TypeFor[Core](),
+	"uop":       reflect.TypeFor[uop](),
+	"dcache":    reflect.TypeFor[dcache](),
+	"cacheLine": reflect.TypeFor[cacheLine](),
+	"l2tags":    reflect.TypeFor[l2tags](),
+	"gshare":    reflect.TypeFor[gshare](),
+}
+
+func composite(t reflect.Type) bool {
+	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+		t = t.Elem()
+	}
+	for _, st := range stateStructs {
+		if t == st {
+			return true
+		}
+	}
+	return false
+}
+
+func flipMemByte(c *Core) {
+	for _, r := range c.mem.Regions() {
+		if r.Writable {
+			var b [1]byte
+			_ = c.mem.ReadBytes(r.Base, b[:]) // the region's base is mapped
+			b[0] ^= 1
+			_ = c.mem.WriteBytes(r.Base, b[:])
+			return
+		}
+	}
+}
+
+// liveSlot returns the ROB slot of the oldest µop of the window that
+// pick accepts (the head for nil), or -1.
+func liveSlot(c *Core, pick func(*uop) bool) int {
+	for k := 0; k < c.robCnt; k++ {
+		if i := (c.robHead + k) % len(c.rob); pick == nil || pick(&c.rob[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// writable returns v with the read-only flag of an unexported field
+// dropped.
+func writable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+}
+
+// perturb changes a value in place: flips a bool, increments a number,
+// recurses into the first field of a struct or element elem of an array
+// or slice, and grows an empty slice by one zero element.
+func perturb(v reflect.Value, elem int) {
+	v = writable(v)
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Struct:
+		perturb(v.Field(0), 0)
+	case reflect.Array:
+		perturb(v.Index(elem), 0)
+	case reflect.Slice:
+		if v.Len() == 0 {
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+			return
+		}
+		perturb(v.Index(elem), 0)
+	default:
+		panic("perturb: no generic perturbation for " + v.Type().String())
+	}
+}
+
+// stateSite resolves a row's host struct on any copy of one source core:
+// the same ROB slot and cache line on every copy.
+type stateSite struct{ slot, line int }
+
+func (s stateSite) field(c *Core, key string) reflect.Value {
+	typ, name, _ := strings.Cut(key, ".")
+	var host any
+	switch typ {
+	case "Core":
+		host = c
+	case "uop":
+		host = &c.rob[s.slot]
+	case "dcache":
+		host = c.cache
+	case "cacheLine":
+		host = &c.cache.lines[s.line]
+	case "l2tags":
+		host = c.cache.l2
+	case "gshare":
+		host = c.bp
+	}
+	return reflect.ValueOf(host).Elem().FieldByName(name)
+}
+
+// TestCoreStateTableComplete: every field of the core's state structs is
+// classified, and every row names a field that exists.
+func TestCoreStateTableComplete(t *testing.T) {
+	seen := map[string]bool{}
+	for name, typ := range stateStructs {
+		for i := 0; i < typ.NumField(); i++ {
+			key := name + "." + typ.Field(i).Name
+			seen[key] = true
+			row, ok := coreState[key]
+			switch {
+			case !ok:
+				t.Errorf("%s (%s) is not classified: add a row saying whether copyFrom copies it and stateHash covers it", key, typ.Field(i).Type)
+			case row.class != hashed && row.why == "":
+				t.Errorf("%s is not hashed but gives no reason", key)
+			case composite(typ.Field(i).Type) && row.class != hashed:
+				t.Errorf("%s holds state structs but is not classified hashed", key)
+			}
+		}
+	}
+	for key := range coreState {
+		if !seen[key] {
+			t.Errorf("row %s names no field", key)
+		}
+	}
+}
+
+// stateSource returns a golden core mid-run, captured at the first cycle
+// where every row's perturbation binds: waiting, issued and executed
+// µops with sources and a RAT snapshot, queued stores and fetches, valid
+// L1D and L2 lines, trackers attached.
+func stateSource(t *testing.T) *Core {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(601, 602))
+	prog := randomProgram(rng, 400, false)
+	cfg := fullTracking(DefaultConfig())
+	var src *Core
+	cfg.OnCycle = func(c *Core, _ uint64) {
+		if src != nil || len(c.iq) == 0 || len(c.sq) == 0 || len(c.fq) == 0 || len(c.wkNodes) == 0 ||
+			!slices.ContainsFunc(c.inflight, func(idx int) bool { return issuedOp(&c.rob[idx]) }) ||
+			validLine(c) < 0 || validL2(c) < 0 {
+			return
+		}
+		for _, row := range coreState {
+			if row.live != nil && liveSlot(c, row.live) < 0 {
+				return
+			}
+		}
+		src = new(Core)
+		src.copyFrom(c)
+	}
+	Run(prog, newInitState(t, 603), cfg)
+	if src == nil {
+		t.Fatal("no cycle of the source run reaches every row's state")
+	}
+	src.cfg.OnCycle = nil
+	return src
+}
+
+// TestCoreStateTablePerturbation proves the table on a mid-run golden
+// core: perturbing a hashed field moves stateHash and any other field
+// leaves it alone; copyFrom carries a copied field's perturbation and
+// drops a scratch field's.
+func TestCoreStateTablePerturbation(t *testing.T) {
+	src := stateSource(t)
+	for _, key := range slices.Sorted(maps.Keys(coreState)) {
+		row := coreState[key]
+		typ, name, _ := strings.Cut(key, ".")
+		if f, _ := stateStructs[typ].FieldByName(name); composite(f.Type) {
+			continue // checked through its own struct's rows
+		}
+		site := stateSite{slot: liveSlot(src, row.live), line: validLine(src)}
+		base, pert := new(Core), new(Core)
+		base.copyFrom(src)
+		pert.copyFrom(src)
+		if row.prep != nil {
+			row.prep(base)
+			row.prep(pert)
+		}
+		if row.mut != nil {
+			row.mut(pert)
+		} else {
+			elem := 0
+			if row.elem != nil {
+				elem = row.elem(pert)
+			}
+			perturb(site.field(pert, key), elem)
+		}
+
+		moved := base.stateHash() != pert.stateHash()
+		if moved != (row.class == hashed) {
+			t.Errorf("%s: classified %v, but perturbing it moves stateHash: %v", key, row.class, moved)
+		}
+
+		eq := row.eq
+		if eq == nil {
+			eq = func(a, b *Core) bool {
+				x, y := site.field(a, key), site.field(b, key)
+				if x.Kind() == reflect.Slice && x.Len() == 0 && y.Len() == 0 {
+					return true // nil and empty alike
+				}
+				return reflect.DeepEqual(writable(x).Interface(), writable(y).Interface())
+			}
+		}
+		fromBase, fromPert := new(Core), new(Core)
+		fromBase.copyFrom(base)
+		fromPert.copyFrom(pert)
+		switch row.class {
+		case hashed, copied:
+			if !eq(fromPert, pert) || eq(fromPert, fromBase) {
+				t.Errorf("%s: classified %v, but copyFrom does not carry its perturbation", key, row.class)
+			}
+		case scratch:
+			if !eq(fromPert, fromBase) {
+				t.Errorf("%s: classified scratch, but copyFrom carries its perturbation", key)
+			}
+		}
+	}
+}

@@ -93,7 +93,7 @@ type uop struct {
 	st      uopState
 	doneAt  uint64
 	memLat  int
-	waitSrc uint8 // first source not yet ready (srcsReady memo)
+	pending uint8 // sources not yet ready while waiting (wake-up count)
 	isLoad  bool
 	isStore bool
 	poison  bool // fetched from an invalid PC: crashes if committed
@@ -122,7 +122,6 @@ func (u *uop) reset() {
 	u.st = uWaiting
 	u.doneAt = 0
 	u.memLat = 0
-	u.waitSrc = 0
 	u.isLoad = false
 	u.isStore = false
 	u.poison = false
