@@ -49,7 +49,7 @@ type GoldenKey struct {
 }
 
 // DefaultGoldenCacheEntries is the default in-process capacity in
-// bundles. Bundles are heavyweight (MBs: up to 16 checkpoints, each with
+// bundles. Bundles are heavyweight (MBs: up to 17 checkpoints, each with
 // its cache and predictor arrays), so the default is sized for "a
 // handful of programs in flight", not thousands.
 const DefaultGoldenCacheEntries = 64

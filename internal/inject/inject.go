@@ -374,34 +374,37 @@ func (c *Campaign) Golden() *uarch.Result {
 	return uarch.Run(c.Prog, c.Init(), c.goldenConfig())
 }
 
-// Checkpointing parameters: the golden run snapshots its state every
-// checkpointSpacing cycles, and when maxCheckpoints snapshots
-// accumulate, every other one is dropped and the spacing doubles — one
-// pass, bounded memory, spacing proportional to program length.
+// Checkpointing parameters: the golden run snapshots its state at cycle
+// 0 and then every checkpointSpacing cycles, and when maxCheckpoints
+// spaced snapshots accumulate, every other one is dropped and the
+// spacing doubles — one pass, bounded memory, spacing proportional to
+// program length. Checkpoint 0 is never dropped: every fast-forward
+// faulty run resumes from a checkpoint, none from reset.
 const (
 	checkpointSpacing = 512
 	maxCheckpoints    = 16
 )
 
 // checkpointEvery returns the golden run's OnCycle hook implementing
-// that policy: it appends to *cks, which holds the surviving snapshots
-// (oldest first) when the run ends.
+// that policy: it appends to *cks, which holds checkpoint 0 and the
+// surviving spaced snapshots (oldest first) when the run ends.
 func checkpointEvery(interval uint64, cks *[]*uarch.Checkpoint) func(*uarch.Core, uint64) {
-	next := interval
+	var next uint64
 	return func(core *uarch.Core, cyc uint64) {
 		if cyc != next {
 			return
 		}
-		if all := *cks; len(all) >= maxCheckpoints {
-			kept := all[:0]
-			for j := 1; j < len(all); j += 2 {
-				all[j-1].Release()
-				kept = append(kept, all[j])
+		if all := *cks; len(all) > maxCheckpoints {
+			spaced := all[1:]
+			kept := spaced[:0]
+			for j := 1; j < len(spaced); j += 2 {
+				spaced[j-1].Release()
+				kept = append(kept, spaced[j])
 			}
-			if len(all)%2 == 1 {
-				all[len(all)-1].Release()
+			if len(spaced)%2 == 1 {
+				spaced[len(spaced)-1].Release()
 			}
-			*cks = kept
+			*cks = all[:1+len(kept)]
 			interval *= 2
 		}
 		*cks = append(*cks, core.Checkpoint())
@@ -658,12 +661,15 @@ func nearestCheckpoint(cks []*uarch.Checkpoint, cycle uint64) *uarch.Checkpoint 
 }
 
 // simulate runs one injection configuration, resuming from the nearest
-// checkpoint at or before from, the fault's first active cycle, when one
-// exists (from == 0: reset). The prefix before that cycle is
-// bit-identical to the golden run (the fault has not manifested yet), so
-// resuming cannot change the outcome.
+// checkpoint at or before from, the fault's first active cycle. The
+// prefix before that cycle is bit-identical to the golden run (the fault
+// has not manifested yet), so resuming cannot change the outcome. With
+// checkpoint 0 in every bundle a fast-forward run always finds one; only
+// the references that pass none (NoFastForward, ValidateAll's
+// functional-unit re-simulation) and a golden run that ended at cycle 0
+// start from reset.
 func (c *Campaign) simulate(cfg uarch.Config, from uint64, cks []*uarch.Checkpoint) *uarch.Result {
-	if ck := nearestCheckpoint(cks, from); ck != nil && from > 0 {
+	if ck := nearestCheckpoint(cks, from); ck != nil {
 		c.Obs.Counter("inject.resume.checkpoint").Inc()
 		return uarch.RunFromCheckpoint(ck, cfg)
 	}

@@ -116,6 +116,7 @@ func RunFromCheckpoint(ck *Checkpoint, cfg Config) *Result {
 func (c *Core) copyFrom(src *Core) {
 	c.cfg = src.cfg
 	c.prog = src.prog
+	c.pre = src.pre
 	c.mem = src.mem.CloneInto(c.mem)
 
 	var tr *ace.CacheTracker
@@ -226,8 +227,6 @@ func (c *Core) copyFrom(src *Core) {
 	c.crash = src.crash
 	c.timedOut = src.timedOut
 	c.finished = src.finished
-	c.scratchSrc = c.scratchSrc[:0]
-	c.scratchDst = c.scratchDst[:0]
 }
 
 // copyUopsInto deep-copies ROB entries, retaining dst's per-µop slice

@@ -101,7 +101,10 @@ type fqEntry struct {
 type Core struct {
 	cfg  Config
 	prog []isa.Inst
-	mem  *arch.Memory
+	// pre is prog's rename table, built by init and shared by every copy
+	// (uop.go).
+	pre *predecode
+	mem *arch.Memory
 
 	cache *dcache
 	bp    *gshare
@@ -207,9 +210,6 @@ type Core struct {
 	crash    *arch.CrashError
 	timedOut bool
 	finished bool
-
-	scratchSrc []archRef
-	scratchDst []archRef
 }
 
 // NewCore builds a core for one run. init provides the initial
@@ -249,6 +249,9 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 	}
 	c.cfg = cfg
 	c.prog = prog
+	// Always a fresh table: a checkpoint copied from this core may still
+	// read the one it holds.
+	c.pre = newPredecode(prog)
 	c.mem = mem
 
 	if c.bp != nil && len(c.bp.table) == 1<<uint(cfg.GshareBits) {
@@ -648,17 +651,22 @@ func (c *Core) traceCommit(u *uop) {
 // --- commit -----------------------------------------------------------
 
 func (c *Core) commit() {
+	// Retired stores leave the head of the store queue, which is
+	// compacted once, after the loop: popping by reslicing would shrink
+	// its capacity from the front and make rename's append reallocate.
+	popped := 0
+retire:
 	for k := 0; k < c.cfg.CommitWidth && c.robCnt > 0; k++ {
 		u := &c.rob[c.robHead]
 		if u.st != uDone || u.doneAt > c.cycle {
-			return
+			break
 		}
 		c.progressed = true
 		if u.err != nil {
 			err := *u.err
 			err.PC = u.pc
 			c.crash = &err
-			return
+			break
 		}
 		if u.isStore {
 			for _, w := range u.writes {
@@ -670,13 +678,13 @@ func (c *Core) commit() {
 					e := *err
 					e.PC = u.pc
 					c.crash = &e
-					return
+					break retire
 				}
 			}
 			c.nStores--
 			// Pop from the store queue (it must be the oldest entry).
-			if len(c.sq) > 0 && c.sq[0] == c.robHead {
-				c.sq = c.sq[1:]
+			if popped < len(c.sq) && c.sq[popped] == c.robHead {
+				popped++
 			}
 		}
 		if u.isLoad {
@@ -743,8 +751,11 @@ func (c *Core) commit() {
 		c.robHead = (c.robHead + 1) % len(c.rob)
 		c.robCnt--
 		if c.finished {
-			return
+			break
 		}
+	}
+	if popped > 0 {
+		c.sq = c.sq[:copy(c.sq, c.sq[popped:])]
 	}
 }
 

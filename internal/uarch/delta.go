@@ -35,9 +35,11 @@ import (
 // recomputed-per-cycle scratch (oldestUnexecStore, unit/port counters),
 // scan lower bounds (wbReadyAt), state derived from hashed state (the
 // wake-up lists, the ready set and each µop's pending count, all
-// functions of the IQ and the ready bits, rebuilt by every copy),
-// expired timestamps (normalized to 0), per-µop fields that are dead in
-// the µop's current pipeline state, and pure telemetry (hit/miss
+// functions of the IQ and the ready bits, rebuilt by every copy), state
+// derived from immutable inputs (the predecode table, a function of the
+// program image that every copy shares), expired timestamps (normalized
+// to 0), per-µop fields that are dead in the µop's current pipeline
+// state, and pure telemetry (hit/miss
 // counters, ACE buffers, skipped-cycle counts). TestCoreStateTable*
 // classify every field of the core this way and check the
 // classification against stateHash and copyFrom.

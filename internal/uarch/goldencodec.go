@@ -31,9 +31,10 @@ import (
 // ace/intervals_codec.go under it) stays for one reason only: the frozen
 // benchmark/layers.go probes call EncodeGoldenArtifacts,
 // DecodeGoldenArtifacts and ace.AppendIntervalRecorder. Its deletion is
-// ROADMAP item 5. Its bytes moved once since it stopped being persisted:
-// the µop record lost its waitSrc byte when issue moved to wake-up lists
-// (TestGoldenBundlePinned re-pinned for exactly that).
+// ROADMAP item 5. Its bytes moved twice since it stopped being persisted:
+// the µop record lost its waitSrc byte when issue moved to wake-up lists,
+// and bundles gained a checkpoint when the golden run began keeping one
+// at cycle 0 (TestGoldenBundlePinned re-pinned for exactly those).
 //
 // The format is one set of binfmt walker methods on gaCodec — bundle,
 // result, core, uop, inst, crash — each naming its fields once and
@@ -47,8 +48,10 @@ import (
 // authoritative list of what constitutes dynamic simulator state — and
 // the same exclusions apply: run-loop scratch (progressed, wbReadyAt,
 // skipped, the wake-up lists and ready set that copyFrom rebuilds),
-// delta arming (re-derived by RestoreFrom) and per-run
-// instrumentation (trackers, recorders, trace sinks) are not state.
+// delta arming (re-derived by RestoreFrom), the predecode table (derived
+// from the program: the decoder's init builds one per checkpoint) and
+// per-run instrumentation (trackers, recorders, trace sinks) are not
+// state.
 // ROB entries outside the live window ∪ in-flight set hold dead values
 // that rename always resets before reuse, exactly as pooled-core copies
 // carry them; only the live subset is serialized. The memory digest is

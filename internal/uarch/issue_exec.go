@@ -461,12 +461,16 @@ func (c *Core) captureIBR(u *uop, ms *arch.State) {
 // --- rename ---------------------------------------------------------------
 
 func (c *Core) rename() {
-	for k := 0; k < c.cfg.RenameWidth && len(c.fq) > 0; k++ {
-		if !c.renameOne(c.fq[0]) {
-			return
-		}
+	// The renamed prefix leaves the fetch queue in one compaction:
+	// popping by reslicing would shrink its capacity from the front and
+	// make fetch's append reallocate.
+	k := 0
+	for k < c.cfg.RenameWidth && k < len(c.fq) && c.renameOne(c.fq[k]) {
 		c.progressed = true
-		c.fq = c.fq[1:]
+		k++
+	}
+	if k > 0 {
+		c.fq = c.fq[:copy(c.fq, c.fq[k:])]
 	}
 }
 
@@ -474,46 +478,35 @@ func (c *Core) renameOne(f fqEntry) bool {
 	if c.robCnt == len(c.rob) || len(c.iq) >= c.cfg.IQSize {
 		return false
 	}
-	var v *isa.Variant
+	var e predecoded
 	var in *isa.Inst
+	var srcs, dsts []archRef
 	switch {
 	case f.poison, f.bad:
 		// Poison and bad-decode entries carry no decodable instruction;
 		// they occupy a slot and raise their error at execute.
-		v = isa.Lookup(0)
+		e.v = isa.Lookup(0)
 	case f.mutated:
+		// The decoder-corrupted instruction is in no table: derive it here
+		// (a decoder fault corrupts one fetch per run).
 		in = &c.decInst
-		v = isa.Lookup(in.V)
+		v := isa.Lookup(in.V)
+		srcs, dsts = collectRefs(in, v, nil, nil)
+		e = summarize(v, srcs, dsts)
 	default:
 		in = &c.prog[f.pc]
-		v = isa.Lookup(in.V)
-	}
-	c.scratchSrc = c.scratchSrc[:0]
-	c.scratchDst = c.scratchDst[:0]
-	if in != nil {
-		c.scratchSrc, c.scratchDst = collectRefs(in, v, c.scratchSrc, c.scratchDst)
+		e = c.pre.ops[f.pc]
+		srcs, dsts = c.pre.operands(&e)
 	}
 	// Resource checks.
-	var needInt, needFP, needFlag int
-	for _, d := range c.scratchDst {
-		switch d.cls {
-		case clsInt:
-			needInt++
-		case clsFP:
-			needFP++
-		case clsFlag:
-			needFlag++
-		}
-	}
-	if needInt > len(c.intFree) || needFP > len(c.fpFree) || needFlag > len(c.flagFree) {
+	if int(e.need[clsInt]) > len(c.intFree) || int(e.need[clsFP]) > len(c.fpFree) ||
+		int(e.need[clsFlag]) > len(c.flagFree) {
 		return false
 	}
-	isLoad := in != nil && (v.ReadsMem() || v.Op == isa.OpPOP)
-	isStore := in != nil && (v.WritesMem() || v.Op == isa.OpPUSH)
-	if isLoad && c.nLoads >= c.cfg.LQSize {
+	if e.isLoad && c.nLoads >= c.cfg.LQSize {
 		return false
 	}
-	if isStore && c.nStores >= c.cfg.SQSize {
+	if e.isStore && c.nStores >= c.cfg.SQSize {
 		return false
 	}
 
@@ -523,16 +516,16 @@ func (c *Core) renameOne(f fqEntry) bool {
 	u.seq = c.seq
 	c.seq++
 	u.pc = f.pc
-	u.v = v
+	u.v = e.v
 	u.inst = in
 	u.poison = f.poison
 	u.mutated = f.mutated
 	u.bad = f.bad
 	u.predNext = f.predNext
-	u.isLoad = isLoad
-	u.isStore = isStore
+	u.isLoad = e.isLoad
+	u.isStore = e.isStore
 
-	for _, s := range c.scratchSrc {
+	for _, s := range srcs {
 		var phys uint16
 		switch s.cls {
 		case clsInt:
@@ -544,7 +537,7 @@ func (c *Core) renameOne(f fqEntry) bool {
 		}
 		u.srcs = append(u.srcs, rsrc{cls: s.cls, arch: s.arch, bits: s.bits, phys: phys})
 	}
-	for _, d := range c.scratchDst {
+	for _, d := range dsts {
 		var phys, old uint16
 		switch d.cls {
 		case clsInt:
@@ -569,15 +562,15 @@ func (c *Core) renameOne(f fqEntry) bool {
 		c.dropWaiters(c.wkReg(d.cls, phys))
 		u.dsts = append(u.dsts, rdst{cls: d.cls, arch: d.arch, phys: phys, old: old})
 	}
-	if v.IsBranch || f.poison {
+	if e.v.IsBranch || f.poison {
 		u.snap = c.rat
 		u.snapValid = true
 	}
-	if isStore {
+	if e.isStore {
 		c.sq = append(c.sq, idx)
 		c.nStores++
 	}
-	if isLoad {
+	if e.isLoad {
 		c.nLoads++
 	}
 	c.iq = append(c.iq, idx)
@@ -624,7 +617,10 @@ func (c *Core) fetch() {
 				continue
 			}
 		}
-		v := isa.Lookup(in.V)
+		v := c.pre.ops[pc].v
+		if mutated {
+			v = isa.Lookup(in.V)
+		}
 		next := pc + 1
 		if v.IsBranch {
 			target := pc + 1 + int(in.Ops[0].Imm)

@@ -103,6 +103,7 @@ func swapFirst(s []uint16) { s[0], s[1] = s[1], s[0] }
 var coreState = map[string]stateRow{
 	"Core.cfg":   {class: copied, why: whyConfig},
 	"Core.prog":  {class: copied, why: "the program image: immutable, shared by every run of the program", mut: func(c *Core) { p := slices.Clone(c.prog); p[0].Ops[0].Imm++; c.prog = p }},
+	"Core.pre":   {class: copied, why: "derived from prog, immutable, shared", mut: func(c *Core) { c.pre = newPredecode(c.prog) }, eq: func(a, b *Core) bool { return a.pre == b.pre }},
 	"Core.mem":   {class: hashed, mut: flipMemByte, eq: func(a, b *Core) bool { return a.mem.Digest() == b.mem.Digest() }},
 	"Core.cache": {class: hashed},
 	"Core.bp":    {class: hashed},
@@ -184,10 +185,8 @@ var coreState = map[string]stateRow{
 	"Core.flushes":     {class: copied, why: whyTelemetry},
 	"Core.crash": {class: copied, why: whyTerminal,
 		mut: func(c *Core) { c.crash = &arch.CrashError{Kind: arch.CrashBadBranch} }},
-	"Core.timedOut":   {class: copied, why: whyTerminal},
-	"Core.finished":   {class: copied, why: whyTerminal},
-	"Core.scratchSrc": {class: scratch, why: "rename scratch: copyFrom empties it"},
-	"Core.scratchDst": {class: scratch, why: "rename scratch: copyFrom empties it"},
+	"Core.timedOut": {class: copied, why: whyTerminal},
+	"Core.finished": {class: copied, why: whyTerminal},
 
 	"uop.seq": {class: hashed},
 	"uop.pc":  {class: hashed},
