@@ -4,7 +4,10 @@
 // (§II-D, Fig. 3). A bit is ACE during intervals that must be correct for
 // the program's architectural output: write→read and read→read intervals;
 // read→write, write→overwrite and clean-eviction tails are un-ACE; a
-// dirty cache byte is ACE up to its writeback.
+// dirty cache byte is ACE up to its writeback. When that writeback is the
+// end-of-run flush and nothing read the byte since its last write, fill
+// or read, the fault injector grades a flip in that tail from the golden
+// output instead of simulating it (uarch.FlushLog).
 //
 // The trackers are driven by the out-of-order core model with events from
 // *committed* instructions only. Because commit order is program order

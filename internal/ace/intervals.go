@@ -103,6 +103,17 @@ func (r *IntervalRecorder) ReadRange(cell, n int, cycle uint64) {
 	}
 }
 
+// LastEvent returns the cycle of the cell's last logged write or read
+// (0 for a cell never touched since reset): a corruption applied after it
+// meets no logged event until the next one.
+func (r *IntervalRecorder) LastEvent(cell int) uint64 {
+	w := r.lastWrite[cell]
+	if s := r.spans[cell]; len(s) > 0 {
+		return max(w, s[len(s)-1].end)
+	}
+	return w
+}
+
 // Consumed reports whether a corruption of cell applied at the start of
 // cycle can reach architectural state, i.e. whether cycle falls in a
 // consumed interval. A false return is a proof of masking.

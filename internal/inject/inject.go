@@ -5,7 +5,10 @@
 //
 // Fault models (§III-C):
 //   - bit arrays (IRF, L1D): transient single-bit flips with uniformly
-//     random (bit, cycle), and intermittent stuck-at windows;
+//     random (bit, cycle), and intermittent stuck-at windows. A transient
+//     flip no access consumes is Masked without simulation, and an L1D
+//     flip that only the end-of-run cache flush reads is graded from the
+//     golden output;
 //   - functional units (integer adder/multiplier, SSE FP adder/
 //     multiplier): permanent stuck-at-0/1 faults (or intermittent
 //     windows of them) at uniformly sampled gates of the gate-level
@@ -155,18 +158,22 @@ type Campaign struct {
 	Workers int
 
 	// NoFastForward disables checkpointed resume and every
-	// pre-classifier — the ACE interval log of bit arrays and the golden
-	// operand stream of functional units — simulating every injection
-	// from cycle 0, functional-unit faults on the plain netlist (the
-	// pre-optimization path; kept for ablation and validation).
+	// pre-classifier — the ACE interval log of bit arrays, the L1D's
+	// flush log and the golden operand stream of functional units —
+	// simulating every injection from cycle 0, functional-unit faults on
+	// the plain netlist (the pre-optimization path; kept for ablation and
+	// validation).
 	NoFastForward bool
 	// ValidateAll simulates even provably-masked injections and fails
 	// the campaign if the simulated outcome disagrees with the
 	// pre-classifier (a soundness self-check; slow). It also re-simulates
 	// every delta-terminated run to completion and fails the campaign if
-	// the full run is not Masked, and re-simulates every functional-unit
-	// fault graded against the operand stream from cycle 0 on the plain
-	// netlist, failing unless the outcome agrees.
+	// the full run is not Masked; re-simulates every L1D flip graded from
+	// the golden output (flushGraded), failing unless the run reproduces
+	// the graded outcome and signature at the golden run's final cycle;
+	// and re-simulates every functional-unit fault graded against the
+	// operand stream from cycle 0 on the plain netlist, failing unless the
+	// outcome agrees.
 	ValidateAll bool
 	// NoDeltaTermination disables delta resimulation (the ablation /
 	// soundness knob): every simulated injection runs to program
@@ -611,6 +618,78 @@ func (c *Campaign) preMasked(sp faultSpec, rec *ace.IntervalRecorder, goldenCycl
 	return true
 }
 
+// flushGrade is a transient L1D flip graded from the golden output: its
+// outcome and final signature, and for ValidateAll's error the first
+// flipped byte only the final flush reads, the address the flush wrote
+// it to and the start of its flush-only window.
+type flushGrade struct {
+	out   Outcome
+	sig   uint64
+	byte  int
+	addr  uint64
+	start uint64
+}
+
+// flushGraded grades a transient L1D flip without simulation when every
+// bit of its burst is either unconsumed or inside its byte's flush-only
+// window (uarch.FlushLog): no access reads the flipped bits before the
+// final flush writes them back, so the faulty run ends at the golden
+// run's cycle with the golden final state except for those bits. They
+// are flipped at their flushed addresses in a copy of that state and the
+// signature recomputed: SDC if it changed, Masked if not (a byte outside
+// every writable region is not part of the signature).
+func (c *Campaign) flushGraded(sp faultSpec, rec *ace.IntervalRecorder, golden *uarch.Result) (flushGrade, bool) {
+	fl := golden.L1DFlush
+	if c.Target != coverage.L1D || fl == nil {
+		return flushGrade{}, false
+	}
+	var g flushGrade
+	var final *arch.State
+	for j := 0; j < max(c.BurstLen, 1); j++ {
+		bit := (sp.bit + j) % (c.Cfg.L1D.SizeBytes * 8)
+		if !rec.Consumed(bit/8, sp.start) {
+			continue
+		}
+		addr, start, ok := fl.Window(bit / 8)
+		if !ok || sp.start <= start {
+			return flushGrade{}, false
+		}
+		if final == nil {
+			final = fl.FinalState()
+			g = flushGrade{byte: bit / 8, addr: addr, start: start}
+		}
+		mem := final.Mem.(*arch.Memory)
+		var b [1]byte
+		if mem.ReadBytes(addr, b[:]) != nil {
+			return flushGrade{}, false
+		}
+		b[0] ^= 1 << uint(bit%8)
+		if mem.WriteBytes(addr, b[:]) != nil {
+			return flushGrade{}, false
+		}
+	}
+	if final == nil {
+		return flushGrade{}, false
+	}
+	if g.sig = final.Signature(); g.sig != golden.Signature {
+		g.out = SDC
+	}
+	return g, true
+}
+
+// validateFlush re-simulates a flush-graded injection to completion and
+// fails unless it ends at the golden run's final cycle with the graded
+// outcome and signature.
+func (c *Campaign) validateFlush(sp faultSpec, g flushGrade, golden *uarch.Result, cks []*uarch.Checkpoint) error {
+	res := c.simulate(c.cfgFor(sp, golden, nil), sp.start, cks)
+	if out := classify(res, golden); out != g.out || res.Signature != g.sig || res.Cycles != golden.Cycles {
+		return fmt.Errorf(
+			"inject: flush grader unsound: injection %d (cycle %d, cache byte %d flushed to %#x, window start %d) graded %v (signature %#x) but simulates as %v (signature %#x) ending at cycle %d (golden %d)",
+			sp.idx, sp.start, g.byte, g.addr, g.start, g.out, g.sig, out, res.Signature, res.Cycles, golden.Cycles)
+	}
+	return nil
+}
+
 // nearestCheckpoint returns the latest checkpoint at or before cycle
 // (cks is in ascending cycle order), or nil.
 func nearestCheckpoint(cks []*uarch.Checkpoint, cycle uint64) *uarch.Checkpoint {
@@ -800,9 +879,10 @@ func goldenErr(golden *uarch.Result) error {
 //
 // The fast path (default) simulates one instrumented golden run, proves
 // un-consumed transient flips and never-activated functional-unit faults
-// masked without simulating them, sorts the remaining injections by
-// fault cycle and resumes each from the nearest checkpoint preceding its
-// first active cycle. Per-outcome counts are bit-identical to the
+// masked without simulating them, grades L1D flips that only the final
+// flush reads from the golden output (flushGraded), sorts the remaining
+// injections by fault cycle and resumes each from the nearest checkpoint
+// preceding its first active cycle. Per-outcome counts are bit-identical to the
 // NoFastForward path for a fixed seed (asserted by tests across all
 // structures and by ValidateAll).
 func (c *Campaign) Run() (*Stats, error) {
@@ -886,14 +966,26 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 
 	outcomes := make([]Outcome, n)
 	pre := make([]bool, n)
+	var flushed map[int]flushGrade // by spec index
 	toRun := make([]faultSpec, 0, n)
+	rec := c.recorderFor(golden)
 	for _, sp := range specs {
-		if rec := c.recorderFor(golden); rec != nil && c.Type == Transient &&
-			c.preMasked(sp, rec, golden.Cycles) {
-			outcomes[sp.idx-lo] = Masked
-			pre[sp.idx-lo] = true
-			if !c.ValidateAll {
-				continue
+		if rec != nil && c.Type == Transient {
+			if c.preMasked(sp, rec, golden.Cycles) {
+				outcomes[sp.idx-lo] = Masked
+				pre[sp.idx-lo] = true
+				if !c.ValidateAll {
+					continue
+				}
+			} else if g, ok := c.flushGraded(sp, rec, golden); ok {
+				if flushed == nil {
+					flushed = map[int]flushGrade{}
+				}
+				flushed[sp.idx] = g
+				outcomes[sp.idx-lo] = g.out
+				if !c.ValidateAll {
+					continue
+				}
 			}
 		}
 		toRun = append(toRun, sp)
@@ -926,7 +1018,14 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 			}
 			for i := range next {
 				sp := toRun[i]
-				out, premasked, err := c.runSpec(sp, golden, cks, traj, fu)
+				var out Outcome
+				var premasked bool
+				var err error
+				if g, ok := flushed[sp.idx]; ok {
+					out, err = g.out, c.validateFlush(sp, g, golden, cks)
+				} else {
+					out, premasked, err = c.runSpec(sp, golden, cks, traj, fu)
+				}
 				if err == nil && pre[sp.idx-lo] && out != Masked {
 					err = fmt.Errorf(
 						"inject: pre-classifier unsound: injection %d (cycle %d reg %d bit %d) simulated as %v",
@@ -966,11 +1065,12 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 				premasked++
 			}
 		}
-		simulated := n - premasked
+		simulated := n - premasked - len(flushed)
 		if c.ValidateAll {
 			simulated = n
 		}
 		c.Obs.Counter("inject.premasked").Add(int64(premasked))
+		c.Obs.Counter("inject.flushgraded").Add(int64(len(flushed)))
 		c.Obs.Counter("inject.simulated").Add(int64(simulated))
 		c.Obs.Gauge("inject.premask.rate").Set(float64(premasked) / float64(n))
 	}

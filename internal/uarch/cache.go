@@ -35,7 +35,8 @@ type dcache struct {
 	tracker *ace.CacheTracker
 	// rec logs per-byte consumed-value intervals at access time (fills
 	// and stores are writes; loads, dirty evictions and the final flush
-	// are consumptions). Nil unless Config.RecordL1DIntervals.
+	// are consumptions). Nil unless Config.RecordL1DIntervals, which also
+	// has the final flush fill in a FlushLog.
 	rec *ace.IntervalRecorder
 
 	// Second level (timing only) and latency table.
@@ -281,8 +282,8 @@ func (d *dcache) access(addr uint64, size int, write bool, buf []byte, cycle uin
 }
 
 // flush writes back all dirty lines (end of simulation, before the
-// memory signature is computed).
-func (d *dcache) flush(cycle uint64) *arch.CrashError {
+// memory signature is computed), logging each in fl when non-nil.
+func (d *dcache) flush(cycle uint64, fl *FlushLog) *arch.CrashError {
 	if d.tracker != nil {
 		d.tracker.Finish(func(idx int) bool {
 			return d.lines[idx/d.cfg.LineBytes].dirty
@@ -292,6 +293,9 @@ func (d *dcache) flush(cycle uint64) *arch.CrashError {
 		l := &d.lines[i]
 		if l.valid && l.dirty {
 			d.writebacks++
+			if fl != nil {
+				fl.record(i, d.lineAddr(i), d.rec, d.byteIndex(i, 0))
+			}
 			if d.rec != nil {
 				d.rec.ReadRange(d.byteIndex(i, 0), d.cfg.LineBytes, cycle)
 			}

@@ -127,8 +127,9 @@ type Config struct {
 	// logging consumed-value intervals directly at access time (including
 	// wrong-path work, so the log is conservative). The fault injector
 	// uses the recorders, surfaced on Result, to prove transient flips
-	// masked without simulating them. Pure observation: enabling a
-	// recorder cannot change simulated behaviour.
+	// masked without simulating them; RecordL1DIntervals also records
+	// what the final flush wrote back (Result.L1DFlush). Pure
+	// observation: enabling a recorder cannot change simulated behaviour.
 	RecordIRFIntervals  bool
 	RecordFPRFIntervals bool
 	RecordL1DIntervals  bool

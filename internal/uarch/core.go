@@ -57,6 +57,10 @@ type Result struct {
 	IRFIntervals  *ace.IntervalRecorder
 	FPRFIntervals *ace.IntervalRecorder
 	L1DIntervals  *ace.IntervalRecorder
+	// L1DFlush is what the final flush wrote back, recorded with
+	// L1DIntervals (nil without them, and for a reconverged run). The
+	// fault injector grades against it the flips only the flush reads.
+	L1DFlush *FlushLog
 }
 
 // Clean reports a run that neither crashed nor hung.
@@ -564,11 +568,15 @@ func (c *Core) Run() *Result {
 
 func (c *Core) buildResult() *Result {
 	var sig uint64
+	var fl *FlushLog
 	// A reconverged run stopped mid-program: its cache stays unflushed
 	// and its signature undefined — the final state is by construction
 	// the golden run's (delta.go).
 	if !c.reconverged {
-		if err := c.cache.flush(c.cycle); err != nil && c.crash == nil {
+		if c.cache.rec != nil {
+			fl = &FlushLog{LineBytes: c.cache.cfg.LineBytes}
+		}
+		if err := c.cache.flush(c.cycle, fl); err != nil && c.crash == nil {
 			c.crash = err
 		}
 		// The final architectural state is itself a consumer: physical
@@ -598,6 +606,10 @@ func (c *Core) buildResult() *Result {
 		}
 		fs.Flags = c.flagPRF[c.rat.flagRAT]
 		sig = fs.Signature()
+		if fl != nil {
+			fl.Final = fs
+			fl.Final.Mem = c.mem.Clone()
+		}
 	}
 
 	r := &Result{
@@ -621,6 +633,7 @@ func (c *Core) buildResult() *Result {
 	r.IRFIntervals = c.recIRF
 	r.FPRFIntervals = c.recFPRF
 	r.L1DIntervals = c.cache.rec
+	r.L1DFlush = fl
 	r.Cycles = c.cycle
 	r.Instructions = c.instret
 	if c.irf != nil {

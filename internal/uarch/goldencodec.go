@@ -96,6 +96,7 @@ func (ga *GoldenArtifacts) Release() {
 		ga.Result.IRFIntervals = nil
 		ga.Result.FPRFIntervals = nil
 		ga.Result.L1DIntervals = nil
+		ga.Result.L1DFlush = nil
 	}
 	for _, ck := range ga.Checkpoints {
 		ck.Release()
@@ -110,8 +111,9 @@ func (ga *GoldenArtifacts) Release() {
 // the checkpoints' live ROB entries, cache chunks, guest pages and
 // register files — the number the golden cache's bytes gauge reports.
 // Consecutive checkpoints share the pages and cache chunks the golden run
-// did not write between them, so each page and chunk is counted once, by
-// identity.
+// did not write between them, and the flush log's final memory shares
+// the pages the run did not write after its last checkpoint, so each
+// page and chunk is counted once, by identity.
 func (ga *GoldenArtifacts) ApproxBytes() int {
 	if ga == nil {
 		return 0
@@ -136,6 +138,13 @@ func (ga *GoldenArtifacts) ApproxBytes() int {
 		if !seen[id] {
 			seen[id] = true
 			n += size
+		}
+	}
+	if r := ga.Result; r != nil && r.L1DFlush != nil {
+		fl := r.L1DFlush
+		n += fl.approxBytes()
+		for _, data := range fl.Final.Mem.(*arch.Memory).Pages() {
+			once(&data[0], len(data))
 		}
 	}
 	for _, ck := range ga.Checkpoints {

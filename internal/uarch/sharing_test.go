@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	"harpocrates/internal/ace"
+	"harpocrates/internal/arch"
 	"harpocrates/internal/baselines/dcdiag"
 	"harpocrates/internal/gen"
 	"harpocrates/internal/stats"
@@ -242,13 +244,17 @@ func TestCheckpointThinning(t *testing.T) {
 
 // TestApproxBytesCountsSharedOnce: a checkpoint that shares every page
 // and cache chunk with one already in the bundle adds only what it holds
-// alone, however many such checkpoints there are.
+// alone, however many such checkpoints there are, and so does the flush
+// log, whose final memory shares every page with them.
 func TestApproxBytesCountsSharedOnce(t *testing.T) {
 	g := presetGens()[0]
 	p := gen.Materialize(gen.NewRandom(&g.cfg, stats.Derive(3, 22)), &g.cfg)
-	c := NewCore(p.Insts, p.NewState(), DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.RecordL1DIntervals = true
+	c := NewCore(p.Insts, p.NewState(), cfg)
 	c.cfg.MaxCycles = 1000
-	c.Run()
+	res := c.Run()
+	defer ace.ReleaseIntervalRecorder(res.L1DIntervals)
 	first := c.Checkpoint()
 	ga := &GoldenArtifacts{Checkpoints: []*Checkpoint{first}}
 	one := ga.ApproxBytes()
@@ -262,6 +268,23 @@ func TestApproxBytesCountsSharedOnce(t *testing.T) {
 			t.Fatalf("%d checkpoints sharing every page and chunk count %d bytes, want %d (one: %d, own part: %d)",
 				n, got, want, one, ck.ownBytes())
 		}
+	}
+	fl := res.L1DFlush
+	if fl == nil || len(fl.Lines) == 0 {
+		t.Fatal("the run recorded no flushed line")
+	}
+	without := ga.ApproxBytes()
+	ga.Result = res
+	if got, want := ga.ApproxBytes(), without+256+res.L1DIntervals.ApproxBytes()+fl.approxBytes(); got != want {
+		t.Fatalf("a flush log sharing every page counts %d bytes, want %d (own part: %d)", got, want, fl.approxBytes())
+	}
+	pages := 0
+	for _, data := range fl.Final.Mem.(*arch.Memory).Pages() {
+		pages += len(data)
+	}
+	alone := &GoldenArtifacts{Result: res}
+	if got, want := alone.ApproxBytes(), 256+res.L1DIntervals.ApproxBytes()+fl.approxBytes()+pages; got != want {
+		t.Fatalf("a flush log alone counts %d bytes, want %d (final pages: %d)", got, want, pages)
 	}
 	for _, ck := range ga.Checkpoints {
 		ck.Release()
