@@ -4,14 +4,21 @@
 //
 // A Netlist is a topologically-ordered array of two-input primitive gates.
 // Evaluation is 64-lane bit-parallel: every wire carries a uint64 whose
-// bits are 64 independent input patterns, so one pass over the gate array
+// bits are 64 independent input patterns, so one pass over the netlist
 // simulates 64 operand pairs (classic parallel-pattern single-fault
-// propagation). Stuck-at-0/1 faults can be injected at any gate output;
-// the override is applied mid-evaluation so all downstream logic sees the
+// propagation). Build levelizes the gate array once into runs of one gate
+// type at one logic level, so a pass is one tight loop per run rather
+// than one type switch per gate. Stuck-at-0/1 faults can be injected at
+// any gate output; the override is applied right after the run holding
+// the gate, before any reader of it runs, so all downstream logic sees the
 // faulty value, giving exact logical masking behaviour.
 package gates
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // GateType enumerates the primitive gates.
 type GateType uint8
@@ -57,6 +64,26 @@ type Netlist struct {
 	Gates   []Gate
 	NumIn   int   // number of external inputs
 	Outputs []int // gate indices, in output-ordinal order
+
+	// The evaluation order Build derives: gates sorted by (level, type),
+	// where an input or constant is level 0 and any other gate one more
+	// than its deepest operand. A gate's position is its slot in that
+	// order; Gates and gate numbering are untouched.
+	pos    []int32    // position of each gate
+	runs   []run      // maximal position ranges of one type at one level
+	ops    []operands // per position
+	outPos []int32    // position of each output
+}
+
+// operands are a gate's operand positions, or an input's ordinal in a.
+type operands struct{ a, b int32 }
+
+// run is a range [lo, hi) of positions holding gates of one type at one
+// level. No gate reads another of its own level, so a run's gates are
+// independent of each other and of every later run of the same level.
+type run struct {
+	typ    GateType
+	lo, hi int32
 }
 
 // NumGates returns the total gate count (inputs and constants included).
@@ -82,6 +109,11 @@ func NewBuilder(name string) *Builder {
 }
 
 func (b *Builder) add(t GateType, a, bb int) int {
+	if len(b.n.Gates) == cap(b.n.Gates) {
+		// Double the array: append grows a large slice by a quarter at a
+		// time, copying a 25k-gate netlist about five times over.
+		b.n.Gates = slices.Grow(b.n.Gates, max(len(b.n.Gates), 1024))
+	}
 	b.n.Gates = append(b.n.Gates, Gate{Type: t, A: int32(a), B: int32(bb)})
 	return len(b.n.Gates) - 1
 }
@@ -176,18 +208,76 @@ func (b *Builder) Build() *Netlist {
 			}
 		}
 	}
+	b.n.levelize()
 	return b.n
+}
+
+// levelize derives the evaluation order: a counting sort of the gates by
+// (level, type), stable in gate number, then the runs and the operand
+// positions in that order. Operands precede their gate in number order,
+// so their positions are known by the time the gate is placed.
+func (n *Netlist) levelize() {
+	const types = int32(numGateTypes)
+	key := make([]int32, len(n.Gates)) // level*types + type, per gate
+	count := make([]int32, 1, 64*types)
+	for i, g := range n.Gates {
+		var l int32
+		switch g.Type {
+		case GInput, GConst0, GConst1:
+		case GBuf, GNot:
+			l = key[g.A]/types + 1
+		default:
+			l = max(key[g.A], key[g.B])/types + 1
+		}
+		k := l*types + int32(g.Type)
+		key[i] = k
+		for int(k) >= len(count)-1 {
+			count = append(count, 0)
+		}
+		count[k+1]++
+	}
+	n.runs = n.runs[:0]
+	for k := range len(count) - 1 {
+		if count[k+1] > 0 {
+			n.runs = append(n.runs, run{typ: GateType(int32(k) % types), lo: count[k], hi: count[k] + count[k+1]})
+		}
+		count[k+1] += count[k] // now the first position of key k+1
+	}
+	n.pos = key // each gate's key gives way to its position
+	n.ops = make([]operands, len(n.Gates))
+	for i, g := range n.Gates {
+		p := count[key[i]]
+		count[key[i]]++
+		n.pos[i] = p
+		switch g.Type {
+		case GInput:
+			n.ops[p].a = g.A
+		case GConst0, GConst1:
+		case GBuf, GNot:
+			n.ops[p].a = n.pos[g.A]
+		default:
+			n.ops[p] = operands{n.pos[g.A], n.pos[g.B]}
+		}
+	}
+	n.outPos = make([]int32, len(n.Outputs))
+	for j, g := range n.Outputs {
+		n.outPos[j] = n.pos[g]
+	}
 }
 
 // Eval is a reusable evaluation context (one per goroutine).
 type Eval struct {
-	n    *Netlist
-	vals []uint64
+	n     *Netlist
+	vals  []uint64 // by position
+	words []uint64 // Table.Eval's output lane words
 }
 
-// NewEval creates an evaluation context for n.
+// NewEval creates an evaluation context for n, which Build returned.
 func NewEval(n *Netlist) *Eval {
-	return &Eval{n: n, vals: make([]uint64, len(n.Gates))}
+	if len(n.pos) != len(n.Gates) {
+		panic(fmt.Sprintf("gates: %s: netlist not finalized by Build", n.Name))
+	}
+	return &Eval{n: n, vals: make([]uint64, len(n.Gates)), words: make([]uint64, len(n.Outputs))}
 }
 
 // Netlist returns the bound netlist.
@@ -196,55 +286,84 @@ func (e *Eval) Netlist() *Netlist { return e.n }
 // Run evaluates the netlist. in holds one uint64 (64 lanes) per external
 // input; out receives one uint64 per output ordinal. fault, if non-nil,
 // forces the named gate's output to the stuck value in every lane.
+//
+// The override lands right after the run holding the gate: every reader
+// of the gate sits at a higher level, hence in a later run, and no later
+// run of the gate's own level reads it, so the result is exactly that of
+// evaluating the gates in number order with the override in place.
 func (e *Eval) Run(in []uint64, out []uint64, fault *StuckAt) {
-	if len(in) != e.n.NumIn {
-		panic(fmt.Sprintf("gates: %s: got %d inputs, want %d", e.n.Name, len(in), e.n.NumIn))
+	n := e.n
+	if len(in) != n.NumIn {
+		panic(fmt.Sprintf("gates: %s: got %d inputs, want %d", n.Name, len(in), n.NumIn))
 	}
-	stop := len(e.n.Gates)
+	runs := n.runs
 	if fault != nil {
-		stop = fault.Gate + 1
-	}
-	e.runRange(in, 0, stop)
-	if fault != nil {
+		// Evaluate up to the run holding the gate, force it, go on.
+		at := n.pos[fault.Gate]
+		k := sort.Search(len(runs), func(k int) bool { return runs[k].hi > at })
+		e.runs(in, runs[:k+1])
+		e.vals[at] = 0
 		if fault.Value {
-			e.vals[fault.Gate] = ^uint64(0)
-		} else {
-			e.vals[fault.Gate] = 0
+			e.vals[at] = ^uint64(0)
 		}
-		e.runRange(in, stop, len(e.n.Gates))
+		runs = runs[k+1:]
 	}
-	for j, g := range e.n.Outputs {
-		out[j] = e.vals[g]
+	e.runs(in, runs)
+	for j, p := range n.outPos {
+		out[j] = e.vals[p]
 	}
 }
 
-func (e *Eval) runRange(in []uint64, from, to int) {
-	v := e.vals
-	for i := from; i < to; i++ {
-		g := e.n.Gates[i]
-		switch g.Type {
+// runs evaluates rs in order: one loop per run, no per-gate dispatch.
+func (e *Eval) runs(in []uint64, rs []run) {
+	v, ops := e.vals, e.n.ops
+	for _, r := range rs {
+		o := ops[r.lo:r.hi]
+		dst := v[r.lo:r.hi]
+		dst = dst[:len(o)]
+		switch r.typ {
 		case GInput:
-			v[i] = in[g.A]
+			for i, x := range o {
+				dst[i] = in[x.a]
+			}
 		case GConst0:
-			v[i] = 0
+			clear(dst)
 		case GConst1:
-			v[i] = ^uint64(0)
+			for i := range dst {
+				dst[i] = ^uint64(0)
+			}
 		case GBuf:
-			v[i] = v[g.A]
+			for i, x := range o {
+				dst[i] = v[x.a]
+			}
 		case GNot:
-			v[i] = ^v[g.A]
+			for i, x := range o {
+				dst[i] = ^v[x.a]
+			}
 		case GAnd:
-			v[i] = v[g.A] & v[g.B]
+			for i, x := range o {
+				dst[i] = v[x.a] & v[x.b]
+			}
 		case GOr:
-			v[i] = v[g.A] | v[g.B]
+			for i, x := range o {
+				dst[i] = v[x.a] | v[x.b]
+			}
 		case GXor:
-			v[i] = v[g.A] ^ v[g.B]
+			for i, x := range o {
+				dst[i] = v[x.a] ^ v[x.b]
+			}
 		case GNand:
-			v[i] = ^(v[g.A] & v[g.B])
+			for i, x := range o {
+				dst[i] = ^(v[x.a] & v[x.b])
+			}
 		case GNor:
-			v[i] = ^(v[g.A] | v[g.B])
+			for i, x := range o {
+				dst[i] = ^(v[x.a] | v[x.b])
+			}
 		case GXnor:
-			v[i] = ^(v[g.A] ^ v[g.B])
+			for i, x := range o {
+				dst[i] = ^(v[x.a] ^ v[x.b])
+			}
 		}
 	}
 }

@@ -97,7 +97,7 @@ func (t *Table) Eval(e *Eval, fault *StuckAt, out [][2]uint64, diff []uint64) bo
 	if e.n != t.net {
 		panic(fmt.Sprintf("gates: table of %s evaluated on %s", t.net.Name, e.n.Name))
 	}
-	words := make([]uint64, len(t.net.Outputs))
+	words := e.words
 	res := words[:t.bits]
 	changed := false
 	for blk, base := 0, 0; base < len(t.pairs); blk, base = blk+1, base+64 {

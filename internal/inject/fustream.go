@@ -38,9 +38,11 @@ import (
 //     stamped with the core's cycle at the call, so every call stamped k
 //     or later happens after a restore from it.
 //
-// NoFastForward keeps the from-reset run with the plain netlist as the
-// ablation and the oracle (TestFUStreamBitIdentical); ValidateAll
-// re-simulates every graded fault that way.
+// Each pool worker runs its faulty runs on one unit set of its own,
+// re-armed per fault (fuGrader). NoFastForward keeps the from-reset run
+// with the plain netlist on fresh units (FUHooksFor) as the ablation and
+// the oracle (TestFUStreamBitIdentical); ValidateAll re-simulates every
+// graded fault that way, so neither depends on the reuse.
 
 // fuResultBits is the width of the target unit's result: the
 // multiplier's 128-bit product or the 64-bit sum.
@@ -95,18 +97,11 @@ func (c *Campaign) recordFUStream(cfg *uarch.Config, cycle func() uint64) *gates
 	return s
 }
 
-// tableHooks is FUHooksFor(target, fault) answering the table's pairs
-// from res — Table.Eval's faulty results, or the table's golden ones for
-// a fault-free unit. Every other call, the FP units' single-precision
-// path included, goes to the netlist units, built on first use.
-func tableHooks(target coverage.Structure, fault *gates.StuckAt, tbl *gates.Table, res [][2]uint64) *arch.FUHooks {
-	var units *arch.FUHooks
-	netlist := func() *arch.FUHooks {
-		if units == nil {
-			units = FUHooksFor(target, fault)
-		}
-		return units
-	}
+// tableHooks routes the target unit's operations like units, its
+// FUHooksFor hook set, except that the table's pairs are answered from
+// res — Table.Eval's faulty results, or the table's golden ones for a
+// fault-free unit.
+func tableHooks(target coverage.Structure, tbl *gates.Table, res [][2]uint64, units *arch.FUHooks) *arch.FUHooks {
 	lookup := func(p gates.Pair) (*[2]uint64, bool) {
 		i, ok := tbl.Index(p)
 		if !ok {
@@ -114,66 +109,73 @@ func tableHooks(target coverage.Structure, fault *gates.StuckAt, tbl *gates.Tabl
 		}
 		return &res[i], true
 	}
+	hooks := *units
 	switch target {
 	case coverage.IntAdder:
-		return &arch.FUHooks{IntAdd: func(a, b uint64, cin bool) uint64 {
+		hooks.IntAdd = func(a, b uint64, cin bool) uint64 {
 			if r, ok := lookup(gates.Pair{A: a, B: b, Cin: cin}); ok {
 				return r[0]
 			}
-			return netlist().IntAdd(a, b, cin)
-		}}
+			return units.IntAdd(a, b, cin)
+		}
 	case coverage.IntMul:
-		return &arch.FUHooks{IntMul: func(a, b uint64) (uint64, uint64) {
+		hooks.IntMul = func(a, b uint64) (uint64, uint64) {
 			if r, ok := lookup(gates.Pair{A: a, B: b}); ok {
 				return r[0], r[1]
 			}
-			return netlist().IntMul(a, b)
-		}}
+			return units.IntMul(a, b)
+		}
 	case coverage.FPAdd:
-		return &arch.FUHooks{
-			FPAdd64: func(a, b uint64) uint64 {
-				if r, ok := lookup(gates.Pair{A: a, B: b}); ok {
-					return r[0]
-				}
-				return netlist().FPAdd64(a, b)
-			},
-			FPAdd32: func(a, b uint32) uint32 { return netlist().FPAdd32(a, b) },
+		hooks.FPAdd64 = func(a, b uint64) uint64 {
+			if r, ok := lookup(gates.Pair{A: a, B: b}); ok {
+				return r[0]
+			}
+			return units.FPAdd64(a, b)
 		}
 	case coverage.FPMul:
-		return &arch.FUHooks{
-			FPMul64: func(a, b uint64) uint64 {
-				if r, ok := lookup(gates.Pair{A: a, B: b}); ok {
-					return r[0]
-				}
-				return netlist().FPMul64(a, b)
-			},
-			FPMul32: func(a, b uint32) uint32 { return netlist().FPMul32(a, b) },
+		hooks.FPMul64 = func(a, b uint64) uint64 {
+			if r, ok := lookup(gates.Pair{A: a, B: b}); ok {
+				return r[0]
+			}
+			return units.FPMul64(a, b)
 		}
 	}
-	return nil
+	return &hooks
 }
 
-// fuGrader is one worker's scratch for grading faults against a stream.
+// fuGrader is one worker's scratch for grading faults against a stream,
+// and the unit set every faulty run it grades goes through: activation
+// re-arms the faulty unit with each spec's fault, where fresh units used
+// to be built per run.
 type fuGrader struct {
 	stream *gates.Stream
 	eval   *gates.Eval
 	out    [][2]uint64 // faulty result per table pair, for the fault last graded
 	diff   []uint64
+	fault  gates.StuckAt // the fault last graded; hooks' faulty unit carries it
+	hooks  *arch.FUHooks // the faulty unit, golden pairs answered from out
+	clean  *arch.FUHooks // the fault-free FP unit outside an intermittent window, or nil
 }
 
-func newFUGrader(s *gates.Stream, nl *gates.Netlist) *fuGrader {
+func (c *Campaign) newFUGrader(s *gates.Stream) *fuGrader {
 	n := s.Table.Len()
-	return &fuGrader{stream: s, eval: gates.NewEval(nl),
+	g := &fuGrader{stream: s, eval: gates.NewEval(targetNetlist(c.Target)),
 		out: make([][2]uint64, n), diff: make([]uint64, (n+63)/64)}
+	g.hooks = tableHooks(c.Target, s.Table, g.out, FUHooksFor(c.Target, &g.fault))
+	if c.Type == Intermittent && (c.Target == coverage.FPAdd || c.Target == coverage.FPMul) {
+		g.clean = tableHooks(c.Target, s.Table, s.Table.Golden(), FUHooksFor(c.Target, nil))
+	}
+	return g
 }
 
-// activation grades sp's fault against the stream and returns the cycle
-// of the first golden call whose result it changes — among the calls
-// inside [sp.start, sp.end) when windowed (an intermittent fault) — or
-// ok=false when it changes none. g.out then holds the faulty unit's
+// activation arms sp's fault, grades it against the stream and returns
+// the cycle of the first golden call whose result it changes — among the
+// calls inside [sp.start, sp.end) when windowed (an intermittent fault) —
+// or ok=false when it changes none. g.out then holds the faulty unit's
 // result for every golden pair.
 func (g *fuGrader) activation(sp faultSpec, windowed bool) (cycle uint64, ok bool) {
-	if !g.stream.Table.Eval(g.eval, &gates.StuckAt{Gate: sp.gate, Value: sp.val}, g.out, g.diff) {
+	g.fault = gates.StuckAt{Gate: sp.gate, Value: sp.val}
+	if !g.stream.Table.Eval(g.eval, &g.fault, g.out, g.diff) {
 		return 0, false
 	}
 	calls := g.stream.Calls

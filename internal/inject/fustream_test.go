@@ -1,7 +1,9 @@
 package inject
 
 import (
+	"math"
 	"math/bits"
+	"math/rand/v2"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -329,6 +331,109 @@ func TestValidateAllCatchesBrokenFUStream(t *testing.T) {
 		for _, part := range []string{"injection ", "gate ", "stuck-at-", tc.want} {
 			if !strings.Contains(err.Error(), part) {
 				t.Fatalf("%s: error %q does not name %q", tc.name, err, part)
+			}
+		}
+	}
+}
+
+// TestFUGraderRearmsUnits: a worker's grader runs every faulty run it
+// grades on one unit set. Graded fault A and then fault B, its hooks must
+// answer exactly what a fresh FUHooksFor(target, B) answers, both on the
+// golden pairs (answered from the table) and on pairs the golden run
+// never sent (evaluated on the reused netlist unit), single-precision
+// path included; an FP intermittent campaign's fault-free hooks must
+// answer what a fresh fault-free unit does.
+func TestFUGraderRearmsUnits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 72))
+	normal := func() uint64 { return math.Float64bits((rng.Float64() + 0.5) * math.Ldexp(1, rng.IntN(40)-20)) }
+	for _, target := range fuUnits {
+		pair := func() gates.Pair {
+			switch target {
+			case coverage.IntAdder:
+				return gates.Pair{A: rng.Uint64(), B: rng.Uint64(), Cin: rng.IntN(2) == 1}
+			case coverage.IntMul:
+				return gates.Pair{A: rng.Uint64(), B: rng.Uint64()}
+			}
+			return gates.Pair{A: normal(), B: normal()}
+		}
+		// call returns the unit's result for p (a product's two words, or
+		// a sum) and, on an FP unit, its single-precision result for p's
+		// low halves.
+		call := func(h *arch.FUHooks, p gates.Pair) (r [2]uint64, single uint32) {
+			switch target {
+			case coverage.IntAdder:
+				r[0] = h.IntAdd(p.A, p.B, p.Cin)
+			case coverage.IntMul:
+				r[0], r[1] = h.IntMul(p.A, p.B)
+			case coverage.FPAdd:
+				r[0], single = h.FPAdd64(p.A, p.B), h.FPAdd32(uint32(p.A), uint32(p.B))
+			case coverage.FPMul:
+				r[0], single = h.FPMul64(p.A, p.B), h.FPMul32(uint32(p.A), uint32(p.B))
+			}
+			return r, single
+		}
+		s := &gates.Stream{Table: gates.NewTable(targetNetlist(target), fuResultBits(target))}
+		golden := FUHooksFor(target, nil)
+		var inTable, outside []gates.Pair
+		for i := 0; i < 100; i++ {
+			p := pair()
+			r, _ := call(golden, p)
+			s.Record(p, r[0], r[1], uint64(i))
+			inTable = append(inTable, p)
+		}
+		for i := 0; i < 64; i++ {
+			outside = append(outside, pair())
+		}
+		all := append(inTable, outside...)
+
+		// A and B: faults the table's pairs activate that answer some
+		// pair outside it differently from each other.
+		differs := func(x, y *arch.FUHooks, ps []gates.Pair) bool {
+			for _, p := range ps {
+				rx, _ := call(x, p)
+				if ry, _ := call(y, p); rx != ry {
+					return true
+				}
+			}
+			return false
+		}
+		draw := func(other *arch.FUHooks) gates.StuckAt {
+			for {
+				f := gates.StuckAt{Gate: rng.IntN(targetNetlist(target).NumGates()), Value: rng.IntN(2) == 1}
+				if h := FUHooksFor(target, &f); differs(h, golden, inTable) && differs(h, other, outside) {
+					return f
+				}
+			}
+		}
+		a := draw(golden)
+		b := draw(FUHooksFor(target, &a))
+
+		c := &Campaign{Target: target, Type: Intermittent}
+		g := c.newFUGrader(s)
+		for _, f := range []gates.StuckAt{a, b} {
+			if _, ok := g.activation(faultSpec{gate: f.Gate, val: f.Value}, false); !ok {
+				t.Fatalf("%v: fault %+v changes no golden pair", target, f)
+			}
+			for _, p := range all {
+				call(g.hooks, p) // the units run with the armed fault
+			}
+		}
+		fresh := FUHooksFor(target, &b)
+		for _, p := range all {
+			gotR, gotS := call(g.hooks, p)
+			wantR, wantS := call(fresh, p)
+			if gotR != wantR || gotS != wantS {
+				t.Fatalf("%v: fault %+v after %+v, pair %+v: reused unit %#x/%#x, fresh unit %#x/%#x",
+					target, b, a, p, gotR, gotS, wantR, wantS)
+			}
+		}
+		if target == coverage.FPAdd || target == coverage.FPMul {
+			for _, p := range all {
+				gotR, gotS := call(g.clean, p)
+				wantR, wantS := call(golden, p)
+				if gotR != wantR || gotS != wantS {
+					t.Fatalf("%v: fault-free hooks, pair %+v: %#x/%#x, fresh unit %#x/%#x", target, p, gotR, gotS, wantR, wantS)
+				}
 			}
 		}
 	}

@@ -246,7 +246,7 @@ func (c *Campaign) goldenClass() uint64 {
 // included (TestCheckpointSharingBitIdentical), so the knob cannot change
 // it.
 func (c *Campaign) goldenKey() GoldenKey {
-	cfg := c.goldenConfig()
+	cfg := c.baseConfig() // the hooks goldenConfig adds are not in the JSON
 	cfg.NoCycleSkip = false
 	h := stats.HashInit
 	if b, err := json.Marshal(cfg); err == nil {

@@ -22,11 +22,15 @@ import (
 // (1,704,433 bytes: one checkpoint fewer), and again when it began
 // keeping one every 128 cycles, with trajectory points that
 // hash the cache a chunk digest at a time (1,859,458 bytes: 4 of this
-// 1,618-cycle run's checkpoints instead of 13).
+// 1,618-cycle run's checkpoints instead of 13), and again when the delta
+// fold began finishing each word (same length, new trajectory digests)
+// and a scalar XMM read-modify-write began reading all 128 bits of its
+// destination (3,347,533 bytes, 15,360 more than before: the FPRF
+// interval log records the upper lane it consumes).
 func TestGoldenBundlePinned(t *testing.T) {
 	const (
-		wantLen    = 3332173
-		wantDigest = 0x3f8c8fdb37fcecea
+		wantLen    = 3347533
+		wantDigest = 0xaee9a42183ec8753
 	)
 	c := testProgram(t, 400, nil)
 	c.Target = coverage.IRF

@@ -347,12 +347,9 @@ func targetNetlist(target coverage.Structure) *gates.Netlist {
 	return nil
 }
 
-// goldenConfig prepares the fault-free configuration. FP targets route
-// through the fault-free netlists so golden and faulty runs share
-// arithmetic semantics; the integer netlists are bit-exact with native
-// arithmetic (verified by tests), so the golden run skips them for
-// speed. (buildGolden adds the hooks that record the operand stream.)
-func (c *Campaign) goldenConfig() uarch.Config {
+// baseConfig is the campaign's configuration with every hook, fault and
+// recorder cleared: what the golden and the faulty runs start from.
+func (c *Campaign) baseConfig() uarch.Config {
 	cfg := c.Cfg
 	cfg.OnCycle = nil
 	cfg.FU = nil
@@ -369,6 +366,16 @@ func (c *Campaign) goldenConfig() uarch.Config {
 	cfg.RecordIRFIntervals = false
 	cfg.RecordFPRFIntervals = false
 	cfg.RecordL1DIntervals = false
+	return cfg
+}
+
+// goldenConfig prepares the fault-free configuration. FP targets route
+// through the fault-free netlists so golden and faulty runs share
+// arithmetic semantics; the integer netlists are bit-exact with native
+// arithmetic (verified by tests), so the golden run skips them for
+// speed. (buildGolden adds the hooks that record the operand stream.)
+func (c *Campaign) goldenConfig() uarch.Config {
+	cfg := c.baseConfig()
 	if c.Target == coverage.FPAdd || c.Target == coverage.FPMul {
 		cfg.FU = FUHooksFor(c.Target, nil)
 	}
@@ -446,10 +453,11 @@ func (c *Campaign) deriveSpec(i int, goldenCycles uint64, nl *gates.Netlist) fau
 
 // cfgFor builds the faulty-run configuration for one spec, identical to
 // what the pre-optimization per-run code produced except that a
-// functional-unit fault graded by fu (non-nil) answers the golden
-// operand pairs from fu's table.
+// functional-unit fault graded by fu (non-nil, and armed with sp by
+// fu.activation) runs on fu's units, which answer the golden operand
+// pairs from fu's table.
 func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result, fu *fuGrader) uarch.Config {
-	cfg := c.goldenConfig()
+	cfg := c.baseConfig()
 	// Give the faulty run headroom before declaring a hang.
 	cfg.MaxCycles = golden.Cycles*4 + 100_000
 
@@ -523,11 +531,10 @@ func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result, fu *fuGrader) uarc
 	}
 
 	// Functional units: gate-level stuck-at.
-	fault := &gates.StuckAt{Gate: sp.gate, Value: sp.val}
 	if fu != nil {
-		cfg.FU = tableHooks(c.Target, fault, fu.stream.Table, fu.out)
+		cfg.FU = fu.hooks
 	} else {
-		cfg.FU = FUHooksFor(c.Target, fault)
+		cfg.FU = FUHooksFor(c.Target, &gates.StuckAt{Gate: sp.gate, Value: sp.val})
 	}
 	if c.Type == Intermittent {
 		cfg.FUWindow = [2]uint64{sp.start, sp.end}
@@ -535,7 +542,7 @@ func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result, fu *fuGrader) uarc
 		case c.Target == coverage.IntAdder || c.Target == coverage.IntMul:
 			// native semantics are bit-exact: FUOutside stays nil
 		case fu != nil:
-			cfg.FUOutside = tableHooks(c.Target, nil, fu.stream.Table, fu.stream.Table.Golden())
+			cfg.FUOutside = fu.clean
 		default:
 			cfg.FUOutside = FUHooksFor(c.Target, nil)
 		}
@@ -1014,7 +1021,7 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 			defer wg.Done()
 			var fu *fuGrader
 			if ga.FUStream != nil {
-				fu = newFUGrader(ga.FUStream, nl)
+				fu = c.newFUGrader(ga.FUStream)
 			}
 			for i := range next {
 				sp := toRun[i]

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -129,14 +130,22 @@ func ReleaseDeltaTrajectory(t *DeltaTrajectory) {
 // and not yet released (leak-test hook).
 func LiveDeltaTrajectories() int64 { return liveDeltaTrajectories.Load() }
 
-// FNV-1a parameters, folded a word at a time (the same scheme as
-// stats.Mix64; duplicated here to keep uarch dependency-free).
+// FNV-1a parameters, folded a word at a time (stats.Mix64's scheme,
+// which folds a byte at a time; duplicated here to keep uarch
+// dependency-free).
 const (
 	deltaOffset uint64 = 14695981039346656037
 	deltaPrime  uint64 = 1099511628211
 )
 
-func deltaMix(h, v uint64) uint64 { return (h ^ v) * deltaPrime }
+// deltaMix folds one word into h. The multiply alone carries a
+// difference only upward, so two equal-bit differences in bits 56-63
+// would cancel; rotating the high half down, where the next multiply
+// spreads it again, finishes the word. (A rotate costs the serial fold
+// one instruction; h ^= h>>32 costs two.)
+func deltaMix(h, v uint64) uint64 {
+	return bits.RotateLeft64((h^v)*deltaPrime, 32)
+}
 
 func deltaMixBytes(h uint64, b []byte) uint64 {
 	for len(b) >= 8 {
@@ -302,7 +311,7 @@ func normExpired(t, now uint64) uint64 {
 // their configs schedule no further events.
 func (c *Core) stateHash() uint64 {
 	h := deltaOffset
-	mix := func(v uint64) { h = (h ^ v) * deltaPrime }
+	mix := func(v uint64) { h = deltaMix(h, v) }
 	mixBool := func(v bool) {
 		if v {
 			mix(1)

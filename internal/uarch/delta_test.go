@@ -328,3 +328,76 @@ func TestDeltaPoolHygiene(t *testing.T) {
 		t.Fatalf("live checkpoints %d after Release, want %d", LiveCheckpoints(), ckBase)
 	}
 }
+
+// TestDeltaFoldEqualBitFlips: flipping the same bit, anywhere in 56-63,
+// of k ∈ {1, 2, 3, 4} hashed words must move the state hash and the
+// committed-stream digest. An unfinished multiply fold carries a
+// difference only upward, so two bit-63 differences cancel exactly and
+// higher-bit pairs often do — and a false match is a false
+// reconvergence: a live fault graded Masked.
+func TestDeltaFoldEqualBitFlips(t *testing.T) {
+	src := stateSource(t)
+	rng := rand.New(rand.NewPCG(611, 612))
+
+	// Live register values: words stateHash folds.
+	c := new(Core)
+	c.copyFrom(src)
+	var state []*uint64
+	for _, p := range c.rat.intRAT {
+		state = append(state, &c.intPRF[p])
+	}
+	for _, p := range c.rat.fpRAT {
+		state = append(state, &c.fpPRF[p][0], &c.fpPRF[p][1])
+	}
+
+	// One committed µop writing four integer and two FP registers and
+	// storing twice: every word foldCommit folds but its PCs.
+	u := &uop{pc: 17, actualNext: 18}
+	for i := range 4 {
+		u.dsts = append(u.dsts, rdst{cls: clsInt, phys: c.rat.intRAT[i]})
+	}
+	for i := range 2 {
+		u.dsts = append(u.dsts, rdst{cls: clsFP, phys: c.rat.fpRAT[i]})
+	}
+	u.writes = []storeWrite{{addr: 0x1000, data: rng.Uint64(), size: 8}, {addr: 0x2000, data: rng.Uint64(), size: 8}}
+	stream := []*uint64{&u.writes[0].addr, &u.writes[0].data, &u.writes[1].addr, &u.writes[1].data}
+	for i := range 4 {
+		stream = append(stream, &c.intPRF[c.rat.intRAT[i]])
+	}
+	for i := range 2 {
+		stream = append(stream, &c.fpPRF[c.rat.fpRAT[i]][0], &c.fpPRF[c.rat.fpRAT[i]][1])
+	}
+	digest := func() uint64 {
+		c.streamDigest = deltaOffset
+		c.foldCommit(u)
+		return c.streamDigest
+	}
+
+	for _, tc := range []struct {
+		name  string
+		words []*uint64
+		hash  func() uint64
+	}{{"stateHash", state, c.stateHash}, {"stream digest", stream, digest}} {
+		base := tc.hash()
+		for bit := 56; bit < 64; bit++ {
+			for k := 1; k <= 4; k++ {
+				for trial := 0; trial < 24; trial++ {
+					picked := rng.Perm(len(tc.words))[:k]
+					for _, w := range picked {
+						*tc.words[w] ^= 1 << bit
+					}
+					moved := tc.hash() != base
+					for _, w := range picked {
+						*tc.words[w] ^= 1 << bit
+					}
+					if !moved {
+						t.Fatalf("%s: flipping bit %d of words %v leaves it unchanged", tc.name, bit, picked)
+					}
+				}
+			}
+		}
+		if tc.hash() != base {
+			t.Fatalf("%s: not restored", tc.name)
+		}
+	}
+}

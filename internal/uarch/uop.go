@@ -169,7 +169,10 @@ func collectRefs(in *isa.Inst, v *isa.Variant, srcs []archRef, dsts []archRef) (
 		case isa.KXmm:
 			if spec.Acc&isa.AccR != 0 {
 				bits := uint16(64)
-				if spec.Width == isa.W128 {
+				if spec.Width == isa.W128 || spec.Acc&isa.AccW != 0 && !xmmFullWrite(v, in) {
+					// A scalar read-modify-write (ADDSD's destination)
+					// keeps the old upper lane in the new physical
+					// register, so all 128 bits are consumed.
 					bits = 128
 				}
 				addSrc(clsFP, uint8(op.X), bits)
