@@ -163,7 +163,7 @@ func TestFlushGradedWindowEdges(t *testing.T) {
 						st, b, after.start)
 				}
 				if li%32 == 0 {
-					if err := c.validateFlush(after, g, golden, ga.Checkpoints); err != nil {
+					if err := c.check(after, g, golden); err != nil {
 						t.Fatalf("%v preset: %v", st, err)
 					}
 					checked++

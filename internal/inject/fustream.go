@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -21,11 +20,12 @@ import (
 // against it before anything is simulated: one netlist pass per 64
 // distinct golden operand pairs (gates.Table.Eval) gives the faulty
 // result for every pair, hence the first golden invocation the fault
-// changes. A fault that changes none is Masked without simulation; any
-// other resumes from the latest checkpoint at or before that
-// invocation's cycle, on a unit that answers golden pairs from the
-// table and evaluates the netlist only for pairs the golden run never
-// sent. Exact, not approximate, because:
+// changes. That is the third rung of the grading ladder (grade): a fault
+// that changes none is Masked without simulation; any other resumes from
+// the latest checkpoint at or before that invocation's cycle, on a unit
+// that answers golden pairs from the table and evaluates the netlist
+// only for pairs the golden run never sent. Exact, not approximate,
+// because:
 //
 //   - the stream is recorded at the hook, which fires at execute, so it
 //     holds every invocation the faulty run makes before it diverges,
@@ -39,10 +39,9 @@ import (
 //     or later happens after a restore from it.
 //
 // Each pool worker runs its faulty runs on one unit set of its own,
-// re-armed per fault (fuGrader). NoFastForward keeps the from-reset run
-// with the plain netlist on fresh units (FUHooksFor) as the ablation and
-// the oracle (TestFUStreamBitIdentical); ValidateAll re-simulates every
-// graded fault that way, so neither depends on the reuse.
+// re-armed per fault (fuGrader). The oracle — NoFastForward's runs and
+// ValidateAll's check — runs from reset with the plain netlist on fresh
+// units (FUHooksFor), so it depends on neither the table nor the reuse.
 
 // fuResultBits is the width of the target unit's result: the
 // multiplier's 128-bit product or the 64-bit sum.
@@ -191,27 +190,4 @@ func (g *fuGrader) activation(sp faultSpec, windowed bool) (cycle uint64, ok boo
 		}
 	}
 	return 0, false
-}
-
-// validateFU re-simulates a stream-graded functional-unit fault from
-// reset on the plain netlist (ValidateAll). A fault graded as never
-// activated (graded nil) must reproduce the golden run: Masked, in as
-// many cycles. An activated one must reproduce the graded run's outcome,
-// and its cycle count too unless delta termination cut that run short.
-func (c *Campaign) validateFU(sp faultSpec, golden, graded *uarch.Result, act uint64) error {
-	ref := c.simulate(c.cfgFor(sp, golden, nil), 0, nil)
-	first, want := "never activated", golden
-	if graded != nil {
-		first, want = fmt.Sprintf("first activation at cycle %d", act), graded
-	}
-	wantOut, gotOut := classify(want, golden), classify(ref, golden)
-	if gotOut == wantOut && (ref.Cycles == want.Cycles || want.Reconverged) {
-		return nil
-	}
-	stuck := 0
-	if sp.val {
-		stuck = 1
-	}
-	return fmt.Errorf("inject: functional-unit stream grading unsound: injection %d (gate %d stuck-at-%d, %s) graded %v at cycle %d but simulates from reset as %v at cycle %d",
-		sp.idx, sp.gate, stuck, first, wantOut, want.Cycles, gotOut, ref.Cycles)
 }

@@ -26,12 +26,14 @@
 package inject
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"harpocrates/internal/ace"
 	"harpocrates/internal/arch"
@@ -157,23 +159,19 @@ type Campaign struct {
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// NoFastForward disables checkpointed resume and every
-	// pre-classifier — the ACE interval log of bit arrays, the L1D's
-	// flush log and the golden operand stream of functional units —
-	// simulating every injection from cycle 0, functional-unit faults on
-	// the plain netlist (the pre-optimization path; kept for ablation and
-	// validation).
+	// NoFastForward disables checkpointed resume and every rung of the
+	// grading ladder but the last — the ACE interval log of bit arrays,
+	// the L1D's flush log, the golden operand stream of functional units
+	// and delta termination — simulating every injection from cycle 0,
+	// functional-unit faults on the plain netlist (the pre-optimization
+	// path; kept for ablation, and the oracle ValidateAll checks against).
 	NoFastForward bool
-	// ValidateAll simulates even provably-masked injections and fails
-	// the campaign if the simulated outcome disagrees with the
-	// pre-classifier (a soundness self-check; slow). It also re-simulates
-	// every delta-terminated run to completion and fails the campaign if
-	// the full run is not Masked; re-simulates every L1D flip graded from
-	// the golden output (flushGraded), failing unless the run reproduces
-	// the graded outcome and signature at the golden run's final cycle;
-	// and re-simulates every functional-unit fault graded against the
-	// operand stream from cycle 0 on the plain netlist, failing unless the
-	// outcome agrees.
+	// ValidateAll checks every verdict against the oracle (a soundness
+	// self-check; slow): each injection is simulated once more the
+	// NoFastForward way — from reset, on fresh functional units, without
+	// delta termination — and the campaign fails unless that run
+	// reproduces the verdict's outcome, final cycle and signature,
+	// whichever rung decided it (check).
 	ValidateAll bool
 	// NoDeltaTermination disables delta resimulation (the ablation /
 	// soundness knob): every simulated injection runs to program
@@ -625,16 +623,45 @@ func (c *Campaign) preMasked(sp faultSpec, rec *ace.IntervalRecorder, goldenCycl
 	return true
 }
 
-// flushGrade is a transient L1D flip graded from the golden output: its
-// outcome and final signature, and for ValidateAll's error the first
-// flipped byte only the final flush reads, the address the flush wrote
-// it to and the start of its flush-only window.
-type flushGrade struct {
-	out   Outcome
-	sig   uint64
-	byte  int
-	addr  uint64
-	start uint64
+// rung is the step of the grading ladder that decided an injection. grade
+// tries them in this order; the first that applies gives the verdict.
+type rung uint8
+
+const (
+	byInterval    rung = iota // the ACE interval log: no access consumes the flip (preMasked)
+	byFlush                   // the L1D flush log: only the final flush reads it (flushGraded)
+	byStream                  // the operand stream: the unit fault changes no golden result
+	byReconverged             // a resumed run reconverged with the golden trajectory
+	bySimulated               // a resumed run simulated to its end
+	numRungs
+)
+
+// rungNames name each rung in check's error.
+var rungNames = [numRungs]string{
+	byInterval:    "pre-classifier",
+	byFlush:       "flush grader",
+	byStream:      "functional-unit stream grading",
+	byReconverged: "delta termination",
+	bySimulated:   "checkpoint resume",
+}
+
+// verdict is one injection's grade: its outcome, the rung that decided
+// it, the final cycle and signature a full run of the fault reaches (the
+// golden run's, unless the fault changes the output or how the run
+// ends), and the rung's evidence for check's error.
+type verdict struct {
+	out         Outcome
+	rung        rung
+	cycles, sig uint64
+
+	// byFlush: the first flipped byte only the flush reads, the address
+	// the flush writes it to and the start of its flush-only window.
+	byte        int
+	addr, start uint64
+	// byReconverged, bySimulated: the fault's first active cycle (a
+	// unit fault's first activation), the cycle of the checkpoint the
+	// run resumed from, and the cycle it reconverged at.
+	from, resume, at uint64
 }
 
 // flushGraded grades a transient L1D flip without simulation when every
@@ -645,12 +672,12 @@ type flushGrade struct {
 // are flipped at their flushed addresses in a copy of that state and the
 // signature recomputed: SDC if it changed, Masked if not (a byte outside
 // every writable region is not part of the signature).
-func (c *Campaign) flushGraded(sp faultSpec, rec *ace.IntervalRecorder, golden *uarch.Result) (flushGrade, bool) {
+func (c *Campaign) flushGraded(sp faultSpec, rec *ace.IntervalRecorder, golden *uarch.Result) (verdict, bool) {
 	fl := golden.L1DFlush
 	if c.Target != coverage.L1D || fl == nil {
-		return flushGrade{}, false
+		return verdict{}, false
 	}
-	var g flushGrade
+	v := verdict{rung: byFlush, cycles: golden.Cycles}
 	var final *arch.State
 	for j := 0; j < max(c.BurstLen, 1); j++ {
 		bit := (sp.bit + j) % (c.Cfg.L1D.SizeBytes * 8)
@@ -659,42 +686,29 @@ func (c *Campaign) flushGraded(sp faultSpec, rec *ace.IntervalRecorder, golden *
 		}
 		addr, start, ok := fl.Window(bit / 8)
 		if !ok || sp.start <= start {
-			return flushGrade{}, false
+			return verdict{}, false
 		}
 		if final == nil {
 			final = fl.FinalState()
-			g = flushGrade{byte: bit / 8, addr: addr, start: start}
+			v.byte, v.addr, v.start = bit/8, addr, start
 		}
 		mem := final.Mem.(*arch.Memory)
 		var b [1]byte
 		if mem.ReadBytes(addr, b[:]) != nil {
-			return flushGrade{}, false
+			return verdict{}, false
 		}
 		b[0] ^= 1 << uint(bit%8)
 		if mem.WriteBytes(addr, b[:]) != nil {
-			return flushGrade{}, false
+			return verdict{}, false
 		}
 	}
 	if final == nil {
-		return flushGrade{}, false
+		return verdict{}, false
 	}
-	if g.sig = final.Signature(); g.sig != golden.Signature {
-		g.out = SDC
+	if v.sig = final.Signature(); v.sig != golden.Signature {
+		v.out = SDC
 	}
-	return g, true
-}
-
-// validateFlush re-simulates a flush-graded injection to completion and
-// fails unless it ends at the golden run's final cycle with the graded
-// outcome and signature.
-func (c *Campaign) validateFlush(sp faultSpec, g flushGrade, golden *uarch.Result, cks []*uarch.Checkpoint) error {
-	res := c.simulate(c.cfgFor(sp, golden, nil), sp.start, cks)
-	if out := classify(res, golden); out != g.out || res.Signature != g.sig || res.Cycles != golden.Cycles {
-		return fmt.Errorf(
-			"inject: flush grader unsound: injection %d (cycle %d, cache byte %d flushed to %#x, window start %d) graded %v (signature %#x) but simulates as %v (signature %#x) ending at cycle %d (golden %d)",
-			sp.idx, sp.start, g.byte, g.addr, g.start, g.out, g.sig, out, res.Signature, res.Cycles, golden.Cycles)
-	}
-	return nil
+	return v, true
 }
 
 // nearestCheckpoint returns the latest checkpoint at or before cycle
@@ -707,17 +721,16 @@ func nearestCheckpoint(cks []*uarch.Checkpoint, cycle uint64) *uarch.Checkpoint 
 	return cks[i-1]
 }
 
-// simulate runs one injection configuration, resuming from the nearest
-// checkpoint at or before from, the fault's first active cycle. The
-// prefix before that cycle is bit-identical to the golden run (the fault
-// has not manifested yet), so resuming cannot change the outcome. The
+// simulate runs one injection configuration from ck, a checkpoint at
+// or before from, the fault's first active cycle, or from reset when ck
+// is nil. The prefix before from is bit-identical to the golden run (the
+// fault has not manifested yet), so resuming cannot change the run. The
 // golden run keeps a checkpoint every uarch.CheckpointSpacing cycles from
-// cycle 0 on, so a fast-forward run always finds one at most that many
-// cycles back (inject.resume.distance); only the references that pass
-// none (NoFastForward, ValidateAll's functional-unit re-simulation) and a
-// golden run that ended at cycle 0 start from reset.
-func (c *Campaign) simulate(cfg uarch.Config, from uint64, cks []*uarch.Checkpoint) *uarch.Result {
-	if ck := nearestCheckpoint(cks, from); ck != nil {
+// cycle 0 on, so grade always finds one at most that many cycles back
+// (inject.resume.distance); only the oracle runs (NoFastForward's and
+// check's) and a golden run that ended at cycle 0 start from reset.
+func (c *Campaign) simulate(cfg uarch.Config, from uint64, ck *uarch.Checkpoint) *uarch.Result {
+	if ck != nil {
 		c.Obs.Counter("inject.resume.checkpoint").Inc()
 		c.Obs.Histogram("inject.resume.distance").Observe(int64(from - ck.Cycle()))
 		return uarch.RunFromCheckpoint(ck, cfg)
@@ -726,64 +739,114 @@ func (c *Campaign) simulate(cfg uarch.Config, from uint64, cks []*uarch.Checkpoi
 	return uarch.Run(c.Prog, c.Init(), cfg)
 }
 
-// runSpec grades one injection. A functional-unit fault is first graded
-// against the golden operand stream when the campaign has one (fu
-// non-nil): one that changes no golden result is Masked unsimulated
-// (premasked), any other is simulated from its first activation. When
-// the campaign carries a golden delta trajectory (traj non-nil), the
-// faulty run compares itself against it from the fault's quiesce cycle
-// on and stops at the first full state match — Masked by construction,
-// without simulating the tail. Under ValidateAll every such early
-// termination is re-simulated to completion and the campaign fails if
-// the full run is not Masked, and every stream-graded fault is
-// re-simulated from reset (validateFU).
-func (c *Campaign) runSpec(sp faultSpec, golden *uarch.Result, cks []*uarch.Checkpoint,
-	traj *uarch.DeltaTrajectory, fu *fuGrader) (out Outcome, premasked bool, err error) {
+// grade decides one injection on the first rung of the ladder that
+// applies, in rung order:
+//
+//  1. a transient bit-array flip that the target's interval log shows no
+//     access consumes is Masked;
+//  2. a transient L1D flip that only the final flush reads is graded from
+//     the golden output (flushGraded);
+//  3. a functional-unit fault that changes no result of the golden
+//     operand stream is Masked; any other is resumed from its first
+//     activation (fuGrader.activation);
+//  4. everything else resumes from the latest checkpoint at or before the
+//     fault's first active cycle. With a golden delta trajectory (ga's,
+//     when the campaign is deltaEligible) the run compares itself against
+//     it from the fault's quiesce cycle on and stops at the first full
+//     state match — Masked by construction, the tail unsimulated — or is
+//     simulated to its end and classified.
+//
+// A rung whose record the bundle lacks does not apply: NoFastForward's
+// bundle has no log, stream, checkpoint or trajectory, so every
+// injection reaches the last rung and runs from reset. fu is the
+// worker's grader, non-nil when the bundle has a stream.
+func (c *Campaign) grade(sp faultSpec, ga *uarch.GoldenArtifacts, fu *fuGrader) verdict {
+	golden := ga.Result
+	masked := verdict{out: Masked, cycles: golden.Cycles, sig: golden.Signature}
+	if rec := c.recorderFor(golden); rec != nil && c.Type == Transient {
+		if c.preMasked(sp, rec, golden.Cycles) {
+			masked.rung = byInterval
+			return masked
+		}
+		if v, ok := c.flushGraded(sp, rec, golden); ok {
+			return v
+		}
+	}
 	from := sp.start
 	if fu != nil {
 		act, ok := fu.activation(sp, c.Type == Intermittent)
 		if !ok {
-			if c.ValidateAll {
-				err = c.validateFU(sp, golden, nil, 0)
-			}
-			return Masked, true, err
+			masked.rung = byStream
+			return masked
 		}
 		from = act
 	}
 	cfg := c.cfgFor(sp, golden, fu)
-	if traj != nil {
-		cfg.DeltaCompare = traj
+	if ga.Trajectory != nil && c.deltaEligible() {
+		cfg.DeltaCompare = ga.Trajectory
 		cfg.DeltaQuiesce = c.deltaQuiesce(sp)
 	}
-	res := c.simulate(cfg, from, cks)
-	out = classify(res, golden)
-	if traj != nil {
-		if res.Reconverged {
-			c.Obs.Counter("inject.delta.converged").Inc()
-			var saved uint64
-			if golden.Cycles > res.Cycles {
-				saved = golden.Cycles - res.Cycles
-			}
-			c.Obs.Counter("inject.delta.cycles_saved").Add(int64(saved))
-			c.Obs.Histogram("inject.delta.saved_cycles").Observe(int64(saved))
-			if c.ValidateAll {
-				full := cfg
-				full.DeltaCompare = nil
-				full.DeltaQuiesce = 0
-				if fullOut := classify(c.simulate(full, from, cks), golden); fullOut != Masked {
-					return out, false, fmt.Errorf(
-						"inject: delta termination unsound: injection %d (cycle %d) reconverged at cycle %d but simulates as %v",
-						sp.idx, sp.start, res.Cycles, fullOut)
-				}
-			}
-		} else {
-			c.Obs.Counter("inject.delta.diverged").Inc()
+	ck := nearestCheckpoint(ga.Checkpoints, from)
+	res := c.simulate(cfg, from, ck)
+	v := verdict{out: classify(res, golden), rung: bySimulated, cycles: res.Cycles, sig: res.Signature, from: from}
+	if ck != nil {
+		v.resume = ck.Cycle()
+	}
+	if cfg.DeltaCompare == nil {
+		return v
+	}
+	if !res.Reconverged {
+		c.Obs.Counter("inject.delta.diverged").Inc()
+		return v
+	}
+	c.Obs.Counter("inject.delta.converged").Inc()
+	saved := golden.Cycles - min(res.Cycles, golden.Cycles)
+	c.Obs.Counter("inject.delta.cycles_saved").Add(int64(saved))
+	c.Obs.Histogram("inject.delta.saved_cycles").Observe(int64(saved))
+	v.rung, v.at = byReconverged, res.Cycles
+	v.cycles, v.sig = golden.Cycles, golden.Signature
+	return v
+}
+
+// check is ValidateAll's one rule: sp is simulated on the oracle path —
+// from reset, on fresh functional units (FUHooksFor), with no delta
+// compare — and the run must reproduce v's outcome, final cycle and
+// signature. The error names the rung that decided v and its evidence.
+func (c *Campaign) check(sp faultSpec, v verdict, golden *uarch.Result) error {
+	res := c.simulate(c.cfgFor(sp, golden, nil), 0, nil)
+	out := classify(res, golden)
+	if out == v.out && res.Cycles == v.cycles && res.Signature == v.sig {
+		return nil
+	}
+	var fault string
+	if c.Target.IsFunctionalUnit() {
+		stuck := 0
+		if sp.val {
+			stuck = 1
+		}
+		fault = fmt.Sprintf("gate %d stuck-at-%d", sp.gate, stuck)
+	} else {
+		fault = fmt.Sprintf("cycle %d reg %d bit %d", sp.start, sp.reg, sp.bit)
+	}
+	var evidence string
+	switch v.rung {
+	case byInterval:
+		evidence = "unconsumed in the interval log"
+	case byFlush:
+		evidence = fmt.Sprintf("cache byte %d flushed to %#x, window start %d", v.byte, v.addr, v.start)
+	case byStream:
+		evidence = "never activated"
+	default:
+		if c.Target.IsFunctionalUnit() {
+			evidence = fmt.Sprintf("first activation at cycle %d, ", v.from)
+		}
+		evidence += fmt.Sprintf("resumed from cycle %d", v.resume)
+		if v.rung == byReconverged {
+			evidence += fmt.Sprintf(", reconverged at cycle %d", v.at)
 		}
 	}
-	if fu != nil && c.ValidateAll {
-		return out, false, c.validateFU(sp, golden, res, from)
-	}
-	return out, false, nil
+	return fmt.Errorf("inject: %s unsound: injection %d (%s; %s) graded %v at cycle %d (signature %#x) but simulates from reset as %v at cycle %d (signature %#x)",
+		rungNames[v.rung], sp.idx, fault, evidence, v.out, v.cycles, v.sig, out, res.Cycles, res.Signature)
 }
 
 // classify grades a faulty run against the golden run (§II-E). A
@@ -884,14 +947,14 @@ func goldenErr(golden *uarch.Result) error {
 
 // Run executes the campaign and returns aggregate statistics.
 //
-// The fast path (default) simulates one instrumented golden run, proves
-// un-consumed transient flips and never-activated functional-unit faults
-// masked without simulating them, grades L1D flips that only the final
-// flush reads from the golden output (flushGraded), sorts the remaining
-// injections by fault cycle and resumes each from the nearest checkpoint
-// preceding its first active cycle. Per-outcome counts are bit-identical to the
-// NoFastForward path for a fixed seed (asserted by tests across all
-// structures and by ValidateAll).
+// The fast path (default) simulates one instrumented golden run, then
+// gives every injection one verdict on the grading ladder (grade): proven
+// masked from the interval log or the operand stream, graded from the
+// flush log, or resumed from the nearest checkpoint preceding its first
+// active cycle, until it reconverges or ends. Per-outcome counts are
+// bit-identical to the NoFastForward path, which runs every injection
+// from reset, for a fixed seed (asserted by tests across all structures;
+// ValidateAll checks every verdict against that path).
 func (c *Campaign) Run() (*Stats, error) {
 	return c.RunRange(0, c.N)
 }
@@ -929,10 +992,7 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	// it is released on every exit path, including the golden-timeout and
 	// validation-failure errors, after wg.Wait has quiesced the workers.
 	defer releaseGolden()
-	golden, cks, traj := ga.Result, ga.Checkpoints, ga.Trajectory
-	if !c.deltaEligible() {
-		traj = nil // a shared bundle carries one whoever asks
-	}
+	golden := ga.Result
 	if !golden.Clean() {
 		// A fault-free run that crashes or hangs has no meaningful output
 		// signature: grading faulty runs against it would silently call
@@ -957,7 +1017,7 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 			ipc = float64(golden.Instructions) / float64(golden.Cycles)
 		}
 		span.Event("golden", obs.Fields{
-			"cycles": golden.Cycles, "checkpoints": len(cks), "ipc": ipc,
+			"cycles": golden.Cycles, "checkpoints": len(ga.Checkpoints), "ipc": ipc,
 		})
 	}
 
@@ -970,52 +1030,25 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	for i := lo; i < hi; i++ {
 		specs = append(specs, c.deriveSpec(i, golden.Cycles, nl))
 	}
-
-	outcomes := make([]Outcome, n)
-	pre := make([]bool, n)
-	var flushed map[int]flushGrade // by spec index
-	toRun := make([]faultSpec, 0, n)
-	rec := c.recorderFor(golden)
-	for _, sp := range specs {
-		if rec != nil && c.Type == Transient {
-			if c.preMasked(sp, rec, golden.Cycles) {
-				outcomes[sp.idx-lo] = Masked
-				pre[sp.idx-lo] = true
-				if !c.ValidateAll {
-					continue
-				}
-			} else if g, ok := c.flushGraded(sp, rec, golden); ok {
-				if flushed == nil {
-					flushed = map[int]flushGrade{}
-				}
-				flushed[sp.idx] = g
-				outcomes[sp.idx-lo] = g.out
-				if !c.ValidateAll {
-					continue
-				}
-			}
-		}
-		toRun = append(toRun, sp)
-	}
-	sort.SliceStable(toRun, func(a, b int) bool { return toRun[a].start < toRun[b].start })
+	// In fault-cycle order, consecutive runs restore nearby checkpoints.
+	// Verdicts are indexed by spec, so the order decides no outcome.
+	slices.SortFunc(specs, func(a, b faultSpec) int { return cmp.Compare(a.start, b.start) })
 	stopClassify()
 
-	// Functional-unit faults are graded against the operand stream inside
-	// the pool, not before it: sixty table passes cost about as much as
-	// the whole golden prologue.
+	// Every rung is climbed inside the pool, not in a serial pass before
+	// it: sixty functional-unit table passes cost about as much as the
+	// whole golden prologue.
 	stopSim := c.Obs.Phase("inject.phase.simulate")
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(toRun) {
-		workers = len(toRun)
-	}
+	verdicts := make([]verdict, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var valErr error
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -1023,68 +1056,36 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 			if ga.FUStream != nil {
 				fu = c.newFUGrader(ga.FUStream)
 			}
-			for i := range next {
-				sp := toRun[i]
-				var out Outcome
-				var premasked bool
-				var err error
-				if g, ok := flushed[sp.idx]; ok {
-					out, err = g.out, c.validateFlush(sp, g, golden, cks)
-				} else {
-					out, premasked, err = c.runSpec(sp, golden, cks, traj, fu)
+			for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+				sp := specs[i]
+				v := c.grade(sp, ga, fu)
+				verdicts[sp.idx-lo] = v
+				if !c.ValidateAll {
+					continue
 				}
-				if err == nil && pre[sp.idx-lo] && out != Masked {
-					err = fmt.Errorf(
-						"inject: pre-classifier unsound: injection %d (cycle %d reg %d bit %d) simulated as %v",
-						sp.idx, sp.start, sp.reg, sp.bit, out)
-				}
-				switch {
-				case err != nil:
+				if err := c.check(sp, v, golden); err != nil {
 					mu.Lock()
 					if valErr == nil {
 						valErr = err
 					}
 					mu.Unlock()
-				case premasked:
-					// outcomes[...] is already Masked. Each index has one
-					// writer; pre is read again only after wg.Wait.
-					pre[sp.idx-lo] = true
-				case !pre[sp.idx-lo]:
-					outcomes[sp.idx-lo] = out
 				}
 			}
 		}()
 	}
-	for i := range toRun {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 	stopSim()
 	if valErr != nil {
 		span.End(obs.Fields{"error": valErr.Error()})
 		return nil, valErr
 	}
-	if c.Obs.Enabled() {
-		premasked := 0
-		for _, p := range pre {
-			if p {
-				premasked++
-			}
-		}
-		simulated := n - premasked - len(flushed)
-		if c.ValidateAll {
-			simulated = n
-		}
-		c.Obs.Counter("inject.premasked").Add(int64(premasked))
-		c.Obs.Counter("inject.flushgraded").Add(int64(len(flushed)))
-		c.Obs.Counter("inject.simulated").Add(int64(simulated))
-		c.Obs.Gauge("inject.premask.rate").Set(float64(premasked) / float64(n))
-	}
 
-	st.Outcomes = outcomes
-	for _, o := range outcomes {
-		switch o {
+	st.Outcomes = make([]Outcome, n)
+	var byRung [numRungs]int64
+	for i, v := range verdicts {
+		st.Outcomes[i] = v.out
+		byRung[v.rung]++
+		switch v.out {
 		case Masked:
 			st.Masked++
 		case SDC:
@@ -1098,6 +1099,9 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 		}
 	}
 	if c.Obs.Enabled() {
+		c.Obs.Counter("inject.premasked").Add(byRung[byInterval] + byRung[byStream])
+		c.Obs.Counter("inject.flushgraded").Add(byRung[byFlush])
+		c.Obs.Counter("inject.simulated").Add(byRung[byReconverged] + byRung[bySimulated])
 		c.Obs.Counter("inject.outcome.masked").Add(int64(st.Masked))
 		c.Obs.Counter("inject.outcome.sdc").Add(int64(st.SDC))
 		c.Obs.Counter("inject.outcome.crash").Add(int64(st.Crash))
