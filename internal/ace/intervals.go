@@ -1,3 +1,23 @@
+// Package ace implements ACE (Architecturally Correct Execution) lifetime
+// analysis for bit-array structures, the hardware-coverage metric the
+// paper uses for the physical register files and the L1 data cache
+// (§II-D, Fig. 3), and the consumed-interval log the fault injector
+// pre-masks transient flips with. One model serves both: the
+// IntervalRecorder.
+//
+// A cell's value is ACE during intervals that end in a read: write→read
+// and read→read. Read→write, write→overwrite and clean-eviction tails are
+// un-ACE; a dirty cache byte is ACE up to its writeback, because the
+// writeback reads it. The simulator records every access at the cycle it
+// happens, wrong-path work included, so events arrive in cycle order and
+// a read's interval is never negative. Coverage is the consumed
+// cell-cycles over cells × cycles, taken after the end-of-run cache flush
+// and before the end-of-run reads of the final register state: those
+// reads keep the log sound (the final state feeds the output signature)
+// but are not counted as coverage. When the flush is a dirty byte's only
+// reader since its last write, fill or read, the fault injector grades a
+// flip in that tail from the golden output instead of simulating it
+// (uarch.FlushLog).
 package ace
 
 import (
@@ -6,27 +26,31 @@ import (
 	"sync/atomic"
 )
 
-// IntervalRecorder records, per storage cell, the cycle intervals during
-// which the cell's stored value can still reach architectural state — the
-// exported counterpart of the lifetime analysis the trackers perform for
-// coverage accounting. The fault injector uses it to pre-classify
-// transient flips: a flip at a cycle outside every consumed interval of
-// its cell is provably masked and never needs to be simulated.
+// IntervalRecorder records, per storage cell, when the cell was last
+// written and read and the running total of consumed cell-cycles. A
+// log-keeping recorder (NewIntervalRecorder, GetIntervalRecorder) also
+// keeps the cycle intervals during which each cell's stored value can
+// still reach architectural state: the fault injector pre-classifies a
+// transient flip at a cycle outside every consumed interval of its cell
+// as provably masked and never simulates it. A sum-only recorder
+// (NewSumRecorder) keeps the total alone, which is all coverage needs.
 //
-// Unlike RegFileTracker/CacheTracker, which are driven from *committed*
-// instructions (the AVF accounting of the paper), the recorder is driven
-// directly at access time, including wrong-path and squashed work. That
-// makes it strictly conservative for pre-classification: any read that
-// could observe the cell — even one whose result is later thrown away but
-// may have perturbed timing (e.g. a wrong-path load changing cache
-// contents) — keeps the interval consumed.
+// The recorder is driven at access time, including wrong-path and
+// squashed work. That makes the log strictly conservative for
+// pre-classification: any read that could observe the cell — even one
+// whose result is later thrown away but may have perturbed timing (e.g. a
+// wrong-path load changing cache contents) — keeps the interval consumed.
 //
 // Events must arrive in non-decreasing cycle order (the simulator is
 // cycle-driven), which keeps each cell's interval list sorted and
 // mergeable in O(1) per event.
 type IntervalRecorder struct {
 	lastWrite []uint64
-	spans     [][]ivalSpan
+	lastRead  []uint64
+	// spans is the log, one list per cell; nil in a sum-only recorder.
+	spans    [][]ivalSpan
+	sumOnly  bool
+	consumed uint64
 }
 
 // ivalSpan is one consumed interval (start, end]: a corruption applied at
@@ -35,12 +59,24 @@ type ivalSpan struct {
 	start, end uint64
 }
 
-// NewIntervalRecorder creates a recorder for cells storage cells. All
-// cells start with an implicit write at cycle 0 (reset state).
+// NewIntervalRecorder creates a log-keeping recorder for cells storage
+// cells. All cells start with an implicit write at cycle 0 (reset state).
 func NewIntervalRecorder(cells int) *IntervalRecorder {
 	return &IntervalRecorder{
 		lastWrite: make([]uint64, cells),
+		lastRead:  make([]uint64, cells),
 		spans:     make([][]ivalSpan, cells),
+	}
+}
+
+// NewSumRecorder creates a recorder for cells storage cells that keeps
+// only the consumed total: Consumed, Equal and the codec need the log and
+// must not be called on it.
+func NewSumRecorder(cells int) *IntervalRecorder {
+	return &IntervalRecorder{
+		lastWrite: make([]uint64, cells),
+		lastRead:  make([]uint64, cells),
+		sumOnly:   true,
 	}
 }
 
@@ -50,33 +86,17 @@ func (r *IntervalRecorder) NumCells() int { return len(r.lastWrite) }
 // Write records that the cell's value was overwritten at cycle: a
 // corruption of the old value strictly after the previous consumption is
 // dead.
-func (r *IntervalRecorder) Write(cell int, cycle uint64) {
-	r.lastWrite[cell] = cycle
-}
+func (r *IntervalRecorder) Write(cell int, cycle uint64) { r.WriteRange(cell, 1, cycle) }
 
 // Read records that the cell's value was consumed at cycle: the interval
-// (lastWrite, cycle] becomes consumed. Fault hooks fire at the start of a
-// cycle, before that cycle's reads and writes, so a corruption at exactly
-// the read cycle is observed while one at exactly the write cycle is
-// overwritten — hence the half-open-at-start convention.
-func (r *IntervalRecorder) Read(cell int, cycle uint64) {
-	w := r.lastWrite[cell]
-	if cycle <= w {
-		return // empty interval (same-cycle write+read: write lands first)
-	}
-	s := r.spans[cell]
-	if n := len(s); n > 0 && w <= s[n-1].end {
-		if cycle > s[n-1].end {
-			s[n-1].end = cycle
-		}
-		return
-	}
-	r.spans[cell] = append(s, ivalSpan{start: w, end: cycle})
-}
+// (max(lastWrite, lastRead), cycle] becomes consumed. Fault hooks fire at
+// the start of a cycle, before that cycle's reads and writes, so a
+// corruption at exactly the read cycle is observed while one at exactly
+// the write cycle is overwritten — hence the half-open-at-start
+// convention.
+func (r *IntervalRecorder) Read(cell int, cycle uint64) { r.ReadRange(cell, 1, cycle) }
 
-// WriteRange records a write of n consecutive cells starting at cell —
-// equivalent to n Write calls but without the per-call bounds checks and
-// function-call overhead on the simulator's hot register/cache paths.
+// WriteRange records a write of n consecutive cells starting at cell.
 func (r *IntervalRecorder) WriteRange(cell, n int, cycle uint64) {
 	lw := r.lastWrite[cell : cell+n]
 	for i := range lw {
@@ -85,33 +105,60 @@ func (r *IntervalRecorder) WriteRange(cell, n int, cycle uint64) {
 }
 
 // ReadRange records a consumption of n consecutive cells starting at
-// cell, the bulk counterpart of Read.
+// cell. A read at its cell's write cycle consumes nothing: the write
+// lands first.
 func (r *IntervalRecorder) ReadRange(cell, n int, cycle uint64) {
-	for i := cell; i < cell+n; i++ {
-		w := r.lastWrite[i]
-		if cycle <= w {
+	lw := r.lastWrite[cell : cell+n]
+	lr := r.lastRead[cell : cell+n]
+	var sum uint64
+	sumOnly := r.sumOnly
+	for i, w := range lw {
+		from := max(w, lr[i])
+		if cycle <= from {
 			continue
 		}
-		s := r.spans[i]
+		sum += cycle - from
+		lr[i] = cycle
+		if sumOnly {
+			continue
+		}
+		s := r.spans[cell+i]
 		if ln := len(s); ln > 0 && w <= s[ln-1].end {
-			if cycle > s[ln-1].end {
-				s[ln-1].end = cycle
-			}
-			continue
+			s[ln-1].end = cycle
+		} else {
+			r.spans[cell+i] = append(s, ivalSpan{start: w, end: cycle})
 		}
-		r.spans[i] = append(s, ivalSpan{start: w, end: cycle})
 	}
+	r.consumed += sum
 }
 
 // LastEvent returns the cycle of the cell's last logged write or read
 // (0 for a cell never touched since reset): a corruption applied after it
 // meets no logged event until the next one.
 func (r *IntervalRecorder) LastEvent(cell int) uint64 {
-	w := r.lastWrite[cell]
-	if s := r.spans[cell]; len(s) > 0 {
-		return max(w, s[len(s)-1].end)
+	return max(r.lastWrite[cell], r.lastRead[cell])
+}
+
+// Vulnerability returns the consumed fraction of the structure over a
+// run of totalCycles: consumed cell-cycles / (cells × cycles), the
+// AVF-style hardware coverage value in [0, 1].
+func (r *IntervalRecorder) Vulnerability(totalCycles uint64) float64 {
+	if totalCycles == 0 {
+		return 0
 	}
-	return w
+	return float64(r.consumed) / (float64(len(r.lastWrite)) * float64(totalCycles))
+}
+
+// SpanCycles returns the summed length of the logged intervals, the
+// consumed total recomputed from the log.
+func (r *IntervalRecorder) SpanCycles() uint64 {
+	var n uint64
+	for _, s := range r.spans {
+		for _, sp := range s {
+			n += sp.end - sp.start
+		}
+	}
+	return n
 }
 
 // Consumed reports whether a corruption of cell applied at the start of
@@ -155,31 +202,40 @@ func (r *IntervalRecorder) Equal(o *IntervalRecorder) bool {
 // span slices keep their capacity, so a reused recorder stops allocating
 // once it has seen a workload of similar shape.
 func (r *IntervalRecorder) Reset(cells int) {
+	r.consumed = 0
 	if cap(r.lastWrite) < cells {
 		r.lastWrite = make([]uint64, cells)
-		r.spans = make([][]ivalSpan, cells)
+		r.lastRead = make([]uint64, cells)
+		if !r.sumOnly {
+			r.spans = make([][]ivalSpan, cells)
+		}
 		return
 	}
 	r.lastWrite = r.lastWrite[:cells]
+	r.lastRead = r.lastRead[:cells]
+	clear(r.lastWrite)
+	clear(r.lastRead)
+	if r.sumOnly {
+		return
+	}
 	r.spans = r.spans[:cells]
-	for i := range r.lastWrite {
-		r.lastWrite[i] = 0
+	for i := range r.spans {
 		r.spans[i] = r.spans[i][:0]
 	}
 }
 
-// recorderPool recycles IntervalRecorders across simulator runs. A
-// recorder for the L1D data array alone carries a quarter-million cells;
-// reallocating those per pooled-core run dominated campaign allocation
-// profiles.
+// recorderPool recycles log-keeping IntervalRecorders across simulator
+// runs. A recorder for the L1D data array alone carries tens of thousands
+// of cells; reallocating those per pooled-core run dominated campaign
+// allocation profiles.
 var recorderPool sync.Pool
 
 // liveRecorders counts Get minus Release — the pool-hygiene leak
 // detector used by tests.
 var liveRecorders atomic.Int64
 
-// GetIntervalRecorder returns a reset recorder for cells storage cells,
-// reusing pooled backing storage when available.
+// GetIntervalRecorder returns a reset log-keeping recorder for cells
+// storage cells, reusing pooled backing storage when available.
 func GetIntervalRecorder(cells int) *IntervalRecorder {
 	liveRecorders.Add(1)
 	v := recorderPool.Get()

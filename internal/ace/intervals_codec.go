@@ -21,7 +21,8 @@ const maxCodecCells = 1 << 28
 
 // codec walks r's layout in whichever direction c runs; decoding resizes
 // r to the stored cell count (12 bytes is the smallest cell: its
-// last-write cycle and an empty span list).
+// last-write cycle and an empty span list) and derives each cell's last
+// read and the consumed total from its spans.
 func (r *IntervalRecorder) codec(c *binfmt.Codec) {
 	cells := c.Len(len(r.lastWrite), 12, maxCodecCells)
 	if c.Decoding() {
@@ -34,6 +35,12 @@ func (r *IntervalRecorder) codec(c *binfmt.Codec) {
 	for i := 0; i < len(r.lastWrite) && c.Err() == nil; i++ {
 		binfmt.U64(c, &r.lastWrite[i])
 		binfmt.Slice(c, &r.spans[i], 16, maxCodecCells, span)
+		if s := r.spans[i]; c.Decoding() && len(s) > 0 {
+			r.lastRead[i] = s[len(s)-1].end
+			for _, sp := range s {
+				r.consumed += sp.end - sp.start
+			}
+		}
 	}
 }
 
@@ -81,7 +88,7 @@ func (r *IntervalRecorder) ApproxBytes() int {
 	if r == nil {
 		return 0
 	}
-	n := 8*len(r.lastWrite) + 24*len(r.spans)
+	n := 16*len(r.lastWrite) + 24*len(r.spans)
 	for _, s := range r.spans {
 		n += 16 * cap(s)
 	}

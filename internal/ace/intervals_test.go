@@ -1,6 +1,9 @@
 package ace
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 func TestIntervalRecorderBasics(t *testing.T) {
 	r := NewIntervalRecorder(4)
@@ -166,35 +169,62 @@ func BenchmarkIntervalRecorderReuse(b *testing.B) {
 	}
 }
 
+// TestTrackerReset: a reset sum-only recorder behaves like a fresh one,
+// and it never grows the log it does not keep.
 func TestTrackerReset(t *testing.T) {
-	rt := NewRegFileTracker(4)
-	rt.OnWrite(1, 2)
-	rt.OnRead(1, 64, 10)
-	if rt.ACEBitCycles() == 0 {
-		t.Fatal("tracker accumulated nothing")
+	r := NewSumRecorder(4 * 64)
+	r.WriteRange(64, 64, 2)
+	r.ReadRange(64, 64, 10)
+	if r.consumed == 0 {
+		t.Fatal("recorder accumulated nothing")
 	}
-	rt.Reset()
-	if rt.ACEBitCycles() != 0 || rt.NumRegs() != 4 {
-		t.Fatal("RegFileTracker.Reset did not clear state")
+	r.Reset(4 * 64)
+	if r.consumed != 0 || r.NumCells() != 4*64 || r.LastEvent(64) != 0 || r.spans != nil {
+		t.Fatal("Reset did not clear state")
 	}
-	// After reset the tracker behaves like a fresh one.
-	rt.OnRead(1, 64, 10) // not live: ignored
-	if rt.ACEBitCycles() != 0 {
-		t.Fatal("reset tracker retained liveness")
+	// After reset a read credits from the implicit reset write, not from
+	// the pre-reset write at 2.
+	r.ReadRange(64, 64, 10)
+	if got := r.consumed; got != 10*64 {
+		t.Fatalf("reset recorder credited %d, want %d", got, 10*64)
 	}
+}
 
-	ct := NewCacheTracker(64)
-	ct.OnFill(0, 64, 1)
-	ct.OnRead(0, 8, 9)
-	if ct.ACEBitCycles() == 0 {
-		t.Fatal("cache tracker accumulated nothing")
+// TestIntervalRecorderConsumedTotal: on a random event stream the running
+// total of a sum-only recorder equals a log-keeping recorder's, and both
+// equal the summed length of the log's spans. Decoding the log derives
+// the same last reads and total.
+func TestIntervalRecorderConsumedTotal(t *testing.T) {
+	const cells = 96
+	sum, log := NewSumRecorder(cells), NewIntervalRecorder(cells)
+	rng := rand.New(rand.NewPCG(3, 4))
+	var cycle uint64
+	for range 4000 {
+		cycle += uint64(rng.IntN(3))
+		cell := rng.IntN(cells)
+		n := 1 + rng.IntN(cells-cell)
+		if rng.IntN(3) == 0 {
+			sum.WriteRange(cell, n, cycle)
+			log.WriteRange(cell, n, cycle)
+		} else {
+			sum.ReadRange(cell, n, cycle)
+			log.ReadRange(cell, n, cycle)
+		}
 	}
-	ct.Reset()
-	if ct.ACEBitCycles() != 0 || ct.NumBytes() != 64 {
-		t.Fatal("CacheTracker.Reset did not clear state")
+	if sum.consumed != log.consumed || log.consumed != log.SpanCycles() || log.SpanCycles() == 0 {
+		t.Fatalf("sum-only %d, log-keeping %d, spans %d", sum.consumed, log.consumed, log.SpanCycles())
 	}
-	ct.OnRead(0, 8, 20) // invalid bytes: ignored
-	if ct.ACEBitCycles() != 0 {
-		t.Fatal("reset cache tracker retained byte state")
+	dec, _, err := DecodeIntervalRecorder(AppendIntervalRecorder(nil, log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleaseIntervalRecorder(dec)
+	if dec.consumed != log.consumed {
+		t.Fatalf("decoded total %d, want %d", dec.consumed, log.consumed)
+	}
+	for c := range cells {
+		if dec.LastEvent(c) != log.LastEvent(c) || sum.LastEvent(c) != log.LastEvent(c) {
+			t.Fatalf("cell %d: last event %d decoded, %d sum-only, want %d", c, dec.LastEvent(c), sum.LastEvent(c), log.LastEvent(c))
+		}
 	}
 }

@@ -82,12 +82,11 @@ func gradeTimed(g *gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric cov
 // GradeGenotype grades one genotype under an explicit evaluation
 // configuration, with exactly the semantics of the in-process loop
 // (crash/NaN clamping included). Remote workers and local fallbacks use
-// it to stay bit-compatible with Run. Coverage grading runs one
-// tracker-instrumented simulation per genotype with no fault-free
-// reference to share, so the golden artifact cache (inject.GoldenCache)
-// does not apply here — its gate excludes tracker configs by design;
-// reuse across repeated grades of identical genotypes is the evalCache
-// memo's job.
+// it to stay bit-compatible with Run. Coverage grading runs one tracked
+// simulation per genotype, whose coverage is the Result itself, so the
+// golden artifact cache (inject.GoldenCache), which shares a campaign's
+// untracked golden bundle, does not apply here; reuse across repeated
+// grades of identical genotypes is the evalCache memo's job.
 func GradeGenotype(g *gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric coverage.Metric) EvalResult {
 	res, _, _ := gradeTimed(g, gcfg, ccfg, metric)
 	return res

@@ -258,19 +258,16 @@ func (c *Campaign) goldenKey() GoldenKey {
 // goldenCacheable gates the cache. Beyond a missing cache or program
 // hash and the from-zero path (which reads only the Result), any
 // configuration that attaches per-run instrumentation to the golden
-// core (ACE/IBR trackers, a trace sink, a caller event schedule, debug
-// scrubbing) is excluded: such state is invisible to the JSON key, so
-// the bundle would no longer be a pure function of it.
+// core (a trace sink, a caller event schedule, debug scrubbing) is
+// excluded: such state is invisible to the JSON key, so the bundle would
+// no longer be a pure function of it. Coverage tracking is not: the
+// campaign clears it (baseConfig).
 func (c *Campaign) goldenCacheable() bool {
 	if c.GoldenCache == nil || c.NoFastForward || c.ProgramHash == 0 {
 		return false
 	}
 	cfg := &c.Cfg
-	if cfg.TrackIRF || cfg.TrackL1D || cfg.TrackFPRF || cfg.TrackIBR ||
-		cfg.DebugScrub || cfg.Trace != nil || len(cfg.Events) != 0 {
-		return false
-	}
-	return true
+	return !cfg.DebugScrub && cfg.Trace == nil && len(cfg.Events) == 0
 }
 
 // buildGolden runs the fault-free reference, the campaign's one golden

@@ -358,25 +358,44 @@ func TestGoldenKeySensitivity(t *testing.T) {
 }
 
 // TestGoldenCacheUncacheableConfigs: configurations whose golden cores
-// carry per-run instrumentation must bypass the cache (and still
-// produce a working campaign).
+// carry per-run instrumentation must bypass the cache. Coverage tracking
+// is not such instrumentation: the campaign clears it, so a tracked
+// campaign shares the untracked one's bundle and gets equal statistics.
 func TestGoldenCacheUncacheableConfigs(t *testing.T) {
 	gc := NewGoldenCache(0)
-	c := testProgram(t, 120, nil)
-	c.Target = coverage.IRF
-	c.Type = Transient
-	c.N = 8
-	c.GoldenCache = gc
-	c.ProgramHash = testProgramHash(c)
-	c.Cfg.TrackIRF = true
-	if c.goldenCacheable() {
-		t.Fatal("tracker config must not be cacheable")
+	reg := obs.NewRegistry()
+	var stats [2]*Stats
+	for i, track := range []bool{false, true} {
+		c := testProgram(t, 120, nil)
+		c.Target = coverage.IRF
+		c.Type = Transient
+		c.N = 8
+		c.GoldenCache = gc
+		c.ProgramHash = testProgramHash(c)
+		c.Obs = obs.New(reg, nil)
+		c.Cfg.TrackIRF, c.Cfg.TrackFPRF, c.Cfg.TrackL1D, c.Cfg.TrackIBR = track, track, track, track
+		if !c.goldenCacheable() {
+			t.Fatalf("tracked=%v: campaign not cacheable", track)
+		}
+		st, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = st
 	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
+	if gc.Len() != 1 || reg.Counter("inject.golden.cache.hits").Load() != 1 {
+		t.Fatalf("tracked campaign did not share the untracked bundle: %d entries, %d hits",
+			gc.Len(), reg.Counter("inject.golden.cache.hits").Load())
 	}
-	if gc.Len() != 0 {
-		t.Fatal("uncacheable campaign populated the cache")
+	if !stats[0].Equal(stats[1]) {
+		t.Fatalf("tracked campaign's statistics differ:\nuntracked %+v\ntracked   %+v", stats[0], stats[1])
+	}
+	scrub := testProgram(t, 120, nil)
+	scrub.GoldenCache = gc
+	scrub.ProgramHash = testProgramHash(scrub)
+	scrub.Cfg.DebugScrub = true
+	if scrub.goldenCacheable() {
+		t.Fatal("DebugScrub config must not be cacheable")
 	}
 	c2 := testProgram(t, 120, nil)
 	c2.Target = coverage.IRF

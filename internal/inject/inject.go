@@ -345,8 +345,9 @@ func targetNetlist(target coverage.Structure) *gates.Netlist {
 	return nil
 }
 
-// baseConfig is the campaign's configuration with every hook, fault and
-// recorder cleared: what the golden and the faulty runs start from.
+// baseConfig is the campaign's configuration with every hook, fault,
+// tracker and recorder cleared: what the golden and the faulty runs start
+// from.
 func (c *Campaign) baseConfig() uarch.Config {
 	cfg := c.Cfg
 	cfg.OnCycle = nil
@@ -358,9 +359,11 @@ func (c *Campaign) baseConfig() uarch.Config {
 	cfg.DeltaQuiesce = 0
 	// A caller-set Record* flag would make every faulty run draw an
 	// interval recorder from the pool and never release it (recorders
-	// escape through Result, which faulty runs discard): the campaign owns
+	// escape through Result, which faulty runs discard), and a Track* flag
+	// would make every run track coverage nobody reads: the campaign owns
 	// all instrumentation, so clear the flags here; buildGolden switches
 	// on the recorders the golden run itself needs.
+	cfg.TrackIRF, cfg.TrackL1D, cfg.TrackFPRF, cfg.TrackIBR = false, false, false, false
 	cfg.RecordIRFIntervals = false
 	cfg.RecordFPRFIntervals = false
 	cfg.RecordL1DIntervals = false

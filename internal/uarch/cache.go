@@ -32,11 +32,9 @@ type dcache struct {
 	from    []*l1dLine
 	touched []uint64
 	backing *arch.Memory
-	tracker *ace.CacheTracker
-	// rec logs per-byte consumed-value intervals at access time (fills
-	// and stores are writes; loads, dirty evictions and the final flush
-	// are consumptions). Nil unless Config.RecordL1DIntervals, which also
-	// has the final flush fill in a FlushLog.
+	// rec is the data array's ACE recorder, one cell per byte (fills and
+	// stores are writes; loads, dirty evictions and the final flush are
+	// consumptions). Nil unless the run tracks or records the L1D.
 	rec *ace.IntervalRecorder
 
 	// Second level (timing only) and latency table.
@@ -51,8 +49,7 @@ type dcache struct {
 // initDCache builds the L1D model, reusing the SRAM, line metadata and
 // L2 tag arrays of a previous instance when the geometry matches (the
 // pooled-core fast path).
-func initDCache(d *dcache, full Config, backing *arch.Memory, tracker *ace.CacheTracker,
-	rec *ace.IntervalRecorder) *dcache {
+func initDCache(d *dcache, full Config, backing *arch.Memory, rec *ace.IntervalRecorder) *dcache {
 	cfg := full.L1D
 	numSets := cfg.NumSets()
 	n := numSets * cfg.Ways
@@ -70,7 +67,6 @@ func initDCache(d *dcache, full Config, backing *arch.Memory, tracker *ace.Cache
 	d.touched = grow(d.touched, (n+63)/64)
 	clear(d.touched)
 	d.backing = backing
-	d.tracker = tracker
 	d.rec = rec
 	d.l2 = initL2Tags(d.l2, full.L2)
 	d.l2HitLat = full.L2.HitLatency
@@ -173,9 +169,6 @@ func (d *dcache) fill(addr uint64, cycle uint64) (int, *arch.CrashError) {
 	v.dirty = false
 	v.tag = d.tagOf(addr)
 	v.lastUse = cycle
-	if d.tracker != nil {
-		d.tracker.OnFill(d.byteIndex(victim, 0), d.cfg.LineBytes, cycle)
-	}
 	if d.rec != nil {
 		d.rec.WriteRange(d.byteIndex(victim, 0), d.cfg.LineBytes, cycle)
 	}
@@ -187,9 +180,6 @@ func (d *dcache) evict(lineIdx int, cycle uint64) *arch.CrashError {
 	l := &d.lines[lineIdx]
 	if !l.valid {
 		return nil
-	}
-	if d.tracker != nil {
-		d.tracker.OnEvict(d.byteIndex(lineIdx, 0), d.cfg.LineBytes, cycle, l.dirty)
 	}
 	if d.rec != nil && l.dirty {
 		// A writeback consumes every byte of the line, including bytes
@@ -217,11 +207,9 @@ func (d *dcache) lineAddr(lineIdx int) uint64 {
 
 // access performs a read or write of size bytes at addr, splitting
 // across line boundaries. For reads, buf receives the bytes; for writes,
-// buf supplies them. The visit callback reports the flat byte ranges
-// touched (for deferred ACE read events). It returns the worst latency
-// among the lines touched (HitLatency when everything hit).
-func (d *dcache) access(addr uint64, size int, write bool, buf []byte, cycle uint64,
-	visit func(byteIdx, n int)) (int, *arch.CrashError) {
+// buf supplies them. It returns the worst latency among the lines
+// touched (HitLatency when everything hit).
+func (d *dcache) access(addr uint64, size int, write bool, buf []byte, cycle uint64) (int, *arch.CrashError) {
 	lat := d.cfg.HitLatency
 	off := 0
 	for size > 0 {
@@ -259,17 +247,11 @@ func (d *dcache) access(addr uint64, size int, write bool, buf []byte, cycle uin
 		if write {
 			copy(data[lineOff:lineOff+n], buf[off:off+n])
 			l.dirty = true
-			if d.tracker != nil {
-				d.tracker.OnWrite(d.byteIndex(li, lineOff), n, cycle)
-			}
 			if d.rec != nil {
 				d.rec.WriteRange(d.byteIndex(li, lineOff), n, cycle)
 			}
 		} else {
 			copy(buf[off:off+n], data[lineOff:lineOff+n])
-			if visit != nil {
-				visit(d.byteIndex(li, lineOff), n)
-			}
 			if d.rec != nil {
 				d.rec.ReadRange(d.byteIndex(li, lineOff), n, cycle)
 			}
@@ -284,11 +266,6 @@ func (d *dcache) access(addr uint64, size int, write bool, buf []byte, cycle uin
 // flush writes back all dirty lines (end of simulation, before the
 // memory signature is computed), logging each in fl when non-nil.
 func (d *dcache) flush(cycle uint64, fl *FlushLog) *arch.CrashError {
-	if d.tracker != nil {
-		d.tracker.Finish(func(idx int) bool {
-			return d.lines[idx/d.cfg.LineBytes].dirty
-		}, cycle)
-	}
 	for i := range d.lines {
 		l := &d.lines[i]
 		if l.valid && l.dirty {

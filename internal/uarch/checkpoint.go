@@ -5,8 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"harpocrates/internal/ace"
 	"harpocrates/internal/arch"
+	"harpocrates/internal/coverage"
 	"harpocrates/internal/isa"
 )
 
@@ -29,7 +29,7 @@ const maxCheckpoints = 256
 //
 //   - copied: the physical register files, free lists and rename maps,
 //     the issue, store, in-flight and fetch queues, the branch predictor,
-//     cycle/sequence counters, statistics and ACE trackers, and of the
+//     cycle/sequence counters and statistics, and of the
 //     ROB only the live window and the in-flight µops (every other entry
 //     is dead: rename resets an entry before reusing it);
 //   - copied if the core wrote it since its previous checkpoint, else
@@ -52,8 +52,9 @@ const maxCheckpoints = 256
 // and resume each faulty run from the nearest one at or before its first
 // faulty cycle, skipping the bit-identical golden prefix. A checkpoint is
 // reusable: any number of runs can restore from it, concurrently too,
-// because a restore only reads it. Interval recorders and trace sinks are
-// golden-run instrumentation and are not captured.
+// because a restore only reads it. Coverage tracking, interval recorders
+// and trace sinks are golden-run instrumentation and are not captured: a
+// restored run reports no coverage.
 type Checkpoint struct {
 	cycle    uint64
 	*ckState // nil once released
@@ -74,8 +75,6 @@ type ckState struct {
 	srcSlab   []rsrc
 	dstSlab   []rdst
 	writeSlab []storeWrite
-	eventSlab []aceEvent
-	ibrSlab   []ibrEvent
 	ratSnaps  []ratSnapshot
 	errs      []arch.CrashError
 	l1d       []*l1dLine // one per L1D line
@@ -89,11 +88,12 @@ var ckStatePool = sync.Pool{New: func() any { return &ckState{core: new(Core)} }
 // rename-map snapshot and crash (which few µops hold) indices into ratSnaps
 // and errs, -1 for none. A restore re-derives the variant and the
 // instruction from pc as rename set them, and rebuilds pending with the
-// wake-up lists.
+// wake-up lists. A µop's buffered IBR events are coverage state and stay
+// behind.
 type ckUop struct {
 	seq, doneAt                                     uint64
 	pc, memLat, predNext, actualNext                int
-	srcs, dsts, writes, events, ibr                 span
+	srcs, dsts, writes                              span
 	snap, err                                       int32
 	st                                              uopState
 	isLoad, isStore, poison, mutated, bad, squashed bool
@@ -244,16 +244,7 @@ func (c *Core) copyState(src *Core) {
 	c.prog = src.prog
 	c.pre = src.pre
 	c.mem = src.mem.CloneInto(c.mem)
-
-	var tr *ace.CacheTracker
-	if src.cache.tracker != nil {
-		var old *ace.CacheTracker
-		if c.cache != nil {
-			old = c.cache.tracker
-		}
-		tr = src.cache.tracker.CloneInto(old)
-	}
-	c.cache = copyDCacheState(c.cache, src.cache, c.mem, tr)
+	c.cache = copyDCacheState(c.cache, src.cache, c.mem)
 
 	if c.bp != nil && len(c.bp.table) == len(src.bp.table) {
 		c.bp.history = src.bp.history
@@ -264,18 +255,12 @@ func (c *Core) copyState(src *Core) {
 			table: append([]uint8(nil), src.bp.table...)}
 	}
 
-	if src.irf != nil {
-		c.irf = src.irf.CloneInto(c.irf)
-	} else {
-		c.irf = nil
-	}
-	if src.fprf != nil {
-		c.fprf = src.fprf.CloneInto(c.fprf)
-	} else {
-		c.fprf = nil
-	}
+	// A copy carries no coverage state and records no log: a checkpoint
+	// does not capture them, and a restored run reports neither.
+	c.cfg.TrackIRF, c.cfg.TrackL1D, c.cfg.TrackFPRF, c.cfg.TrackIBR = false, false, false, false
+	c.cfg.RecordIRFIntervals, c.cfg.RecordFPRFIntervals, c.cfg.RecordL1DIntervals = false, false, false
 	c.recIRF, c.recFPRF = nil, nil
-	c.ibrC = src.ibrC
+	c.ibrC = [coverage.NumStructures]coverage.IBRCounter{}
 
 	c.intPRF = grow(c.intPRF, len(src.intPRF))
 	copy(c.intPRF, src.intPRF)
@@ -348,17 +333,15 @@ func (c *Core) copyState(src *Core) {
 }
 
 // copyDCacheState copies the L1D and L2 models' configuration and
-// statistics, rebinding the L1D to the copy's backing memory and tracker.
-// Their arrays are the checkpoint's business (captureCache,
-// restoreCache).
-func copyDCacheState(dst, src *dcache, backing *arch.Memory, tracker *ace.CacheTracker) *dcache {
+// statistics, rebinding the L1D to the copy's backing memory. Their
+// arrays are the checkpoint's business (captureCache, restoreCache).
+func copyDCacheState(dst, src *dcache, backing *arch.Memory) *dcache {
 	if dst == nil {
 		dst = &dcache{}
 	}
 	dst.cfg = src.cfg
 	dst.numSets = src.numSets
 	dst.backing = backing
-	dst.tracker = tracker
 	dst.rec = nil
 	dst.l2HitLat = src.l2HitLat
 	dst.memLat = src.memLat
@@ -399,7 +382,7 @@ func (c *Core) liveSlots(dst []int32) []int32 {
 func (ck *Checkpoint) captureROB(c *Core) {
 	slots := c.liveSlots(ck.slots[:0])
 	ck.srcSlab, ck.dstSlab, ck.writeSlab = ck.srcSlab[:0], ck.dstSlab[:0], ck.writeSlab[:0]
-	ck.eventSlab, ck.ibrSlab, ck.ratSnaps, ck.errs = ck.eventSlab[:0], ck.ibrSlab[:0], ck.ratSnaps[:0], ck.errs[:0]
+	ck.ratSnaps, ck.errs = ck.ratSnaps[:0], ck.errs[:0]
 	ck.rob = grow(ck.rob, len(slots))
 	for i, s := range slots {
 		u := &c.rob[s]
@@ -408,8 +391,7 @@ func (ck *Checkpoint) captureROB(c *Core) {
 			seq: u.seq, doneAt: u.doneAt,
 			pc: u.pc, memLat: u.memLat, predNext: u.predNext, actualNext: u.actualNext,
 			srcs: appendSpan(&ck.srcSlab, u.srcs), dsts: appendSpan(&ck.dstSlab, u.dsts),
-			writes: appendSpan(&ck.writeSlab, u.writes), events: appendSpan(&ck.eventSlab, u.events),
-			ibr: appendSpan(&ck.ibrSlab, u.ibr), snap: -1, err: -1, st: u.st,
+			writes: appendSpan(&ck.writeSlab, u.writes), snap: -1, err: -1, st: u.st,
 			isLoad: u.isLoad, isStore: u.isStore, poison: u.poison, mutated: u.mutated, bad: u.bad, squashed: u.squashed,
 		}
 		if u.snapValid {
@@ -436,8 +418,7 @@ func (ck *Checkpoint) restoreROB(c *Core) {
 		d.srcs = appendFrom(d.srcs, ck.srcSlab, k.srcs)
 		d.dsts = appendFrom(d.dsts, ck.dstSlab, k.dsts)
 		d.writes = appendFrom(d.writes, ck.writeSlab, k.writes)
-		d.events = appendFrom(d.events, ck.eventSlab, k.events)
-		d.ibr = appendFrom(d.ibr, ck.ibrSlab, k.ibr)
+		d.ibr = d.ibr[:0]
 		d.st = k.st
 		d.isLoad, d.isStore, d.poison, d.mutated, d.bad, d.squashed = k.isLoad, k.isStore, k.poison, k.mutated, k.bad, k.squashed
 		d.snapValid = k.snap >= 0

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"harpocrates/internal/coverage"
 )
 
 // resultsEqual compares every scalar field of two results (the interval
@@ -30,11 +32,20 @@ func resultsEqual(a, b *Result) bool {
 		a.UnitUses == b.UnitUses
 }
 
-// TestCheckpointResumeBitIdentical runs a program once uninstrumented,
-// then again taking checkpoints mid-run, resumes from each checkpoint,
-// and requires every observable result field — signature, cycle and
-// instruction counts, cache/predictor statistics, ACE vulnerability, IBR
-// — to be bit-identical to the straight-through run.
+// withoutCoverage returns r with its coverage cleared: what a run resumed
+// from a checkpoint reports, since a checkpoint carries no coverage state.
+func withoutCoverage(r *Result) *Result {
+	c := *r
+	c.Snapshot = coverage.Snapshot{Cycles: r.Cycles, Instructions: r.Instructions}
+	return &c
+}
+
+// TestCheckpointResumeBitIdentical runs a tracked program once, then again
+// taking checkpoints mid-run, resumes from each checkpoint, and requires
+// every observable result field but coverage — signature, cycle and
+// instruction counts, cache/predictor statistics — to be bit-identical to
+// the straight-through run. Taking the checkpoints must not move the
+// coverage; a resumed run reports none.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	prog := randomProgram(rng, 400, false)
@@ -75,7 +86,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		resumeCfg := cfg
 		resumeCfg.OnCycle = nil
 		got := RunFromCheckpoint(ck, resumeCfg)
-		if !resultsEqual(ref, got) {
+		if !resultsEqual(withoutCoverage(ref), got) {
 			t.Errorf("resume from checkpoint %d (cycle %d) diverged:\nref: sig=%#x cyc=%d instr=%d vuln=%v/%v/%v\ngot: sig=%#x cyc=%d instr=%d vuln=%v/%v/%v",
 				i, ck.Cycle(),
 				ref.Signature, ref.Cycles, ref.Instructions, ref.IRFVuln, ref.L1DVuln, ref.FPRFVuln,
@@ -86,8 +97,17 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// A checkpoint stays reusable: a second restore from the same
 	// snapshot must agree with the first.
 	again := RunFromCheckpoint(cks[0], cfg)
-	if !resultsEqual(ref, again) {
+	if !resultsEqual(withoutCoverage(ref), again) {
 		t.Fatal("second restore from the same checkpoint diverged")
+	}
+
+	// A core that ran tracked keeps none of its coverage state through a
+	// restore (HXGA encodes the IBR counters of a restored core).
+	c := NewCore(prog, newInitState(t, 3), cfg)
+	c.Run()
+	c.RestoreFrom(cks[0], cfg)
+	if c.ibrC != ([coverage.NumStructures]coverage.IBRCounter{}) || c.recIRF != nil || c.cache.rec != nil {
+		t.Fatal("a restored core kept the coverage state of its previous run")
 	}
 }
 

@@ -10,17 +10,20 @@
 // Architectural semantics come from internal/arch, so the timing model
 // and the golden reference can never disagree about values.
 //
-// Hardware coverage (ACE lifetime analysis of the physical integer
-// register file and L1D data array, IBR of the functional units) is
-// measured with events credited at commit, and fault injection hooks
-// allow flipping any PRF or cache data bit at any cycle and rerouting
-// arithmetic through gate-level unit models.
+// Hardware coverage is measured as the run goes: ACE lifetimes of the
+// physical register files and the L1D data array by one
+// ace.IntervalRecorder per array, fed at the cycle of every access
+// (wrong-path reads included), and IBR of the functional units, credited
+// at commit. Fault injection hooks allow flipping any PRF or cache data
+// bit at any cycle and rerouting arithmetic through gate-level unit
+// models.
 //
 // Documented simplifications (see DESIGN.md): memory-operand instructions
 // execute as a single fused micro-op with combined latency; loads wait
 // until all older stores have executed (no memory-dependence
 // speculation); store commits do not stall on misses; wrong-path
-// instructions execute but cannot raise faults or coverage events.
+// instructions execute but cannot raise faults or IBR events (their
+// register and cache reads do count as ACE).
 package uarch
 
 import (
@@ -113,20 +116,23 @@ type Config struct {
 	MaxCycles uint64
 
 	// TrackIRF / TrackL1D / TrackFPRF / TrackIBR enable coverage
-	// instrumentation.
+	// instrumentation: a bit array's ACE coverage (Result.IRFVuln,
+	// L1DVuln, FPRFVuln, the consumed cell-cycles of its
+	// ace.IntervalRecorder) and the functional units' IBR. A run resumed
+	// from a checkpoint tracks nothing.
 	TrackIRF  bool
 	TrackL1D  bool
 	TrackFPRF bool
 	TrackIBR  bool
-	// ACEIgnoreWidths disables per-read width masks in the IRF ACE
-	// analysis (ablation; see internal/ace).
+	// ACEIgnoreWidths makes every IRF read consume all 64 bits of its
+	// register, whatever the operand width (ablation; see internal/ace).
 	ACEIgnoreWidths bool
 
 	// RecordIRFIntervals / RecordFPRFIntervals / RecordL1DIntervals
-	// attach an ace.IntervalRecorder to the corresponding bit array,
-	// logging consumed-value intervals directly at access time (including
-	// wrong-path work, so the log is conservative). The fault injector
-	// uses the recorders, surfaced on Result, to prove transient flips
+	// have the corresponding bit array's ace.IntervalRecorder keep its
+	// consumed-interval log, recorded directly at access time (including
+	// wrong-path work, so the log is conservative), and surface it on
+	// Result. The fault injector uses the logs to prove transient flips
 	// masked without simulating them; RecordL1DIntervals also records
 	// what the final flush wrote back (Result.L1DFlush). Pure
 	// observation: enabling a recorder cannot change simulated behaviour.
@@ -357,8 +363,8 @@ func (c CacheConfig) validGeometry(name string, maxBytes int) error {
 	return nil
 }
 
-// TrackFor returns c with the coverage tracker that grades st switched
-// on: a bit array's own ACE tracker, IBR for the functional units, and
+// TrackFor returns c with the coverage tracking that grades st switched
+// on: a bit array's ACE coverage, IBR for the functional units, and
 // nothing for the SFI-only fault sites (decoder, gshare, LSQ, ROB
 // metadata, L2 tags), which have no coverage metric.
 func (c Config) TrackFor(st coverage.Structure) Config {

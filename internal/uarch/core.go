@@ -112,16 +112,18 @@ type Core struct {
 
 	cache *dcache
 	bp    *gshare
-	irf   *ace.RegFileTracker
-	// fprf tracks the FP register file as 2x64-bit lanes per entry
-	// (pseudo-register 2p for the low lane, 2p+1 for the high).
-	fprf *ace.RegFileTracker
-	// recIRF / recFPRF log consumed-value intervals per PRF bit at access
-	// time (cell = phys*64+bit; FP registers as two 64-bit lanes). The
-	// L1D recorder lives on the dcache.
+	// recIRF / recFPRF are the register files' ACE recorders, one cell
+	// per PRF bit (cell = phys*64+bit; an FP register is 128 cells), nil
+	// unless the run tracks or records the file. The L1D's lives on the
+	// dcache.
 	recIRF  *ace.IntervalRecorder
 	recFPRF *ace.IntervalRecorder
-	ibrC    [coverage.NumStructures]coverage.IBRCounter
+	// sumIRF, sumFPRF and sumL1D are the sum-only recorders of a run that
+	// tracks coverage without recording the log. Unlike a log, which
+	// escapes through Result, they never leave the core, so a pooled core
+	// reuses them run after run.
+	sumIRF, sumFPRF, sumL1D *ace.IntervalRecorder
+	ibrC                    [coverage.NumStructures]coverage.IBRCounter
 
 	intPRF   []uint64
 	intReady []bool
@@ -246,8 +248,8 @@ func grow[T any](s []T, n int) []T {
 // init (re)initializes the core for one run, reusing any allocations a
 // pooled core carries from earlier runs: the PRF/ready arrays, free
 // lists, ROB entries (and their per-µop slices), cache SRAM and line
-// metadata, L2 tag arrays, predictor table and ACE trackers all survive,
-// so repeated runs stop churning the garbage collector.
+// metadata, L2 tag arrays, predictor table and sum-only ACE recorders
+// all survive, so repeated runs stop churning the garbage collector.
 func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 	mem, ok := init.Mem.(*arch.Memory)
 	if !ok {
@@ -330,59 +332,16 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 	c.finished = false
 	c.ibrC = [coverage.NumStructures]coverage.IBRCounter{}
 
-	var l1dTracker *ace.CacheTracker
-	if cfg.TrackL1D {
-		if c.cache != nil && c.cache.tracker != nil && c.cache.tracker.NumBytes() == cfg.L1D.SizeBytes {
-			l1dTracker = c.cache.tracker
-			l1dTracker.Reset()
-		} else {
-			l1dTracker = ace.NewCacheTracker(cfg.L1D.SizeBytes)
-		}
-	}
-	// Interval recorders escape through Result, so a pooled core must
-	// never reuse them: one per run from the recorder pool (callers that
-	// finish with a Result hand them back via ace.ReleaseIntervalRecorder;
-	// callers that keep the Result simply never release).
-	var recL1D *ace.IntervalRecorder
-	if cfg.RecordL1DIntervals {
-		recL1D = ace.GetIntervalRecorder(cfg.L1D.SizeBytes)
-	}
-	c.cache = initDCache(c.cache, cfg, mem, l1dTracker, recL1D)
-	if cfg.TrackIRF {
-		if c.irf != nil && c.irf.NumRegs() == cfg.IntPRF {
-			c.irf.Reset()
-		} else {
-			c.irf = ace.NewRegFileTracker(cfg.IntPRF)
-		}
-		c.irf.IgnoreWidths = cfg.ACEIgnoreWidths
-	} else {
-		c.irf = nil
-	}
-	if cfg.TrackFPRF {
-		if c.fprf != nil && c.fprf.NumRegs() == 2*cfg.FPPRF {
-			c.fprf.Reset()
-		} else {
-			c.fprf = ace.NewRegFileTracker(2 * cfg.FPPRF)
-		}
-	} else {
-		c.fprf = nil
-	}
-	c.recIRF, c.recFPRF = nil, nil
-	if cfg.RecordIRFIntervals {
-		c.recIRF = ace.GetIntervalRecorder(cfg.IntPRF * 64)
-	}
-	if cfg.RecordFPRFIntervals {
-		c.recFPRF = ace.GetIntervalRecorder(2 * cfg.FPPRF * 64)
-	}
+	c.cache = initDCache(c.cache, cfg, mem,
+		recorder(&c.sumL1D, cfg.TrackL1D, cfg.RecordL1DIntervals, cfg.L1D.SizeBytes))
+	c.recIRF = recorder(&c.sumIRF, cfg.TrackIRF, cfg.RecordIRFIntervals, cfg.IntPRF*64)
+	c.recFPRF = recorder(&c.sumFPRF, cfg.TrackFPRF, cfg.RecordFPRFIntervals, 2*cfg.FPPRF*64)
 
 	// Initial rename map: arch register r -> physical r.
 	for r := 0; r < isa.NumGPR; r++ {
 		c.rat.intRAT[r] = uint16(r)
 		c.intPRF[r] = init.GPR[r]
 		c.intReady[r] = true
-		if c.irf != nil {
-			c.irf.OnWrite(r, 0)
-		}
 	}
 	for r := isa.NumGPR; r < cfg.IntPRF; r++ {
 		c.intFree = append(c.intFree, uint16(r))
@@ -391,10 +350,6 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 		c.rat.fpRAT[x] = uint16(x)
 		c.fpPRF[x] = init.XMM[x]
 		c.fpReady[x] = true
-		if c.fprf != nil {
-			c.fprf.OnWrite(2*x, 0)
-			c.fprf.OnWrite(2*x+1, 0)
-		}
 	}
 	for x := isa.NumXMM; x < cfg.FPPRF; x++ {
 		c.fpFree = append(c.fpFree, uint16(x))
@@ -406,6 +361,26 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 		c.flagFree = append(c.flagFree, uint16(f))
 	}
 	c.rebuildWakeup()
+}
+
+// recorder returns the ACE recorder of a bit array of cells cells: a
+// log-keeping one from the recorder pool when the run records the log
+// (it escapes through Result: callers that finish with a Result hand it
+// back via ace.ReleaseIntervalRecorder, callers that keep the Result
+// never release), else, when the run tracks coverage, the sum-only one
+// the core keeps in *own, reset; nil when it does neither.
+func recorder(own **ace.IntervalRecorder, track, record bool, cells int) *ace.IntervalRecorder {
+	switch {
+	case record:
+		return ace.GetIntervalRecorder(cells)
+	case !track:
+		return nil
+	case *own == nil:
+		*own = ace.NewSumRecorder(cells)
+	default:
+		(*own).Reset(cells)
+	}
+	return *own
 }
 
 // Cycle returns the current cycle (for injection hooks).
@@ -573,12 +548,32 @@ func (c *Core) buildResult() *Result {
 	// and its signature undefined — the final state is by construction
 	// the golden run's (delta.go).
 	if !c.reconverged {
-		if c.cache.rec != nil {
+		if c.cfg.RecordL1DIntervals {
 			fl = &FlushLog{LineBytes: c.cache.cfg.LineBytes}
 		}
 		if err := c.cache.flush(c.cycle, fl); err != nil && c.crash == nil {
 			c.crash = err
 		}
+	}
+	// Coverage counts the final flush's reads but not the end-of-run
+	// register reads below, which keep the log sound.
+	var cov coverage.Snapshot
+	if c.cfg.TrackIRF {
+		cov.IRFVuln = c.recIRF.Vulnerability(c.cycle)
+	}
+	if c.cfg.TrackFPRF {
+		cov.FPRFVuln = c.recFPRF.Vulnerability(c.cycle)
+	}
+	if c.cfg.TrackL1D {
+		cov.L1DVuln = c.cache.rec.Vulnerability(c.cycle)
+	}
+	if c.cfg.TrackIBR {
+		for s := coverage.Structure(0); s < coverage.NumStructures; s++ {
+			cov.IBR[s] = c.ibrC[s].Value(c.cycle)
+			cov.UnitUses[s] = c.ibrC[s].Uses
+		}
+	}
+	if !c.reconverged {
 		// The final architectural state is itself a consumer: physical
 		// registers still mapped at the end of the run feed the output
 		// signature, so their last values must be logged as read or the
@@ -612,7 +607,10 @@ func (c *Core) buildResult() *Result {
 		}
 	}
 
+	cov.Cycles = c.cycle
+	cov.Instructions = c.instret
 	r := &Result{
+		Snapshot:    cov,
 		Crash:       c.crash,
 		Trap:        c.crash.Exception(),
 		TimedOut:    c.timedOut,
@@ -630,25 +628,16 @@ func (c *Core) buildResult() *Result {
 		r.L2Misses = c.cache.l2.misses
 		r.Prefetches = c.cache.l2.prefetches
 	}
-	r.IRFIntervals = c.recIRF
-	r.FPRFIntervals = c.recFPRF
-	r.L1DIntervals = c.cache.rec
+	if c.cfg.RecordIRFIntervals {
+		r.IRFIntervals = c.recIRF
+	}
+	if c.cfg.RecordFPRFIntervals {
+		r.FPRFIntervals = c.recFPRF
+	}
+	if c.cfg.RecordL1DIntervals {
+		r.L1DIntervals = c.cache.rec
+	}
 	r.L1DFlush = fl
-	r.Cycles = c.cycle
-	r.Instructions = c.instret
-	if c.irf != nil {
-		r.IRFVuln = c.irf.Vulnerability(c.cycle)
-	}
-	if c.fprf != nil {
-		r.FPRFVuln = c.fprf.Vulnerability(c.cycle)
-	}
-	if c.cache.tracker != nil {
-		r.L1DVuln = c.cache.tracker.Vulnerability(c.cycle)
-	}
-	for s := coverage.Structure(0); s < coverage.NumStructures; s++ {
-		r.IBR[s] = c.ibrC[s].Value(c.cycle)
-		r.UnitUses[s] = c.ibrC[s].Uses
-	}
 	return r
 }
 
@@ -691,7 +680,7 @@ retire:
 				for i := 0; i < int(w.size); i++ {
 					buf[i] = byte(w.data >> (8 * uint(i)))
 				}
-				if _, err := c.cache.access(w.addr, int(w.size), true, buf[:w.size], c.cycle, nil); err != nil {
+				if _, err := c.cache.access(w.addr, int(w.size), true, buf[:w.size], c.cycle); err != nil {
 					e := *err
 					e.PC = u.pc
 					c.crash = &e
@@ -718,41 +707,10 @@ retire:
 			switch d.cls {
 			case clsInt:
 				c.intFree = append(c.intFree, d.old)
-				if c.irf != nil {
-					c.irf.OnFree(int(d.old), c.cycle)
-				}
 			case clsFP:
 				c.fpFree = append(c.fpFree, d.old)
-				if c.fprf != nil {
-					c.fprf.OnFree(2*int(d.old), c.cycle)
-					c.fprf.OnFree(2*int(d.old)+1, c.cycle)
-				}
 			case clsFlag:
 				c.flagFree = append(c.flagFree, d.old)
-			}
-		}
-		for _, e := range u.events {
-			switch e.kind {
-			case evPRFWrite:
-				if c.irf != nil {
-					c.irf.OnWrite(int(e.a), e.cycle)
-				}
-			case evPRFRead:
-				if c.irf != nil {
-					c.irf.OnRead(int(e.a), int(e.n), e.cycle)
-				}
-			case evCacheRead:
-				if c.cache.tracker != nil {
-					c.cache.tracker.OnRead(int(e.a), int(e.n), e.cycle)
-				}
-			case evFPRFWrite:
-				if c.fprf != nil {
-					c.fprf.OnWrite(int(e.a), e.cycle)
-				}
-			case evFPRFRead:
-				if c.fprf != nil {
-					c.fprf.OnRead(int(e.a), int(e.n), e.cycle)
-				}
 			}
 		}
 		for _, e := range u.ibr {

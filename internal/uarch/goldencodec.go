@@ -54,18 +54,15 @@ import (
 // skipped, the wake-up lists and ready set that copyFrom rebuilds),
 // delta arming (re-derived by RestoreFrom), the predecode table (derived
 // from the program: the decoder's init builds one per checkpoint) and
-// per-run instrumentation (trackers, recorders, trace sinks) are not
-// state.
+// per-run instrumentation (coverage tracking, recorders, trace sinks)
+// are not state.
 // ROB entries outside the live window ∪ in-flight set hold dead values
 // that rename always resets before reuse, exactly as pooled-core copies
 // carry them; only the live subset is serialized. The memory digest is
 // not serialized either: it is content-pure, so the one the decoder's
-// page writes build matches the encode side's bit for bit.
-//
-// Cacheable golden runs never enable ACE trackers or IBR tracking (the
-// inject cacheability gate refuses such configs), so µop ACE/IBR event
-// buffers are empty by construction; the encoder refuses non-empty ones
-// rather than silently dropping state.
+// page writes build matches the encode side's bit for bit. A checkpoint
+// carries no coverage state (Core.Checkpoint), so µops have no buffered
+// IBR events to encode.
 
 // GoldenArtifacts bundles everything a campaign derives from one golden
 // instrumented run. Checkpoints are in ascending cycle order; Trajectory
@@ -177,7 +174,6 @@ func (ck *Checkpoint) ownBytes() int {
 	n += len(cp.bp.table)
 	n += (int(unsafe.Sizeof(ckUop{})) + 4) * len(ck.rob)
 	n += 6*(len(ck.srcSlab)+len(ck.dstSlab)) + int(unsafe.Sizeof(storeWrite{}))*len(ck.writeSlab) +
-		int(unsafe.Sizeof(aceEvent{}))*len(ck.eventSlab) + int(unsafe.Sizeof(ibrEvent{}))*len(ck.ibrSlab) +
 		int(unsafe.Sizeof(ratSnapshot{}))*len(ck.ratSnaps) + int(unsafe.Sizeof(arch.CrashError{}))*len(ck.errs)
 	n += 8 * (len(ck.l1d) + len(ck.l2))
 	for range cp.mem.Pages() {
@@ -199,8 +195,8 @@ const (
 
 // scrubGoldenConfig clears the per-run instrumentation flags from a
 // checkpoint core's config before it travels: a restored core never
-// carries trackers or recorders (copyFrom sets them nil), so the
-// decode-side init must not draw them.
+// carries recorders (copyFrom sets them nil), so the decode-side init must
+// not draw them.
 func scrubGoldenConfig(cfg Config) Config {
 	cfg.TrackIRF = false
 	cfg.TrackL1D = false
@@ -334,9 +330,6 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 	c := g.Codec
 	if g.Decoding() {
 		u.reset()
-	} else if len(u.events) != 0 || len(u.ibr) != 0 {
-		g.Fail("cannot serialize a µop with buffered ACE/IBR events")
-		return
 	}
 	binfmt.U64(c, &u.seq)
 	binfmt.I64(c, &u.pc)
@@ -386,8 +379,7 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 	c := g.Codec
 	dec := g.Decoding()
-	if !dec && (cp.irf != nil || cp.fprf != nil || cp.cache.tracker != nil ||
-		cp.recIRF != nil || cp.recFPRF != nil || cp.cache.rec != nil) {
+	if !dec && (cp.recIRF != nil || cp.recFPRF != nil || cp.cache.rec != nil) {
 		g.Fail("cannot serialize a core with ACE instrumentation attached")
 		return cp
 	}
@@ -638,7 +630,7 @@ func (g gaCodec) bundle(ga *GoldenArtifacts, prog []isa.Inst) {
 	// (every checkpoint of one golden run shares it; hook fields carry
 	// json:"-" and drop out, exactly as on the dist wire). The
 	// instrumentation flags are scrubbed: a restored core never carries
-	// trackers or recorders, so the decode-side init must not draw them —
+	// coverage state or recorders, so the decode-side init must not draw them —
 	// and scrubbing here (not just at decode) makes re-encoding a decoded
 	// bundle byte-identical.
 	var cfg Config

@@ -299,25 +299,18 @@ func (c *Core) execUop(idx int) {
 		switch s.cls {
 		case clsInt:
 			ms.GPR[s.arch] = c.intPRF[s.phys]
-			if c.irf != nil {
-				// Only buffer the commit-time ACE event when a tracker
-				// will consume it (commit drops it otherwise anyway).
-				u.events = append(u.events, aceEvent{kind: evPRFRead, a: int32(s.phys), n: int32(s.bits), cycle: c.cycle})
-			}
 			if c.recIRF != nil {
 				// Width-limited is sound: the executor masks operands to
 				// the declared read width, so higher bits cannot reach
 				// architectural state through this read.
-				c.recIRF.ReadRange(int(s.phys)*64, min(int(s.bits), 64), c.cycle)
+				width := min(int(s.bits), 64)
+				if c.cfg.ACEIgnoreWidths {
+					width = 64
+				}
+				c.recIRF.ReadRange(int(s.phys)*64, width, c.cycle)
 			}
 		case clsFP:
 			ms.XMM[s.arch] = c.fpPRF[s.phys]
-			if c.fprf != nil {
-				u.events = append(u.events, aceEvent{kind: evFPRFRead, a: int32(2 * s.phys), n: 64, cycle: c.cycle})
-				if s.bits > 64 {
-					u.events = append(u.events, aceEvent{kind: evFPRFRead, a: int32(2*s.phys + 1), n: 64, cycle: c.cycle})
-				}
-			}
 			if c.recFPRF != nil {
 				c.recFPRF.ReadRange(2*int(s.phys)*64, min(int(s.bits), 128), c.cycle)
 			}
@@ -353,19 +346,11 @@ func (c *Core) execUop(idx int) {
 			switch d.cls {
 			case clsInt:
 				c.intPRF[d.phys] = ms.GPR[d.arch]
-				if c.irf != nil {
-					u.events = append(u.events, aceEvent{kind: evPRFWrite, a: int32(d.phys), cycle: c.cycle})
-				}
 				if c.recIRF != nil {
 					c.recIRF.WriteRange(int(d.phys)*64, 64, c.cycle)
 				}
 			case clsFP:
 				c.fpPRF[d.phys] = ms.XMM[d.arch]
-				if c.fprf != nil {
-					u.events = append(u.events,
-						aceEvent{kind: evFPRFWrite, a: int32(2 * d.phys), cycle: c.cycle},
-						aceEvent{kind: evFPRFWrite, a: int32(2*d.phys + 1), cycle: c.cycle})
-				}
 				if c.recFPRF != nil {
 					c.recFPRF.WriteRange(2*int(d.phys)*64, 128, c.cycle)
 				}
@@ -653,16 +638,7 @@ var _ arch.MemBus = (*execBus)(nil)
 func (b *execBus) Read(addr, size uint64) (uint64, *arch.CrashError) {
 	c := b.c
 	var buf [8]byte
-	// Only materialize the visit closure when an L1D tracker will consume
-	// the commit-time events it buffers (the closure escapes, so building
-	// it unconditionally allocates on every load).
-	var visit func(bi, n int)
-	if c.cache.tracker != nil {
-		visit = func(bi, n int) {
-			b.u.events = append(b.u.events, aceEvent{kind: evCacheRead, a: int32(bi), n: int32(n), cycle: c.cycle})
-		}
-	}
-	lat, err := c.cache.access(addr, int(size), false, buf[:size], c.cycle, visit)
+	lat, err := c.cache.access(addr, int(size), false, buf[:size], c.cycle)
 	if err != nil {
 		return 0, err
 	}

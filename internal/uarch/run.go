@@ -9,7 +9,7 @@ import (
 
 // corePool recycles cores across runs so the big allocations — PRFs,
 // ROB entries and their per-µop slices, the 32 KB L1D SRAM, L2 tags,
-// predictor table, ACE trackers, page tables (not guest pages: a run
+// predictor table, sum-only ACE recorders, page tables (not guest pages: a run
 // allocates the ones it writes) — are reused instead of churning the
 // garbage collector. Core.init fully re-establishes every piece of state
 // a run can observe, so pooled runs are bit-identical to fresh ones

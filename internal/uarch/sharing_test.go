@@ -54,7 +54,7 @@ func imageOf(c *Core) coreImage {
 		// Copied (the core reuses the slot) and compared by content, nil
 		// and empty alike.
 		u.srcs, u.dsts, u.writes = nilIfEmpty(u.srcs), nilIfEmpty(u.dsts), nilIfEmpty(u.writes)
-		u.events, u.ibr = nil, nil // no tracker in these runs: always empty
+		u.ibr = nil // no IBR tracking in these runs: always empty
 		if !u.snapValid {
 			u.snap = ratSnapshot{} // dead
 		}

@@ -74,8 +74,9 @@ type stateRow struct {
 const (
 	whyConfig    = "run configuration: every run compared against one trajectory shares it"
 	whyTelemetry = "statistics for the Result: nothing reads them back"
-	whyACE       = "ACE bookkeeping: coverage telemetry, credited at commit"
+	whyCoverage  = "coverage telemetry of a tracking run: a copy tracks nothing and starts it empty, as init does"
 	whyRecorder  = "interval recorder: golden-run instrumentation, nil in every copy"
+	whySum       = "sum-only ACE recorder the core keeps for reuse: init resets it, no copy carries it"
 	whyIssueCtr  = "recomputed at the top of every issue stage; copied only because HXGA encodes it"
 	whyTerminal  = "set only as the run stops, before any later compare point"
 	whyWakeup    = "derived from iq and the ready bits: rebuilt by copyFrom and init"
@@ -125,13 +126,14 @@ var coreState = map[string]stateRow{
 	"Core.mem":   {class: hashed, mut: flipMemByte, eq: func(a, b *Core) bool { return a.mem.Digest() == b.mem.Digest() }},
 	"Core.cache": {class: hashed},
 	"Core.bp":    {class: hashed},
-	"Core.irf":   {class: copied, why: whyACE, mut: func(c *Core) { c.irf.OnWrite(liveInt(c), c.cycle+1) }},
-	"Core.fprf":  {class: copied, why: whyACE, mut: func(c *Core) { c.fprf.OnWrite(2*liveFP(c), c.cycle+1) }},
 	"Core.recIRF": {class: scratch, why: whyRecorder,
 		mut: func(c *Core) { c.recIRF = ace.GetIntervalRecorder(64) }},
 	"Core.recFPRF": {class: scratch, why: whyRecorder,
 		mut: func(c *Core) { c.recFPRF = ace.GetIntervalRecorder(64) }},
-	"Core.ibrC":     {class: copied, why: "IBR counters: coverage telemetry, credited at commit"},
+	"Core.sumIRF":   {class: scratch, why: whySum, mut: func(c *Core) { c.sumIRF = ace.NewSumRecorder(64) }},
+	"Core.sumFPRF":  {class: scratch, why: whySum, mut: func(c *Core) { c.sumFPRF = ace.NewSumRecorder(64) }},
+	"Core.sumL1D":   {class: scratch, why: whySum, mut: func(c *Core) { c.sumL1D = ace.NewSumRecorder(64) }},
+	"Core.ibrC":     {class: scratch, why: whyCoverage},
 	"Core.intPRF":   {class: hashed, elem: liveInt},
 	"Core.intReady": {class: hashed, elem: liveInt},
 	"Core.intFree":  {class: hashed, mut: func(c *Core) { swapFirst(c.intFree) }},
@@ -234,8 +236,7 @@ var coreState = map[string]stateRow{
 		u.err = &arch.CrashError{Kind: arch.CrashBadBranch, PC: u.pc}
 	}},
 	"uop.writes": {class: hashed, live: executed},
-	"uop.events": {class: copied, why: whyACE},
-	"uop.ibr":    {class: copied, why: "IBR buffer: credited at commit"},
+	"uop.ibr":    {class: scratch, why: whyCoverage},
 	"uop.squashed": {class: copied, why: "never set inside the live window: a squash removes a contiguous youngest suffix",
 		live: waiting},
 
@@ -255,7 +256,6 @@ var coreState = map[string]stateRow{
 		eq: func(a, b *Core) bool {
 			return a.cache.backing == a.mem && b.cache.backing == b.mem
 		}},
-	"dcache.tracker": {class: copied, why: whyACE, mut: func(c *Core) { c.cache.tracker.OnWrite(0, 8, c.cycle+1) }},
 	"dcache.rec": {class: scratch, why: whyRecorder,
 		mut: func(c *Core) { c.cache.rec = ace.GetIntervalRecorder(64) }},
 	"dcache.l2":         {class: hashed},

@@ -52,22 +52,8 @@ type storeWrite struct {
 	size uint8
 }
 
-// ACE event kinds, buffered per uop and credited at commit.
-const (
-	evPRFWrite = iota
-	evPRFRead
-	evCacheRead
-	evFPRFWrite
-	evFPRFRead
-)
-
-type aceEvent struct {
-	kind  uint8
-	a     int32 // phys reg, or flat cache byte index
-	n     int32 // width bits, or byte count
-	cycle uint64
-}
-
+// ibrEvent is one functional-unit use, buffered per µop and credited to
+// the IBR counters at commit.
 type ibrEvent struct {
 	unit uint8
 	a, b uint64
@@ -108,7 +94,6 @@ type uop struct {
 
 	err      *arch.CrashError
 	writes   []storeWrite
-	events   []aceEvent
 	ibr      []ibrEvent
 	squashed bool
 }
@@ -117,7 +102,6 @@ func (u *uop) reset() {
 	u.srcs = u.srcs[:0]
 	u.dsts = u.dsts[:0]
 	u.writes = u.writes[:0]
-	u.events = u.events[:0]
 	u.ibr = u.ibr[:0]
 	u.st = uWaiting
 	u.doneAt = 0
