@@ -12,12 +12,14 @@
 //	harpoq -addr 0.0.0.0:9900 -data ./q -local 4
 //
 // Every job and shard completion is persisted to an append-only
-// CRC-checked write-ahead log under -data; kill -9 the coordinator
-// mid-campaign, restart it, and the queue resumes exactly where it was
-// (in-flight shards are re-queued; logged shards are not re-run). The
-// WAL and snapshot.json are all -data holds; they are also the result
-// cache. On SIGINT/SIGTERM the coordinator drains outstanding
-// leases, snapshots its state atomically and exits cleanly.
+// CRC-checked write-ahead log, -data/wal.log, the only file -data holds;
+// it is also the result cache. Every start replays it: kill -9 the
+// coordinator mid-campaign, restart it, and the queue resumes exactly
+// where it was (in-flight shards are re-queued; logged shards are not
+// re-run). On SIGINT/SIGTERM the coordinator drains outstanding leases,
+// syncs and closes the log and exits cleanly. A -data dir holding an
+// older build's job-table snapshot is refused (exit 1): start such a
+// coordinator on an empty directory.
 //
 // GET /metrics serves the Prometheus text exposition of every queue and
 // simulator counter on the same listener.
@@ -41,12 +43,11 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9900", "address to listen on")
-		dataDir      = flag.String("data", "harpoq-data", "durable state directory (WAL and snapshot, which also serve repeated shards)")
+		dataDir      = flag.String("data", "harpoq-data", "durable state directory (the WAL, which also serves repeated shards)")
 		shardSize    = flag.Int("shard-size", 32, "campaign specs per shard")
 		evalShard    = flag.Int("eval-shard-size", 8, "genotypes per eval shard")
 		leaseTimeout = flag.Duration("lease-timeout", 2*time.Minute, "re-queue a leased shard after this long")
 		localExec    = flag.Int("local", 0, "in-process workers (work with no fleet)")
-		compactWAL   = flag.Int64("compact-wal", 64<<20, "snapshot state and reset the WAL once it exceeds this many bytes (0 disables)")
 		drain        = flag.Duration("drain", 30*time.Second, "shutdown lease-drain budget")
 		tracePath    = flag.String("trace", "", "write a JSONL event trace to this file")
 		metrics      = flag.Bool("metrics", false, "print a metrics summary at exit")
@@ -65,17 +66,13 @@ func main() {
 		ob = obs.New(obs.NewRegistry(), ob.Tracer())
 	}
 
-	if *compactWAL <= 0 {
-		*compactWAL = -1 // flag 0 means "off", Options 0 means "default"
-	}
 	coord, err := queue.NewCoordinator(queue.Options{
-		DataDir:         *dataDir,
-		ShardSize:       *shardSize,
-		EvalShardSize:   *evalShard,
-		LeaseTimeout:    *leaseTimeout,
-		LocalExec:       *localExec,
-		CompactWALBytes: *compactWAL,
-		Obs:             ob,
+		DataDir:       *dataDir,
+		ShardSize:     *shardSize,
+		EvalShardSize: *evalShard,
+		LeaseTimeout:  *leaseTimeout,
+		LocalExec:     *localExec,
+		Obs:           ob,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -112,8 +109,8 @@ func main() {
 	// Graceful shutdown: start the drain first — it answers the workers'
 	// parked long polls, which hs.Shutdown would otherwise wait out —
 	// then wait for outstanding leases while the listener can still
-	// take their completions, stop accepting HTTP, snapshot and flush
-	// the durable state.
+	// take their completions, stop accepting HTTP, then sync and close
+	// the WAL.
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	coord.Drain()
 	coord.WaitLeases(ctx)

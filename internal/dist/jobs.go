@@ -21,9 +21,8 @@ import (
 // descriptions.
 const (
 	// PathJobs accepts POST (submit a JobRequest) and GET (list jobs);
-	// "/v1/jobs/{id}" serves status, "/v1/jobs/{id}/stream" incremental
-	// JSONL shard events, "/v1/jobs/{id}/result" the merged result and
-	// "/v1/jobs/{id}/cancel" (POST) cancellation.
+	// "/v1/jobs/{id}" serves status, "/v1/jobs/{id}/result" the merged
+	// result and "/v1/jobs/{id}/cancel" (POST) cancellation.
 	PathJobs = "/v1/jobs"
 	// PathLease is the worker pull endpoint: long-poll for the next
 	// ready shard.
@@ -192,21 +191,6 @@ type CompleteRequest struct {
 type CompleteResponse struct {
 	OK    bool `json:"ok"`
 	Stale bool `json:"stale,omitempty"`
-}
-
-// StreamEvent is one line of the GET /v1/jobs/{id}/stream JSONL feed:
-// a shard completion, or the terminal event (Done with the job's final
-// State).
-type StreamEvent struct {
-	JobID  string `json:"job_id"`
-	Shard  int    `json:"shard"`
-	Lo     int    `json:"lo"`
-	Hi     int    `json:"hi"`
-	Cached bool   `json:"cached,omitempty"`
-	Worker string `json:"worker,omitempty"`
-
-	Done  bool   `json:"done,omitempty"`
-	State string `json:"state,omitempty"`
 }
 
 // NewInjectRequest builds the wire template for a campaign (the

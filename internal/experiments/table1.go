@@ -42,8 +42,8 @@ func (s StepBreakdown) InstrsPerSecond() float64 {
 func Table1(pp Params) (StepBreakdown, error) {
 	o := core.Options{Structure: coverage.IntAdder, Seed: pp.Seed, Obs: pp.Obs}
 	o.Gen = gen.DefaultConfig()
-	o.Gen.NumInstrs = minI(5000, 1250*pp.Scale)
-	o.PopSize = minI(96, 24*pp.Scale)
+	o.Gen.NumInstrs = min(5000, 1250*pp.Scale)
+	o.PopSize = min(96, 24*pp.Scale)
 	o.TopK = o.PopSize / 6
 	o.MutantsPerParent = 6
 	o.Iterations = 4
@@ -74,11 +74,4 @@ func FprintTable1(w io.Writer, s StepBreakdown) {
 		s.Compilation.Round(time.Microsecond), s.Evaluation.Round(time.Microsecond),
 		s.Total().Round(time.Microsecond))
 	fmt.Fprintf(w, "  throughput: %.0f generated-and-evaluated instructions/second\n", s.InstrsPerSecond())
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

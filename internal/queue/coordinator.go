@@ -13,13 +13,12 @@ import (
 	"harpocrates/internal/dist"
 	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
-	"harpocrates/internal/segstore"
 )
 
 // Options tunes a coordinator.
 type Options struct {
-	// DataDir is the durable state directory: wal.log and snapshot.json
-	// live under it, and nothing else.
+	// DataDir is the durable state directory: wal.log lives under it,
+	// and nothing else.
 	DataDir string
 
 	// ShardSize is the number of campaign specs per shard (default 32);
@@ -39,13 +38,6 @@ type Options struct {
 	// minus the HTTP hop, and share the process-wide golden cache.
 	LocalExec int
 
-	// CompactWALBytes triggers online WAL compaction: once the log
-	// outgrows this many bytes, the full state is snapshotted atomically
-	// and the log reset — so a long-lived coordinator's recovery cost
-	// stays bounded instead of only shrinking at graceful shutdown.
-	// 0 = default (64 MiB), negative disables.
-	CompactWALBytes int64
-
 	// Obs receives queue.* counters, gauges and histograms; may be nil.
 	Obs *obs.Observer
 }
@@ -59,9 +51,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaseTimeout <= 0 {
 		o.LeaseTimeout = 2 * time.Minute
-	}
-	if o.CompactWALBytes == 0 {
-		o.CompactWALBytes = 64 << 20
 	}
 	return o
 }
@@ -93,10 +82,12 @@ type Coordinator struct {
 	bg   sync.WaitGroup
 }
 
-// NewCoordinator opens (creating if needed) the durable state under
-// opts.DataDir, replays the snapshot + WAL — re-queuing every shard
-// that was leased or pending when the previous process died, so no
-// work is lost — and starts the background dispatchers.
+// NewCoordinator opens (creating if needed) the WAL under opts.DataDir,
+// replays it — re-queuing every shard that was leased or pending when
+// the previous process stopped, so no work is lost — and starts the
+// background dispatchers. A data dir holding an older build's table
+// snapshot is refused: that build left its table there beside an empty
+// WAL, so replaying the WAL alone would silently lose it.
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if opts.DataDir == "" {
@@ -143,38 +134,15 @@ func (c *Coordinator) startLocalWorkers(n int) {
 	}
 }
 
-// recover loads snapshot.json, replays the WAL on top, serves cached
-// shards, and re-queues everything else.
+// recover replays the WAL, serves cached shards, and re-queues
+// everything else.
 func (c *Coordinator) recover() error {
-	snapPath := filepath.Join(c.opts.DataDir, "snapshot.json")
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var snap snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("queue: parse snapshot: %w", err)
-		}
-		if snap.Version != snapshotVersion {
-			return fmt.Errorf("queue: unsupported snapshot version %d", snap.Version)
-		}
-		c.nextSeq = snap.NextSeq
-		for i := range snap.Jobs {
-			sj := &snap.Jobs[i]
-			j := newJob(sj.Req, sj.Bounds)
-			j.id, j.seq = sj.ID, sj.Seq
-			j.state = sj.State
-			j.errMsg = sj.Error
-			for _, d := range sj.Done {
-				if d.Shard < 0 || d.Shard >= len(j.shards) {
-					return fmt.Errorf("queue: snapshot job %s: shard %d out of range", sj.ID, d.Shard)
-				}
-				c.applyDone(j, d.Shard, d.Value, d.Cached, d.Worker)
-			}
-			c.jobs[j.id] = j
-			c.order = append(c.order, j)
-		}
+	legacy := filepath.Join(c.opts.DataDir, "snapshot.json")
+	if _, err := os.Stat(legacy); err == nil {
+		return fmt.Errorf("queue: %s is an older coordinator's job table, which this build does not read; start from an empty data dir", legacy)
 	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("queue: read snapshot: %w", err)
+		return fmt.Errorf("queue: %w", err)
 	}
-
 	wal, recs, err := OpenWAL(filepath.Join(c.opts.DataDir, "wal.log"))
 	if err != nil {
 		return err
@@ -215,9 +183,8 @@ func (c *Coordinator) replayRecord(rec Record) error {
 			return fmt.Errorf("queue: replay submit: %w", err)
 		}
 		if _, ok := c.jobs[ws.ID]; ok {
-			// A crash between the compaction snapshot write and the WAL
-			// reset legitimately leaves records the snapshot already
-			// covers; replay is idempotent, not suspicious.
+			// Replay is idempotent: a duplicate submit is counted and
+			// skipped, as a second shard-done or cancel is below.
 			c.ob.Counter("queue.wal.replay_duplicates").Inc()
 			return nil
 		}
@@ -247,7 +214,7 @@ func (c *Coordinator) replayRecord(rec Record) error {
 			return fmt.Errorf("queue: replay: job %s shard %d out of range", wd.ID, wd.Shard)
 		}
 		if j.shards[wd.Shard].state != shardDone {
-			c.applyDone(j, wd.Shard, wd.Value, wd.Cached, wd.Worker)
+			c.applyDone(j, wd.Shard, wd.Value, wd.Cached)
 		}
 	case recCancel:
 		var wc walCancel
@@ -266,23 +233,17 @@ func (c *Coordinator) replayRecord(rec Record) error {
 	return nil
 }
 
-// applyDone marks one shard complete, indexes its value by key and
-// emits its stream event. Caller holds c.mu (or is single-threaded
-// recovery).
-func (c *Coordinator) applyDone(j *job, i int, value []byte, cached bool, worker string) {
+// applyDone marks one shard complete and indexes its value by key.
+// Caller holds c.mu (or is single-threaded recovery).
+func (c *Coordinator) applyDone(j *job, i int, value []byte, cached bool) {
 	s := j.shards[i]
 	s.state = shardDone
 	s.value = value
-	s.cached = cached
-	s.worker = worker
 	j.done++
 	if cached {
 		j.cached++
 	}
 	c.results[s.key] = value
-	j.events = append(j.events, dist.StreamEvent{
-		JobID: j.id, Shard: i, Lo: s.lo, Hi: s.hi, Cached: cached, Worker: worker,
-	})
 }
 
 // serveFromCache completes every still-ready shard whose key a done
@@ -308,7 +269,7 @@ func (c *Coordinator) serveFromCache(j *job) {
 		}
 		c.ob.Counter("queue.shards.cached").Inc()
 		c.walShardDone(j, i, value, true, "", false)
-		c.applyDone(j, i, value, true, "")
+		c.applyDone(j, i, value, true)
 	}
 }
 
@@ -338,11 +299,10 @@ func anyLeased(j *job) bool {
 }
 
 // finish moves an open job to a terminal state: it leaves the open
-// list (keeping the others' submit order) and its stream gets the
-// terminal event. Caller holds c.mu (or recovery).
+// list, keeping the others' submit order. Caller holds c.mu (or
+// recovery).
 func (c *Coordinator) finish(j *job, state string) {
 	j.state = state
-	j.events = append(j.events, dist.StreamEvent{JobID: j.id, Done: true, State: state})
 	if i := slices.Index(c.open, j); i >= 0 {
 		c.open = slices.Delete(c.open, i, i+1)
 	}
@@ -376,18 +336,11 @@ func (c *Coordinator) walShardDone(j *job, i int, value []byte, cached bool, wor
 	}
 }
 
-// broadcast wakes every lease long-poller and stream follower. Caller
-// holds c.mu.
+// broadcast wakes every lease long-poller and waiter. Caller holds
+// c.mu.
 func (c *Coordinator) broadcast() {
 	close(c.pulse)
 	c.pulse = make(chan struct{})
-}
-
-// pulseChan returns the current pulse under the lock.
-func (c *Coordinator) pulseChan() <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pulse
 }
 
 // Submit validates, persists and enqueues one job, serving every shard
@@ -431,7 +384,6 @@ func (c *Coordinator) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, err
 	c.ob.Counter("queue.jobs.submitted").Inc()
 
 	c.refreshState(j)
-	c.maybeCompactLocked()
 	c.setOpenGauge()
 	c.broadcast()
 	return &dist.JobSubmitResponse{ID: j.id, Shards: len(j.shards), CacheHits: j.cached}, nil
@@ -446,14 +398,15 @@ func (c *Coordinator) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, err
 // resolve from its own memo (dist.HeldPrograms): a campaign shard whose
 // program is among them is leased without the bytes, Inject.ProgramHash
 // naming them instead. A worker that passes none gets every lease in
-// full.
-func (c *Coordinator) Lease(worker string, wait time.Duration, programs ...uint64) (*dist.LeaseResponse, error) {
+// full. The worker's name is not recorded: a lease is known by its
+// number.
+func (c *Coordinator) Lease(_ string, wait time.Duration, programs ...uint64) (*dist.LeaseResponse, error) {
 	deadline := time.Now().Add(wait)
 	for {
 		c.mu.Lock()
 		if !c.draining {
 			c.expireLocked(time.Now())
-			if resp := c.leaseLocked(worker, programs); resp != nil {
+			if resp := c.leaseLocked(programs); resp != nil {
 				c.mu.Unlock()
 				return resp, nil
 			}
@@ -489,7 +442,7 @@ const drainPace = 100 * time.Millisecond
 
 // leaseLocked picks and leases the next ready shard, or returns nil.
 // Caller holds c.mu.
-func (c *Coordinator) leaseLocked(worker string, programs []uint64) *dist.LeaseResponse {
+func (c *Coordinator) leaseLocked(programs []uint64) *dist.LeaseResponse {
 	j, i := c.nextReadyLocked()
 	if j == nil {
 		return nil
@@ -498,7 +451,6 @@ func (c *Coordinator) leaseLocked(worker string, programs []uint64) *dist.LeaseR
 	c.nextLease++
 	s.state = shardLeased
 	s.lease = c.nextLease
-	s.worker = worker
 	s.leasedAt = time.Now()
 	s.deadline = s.leasedAt.Add(c.opts.LeaseTimeout)
 	if j.state == dist.JobStatePending {
@@ -613,9 +565,8 @@ func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteRespons
 	c.ob.Histogram("queue.shard.ns").ObserveDuration(time.Since(s.leasedAt))
 	c.ob.Counter("queue.shards.completed").Inc()
 	c.walShardDone(j, req.Shard, value, false, req.Worker, true)
-	c.applyDone(j, req.Shard, value, false, req.Worker)
+	c.applyDone(j, req.Shard, value, false)
 	c.refreshState(j)
-	c.maybeCompactLocked()
 	c.broadcast()
 	return &dist.CompleteResponse{OK: true}, nil
 }
@@ -677,28 +628,9 @@ func (c *Coordinator) Result(id string) (*dist.JobResult, error) {
 	return j.result()
 }
 
-// EventsSince returns a copy of a job's stream events from index `from`
-// plus whether the job is terminal.
-func (c *Coordinator) EventsSince(id string, from int) ([]dist.StreamEvent, bool, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, false, false
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from > len(j.events) {
-		from = len(j.events)
-	}
-	events := append([]dist.StreamEvent(nil), j.events[from:]...)
-	return events, j.terminal(), true
-}
-
 // Wait blocks until the job reaches a terminal state and returns its
 // merged result (in-process convenience used by tests and embedded
-// callers; remote clients follow the stream endpoint).
+// callers; remote clients poll the status endpoint).
 func (c *Coordinator) Wait(id string) (*dist.JobResult, error) {
 	for {
 		c.mu.Lock()
@@ -787,10 +719,10 @@ func (c *Coordinator) WaitLeases(ctx context.Context) int {
 }
 
 // Close gracefully shuts the coordinator down: new submits and leases
-// are refused, in-flight leases get until ctx's deadline to complete
-// (a lease that misses it is simply re-queued on the next start — the
-// WAL already has everything else), the full state is snapshotted
-// atomically, the WAL is reset and every file is flushed and closed.
+// are refused, in-flight leases get until ctx's deadline to complete (a
+// lease that misses it is simply re-queued on the next start — the WAL
+// already has everything else), the background loops stop, and the WAL
+// is synced and closed.
 func (c *Coordinator) Close(ctx context.Context) error {
 	c.Drain()
 	if n := c.WaitLeases(ctx); n > 0 {
@@ -798,68 +730,5 @@ func (c *Coordinator) Close(ctx context.Context) error {
 	}
 	close(c.stop)
 	c.bg.Wait()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var firstErr error
-	if err := c.snapshotAndResetLocked(); err != nil {
-		firstErr = err
-	}
-	if err := c.wal.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// snapshotAndResetLocked atomically writes snapshot.json capturing the
-// full in-memory state, then truncates the WAL — the shared tail of
-// graceful shutdown and online compaction. A crash between the two
-// steps is safe: recovery replays the (now-duplicate) WAL records
-// idempotently on top of the snapshot. Caller holds c.mu.
-func (c *Coordinator) snapshotAndResetLocked() error {
-	snap := snapshot{Version: snapshotVersion, NextSeq: c.nextSeq}
-	for _, j := range c.order {
-		sj := snapJob{
-			walSubmit: walSubmit{ID: j.id, Seq: j.seq, Req: j.req, Bounds: boundsOf(j)},
-			State:     j.state,
-			Error:     j.errMsg,
-		}
-		for i, s := range j.shards {
-			if s.state == shardDone {
-				sj.Done = append(sj.Done, snapShard{Shard: i, Cached: s.cached, Worker: s.worker, Value: s.value})
-			}
-		}
-		snap.Jobs = append(snap.Jobs, sj)
-	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("queue: marshal snapshot: %w", err)
-	}
-	if err := segstore.WriteFileAtomic(filepath.Join(c.opts.DataDir, "snapshot.json"), data); err != nil {
-		return fmt.Errorf("queue: %w", err)
-	}
-	return c.wal.Reset()
-}
-
-// maybeCompactLocked runs online WAL compaction once the log outgrows
-// the configured bound. Failures are counted, not fatal: the WAL still
-// holds everything the snapshot would have captured. Caller holds c.mu.
-func (c *Coordinator) maybeCompactLocked() {
-	if c.opts.CompactWALBytes <= 0 || c.wal.Size() < c.opts.CompactWALBytes {
-		return
-	}
-	if err := c.snapshotAndResetLocked(); err != nil {
-		c.ob.Counter("queue.wal.compact_errors").Inc()
-		return
-	}
-	c.ob.Counter("queue.wal.compactions").Inc()
-}
-
-// boundsOf re-derives the persisted bounds slice of a job.
-func boundsOf(j *job) [][2]int {
-	out := make([][2]int, len(j.shards))
-	for i, s := range j.shards {
-		out[i] = [2]int{s.lo, s.hi}
-	}
-	return out
+	return c.wal.Close()
 }

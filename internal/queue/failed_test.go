@@ -14,8 +14,8 @@ import (
 // the head of the queue: it never ended and nothing behind it started.
 // It fails after maxShardFailures reports of one shard, with the
 // executor's message; the job behind it completes; a completion that
-// arrives afterwards is stale; and both a crash and a clean shutdown
-// bring the failure back.
+// arrives afterwards is stale; and a restart from wal.log, after a crash
+// or a clean shutdown alike, brings the failure back.
 func TestPoisonJobFailsAndQueueMovesOn(t *testing.T) {
 	c, p := testCampaign(t, 16)
 	local, err := c.Run()
@@ -78,7 +78,7 @@ func TestPoisonJobFailsAndQueueMovesOn(t *testing.T) {
 	closeCoordinator(t, coord)
 	coord = newTestCoordinator(t, dir, 0, nil)
 	defer closeCoordinator(t, coord)
-	failed(coord, "restored from the snapshot")
+	failed(coord, "replayed after a graceful Close")
 }
 
 // A job no executor could run — a name that does not parse, a core

@@ -31,12 +31,10 @@ type shardRec struct {
 	state shardState
 
 	lease    uint64
-	worker   string
 	leasedAt time.Time
 	deadline time.Time
 	failures int // executor errors reported; an expired lease is not one
 
-	cached bool
 	// value is the encoded result of a done shard: HXSR stats bytes for
 	// campaign shards, JSON-encoded []dist.WireEvalResult for eval
 	// shards — the same bytes the WAL records, indexed by key in
@@ -46,7 +44,7 @@ type shardRec struct {
 
 // requeue returns a leased shard to the ready frontier.
 func (s *shardRec) requeue() {
-	s.state, s.lease, s.worker = shardReady, 0, ""
+	s.state, s.lease = shardReady, 0
 }
 
 // job is one durable queue entry.
@@ -66,8 +64,6 @@ type job struct {
 
 	state  string
 	errMsg string
-
-	events []dist.StreamEvent
 }
 
 // planBounds cuts n work items into contiguous shards of at most size
@@ -276,29 +272,4 @@ type walShardDone struct {
 type walCancel struct {
 	ID    string `json:"id"`
 	Error string `json:"error,omitempty"`
-}
-
-// snapshot is the atomic full-state capture written at graceful
-// shutdown (and after WAL-heavy replays); the WAL is reset right after
-// a snapshot lands, so restart state = snapshot + WAL suffix.
-type snapshot struct {
-	Version int       `json:"version"`
-	NextSeq int       `json:"next_seq"`
-	Jobs    []snapJob `json:"jobs"`
-}
-
-const snapshotVersion = 1
-
-type snapJob struct {
-	walSubmit
-	State string      `json:"state"`
-	Error string      `json:"error,omitempty"`
-	Done  []snapShard `json:"done,omitempty"`
-}
-
-type snapShard struct {
-	Shard  int    `json:"shard"`
-	Cached bool   `json:"cached,omitempty"`
-	Worker string `json:"worker,omitempty"`
-	Value  []byte `json:"value"`
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,8 +81,8 @@ func closeCoordinator(t *testing.T, c *Coordinator) {
 }
 
 // crashCoordinator simulates a kill -9: background goroutines stop and
-// every file handle is dropped with NO drain, NO snapshot and NO WAL
-// reset — recovery must come entirely from the on-disk log.
+// the WAL is dropped with NO drain and NO wait for outstanding leases —
+// recovery must come entirely from the on-disk log.
 func crashCoordinator(c *Coordinator) {
 	close(c.stop)
 	c.bg.Wait()
@@ -210,7 +211,7 @@ func TestQueueEvalBitIdentical(t *testing.T) {
 	}
 }
 
-// Kill the coordinator mid-campaign (no drain, no snapshot), restart it
+// Kill the coordinator mid-campaign (no drain), restart it
 // over the same directory, and the job must finish with bit-identical
 // merged stats — partly from WAL-replayed shards, partly re-run.
 func TestQueueCrashRestartMidCampaign(t *testing.T) {
@@ -317,9 +318,9 @@ func TestQueueCrashTruncatedWAL(t *testing.T) {
 	}
 }
 
-// A graceful Close snapshots the state and resets the WAL; a restart
-// serves the finished job from the snapshot alone.
-func TestQueueGracefulShutdownSnapshot(t *testing.T) {
+// A graceful Close leaves wal.log as the data dir's only file, and a
+// restart serves the finished job from replaying it alone.
+func TestQueueGracefulShutdownReplaysWAL(t *testing.T) {
 	c, p := testCampaign(t, 16)
 	dir := t.TempDir()
 	coord := newTestCoordinator(t, dir, 2, nil)
@@ -333,25 +334,110 @@ func TestQueueGracefulShutdownSnapshot(t *testing.T) {
 	}
 	closeCoordinator(t, coord)
 
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
-		t.Fatalf("no snapshot after graceful close: %v", err)
-	}
-	fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != walHeaderSize {
-		t.Fatalf("WAL not reset after snapshot: %d bytes", fi.Size())
+	if len(entries) != 1 || entries[0].Name() != "wal.log" {
+		t.Fatalf("data dir after graceful close holds %v, want only wal.log", entries)
 	}
 
-	coord2 := newTestCoordinator(t, dir, 0, nil)
+	reg := obs.NewRegistry()
+	coord2 := newTestCoordinator(t, dir, 0, reg)
 	defer closeCoordinator(t, coord2)
+	if got := reg.Counter("queue.wal.replayed").Load(); got != int64(1+sub.Shards) {
+		t.Fatalf("replayed %d records, want the submit and %d shard completions", got, sub.Shards)
+	}
 	res2, err := coord2.Result(sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.State != dist.JobStateDone || !res2.Stats.Equal(res1.Stats) {
-		t.Fatalf("snapshot-restored result %+v != original %+v", res2.Stats, res1.Stats)
+		t.Fatalf("replayed result %+v != original %+v", res2.Stats, res1.Stats)
+	}
+}
+
+// Replay is idempotent: a log holding every record twice — submits,
+// shard completions and a cancellation — rebuilds the same table, the
+// duplicate submits counted rather than fatal.
+func TestReplayIsIdempotent(t *testing.T) {
+	c, p := testCampaign(t, 24)
+	local, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	coord := newTestCoordinator(t, dir, 0, nil)
+	done, err := coord.Submit(campaignJob(t, c, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainWith(t, coord, coord, nil, done.ID)
+	c.Seed++ // a fresh job: none of its shards is in the table
+	cancelled, err := coord.Submit(campaignJob(t, c, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Cancel(cancelled.ID); err != nil {
+		t.Fatal(err)
+	}
+	crashCoordinator(coord)
+
+	walPath := filepath.Join(dir, "wal.log")
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, append(data, data[walHeaderSize:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	coord2 := newTestCoordinator(t, dir, 0, reg)
+	defer closeCoordinator(t, coord2)
+	if got := reg.Counter("queue.wal.replay_duplicates").Load(); got != 2 {
+		t.Fatalf("replay_duplicates = %d, want 2 (both submits)", got)
+	}
+	res, err := coord2.Result(done.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != dist.JobStateDone || !res.Stats.Equal(local) {
+		t.Fatalf("result replayed from a doubled log %+v (%s) != local %+v", res.Stats, res.State, local)
+	}
+	if st, _ := coord2.Status(done.ID); st.Done != done.Shards {
+		t.Fatalf("%d of %d shards done after replay", st.Done, done.Shards)
+	}
+	if st, _ := coord2.Status(cancelled.ID); st.State != dist.JobStateCancelled || st.Done != 0 {
+		t.Fatalf("cancelled job replayed as %+v", st)
+	}
+	next, err := coord2.Submit(campaignJob(t, c, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "j-000002" {
+		t.Fatalf("submit after replay got id %s, want j-000002", next.ID)
+	}
+}
+
+// A data dir holding an older build's snapshot.json — its whole job
+// table, beside an empty WAL — is refused, naming the file, rather than
+// opened as if the table were empty.
+func TestRefusesLegacySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "snapshot.json")
+	if err := os.WriteFile(legacy, []byte(`{"version":1,"next_seq":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(Options{DataDir: dir})
+	if err == nil {
+		crashCoordinator(coord)
+		t.Fatal("opened a data dir holding snapshot.json")
+	}
+	if !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("refusal %q does not name %s", err, legacy)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) {
+		t.Fatalf("refused data dir got a wal.log: %v", err)
 	}
 }
 
@@ -553,40 +639,6 @@ func TestQueueHTTPEndToEnd(t *testing.T) {
 	<-workerDone
 }
 
-// The JSONL stream endpoint delivers one event per shard plus the
-// terminal event.
-func TestQueueStreamEvents(t *testing.T) {
-	cmp, p := testCampaign(t, 16)
-	coord := newTestCoordinator(t, t.TempDir(), 2, nil)
-	defer closeCoordinator(t, coord)
-
-	sub, err := coord.Submit(campaignJob(t, cmp, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Wait(sub.ID); err != nil {
-		t.Fatal(err)
-	}
-	events, terminal, ok := coord.EventsSince(sub.ID, 0)
-	if !ok || !terminal {
-		t.Fatalf("EventsSince: ok=%v terminal=%v", ok, terminal)
-	}
-	if len(events) != sub.Shards+1 {
-		t.Fatalf("%d events, want %d shard events + terminal", len(events), sub.Shards)
-	}
-	last := events[len(events)-1]
-	if !last.Done || last.State != dist.JobStateDone {
-		t.Fatalf("terminal event = %+v", last)
-	}
-	seen := map[int]bool{}
-	for _, ev := range events[:len(events)-1] {
-		seen[ev.Shard] = true
-	}
-	if len(seen) != sub.Shards {
-		t.Fatalf("events cover %d distinct shards, want %d", len(seen), sub.Shards)
-	}
-}
-
 // The queue-backed evaluator is a drop-in for core.Evaluator: results
 // arrive in input order with in-process fitness values.
 func TestQueueClientEvaluator(t *testing.T) {
@@ -621,172 +673,5 @@ func TestQueueClientEvaluator(t *testing.T) {
 		if got[i].Fitness != want.Fitness {
 			t.Fatalf("genotype %d: queue fitness %v != local %v", i, got[i].Fitness, want.Fitness)
 		}
-	}
-}
-
-// Online WAL compaction: with a 1-byte threshold every submit and
-// completion trips a snapshot + log reset, so the WAL never grows past
-// one durable write and the counter records each compaction.
-func TestWALCompactionBySize(t *testing.T) {
-	c, p := testCampaign(t, 40)
-	local, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	coord, err := NewCoordinator(Options{
-		DataDir:         dir,
-		ShardSize:       8,
-		LeaseTimeout:    30 * time.Second,
-		LocalExec:       2,
-		CompactWALBytes: 1,
-		Obs:             obs.New(reg, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := coord.Submit(campaignJob(t, c, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.Wait(sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Equal(local) {
-		t.Fatalf("compacted-queue result %+v != local %+v", res.Stats, local)
-	}
-	if got := reg.Counter("queue.wal.compactions").Load(); got < int64(1+sub.Shards) {
-		t.Fatalf("compactions = %d, want >= %d (submit + every completion)", got, 1+sub.Shards)
-	}
-	if got := reg.Counter("queue.wal.compact_errors").Load(); got != 0 {
-		t.Fatalf("compact_errors = %d", got)
-	}
-	// The final completion's compaction left the log at its bare header.
-	info, err := os.Stat(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != walHeaderSize {
-		t.Fatalf("wal.log is %d bytes after compaction, want header-only %d", info.Size(), walHeaderSize)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
-		t.Fatalf("compaction wrote no snapshot: %v", err)
-	}
-
-	// Crash (no graceful drain): recovery must come from the compaction
-	// snapshot alone, with the finished job and its result intact.
-	crashCoordinator(coord)
-	reg2 := obs.NewRegistry()
-	coord2, err := NewCoordinator(Options{
-		DataDir:      dir,
-		ShardSize:    8,
-		LeaseTimeout: 30 * time.Second,
-		LocalExec:    2,
-		Obs:          obs.New(reg2, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCoordinator(t, coord2)
-	res2, err := coord2.Wait(sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.State != dist.JobStateDone || !res2.Stats.Equal(local) {
-		t.Fatalf("post-crash result %+v (%v) != local %+v", res2.Stats, res2.State, local)
-	}
-}
-
-// A crash between the compaction snapshot write and the WAL reset
-// leaves log records the snapshot already covers. Replay must apply
-// them idempotently (counted, not fatal) and the recovered state must
-// still be correct.
-func TestWALCompactionCrashBetweenSnapshotAndReset(t *testing.T) {
-	c, p := testCampaign(t, 24)
-	local, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-
-	// Phase 1: compaction off — the WAL accumulates job 1's full record
-	// stream, which we save as the "stale" log.
-	coord, err := NewCoordinator(Options{
-		DataDir:         dir,
-		ShardSize:       8,
-		LeaseTimeout:    30 * time.Second,
-		LocalExec:       2,
-		CompactWALBytes: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := coord.Submit(campaignJob(t, c, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Wait(sub.ID); err != nil {
-		t.Fatal(err)
-	}
-	stale, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashCoordinator(coord)
-
-	// Phase 2: compaction on — recovery replays the log, and the next
-	// state change snapshots everything and resets it.
-	coord2, err := NewCoordinator(Options{
-		DataDir:         dir,
-		ShardSize:       8,
-		LeaseTimeout:    30 * time.Second,
-		LocalExec:       2,
-		CompactWALBytes: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, p2 := testCampaign(t, 8)
-	sub2, err := coord2.Submit(campaignJob(t, c2, p2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord2.Wait(sub2.ID); err != nil {
-		t.Fatal(err)
-	}
-	crashCoordinator(coord2)
-
-	// Simulate the crash window: the snapshot is on disk, but the WAL
-	// still holds job 1's records (all covered by the snapshot).
-	if err := os.WriteFile(walPath, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	coord3, err := NewCoordinator(Options{
-		DataDir:      dir,
-		ShardSize:    8,
-		LeaseTimeout: 30 * time.Second,
-		LocalExec:    2,
-		Obs:          obs.New(reg, nil),
-	})
-	if err != nil {
-		t.Fatalf("recovery with a stale pre-compaction WAL failed: %v", err)
-	}
-	defer closeCoordinator(t, coord3)
-	if got := reg.Counter("queue.wal.replay_duplicates").Load(); got < 1 {
-		t.Fatalf("replay_duplicates = %d, want >= 1 (job 1's submit is in both snapshot and WAL)", got)
-	}
-	res, err := coord3.Wait(sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Equal(local) {
-		t.Fatalf("post-duplicate-replay result %+v != local %+v", res.Stats, local)
-	}
-	if _, err := coord3.Wait(sub2.ID); err != nil {
-		t.Fatal(err)
 	}
 }

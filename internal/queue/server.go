@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -18,7 +17,7 @@ import (
 //	POST /v1/jobs            submit a campaign or eval job
 //	GET  /v1/jobs            list jobs
 //	GET  /v1/jobs/{id}       one job's status (partial stats included)
-//	GET  /v1/jobs/{id}/stream  JSONL shard-completion events until done
+//	GET  /v1/jobs/{id}/result  a done or cancelled job's merged result
 //	POST /v1/jobs/{id}/cancel  cancel a job
 //	POST /v1/lease           long-poll for the next ready shard
 //	POST /v1/complete        return a leased shard's result
@@ -69,7 +68,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJob routes /v1/jobs/{id}, /v1/jobs/{id}/stream and
+// handleJob routes /v1/jobs/{id}, /v1/jobs/{id}/result and
 // /v1/jobs/{id}/cancel.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, dist.PathJobs+"/")
@@ -115,54 +114,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		dist.WriteJSON(w, map[string]bool{"ok": true})
-	case "stream":
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		s.streamJob(w, r, id)
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
-	}
-}
-
-// streamJob writes the job's shard-completion events as JSON lines,
-// following new events until the job is terminal or the client leaves.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string) {
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/jsonl")
-	enc := json.NewEncoder(w)
-	from := 0
-	for {
-		events, terminal, ok := s.coord.EventsSince(id, from)
-		if !ok {
-			if from == 0 {
-				http.Error(w, "no such job", http.StatusNotFound)
-			}
-			return
-		}
-		for _, ev := range events {
-			if err := enc.Encode(&ev); err != nil {
-				return
-			}
-		}
-		from += len(events)
-		if len(events) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			return
-		}
-		pulse := s.coord.pulseChan()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.coord.stop:
-			return
-		case <-pulse:
-		case <-time.After(5 * time.Second):
-			// Periodic re-check also doubles as a keep-alive bound.
-		}
 	}
 }
 

@@ -13,15 +13,12 @@ import (
 	"harpocrates/internal/obs"
 )
 
-// openTableCoordinator opens a coordinator with no executors over dir;
-// compact makes it snapshot and reset its WAL on every state change.
-func openTableCoordinator(t *testing.T, dir string, compact bool, reg *obs.Registry) *Coordinator {
+// openTableCoordinator opens a coordinator with no executors over dir.
+func openTableCoordinator(t *testing.T, dir string, reg *obs.Registry) *Coordinator {
 	t.Helper()
-	opts := Options{DataDir: dir, ShardSize: 8, EvalShardSize: 4, LeaseTimeout: 30 * time.Second, Obs: obs.New(reg, nil)}
-	if compact {
-		opts.CompactWALBytes = 1
-	}
-	coord, err := NewCoordinator(opts)
+	coord, err := NewCoordinator(Options{
+		DataDir: dir, ShardSize: 8, EvalShardSize: 4, LeaseTimeout: 30 * time.Second, Obs: obs.New(reg, nil),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +46,9 @@ func completeByHand(t *testing.T, c *Coordinator, n int) {
 }
 
 // A finished shard is stored once, in the coordinator's job table, and
-// every way the coordinator comes back over its data dir rebuilds it: a
-// resubmit after a graceful restart, a kill -9, a restart from a
-// compaction snapshot, or a restart with <data>/cache deleted is served
+// every way the coordinator comes back over its data dir rebuilds it from
+// wal.log: a resubmit after a graceful restart, a kill -9, or a restart
+// with <data>/cache deleted is served
 // every shard any earlier job finished — done, cancelled or failed — and
 // merges bit-identically to the in-process run. (The last leg is the one
 // a separate cache directory could not survive.)
@@ -125,14 +122,12 @@ func TestResubmitServedFromJobTable(t *testing.T) {
 		}, checkCampaign},
 	}
 	restarts := []struct {
-		name    string
-		compact bool
-		stop    func(t *testing.T, coord *Coordinator, dir string)
+		name string
+		stop func(t *testing.T, coord *Coordinator, dir string)
 	}{
-		{"graceful", false, func(t *testing.T, coord *Coordinator, _ string) { closeCoordinator(t, coord) }},
-		{"kill -9", false, func(_ *testing.T, coord *Coordinator, _ string) { crashCoordinator(coord) }},
-		{"kill -9 after compaction", true, func(_ *testing.T, coord *Coordinator, _ string) { crashCoordinator(coord) }},
-		{"cache dir deleted", false, func(t *testing.T, coord *Coordinator, dir string) {
+		{"graceful", func(t *testing.T, coord *Coordinator, _ string) { closeCoordinator(t, coord) }},
+		{"kill -9", func(_ *testing.T, coord *Coordinator, _ string) { crashCoordinator(coord) }},
+		{"cache dir deleted", func(t *testing.T, coord *Coordinator, dir string) {
 			crashCoordinator(coord)
 			if err := os.RemoveAll(filepath.Join(dir, "cache")); err != nil {
 				t.Fatal(err)
@@ -144,7 +139,7 @@ func TestResubmitServedFromJobTable(t *testing.T) {
 			t.Run(jc.name+"/"+rc.name, func(t *testing.T) {
 				dir := t.TempDir()
 				reg := obs.NewRegistry()
-				coord := openTableCoordinator(t, dir, rc.compact, reg)
+				coord := openTableCoordinator(t, dir, reg)
 				sub, err := coord.Submit(jc.req())
 				if err != nil {
 					t.Fatal(err)
@@ -161,13 +156,10 @@ func TestResubmitServedFromJobTable(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if rc.compact && reg.Counter("queue.wal.compactions").Load() == 0 {
-					t.Fatal("the compaction leg never compacted")
-				}
 				rc.stop(t, coord, dir)
 
 				reg = obs.NewRegistry()
-				coord = openTableCoordinator(t, dir, false, reg)
+				coord = openTableCoordinator(t, dir, reg)
 				defer closeCoordinator(t, coord)
 				resub, err := coord.Submit(jc.req())
 				if err != nil {
@@ -194,10 +186,10 @@ func TestResubmitServedFromJobTable(t *testing.T) {
 	}
 }
 
-// A coordinator's data dir holds its WAL and snapshot and nothing else:
-// opening it, running a job, resubmitting it and closing it creates no
-// other file or directory.
-func TestCoordinatorDataDirHoldsOnlyWALAndSnapshot(t *testing.T) {
+// A coordinator's data dir holds its WAL and nothing else: opening it,
+// running a job, resubmitting it and closing it creates no other file or
+// directory.
+func TestCoordinatorDataDirHoldsOnlyWAL(t *testing.T) {
 	c, p := testCampaign(t, 16)
 	dir := t.TempDir()
 	coord := newTestCoordinator(t, dir, 1, nil)
@@ -219,7 +211,7 @@ func TestCoordinatorDataDirHoldsOnlyWALAndSnapshot(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := []string{"snapshot.json", "wal.log"}; !slices.Equal(names, want) {
+	if want := []string{"wal.log"}; !slices.Equal(names, want) {
 		t.Fatalf("data dir holds %q, want %q", names, want)
 	}
 }

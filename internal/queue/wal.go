@@ -1,11 +1,16 @@
 // Package queue is the campaign-as-a-service layer of the Harpocrates
-// reproduction: a durable job coordinator (submit / status / stream /
+// reproduction: a durable job coordinator (submit / status / result /
 // cancel over the internal/dist v1 wire protocol) with work-stealing
-// lease dispatch across heterogeneous pull-mode workers, crash-safe
-// append-only WAL + snapshot persistence of every job and shard, and a
+// lease dispatch across heterogeneous pull-mode workers, and a
 // content-addressed result cache — the job table itself, keyed by
 // (program hash, config hash, fault-spec hash) — so no shard any job
 // finished is ever simulated again.
+//
+// Persistence: every submit, shard completion and cancellation is
+// appended to one crash-safe, append-only WAL, the coordinator's only
+// durable file. Every start — after a graceful Close or a kill -9
+// alike — rebuilds the whole job table by replaying it; no record is
+// ever obsolete, because the table keeps every job for ever.
 //
 // Determinism: a job's merged result is assembled from shard results in
 // shard-index order (inject.MergeStats for campaigns, positional
@@ -38,10 +43,8 @@ type Record struct {
 }
 
 // WAL is an append-only, CRC-checked write-ahead log, safe for
-// concurrent use. Besides Append it offers the embedded Log's Reset
-// (truncate back to the header — called right after a snapshot has
-// atomically captured everything the log recorded), Size (byte length,
-// header included; 0 once closed), Sync and Close.
+// concurrent use. Besides Append it offers the embedded Log's Size
+// (byte length, header included; 0 once closed), Sync and Close.
 type WAL struct{ *segstore.Log }
 
 // OpenWAL opens (creating if needed) the log at path and replays it,

@@ -132,24 +132,3 @@ func TestWALNotAWAL(t *testing.T) {
 		t.Fatal("opened a non-WAL file without error")
 	}
 }
-
-func TestWALReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Append(1, []byte("pre-snapshot"))
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	w.Append(2, []byte("post-snapshot"))
-	w.Close()
-	_, recs, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Kind != 2 {
-		t.Fatalf("after reset: %d records, kind %d", len(recs), recs[0].Kind)
-	}
-}

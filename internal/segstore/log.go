@@ -1,8 +1,8 @@
 // Package segstore is the repo's one on-disk record layer: a Log of
 // CRC-framed records, a Store (sharded first-write-wins keyed index over
-// Logs) and WriteFileAtomic. The coordinator WAL and queue.Cache (kept
-// for the benchmark's storage probe) are this frame with a different tag
-// width:
+// Logs) and WriteFileAtomic. The coordinator's WAL (its only durable
+// file) and queue.Cache (kept for the benchmark's storage probe) are
+// this frame with a different tag width:
 //
 //	[tag: TagSize bytes][u32 payload len LE][u32 crc32-IEEE(payload) LE][payload]
 //
@@ -199,18 +199,6 @@ func (l *Log) ReadAt(p []byte, off int64) error {
 		return err
 	}
 	return nil
-}
-
-// Reset durably drops every record, keeping the header.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	keep := int64(len(l.fmt.header()))
-	if err := l.f.Truncate(keep); err != nil {
-		return fmt.Errorf("segstore: reset: %w", err)
-	}
-	l.size = keep
-	return l.f.Sync()
 }
 
 // Size returns the log's byte length, header included (0 once closed).

@@ -43,7 +43,7 @@ import (
 // state, and pure telemetry (hit/miss
 // counters, ACE buffers, skipped-cycle counts). TestCoreStateTable*
 // classify every field of the core this way and check the
-// classification against stateHash and copyFrom.
+// classification against stateHash and copyState.
 // Sequence numbers are hashed relative to the core's counter so a faulty
 // run that renamed extra wrong-path µops before squashing back onto the
 // golden trajectory still matches.

@@ -48,10 +48,10 @@ import (
 // release) sits under an explicit Decoding() test.
 //
 // Serializing a Checkpoint means serializing a full Core snapshot. The
-// codec's field inventory deliberately mirrors Core.copyFrom — the
+// codec's field inventory deliberately mirrors Core.copyState — the
 // authoritative list of what constitutes dynamic simulator state — and
 // the same exclusions apply: run-loop scratch (progressed, wbReadyAt,
-// skipped, the wake-up lists and ready set that copyFrom rebuilds),
+// skipped, the wake-up lists and ready set that restore rebuilds),
 // delta arming (re-derived by RestoreFrom), the predecode table (derived
 // from the program: the decoder's init builds one per checkpoint) and
 // per-run instrumentation (coverage tracking, recorders, trace sinks)
@@ -195,7 +195,7 @@ const (
 
 // scrubGoldenConfig clears the per-run instrumentation flags from a
 // checkpoint core's config before it travels: a restored core never
-// carries recorders (copyFrom sets them nil), so the decode-side init must
+// carries recorders (copyState sets them nil), so the decode-side init must
 // not draw them.
 func scrubGoldenConfig(cfg Config) Config {
 	cfg.TrackIRF = false
@@ -371,7 +371,7 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 }
 
 // core walks one checkpoint core — the dynamic-state inventory of
-// Core.copyFrom in stable binary form. Encoding reads cp. Decoding takes
+// Core.copyState in stable binary form. Encoding reads cp. Decoding takes
 // a nil cp: once the memory image is in, a fresh pooled core is
 // initialized from it and the scrubbed config, every dynamic field is
 // patched from the stream, and the core is returned — or released and

@@ -50,7 +50,7 @@ func (c *Core) unitCapacity(u isa.Unit) int {
 // The ready set is two bitmaps over ROB slots, loads apart from the rest,
 // so that issue applies the older-unexecuted-store rule as one mask. Age
 // order is circular slot order from robHead. All of it is derived from
-// the IQ and the ready bits: copyFrom and init rebuild it, stateHash and
+// the IQ and the ready bits: restore and init rebuild it, stateHash and
 // checkpoints never see it.
 
 // wkNode is one waiter on a register's wake-up list.
