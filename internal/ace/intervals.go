@@ -14,10 +14,13 @@
 // cell-cycles over cells × cycles, taken after the end-of-run cache flush
 // and before the end-of-run reads of the final register state: those
 // reads keep the log sound (the final state feeds the output signature)
-// but are not counted as coverage. When the flush is a dirty byte's only
-// reader since its last write, fill or read, the fault injector grades a
-// flip in that tail from the golden output instead of simulating it
-// (uarch.FlushLog).
+// but are not counted as coverage. A run that needs coverage but no log
+// keeps a sum-only recorder, whose state for each 64-cell block last
+// written whole is one cycle per register segment ([0,8), [8,16),
+// [16,32), [32,64)), so a register read costs at most four steps. When
+// the flush is a dirty byte's only reader since its last write, fill or
+// read, the fault injector grades a flip in that tail from the golden
+// output instead of simulating it (uarch.FlushLog).
 package ace
 
 import (
@@ -33,7 +36,8 @@ import (
 // still reach architectural state: the fault injector pre-classifies a
 // transient flip at a cycle outside every consumed interval of its cell
 // as provably masked and never simulates it. A sum-only recorder
-// (NewSumRecorder) keeps the total alone, which is all coverage needs.
+// (NewSumRecorder) keeps the total alone, which is all coverage needs,
+// and keeps it per register segment where it can (see segBlock).
 //
 // The recorder is driven at access time, including wrong-path and
 // squashed work. That makes the log strictly conservative for
@@ -48,9 +52,40 @@ type IntervalRecorder struct {
 	lastWrite []uint64
 	lastRead  []uint64
 	// spans is the log, one list per cell; nil in a sum-only recorder.
-	spans    [][]ivalSpan
+	spans [][]ivalSpan
+	// blocks is a sum-only recorder's state of each whole 64-cell block
+	// (cells past the last whole block are kept per cell); nil in a
+	// log-keeping recorder.
+	blocks   []segBlock
 	sumOnly  bool
 	consumed uint64
+}
+
+// blockCells is the width of a register: a 64-bit IRF entry, one half of
+// a 128-bit FPRF entry, one 64-byte L1D line.
+const blockCells = 64
+
+// segEnd and segLen cut a block into the segments every register read
+// the simulator makes is a prefix of: [0,8), [8,16), [16,32), [32,64) —
+// an IRF read of 8, 16, 32 or 64 bits covers the first 1, 2, 3 or 4.
+var (
+	segEnd = [4]int{8, 16, 32, 64}
+	segLen = [4]uint64{8, 8, 16, 32}
+)
+
+// segBlock is one 64-cell block of a sum-only recorder. A block last
+// written whole — and every block at reset, written whole at cycle 0 —
+// is whole: its state is last[s], for each segment s the later of the
+// block's last write and the segment's last read, which is all a read's
+// credit cycle − max(lastWrite, lastRead) needs, and its cells' entries
+// in lastWrite/lastRead are stale. A prefix read of a whole block then
+// costs one step per segment instead of one per cell. Any other access
+// to a whole block (an L1D byte, a range not ending on a segment
+// boundary) first spreads last into the cells and makes the block
+// per-cell until it is next written whole.
+type segBlock struct {
+	whole bool
+	last  [4]uint64
 }
 
 // ivalSpan is one consumed interval (start, end]: a corruption applied at
@@ -73,11 +108,9 @@ func NewIntervalRecorder(cells int) *IntervalRecorder {
 // only the consumed total: Consumed, Equal and the codec need the log and
 // must not be called on it.
 func NewSumRecorder(cells int) *IntervalRecorder {
-	return &IntervalRecorder{
-		lastWrite: make([]uint64, cells),
-		lastRead:  make([]uint64, cells),
-		sumOnly:   true,
-	}
+	r := &IntervalRecorder{sumOnly: true}
+	r.Reset(cells)
+	return r
 }
 
 // NumCells returns the number of tracked cells.
@@ -98,6 +131,27 @@ func (r *IntervalRecorder) Read(cell int, cycle uint64) { r.ReadRange(cell, 1, c
 
 // WriteRange records a write of n consecutive cells starting at cell.
 func (r *IntervalRecorder) WriteRange(cell, n int, cycle uint64) {
+	if !r.sumOnly {
+		r.writeCells(cell, n, cycle)
+		return
+	}
+	for end := cell + n; cell < end; {
+		b, off := cell/blockCells, cell%blockCells
+		m := min(end-cell, blockCells-off)
+		if b < len(r.blocks) {
+			if m == blockCells {
+				r.blocks[b] = segBlock{whole: true, last: [4]uint64{cycle, cycle, cycle, cycle}}
+				cell += m
+				continue
+			}
+			r.spread(b)
+		}
+		r.writeCells(cell, m, cycle)
+		cell += m
+	}
+}
+
+func (r *IntervalRecorder) writeCells(cell, n int, cycle uint64) {
 	lw := r.lastWrite[cell : cell+n]
 	for i := range lw {
 		lw[i] = cycle
@@ -108,6 +162,37 @@ func (r *IntervalRecorder) WriteRange(cell, n int, cycle uint64) {
 // cell. A read at its cell's write cycle consumes nothing: the write
 // lands first.
 func (r *IntervalRecorder) ReadRange(cell, n int, cycle uint64) {
+	if !r.sumOnly {
+		r.consumed += r.readCells(cell, n, cycle)
+		return
+	}
+	var sum uint64
+	for end := cell + n; cell < end; {
+		b, off := cell/blockCells, cell%blockCells
+		m := min(end-cell, blockCells-off)
+		if b < len(r.blocks) && r.blocks[b].whole {
+			if k := segCount(m); off == 0 && k > 0 {
+				blk := &r.blocks[b]
+				for s := range k {
+					if from := blk.last[s]; cycle > from {
+						sum += (cycle - from) * segLen[s]
+						blk.last[s] = cycle
+					}
+				}
+				cell += m
+				continue
+			}
+			r.spread(b)
+		}
+		sum += r.readCells(cell, m, cycle)
+		cell += m
+	}
+	r.consumed += sum
+}
+
+// readCells is the per-cell walk of a read: it returns the cell-cycles
+// the read consumes and, when log-keeping, extends the log.
+func (r *IntervalRecorder) readCells(cell, n int, cycle uint64) uint64 {
 	lw := r.lastWrite[cell : cell+n]
 	lr := r.lastRead[cell : cell+n]
 	var sum uint64
@@ -129,13 +214,50 @@ func (r *IntervalRecorder) ReadRange(cell, n int, cycle uint64) {
 			r.spans[cell+i] = append(s, ivalSpan{start: w, end: cycle})
 		}
 	}
-	r.consumed += sum
+	return sum
+}
+
+// segCount returns how many segments a block prefix of n cells covers,
+// or 0 when n does not end on a segment boundary.
+func segCount(n int) int {
+	for s, e := range segEnd {
+		if n == e {
+			return s + 1
+		}
+	}
+	return 0
+}
+
+// spread moves whole block b's segment state into its cells and makes
+// the block per-cell.
+func (r *IntervalRecorder) spread(b int) {
+	blk := &r.blocks[b]
+	if !blk.whole {
+		return
+	}
+	lo := b * blockCells
+	for s, e := range segEnd {
+		hi := b*blockCells + e
+		for c := lo; c < hi; c++ {
+			r.lastWrite[c], r.lastRead[c] = blk.last[s], blk.last[s]
+		}
+		lo = hi
+	}
+	blk.whole = false
 }
 
 // LastEvent returns the cycle of the cell's last logged write or read
 // (0 for a cell never touched since reset): a corruption applied after it
 // meets no logged event until the next one.
 func (r *IntervalRecorder) LastEvent(cell int) uint64 {
+	if b := cell / blockCells; b < len(r.blocks) && r.blocks[b].whole {
+		off := cell % blockCells
+		s := 0
+		for off >= segEnd[s] {
+			s++
+		}
+		return r.blocks[b].last[s]
+	}
 	return max(r.lastWrite[cell], r.lastRead[cell])
 }
 
@@ -200,7 +322,9 @@ func (r *IntervalRecorder) Equal(o *IntervalRecorder) bool {
 // Reset returns the recorder to its initial state for cells storage
 // cells, reusing the backing arrays when they are large enough. Per-cell
 // span slices keep their capacity, so a reused recorder stops allocating
-// once it has seen a workload of similar shape.
+// once it has seen a workload of similar shape. A sum-only recorder
+// resets its blocks and the cells past the last one; the cells of a
+// block are written when it is spread.
 func (r *IntervalRecorder) Reset(cells int) {
 	r.consumed = 0
 	if cap(r.lastWrite) < cells {
@@ -209,15 +333,24 @@ func (r *IntervalRecorder) Reset(cells int) {
 		if !r.sumOnly {
 			r.spans = make([][]ivalSpan, cells)
 		}
-		return
 	}
 	r.lastWrite = r.lastWrite[:cells]
 	r.lastRead = r.lastRead[:cells]
-	clear(r.lastWrite)
-	clear(r.lastRead)
 	if r.sumOnly {
+		nb := cells / blockCells
+		if cap(r.blocks) < nb {
+			r.blocks = make([]segBlock, nb)
+		}
+		r.blocks = r.blocks[:nb]
+		for i := range r.blocks {
+			r.blocks[i] = segBlock{whole: true}
+		}
+		clear(r.lastWrite[nb*blockCells:])
+		clear(r.lastRead[nb*blockCells:])
 		return
 	}
+	clear(r.lastWrite)
+	clear(r.lastRead)
 	r.spans = r.spans[:cells]
 	for i := range r.spans {
 		r.spans[i] = r.spans[i][:0]

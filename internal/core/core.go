@@ -123,7 +123,13 @@ func (ind *Individual) Program(cfg *gen.Config) *prog.Program {
 	return gen.Materialize(ind.G, cfg)
 }
 
-// StepTimes is the single-loop-step duration breakdown (paper Table I).
+// StepTimes is the single-loop-step duration breakdown (paper Table I):
+// Mutation is the mutation engine; Generation draws the initial
+// population and materializes every graded genotype (its data region
+// drawn once per seed per run, gen.RegionCache); Compilation lowers each
+// program for the simulator (its predecode table, uarch.Compile);
+// Evaluation starts the initial state and simulates, or is the whole
+// round trip of a remote batch.
 type StepTimes struct {
 	Mutation    time.Duration
 	Generation  time.Duration
@@ -244,6 +250,7 @@ func Run(o Options) (*Result, error) {
 	rng := rand.New(src)
 	hist := &History{}
 	memo := make(evalCache)
+	regions := gen.NewRegionCache()
 
 	stopRun := o.Obs.Phase("core.run")
 	runSpan := o.Obs.Span("run", obs.Fields{
@@ -287,7 +294,7 @@ func Run(o Options) (*Result, error) {
 		stopGen()
 		hist.Times.Generation += time.Since(t0)
 
-		if err := evaluate(pop, &o, hist, memo); err != nil {
+		if err := evaluate(pop, &o, hist, memo, regions); err != nil {
 			stopRun()
 			runSpan.End(obs.Fields{"error": err.Error()})
 			return nil, err
@@ -369,7 +376,7 @@ func Run(o Options) (*Result, error) {
 
 		// Step 1 (next cycle): evaluate the offspring; elites keep their
 		// cached fitness.
-		if err := evaluate(offspring, &o, hist, memo); err != nil {
+		if err := evaluate(offspring, &o, hist, memo, regions); err != nil {
 			itSpan.End(obs.Fields{"error": err.Error()})
 			stopRun()
 			runSpan.End(obs.Fields{"error": err.Error()})
@@ -488,8 +495,9 @@ func planBatch(inds []*Individual, memo evalCache) (keys []uint64, fresh []int) 
 // generation/compilation/evaluation time (Table I). Fitness is memoized
 // by genotype hash: only the batch's fresh genotypes (planBatch) reach
 // the simulator — in process, or through Options.Evaluator when set —
-// and every individual is then filled positionally from the memo.
-func evaluate(inds []*Individual, o *Options, hist *History, memo evalCache) error {
+// and every individual is then filled positionally from the memo. Each
+// call is one generation of the run's region cache.
+func evaluate(inds []*Individual, o *Options, hist *History, memo evalCache, regions *gen.RegionCache) error {
 	stopEval := o.Obs.Phase("core.phase.evaluate")
 	defer stopEval()
 
@@ -499,7 +507,8 @@ func evaluate(inds []*Individual, o *Options, hist *History, memo evalCache) err
 			return err
 		}
 	} else {
-		gradeLocal(inds, fresh, o, hist)
+		regions.Age()
+		gradeLocal(inds, fresh, o, hist, regions)
 	}
 	for _, i := range fresh {
 		memo[keys[i]] = EvalResult{Fitness: inds[i].Fitness, Snapshot: inds[i].Snapshot}
@@ -516,7 +525,7 @@ func evaluate(inds []*Individual, o *Options, hist *History, memo evalCache) err
 // gradeLocal materializes and simulates inds[i] for every i in fresh
 // across o.Workers goroutines. Each grade lands in its individual and its
 // cost in its own slot of out, so nothing is shared between workers.
-func gradeLocal(inds []*Individual, fresh []int, o *Options, hist *History) {
+func gradeLocal(inds []*Individual, fresh []int, o *Options, hist *History, regions *gen.RegionCache) {
 	out := make([]struct {
 		tm  gradeTiming
 		sim simTotals
@@ -529,7 +538,7 @@ func gradeLocal(inds []*Individual, fresh []int, o *Options, hist *History) {
 			defer wg.Done()
 			for j := range work {
 				ind := inds[fresh[j]]
-				res, r, tm := gradeTimed(ind.G, &o.Gen, o.Core, o.Metric)
+				res, r, tm := gradeTimed(ind.G, &o.Gen, o.Core, o.Metric, regions)
 				ind.Fitness, ind.Snapshot = res.Fitness, res.Snapshot
 				out[j].tm = tm
 				out[j].sim.add(r)

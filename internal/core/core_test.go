@@ -609,7 +609,7 @@ func TestInBatchDuplicateGradedOnce(t *testing.T) {
 			a, b := gen.NewRandom(&o.Gen, rng), gen.NewRandom(&o.Gen, rng)
 			inds := []*Individual{{G: a}, {G: b}, {G: a.Clone()}}
 			hist, memo := &History{}, make(evalCache)
-			if err := evaluate(inds, &o, hist, memo); err != nil {
+			if err := evaluate(inds, &o, hist, memo, gen.NewRegionCache()); err != nil {
 				t.Fatal(err)
 			}
 			if hist.CacheHits != 1 || hist.EvaluatedPrograms != 3 {

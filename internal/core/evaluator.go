@@ -22,7 +22,7 @@ type EvalResult struct {
 // Evaluator is a pluggable grading backend for the refinement loop.
 // When Options.Evaluator is set, every batch of not-yet-memoized
 // genotypes is handed to EvaluateBatch instead of the in-process
-// materialize-encode-simulate pipeline; results must be positionally
+// materialize-compile-simulate pipeline; results must be positionally
 // aligned with the input. Grading is a pure function of (genotype,
 // configuration), so any backend that implements the contract of
 // GradeGenotype — the distributed worker pool in internal/dist does by
@@ -44,21 +44,24 @@ type gradeTiming struct {
 	insts                 int64
 }
 
-// gradeTimed materializes, encodes ("compiles") and simulates one
-// genotype, returning its grade, the raw simulator result and the
-// per-stage wall-clock split. This is THE grading function: the local
-// evaluate loop and the distributed worker both call it, so the two
-// paths cannot disagree about fitness semantics (crashing candidates
-// and NaN metric values are clamped to fitness 0 here, in one place).
-func gradeTimed(g *gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric coverage.Metric) (EvalResult, *uarch.Result, gradeTiming) {
+// gradeTimed materializes, compiles and simulates one genotype,
+// returning its grade, the raw simulator result and the per-stage
+// wall-clock split. Generation draws the genotype's data region through
+// regions (nil: drawn afresh); compilation is the program's predecode
+// table, built once and handed to the run; evaluation starts the initial
+// state and simulates. This is THE grading function: the local evaluate
+// loop and the distributed worker both call it, so the two paths cannot
+// disagree about fitness semantics (crashing candidates and NaN metric
+// values are clamped to fitness 0 here, in one place).
+func gradeTimed(g *gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric coverage.Metric, regions *gen.RegionCache) (EvalResult, *uarch.Result, gradeTiming) {
 	t0 := time.Now()
-	p := gen.Materialize(g, gcfg)
+	p := regions.Materialize(g, gcfg)
 	t1 := time.Now()
-	// "Compilation": lower to the byte encoding, as the C wrapper +
-	// compiler step does in the paper's toolchain.
-	_ = p.Encode()
+	// "Compilation": lower the program for the simulator, as the C
+	// wrapper + compiler step does in the paper's toolchain.
+	cp := uarch.Compile(p.Insts)
 	t2 := time.Now()
-	r := uarch.Run(p.Insts, p.NewState(), ccfg)
+	r := cp.Run(p.NewState(), ccfg)
 	t3 := time.Now()
 
 	res := EvalResult{Snapshot: r.Snapshot}
@@ -88,8 +91,19 @@ func gradeTimed(g *gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric cov
 // untracked golden bundle, does not apply here; reuse across repeated
 // grades of identical genotypes is the evalCache memo's job.
 func GradeGenotype(g *gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric coverage.Metric) EvalResult {
-	res, _, _ := gradeTimed(g, gcfg, ccfg, metric)
+	res, _, _ := gradeTimed(g, gcfg, ccfg, metric, nil)
 	return res
+}
+
+// GradeBatch grades gs in order, each exactly as GradeGenotype does,
+// drawing every seed's data region once for the whole batch.
+func GradeBatch(gs []*gen.Genotype, gcfg *gen.Config, ccfg uarch.Config, metric coverage.Metric) []EvalResult {
+	regions := gen.NewRegionCache()
+	out := make([]EvalResult, len(gs))
+	for i, g := range gs {
+		out[i], _, _ = gradeTimed(g, gcfg, ccfg, metric, regions)
+	}
+	return out
 }
 
 // gradeRemote ships inds[i] for every i in fresh to Options.Evaluator as

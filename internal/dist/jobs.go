@@ -230,12 +230,7 @@ func RunEval(req *EvalRequest) ([]WireEvalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	metric := coverage.MetricFor(st)
-	out := make([]WireEvalResult, len(gs))
-	for i, g := range gs {
-		out[i] = core.GradeGenotype(g, &req.Gen, req.Core, metric)
-	}
-	return out, nil
+	return core.GradeBatch(gs, &req.Gen, req.Core, coverage.MetricFor(st)), nil
 }
 
 // structure parses the request's structure name and checks its core

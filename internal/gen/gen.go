@@ -194,19 +194,29 @@ func (g *Genotype) Clone() *Genotype {
 // NewRandom samples a fresh random genotype.
 func NewRandom(cfg *Config, rng *rand.Rand) *Genotype {
 	g := &Genotype{Variants: make([]isa.VariantID, cfg.NumInstrs), Seed: rng.Uint64()}
+	total := cfg.weightTotal()
 	for i := range g.Variants {
-		g.Variants[i] = cfg.pick(rng)
+		g.Variants[i] = cfg.pick(rng, total)
 	}
 	return g
 }
 
-func (cfg *Config) pick(rng *rand.Rand) isa.VariantID {
-	if len(cfg.Weights) != len(cfg.Allowed) || cfg.Weights == nil {
-		return cfg.Allowed[rng.IntN(len(cfg.Allowed))]
-	}
+// weightTotal is the sum of cfg.Weights, left to right: pick's draws
+// depend on the float it comes to, so the order is part of every
+// genotype's identity.
+func (cfg *Config) weightTotal() float64 {
 	total := 0.0
 	for _, w := range cfg.Weights {
 		total += w
+	}
+	return total
+}
+
+// pick draws one variant: uniformly, or by weight, total being
+// cfg.weightTotal().
+func (cfg *Config) pick(rng *rand.Rand, total float64) isa.VariantID {
+	if len(cfg.Weights) != len(cfg.Allowed) || cfg.Weights == nil {
+		return cfg.Allowed[rng.IntN(len(cfg.Allowed))]
 	}
 	x := rng.Float64() * total
 	for i, w := range cfg.Weights {
@@ -282,24 +292,54 @@ func (a *allocator) dst(rng *rand.Rand) uint8 {
 // Materialize resolves operands and initial state, producing the
 // runnable program. It is deterministic in (genotype, config).
 func Materialize(g *Genotype, cfg *Config) *prog.Program {
-	rng := rand.New(rand.NewPCG(g.Seed, g.Seed^0x9e3779b97f4a7c15))
+	d := drawRegion(g.Seed, cfg.regionBytes())
+	return materialize(g, cfg, &d)
+}
 
-	regionBytes := cfg.Mem.RegionBytes
-	if regionBytes <= 0 {
-		regionBytes = 32 * 1024
+// regionBytes is the data region's size (default 32 KB).
+func (cfg *Config) regionBytes() int {
+	if cfg.Mem.RegionBytes <= 0 {
+		return 32 * 1024
 	}
+	return cfg.Mem.RegionBytes
+}
+
+// regionDraw is what Materialize draws from a genotype's seed before any
+// operand: the data region, and the generator's state after drawing it.
+// Both depend on the seed and the region size alone.
+type regionDraw struct {
+	data []byte
+	pcg  rand.PCG
+}
+
+func drawRegion(seed uint64, n int) regionDraw {
+	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+	return regionDraw{data: randomBytes(rand.New(pcg), n), pcg: *pcg}
+}
+
+// regions is a generated program's memory layout around its data region.
+func regions(data []byte) []prog.RegionSpec {
+	return []prog.RegionSpec{
+		{Name: "data", Base: prog.DataBase, Data: data, Writable: true},
+		{Name: "stack", Base: prog.StackBase, Size: StackBytes, Writable: true},
+	}
+}
+
+// materialize resolves g's operands and initial registers, drawing them
+// after the region d holds.
+func materialize(g *Genotype, cfg *Config, d *regionDraw) *prog.Program {
+	pcg := d.pcg // d may be shared: draw from a copy
+	rng := rand.New(&pcg)
+	regionBytes := len(d.data)
 	stride := cfg.Mem.Stride
 	if stride <= 0 {
 		stride = 64
 	}
 
 	p := &prog.Program{
-		Name:  "museqgen",
-		Insts: make([]isa.Inst, 0, len(g.Variants)),
-		Regions: []prog.RegionSpec{
-			{Name: "data", Base: prog.DataBase, Data: randomBytes(rng, regionBytes), Writable: true},
-			{Name: "stack", Base: prog.StackBase, Size: StackBytes, Writable: true},
-		},
+		Name:    "museqgen",
+		Insts:   make([]isa.Inst, 0, len(g.Variants)),
+		Regions: regions(d.data),
 	}
 
 	intRegs := make([]uint8, len(intAllocOrder))
@@ -400,4 +440,78 @@ func randFiniteDouble(rng *rand.Rand) uint64 {
 	exp := uint64(1023 - 30 + rng.IntN(61))
 	sign := uint64(rng.IntN(2)) << 63
 	return sign | exp<<52 | mant
+}
+
+// RegionCache keeps, per genotype seed, what Materialize draws and builds
+// before it resolves any operand: the data region, the generator state
+// after drawing it, and the frozen initial memory of the program's
+// regions (prog.Image). Mutation keeps a genotype's seed, so the programs
+// of one refinement run share few regions; through the cache each is
+// drawn once, and every state of every program carrying it starts as a
+// copy-on-write clone of one image. Programs come out equal to
+// Materialize's, bit for bit.
+//
+// A cache belongs to one refinement run (or one batch of grades) and is
+// safe for concurrent use. It keeps the seeds materialized in the
+// current and the previous generation (Age), so seeds that crossover
+// leaves behind are dropped.
+type RegionCache struct {
+	mu       sync.Mutex
+	cur, old map[regionKey]*seedRegion
+}
+
+type regionKey struct {
+	seed  uint64
+	bytes int
+}
+
+// seedRegion is one seed's cached draw and image, built once.
+type seedRegion struct {
+	once sync.Once
+	draw regionDraw
+	img  *prog.Image
+}
+
+// NewRegionCache returns an empty cache.
+func NewRegionCache() *RegionCache { return &RegionCache{} }
+
+// Age starts a new generation: a seed not materialized since the
+// previous Age call is dropped by this one.
+func (c *RegionCache) Age() {
+	c.mu.Lock()
+	c.old, c.cur = c.cur, nil
+	c.mu.Unlock()
+}
+
+// Materialize is gen.Materialize through the cache; the program's
+// NewState clones the seed's image. A nil cache materializes cold.
+func (c *RegionCache) Materialize(g *Genotype, cfg *Config) *prog.Program {
+	if c == nil {
+		return Materialize(g, cfg)
+	}
+	r := c.region(regionKey{g.Seed, cfg.regionBytes()})
+	p := materialize(g, cfg, &r.draw)
+	p.UseImage(r.img)
+	return p
+}
+
+func (c *RegionCache) region(k regionKey) *seedRegion {
+	c.mu.Lock()
+	r := c.cur[k]
+	if r == nil {
+		if r = c.old[k]; r == nil {
+			r = &seedRegion{}
+		}
+		if c.cur == nil {
+			c.cur = make(map[regionKey]*seedRegion)
+		}
+		c.cur[k] = r
+	}
+	c.mu.Unlock()
+	r.once.Do(func() {
+		r.draw = drawRegion(k.seed, k.bytes)
+		p := prog.Program{Regions: regions(r.draw.data)}
+		r.img = p.NewImage()
+	})
+	return r
 }

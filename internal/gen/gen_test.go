@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -326,5 +327,18 @@ func TestPoolUsage(t *testing.T) {
 	empty := Config{}
 	if got := PoolUsage(&empty, []*Genotype{g}); got != 0 {
 		t.Fatalf("empty pool usage %f, want 0", got)
+	}
+}
+
+// TestWeightTotalLeftToRightPinned: NewRandom draws against the weights'
+// left-to-right float sum, the total pick used to recompute per draw;
+// any other order rounds differently (0.1+0.2+0.3 is 0.6000000000000001
+// left to right, 0.6 right to left).
+func TestWeightTotalLeftToRightPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Allowed = cfg.Allowed[:3]
+	cfg.Weights = []float64{0.1, 0.2, 0.3}
+	if got := math.Float64bits(cfg.weightTotal()); got != 0x3fe3333333333334 {
+		t.Fatalf("weight total bits %#x, want 0x3fe3333333333334", got)
 	}
 }

@@ -51,7 +51,28 @@ type Program struct {
 	InitFlags isa.Flags
 
 	Regions []RegionSpec
+
+	// image, when set (UseImage), is Regions' content built once.
+	image *Image
 }
+
+// Image is the initial memory of a program's regions, built once and
+// never written: NewState of a program that uses it clones it
+// copy-on-write instead of allocating, copying and digesting pages, so
+// any number of goroutines may start states from one image at once.
+type Image struct{ mem *arch.Memory }
+
+// NewImage builds the initial memory of p's regions.
+func (p *Program) NewImage() *Image {
+	mem := p.newMemory()
+	mem.Clone() // gives up every owned mark: from here on mem is only read
+	return &Image{mem: mem}
+}
+
+// UseImage makes NewState start from img, which must have been built by
+// NewImage from a program whose Regions hold the same content as p's.
+// p's Regions must not change afterwards.
+func (p *Program) UseImage(img *Image) { p.image = img }
 
 // region returns the guest-memory descriptor of a region template.
 func (r *RegionSpec) region() arch.Region {
@@ -77,6 +98,21 @@ func (p *Program) Validate() error {
 
 // NewState builds a fresh architectural state for one run.
 func (p *Program) NewState() *arch.State {
+	var mem *arch.Memory
+	if p.image != nil {
+		mem = p.image.mem.Clone()
+	} else {
+		mem = p.newMemory()
+	}
+	s := arch.NewState(mem)
+	s.GPR = p.InitGPR
+	s.XMM = p.InitXMM
+	s.Flags = p.InitFlags
+	return s
+}
+
+// newMemory builds the initial memory of p's regions.
+func (p *Program) newMemory() *arch.Memory {
 	mem := arch.NewMemory()
 	for i := range p.Regions {
 		r := &p.Regions[i]
@@ -85,11 +121,7 @@ func (p *Program) NewState() *arch.State {
 		}
 		_ = mem.WriteBytes(r.Base, r.Data) // cannot fault: the region was added with Data's size
 	}
-	s := arch.NewState(mem)
-	s.GPR = p.InitGPR
-	s.XMM = p.InitXMM
-	s.Flags = p.InitFlags
-	return s
+	return mem
 }
 
 // InitFunc returns a fresh-state factory (the form fault campaigns

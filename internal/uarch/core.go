@@ -228,7 +228,7 @@ type Core struct {
 // used directly (clone beforehand if you need to keep it pristine).
 func NewCore(prog []isa.Inst, init *arch.State, cfg Config) *Core {
 	c := &Core{}
-	c.init(prog, init, cfg)
+	c.init(Compile(prog), init, cfg)
 	return c
 }
 
@@ -250,19 +250,20 @@ func grow[T any](s []T, n int) []T {
 // lists, ROB entries (and their per-µop slices), cache SRAM and line
 // metadata, L2 tag arrays, predictor table and sum-only ACE recorders
 // all survive, so repeated runs stop churning the garbage collector.
-func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
+func (c *Core) init(cp *Compiled, init *arch.State, cfg Config) {
 	mem, ok := init.Mem.(*arch.Memory)
 	if !ok {
 		panic("uarch: initial state must use a plain *arch.Memory")
 	}
 	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 200*uint64(len(prog)) + 1_000_000
+		cfg.MaxCycles = 200*uint64(len(cp.prog)) + 1_000_000
 	}
 	c.cfg = cfg
-	c.prog = prog
-	// Always a fresh table: a checkpoint copied from this core may still
-	// read the one it holds.
-	c.pre = newPredecode(prog)
+	c.prog = cp.prog
+	// The compiled program's table, never one this core built for an
+	// earlier program: a checkpoint copied from this core may still read
+	// that one.
+	c.pre = cp.pre
 	c.mem = mem
 
 	if c.bp != nil && len(c.bp.table) == 1<<uint(cfg.GshareBits) {

@@ -435,7 +435,7 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 		// The checkpoint gets a clone: one that owns no page, so restores
 		// only read it (arch.Memory's ownership rule).
 		cp = getPooledCore()
-		cp.init(prog, arch.NewState(mem.Clone()), cfg)
+		cp.init(Compile(prog), arch.NewState(mem.Clone()), cfg)
 	}
 
 	// Scratch architectural execution state (nondet stream position).

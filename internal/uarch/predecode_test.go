@@ -267,7 +267,7 @@ func TestPredecodeDifferential(t *testing.T) {
 	a := NewCore(first.Insts, first.NewState(), capCfg)
 	a.Run()
 	shared := a.pre
-	a.init(second.Insts, second.NewState(), cfg)
+	a.init(Compile(second.Insts), second.NewState(), cfg)
 	if a.pre == shared {
 		t.Fatal("init reused the table a live checkpoint shares")
 	}

@@ -24,8 +24,28 @@ func putPooledCore(c *Core) { corePool.Put(c) }
 // clone it first if it must survive. Runs execute on pooled cores;
 // results never alias pooled storage.
 func Run(prog []isa.Inst, init *arch.State, cfg Config) *Result {
+	return Compile(prog).Run(init, cfg)
+}
+
+// Compiled is a program lowered for the simulator: its instructions and
+// the predecode table rename reads their operands from. Nothing writes
+// it after Compile, so any number of runs and checkpoints may share it.
+type Compiled struct {
+	prog []isa.Inst
+	pre  *predecode
+}
+
+// Compile lowers prog for the simulator, building its predecode table
+// once. It is the compilation step of the refinement loop's Table I
+// accounting: a program compiled once is run without lowering it again.
+func Compile(prog []isa.Inst) *Compiled {
+	return &Compiled{prog: prog, pre: newPredecode(prog)}
+}
+
+// Run simulates the compiled program like uarch.Run.
+func (cp *Compiled) Run(init *arch.State, cfg Config) *Result {
 	c := getPooledCore()
-	c.init(prog, init, cfg)
+	c.init(cp, init, cfg)
 	r := c.Run()
 	putPooledCore(c)
 	return r
