@@ -21,7 +21,10 @@ type Client struct {
 	base   string
 	client *http.Client
 
-	// PollInterval is the status re-poll cadence while awaiting
+	// PollInterval paces Await when the coordinator is not holding its
+	// status long polls: the sleep before retrying a transport error,
+	// and after a reply that came back early with nothing new (a
+	// draining coordinator, or an older one that ignores wait_ms)
 	// (default 200ms).
 	PollInterval time.Duration
 	// RetryWindow bounds how long transport errors are tolerated while
@@ -80,15 +83,6 @@ func (c *Client) SubmitCampaign(camp *inject.Campaign, p *prog.Program, priority
 	return c.Submit(&dist.JobRequest{Kind: dist.JobCampaign, Priority: priority, Inject: &ireq})
 }
 
-// Status fetches one job's status.
-func (c *Client) Status(id string) (*dist.JobStatus, error) {
-	var st dist.JobStatus
-	if err := c.get(dist.PathJobs+"/"+id, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // List fetches every job's status.
 func (c *Client) List() ([]dist.JobStatus, error) {
 	var resp dist.JobListResponse
@@ -113,21 +107,33 @@ func (c *Client) Result(id string) (*dist.JobResult, error) {
 	return &res, nil
 }
 
-// Await polls a job to a terminal state and returns its merged result.
-// Transport errors inside RetryWindow are retried — a coordinator
-// restart mid-job resumes the durable queue, and the client just keeps
-// asking. onEvent, if non-nil, receives each newly observed
-// shard-completion count (for progress display).
+// awaitPoll is how long one of Await's status polls asks the
+// coordinator to hold its reply (the server caps it).
+const awaitPoll = 30 * time.Second
+
+// Await long-polls a job to a terminal state and returns its merged
+// result: a done campaign's status already carries it, an eval job's is
+// fetched from /result once. Transport errors inside RetryWindow are
+// retried — a coordinator restart mid-job resumes the durable queue,
+// and the client just keeps asking. onEvent, if non-nil, receives the
+// job's status at once and then at each change of its shard-completion
+// count (for progress display).
 func (c *Client) Await(id string, onEvent func(st *dist.JobStatus)) (*dist.JobResult, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 200 * time.Millisecond
 	}
+	done := -1 // the last completion count seen; -1 answers at once
 	var lastErr error
 	errSince := time.Time{}
 	for {
-		st, err := c.Status(id)
-		if err != nil {
+		query := fmt.Sprintf("?wait_ms=%d", awaitPoll.Milliseconds())
+		if onEvent != nil {
+			query += fmt.Sprintf("&done=%d", done)
+		}
+		sent := time.Now()
+		var st dist.JobStatus
+		if err := c.get(dist.PathJobs+"/"+id+query, &st); err != nil {
 			// Distinguish "job unknown" (fatal: the coordinator lost its
 			// state, or the id is wrong) from transport errors (retry:
 			// the coordinator is restarting).
@@ -146,10 +152,13 @@ func (c *Client) Await(id string, onEvent func(st *dist.JobStatus)) (*dist.JobRe
 		}
 		errSince = time.Time{}
 		if onEvent != nil {
-			onEvent(st)
+			onEvent(&st)
 		}
 		switch st.State {
 		case dist.JobStateDone:
+			if st.Stats != nil {
+				return &dist.JobResult{ID: id, Kind: st.Kind, State: st.State, Stats: st.Stats}, nil
+			}
 			return c.Result(id)
 		case dist.JobStateCancelled, dist.JobStateFailed:
 			res := &dist.JobResult{ID: id, Kind: st.Kind, State: st.State}
@@ -158,7 +167,11 @@ func (c *Client) Await(id string, onEvent func(st *dist.JobStatus)) (*dist.JobRe
 			}
 			return res, nil
 		}
-		time.Sleep(interval)
+		news := onEvent != nil && st.Done != done
+		done = st.Done
+		if !news && time.Since(sent) < awaitPoll {
+			time.Sleep(interval) // an early reply with nothing new: do not spin
+		}
 	}
 }
 

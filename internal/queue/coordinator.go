@@ -3,6 +3,7 @@ package queue
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -268,7 +269,7 @@ func (c *Coordinator) serveFromCache(j *job) {
 			continue
 		}
 		c.ob.Counter("queue.shards.cached").Inc()
-		c.walShardDone(j, i, value, true, "", false)
+		c.walShardDone(j, i, value, true, "")
 		c.applyDone(j, i, value, true)
 	}
 }
@@ -326,10 +327,12 @@ func (c *Coordinator) walAppend(kind byte, v any, durable bool) error {
 	return c.wal.append(kind, payload)
 }
 
-func (c *Coordinator) walShardDone(j *job, i int, value []byte, cached bool, worker string, durable bool) {
+// walShardDone appends one shard-done record unsynced: a submit's one
+// Sync, or the one that ends the job in Complete, makes it durable.
+func (c *Coordinator) walShardDone(j *job, i int, value []byte, cached bool, worker string) {
 	if err := c.walAppend(recShardDone, &walShardDone{
 		ID: j.id, Shard: i, Cached: cached, Worker: worker, Value: value,
-	}, durable); err != nil {
+	}, false); err != nil {
 		// A failed durability write must not lose the in-memory result;
 		// the job still completes, only crash-resume would re-run it.
 		c.ob.Counter("queue.wal.errors").Inc()
@@ -437,7 +440,8 @@ func (c *Coordinator) Lease(_ string, wait time.Duration, programs ...uint64) (*
 	}
 }
 
-// drainPace is how long a draining coordinator still holds a lease poll.
+// drainPace is how long a draining coordinator still holds a lease or
+// status poll.
 const drainPace = 100 * time.Millisecond
 
 // leaseLocked picks and leases the next ready shard, or returns nil.
@@ -519,6 +523,12 @@ const maxShardFailures = 3
 // the re-lease's result is the one that counts, and values are
 // content-determined so the discard can never lose information. A
 // shard's maxShardFailures-th executor error fails its job, durably.
+//
+// A result's shard-done record is appended unsynced, so the ack is no
+// durability promise: the completion that finishes the job makes all
+// of it durable with one fsync before the job turns done. A power cut
+// that drops an earlier, unsynced completion leaves its shard pending
+// after replay, and it re-runs to the same bytes.
 func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -564,8 +574,17 @@ func (c *Coordinator) Complete(req *dist.CompleteRequest) (*dist.CompleteRespons
 	}
 	c.ob.Histogram("queue.shard.ns").ObserveDuration(time.Since(s.leasedAt))
 	c.ob.Counter("queue.shards.completed").Inc()
-	c.walShardDone(j, req.Shard, value, false, req.Worker, true)
+	c.walShardDone(j, req.Shard, value, false, req.Worker)
 	c.applyDone(j, req.Shard, value, false)
+	if j.done == len(j.shards) {
+		// One sync covers the whole append-only log, so every record of
+		// the job is durable before anyone can see it done.
+		if err := c.wal.Sync(); err != nil {
+			c.ob.Counter("queue.wal.errors").Inc() // kept in memory, as a failed append is
+		} else {
+			c.ob.Counter("queue.complete.wal_syncs").Inc()
+		}
+	}
 	c.refreshState(j)
 	c.broadcast()
 	return &dist.CompleteResponse{OK: true}, nil
@@ -630,26 +649,54 @@ func (c *Coordinator) Result(id string) (*dist.JobResult, error) {
 
 // Wait blocks until the job reaches a terminal state and returns its
 // merged result (in-process convenience used by tests and embedded
-// callers; remote clients poll the status endpoint).
+// callers; remote clients long-poll the status endpoint).
 func (c *Coordinator) Wait(id string) (*dist.JobResult, error) {
+	var res *dist.JobResult
+	var err error
+	if werr := c.watch(id, time.Time{}, nil, func(j *job) { res, err = j.result() }); werr != nil {
+		return nil, werr
+	}
+	return res, err
+}
+
+// errNoJob is watch's error for an id the coordinator never issued.
+var errNoJob = errors.New("no such job")
+
+// watch is the one wait loop of Wait and the status long poll. It
+// returns once job id is terminal, changed (if non-nil) holds for it or
+// deadline has passed, and calls view on the job under c.mu then. A zero
+// deadline waits for ever; a draining coordinator cuts any other wait to
+// drainPace, as it does a lease poll's. It fails for an unknown job, and
+// when the coordinator stops first.
+func (c *Coordinator) watch(id string, deadline time.Time, changed func(*job) bool, view func(*job)) error {
 	for {
 		c.mu.Lock()
 		j, ok := c.jobs[id]
 		if !ok {
 			c.mu.Unlock()
-			return nil, fmt.Errorf("queue: no job %s", id)
+			return fmt.Errorf("queue: %w: %s", errNoJob, id)
 		}
-		if j.terminal() {
-			res, err := j.result()
+		now := time.Now()
+		if pace := now.Add(drainPace); c.draining && !deadline.IsZero() && pace.Before(deadline) {
+			deadline = pace
+		}
+		if j.terminal() || (changed != nil && changed(j)) || (!deadline.IsZero() && !now.Before(deadline)) {
+			view(j)
 			c.mu.Unlock()
-			return res, err
+			return nil
 		}
 		pulse := c.pulse
 		c.mu.Unlock()
+
+		var expired <-chan time.Time // nil: no deadline
+		if !deadline.IsZero() {
+			expired = time.After(deadline.Sub(now))
+		}
 		select {
 		case <-pulse:
+		case <-expired:
 		case <-c.stop:
-			return nil, fmt.Errorf("queue: coordinator closed while waiting for %s", id)
+			return fmt.Errorf("queue: coordinator closed while waiting for %s", id)
 		}
 	}
 }
@@ -675,10 +722,11 @@ func (c *Coordinator) expiryLoop() {
 
 // Drain starts the shutdown: from here submits are refused, no lease is
 // granted and every lease poll, parked or new, is answered empty within
-// drainPace, while completions of outstanding leases are still
+// drainPace, as every status long poll is answered with the job's
+// status then, while completions of outstanding leases are still
 // accepted. A daemon calls it before shutting its HTTP server down,
-// which would otherwise wait out the workers' long polls; Close calls
-// it too. Idempotent.
+// which would otherwise wait out the workers' and clients' long polls;
+// Close calls it too. Idempotent.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -29,7 +29,7 @@ func FuzzServerBodies(f *testing.F) {
 	}
 	f.Cleanup(func() { crashCoordinator(coord) })
 	srv := NewServer(coord)
-	srv.maxLeaseWait = time.Millisecond // a fuzzed wait_ms must not park the fuzzer
+	srv.maxPollWait = time.Millisecond // a fuzzed wait_ms must not park the fuzzer
 	worker, queue := dist.NewServer(nil).Handler(), srv.Handler()
 	endpoints := []struct {
 		h    http.Handler

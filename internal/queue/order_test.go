@@ -104,12 +104,12 @@ func BenchmarkLeaseAfterHistory(b *testing.B) {
 	}
 }
 
-// SIGTERM order of cmd/harpoq: Drain, then http.Server.Shutdown. A
-// worker parked in a 30 s long poll is answered empty by the drain, so
-// the HTTP shutdown does not wait the poll out.
-func TestDrainAnswersParkedLease(t *testing.T) {
-	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
-	defer closeCoordinator(t, coord)
+// drainParked serves coord over HTTP, parks poll on it, then drains
+// coord and shuts the server down — cmd/harpoq's SIGTERM order — and
+// fails unless the shutdown returned within a second. It returns poll's
+// error.
+func drainParked(t *testing.T, coord *Coordinator, poll func(client *http.Client, base string) error) error {
+	t.Helper()
 	srv := httptest.NewUnstartedServer(NewServer(coord).Handler())
 	polling := make(chan struct{}, 1)
 	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
@@ -122,18 +122,8 @@ func TestDrainAnswersParkedLease(t *testing.T) {
 	}
 	srv.Start()
 	defer srv.Close()
-
-	type answer struct {
-		lease dist.LeaseResponse
-		err   error
-	}
-	answered := make(chan answer, 1)
-	go func() {
-		var a answer
-		req := dist.LeaseRequest{Worker: "idle", WaitMs: 30_000}
-		a.err = dist.PostJSON(context.Background(), srv.Client(), srv.URL+dist.PathLease, &req, &a.lease)
-		answered <- a
-	}()
+	answered := make(chan error, 1)
+	go func() { answered <- poll(srv.Client(), srv.URL) }()
 	<-polling // the poll's request is on the server
 
 	t0 := time.Now()
@@ -144,13 +134,45 @@ func TestDrainAnswersParkedLease(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if took := time.Since(t0); took > time.Second {
-		t.Fatalf("shutdown took %v behind a parked lease, want < 1s", took)
+		t.Fatalf("shutdown took %v behind a parked poll, want < 1s", took)
 	}
-	if a := <-answered; a.err != nil || a.lease.JobID != "" {
-		t.Fatalf("parked lease answered %+v, %v; want empty", a.lease, a.err)
+	return <-answered
+}
+
+// SIGTERM order of cmd/harpoq: Drain, then http.Server.Shutdown. A
+// worker parked in a 30 s long poll is answered empty by the drain, so
+// the HTTP shutdown does not wait the poll out.
+func TestDrainAnswersParkedLease(t *testing.T) {
+	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
+	defer closeCoordinator(t, coord)
+	var lease dist.LeaseResponse
+	err := drainParked(t, coord, func(client *http.Client, base string) error {
+		req := dist.LeaseRequest{Worker: "idle", WaitMs: 30_000}
+		return dist.PostJSON(context.Background(), client, base+dist.PathLease, &req, &lease)
+	})
+	if err != nil || lease.JobID != "" {
+		t.Fatalf("parked lease answered %+v, %v; want empty", lease, err)
 	}
 	if _, err := coord.Submit(evalJob(1)); err == nil {
 		t.Fatal("a draining coordinator accepted a submit")
+	}
+}
+
+// The same for a client parked in a 30 s status long poll: the drain
+// answers it with the job's status within drainPace.
+func TestDrainAnswersParkedAwait(t *testing.T) {
+	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
+	defer closeCoordinator(t, coord)
+	sub, err := coord.Submit(evalJob(1)) // no worker: it stays pending
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st dist.JobStatus
+	err = drainParked(t, coord, func(client *http.Client, base string) error {
+		return dist.GetJSON(context.Background(), client, base+dist.PathJobs+"/"+sub.ID+"?wait_ms=30000&done=0", &st)
+	})
+	if err != nil || st.ID != sub.ID || st.State != dist.JobStatePending {
+		t.Fatalf("parked status poll answered %+v, %v; want the pending job", st, err)
 	}
 }
 

@@ -1,8 +1,10 @@
 package queue
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -16,7 +18,10 @@ import (
 //
 //	POST /v1/jobs            submit a campaign or eval job
 //	GET  /v1/jobs            list jobs
-//	GET  /v1/jobs/{id}       one job's status (partial stats included)
+//	GET  /v1/jobs/{id}       one job's status (partial stats included);
+//	                         ?wait_ms=W long-polls: the reply waits until
+//	                         the job is terminal, W has passed or, with
+//	                         &done=K, its done-shard count is not K
 //	GET  /v1/jobs/{id}/result  a done or cancelled job's merged result
 //	POST /v1/jobs/{id}/cancel  cancel a job
 //	POST /v1/lease           long-poll for the next ready shard
@@ -25,12 +30,13 @@ import (
 //	GET  /metrics            Prometheus text exposition
 type Server struct {
 	coord *Coordinator
-	// maxLeaseWait caps one long poll, whatever the worker asks for.
-	maxLeaseWait time.Duration
+	// maxPollWait caps one long poll, lease or status, whatever the
+	// caller asks for.
+	maxPollWait time.Duration
 }
 
 // NewServer wraps a coordinator.
-func NewServer(c *Coordinator) *Server { return &Server{coord: c, maxLeaseWait: 5 * time.Minute} }
+func NewServer(c *Coordinator) *Server { return &Server{coord: c, maxPollWait: 5 * time.Minute} }
 
 // Handler returns the coordinator's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -83,12 +89,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		st, ok := s.coord.Status(id)
-		if !ok {
-			http.Error(w, "no such job", http.StatusNotFound)
-			return
-		}
-		dist.WriteJSON(w, st)
+		s.handleStatus(w, r, id)
 	case "result":
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -119,13 +120,47 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleStatus serves GET /v1/jobs/{id}, long-polling when the query
+// carries wait_ms. Without it the reply is the job's status at once.
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, id string) {
+	q := r.URL.Query()
+	var wait time.Duration
+	var changed func(*job) bool
+	if q.Has("wait_ms") {
+		ms, err := strconv.Atoi(q.Get("wait_ms"))
+		if err != nil || ms < 0 {
+			http.Error(w, "wait_ms: want a count of milliseconds", http.StatusBadRequest)
+			return
+		}
+		wait = min(time.Duration(ms)*time.Millisecond, s.maxPollWait)
+		if q.Has("done") {
+			k, err := strconv.Atoi(q.Get("done"))
+			if err != nil {
+				http.Error(w, "done: want a shard count", http.StatusBadRequest)
+				return
+			}
+			changed = func(j *job) bool { return j.done != k }
+		}
+	}
+	var st dist.JobStatus
+	err := s.coord.watch(id, time.Now().Add(wait), changed, func(j *job) { st = j.status() })
+	switch {
+	case errors.Is(err, errNoJob):
+		http.Error(w, "no such job", http.StatusNotFound)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	default:
+		dist.WriteJSON(w, &st)
+	}
+}
+
 // handleLease serves the work-stealing long poll.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req dist.LeaseRequest
 	if !dist.ReadJSON(w, r, &req) {
 		return
 	}
-	wait := min(time.Duration(req.WaitMs)*time.Millisecond, s.maxLeaseWait)
+	wait := min(time.Duration(req.WaitMs)*time.Millisecond, s.maxPollWait)
 	resp, err := s.coord.Lease(req.Worker, wait, req.Programs...)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -29,8 +29,9 @@ func (l legacyPeer) Lease(worker string, wait time.Duration, _ ...uint64) (*dist
 // One fresh 8-shard job drained by one worker process touches the
 // program's bytes once: one full lease, one decode, seven program-free
 // leases — over HTTP and in process alike — and the merged result is
-// bit-identical to Campaign.Run. A legacy peer gets today's leases and
-// the same result.
+// bit-identical to Campaign.Run. Its WAL costs two fsyncs: the
+// submit's and the one its last completion makes. A legacy peer gets
+// today's leases and the same result.
 func TestSlimLeaseBitIdentical(t *testing.T) {
 	c, p := testCampaign(t, 64)
 	local, err := c.Run()
@@ -78,6 +79,7 @@ func TestSlimLeaseBitIdentical(t *testing.T) {
 				"queue.leases.granted":         8,
 				"queue.leases.program_omitted": tc.omitted,
 				"queue.submit.wal_syncs":       1,
+				"queue.complete.wal_syncs":     1, // one per job, not one per shard
 			} {
 				if got := reg.Counter(name).Load(); got != want {
 					t.Errorf("%s = %d, want %d", name, got, want)

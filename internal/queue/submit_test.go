@@ -16,11 +16,22 @@ import (
 )
 
 // spyFile is the WAL's backing file through the segstore.File seam: it
-// counts fsyncs and can be told to fail them.
+// counts fsyncs, can be told to fail them, and tracks how much of the
+// file is written and how much of it a successful fsync covered. The
+// Log calls it under its own lock, one call at a time.
 type spyFile struct {
 	*os.File
-	syncs    atomic.Int64
-	failSync atomic.Bool
+	syncs           atomic.Int64
+	failSync        atomic.Bool
+	written, synced atomic.Int64
+}
+
+func (f *spyFile) WriteAt(b []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(b, off)
+	if end := off + int64(n); end > f.written.Load() {
+		f.written.Store(end)
+	}
+	return n, err
 }
 
 func (f *spyFile) Sync() error {
@@ -28,7 +39,11 @@ func (f *spyFile) Sync() error {
 	if f.failSync.Load() {
 		return errors.New("injected fsync failure")
 	}
-	return f.File.Sync()
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.synced.Store(f.written.Load())
+	return nil
 }
 
 // spyWAL reopens the coordinator's WAL over a spyFile.
@@ -48,6 +63,8 @@ func spyWAL(t *testing.T, c *Coordinator) *spyFile {
 		t.Fatal(err)
 	}
 	spy := &spyFile{File: f}
+	spy.written.Store(info.Size())
+	spy.synced.Store(info.Size())
 	log, err := segstore.NewLog(spy, info.Size(), walFormat, func([]byte, int64, []byte) {})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +117,9 @@ func TestSubmitSingleSync(t *testing.T) {
 	}
 	if res := drainWith(t, coord, coord, reg, sub.ID); !res.Stats.Equal(local) {
 		t.Fatalf("result %+v != local %+v", res.Stats, local)
+	}
+	if got := spy.syncs.Load(); got != 2 {
+		t.Fatalf("fresh 8-shard job cost %d fsyncs, want 2: its submit and its last completion", got)
 	}
 
 	before, leases := spy.syncs.Load(), reg.Counter("queue.leases.granted").Load()
