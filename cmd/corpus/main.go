@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"harpocrates"
 	"harpocrates/internal/corpus"
@@ -183,16 +182,10 @@ func cmdRank(args []string) {
 	st := openStore(*dir, ob)
 
 	ft := inject.DefaultFaultType(c)
-	switch strings.ToLower(*ftype) {
-	case "transient":
-		ft = inject.Transient
-	case "intermittent":
-		ft = inject.Intermittent
-	case "permanent":
-		ft = inject.Permanent
-	case "":
-	default:
-		fatal(fmt.Errorf("unknown fault type %q", *ftype))
+	if *ftype != "" {
+		if ft, err = inject.ParseFaultType(*ftype); err != nil {
+			fatal(err)
+		}
 	}
 
 	ranked, skipped, err := st.Rank(corpus.RankOptions{

@@ -17,7 +17,9 @@ import (
 type RankOptions struct {
 	// Structure selects the archive slice and the campaign target.
 	Structure coverage.Structure
-	// Type is the fault model (zero value: the structure's default).
+	// Type is the fault model; it must be one the structure implements
+	// (inject.DefaultFaultType gives the structure's default). The zero
+	// value is Transient, which no functional unit implements.
 	Type inject.FaultType
 	// N is the number of injections per program.
 	N int
@@ -55,15 +57,17 @@ func (s *Store) Rank(opt RankOptions) (ranked, skipped int, err error) {
 	if opt.N <= 0 {
 		return 0, 0, fmt.Errorf("corpus: rank needs N > 0")
 	}
-	ft := opt.Type
-	if opt.Type == inject.Transient && opt.Structure.IsFunctionalUnit() {
-		ft = inject.DefaultFaultType(opt.Structure)
-	}
 	cfg := opt.Cfg.WithDefaults()
+	// Refuse a model the injector does not implement before anything is
+	// loaded, whether or not the archive holds programs to rank.
+	model := inject.Campaign{Target: opt.Structure, Type: opt.Type, Cfg: cfg}
+	if err := model.Validate(); err != nil {
+		return 0, 0, err
+	}
 
 	for _, m := range s.ListStructure(opt.Structure.String()) {
 		if !opt.Force && m.Ranked() &&
-			m.FaultType == ft.String() && m.FaultN == opt.N && m.FaultSeed == opt.Seed {
+			m.FaultType == opt.Type.String() && m.FaultN == opt.N && m.FaultSeed == opt.Seed {
 			skipped++
 			continue
 		}
@@ -75,7 +79,7 @@ func (s *Store) Rank(opt RankOptions) (ranked, skipped int, err error) {
 			Prog:            p.Insts,
 			Init:            p.InitFunc(),
 			Target:          opt.Structure,
-			Type:            ft,
+			Type:            opt.Type,
 			N:               opt.N,
 			IntermittentLen: opt.IntermittentLen,
 			Seed:            opt.Seed,
@@ -92,7 +96,7 @@ func (s *Store) Rank(opt RankOptions) (ranked, skipped int, err error) {
 		if err != nil {
 			return ranked, skipped, fmt.Errorf("corpus: rank %s: %w", m.Hash, err)
 		}
-		if err := s.SetDetection(m.Hash, ft.String(), opt.N, opt.Seed, st.Detection(), st.DetectedSet()); err != nil {
+		if err := s.SetDetection(m.Hash, opt.Type.String(), opt.N, opt.Seed, st.Detection(), st.DetectedSet()); err != nil {
 			return ranked, skipped, err
 		}
 		ranked++

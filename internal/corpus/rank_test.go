@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,5 +92,37 @@ func TestRankConcurrentSharedGoldenCache(t *testing.T) {
 	}
 	if hits != nProgs {
 		t.Errorf("golden cache hits = %d, want %d (second sweep rides the first)", hits, nProgs)
+	}
+}
+
+// TestRankRefusesUnimplementedModel: an explicit transient ranking of a
+// functional unit is refused by name, as the same campaign is without a
+// corpus, whether or not the archive holds programs of the unit, and
+// records nothing; it used to run the permanent model and record
+// "permanent".
+func TestRankRefusesUnimplementedModel(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	if _, _, err := s.Rank(RankOptions{Structure: coverage.IntMul, Type: inject.Transient, N: 4}); err == nil {
+		t.Fatal("transient IntMul ranking of an empty archive accepted")
+	}
+	g, p := testProgram(1)
+	res, err := s.Add(p, g, Meta{Structure: coverage.IntMul.String()})
+	if err != nil || !res.Added {
+		t.Fatalf("add: %+v, %v", res, err)
+	}
+	opt := RankOptions{Structure: coverage.IntMul, Type: inject.Transient, N: 4, Seed: 1}
+	ranked, _, err := s.Rank(opt)
+	if err == nil || !strings.Contains(err.Error(), "transient") || ranked != 0 {
+		t.Fatalf("transient IntMul ranking: ranked %d, err %v; want a refusal naming transient", ranked, err)
+	}
+	if m, _ := s.Entry(res.Hash); m.Ranked() {
+		t.Fatalf("refused ranking recorded %q", m.FaultType)
+	}
+	opt.Type = inject.Permanent
+	if ranked, _, err = s.Rank(opt); err != nil || ranked != 1 {
+		t.Fatalf("permanent IntMul ranking: ranked %d, err %v", ranked, err)
+	}
+	if m, _ := s.Entry(res.Hash); m.FaultType != "permanent" {
+		t.Fatalf("permanent ranking recorded %q", m.FaultType)
 	}
 }

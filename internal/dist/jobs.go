@@ -243,9 +243,9 @@ func (req *EvalRequest) structure() (coverage.Structure, error) {
 	return st, err
 }
 
-// shape parses the request's names and checks its core configuration
-// and that the two, with the burst length, name a fault model the
-// injector implements.
+// shape parses the request's names and checks, through
+// inject.Campaign.Validate, its core configuration and that the two, with
+// the burst length, name a fault model the injector implements.
 func (req *InjectRequest) shape() (coverage.Structure, inject.FaultType, error) {
 	target, err := coverage.Parse(req.Target)
 	if err != nil {
@@ -253,9 +253,6 @@ func (req *InjectRequest) shape() (coverage.Structure, inject.FaultType, error) 
 	}
 	ftype, err := inject.ParseFaultType(req.Type)
 	if err != nil {
-		return 0, 0, err
-	}
-	if err := req.Cfg.Validate(); err != nil {
 		return 0, 0, err
 	}
 	model := inject.Campaign{Target: target, Type: ftype, BurstLen: req.BurstLen, Cfg: req.Cfg}

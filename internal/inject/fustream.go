@@ -41,16 +41,7 @@ import (
 // Each pool worker runs its faulty runs on one unit set of its own,
 // re-armed per fault (fuGrader). The oracle — NoFastForward's runs and
 // ValidateAll's check — runs from reset with the plain netlist on fresh
-// units (FUHooksFor), so it depends on neither the table nor the reuse.
-
-// fuResultBits is the width of the target unit's result: the
-// multiplier's 128-bit product or the 64-bit sum.
-func fuResultBits(target coverage.Structure) int {
-	if target == coverage.IntMul {
-		return 128
-	}
-	return 64
-}
+// units (the row's hooks), so it depends on neither the table nor the reuse.
 
 // recordFUStream arms cfg, the golden configuration, to record the
 // target unit's operand stream and returns the stream it fills, stamping
@@ -58,7 +49,8 @@ func fuResultBits(target coverage.Structure) int {
 // record through native arithmetic, bit-exact with their netlists; the FP
 // units through the fault-free netlist goldenConfig routes them to.
 func (c *Campaign) recordFUStream(cfg *uarch.Config, cycle func() uint64) *gates.Stream {
-	s := &gates.Stream{Table: gates.NewTable(targetNetlist(c.Target), fuResultBits(c.Target))}
+	t := c.row()
+	s := &gates.Stream{Table: gates.NewTable(t.netlist(), t.resultBits)}
 	switch c.Target {
 	case coverage.IntAdder:
 		cfg.FU = &arch.FUHooks{IntAdd: func(a, b uint64, cin bool) uint64 {
@@ -96,8 +88,8 @@ func (c *Campaign) recordFUStream(cfg *uarch.Config, cycle func() uint64) *gates
 	return s
 }
 
-// tableHooks routes the target unit's operations like units, its
-// FUHooksFor hook set, except that the table's pairs are answered from
+// tableHooks routes the target unit's operations like units, a hook
+// set of its row, except that the table's pairs are answered from
 // res — Table.Eval's faulty results, or the table's golden ones for a
 // fault-free unit.
 func tableHooks(target coverage.Structure, tbl *gates.Table, res [][2]uint64, units *arch.FUHooks) *arch.FUHooks {
@@ -158,11 +150,12 @@ type fuGrader struct {
 
 func (c *Campaign) newFUGrader(s *gates.Stream) *fuGrader {
 	n := s.Table.Len()
-	g := &fuGrader{stream: s, eval: gates.NewEval(targetNetlist(c.Target)),
+	t := c.row()
+	g := &fuGrader{stream: s, eval: gates.NewEval(t.netlist()),
 		out: make([][2]uint64, n), diff: make([]uint64, (n+63)/64)}
-	g.hooks = tableHooks(c.Target, s.Table, g.out, FUHooksFor(c.Target, &g.fault))
-	if c.Type == Intermittent && (c.Target == coverage.FPAdd || c.Target == coverage.FPMul) {
-		g.clean = tableHooks(c.Target, s.Table, s.Table.Golden(), FUHooksFor(c.Target, nil))
+	g.hooks = tableHooks(c.Target, s.Table, g.out, t.hooks(&g.fault))
+	if c.Type == Intermittent && !t.exact {
+		g.clean = tableHooks(c.Target, s.Table, s.Table.Golden(), t.hooks(nil))
 	}
 	return g
 }

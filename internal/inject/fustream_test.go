@@ -338,7 +338,7 @@ func TestValidateAllCatchesBrokenFUStream(t *testing.T) {
 
 // TestFUGraderRearmsUnits: a worker's grader runs every faulty run it
 // grades on one unit set. Graded fault A and then fault B, its hooks must
-// answer exactly what a fresh FUHooksFor(target, B) answers, both on the
+// answer exactly what a fresh targets[target].hooks(B) answers, both on the
 // golden pairs (answered from the table) and on pairs the golden run
 // never sent (evaluated on the reused netlist unit), single-precision
 // path included; an FP intermittent campaign's fault-free hooks must
@@ -372,8 +372,8 @@ func TestFUGraderRearmsUnits(t *testing.T) {
 			}
 			return r, single
 		}
-		s := &gates.Stream{Table: gates.NewTable(targetNetlist(target), fuResultBits(target))}
-		golden := FUHooksFor(target, nil)
+		s := &gates.Stream{Table: gates.NewTable(targetNetlist(target), targets[target].resultBits)}
+		golden := targets[target].hooks(nil)
 		var inTable, outside []gates.Pair
 		for i := 0; i < 100; i++ {
 			p := pair()
@@ -400,13 +400,13 @@ func TestFUGraderRearmsUnits(t *testing.T) {
 		draw := func(other *arch.FUHooks) gates.StuckAt {
 			for {
 				f := gates.StuckAt{Gate: rng.IntN(targetNetlist(target).NumGates()), Value: rng.IntN(2) == 1}
-				if h := FUHooksFor(target, &f); differs(h, golden, inTable) && differs(h, other, outside) {
+				if h := targets[target].hooks(&f); differs(h, golden, inTable) && differs(h, other, outside) {
 					return f
 				}
 			}
 		}
 		a := draw(golden)
-		b := draw(FUHooksFor(target, &a))
+		b := draw(targets[target].hooks(&a))
 
 		c := &Campaign{Target: target, Type: Intermittent}
 		g := c.newFUGrader(s)
@@ -418,7 +418,7 @@ func TestFUGraderRearmsUnits(t *testing.T) {
 				call(g.hooks, p) // the units run with the armed fault
 			}
 		}
-		fresh := FUHooksFor(target, &b)
+		fresh := targets[target].hooks(&b)
 		for _, p := range all {
 			gotR, gotS := call(g.hooks, p)
 			wantR, wantS := call(fresh, p)

@@ -36,9 +36,9 @@ import (
 // instrumentation (interval recorders, checkpoints, the delta
 // trajectory) is purely observational, and the key captures exactly
 // the inputs the golden run reads: the program bytes and the scalar
-// fields of goldenConfig, with the golden class folded in. What a
-// shared bundle records is fixed (buildGolden), so it is a pure function
-// of that key.
+// fields of goldenConfig, with the target row's golden class folded
+// in. What a shared bundle records is fixed (buildGolden), so it is a
+// pure function of that key.
 
 // GoldenKey identifies one golden run: the content hash of the encoded
 // program and the hash of the scalar golden configuration (with the
@@ -221,30 +221,15 @@ func (g *GoldenCache) approxBytes() int {
 	return n
 }
 
-// goldenClass distinguishes golden runs whose functional-unit routing
-// or recording differs: FP targets execute through the fault-free
-// netlists (goldenConfig installs the hooks), and each functional-unit
-// target records its own unit's operand stream (buildGolden). Hooks are
-// invisible to the config's JSON form, so the class is folded into the
-// key explicitly. Every other target is class 0.
-func (c *Campaign) goldenClass() uint64 {
-	switch c.Target {
-	case coverage.FPAdd:
-		return 1
-	case coverage.FPMul:
-		return 2
-	case coverage.IntAdder:
-		return 3
-	case coverage.IntMul:
-		return 4
-	}
-	return 0
-}
-
 // goldenKey derives the campaign's cache key. NoCycleSkip is normalized
 // out: the naive and the skipping loop record the same bundle, checkpoints
 // included (TestCheckpointSharingBitIdentical), so the knob cannot change
-// it.
+// it. The row's class tells apart golden runs whose functional-unit
+// routing or recording differs: FP targets execute through the
+// fault-free netlists (goldenConfig installs the hooks), and each
+// functional-unit target records its own unit's operand stream
+// (buildGolden). Hooks are invisible to the config's JSON form, so the
+// class is folded into the key explicitly; every other target is class 0.
 func (c *Campaign) goldenKey() GoldenKey {
 	cfg := c.baseConfig() // the hooks goldenConfig adds are not in the JSON
 	cfg.NoCycleSkip = false
@@ -252,7 +237,7 @@ func (c *Campaign) goldenKey() GoldenKey {
 	if b, err := json.Marshal(cfg); err == nil {
 		h = stats.HashBytes(b)
 	}
-	return GoldenKey{Program: c.ProgramHash, Config: stats.Mix64(h, c.goldenClass())}
+	return GoldenKey{Program: c.ProgramHash, Config: stats.Mix64(h, c.row().class)}
 }
 
 // goldenCacheable gates the cache. Beyond a missing cache or program
@@ -295,15 +280,15 @@ func (c *Campaign) buildGolden(shared bool) *uarch.GoldenArtifacts {
 	if c.NoFastForward {
 		return &uarch.GoldenArtifacts{Result: uarch.Run(c.Prog, c.Init(), cfg)}
 	}
-	// Only the ACE-tracked bit arrays have a consumed-interval
-	// pre-classifier; the microarchitectural sites (decoder, gshare, LSQ,
-	// ROB metadata, L2 tags) are always simulated.
+	// Only the ACE-tracked bit arrays (the rows with a log) have a
+	// consumed-interval pre-classifier; the microarchitectural sites
+	// (decoder, gshare, LSQ, ROB metadata, L2 tags) are always simulated.
 	fu := c.Target.IsFunctionalUnit()
-	logs := shared && !fu
-	premasks := c.Type == Transient
-	cfg.RecordIRFIntervals = logs || premasks && c.Target == coverage.IRF
-	cfg.RecordFPRFIntervals = logs || premasks && c.Target == coverage.FPRF
-	cfg.RecordL1DIntervals = logs || premasks && c.Target == coverage.L1D
+	for st := range targets {
+		if record := targets[st].record; record != nil {
+			*record(&cfg) = shared && !fu || c.Type == Transient && coverage.Structure(st) == c.Target
+		}
+	}
 	ga := &uarch.GoldenArtifacts{}
 	if shared || c.deltaEligible() {
 		spacing := c.trajectorySpacing

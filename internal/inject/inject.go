@@ -87,12 +87,7 @@ func ParseFaultType(name string) (FaultType, error) {
 
 // DefaultFaultType returns the paper's fault model for each structure:
 // transients for bit arrays, gate-level permanents for functional units.
-func DefaultFaultType(st coverage.Structure) FaultType {
-	if st.IsFunctionalUnit() {
-		return Permanent
-	}
-	return Transient
-}
+func DefaultFaultType(st coverage.Structure) FaultType { return targets[st].models.types[0] }
 
 // Outcome classifies one faulty run against the golden run (§II-E).
 type Outcome int
@@ -146,12 +141,13 @@ type Campaign struct {
 
 	// BurstLen is the multi-bit-upset width for the bit-array targets
 	// (IRF, FPRF, L1D): each injection flips (or forces) BurstLen
-	// adjacent bits starting at the drawn position, wrapping within the
-	// entry. 0 or 1 means the classic single-bit model — the only one the
-	// other targets have — and the entry width (64, 128, one cache line's
-	// bits) is the most. Burst width is a campaign parameter, not an RNG
-	// draw, so BurstLen=1 campaigns are bit-identical to pre-burst ones
-	// for a fixed seed.
+	// adjacent bits starting at the drawn position. An IRF or FPRF burst
+	// wraps within its register; an L1D burst runs on into the next line
+	// and wraps at the end of the data array. 0 or 1 means the classic
+	// single-bit model — the only one the other targets have — and the
+	// most is 64, 128 or one cache line's bits. Burst width is a campaign
+	// parameter, not an RNG draw, so BurstLen=1 campaigns are
+	// bit-identical to pre-burst ones for a fixed seed.
 	BurstLen int
 
 	Seed uint64
@@ -304,43 +300,11 @@ func (s *Stats) String() string {
 		100*s.Detection(), 100*lo, 100*hi, s.N, s.SDC, s.Crash, s.Hang, s.Trap, s.Masked)
 }
 
-// FUHooksFor builds the functional-unit hook set routing the target
-// unit's operations through its gate-level netlist, optionally carrying
-// a stuck-at fault. For the SSE FP units the double-precision datapath is
-// the injection target; the single-precision path runs fault-free (both
-// golden and faulty runs route identically, so semantics stay
-// consistent).
-func FUHooksFor(target coverage.Structure, fault *gates.StuckAt) *arch.FUHooks {
-	switch target {
-	case coverage.IntAdder:
-		return &arch.FUHooks{IntAdd: gates.NewIntAdderUnit(fault).Add}
-	case coverage.IntMul:
-		return &arch.FUHooks{IntMul: gates.NewIntMulUnit(fault).Mul}
-	case coverage.FPAdd:
-		return &arch.FUHooks{
-			FPAdd64: gates.NewFPAdd64Unit(fault).Op64,
-			FPAdd32: gates.NewFPAdd32Unit(nil).Op32,
-		}
-	case coverage.FPMul:
-		return &arch.FUHooks{
-			FPMul64: gates.NewFPMul64Unit(fault).Op64,
-			FPMul32: gates.NewFPMul32Unit(nil).Op32,
-		}
-	}
-	return nil
-}
-
-// targetNetlist returns the netlist faults are sampled from.
-func targetNetlist(target coverage.Structure) *gates.Netlist {
-	switch target {
-	case coverage.IntAdder:
-		return gates.IntAdder64Netlist()
-	case coverage.IntMul:
-		return gates.IntMul64Netlist()
-	case coverage.FPAdd:
-		return gates.FPAdd64Netlist()
-	case coverage.FPMul:
-		return gates.FPMul64Netlist()
+// targetNetlist returns the netlist faults are sampled from (nil for a
+// structure that is not a functional unit).
+func targetNetlist(st coverage.Structure) *gates.Netlist {
+	if netlist := targets[st].netlist; netlist != nil {
+		return netlist()
 	}
 	return nil
 }
@@ -370,15 +334,16 @@ func (c *Campaign) baseConfig() uarch.Config {
 	return cfg
 }
 
-// goldenConfig prepares the fault-free configuration. FP targets route
-// through the fault-free netlists so golden and faulty runs share
-// arithmetic semantics; the integer netlists are bit-exact with native
-// arithmetic (verified by tests), so the golden run skips them for
-// speed. (buildGolden adds the hooks that record the operand stream.)
+// goldenConfig prepares the fault-free configuration. A unit whose
+// netlist is not bit-exact with native arithmetic (the FP units) routes
+// through its fault-free netlist so golden and faulty runs share
+// arithmetic semantics; the integer netlists are (verified by tests), so
+// the golden run skips them for speed. (buildGolden adds the hooks that
+// record the operand stream.)
 func (c *Campaign) goldenConfig() uarch.Config {
 	cfg := c.baseConfig()
-	if c.Target == coverage.FPAdd || c.Target == coverage.FPMul {
-		cfg.FU = FUHooksFor(c.Target, nil)
+	if t := c.row(); t.hooks != nil && !t.exact {
+		cfg.FU = t.hooks(nil)
 	}
 	return cfg
 }
@@ -408,39 +373,16 @@ func (c *Campaign) deriveSpec(i int, goldenCycles uint64, nl *gates.Netlist) fau
 	rng := stats.Derive(c.Seed, i)
 	sp := faultSpec{idx: i}
 	if !c.Target.IsFunctionalUnit() {
+		t := c.row()
 		sp.start = 1 + rng.Uint64N(max(goldenCycles, 1))
 		if c.Type != Transient {
 			sp.end = sp.start + max(c.IntermittentLen, 1)
 			sp.val = rng.IntN(2) == 1
 		}
-		switch c.Target {
-		case coverage.IRF:
-			sp.reg = rng.IntN(c.Cfg.IntPRF)
-			sp.bit = rng.IntN(64)
-		case coverage.FPRF:
-			sp.reg = rng.IntN(c.Cfg.FPPRF)
-			sp.bit = rng.IntN(128)
-		case coverage.L1D:
-			sp.bit = rng.IntN(c.Cfg.L1D.SizeBytes * 8)
-		case coverage.Decoder:
-			// Reduced modulo the fetched instruction's encoded length at
-			// arm-consumption time; drawing a generous range keeps every
-			// byte of the longest encoding reachable.
-			sp.bit = rng.IntN(1024)
-		case coverage.Gshare:
-			sp.bit = rng.IntN(2 << uint(c.Cfg.GshareBits))
-		case coverage.LSQ:
-			sp.reg = rng.IntN(max(c.Cfg.SQSize, 1))
-			sp.bit = rng.IntN(256)
-		case coverage.ROBMeta:
-			sp.reg = rng.IntN(max(c.Cfg.ROBSize, 1))
-			sp.bit = rng.IntN(31)
-		case coverage.L2Tags:
-			sp.reg = rng.IntN(max(c.Cfg.L2.SizeBytes/max(c.Cfg.L2.LineBytes, 1), 1))
-			sp.bit = rng.IntN(64)
-		default:
-			panic(fmt.Sprintf("inject: no fault model for structure %v", c.Target))
+		if t.entries != nil {
+			sp.reg = rng.IntN(t.entries(&c.Cfg))
 		}
+		sp.bit = rng.IntN(t.bits(&c.Cfg))
 		return sp
 	}
 	sp.gate = rng.IntN(nl.NumGates())
@@ -462,6 +404,7 @@ func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result, fu *fuGrader) uarc
 	// Give the faulty run headroom before declaring a hang.
 	cfg.MaxCycles = golden.Cycles*4 + 100_000
 
+	t := c.row()
 	if !c.Target.IsFunctionalUnit() {
 		// Bit-array faults go on the sparse event schedule rather than an
 		// opaque OnCycle hook: a transient flip is a one-shot event at its
@@ -471,63 +414,23 @@ func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result, fu *fuGrader) uarc
 		// old per-cycle hook forced naive cycle-by-cycle simulation of the
 		// entire faulty run.
 		reg, bit, val := sp.reg, sp.bit, sp.val
-		burst := max(c.BurstLen, 1)
-		var fire func(core *uarch.Core, cyc uint64)
+		burst, bits := max(c.BurstLen, 1), t.bits(&c.Cfg)
+		ev := uarch.CycleEvent{Start: sp.start}
 		if c.Type == Transient {
-			switch c.Target {
-			case coverage.IRF:
-				fire = func(core *uarch.Core, _ uint64) {
-					for j := 0; j < burst; j++ {
-						core.FlipIntPRFBit(reg, (bit+j)%64)
-					}
-				}
-			case coverage.FPRF:
-				fire = func(core *uarch.Core, _ uint64) {
-					for j := 0; j < burst; j++ {
-						core.FlipFPPRFBit(reg, (bit+j)%128)
-					}
-				}
-			case coverage.L1D:
-				fire = func(core *uarch.Core, _ uint64) {
-					for j := 0; j < burst; j++ {
-						core.FlipCacheBit((bit + j) % core.NumCacheBits())
-					}
-				}
-			case coverage.Decoder:
-				fire = func(core *uarch.Core, _ uint64) { core.ArmDecoderFault(bit) }
-			case coverage.Gshare:
-				fire = func(core *uarch.Core, _ uint64) { core.FlipGshareBit(bit) }
-			case coverage.LSQ:
-				fire = func(core *uarch.Core, _ uint64) { core.FlipStoreBufferBit(reg, bit) }
-			case coverage.ROBMeta:
-				fire = func(core *uarch.Core, _ uint64) { core.FlipROBNextBit(reg, bit) }
-			case coverage.L2Tags:
-				fire = func(core *uarch.Core, _ uint64) { core.FlipL2TagBit(reg, bit) }
-			}
-			cfg.Events = []uarch.CycleEvent{{Start: sp.start, Fire: fire}}
-			return cfg
-		}
-		switch c.Target { // intermittent stuck-at window (bit arrays only)
-		case coverage.IRF:
-			fire = func(core *uarch.Core, _ uint64) {
+			ev.Fire = func(core *uarch.Core, _ uint64) {
 				for j := 0; j < burst; j++ {
-					core.ForceIntPRFBit(reg, (bit+j)%64, val)
+					t.flip(core, reg, (bit+j)%bits)
 				}
 			}
-		case coverage.FPRF:
-			fire = func(core *uarch.Core, _ uint64) {
+		} else { // an intermittent stuck-at window
+			ev.End = sp.end
+			ev.Fire = func(core *uarch.Core, _ uint64) {
 				for j := 0; j < burst; j++ {
-					core.ForceFPPRFBit(reg, (bit+j)%128, val)
-				}
-			}
-		default:
-			fire = func(core *uarch.Core, _ uint64) {
-				for j := 0; j < burst; j++ {
-					core.ForceCacheBit((bit+j)%core.NumCacheBits(), val)
+					t.force(core, reg, (bit+j)%bits, val)
 				}
 			}
 		}
-		cfg.Events = []uarch.CycleEvent{{Start: sp.start, End: sp.end, Fire: fire}}
+		cfg.Events = []uarch.CycleEvent{ev}
 		return cfg
 	}
 
@@ -535,17 +438,17 @@ func (c *Campaign) cfgFor(sp faultSpec, golden *uarch.Result, fu *fuGrader) uarc
 	if fu != nil {
 		cfg.FU = fu.hooks
 	} else {
-		cfg.FU = FUHooksFor(c.Target, &gates.StuckAt{Gate: sp.gate, Value: sp.val})
+		cfg.FU = t.hooks(&gates.StuckAt{Gate: sp.gate, Value: sp.val})
 	}
 	if c.Type == Intermittent {
 		cfg.FUWindow = [2]uint64{sp.start, sp.end}
 		switch {
-		case c.Target == coverage.IntAdder || c.Target == coverage.IntMul:
+		case t.exact:
 			// native semantics are bit-exact: FUOutside stays nil
 		case fu != nil:
 			cfg.FUOutside = fu.clean
 		default:
-			cfg.FUOutside = FUHooksFor(c.Target, nil)
+			cfg.FUOutside = t.hooks(nil)
 		}
 	}
 	return cfg
@@ -585,13 +488,8 @@ func (c *Campaign) deltaQuiesce(sp faultSpec) uint64 {
 // recorderFor returns the golden run's interval log for the campaign's
 // target structure (nil when pre-classification does not apply).
 func (c *Campaign) recorderFor(golden *uarch.Result) *ace.IntervalRecorder {
-	switch c.Target {
-	case coverage.IRF:
-		return golden.IRFIntervals
-	case coverage.FPRF:
-		return golden.FPRFIntervals
-	case coverage.L1D:
-		return golden.L1DIntervals
+	if log := c.row().log; log != nil {
+		return log(golden)
 	}
 	return nil
 }
@@ -608,18 +506,10 @@ func (c *Campaign) preMasked(sp faultSpec, rec *ace.IntervalRecorder, goldenCycl
 	}
 	// Every bit of the burst must be unconsumed; one observed bit makes
 	// the whole injection simulate.
+	t := c.row()
+	bits := t.bits(&c.Cfg)
 	for j := 0; j < max(c.BurstLen, 1); j++ {
-		var cell int
-		switch c.Target {
-		case coverage.IRF:
-			cell = sp.reg*64 + (sp.bit+j)%64
-		case coverage.FPRF:
-			b := (sp.bit + j) % 128
-			cell = (2*sp.reg+b/64)*64 + b%64
-		default:
-			cell = ((sp.bit + j) % (c.Cfg.L1D.SizeBytes * 8)) / 8 // the L1D log is per byte
-		}
-		if rec.Consumed(cell, sp.start) {
+		if rec.Consumed(t.cell(sp.reg, (sp.bit+j)%bits), sp.start) {
 			return false
 		}
 	}
@@ -812,7 +702,7 @@ func (c *Campaign) grade(sp faultSpec, ga *uarch.GoldenArtifacts, fu *fuGrader) 
 }
 
 // check is ValidateAll's one rule: sp is simulated on the oracle path —
-// from reset, on fresh functional units (FUHooksFor), with no delta
+// from reset, on fresh functional units (the row's hooks), with no delta
 // compare — and the run must reproduce v's outcome, final cycle and
 // signature. The error names the rung that decided v and its evidence.
 func (c *Campaign) check(sp faultSpec, v verdict, golden *uarch.Result) error {
@@ -887,55 +777,41 @@ func classify(res, golden *uarch.Result) Outcome {
 }
 
 // burstWidth is the widest multi-bit upset the target's burst model
-// takes: the width of the entry a burst wraps inside, or 1 for the sites
-// whose faults are single-bit only.
+// takes (64 and 128 bits on the register files, one cache line's bits on
+// the L1D), or 1 for the sites whose faults are single-bit only.
 func (c *Campaign) burstWidth() int {
-	switch c.Target {
-	case coverage.IRF:
-		return 64
-	case coverage.FPRF:
-		return 128
-	case coverage.L1D:
-		return c.Cfg.L1D.LineBytes * 8
+	if burst := c.row().burst; burst != nil {
+		return burst(&c.Cfg)
 	}
 	return 1
 }
 
-// Validate reports whether Target, Type, BurstLen and Cfg name a fault
-// model deriveSpec and cfgFor implement. Anything else is refused here —
-// by RunRange, and by the fleet's doors before a job is made durable —
-// because the injector would otherwise run a different model under the
-// requested label: a "transient" functional-unit campaign is the
-// permanent one, a "permanent" bit-array campaign the windowed one, and
-// a burst wider than its entry flips bits back.
+// Validate reports whether Cfg is a buildable core and Target, Type and
+// BurstLen name a fault model of the target's row. Anything else is
+// refused here — by RunRange, and by the fleet's doors before a job is
+// made durable — because the injector would otherwise crash on the core
+// or run a different model under the requested label: a "transient"
+// functional-unit campaign is the permanent one, a "permanent" bit-array
+// campaign the windowed one, and a burst wider than its register flips
+// bits back.
 func (c *Campaign) Validate() error {
 	if c.Target < 0 || c.Target >= coverage.NumStructures {
 		return fmt.Errorf("inject: unknown target structure %d (valid: %s)",
 			int(c.Target), coverage.ValidNames())
 	}
-	var ok bool
-	var models string
-	switch {
-	case c.Target.IsFunctionalUnit():
-		ok = c.Type == Permanent || c.Type == Intermittent
-		models = "permanent or intermittent: a gate stuck-at for the whole run or a window of it"
-	case c.Target > coverage.FPMul:
-		ok = c.Type == Transient
-		models = "transient only"
-	default:
-		ok = c.Type == Transient || c.Type == Intermittent
-		models = "transient or intermittent; a whole-run stuck-at is intermittent with IntermittentLen (faultsim -window) >= 4x the golden run's cycles"
+	if err := c.Cfg.Validate(); err != nil {
+		return err
 	}
-	if !ok {
-		return fmt.Errorf("inject: target %v has no %v fault model (%s)", c.Target, c.Type, models)
+	t := c.row()
+	if !slices.Contains(t.models.types, c.Type) {
+		return fmt.Errorf("inject: target %v has no %v fault model (%s)", c.Target, c.Type, t.models.doc)
 	}
 	if w := c.burstWidth(); c.BurstLen < 0 || c.BurstLen > w {
-		return fmt.Errorf("inject: burst length %d outside 0..%d for target %v (0 or 1 = single-bit; only IRF, FPRF and L1D take wider bursts, up to their entry width)",
+		return fmt.Errorf("inject: burst length %d outside 0..%d for target %v (0 or 1 = single-bit; only IRF, FPRF and L1D take wider bursts, up to a register or an L1D line)",
 			c.BurstLen, w, c.Target)
 	}
-	if c.Target == coverage.L2Tags && c.Cfg.L2.SizeBytes == 0 {
-		return fmt.Errorf("inject: target %v requires an enabled L2 (Cfg.L2.SizeBytes > 0)",
-			c.Target)
+	if t.entries != nil && t.entries(&c.Cfg) == 0 {
+		return fmt.Errorf("inject: target %v is disabled in this core configuration (it has no entries to fault)", c.Target)
 	}
 	return nil
 }
@@ -1025,10 +901,7 @@ func (c *Campaign) RunRange(lo, hi int) (*Stats, error) {
 	}
 
 	stopClassify := c.Obs.Phase("inject.phase.classify")
-	var nl *gates.Netlist
-	if c.Target.IsFunctionalUnit() {
-		nl = targetNetlist(c.Target)
-	}
+	nl := targetNetlist(c.Target)
 	specs := make([]faultSpec, 0, n)
 	for i := lo; i < hi; i++ {
 		specs = append(specs, c.deriveSpec(i, golden.Cycles, nl))

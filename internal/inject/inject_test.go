@@ -149,7 +149,7 @@ func TestGoldenMatchesNativeForIntUnits(t *testing.T) {
 	golden := c.Golden()
 
 	cfg := c.goldenConfig()
-	cfg.FU = FUHooksFor(coverage.IntAdder, nil)
+	cfg.FU = targets[coverage.IntAdder].hooks(nil)
 	viaNetlist := uarch.Run(c.Prog, c.Init(), cfg)
 	if golden.Signature != viaNetlist.Signature {
 		t.Fatal("fault-free netlist adder diverges from native semantics")

@@ -292,3 +292,15 @@ func TestStatsStringIncludesTrap(t *testing.T) {
 		t.Fatalf("Stats.String() omits traps: %q", s)
 	}
 }
+
+// TestCampaignRefusesUnbuildableCore: a campaign on a core the simulator
+// cannot build is refused by Validate with the offending field named,
+// instead of panicking mid-run.
+func TestCampaignRefusesUnbuildableCore(t *testing.T) {
+	c := testProgram(t, 60, nil)
+	c.Target, c.Type, c.N = coverage.IRF, Transient, 2
+	c.Cfg.IntPRF = 0
+	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "IntPRF") {
+		t.Fatalf("IntPRF = 0 campaign: %v; want a refusal naming IntPRF", err)
+	}
+}

@@ -286,9 +286,6 @@ func (d *dcache) flush(cycle uint64, fl *FlushLog) *arch.CrashError {
 	return nil
 }
 
-// NumDataBits returns the number of data bits in the cache SRAM.
-func (d *dcache) NumDataBits() int { return len(d.data) * 8 }
-
 // FlipBit flips one bit of the cache data SRAM (transient fault). A flip
 // in an invalid line is naturally masked.
 func (d *dcache) FlipBit(bit int) {

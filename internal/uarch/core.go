@@ -393,9 +393,6 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 // comparable field-for-field.
 func (c *Core) SkippedCycles() uint64 { return c.skipped }
 
-// NumIntPRF returns the physical integer register file size.
-func (c *Core) NumIntPRF() int { return c.cfg.IntPRF }
-
 // FlipIntPRFBit flips one bit of a physical integer register (transient
 // fault injection).
 func (c *Core) FlipIntPRFBit(reg, bit int) {
@@ -412,9 +409,6 @@ func (c *Core) ForceIntPRFBit(reg, bit int, val bool) {
 	}
 }
 
-// NumFPPRF returns the FP physical register file size.
-func (c *Core) NumFPPRF() int { return c.cfg.FPPRF }
-
 // FlipFPPRFBit flips one bit of a 128-bit FP physical register.
 func (c *Core) FlipFPPRFBit(reg, bit int) {
 	c.fpPRF[reg][bit/64] ^= 1 << uint(bit%64)
@@ -428,9 +422,6 @@ func (c *Core) ForceFPPRFBit(reg, bit int, val bool) {
 		c.fpPRF[reg][bit/64] &^= 1 << uint(bit%64)
 	}
 }
-
-// NumCacheBits returns the number of data bits in the L1D SRAM.
-func (c *Core) NumCacheBits() int { return c.cache.NumDataBits() }
 
 // FlipCacheBit flips one bit of the L1D data SRAM.
 func (c *Core) FlipCacheBit(bit int) { c.cache.FlipBit(bit) }
@@ -450,23 +441,11 @@ func (c *Core) ArmDecoderFault(bit int) {
 	c.decBit = bit
 }
 
-// NumGshareStateBits returns the number of state bits in the branch
-// predictor's pattern-history table (2 bits per counter).
-func (c *Core) NumGshareStateBits() int { return 2 * len(c.bp.table) }
-
 // FlipGshareBit flips one bit of a 2-bit gshare counter. The predictor
 // is purely speculative state, so the flip can only perturb timing —
 // architectural results must stay byte-identical (asserted by tests).
 func (c *Core) FlipGshareBit(bit int) {
 	c.bp.table[(bit/2)%len(c.bp.table)] ^= 1 << uint(bit%2)
-}
-
-// NumL2Tags returns the number of tag entries in the L2 (0 without L2).
-func (c *Core) NumL2Tags() int {
-	if c.cache.l2 == nil {
-		return 0
-	}
-	return len(c.cache.l2.tag)
 }
 
 // FlipL2TagBit flips one bit of an L2 tag entry. The L2 is a tag-only

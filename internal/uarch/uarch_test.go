@@ -378,7 +378,7 @@ func TestCacheInjectionChangesOutcome(t *testing.T) {
 	detected := 0
 	trials := 200
 	injRng := rand.New(rand.NewPCG(1, 1))
-	nbits := NewCore(nil, newInitState(t, 17), cfg).NumCacheBits()
+	nbits := cfg.L1D.SizeBytes * 8
 	for i := 0; i < trials; i++ {
 		bit := injRng.IntN(nbits)
 		cyc := uint64(10 + injRng.IntN(200))
