@@ -20,7 +20,8 @@ import (
 // (Pool) and a pulled one (queue.Worker) are byte-identical work
 // descriptions.
 const (
-	// PathJobs accepts POST (submit a JobRequest) and GET (list jobs);
+	// PathJobs accepts POST (submit a JobRequest as an HXJB frame of
+	// type JobContentType) and GET (list jobs);
 	// "/v1/jobs/{id}" serves status, "/v1/jobs/{id}/result" the merged
 	// result and "/v1/jobs/{id}/cancel" (POST) cancellation.
 	PathJobs = "/v1/jobs"

@@ -12,12 +12,14 @@ import (
 	"harpocrates/internal/uarch"
 )
 
-// Wire protocol v1. All endpoints speak JSON over HTTP POST (healthz is
+// Wire protocol v1. The endpoints speak JSON over HTTP POST (healthz is
 // GET); binary payloads reuse the repo's existing container formats —
 // programs travel as HXPG bytes (prog.WriteTo) and genotypes as HXGT
-// bytes (corpus.EncodeGenotype) — base64-wrapped by encoding/json. The
-// path prefix carries the protocol version; incompatible changes bump
-// it.
+// bytes (corpus.EncodeGenotype). Inside a JSON body (a push to /v1/inject
+// or /v1/eval, a lease) encoding/json base64-wraps them; POST /v1/jobs
+// takes an HXJB job frame instead, which carries them raw (jobframe.go).
+// The path prefix carries the protocol version; incompatible changes
+// bump it.
 const (
 	PathHealthz = "/v1/healthz"
 	PathEval    = "/v1/eval"

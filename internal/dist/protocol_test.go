@@ -12,7 +12,7 @@ import (
 	"harpocrates/internal/uarch"
 )
 
-func testGenotypes(t *testing.T, n int) ([]*gen.Genotype, gen.Config) {
+func testGenotypes(t testing.TB, n int) ([]*gen.Genotype, gen.Config) {
 	t.Helper()
 	cfg := gen.DefaultConfig()
 	cfg.NumInstrs = 60

@@ -151,14 +151,20 @@ func NewFPMul32Unit(fault *StuckAt) *FPUnit { return newFPUnit(FPMul32Netlist(),
 // netlist: the corner-case hardware is not modelled, and the bypass
 // decision depends only on the inputs, so golden and faulty runs take
 // identical paths.
-func (u *FPUnit) special(bits uint64) bool {
-	exp := bits >> uint(u.mantBits) & (1<<uint(u.expBits) - 1)
-	return exp == 0 || exp == 1<<uint(u.expBits)-1
+func special(bits uint64, expBits, mantBits int) bool {
+	exp := bits >> uint(mantBits) & (1<<uint(expBits) - 1)
+	return exp == 0 || exp == 1<<uint(expBits)-1
 }
+
+func (u *FPUnit) special(bits uint64) bool { return special(bits, u.expBits, u.mantBits) }
 
 // Bypasses reports whether Op64 answers (a, b) natively rather than
 // through the netlist, so no gate fault can reach the result.
 func (u *FPUnit) Bypasses(a, b uint64) bool { return u.special(a) || u.special(b) }
+
+// Bypasses64 is Bypasses of a double-precision unit (NewFPAdd64Unit,
+// NewFPMul64Unit), decided without one: it depends on the operands alone.
+func Bypasses64(a, b uint64) bool { return special(a, 11, 52) || special(b, 11, 52) }
 
 // Op64 applies the unit to two double bit patterns.
 func (u *FPUnit) Op64(a, b uint64) uint64 {

@@ -68,20 +68,19 @@ func (c *Campaign) recordFUStream(cfg *uarch.Config, cycle func() uint64) *gates
 			return lo, hi
 		}}
 	case coverage.FPAdd, coverage.FPMul:
-		record := func(unit *gates.FPUnit) func(a, b uint64) uint64 {
-			return func(a, b uint64) uint64 {
-				r := unit.Op64(a, b)
-				if !unit.Bypasses(a, b) {
-					s.Record(gates.Pair{A: a, B: b}, r, 0, cycle())
-				}
-				return r
-			}
-		}
+		// Wrap the fault-free unit goldenConfig installed.
 		hooks := *cfg.FU
-		if c.Target == coverage.FPAdd {
-			hooks.FPAdd64 = record(gates.NewFPAdd64Unit(nil))
-		} else {
-			hooks.FPMul64 = record(gates.NewFPMul64Unit(nil))
+		op := &hooks.FPAdd64
+		if c.Target == coverage.FPMul {
+			op = &hooks.FPMul64
+		}
+		unit := *op
+		*op = func(a, b uint64) uint64 {
+			r := unit(a, b)
+			if !gates.Bypasses64(a, b) {
+				s.Record(gates.Pair{A: a, B: b}, r, 0, cycle())
+			}
+			return r
 		}
 		cfg.FU = &hooks
 	}

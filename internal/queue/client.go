@@ -62,13 +62,17 @@ func wrapErr(err error) error {
 // Healthz probes the coordinator.
 func (c *Client) Healthz() error { return c.get(dist.PathHealthz, nil) }
 
-// Submit posts one job.
+// Submit posts one job, framed (dist.EncodeJobRequest).
 func (c *Client) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	frame, err := dist.EncodeJobRequest(req)
+	if err != nil {
+		return nil, err
+	}
 	var resp dist.JobSubmitResponse
-	if err := c.post(dist.PathJobs, req, &resp); err != nil {
+	if err := wrapErr(dist.Post(context.TODO(), c.client, c.base+dist.PathJobs, dist.JobContentType, frame, &resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -151,6 +151,7 @@ func (c *Coordinator) recover() error {
 	c.wal = wal
 	for _, rec := range recs {
 		if err := c.replayRecord(rec); err != nil {
+			wal.Close()
 			return err
 		}
 	}
@@ -179,8 +180,8 @@ func (c *Coordinator) recover() error {
 func (c *Coordinator) replayRecord(rec Record) error {
 	switch rec.Kind {
 	case recSubmit:
-		var ws walSubmit
-		if err := json.Unmarshal(rec.Payload, &ws); err != nil {
+		ws, req, err := decodeSubmitRecord(rec.Payload)
+		if err != nil {
 			return fmt.Errorf("queue: replay submit: %w", err)
 		}
 		if _, ok := c.jobs[ws.ID]; ok {
@@ -191,17 +192,19 @@ func (c *Coordinator) replayRecord(rec Record) error {
 		}
 		// Only what newJob dereferences: a job Validate accepted when it was
 		// written but would refuse today is failed by its executor, not here.
-		if req := ws.Req; req == nil || (req.Kind == dist.JobCampaign && req.Inject == nil) ||
-			(req.Kind != dist.JobCampaign && req.Eval == nil) {
+		if (req.Kind == dist.JobCampaign && req.Inject == nil) || (req.Kind != dist.JobCampaign && req.Eval == nil) {
 			return fmt.Errorf("queue: replay job %s: request without its payload", ws.ID)
 		}
-		j := newJob(ws.Req, ws.Bounds)
+		j := newJob(req, ws.Bounds)
 		j.id, j.seq = ws.ID, ws.Seq
 		c.jobs[j.id] = j
 		c.order = append(c.order, j)
 		if ws.Seq >= c.nextSeq {
 			c.nextSeq = ws.Seq + 1
 		}
+	case recJSONSubmit:
+		return fmt.Errorf("queue: %s holds an older coordinator's JSON submit record, which this build does not read; start from an empty data dir",
+			filepath.Join(c.opts.DataDir, "wal.log"))
 	case recShardDone:
 		var wd walShardDone
 		if err := json.Unmarshal(rec.Payload, &wd); err != nil {
@@ -351,8 +354,23 @@ func (c *Coordinator) broadcast() {
 // job is durable: the submit record and the shard-done records of the
 // cache-served shards share one fsync.
 func (c *Coordinator) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, error) {
+	return c.submit(req, nil)
+}
+
+// submit is Submit for a request whose HXJB frame the caller may
+// already hold: a POST /v1/jobs body, which decodes to req and, by the
+// frame's canonical-header rule, re-encodes to itself. A nil frame is
+// encoded here. Either way the request is encoded at most once, outside
+// c.mu.
+func (c *Coordinator) submit(req *dist.JobRequest, frame []byte) (*dist.JobSubmitResponse, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
+	}
+	if frame == nil {
+		var err error
+		if frame, err = dist.EncodeJobRequest(req); err != nil {
+			return nil, err
+		}
 	}
 	var bounds [][2]int
 	if req.Kind == dist.JobCampaign {
@@ -369,7 +387,7 @@ func (c *Coordinator) Submit(req *dist.JobRequest) (*dist.JobSubmitResponse, err
 	}
 	j.seq = c.nextSeq
 	j.id = fmt.Sprintf("j-%06d", j.seq)
-	if err := c.walAppend(recSubmit, &walSubmit{ID: j.id, Seq: j.seq, Req: req, Bounds: bounds}, false); err != nil {
+	if err := c.wal.append(recSubmit, submitRecord(&walSubmit{ID: j.id, Seq: j.seq, Bounds: bounds}, frame)); err != nil {
 		return nil, err // nothing reached the log: the sequence number stays unused
 	}
 	// From here the log may hold the job's records whatever the sync

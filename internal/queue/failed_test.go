@@ -113,7 +113,11 @@ func TestUnrunnableJobRefusedOrFailed(t *testing.T) {
 
 	old := campaignJob(t, c, p)
 	old.Inject.Cfg = uarch.Config{}
-	if err := coord.walAppend(recSubmit, &walSubmit{ID: "j-000000", Req: old, Bounds: [][2]int{{0, 8}}}, true); err != nil {
+	frame, err := dist.EncodeJobRequest(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.wal.Append(recSubmit, submitRecord(&walSubmit{ID: "j-000000", Bounds: [][2]int{{0, 8}}}, frame)); err != nil {
 		t.Fatal(err)
 	}
 	crashCoordinator(coord)

@@ -16,12 +16,15 @@ import (
 
 // FuzzServerBodies feeds arbitrary bytes to every /v1/* POST handler of
 // both daemons — dist.Server (harpod) and queue.Server (harpoq) — all of
-// which read their body through dist.ReadJSON. Oracle: no panic, a body
-// that is not JSON is a 400, anything else is a well-formed 2xx/4xx/5xx
-// reply; the body bound is checked once up front. The seeds are shaped
-// like real requests but carry no decodable program or genotype, or
-// carry one under a core configuration or fault model that is refused
-// before a core is built, so no seed makes a handler simulate.
+// which read their body through dist.ReadBody: POST /v1/jobs, under its
+// content type, as an HXJB job frame, the others as JSON. Oracle: no
+// panic, a body that does not decode (not JSON; for /v1/jobs, not a
+// frame) is a 400, anything else is a well-formed 2xx/4xx/5xx reply; the
+// body bound is checked once up front. The seeds are shaped like real
+// requests — a job framed, the rest JSON — but carry no decodable
+// program or genotype, or carry one under a core configuration or fault
+// model that is refused before a core is built, so no seed makes a
+// handler simulate.
 func FuzzServerBodies(f *testing.F) {
 	coord, err := NewCoordinator(Options{DataDir: f.TempDir(), ShardSize: 1 << 20})
 	if err != nil {
@@ -45,6 +48,9 @@ func FuzzServerBodies(f *testing.F) {
 		ep := endpoints[int(i)%len(endpoints)]
 		req := httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body))
 		req.ContentLength = declared
+		if ep.path == dist.PathJobs {
+			req.Header.Set("Content-Type", dist.JobContentType)
+		}
 		rec := httptest.NewRecorder()
 		ep.h.ServeHTTP(rec, req)
 		return rec.Code
@@ -58,16 +64,41 @@ func FuzzServerBodies(f *testing.F) {
 	for _, seed := range []string{
 		`{"program":"bm90IEhYUEc=","target":"irf","type":"transient","n":8,"lo":0,"hi":4,"seed":7,"cfg":{}}`,
 		`{"structure":"intadd","gen":{},"core":{},"genotypes":["bm90IEhYR1Q="]}`,
-		`{"kind":"campaign","priority":1,"inject":{"program":"bm90IEhYUEc=","target":"irf","type":"transient","n":8,"seed":7,"cfg":{}}}`,
 		`{"worker":"w","wait_ms":30000}`,
 		`{"worker":"w","wait_ms":1,"programs":[10789383270527488036,0,18446744073709551615]}`,
 		`{"worker":"w","job_id":"j-000000","shard":0,"lease":1,"stats":{"n":0},"err":"boom"}`,
-		`{"kind":"eval","eval":{"structure":"intadd","genotypes":["AA=="]}}`,
-		`[1,2`, ``, `null`, `{"n":1e999}`,
+		`[1,2`, ``, `null`, `{"n":1e999}`, `HXJB`,
 	} {
 		for ep := range endpoints {
 			f.Add(uint8(ep), []byte(seed))
 		}
+	}
+	// A seed is a JSON body, or a frame for a job: every handler gets it.
+	add := func(v any) []byte {
+		var seed []byte
+		var err error
+		if job, ok := v.(*dist.JobRequest); ok {
+			seed, err = dist.EncodeJobRequest(job)
+		} else {
+			seed, err = json.Marshal(v)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		for ep := range endpoints {
+			f.Add(uint8(ep), seed)
+		}
+		return seed
+	}
+	for _, seed := range []string{
+		`{"kind":"campaign","priority":1,"inject":{"program":"bm90IEhYUEc=","target":"irf","type":"transient","n":8,"seed":7,"cfg":{}}}`,
+		`{"kind":"eval","eval":{"structure":"intadd","genotypes":["AA=="]}}`,
+	} {
+		var job dist.JobRequest
+		if err := json.Unmarshal([]byte(seed), &job); err != nil {
+			f.Fatal(err)
+		}
+		add(&job)
 	}
 	// A decodable program or genotype under a configuration no core can
 	// be built from — unset, and partial: these took the executor down
@@ -76,16 +107,6 @@ func FuzzServerBodies(f *testing.F) {
 	wire, err := dist.EncodeProgram(gen.Materialize(gen.NewRandom(&eval.Gen, rand.New(rand.NewPCG(5, 6))), &eval.Gen))
 	if err != nil {
 		f.Fatal(err)
-	}
-	add := func(v any) []byte {
-		seed, err := json.Marshal(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for ep := range endpoints {
-			f.Add(uint8(ep), seed)
-		}
-		return seed
 	}
 	for _, cfg := range []uarch.Config{{}, {IntPRF: 4}} {
 		shard := &dist.InjectRequest{Program: wire, Target: "irf", Type: "transient", N: 8, Hi: 4, Seed: 7, Cfg: cfg}
@@ -125,7 +146,12 @@ func FuzzServerBodies(f *testing.F) {
 		if code < 200 || code > 599 {
 			t.Fatalf("status %d", code)
 		}
-		if !json.Valid(body) && code != http.StatusBadRequest {
+		malformed := !json.Valid(body)
+		if endpoints[int(endpoint)%len(endpoints)].path == dist.PathJobs {
+			_, err := dist.DecodeJobRequest(body)
+			malformed = err != nil
+		}
+		if malformed && code != http.StatusBadRequest {
 			t.Fatalf("malformed body answered %d, want 400", code)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"harpocrates/internal/binfmt"
 	"harpocrates/internal/corpus"
 	"harpocrates/internal/dist"
 	"harpocrates/internal/inject"
@@ -241,21 +242,62 @@ func (j *job) result() (*dist.JobResult, error) {
 	return out, nil
 }
 
-// WAL record kinds.
+// WAL record kinds. Kind 1 was an older build's JSON submit record,
+// which NewCoordinator refuses.
 const (
-	recSubmit    byte = 1
-	recShardDone byte = 2
-	recCancel    byte = 3
+	recJSONSubmit byte = 1
+	recShardDone  byte = 2
+	recCancel     byte = 3
+	recSubmit     byte = 4
 )
 
-// walSubmit persists everything needed to rebuild a job: the full
-// request and the planned shard bounds (so replay never depends on the
-// restarted coordinator's sharding options).
+// walSubmit heads a submit record with the job's name and its planned
+// shard bounds (so replay never depends on the restarted coordinator's
+// sharding options); the request itself follows as the HXJB frame the
+// client sent (dist.EncodeJobRequest). The record is
+//
+//	u32 n, n bytes               id
+//	i64                          seq
+//	u32 k, k × (i64 lo, i64 hi)  bounds
+//	the rest                     the request's HXJB job frame
 type walSubmit struct {
-	ID     string           `json:"id"`
-	Seq    int              `json:"seq"`
-	Req    *dist.JobRequest `json:"req"`
-	Bounds [][2]int         `json:"bounds"`
+	ID     string
+	Seq    int
+	Bounds [][2]int
+}
+
+// codec moves the record's head in either direction.
+func (s *walSubmit) codec(c *binfmt.Codec) {
+	c.String(&s.ID, 64)
+	binfmt.I64(c, &s.Seq)
+	binfmt.Slice(c, &s.Bounds, 16, int(walFormat.MaxPayload/16), func(b *[2]int) {
+		binfmt.I64(c, &b[0])
+		binfmt.I64(c, &b[1])
+	})
+}
+
+// submitRecord encodes a submit record around a request's frame.
+func submitRecord(s *walSubmit, frame []byte) []byte {
+	c := binfmt.NewEncoder(make([]byte, 0, 16+len(s.ID)+16*len(s.Bounds)+len(frame)))
+	s.codec(c)
+	c.Raw(frame)
+	return c.Encoded()
+}
+
+// decodeSubmitRecord parses a submit record: its head, then its frame
+// through the same walker a POST /v1/jobs body goes through.
+func decodeSubmitRecord(payload []byte) (*walSubmit, *dist.JobRequest, error) {
+	var s walSubmit
+	c := binfmt.NewDecoder(payload)
+	s.codec(c)
+	if err := c.Err(); err != nil {
+		return nil, nil, err
+	}
+	req, err := dist.DecodeJobRequest(payload[c.Offset():])
+	if err != nil {
+		return nil, nil, err
+	}
+	return &s, req, nil
 }
 
 // walShardDone persists one shard completion with its encoded value.

@@ -441,6 +441,31 @@ func TestRefusesLegacySnapshot(t *testing.T) {
 	}
 }
 
+// A data dir whose wal.log holds an older build's JSON submit record
+// (kind 1) is refused, naming the file, rather than replayed without
+// the jobs it describes.
+func TestRefusesJSONSubmitRecord(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "wal.log")
+	// "HQWL" v1, then one kind-1 record as an older coordinator wrote it.
+	file := append([]byte{0x4c, 0x57, 0x51, 0x48, 1, 0, 0, 0}, pinnedFrame([]byte{1},
+		[]byte(`{"id":"j-000000","seq":0,"req":{"kind":"campaign","inject":{"program":"AA==","target":"irf","type":"transient","n":8,"lo":0,"hi":0,"seed":0,"cfg":{}}},"bounds":[[0,8]]}`))...)
+	if err := os.WriteFile(walPath, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(Options{DataDir: dir})
+	if err == nil {
+		crashCoordinator(coord)
+		t.Fatal("opened a wal.log holding a JSON submit record")
+	}
+	if !strings.Contains(err.Error(), walPath) {
+		t.Fatalf("refusal %q does not name %s", err, walPath)
+	}
+	if got, _ := os.ReadFile(walPath); string(got) != string(file) {
+		t.Fatal("the refused wal.log was rewritten")
+	}
+}
+
 // An expired lease re-queues its shard for the next worker; the late
 // completion from the original holder is discarded as stale.
 func TestQueueLeaseExpiryRequeue(t *testing.T) {

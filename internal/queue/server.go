@@ -16,7 +16,7 @@ import (
 // work-stealing lease/complete pair for pulling workers, and the
 // Prometheus exposition on the same listener.
 //
-//	POST /v1/jobs            submit a campaign or eval job
+//	POST /v1/jobs            submit a campaign or eval job (an HXJB frame)
 //	GET  /v1/jobs            list jobs
 //	GET  /v1/jobs/{id}       one job's status (partial stats included);
 //	                         ?wait_ms=W long-polls: the reply waits until
@@ -59,11 +59,21 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		dist.WriteJSON(w, &dist.JobListResponse{Jobs: s.coord.List()})
 	case http.MethodPost:
-		var req dist.JobRequest
-		if !dist.ReadJSON(w, r, &req) {
+		if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) != dist.JobContentType {
+			http.Error(w, fmt.Sprintf("POST %s takes Content-Type %s (an HXJB job frame), not %q",
+				dist.PathJobs, dist.JobContentType, ct), http.StatusUnsupportedMediaType)
 			return
 		}
-		resp, err := s.coord.Submit(&req)
+		body, ok := dist.ReadBody(w, r)
+		if !ok {
+			return
+		}
+		req, err := dist.DecodeJobRequest(body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp, err := s.coord.submit(req, body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -1,11 +1,17 @@
 package queue
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -257,5 +263,44 @@ func TestSubmitCrashBeforeSyncReplays(t *testing.T) {
 			}
 		}
 		crashCoordinator(rec)
+	}
+}
+
+// POST /v1/jobs takes an HXJB frame under its own content type: a JSON
+// job — what an older client sends — is answered 415 naming the type it
+// expects, and leaves nothing behind.
+func TestSubmitJSONBodyRefused(t *testing.T) {
+	c, p := testCampaign(t, 8)
+	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
+	defer closeCoordinator(t, coord)
+	srv := httptest.NewServer(NewServer(coord).Handler())
+	defer srv.Close()
+	body, err := json.Marshal(campaignJob(t, c, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ct := range []string{"application/json", ""} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+dist.PathJobs, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType || !strings.Contains(string(msg), dist.JobContentType) {
+			t.Fatalf("JSON job under %q answered %s: %s; want 415 naming %s", ct, resp.Status, msg, dist.JobContentType)
+		}
+	}
+	if jobs := coord.List(); len(jobs) != 0 {
+		t.Fatalf("refused JSON jobs are listed: %+v", jobs)
+	}
+	if size := coord.wal.Size(); size != walHeaderSize {
+		t.Fatalf("wal.log holds %d bytes after two refused submits, want its %d-byte header", size, walHeaderSize)
 	}
 }

@@ -484,12 +484,21 @@ func (c *Core) FlipStoreBufferBit(entry, bit int) {
 }
 
 // FlipROBNextBit flips one bit of a ROB entry's next-PC metadata: entry
-// selects (modulo occupancy) a live ROB µop; unexecuted entries take
-// the flip in their predicted next PC (possibly triggering a spurious
-// squash at writeback), executed ones in their resolved next PC
-// (possibly redirecting retirement off the program image — a
-// bad-branch crash — or finishing the program early). Bits are reduced
-// modulo 31 to keep the PC an int on 32-bit hosts.
+// selects (modulo occupancy) a live ROB µop, and bits are reduced modulo
+// 31 to keep the PC an int on 32-bit hosts. Retirement follows the
+// fetched path, not these fields, so a flip almost never changes what
+// the program computes:
+//   - a waiting µop takes it in its predicted next PC, which only a
+//     branch's writeback reads: a correctly predicted branch squashes and
+//     refetches the same path (timing only); a mispredicted one skips its
+//     squash, committing its wrong path, only if the flip makes the
+//     prediction equal the resolved target;
+//   - an issued branch not yet written back takes it in its resolved next
+//     PC, and writeback redirects fetch there — the one wild-branch path;
+//   - any other executed µop takes it in its resolved next PC, read again
+//     only by the predictor update (timing) and commit's end-of-program
+//     check: the run ends early if the flip makes it equal len(prog), and
+//     a flip of the last instruction's keeps it from ending the run.
 func (c *Core) FlipROBNextBit(entry, bit int) {
 	if c.robCnt == 0 {
 		return
