@@ -251,6 +251,23 @@ func (c *Codec) RawN(p *[]byte, n int) {
 // Bytes moves a u32-length-prefixed byte string of at most max bytes.
 func (c *Codec) Bytes(p *[]byte, max int) { c.RawN(p, c.Len(len(*p), 1, max)) }
 
+// BytesAppended moves what Bytes moves, but the encoder writes the string
+// in place: app is handed the output, returns it with the string
+// appended, and the length prefix is filled in afterwards. A format
+// whose payload comes from an append-style encoder thus needs neither its
+// size up front nor a staging copy. The decoder reads the string into *p.
+func (c *Codec) BytesAppended(p *[]byte, max int, app func([]byte) []byte) {
+	if c.dec {
+		c.Bytes(p, max)
+		return
+	}
+	if c.err == nil {
+		at := len(c.buf)
+		c.buf = app(append(c.buf, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(c.buf[at:], uint32(len(c.buf)-at-4))
+	}
+}
+
 // String moves a u32-length-prefixed string of at most max bytes.
 func (c *Codec) String(p *string, max int) {
 	n := c.Len(len(*p), 1, max)

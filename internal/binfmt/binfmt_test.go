@@ -236,3 +236,24 @@ func TestSliceReusesCapacity(t *testing.T) {
 		t.Fatalf("stale fields survived: %+v", s)
 	}
 }
+
+// TestBytesAppendedIsBytes: a string the encoder appends in place is laid
+// out as Bytes lays it out, after whatever came before it, and decodes
+// as Bytes decodes it.
+func TestBytesAppendedIsBytes(t *testing.T) {
+	for _, s := range [][]byte{nil, {1}, bytes.Repeat([]byte{7, 9}, 300)} {
+		want := NewEncoder([]byte{0xee})
+		want.Bytes(&s, 1<<10)
+		got := NewEncoder([]byte{0xee})
+		got.BytesAppended(nil, 1<<10, func(out []byte) []byte { return append(out, s...) })
+		if !bytes.Equal(got.Encoded(), want.Encoded()) {
+			t.Fatalf("%d bytes: appended % x, want % x", len(s), got.Encoded(), want.Encoded())
+		}
+		var back []byte
+		d := NewDecoder(got.Encoded()[1:])
+		d.BytesAppended(&back, 1<<10, nil)
+		if err := d.End(); err != nil || !bytes.Equal(back, s) {
+			t.Fatalf("%d bytes: decoded % x (%v)", len(s), back, err)
+		}
+	}
+}

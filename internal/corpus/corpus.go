@@ -23,7 +23,6 @@
 package corpus
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -169,11 +168,7 @@ func (s *Store) SetBound(n int) {
 
 // HashProgram content-hashes a program without a genotype (foreign
 // .hxpg imports) by folding its serialized bytes.
-func HashProgram(p *prog.Program) uint64 {
-	var buf bytes.Buffer
-	_, _ = p.WriteTo(&buf)
-	return HashBytes(buf.Bytes())
-}
+func HashProgram(p *prog.Program) uint64 { return HashBytes(p.Serialize()) }
 
 // HashBytes folds arbitrary bytes with the store's Mix64 chain — the
 // single content-hashing convention shared by the corpus filenames and
@@ -213,11 +208,7 @@ func (s *Store) Add(p *prog.Program, g *gen.Genotype, meta Meta) (AddResult, err
 		return res, nil
 	}
 
-	var pbuf bytes.Buffer
-	if _, err := p.WriteTo(&pbuf); err != nil {
-		return res, fmt.Errorf("corpus: serialize program: %w", err)
-	}
-	if err := segstore.WriteFileAtomic(filepath.Join(s.dir, programDir, key+".hxpg"), pbuf.Bytes()); err != nil {
+	if err := segstore.WriteFileAtomic(filepath.Join(s.dir, programDir, key+".hxpg"), p.Serialize()); err != nil {
 		return res, err
 	}
 	if g != nil {

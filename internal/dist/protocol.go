@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 
 	"harpocrates/internal/core"
@@ -102,18 +101,13 @@ type HealthzResponse struct {
 	OK bool `json:"ok"`
 }
 
-// EncodeProgram serializes a program into its HXPG wire bytes.
-func EncodeProgram(p *prog.Program) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		return nil, fmt.Errorf("dist: serialize program: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// EncodeProgram serializes a program into its HXPG wire bytes. It never
+// fails.
+func EncodeProgram(p *prog.Program) ([]byte, error) { return p.Serialize(), nil }
 
 // DecodeProgram parses HXPG wire bytes back into a program.
 func DecodeProgram(data []byte) (*prog.Program, error) {
-	p, err := prog.ReadProgram(bytes.NewReader(data))
+	p, err := prog.Deserialize(data)
 	if err != nil {
 		return nil, fmt.Errorf("dist: parse program: %w", err)
 	}

@@ -73,12 +73,12 @@ func (p *Program) codec(c *binfmt.Codec) error {
 	nInsts := len(p.Insts)
 	binfmt.U32(c, &nInsts)
 	var enc []byte
-	if !c.Decoding() {
-		for _, in := range p.Insts {
-			enc = isa.Encode(enc, in)
+	c.BytesAppended(&enc, maxSerialField, func(out []byte) []byte {
+		for i := range p.Insts {
+			out = isa.Encode(out, p.Insts[i])
 		}
-	}
-	c.Bytes(&enc, maxSerialField)
+		return out
+	})
 	if c.Decoding() && c.Err() == nil {
 		// nInsts is untrusted too, but each iteration consumes at least
 		// one byte of enc, so the loop is bounded by the input.
@@ -98,11 +98,36 @@ func (p *Program) codec(c *binfmt.Codec) error {
 	return c.End()
 }
 
+// Serialize returns the program's HXPG container, encoded into one
+// buffer sized up front: the header, registers and regions exactly, the
+// instructions at 8 bytes each, above every preset program's average
+// (5.8–7.2 bytes). Measuring them exactly (p.EncodedLen) would cost a
+// third of the encoding.
+func (p *Program) Serialize() []byte {
+	size := 8 + 4 + len(p.Name) + 8*len(p.InitGPR) + 16*len(p.InitXMM) + 1 + 4 + 4 + 4 + 8*len(p.Insts)
+	for i := range p.Regions {
+		r := &p.Regions[i]
+		size += 4 + len(r.Name) + 8 + 4 + 1 + len(r.Data)
+	}
+	c := binfmt.NewEncoder(make([]byte, 0, size))
+	_ = p.codec(c) // the walker only fails when decoding
+	return c.Encoded()
+}
+
+// Deserialize parses an HXPG container (Serialize's bytes) and validates
+// the program. Bytes after the container are an error; data is not
+// retained.
+func Deserialize(data []byte) (*Program, error) {
+	p := &Program{}
+	if err := p.codec(binfmt.NewDecoder(data)); err != nil {
+		return nil, fmt.Errorf("prog: %w", err)
+	}
+	return p, p.Validate()
+}
+
 // WriteTo serializes the program.
 func (p *Program) WriteTo(w io.Writer) (int64, error) {
-	c := binfmt.NewEncoder(nil)
-	_ = p.codec(c) // the walker only fails when decoding
-	n, err := w.Write(c.Encoded())
+	n, err := w.Write(p.Serialize())
 	return int64(n), err
 }
 
@@ -119,11 +144,7 @@ func ReadProgram(r io.Reader) (*Program, error) {
 	if len(data) > maxSerialBytes {
 		return nil, fmt.Errorf("prog: container exceeds %d bytes", maxSerialBytes)
 	}
-	p := &Program{}
-	if err := p.codec(binfmt.NewDecoder(data)); err != nil {
-		return nil, fmt.Errorf("prog: %w", err)
-	}
-	return p, p.Validate()
+	return Deserialize(data)
 }
 
 // Save writes the program to a file.

@@ -31,3 +31,19 @@ func TestReadRejectsUnbackedRegion(t *testing.T) {
 		t.Error("unbacked region accepted")
 	}
 }
+
+// TestSerializeAllocatesOnce: Serialize sizes its buffer up front, so
+// a program costs one allocation, and its bytes are WriteTo's.
+func TestSerializeAllocatesOnce(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		p := randomSerialProgram(t, seed)
+		var buf bytes.Buffer
+		if _, err := p.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), p.Serialize()) {
+			t.Fatalf("seed %d: WriteTo differs from Serialize (%v)", seed, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { p.Serialize() }); n != 1 {
+			t.Errorf("seed %d: Serialize allocated %v times (%d instruction bytes for %d instructions)",
+				seed, n, p.EncodedLen(), len(p.Insts))
+		}
+	}
+}

@@ -30,8 +30,9 @@ const maxCheckpoints = 256
 //   - copied: the physical register files, free lists and rename maps,
 //     the issue, store, in-flight and fetch queues, the branch predictor,
 //     cycle/sequence counters and statistics, and of the
-//     ROB only the live window and the in-flight µops (every other entry
-//     is dead: rename resets an entry before reusing it);
+//     ROB only the live window and the in-flight µops, each a whole uop
+//     copied by copyUop, the one copy capture and restore share (every
+//     other entry is dead: rename resets an entry before reusing it);
 //   - copied if the core wrote it since its previous checkpoint, else
 //     shared with that checkpoint: the L1D, one line (metadata and bytes)
 //     per chunk, and the L2 tag array, l2ChunkSets sets per chunk (the core
@@ -62,57 +63,21 @@ type Checkpoint struct {
 
 // ckState is a checkpoint's state. Release hands it to ckStatePool, which
 // recycles all of it but the cache chunks, so a golden run's captures
-// reuse what the previous campaign's checkpoints held.
+// reuse what the previous campaign's checkpoints held, µop lists included.
 type ckState struct {
 	// core holds everything but the ROB entries and the cache arrays
 	// (copyState): its rob, L1D lines and SRAM and L2 tag arrays are nil.
 	core *Core
-	// rob holds the live µops; slots[i] is rob[i]'s ROB slot. Their
-	// lists, rename-map snapshots and crashes are kept in the slices
-	// below.
-	rob       []ckUop
-	slots     []int32
-	srcSlab   []rsrc
-	dstSlab   []rdst
-	writeSlab []storeWrite
-	ratSnaps  []ratSnapshot
-	errs      []arch.CrashError
-	l1d       []*l1dLine // one per L1D line
-	l2        []*l2Chunk // one per l2ChunkSets L2 sets; nil without an L2
+	// rob holds the live µops (liveSlots), each owning its lists, with
+	// the variant and instruction pointing into core; slots[i] is
+	// rob[i]'s ROB slot.
+	rob   []uop
+	slots []int32
+	l1d   []*l1dLine // one per L1D line
+	l2    []*l2Chunk // one per l2ChunkSets L2 sets; nil without an L2
 }
 
 var ckStatePool = sync.Pool{New: func() any { return &ckState{core: new(Core)} }}
-
-// ckUop is a live µop as a checkpoint holds it: a uop without pointers,
-// at a third of its size. Its lists are spans of the ckState's slabs, its
-// rename-map snapshot and crash (which few µops hold) indices into ratSnaps
-// and errs, -1 for none. A restore re-derives the variant and the
-// instruction from pc as rename set them, and rebuilds pending with the
-// wake-up lists. A µop's buffered IBR events are coverage state and stay
-// behind.
-type ckUop struct {
-	seq, doneAt                                     uint64
-	pc, memLat, predNext, actualNext                int
-	srcs, dsts, writes                              span
-	snap, err                                       int32
-	st                                              uopState
-	isLoad, isStore, poison, mutated, bad, squashed bool
-}
-
-// span is a range of a slab.
-type span struct{ off, n uint32 }
-
-// appendSpan appends s to slab and returns where it went.
-func appendSpan[T any](slab *[]T, s []T) span {
-	sp := span{uint32(len(*slab)), uint32(len(s))}
-	*slab = append(*slab, s...)
-	return sp
-}
-
-// appendFrom returns slab's span sp, copied into dst's storage.
-func appendFrom[T any](dst, slab []T, sp span) []T {
-	return append(dst[:0], slab[sp.off:sp.off+sp.n]...)
-}
 
 // l1dLine is one L1D line's metadata and bytes as checkpoints hold them.
 type l1dLine struct {
@@ -159,7 +124,11 @@ func (c *Core) Checkpoint() *Checkpoint {
 func (c *Core) snapshot() *Checkpoint {
 	ck := &Checkpoint{cycle: c.cycle, ckState: ckStatePool.Get().(*ckState)}
 	ck.core.copyState(c)
-	ck.captureROB(c)
+	ck.slots = c.liveSlots(ck.slots[:0])
+	ck.rob = grow(ck.rob, len(ck.slots))
+	for i, s := range ck.slots {
+		ck.core.copyUop(&ck.rob[i], &c.rob[s])
+	}
 	ck.captureCache(c.cache)
 	return ck
 }
@@ -225,10 +194,15 @@ func RunFromCheckpoint(ck *Checkpoint, cfg Config) *Result {
 }
 
 // restore makes c a copy of ck's state, reusing c's allocations where
-// shapes match (the restore hot path depends on it).
+// shapes match (the restore hot path depends on it). The ROB slots that
+// hold no live µop keep whatever c held: dead entries, reset by rename
+// before reuse.
 func (c *Core) restore(ck *Checkpoint) {
 	c.copyState(ck.core)
-	ck.restoreROB(c)
+	c.rob = grow(c.rob, c.cfg.ROBSize)
+	for i, s := range ck.slots {
+		c.copyUop(&c.rob[s], &ck.rob[i])
+	}
 	ck.restoreCache(c.cache)
 	c.rebuildWakeup()
 }
@@ -378,60 +352,24 @@ func (c *Core) liveSlots(dst []int32) []int32 {
 	return dst
 }
 
-// captureROB copies c's live µops (liveSlots).
-func (ck *Checkpoint) captureROB(c *Core) {
-	slots := c.liveSlots(ck.slots[:0])
-	ck.srcSlab, ck.dstSlab, ck.writeSlab = ck.srcSlab[:0], ck.dstSlab[:0], ck.writeSlab[:0]
-	ck.ratSnaps, ck.errs = ck.ratSnaps[:0], ck.errs[:0]
-	ck.rob = grow(ck.rob, len(slots))
-	for i, s := range slots {
-		u := &c.rob[s]
-		k := &ck.rob[i]
-		*k = ckUop{
-			seq: u.seq, doneAt: u.doneAt,
-			pc: u.pc, memLat: u.memLat, predNext: u.predNext, actualNext: u.actualNext,
-			srcs: appendSpan(&ck.srcSlab, u.srcs), dsts: appendSpan(&ck.dstSlab, u.dsts),
-			writes: appendSpan(&ck.writeSlab, u.writes), snap: -1, err: -1, st: u.st,
-			isLoad: u.isLoad, isStore: u.isStore, poison: u.poison, mutated: u.mutated, bad: u.bad, squashed: u.squashed,
-		}
-		if u.snapValid {
-			k.snap = int32(len(ck.ratSnaps))
-			ck.ratSnaps = append(ck.ratSnaps, u.snap)
-		}
-		if u.err != nil {
-			k.err = int32(len(ck.errs))
-			ck.errs = append(ck.errs, *u.err)
-		}
+// copyUop makes d a copy of s that shares nothing with it. c is the core
+// d belongs to: the checkpoint's when a capture copies a running core's
+// µop, the running one when a restore copies it back. d keeps its own
+// list capacity and no buffered IBR events (coverage state), gets a
+// fresh copy of s's crash, and re-derives its variant and instruction
+// for c. rebuildWakeup sets pending.
+func (c *Core) copyUop(d, s *uop) {
+	srcs, dsts, writes, ibr := d.srcs, d.dsts, d.writes, d.ibr
+	*d = *s
+	d.srcs = append(srcs[:0], s.srcs...)
+	d.dsts = append(dsts[:0], s.dsts...)
+	d.writes = append(writes[:0], s.writes...)
+	d.ibr = ibr[:0]
+	if s.err != nil {
+		e := *s.err
+		d.err = &e
 	}
-	ck.slots = slots
-}
-
-// restoreROB copies the checkpoint's live µops into their slots of c's
-// ROB, retaining c's per-µop slice capacity. The other slots keep
-// whatever c held: dead entries, reset by rename before reuse.
-func (ck *Checkpoint) restoreROB(c *Core) {
-	c.rob = grow(c.rob, c.cfg.ROBSize)
-	for i, s := range ck.slots {
-		d, k := &c.rob[s], &ck.rob[i]
-		d.seq, d.doneAt = k.seq, k.doneAt
-		d.pc, d.memLat, d.predNext, d.actualNext = k.pc, k.memLat, k.predNext, k.actualNext
-		d.srcs = appendFrom(d.srcs, ck.srcSlab, k.srcs)
-		d.dsts = appendFrom(d.dsts, ck.dstSlab, k.dsts)
-		d.writes = appendFrom(d.writes, ck.writeSlab, k.writes)
-		d.ibr = d.ibr[:0]
-		d.st = k.st
-		d.isLoad, d.isStore, d.poison, d.mutated, d.bad, d.squashed = k.isLoad, k.isStore, k.poison, k.mutated, k.bad, k.squashed
-		d.snapValid = k.snap >= 0
-		if d.snapValid {
-			d.snap = ck.ratSnaps[k.snap]
-		}
-		d.err = nil
-		if k.err >= 0 {
-			e := ck.errs[k.err]
-			d.err = &e
-		}
-		c.deriveInst(d)
-	}
+	c.deriveInst(d)
 }
 
 // deriveInst sets u's variant and instruction as renameOne set them:

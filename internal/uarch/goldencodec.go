@@ -172,9 +172,14 @@ func (ck *Checkpoint) ownBytes() int {
 	n += 2 * (len(cp.intFree) + len(cp.fpFree) + len(cp.flagFree))
 	n += 8*(len(cp.iq)+len(cp.sq)+len(cp.inflight)) + int(unsafe.Sizeof(fqEntry{}))*len(cp.fq)
 	n += len(cp.bp.table)
-	n += (int(unsafe.Sizeof(ckUop{})) + 4) * len(ck.rob)
-	n += 6*(len(ck.srcSlab)+len(ck.dstSlab)) + int(unsafe.Sizeof(storeWrite{}))*len(ck.writeSlab) +
-		int(unsafe.Sizeof(ratSnapshot{}))*len(ck.ratSnaps) + int(unsafe.Sizeof(arch.CrashError{}))*len(ck.errs)
+	n += (int(unsafe.Sizeof(uop{})) + 4) * len(ck.rob)
+	for i := range ck.rob {
+		u := &ck.rob[i]
+		n += 6*(len(u.srcs)+len(u.dsts)) + int(unsafe.Sizeof(storeWrite{}))*len(u.writes)
+		if u.err != nil {
+			n += int(unsafe.Sizeof(arch.CrashError{}))
+		}
+	}
 	n += 8 * (len(ck.l1d) + len(ck.l2))
 	for range cp.mem.Pages() {
 		n += 24 // the page-table entry
@@ -312,17 +317,6 @@ func (g gaCodec) result(r *Result) {
 	g.recorder(&r.IRFIntervals)
 	g.recorder(&r.FPRFIntervals)
 	g.recorder(&r.L1DIntervals)
-}
-
-// liveROB lists the ROB entries that carry state (Core.liveSlots), sorted
-// by index for a deterministic byte stream.
-func liveROB(cp *Core) []int {
-	var live []int
-	for _, s := range cp.liveSlots(nil) {
-		live = append(live, int(s))
-	}
-	slices.Sort(live)
-	return live
 }
 
 // uop walks one ROB entry of cp.
@@ -501,25 +495,27 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 	}
 	g.u16s(&cp.flagFree)
 
-	// ROB: geometry, then the entries that carry state (liveROB).
+	// ROB: geometry, then the entries that carry state (Core.liveSlots),
+	// sorted by slot for a deterministic byte stream.
 	g.sized("ROB", len(cp.rob))
 	binfmt.U32(c, &cp.robHead)
 	binfmt.U32(c, &cp.robCnt)
 	if dec && g.Err() == nil && (cp.robHead >= len(cp.rob) || cp.robCnt > len(cp.rob)) {
 		g.Fail("ROB window [%d,%d) out of range", cp.robHead, cp.robCnt)
 	}
-	var idxs []int
+	var idxs []int32
 	if !dec {
-		idxs = liveROB(cp)
+		idxs = cp.liveSlots(nil)
+		slices.Sort(idxs)
 	}
 	// 73 bytes is the smallest µop: index, fixed fields, three empty
 	// lists and an absent crash.
-	binfmt.Slice(c, &idxs, 73, maxGoldenElems, func(ip *int) {
+	binfmt.Slice(c, &idxs, 73, maxGoldenElems, func(ip *int32) {
 		binfmt.U32(c, ip)
 		if g.Err() != nil {
 			return
 		}
-		if *ip >= len(cp.rob) {
+		if *ip < 0 || int(*ip) >= len(cp.rob) {
 			g.Fail("µop index %d out of range", *ip)
 			return
 		}
@@ -538,8 +534,12 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 
 	// A live entry the stream did not carry would keep whatever the
 	// pooled core last held there.
-	if dec && g.Err() == nil && !slices.Equal(idxs, liveROB(cp)) {
-		g.Fail("µops %v are not the live ROB window ∪ in-flight set", idxs)
+	if dec && g.Err() == nil {
+		live := cp.liveSlots(nil)
+		slices.Sort(live)
+		if !slices.Equal(idxs, live) {
+			g.Fail("µops %v are not the live ROB window ∪ in-flight set", idxs)
+		}
 	}
 
 	// Branch predictor.
