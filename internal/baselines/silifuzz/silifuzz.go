@@ -164,8 +164,8 @@ func (f *fuzzer) seed() {
 		g := gen.NewRandom(&cfg, f.rng)
 		p := gen.Materialize(g, &cfg)
 		var buf []byte
-		for _, in := range p.Insts {
-			buf = isa.Encode(buf, in)
+		for i := range p.Insts {
+			buf = isa.Encode(buf, &p.Insts[i])
 		}
 		if len(buf) > f.o.MaxInputBytes {
 			buf = buf[:f.o.MaxInputBytes]

@@ -54,16 +54,16 @@ func buildEncoding() {
 func NumOpcodeSlots() int { return numILP }
 
 // EncodedLen returns the encoded size of an instruction in bytes.
-func EncodedLen(in Inst) int {
+func EncodedLen(in *Inst) int {
 	v := Lookup(in.V)
 	n := 2
 	for i := 0; i < int(in.NOps); i++ {
-		n += operandLen(v.Ops[i], in.Ops[i])
+		n += operandLen(&v.Ops[i], &in.Ops[i])
 	}
 	return n
 }
 
-func operandLen(spec OperandSpec, op Operand) int {
+func operandLen(spec *OperandSpec, op *Operand) int {
 	switch spec.Kind {
 	case KReg, KXmm:
 		return 1
@@ -88,7 +88,7 @@ func operandLen(spec OperandSpec, op Operand) int {
 // then one field per explicit operand (registers one byte; immediates in
 // little-endian at the operand-spec width; memory as a mode byte, an
 // optional index byte, and a 32-bit displacement).
-func Encode(dst []byte, in Inst) []byte {
+func Encode(dst []byte, in *Inst) []byte {
 	v := Lookup(in.V)
 	oc := opcodeOf[v.Op]
 	if oc < 0 {
@@ -96,12 +96,12 @@ func Encode(dst []byte, in Inst) []byte {
 	}
 	dst = append(dst, byte(oc), idxInFam[in.V])
 	for i := 0; i < int(in.NOps); i++ {
-		dst = encodeOperand(dst, v.Ops[i], in.Ops[i])
+		dst = encodeOperand(dst, &v.Ops[i], &in.Ops[i])
 	}
 	return dst
 }
 
-func encodeOperand(dst []byte, spec OperandSpec, op Operand) []byte {
+func encodeOperand(dst []byte, spec *OperandSpec, op *Operand) []byte {
 	switch spec.Kind {
 	case KReg:
 		return append(dst, byte(op.Reg))

@@ -13,7 +13,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff})
 	// A valid encoded instruction as seed.
 	det := Deterministic()
-	f.Add(Encode(nil, MakeInst(det[0])))
+	seed := MakeInst(det[0])
+	f.Add(Encode(nil, &seed))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, n, err := Decode(data)
 		if n < 0 || (err == nil && n > len(data)) {
@@ -22,7 +23,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := Encode(nil, in)
+		re := Encode(nil, &in)
 		in2, n2, err2 := Decode(re)
 		if err2 != nil {
 			t.Fatalf("canonical encoding failed to decode: %v", err2)

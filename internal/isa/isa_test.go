@@ -222,9 +222,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 20000; trial++ {
 		in := randomInst(rng)
-		enc := Encode(nil, in)
-		if len(enc) != EncodedLen(in) {
-			t.Fatalf("%v: EncodedLen=%d, got %d bytes", in, EncodedLen(in), len(enc))
+		enc := Encode(nil, &in)
+		if len(enc) != EncodedLen(&in) {
+			t.Fatalf("%v: EncodedLen=%d, got %d bytes", in, EncodedLen(&in), len(enc))
 		}
 		got, n, err := Decode(enc)
 		if err != nil {
@@ -246,7 +246,7 @@ func TestDecodeArbitraryBytesSafe(t *testing.T) {
 		in, n, err := Decode(buf)
 		if err == nil {
 			// Consumed bytes must re-encode to the same prefix.
-			re := Encode(nil, in)
+			re := Encode(nil, &in)
 			if n != len(re) {
 				return false
 			}
@@ -276,7 +276,7 @@ func TestDecodeTruncated(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for trial := 0; trial < 2000; trial++ {
 		in := randomInst(rng)
-		enc := Encode(nil, in)
+		enc := Encode(nil, &in)
 		if len(enc) < 3 {
 			continue
 		}
@@ -294,7 +294,7 @@ func TestDecodeAllSequence(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		in := randomInst(rng)
 		insts = append(insts, in)
-		buf = Encode(buf, in)
+		buf = Encode(buf, &in)
 	}
 	got, err := DecodeAll(buf)
 	if err != nil {

@@ -160,8 +160,8 @@ func (p *Program) Deterministic(maxSteps int) bool {
 // EncodedLen returns the byte-encoded size of the instruction sequence.
 func (p *Program) EncodedLen() int {
 	n := 0
-	for _, in := range p.Insts {
-		n += isa.EncodedLen(in)
+	for i := range p.Insts {
+		n += isa.EncodedLen(&p.Insts[i])
 	}
 	return n
 }
@@ -169,8 +169,8 @@ func (p *Program) EncodedLen() int {
 // Encode returns the byte encoding of the instruction sequence.
 func (p *Program) Encode() []byte {
 	buf := make([]byte, 0, p.EncodedLen())
-	for _, in := range p.Insts {
-		buf = isa.Encode(buf, in)
+	for i := range p.Insts {
+		buf = isa.Encode(buf, &p.Insts[i])
 	}
 	return buf
 }

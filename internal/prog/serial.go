@@ -75,7 +75,7 @@ func (p *Program) codec(c *binfmt.Codec) error {
 	var enc []byte
 	c.BytesAppended(&enc, maxSerialField, func(out []byte) []byte {
 		for i := range p.Insts {
-			out = isa.Encode(out, p.Insts[i])
+			out = isa.Encode(out, &p.Insts[i])
 		}
 		return out
 	})

@@ -52,7 +52,7 @@ func TestProgramFormatPinned(t *testing.T) {
 	want = append(want, 0) // read-only, zero-filled: no data follows
 	var enc []byte
 	for _, in := range p.Insts {
-		enc = isa.Encode(enc, in)
+		enc = isa.Encode(enc, &in)
 	}
 	want = append(want, 2, 0, 0, 0) // instruction count
 	want = le.AppendUint32(want, uint32(len(enc)))

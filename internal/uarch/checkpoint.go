@@ -31,8 +31,8 @@ const maxCheckpoints = 256
 //     the issue, store, in-flight and fetch queues, the branch predictor,
 //     cycle/sequence counters and statistics, and of the
 //     ROB only the live window and the in-flight µops, each a whole uop
-//     copied by copyUop, the one copy capture and restore share (every
-//     other entry is dead: rename resets an entry before reusing it);
+//     (a value) copied by copyUop, the one copy capture and restore
+//     share (every other entry is dead: rename resets it before reuse);
 //   - copied if the core wrote it since its previous checkpoint, else
 //     shared with that checkpoint: the L1D, one line (metadata and bytes)
 //     per chunk, and the L2 tag array, l2ChunkSets sets per chunk (the core
@@ -63,14 +63,13 @@ type Checkpoint struct {
 
 // ckState is a checkpoint's state. Release hands it to ckStatePool, which
 // recycles all of it but the cache chunks, so a golden run's captures
-// reuse what the previous campaign's checkpoints held, µop lists included.
+// reuse what the previous campaign's checkpoints held.
 type ckState struct {
 	// core holds everything but the ROB entries and the cache arrays
 	// (copyState): its rob, L1D lines and SRAM and L2 tag arrays are nil.
 	core *Core
-	// rob holds the live µops (liveSlots), each owning its lists, with
-	// the variant and instruction pointing into core; slots[i] is
-	// rob[i]'s ROB slot.
+	// rob holds the live µops (liveSlots), with the variant and
+	// instruction pointing into core; slots[i] is rob[i]'s ROB slot.
 	rob   []uop
 	slots []int32
 	l1d   []*l1dLine // one per L1D line
@@ -111,7 +110,7 @@ var liveCheckpoints atomic.Int64
 // needed.
 func (c *Core) Checkpoint() *Checkpoint {
 	liveCheckpoints.Add(1)
-	ck := c.snapshot()
+	ck := c.snapshot(ckStatePool.Get().(*ckState))
 	// RestoreFrom replaces the run's hooks and instrumentation, so the
 	// checkpoint keeps none of them, nor what their closures hold alive.
 	cfg := &ck.core.cfg
@@ -120,9 +119,9 @@ func (c *Core) Checkpoint() *Checkpoint {
 	return ck
 }
 
-// snapshot is Checkpoint without the leak accounting.
-func (c *Core) snapshot() *Checkpoint {
-	ck := &Checkpoint{cycle: c.cycle, ckState: ckStatePool.Get().(*ckState)}
+// snapshot is Checkpoint without the leak accounting, into s.
+func (c *Core) snapshot(s *ckState) *Checkpoint {
+	ck := &Checkpoint{cycle: c.cycle, ckState: s}
 	ck.core.copyState(c)
 	ck.slots = c.liveSlots(ck.slots[:0])
 	ck.rob = grow(ck.rob, len(ck.slots))
@@ -339,6 +338,7 @@ func copyDCacheState(dst, src *dcache, backing *arch.Memory) *dcache {
 // stays in flight until writeback drops it). Every other entry is dead:
 // rename resets an entry before reusing it.
 func (c *Core) liveSlots(dst []int32) []int32 {
+	dst = slices.Grow(dst, c.robCnt+len(c.inflight))
 	n := len(c.rob)
 	for k := 0; k < c.robCnt; k++ {
 		dst = append(dst, int32((c.robHead+k)%n))
@@ -352,23 +352,13 @@ func (c *Core) liveSlots(dst []int32) []int32 {
 	return dst
 }
 
-// copyUop makes d a copy of s that shares nothing with it. c is the core
-// d belongs to: the checkpoint's when a capture copies a running core's
-// µop, the running one when a restore copies it back. d keeps its own
-// list capacity and no buffered IBR events (coverage state), gets a
-// fresh copy of s's crash, and re-derives its variant and instruction
-// for c. rebuildWakeup sets pending.
+// copyUop makes d, a µop of core c, a copy of s: a struct copy without
+// the buffered IBR events (coverage state), the variant and instruction
+// re-derived for c (the checkpoint's core on capture, the running one on
+// restore). rebuildWakeup sets pending.
 func (c *Core) copyUop(d, s *uop) {
-	srcs, dsts, writes, ibr := d.srcs, d.dsts, d.writes, d.ibr
 	*d = *s
-	d.srcs = append(srcs[:0], s.srcs...)
-	d.dsts = append(dsts[:0], s.dsts...)
-	d.writes = append(writes[:0], s.writes...)
-	d.ibr = ibr[:0]
-	if s.err != nil {
-		e := *s.err
-		d.err = &e
-	}
+	d.nIBR = 0
 	c.deriveInst(d)
 }
 

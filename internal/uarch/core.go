@@ -232,17 +232,14 @@ func NewCore(prog []isa.Inst, init *arch.State, cfg Config) *Core {
 	return c
 }
 
-// grow reslices s to length n, reusing its backing array when possible.
-// Surviving elements are retained (so pooled ROB entries keep the
-// capacity of their per-µop slices); callers reset whatever state needs
-// resetting.
+// grow reslices s to length n, reusing its backing array when it is
+// large enough and allocating a zeroed one otherwise; callers reset
+// whatever state needs resetting.
 func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	ns := make([]T, n)
-	copy(ns, s)
-	return ns
+	return make([]T, n)
 }
 
 // init (re)initializes the core for one run, reusing any allocations a
@@ -289,13 +286,10 @@ func (c *Core) init(cp *Compiled, init *arch.State, cfg Config) {
 	c.flagFree = c.flagFree[:0]
 	c.rat = ratSnapshot{}
 
+	// A checkpoint serializes actualNext, which uop.reset keeps: zeroed
+	// µops keep HXGA bytes free of what the pooled core ran before.
 	c.rob = grow(c.rob, cfg.ROBSize)
-	// uop.reset keeps actualNext (dead until the µop executes), and a
-	// checkpoint serializes it: start every run from zeros so HXGA bytes
-	// never carry what the pooled core ran before.
-	for i := range c.rob {
-		c.rob[i].actualNext = 0
-	}
+	clear(c.rob)
 	c.robHead, c.robCnt = 0, 0
 	c.iq = c.iq[:0]
 	c.sq = c.sq[:0]
@@ -472,10 +466,10 @@ func (c *Core) FlipStoreBufferBit(entry, bit int) {
 		return
 	}
 	u := &c.rob[c.sq[entry%len(c.sq)]]
-	if u.squashed || len(u.writes) == 0 {
+	if u.squashed || u.nWrites == 0 {
 		return
 	}
-	w := &u.writes[(bit/128)%len(u.writes)]
+	w := &u.writes[(bit/128)%int(u.nWrites)]
 	if b := bit % 128; b < 64 {
 		w.data ^= 1 << uint(b)
 	} else {
@@ -657,14 +651,14 @@ retire:
 			break
 		}
 		c.progressed = true
-		if u.err != nil {
-			err := *u.err
+		if u.crashed() {
+			err := u.err
 			err.PC = u.pc
 			c.crash = &err
 			break
 		}
 		if u.isStore {
-			for _, w := range u.writes {
+			for _, w := range u.stores() {
 				var buf [8]byte
 				for i := 0; i < int(w.size); i++ {
 					buf[i] = byte(w.data >> (8 * uint(i)))
@@ -692,7 +686,7 @@ retire:
 		if c.deltaHashOn {
 			c.foldCommit(u)
 		}
-		for _, d := range u.dsts {
+		for _, d := range u.dests() {
 			switch d.cls {
 			case clsInt:
 				c.intFree = append(c.intFree, d.old)
@@ -702,7 +696,7 @@ retire:
 				c.flagFree = append(c.flagFree, d.old)
 			}
 		}
-		for _, e := range u.ibr {
+		for _, e := range u.ibr[:u.nIBR] {
 			c.ibrC[e.unit].OnUse(e.a, e.b)
 		}
 		if c.cfg.Trace != nil {
@@ -745,7 +739,7 @@ func (c *Core) writeback() {
 		}
 		c.progressed = true
 		u.st = uDone
-		for _, d := range u.dsts {
+		for _, d := range u.dests() {
 			switch d.cls {
 			case clsInt:
 				c.intReady[d.phys] = true
@@ -756,7 +750,7 @@ func (c *Core) writeback() {
 			}
 			c.wake(c.wkReg(d.cls, d.phys))
 		}
-		if u.v != nil && u.v.IsBranch && u.err == nil && u.actualNext != u.predNext {
+		if u.v != nil && u.v.IsBranch && !u.crashed() && u.actualNext != u.predNext {
 			c.squashAfter(idx, u.actualNext)
 			c.mispredicts++
 			// Entries after the branch were removed; the in-flight list
@@ -784,7 +778,7 @@ func (c *Core) squashAfter(bIdx int, redirect int) {
 			break
 		}
 		if !u.squashed {
-			for i := len(u.dsts) - 1; i >= 0; i-- {
+			for i := int(u.nDsts) - 1; i >= 0; i-- {
 				d := u.dsts[i]
 				switch d.cls {
 				case clsInt:

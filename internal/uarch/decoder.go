@@ -17,7 +17,7 @@ import "harpocrates/internal/isa"
 // encoded length, so any fault-spec bit draws a valid position.
 func corruptInst(in isa.Inst, bit int) (ci isa.Inst, ok bool) {
 	var buf [2 + isa.MaxOperands*8]byte
-	enc := isa.Encode(buf[:0], in)
+	enc := isa.Encode(buf[:0], &in)
 	b := bit % (8 * len(enc))
 	enc[b/8] ^= 1 << uint(b%8)
 	ci, _, err := isa.Decode(enc)

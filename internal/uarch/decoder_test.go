@@ -36,7 +36,7 @@ func findV(t testing.TB, op isa.Op, w isa.Width, kinds ...isa.OpKind) isa.Varian
 func TestCorruptInstDeterministic(t *testing.T) {
 	mov := findV(t, isa.OpMOV, isa.W64, isa.KReg, isa.KImm)
 	in := isa.MakeInst(mov, isa.RegOp(isa.RAX), isa.ImmOp(0x1234))
-	nbits := 8 * len(isa.Encode(nil, in))
+	nbits := 8 * len(isa.Encode(nil, &in))
 	sawBad := false
 	for bit := 0; bit < nbits; bit++ {
 		a, okA := corruptInst(in, bit)
@@ -116,7 +116,7 @@ func TestDecoderFaultTrapKinds(t *testing.T) {
 
 	kinds := map[isa.Exception]bool{}
 	for _, p := range programs {
-		nbits := 8 * len(isa.Encode(nil, p.prog[0]))
+		nbits := 8 * len(isa.Encode(nil, &p.prog[0]))
 		for bit := 0; bit < nbits; bit++ {
 			res := decoderRun(t, p.prog, p.init, bit)
 			if res.Crash != nil {

@@ -207,7 +207,7 @@ func (c *Core) foldCommit(u *uop) {
 	d := c.streamDigest
 	d = deltaMix(d, uint64(int64(u.pc)))
 	d = deltaMix(d, uint64(int64(u.actualNext)))
-	for _, dst := range u.dsts {
+	for _, dst := range u.dests() {
 		switch dst.cls {
 		case clsInt:
 			d = deltaMix(d, c.intPRF[dst.phys])
@@ -219,7 +219,7 @@ func (c *Core) foldCommit(u *uop) {
 			d = deltaMix(d, uint64(c.flagPRF[dst.phys]))
 		}
 	}
-	for _, w := range u.writes {
+	for _, w := range u.stores() {
 		d = deltaMix(d, w.addr)
 		d = deltaMix(d, w.data)
 	}
@@ -420,26 +420,26 @@ func (c *Core) stateHash() uint64 {
 				mix(0)
 			}
 			mixInt(u.actualNext)
-			if u.err != nil {
+			if u.crashed() {
 				mix(uint64(u.err.Kind))
 				mix(uint64(u.err.Exception()))
 				mix(u.err.Addr)
 			} else {
 				mix(^uint64(0))
 			}
-			mix(uint64(len(u.writes)))
-			for _, w := range u.writes {
+			mix(uint64(u.nWrites))
+			for _, w := range u.stores() {
 				mix(w.addr)
 				mix(w.data)
 				mix(uint64(w.size))
 			}
 		}
-		mix(uint64(len(u.srcs)))
-		for _, s := range u.srcs {
+		mix(uint64(u.nSrcs))
+		for _, s := range u.sources() {
 			mix(uint64(s.cls) | uint64(s.arch)<<8 | uint64(s.bits)<<16 | uint64(s.phys)<<32)
 		}
-		mix(uint64(len(u.dsts)))
-		for _, d := range u.dsts {
+		mix(uint64(u.nDsts))
+		for _, d := range u.dests() {
 			mix(uint64(d.cls) | uint64(d.arch)<<8 | uint64(d.phys)<<16 | uint64(d.old)<<32)
 		}
 		mixBool(u.snapValid)

@@ -350,16 +350,18 @@ func TestDeltaFoldEqualBitFlips(t *testing.T) {
 		state = append(state, &c.fpPRF[p][0], &c.fpPRF[p][1])
 	}
 
-	// One committed µop writing four integer and two FP registers and
-	// storing twice: every word foldCommit folds but its PCs.
-	u := &uop{pc: 17, actualNext: 18}
+	// Two committed µops, one writing four integer registers and storing
+	// twice, one writing two FP registers: every word foldCommit folds
+	// but their PCs.
+	u := &uop{pc: 17, actualNext: 18, nDsts: 4, nWrites: 2}
 	for i := range 4 {
-		u.dsts = append(u.dsts, rdst{cls: clsInt, phys: c.rat.intRAT[i]})
+		u.dsts[i] = rdst{cls: clsInt, phys: c.rat.intRAT[i]}
 	}
+	fp := &uop{pc: 18, actualNext: 19, nDsts: 2}
 	for i := range 2 {
-		u.dsts = append(u.dsts, rdst{cls: clsFP, phys: c.rat.fpRAT[i]})
+		fp.dsts[i] = rdst{cls: clsFP, phys: c.rat.fpRAT[i]}
 	}
-	u.writes = []storeWrite{{addr: 0x1000, data: rng.Uint64(), size: 8}, {addr: 0x2000, data: rng.Uint64(), size: 8}}
+	u.writes = [maxWrites]storeWrite{{addr: 0x1000, data: rng.Uint64(), size: 8}, {addr: 0x2000, data: rng.Uint64(), size: 8}}
 	stream := []*uint64{&u.writes[0].addr, &u.writes[0].data, &u.writes[1].addr, &u.writes[1].data}
 	for i := range 4 {
 		stream = append(stream, &c.intPRF[c.rat.intRAT[i]])
@@ -370,6 +372,7 @@ func TestDeltaFoldEqualBitFlips(t *testing.T) {
 	digest := func() uint64 {
 		c.streamDigest = deltaOffset
 		c.foldCommit(u)
+		c.foldCommit(fp)
 		return c.streamDigest
 	}
 

@@ -173,13 +173,6 @@ func (ck *Checkpoint) ownBytes() int {
 	n += 8*(len(cp.iq)+len(cp.sq)+len(cp.inflight)) + int(unsafe.Sizeof(fqEntry{}))*len(cp.fq)
 	n += len(cp.bp.table)
 	n += (int(unsafe.Sizeof(uop{})) + 4) * len(ck.rob)
-	for i := range ck.rob {
-		u := &ck.rob[i]
-		n += 6*(len(u.srcs)+len(u.dsts)) + int(unsafe.Sizeof(storeWrite{}))*len(u.writes)
-		if u.err != nil {
-			n += int(unsafe.Sizeof(arch.CrashError{}))
-		}
-	}
 	n += 8 * (len(ck.l1d) + len(ck.l2))
 	for range cp.mem.Pages() {
 		n += 24 // the page-table entry
@@ -260,20 +253,29 @@ func (g gaCodec) inst(in *isa.Inst) {
 	}
 }
 
+// crash walks a crash held by pointer (nil for none) as crashValue does.
 func (g gaCodec) crash(pp **arch.CrashError) {
-	c := g.Codec
-	has := g.present(*pp != nil)
-	if g.Decoding() {
-		*pp = nil
-		if has {
-			*pp = &arch.CrashError{}
-		}
+	var e arch.CrashError
+	if *pp != nil {
+		e = **pp
 	}
-	if e := *pp; e != nil {
+	if g.crashValue(&e); g.Decoding() && e.Kind != arch.CrashNone {
+		*pp = &e
+	}
+}
+
+// crashValue walks a crash held by value (zero when decoding): a
+// presence byte, then, if its kind is not none, its fields. A present
+// crash of kind none would re-encode as absent, so it is refused.
+func (g gaCodec) crashValue(e *arch.CrashError) {
+	if c := g.Codec; g.present(e.Kind != arch.CrashNone) {
 		binfmt.U8(c, &e.Kind)
 		binfmt.U64(c, &e.Addr)
 		binfmt.I64(c, &e.PC)
 		binfmt.U8(c, &e.Exc)
+		if g.Decoding() && g.Err() == nil && e.Kind == arch.CrashNone {
+			g.Fail("crash of kind %v", e.Kind)
+		}
 	}
 }
 
@@ -335,13 +337,13 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 	binfmt.I64(c, &u.memLat)
 	binfmt.I64(c, &u.predNext)
 	binfmt.I64(c, &u.actualNext)
-	binfmt.Slice(c, &u.srcs, 6, maxGoldenElems, func(s *rsrc) {
+	uopList(c, u.srcs[:], &u.nSrcs, 6, func(s *rsrc) {
 		binfmt.U8(c, &s.cls)
 		binfmt.U8(c, &s.arch)
 		binfmt.U16(c, &s.bits)
 		binfmt.U16(c, &s.phys)
 	})
-	binfmt.Slice(c, &u.dsts, 6, maxGoldenElems, func(d *rdst) {
+	uopList(c, u.dsts[:], &u.nDsts, 6, func(d *rdst) {
 		binfmt.U8(c, &d.cls)
 		binfmt.U8(c, &d.arch)
 		binfmt.U16(c, &d.phys)
@@ -350,8 +352,8 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 	if u.snapValid {
 		g.rat(&u.snap)
 	}
-	g.crash(&u.err)
-	binfmt.Slice(c, &u.writes, 17, maxGoldenElems, func(w *storeWrite) {
+	g.crashValue(&u.err)
+	uopList(c, u.writes[:], &u.nWrites, 17, func(w *storeWrite) {
 		binfmt.U64(c, &w.addr)
 		binfmt.U64(c, &w.data)
 		binfmt.U8(c, &w.size)
@@ -361,6 +363,15 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 	// µop that is not poison, undecodable or mutated.
 	if g.Decoding() && !u.poison && !u.bad && !u.mutated && (u.pc < 0 || u.pc >= len(cp.prog)) {
 		g.Fail("µop pc %d outside program of %d instructions", u.pc, len(cp.prog))
+	}
+}
+
+// uopList walks a µop's list, a's first *n elements, as binfmt.Slice
+// walks a slice; a decoded count past the bound len(a) is refused.
+func uopList[T any](c *binfmt.Codec, a []T, n *uint8, elemSize int, elem func(*T)) {
+	*n = uint8(c.Len(int(*n), elemSize, len(a)))
+	for i := range a[:*n] {
+		elem(&a[i])
 	}
 }
 

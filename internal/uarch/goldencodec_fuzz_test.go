@@ -137,6 +137,59 @@ func TestGoldenCodecRefusesNonCanonicalPages(t *testing.T) {
 	}
 }
 
+// TestGoldenCodecRefusesUopPastBounds: a µop's lists are framed as
+// slices, a u32 count and the elements, but decode into fixed arrays, so
+// a count past the array's bound is refused; so is a crash marked present
+// whose kind is none, which would decode as no crash and re-encode
+// without it. Each field is found by re-encoding the bundle with one
+// µop's field changed and taking the first byte that differs.
+func TestGoldenCodecRefusesUopPastBounds(t *testing.T) {
+	prog, data := smallBundle(t)
+	fieldAt := func(pick func(u *uop) bool, edit func(u *uop)) int {
+		ga, err := DecodeGoldenArtifacts(data, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ga.Release()
+		rob := ga.Checkpoints[len(ga.Checkpoints)-1].rob
+		i := slices.IndexFunc(rob, func(u uop) bool { return pick(&u) })
+		if i < 0 {
+			t.Fatal("fixture has no µop to edit")
+		}
+		edit(&rob[i])
+		edited, err := EncodeGoldenArtifacts(ga)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := range min(len(data), len(edited)) {
+			if data[at] != edited[at] {
+				return at
+			}
+		}
+		t.Fatal("the edit left the bundle's bytes unchanged")
+		return 0
+	}
+	srcCount := fieldAt(func(u *uop) bool { return u.nSrcs > 0 }, func(u *uop) { u.nSrcs-- })
+	overlong := slices.Clone(data)
+	binary.LittleEndian.PutUint32(overlong[srcCount:], maxSrcs+1)
+	// The presence byte, then the kind.
+	crash := fieldAt(func(u *uop) bool { return u.st != uWaiting && !u.crashed() },
+		func(u *uop) { u.err.Kind = arch.CrashBadBranch })
+	kindNone := slices.Clone(data)
+	kindNone[crash] = 1
+	kindNone = slices.Insert(kindNone, crash+1, make([]byte, 1+8+8+1)...)
+
+	cks := LiveCheckpoints()
+	for want, bad := range map[string][]byte{"exceeds its bound 6": overlong, "crash of kind none": kindNone} {
+		if _, err := DecodeGoldenArtifacts(bad, prog); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want an error saying %q, got %v", want, err)
+		}
+	}
+	if got := LiveCheckpoints(); got != cks {
+		t.Fatalf("failed decodes leaked %d checkpoints", got-cks)
+	}
+}
+
 // FuzzDecodeGoldenArtifacts: arbitrary bytes never panic, never
 // allocate beyond a pooled core plus a bounded multiple of the input,
 // and never leak a pooled checkpoint, recorder or trajectory; whatever

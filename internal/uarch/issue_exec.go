@@ -96,7 +96,7 @@ func (c *Core) readySet(idx int) []uint64 {
 func (c *Core) watch(idx int) {
 	u := &c.rob[idx]
 	u.pending = 0
-	for _, s := range u.srcs {
+	for _, s := range u.sources() {
 		if c.physReady(s.cls, s.phys) {
 			continue
 		}
@@ -295,7 +295,7 @@ func (c *Core) execUop(idx int) {
 			ms.XMM[i] = [2]uint64{0xdead, 0xdead}
 		}
 	}
-	for _, s := range u.srcs {
+	for _, s := range u.sources() {
 		switch s.cls {
 		case clsInt:
 			ms.GPR[s.arch] = c.intPRF[s.phys]
@@ -324,25 +324,25 @@ func (c *Core) execUop(idx int) {
 	ms.FU = c.activeFU()
 	u.memLat = 0
 
-	var err *arch.CrashError
 	switch {
 	case u.poison:
-		err = &arch.CrashError{Kind: arch.CrashBadBranch, PC: u.pc}
+		u.err = arch.CrashError{Kind: arch.CrashBadBranch, PC: u.pc}
 	case u.bad:
 		// The fetched bytes did not decode: architecturally a #UD trap.
-		err = &arch.CrashError{Kind: arch.CrashInvalidOpcode, PC: u.pc, Exc: isa.ExcInvalidOpcode}
+		u.err = arch.CrashError{Kind: arch.CrashInvalidOpcode, PC: u.pc, Exc: isa.ExcInvalidOpcode}
 	default:
 		// u.inst is &c.prog[u.pc] for clean fetches and the core's
 		// decoder-corrupted instruction for mutated ones; either way it
 		// executes with the original PC's control-flow context.
-		err = ms.StepInst(c.prog, u.inst)
+		if err := ms.StepInst(c.prog, u.inst); err != nil {
+			u.err = *err
+		}
 	}
-	if err != nil {
-		u.err = err
+	if u.crashed() {
 		u.actualNext = u.pc + 1
 	} else {
 		u.actualNext = ms.PC
-		for _, d := range u.dsts {
+		for _, d := range u.dests() {
 			switch d.cls {
 			case clsInt:
 				c.intPRF[d.phys] = ms.GPR[d.arch]
@@ -407,7 +407,8 @@ func (c *Core) captureIBR(u *uop, ms *arch.State) {
 		return ^uint64(0)
 	}
 	add := func(a, b uint64) {
-		u.ibr = append(u.ibr, ibrEvent{unit: uint8(st), a: a, b: b})
+		u.ibr[u.nIBR] = ibrEvent{unit: uint8(st), a: a, b: b}
+		u.nIBR++
 	}
 	switch st {
 	case coverage.IntAdder:
@@ -510,7 +511,7 @@ func (c *Core) renameOne(f fqEntry) bool {
 	u.isLoad = e.isLoad
 	u.isStore = e.isStore
 
-	for _, s := range srcs {
+	for i, s := range srcs {
 		var phys uint16
 		switch s.cls {
 		case clsInt:
@@ -520,9 +521,9 @@ func (c *Core) renameOne(f fqEntry) bool {
 		case clsFlag:
 			phys = c.rat.flagRAT
 		}
-		u.srcs = append(u.srcs, rsrc{cls: s.cls, arch: s.arch, bits: s.bits, phys: phys})
+		u.srcs[i] = rsrc{archRef: s, phys: phys}
 	}
-	for _, d := range dsts {
+	for i, d := range dsts {
 		var phys, old uint16
 		switch d.cls {
 		case clsInt:
@@ -545,8 +546,9 @@ func (c *Core) renameOne(f fqEntry) bool {
 			c.flagRdy[phys] = false
 		}
 		c.dropWaiters(c.wkReg(d.cls, phys))
-		u.dsts = append(u.dsts, rdst{cls: d.cls, arch: d.arch, phys: phys, old: old})
+		u.dsts[i] = rdst{cls: d.cls, arch: d.arch, phys: phys, old: old}
 	}
+	u.nSrcs, u.nDsts = uint8(len(srcs)), uint8(len(dsts))
 	if e.v.IsBranch || f.poison {
 		u.snap = c.rat
 		u.snapValid = true
@@ -652,7 +654,7 @@ func (b *execBus) Read(addr, size uint64) (uint64, *arch.CrashError) {
 		if su.squashed || su.st == uWaiting {
 			continue
 		}
-		for _, w := range su.writes {
+		for _, w := range su.stores() {
 			lo := max(addr, w.addr)
 			hi := min(addr+size, w.addr+uint64(w.size))
 			for a := lo; a < hi; a++ {
@@ -674,7 +676,8 @@ func (b *execBus) Write(addr, size, val uint64) *arch.CrashError {
 	if err := b.c.mem.CheckWrite(addr, size); err != nil {
 		return err
 	}
-	b.u.writes = append(b.u.writes, storeWrite{addr: addr, data: val, size: uint8(size)})
+	b.u.writes[b.u.nWrites] = storeWrite{addr: addr, data: val, size: uint8(size)}
+	b.u.nWrites++
 	if b.u.memLat < b.c.cfg.L1D.HitLatency {
 		b.u.memLat = 1 // address generation only; the write retires later
 	}

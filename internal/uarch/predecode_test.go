@@ -100,7 +100,7 @@ func renamedAlike(a, b *Core) error {
 	ua, ub := &a.rob[ia], &b.rob[ib]
 	same := ia == ib && ua.seq == ub.seq && ua.v == ub.v &&
 		(ua.inst == nil) == (ub.inst == nil) && (ua.inst == nil || *ua.inst == *ub.inst) &&
-		slices.Equal(ua.srcs, ub.srcs) && slices.Equal(ua.dsts, ub.dsts) &&
+		slices.Equal(ua.sources(), ub.sources()) && slices.Equal(ua.dests(), ub.dests()) &&
 		ua.st == ub.st && ua.pending == ub.pending && ua.isLoad == ub.isLoad && ua.isStore == ub.isStore &&
 		ua.poison == ub.poison && ua.bad == ub.bad && ua.predNext == ub.predNext &&
 		ua.snapValid == ub.snapValid && ua.snap == ub.snap

@@ -51,10 +51,11 @@ func imageOf(c *Core) coreImage {
 	for _, i := range live {
 		u := c.rob[i]
 		u.pending = 0 // derived: rebuilt from the IQ by every restore
-		// Copied (the core reuses the slot) and compared by content, nil
-		// and empty alike.
-		u.srcs, u.dsts, u.writes = nilIfEmpty(u.srcs), nilIfEmpty(u.dsts), nilIfEmpty(u.writes)
-		u.ibr = nil // no IBR tracking in these runs: always empty
+		// Compared by content: past its count, each list is dead.
+		clear(u.srcs[u.nSrcs:])
+		clear(u.dsts[u.nDsts:])
+		clear(u.writes[u.nWrites:])
+		clear(u.ibr[:]) // no IBR tracking in these runs: always empty
 		if !u.snapValid {
 			u.snap = ratSnapshot{} // dead
 		}
@@ -64,14 +65,6 @@ func imageOf(c *Core) coreImage {
 		im.rob[i] = u
 	}
 	return im
-}
-
-// nilIfEmpty copies s, nil when empty.
-func nilIfEmpty[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return slices.Clone(s)
 }
 
 // diffImages names the first part of two images that differs.

@@ -17,7 +17,7 @@ import (
 // copyFrom makes c a copy of src the way every checkpoint and restore
 // copies: src captures a checkpoint (sharing the chunks it did not write
 // since its last capture) and c restores from it.
-func (c *Core) copyFrom(src *Core) { c.restore(src.snapshot()) }
+func (c *Core) copyFrom(src *Core) { c.restore(src.snapshot(ckStatePool.Get().(*ckState))) }
 
 // touchAll marks every L1D set and L2 chunk of c written, as the write a
 // perturbation stands for would.
@@ -216,8 +216,10 @@ var coreState = map[string]stateRow{
 		mut: func(c *Core) { u := &c.rob[liveSlot(c, nil)]; u.v = isa.Lookup(u.v.ID + 1) }},
 	"uop.inst": {class: scratch, why: whyDerived,
 		mut: func(c *Core) { u := &c.rob[liveSlot(c, nil)]; in := *u.inst; in.Ops[0].Imm++; u.inst = &in }},
-	"uop.srcs":       {class: hashed, live: func(u *uop) bool { return len(u.srcs) > 0 }},
-	"uop.dsts":       {class: hashed, live: func(u *uop) bool { return len(u.dsts) > 0 }},
+	"uop.srcs":       {class: hashed, live: func(u *uop) bool { return u.nSrcs > 0 }},
+	"uop.dsts":       {class: hashed, live: func(u *uop) bool { return u.nDsts > 0 }},
+	"uop.nSrcs":      {class: hashed, live: func(u *uop) bool { return u.nSrcs < maxSrcs }},
+	"uop.nDsts":      {class: hashed, live: func(u *uop) bool { return u.nDsts < maxDsts }},
 	"uop.st":         {class: hashed},
 	"uop.doneAt":     {class: hashed, live: issuedOp},
 	"uop.memLat":     {class: copied, why: "execute scratch: folded into doneAt when the µop executes"},
@@ -233,10 +235,15 @@ var coreState = map[string]stateRow{
 	"uop.snap":       {class: hashed, live: func(u *uop) bool { return u.snapValid }},
 	"uop.err": {class: hashed, live: executed, mut: func(c *Core) {
 		u := &c.rob[liveSlot(c, executed)]
-		u.err = &arch.CrashError{Kind: arch.CrashBadBranch, PC: u.pc}
+		u.err = arch.CrashError{Kind: arch.CrashBadBranch, PC: u.pc}
 	}},
-	"uop.writes": {class: hashed, live: executed},
-	"uop.ibr":    {class: scratch, why: whyCoverage},
+	"uop.writes":  {class: hashed, live: func(u *uop) bool { return executed(u) && u.nWrites > 0 }},
+	"uop.nWrites": {class: hashed, live: func(u *uop) bool { return executed(u) && u.nWrites < maxWrites }},
+	"uop.ibr": {class: scratch, why: whyCoverage, eq: func(a, b *Core) bool {
+		ua, ub := &a.rob[a.robHead], &b.rob[b.robHead]
+		return slices.Equal(ua.ibr[:ua.nIBR], ub.ibr[:ub.nIBR])
+	}},
+	"uop.nIBR": {class: scratch, why: whyCoverage},
 	"uop.squashed": {class: copied, why: "never set inside the live window: a squash removes a contiguous youngest suffix",
 		live: waiting},
 

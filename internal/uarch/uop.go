@@ -22,9 +22,7 @@ type archRef struct {
 
 // rsrc is a renamed source operand.
 type rsrc struct {
-	cls  uint8
-	arch uint8
-	bits uint16
+	archRef
 	phys uint16
 }
 
@@ -66,54 +64,59 @@ type ratSnapshot struct {
 	flagRAT uint16
 }
 
-// uop is one in-flight instruction (fused micro-op).
-type uop struct {
-	seq  uint64
-	pc   int
-	v    *isa.Variant
-	inst *isa.Inst
+// The ISA bounds a µop's lists (DESIGN.md §4.7): summarize asserts the
+// first two as it predecodes an instruction, and TestUopListBounds checks
+// that no instruction passes any of the four and some reaches each.
+const (
+	maxSrcs   = 6
+	maxDsts   = 4
+	maxWrites = 2
+	maxIBR    = 2
+)
 
-	srcs []rsrc
-	dsts []rdst
+// uop is one in-flight instruction (fused micro-op), a plain value: its
+// lists are inline arrays with a count each, its only pointers the
+// variant and instruction deriveInst re-derives.
+type uop struct {
+	seq    uint64
+	pc     int
+	v      *isa.Variant
+	inst   *isa.Inst
+	doneAt uint64
+
+	memLat, predNext, actualNext int
+
+	writes [maxWrites]storeWrite
+	ibr    [maxIBR]ibrEvent
+	err    arch.CrashError // what execute raised: Kind is CrashNone if nothing
+
+	srcs [maxSrcs]rsrc
+	dsts [maxDsts]rdst
+	snap ratSnapshot
+
+	nSrcs, nDsts, nWrites, nIBR uint8
 
 	st      uopState
-	doneAt  uint64
-	memLat  int
 	pending uint8 // sources not yet ready while waiting (wake-up count)
-	isLoad  bool
-	isStore bool
-	poison  bool // fetched from an invalid PC: crashes if committed
-	mutated bool // decoder fault: inst is the core's corrupted decInst
-	bad     bool // decoder fault: fetched bytes undecodable, #UD at execute
+	poison  bool  // fetched from an invalid PC: crashes if committed
+	mutated bool  // decoder fault: inst is the core's corrupted decInst
+	bad     bool  // decoder fault: fetched bytes undecodable, #UD at execute
 
-	predNext   int
-	actualNext int
-
-	snapValid bool
-	snap      ratSnapshot
-
-	err      *arch.CrashError
-	writes   []storeWrite
-	ibr      []ibrEvent
-	squashed bool
+	isLoad, isStore, snapValid, squashed bool
 }
 
+func (u *uop) sources() []rsrc      { return u.srcs[:u.nSrcs] }
+func (u *uop) dests() []rdst        { return u.dsts[:u.nDsts] }
+func (u *uop) stores() []storeWrite { return u.writes[:u.nWrites] }
+
+// crashed reports whether execute raised a crash.
+func (u *uop) crashed() bool { return u.err.Kind != arch.CrashNone }
+
+// reset empties u's lists and clears the state rename does not set.
 func (u *uop) reset() {
-	u.srcs = u.srcs[:0]
-	u.dsts = u.dsts[:0]
-	u.writes = u.writes[:0]
-	u.ibr = u.ibr[:0]
-	u.st = uWaiting
-	u.doneAt = 0
-	u.memLat = 0
-	u.isLoad = false
-	u.isStore = false
-	u.poison = false
-	u.mutated = false
-	u.bad = false
-	u.snapValid = false
-	u.err = nil
-	u.squashed = false
+	u.nSrcs, u.nDsts, u.nWrites, u.nIBR = 0, 0, 0, 0
+	u.st, u.doneAt, u.memLat, u.err = uWaiting, 0, 0, arch.CrashError{}
+	u.snapValid, u.squashed = false, false
 }
 
 // collectRefs gathers the architectural sources and destinations of an
@@ -211,6 +214,9 @@ type predecoded struct {
 // summarize derives an entry, all but its ref offset, from the operands
 // collectRefs gave for an instruction of variant v.
 func summarize(v *isa.Variant, srcs, dsts []archRef) predecoded {
+	if len(srcs) > maxSrcs || len(dsts) > maxDsts {
+		panic("uarch: " + v.String() + " has more sources or destinations than a µop holds")
+	}
 	e := predecoded{
 		v:       v,
 		nSrc:    uint8(len(srcs)),

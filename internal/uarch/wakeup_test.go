@@ -53,7 +53,7 @@ type wakeupOracle struct {
 
 // scanReady is the old source test: every source, no memo.
 func (c *Core) scanReady(u *uop) bool {
-	for _, s := range u.srcs {
+	for _, s := range u.sources() {
 		if !c.physReady(s.cls, s.phys) {
 			return false
 		}
@@ -143,7 +143,7 @@ func (o *wakeupOracle) check(c *Core) error {
 		if u.st == uDone {
 			continue
 		}
-		for _, d := range u.dsts {
+		for _, d := range u.dests() {
 			o.produced[c.wkReg(d.cls, d.phys)] = true
 		}
 	}
@@ -194,7 +194,7 @@ func (o *wakeupOracle) check(c *Core) error {
 			continue
 		}
 		unready := 0
-		for i, s := range u.srcs {
+		for i, s := range u.sources() {
 			if c.physReady(s.cls, s.phys) {
 				continue
 			}
@@ -203,11 +203,11 @@ func (o *wakeupOracle) check(c *Core) error {
 			if !o.produced[r] {
 				return fmt.Errorf("slot %d (seq %d) waits on register %d, which no µop in flight produces", idx, u.seq, r)
 			}
-			if slices.ContainsFunc(u.srcs[:i], func(p rsrc) bool { return p.cls == s.cls && p.phys == s.phys }) {
+			if slices.ContainsFunc(u.sources()[:i], func(p rsrc) bool { return p.cls == s.cls && p.phys == s.phys }) {
 				continue // counted with its first occurrence
 			}
 			want := 0
-			for _, p := range u.srcs {
+			for _, p := range u.sources() {
 				want += btoi(p.cls == s.cls && p.phys == s.phys)
 			}
 			got := 0
