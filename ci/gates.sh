@@ -5,6 +5,7 @@
 #   source ci/gates.sh
 #   campaign_consistency camp.json
 #   bench_mbps_gate hash.bench BenchmarkHashBytes 400
+#   test_time_gate race.json 1440
 
 set -euo pipefail
 
@@ -26,4 +27,18 @@ bench_mbps_gate() {
       for (i = 2; i < NF; i++) if ($(i + 1) == "MB/s") { n++; if ($i + 0 < min) slow = 1 }
     }
     END { exit !(n == 1 && !slow) }' "$1"
+}
+
+# test_time_gate FILE BUDGET_SECONDS — FILE is `go test -json` output.
+# Prints the ten slowest top-level tests and the summed package time
+# (each package's elapsed seconds, added up), and fails when that sum
+# passes BUDGET_SECONDS.
+test_time_gate() {
+  jq -rs '[.[] | select(.Test != null and (.Test | contains("/") | not)
+                        and (.Action == "pass" or .Action == "fail"))]
+          | sort_by(-.Elapsed) | .[:10][] | "\(.Elapsed) s\t\(.Package) \(.Test)"' "$1"
+  local total
+  total=$(jq -s '[.[] | select(.Test == null and (.Action == "pass" or .Action == "fail")) | .Elapsed] | add // 0' "$1")
+  echo "summed package time: $total s (budget $2 s)"
+  awk -v t="$total" -v b="$2" 'BEGIN { exit !(t <= b) }'
 }

@@ -27,12 +27,13 @@ const maxCheckpoints = 256
 // Checkpoint is an immutable snapshot of all simulator state at the
 // start of one cycle. It holds only what is live and what changed:
 //
-//   - copied: the physical register files, free lists and rename maps,
-//     the issue, store, in-flight and fetch queues, the branch predictor,
-//     cycle/sequence counters and statistics, and of the
-//     ROB only the live window and the in-flight µops, each a whole uop
-//     (a value) copied by copyUop, the one copy capture and restore
-//     share (every other entry is dead: rename resets it before reuse);
+//   - copied: the physical register files, their ready bits and free
+//     lists, the issue, store, in-flight and fetch queues, the branch
+//     predictor, the scalar state (pipeState: the rename map, counters,
+//     timers and statistics), and of the ROB only the live window and the
+//     in-flight µops, each a whole uop (a value) copied by copyUop, the
+//     one copy capture and restore share (every other entry is dead:
+//     rename resets it before reuse);
 //   - copied if the core wrote it since its previous checkpoint, else
 //     shared with that checkpoint: the L1D, one line (metadata and bytes)
 //     per chunk, and the L2 tag array, l2ChunkSets sets per chunk (the core
@@ -207,11 +208,11 @@ func (c *Core) restore(ck *Checkpoint) {
 }
 
 // copyState makes c's state src's, all but the ROB entries, the cache
-// arrays and the wake-up lists. It is the one field list both directions
-// share: a capture copies the running core into a fresh one, a restore
-// copies a checkpoint's core into a pooled one. Guest memory alone is
-// shared, copy-on-write; src is written only if it still owns pages,
-// which a checkpoint never does.
+// arrays and the wake-up lists: the arrays and queues one by one, into
+// c's own allocations, then pipeState as one value and runScratch reset.
+// Capture and restore both copy with it. Guest memory alone is shared,
+// copy-on-write; src is written only if it still owns pages, which a
+// checkpoint never does.
 func (c *Core) copyState(src *Core) {
 	c.cfg = src.cfg
 	c.prog = src.prog
@@ -235,74 +236,26 @@ func (c *Core) copyState(src *Core) {
 	c.recIRF, c.recFPRF = nil, nil
 	c.ibrC = [coverage.NumStructures]coverage.IBRCounter{}
 
-	c.intPRF = grow(c.intPRF, len(src.intPRF))
-	copy(c.intPRF, src.intPRF)
-	c.intReady = grow(c.intReady, len(src.intReady))
-	copy(c.intReady, src.intReady)
-	c.intFree = append(c.intFree[:0], src.intFree...)
-	c.fpPRF = grow(c.fpPRF, len(src.fpPRF))
-	copy(c.fpPRF, src.fpPRF)
-	c.fpReady = grow(c.fpReady, len(src.fpReady))
-	copy(c.fpReady, src.fpReady)
-	c.fpFree = append(c.fpFree[:0], src.fpFree...)
-	c.flagPRF = grow(c.flagPRF, len(src.flagPRF))
-	copy(c.flagPRF, src.flagPRF)
-	c.flagRdy = grow(c.flagRdy, len(src.flagRdy))
-	copy(c.flagRdy, src.flagRdy)
-	c.flagFree = append(c.flagFree[:0], src.flagFree...)
-	c.rat = src.rat
-
-	c.robHead = src.robHead
-	c.robCnt = src.robCnt
+	c.intPRF = append(c.intPRF[:0], src.intPRF...)
+	c.fpPRF = append(c.fpPRF[:0], src.fpPRF...)
+	c.flagPRF = append(c.flagPRF[:0], src.flagPRF...)
+	for cls := range c.ready {
+		c.ready[cls] = append(c.ready[cls][:0], src.ready[cls]...)
+		c.free[cls] = append(c.free[cls][:0], src.free[cls]...)
+	}
 	c.iq = append(c.iq[:0], src.iq...)
 	c.sq = append(c.sq[:0], src.sq...)
 	c.inflight = append(c.inflight[:0], src.inflight...)
 	c.fq = append(c.fq[:0], src.fq...)
-	c.fetchPC = src.fetchPC
-	c.fetchStallUntil = src.fetchStallUntil
-	c.decArmed = src.decArmed
-	c.decBit = src.decBit
-	c.decInst = src.decInst
 
-	c.cycle = src.cycle
-	// Run-loop scratch: wbReadyAt is only a lower bound on the next
-	// writeback, so resetting it to 0 is always safe (first writeback scan
-	// re-derives it); carrying a stale-high value from a previous pooled
-	// run would wrongly suppress writeback. skipped is per-run telemetry.
-	c.progressed = false
-	c.wbReadyAt = 0
-	c.skipped = 0
-	// A copy captures no checkpoints.
-	c.ckNext = ^uint64(0)
-	// The committed-stream digest is real state and travels with the
-	// copy; the arming fields are re-derived (RestoreFrom calls armDelta
-	// after applying its overrides — a bare copy never records/compares).
-	c.streamDigest = src.streamDigest
-	c.deltaHashOn = false
-	c.deltaNextRec = 0
-	c.deltaCmpIdx = 0
-	c.deltaCmpFrom = 0
-	c.reconverged = false
-	c.seq = src.seq
-	c.instret = src.instret
-	c.nLoads, c.nStores = src.nLoads, src.nStores
-	c.memPortsUsed = src.memPortsUsed
-	c.unitUsed = src.unitUsed
-	c.divBusyUntil = src.divBusyUntil
-	c.oldestUnexecStore = src.oldestUnexecStore
-
-	// Struct assignment carries the nondeterminism counter; the memory
-	// bus and FU hooks are rebound at every execUop.
-	c.execState = src.execState
-	c.execState.Mem = nil
-	c.execState.FU = nil
+	// The execute stage's memory bus and FU hooks are rebound at every
+	// execUop; the bus itself is rebound to c.
+	c.pipeState = src.pipeState
+	c.execState.Mem, c.execState.FU = nil, nil
 	c.bus = execBus{c: c}
-
-	c.branches, c.mispredicts = src.branches, src.mispredicts
-	c.flushes = src.flushes
-	c.crash = src.crash
-	c.timedOut = src.timedOut
-	c.finished = src.finished
+	// A copy captures no checkpoints and is not armed for delta
+	// resimulation (RestoreFrom arms it after applying its overrides).
+	c.runScratch = runScratch{ckNext: ^uint64(0)}
 }
 
 // copyDCacheState copies the L1D and L2 models' configuration and

@@ -101,7 +101,12 @@ type fqEntry struct {
 	bad bool
 }
 
-// Core is the out-of-order core simulator.
+// Core is the out-of-order core simulator. Its state falls in three
+// parts: the arrays, queues and structures below, which a copy (copyState)
+// copies one by one into its own allocations; pipeState, the scalars a
+// copy takes as one value; and runScratch, what a copy and init reset.
+// stateHash, the HXGA codec and state_test.go's table each list the
+// fields they cover.
 type Core struct {
 	cfg  Config
 	prog []isa.Inst
@@ -125,21 +130,16 @@ type Core struct {
 	sumIRF, sumFPRF, sumL1D *ace.IntervalRecorder
 	ibrC                    [coverage.NumStructures]coverage.IBRCounter
 
-	intPRF   []uint64
-	intReady []bool
-	intFree  []uint16
-	fpPRF    [][2]uint64
-	fpReady  []bool
-	fpFree   []uint16
-	flagPRF  []isa.Flags
-	flagRdy  []bool
-	flagFree []uint16
+	// The physical register files. Each class's values keep their own
+	// type; its ready bits and free list are indexed by class (clsInt,
+	// clsFP, clsFlag).
+	intPRF  []uint64
+	fpPRF   [][2]uint64
+	flagPRF []isa.Flags
+	ready   [3][]bool
+	free    [3][]uint16
 
-	rat ratSnapshot
-
-	rob     []uop
-	robHead int
-	robCnt  int
+	rob []uop
 
 	iq       []int // rob indices, program order
 	sq       []int // rob indices of in-flight stores, program order
@@ -156,7 +156,23 @@ type Core struct {
 	rdyOther []uint64
 	rdyLoad  []uint64
 
-	fq              []fqEntry
+	fq []fqEntry
+
+	// deltaScratch is free-list membership scratch for stateHash.
+	deltaScratch []bool
+
+	pipeState
+	runScratch
+}
+
+// pipeState is the core's scalar state: everything a copy takes
+// verbatim, as one assignment (copyState), and init sets as one value.
+type pipeState struct {
+	rat ratSnapshot
+
+	robHead int
+	robCnt  int
+
 	fetchPC         int
 	fetchStallUntil uint64
 
@@ -179,12 +195,37 @@ type Core struct {
 
 	oldestUnexecStore uint64 // seq of oldest unexecuted store (or ^0)
 
+	// streamDigest folds every committed instruction (PC, next PC,
+	// destination values, store writes) since the last trajectory point;
+	// maintained only while delta trajectory recording or comparison is
+	// active (deltaHashOn).
+	streamDigest uint64
+
+	// execState is the execute stage's machine; of it only the
+	// nondeterminism counter carries over from one µop to the next. Its
+	// memory bus and FU hooks, and bus itself, point at the core: a copy
+	// rebinds them.
+	execState arch.State
+	bus       execBus
+
+	branches, mispredicts, flushes uint64
+
+	crash    *arch.CrashError
+	timedOut bool
+	finished bool
+}
+
+// runScratch is the run loop's bookkeeping: a copy resets it to the
+// value of a run that captures no checkpoint and is not yet armed for
+// delta resimulation, and init arms it for the run.
+type runScratch struct {
 	// progressed is set by any stage that does work in the current cycle;
 	// the event-driven loop skips ahead only after a fully idle cycle.
 	progressed bool
 	// wbReadyAt is a lower bound on the earliest doneAt among in-flight
 	// µops: writeback skips its scan entirely while wbReadyAt > cycle.
-	// Stale-low values (after a squash) only cost a wasted scan.
+	// Stale-low values (after a squash) only cost a wasted scan, so 0 is
+	// always safe.
 	wbReadyAt uint64
 	// skipped counts cycles the event-driven loop jumped over (perf
 	// telemetry for tests/benchmarks; no architectural effect).
@@ -195,32 +236,18 @@ type Core struct {
 	// current spacing (CheckpointSpacing until maxCheckpoints thin it).
 	ckNext, ckSpacing uint64
 
-	// streamDigest folds every committed instruction (PC, next PC,
-	// destination values, store writes) since the last trajectory point;
-	// maintained only while delta trajectory recording or comparison is
-	// active (deltaHashOn).
-	streamDigest uint64
+	// Delta arming (armDelta): deltaHashOn while the run records or
+	// compares a trajectory; deltaNextRec is the next trajectory-record
+	// cycle (0 = not recording); deltaCmpIdx indexes the next trajectory
+	// point (window boundary); deltaCmpFrom is the first cycle comparison
+	// applies at.
 	deltaHashOn  bool
-	// deltaNextRec is the next trajectory-record cycle (0 = not
-	// recording); deltaCmpIdx indexes the next trajectory point (window
-	// boundary); deltaCmpFrom is the first cycle comparison applies at.
 	deltaNextRec uint64
 	deltaCmpIdx  int
 	deltaCmpFrom uint64
 	// reconverged is set when a compare point fully matched: the run
 	// stops and reports Masked-by-construction (see delta.go).
 	reconverged bool
-	// deltaScratch is free-list membership scratch for stateHash.
-	deltaScratch []bool
-
-	execState arch.State
-	bus       execBus
-
-	branches, mispredicts, flushes uint64
-
-	crash    *arch.CrashError
-	timedOut bool
-	finished bool
 }
 
 // NewCore builds a core for one run. init provides the initial
@@ -243,10 +270,12 @@ func grow[T any](s []T, n int) []T {
 }
 
 // init (re)initializes the core for one run, reusing any allocations a
-// pooled core carries from earlier runs: the PRF/ready arrays, free
-// lists, ROB entries (and their per-µop slices), cache SRAM and line
-// metadata, L2 tag arrays, predictor table and sum-only ACE recorders
-// all survive, so repeated runs stop churning the garbage collector.
+// pooled core carries from earlier runs: the register files, ready bits,
+// free lists, ROB entries, queues, cache SRAM and line metadata, L2 tag
+// arrays, predictor table and sum-only ACE recorders all survive, so
+// repeated runs stop churning the garbage collector. pipeState and
+// runScratch are assigned whole, so nothing of an earlier run's scalars
+// survives.
 func (c *Core) init(cp *Compiled, init *arch.State, cfg Config) {
 	mem, ok := init.Mem.(*arch.Memory)
 	if !ok {
@@ -269,28 +298,41 @@ func (c *Core) init(cp *Compiled, init *arch.State, cfg Config) {
 		c.bp = newGshare(cfg.GshareBits)
 	}
 
+	c.pipeState = pipeState{
+		streamDigest: deltaOffset,
+		execState:    arch.State{NondetSalt: cfg.NondetSalt},
+		bus:          execBus{c: c},
+	}
+
+	// Initial rename map: arch register r of each class -> physical r,
+	// ready; the rest of each file free.
 	c.intPRF = grow(c.intPRF, cfg.IntPRF)
 	clear(c.intPRF)
-	c.intReady = grow(c.intReady, cfg.IntPRF)
-	clear(c.intReady)
+	copy(c.intPRF, init.GPR[:])
 	c.fpPRF = grow(c.fpPRF, cfg.FPPRF)
 	clear(c.fpPRF)
-	c.fpReady = grow(c.fpReady, cfg.FPPRF)
-	clear(c.fpReady)
+	copy(c.fpPRF, init.XMM[:])
 	c.flagPRF = grow(c.flagPRF, cfg.FlagPRF)
 	clear(c.flagPRF)
-	c.flagRdy = grow(c.flagRdy, cfg.FlagPRF)
-	clear(c.flagRdy)
-	c.intFree = c.intFree[:0]
-	c.fpFree = c.fpFree[:0]
-	c.flagFree = c.flagFree[:0]
-	c.rat = ratSnapshot{}
+	c.flagPRF[0] = init.Flags
+	for cls, n := range [3]int{cfg.IntPRF, cfg.FPPRF, cfg.FlagPRF} {
+		c.ready[cls] = grow(c.ready[cls], n)
+		clear(c.ready[cls])
+		c.free[cls] = c.free[cls][:0]
+		for r := range n {
+			if r < archRegs[cls] {
+				c.rat[ratSlot(uint8(cls), uint8(r))] = uint16(r)
+				c.ready[cls][r] = true
+			} else {
+				c.free[cls] = append(c.free[cls], uint16(r))
+			}
+		}
+	}
 
 	// A checkpoint serializes actualNext, which uop.reset keeps: zeroed
 	// µops keep HXGA bytes free of what the pooled core ran before.
 	c.rob = grow(c.rob, cfg.ROBSize)
 	clear(c.rob)
-	c.robHead, c.robCnt = 0, 0
 	c.iq = c.iq[:0]
 	c.sq = c.sq[:0]
 	c.inflight = c.inflight[:0]
@@ -299,62 +341,17 @@ func (c *Core) init(cp *Compiled, init *arch.State, cfg Config) {
 	} else {
 		c.fq = c.fq[:0]
 	}
-	c.fetchPC = 0
-	c.fetchStallUntil = 0
-	c.decArmed = false
-	c.decBit = 0
-	c.decInst = isa.Inst{}
-	c.cycle, c.seq, c.instret = 0, 0, 0
-	c.nLoads, c.nStores = 0, 0
-	c.memPortsUsed = 0
-	c.unitUsed = [isa.NumUnits]int{}
-	c.divBusyUntil = [2]uint64{}
-	c.oldestUnexecStore = 0
-	c.progressed = false
-	c.wbReadyAt = 0
-	c.skipped = 0
-	c.ckNext, c.ckSpacing = ^uint64(0), CheckpointSpacing
+	c.runScratch = runScratch{ckNext: ^uint64(0), ckSpacing: CheckpointSpacing}
 	if cfg.Checkpoints != nil {
 		c.ckNext = 0
 	}
-	c.streamDigest = deltaOffset
 	c.armDelta()
-	c.execState = arch.State{NondetSalt: cfg.NondetSalt}
-	c.bus = execBus{c: c}
-	c.branches, c.mispredicts, c.flushes = 0, 0, 0
-	c.crash = nil
-	c.timedOut = false
-	c.finished = false
 	c.ibrC = [coverage.NumStructures]coverage.IBRCounter{}
 
 	c.cache = initDCache(c.cache, cfg, mem,
 		recorder(&c.sumL1D, cfg.TrackL1D, cfg.RecordL1DIntervals, cfg.L1D.SizeBytes))
 	c.recIRF = recorder(&c.sumIRF, cfg.TrackIRF, cfg.RecordIRFIntervals, cfg.IntPRF*64)
 	c.recFPRF = recorder(&c.sumFPRF, cfg.TrackFPRF, cfg.RecordFPRFIntervals, 2*cfg.FPPRF*64)
-
-	// Initial rename map: arch register r -> physical r.
-	for r := 0; r < isa.NumGPR; r++ {
-		c.rat.intRAT[r] = uint16(r)
-		c.intPRF[r] = init.GPR[r]
-		c.intReady[r] = true
-	}
-	for r := isa.NumGPR; r < cfg.IntPRF; r++ {
-		c.intFree = append(c.intFree, uint16(r))
-	}
-	for x := 0; x < isa.NumXMM; x++ {
-		c.rat.fpRAT[x] = uint16(x)
-		c.fpPRF[x] = init.XMM[x]
-		c.fpReady[x] = true
-	}
-	for x := isa.NumXMM; x < cfg.FPPRF; x++ {
-		c.fpFree = append(c.fpFree, uint16(x))
-	}
-	c.rat.flagRAT = 0
-	c.flagPRF[0] = init.Flags
-	c.flagRdy[0] = true
-	for f := 1; f < cfg.FlagPRF; f++ {
-		c.flagFree = append(c.flagFree, uint16(f))
-	}
 	c.rebuildWakeup()
 }
 
@@ -567,22 +564,22 @@ func (c *Core) buildResult() *Result {
 				if isa.Reg(r) == isa.RSP {
 					continue
 				}
-				c.recIRF.ReadRange(int(c.rat.intRAT[r])*64, 64, c.cycle)
+				c.recIRF.ReadRange(int(c.rat[ratSlot(clsInt, uint8(r))])*64, 64, c.cycle)
 			}
 		}
 		if c.recFPRF != nil {
 			for x := 0; x < isa.NumXMM; x++ {
-				c.recFPRF.ReadRange(2*int(c.rat.fpRAT[x])*64, 128, c.cycle)
+				c.recFPRF.ReadRange(2*int(c.rat[ratSlot(clsFP, uint8(x))])*64, 128, c.cycle)
 			}
 		}
 		fs := arch.State{Mem: c.mem}
 		for r := 0; r < isa.NumGPR; r++ {
-			fs.GPR[r] = c.intPRF[c.rat.intRAT[r]]
+			fs.GPR[r] = c.intPRF[c.rat[ratSlot(clsInt, uint8(r))]]
 		}
 		for x := 0; x < isa.NumXMM; x++ {
-			fs.XMM[x] = c.fpPRF[c.rat.fpRAT[x]]
+			fs.XMM[x] = c.fpPRF[c.rat[ratSlot(clsFP, uint8(x))]]
 		}
-		fs.Flags = c.flagPRF[c.rat.flagRAT]
+		fs.Flags = c.flagPRF[c.rat[ratSlot(clsFlag, 0)]]
 		sig = fs.Signature()
 		if fl != nil {
 			fl.Final = fs
@@ -687,14 +684,7 @@ retire:
 			c.foldCommit(u)
 		}
 		for _, d := range u.dests() {
-			switch d.cls {
-			case clsInt:
-				c.intFree = append(c.intFree, d.old)
-			case clsFP:
-				c.fpFree = append(c.fpFree, d.old)
-			case clsFlag:
-				c.flagFree = append(c.flagFree, d.old)
-			}
+			c.free[d.cls] = append(c.free[d.cls], d.old)
 		}
 		for _, e := range u.ibr[:u.nIBR] {
 			c.ibrC[e.unit].OnUse(e.a, e.b)
@@ -740,14 +730,7 @@ func (c *Core) writeback() {
 		c.progressed = true
 		u.st = uDone
 		for _, d := range u.dests() {
-			switch d.cls {
-			case clsInt:
-				c.intReady[d.phys] = true
-			case clsFP:
-				c.fpReady[d.phys] = true
-			case clsFlag:
-				c.flagRdy[d.phys] = true
-			}
+			c.ready[d.cls][d.phys] = true
 			c.wake(c.wkReg(d.cls, d.phys))
 		}
 		if u.v != nil && u.v.IsBranch && !u.crashed() && u.actualNext != u.predNext {
@@ -780,14 +763,7 @@ func (c *Core) squashAfter(bIdx int, redirect int) {
 		if !u.squashed {
 			for i := int(u.nDsts) - 1; i >= 0; i-- {
 				d := u.dsts[i]
-				switch d.cls {
-				case clsInt:
-					c.intFree = append(c.intFree, d.phys)
-				case clsFP:
-					c.fpFree = append(c.fpFree, d.phys)
-				case clsFlag:
-					c.flagFree = append(c.flagFree, d.phys)
-				}
+				c.free[d.cls] = append(c.free[d.cls], d.phys)
 			}
 			if u.isLoad {
 				c.nLoads--

@@ -46,18 +46,18 @@ func TestDebugDivergence(t *testing.T) {
 				c := NewCore(p, is2, cfg2)
 				c.Run()
 				for r := 0; r < isa.NumGPR; r++ {
-					cv := c.intPRF[c.rat.intRAT[r]]
+					cv := c.intPRF[c.rat[ratSlot(clsInt, uint8(r))]]
 					if cv != gs.GPR[r] {
 						t.Logf("  GPR %v: core %#x emu %#x", isa.Reg(r), cv, gs.GPR[r])
 					}
 				}
 				for x := 0; x < isa.NumXMM; x++ {
-					cv := c.fpPRF[c.rat.fpRAT[x]]
+					cv := c.fpPRF[c.rat[ratSlot(clsFP, uint8(x))]]
 					if cv != gs.XMM[x] {
 						t.Logf("  XMM%d: core %#x emu %#x", x, cv, gs.XMM[x])
 					}
 				}
-				cf := c.flagPRF[c.rat.flagRAT]
+				cf := c.flagPRF[c.rat[ratSlot(clsFlag, 0)]]
 				if cf != gs.Flags {
 					t.Logf("  FLAGS: core %v emu %v", cf, gs.Flags)
 				}

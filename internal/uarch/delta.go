@@ -274,14 +274,15 @@ func (c *Core) deltaTick() bool {
 	return true
 }
 
-// hashFreeList folds a free list in order (pop order is behavioural:
-// future allocations come off the tail, so two states with the same free
-// set but different order diverge at the next rename) and returns a
-// membership bitmap so the caller can skip the dead values of free
-// registers. The bitmap storage is reused across the three register
-// classes of one scan.
-func (c *Core) hashFreeList(h *uint64, free []uint16, n int) []bool {
-	s := grow(c.deltaScratch, n)
+// hashFreeList folds register class cls's free list in order (pop order
+// is behavioural: future allocations come off the tail, so two states
+// with the same free set but different order diverge at the next rename)
+// and returns a membership bitmap over the class's physical registers so
+// the caller can skip the dead values of free registers. The bitmap
+// storage (deltaScratch) is reused across the three classes of one scan.
+func (c *Core) hashFreeList(h *uint64, cls int) []bool {
+	free := c.free[cls]
+	s := grow(c.deltaScratch, len(c.ready[cls]))
 	c.deltaScratch = s
 	clear(s)
 	hh := deltaMix(*h, uint64(len(free)))
@@ -347,43 +348,39 @@ func (c *Core) stateHash() uint64 {
 		mixInt(c.decBit)
 	}
 
-	// Rename maps.
-	for _, p := range c.rat.intRAT {
+	// Rename map.
+	for _, p := range c.rat {
 		mix(uint64(p))
 	}
-	for _, p := range c.rat.fpRAT {
-		mix(uint64(p))
-	}
-	mix(uint64(c.rat.flagRAT))
 
 	// Physical register files: free-list order plus the value and ready
 	// bit of every live (non-free) register. Free registers hold stale
 	// garbage that legitimately differs after wrong-path work and can
 	// never be read before being rewritten, so their values are excluded.
-	free := c.hashFreeList(&h, c.intFree, len(c.intPRF))
+	free := c.hashFreeList(&h, clsInt)
 	for r, v := range c.intPRF {
 		if free[r] {
 			continue
 		}
 		mix(v)
-		mixBool(c.intReady[r])
+		mixBool(c.ready[clsInt][r])
 	}
-	free = c.hashFreeList(&h, c.fpFree, len(c.fpPRF))
+	free = c.hashFreeList(&h, clsFP)
 	for r, v := range c.fpPRF {
 		if free[r] {
 			continue
 		}
 		mix(v[0])
 		mix(v[1])
-		mixBool(c.fpReady[r])
+		mixBool(c.ready[clsFP][r])
 	}
-	free = c.hashFreeList(&h, c.flagFree, len(c.flagPRF))
+	free = c.hashFreeList(&h, clsFlag)
 	for r, v := range c.flagPRF {
 		if free[r] {
 			continue
 		}
 		mix(uint64(v))
-		mixBool(c.flagRdy[r])
+		mixBool(c.ready[clsFlag][r])
 	}
 
 	// The live ROB window (robHead itself is instret mod ROB size, so
@@ -444,13 +441,9 @@ func (c *Core) stateHash() uint64 {
 		}
 		mixBool(u.snapValid)
 		if u.snapValid {
-			for _, p := range u.snap.intRAT {
+			for _, p := range u.snap {
 				mix(uint64(p))
 			}
-			for _, p := range u.snap.fpRAT {
-				mix(uint64(p))
-			}
-			mix(uint64(u.snap.flagRAT))
 		}
 	}
 

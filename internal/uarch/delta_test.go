@@ -343,10 +343,11 @@ func TestDeltaFoldEqualBitFlips(t *testing.T) {
 	c := new(Core)
 	c.copyFrom(src)
 	var state []*uint64
-	for _, p := range c.rat.intRAT {
-		state = append(state, &c.intPRF[p])
+	for r := range archRegs[clsInt] {
+		state = append(state, &c.intPRF[c.rat[ratSlot(clsInt, uint8(r))]])
 	}
-	for _, p := range c.rat.fpRAT {
+	for x := range archRegs[clsFP] {
+		p := c.rat[ratSlot(clsFP, uint8(x))]
 		state = append(state, &c.fpPRF[p][0], &c.fpPRF[p][1])
 	}
 
@@ -355,19 +356,19 @@ func TestDeltaFoldEqualBitFlips(t *testing.T) {
 	// but their PCs.
 	u := &uop{pc: 17, actualNext: 18, nDsts: 4, nWrites: 2}
 	for i := range 4 {
-		u.dsts[i] = rdst{cls: clsInt, phys: c.rat.intRAT[i]}
+		u.dsts[i] = rdst{cls: clsInt, phys: c.rat[ratSlot(clsInt, uint8(i))]}
 	}
 	fp := &uop{pc: 18, actualNext: 19, nDsts: 2}
 	for i := range 2 {
-		fp.dsts[i] = rdst{cls: clsFP, phys: c.rat.fpRAT[i]}
+		fp.dsts[i] = rdst{cls: clsFP, phys: c.rat[ratSlot(clsFP, uint8(i))]}
 	}
 	u.writes = [maxWrites]storeWrite{{addr: 0x1000, data: rng.Uint64(), size: 8}, {addr: 0x2000, data: rng.Uint64(), size: 8}}
 	stream := []*uint64{&u.writes[0].addr, &u.writes[0].data, &u.writes[1].addr, &u.writes[1].data}
 	for i := range 4 {
-		stream = append(stream, &c.intPRF[c.rat.intRAT[i]])
+		stream = append(stream, &c.intPRF[c.rat[ratSlot(clsInt, uint8(i))]])
 	}
 	for i := range 2 {
-		stream = append(stream, &c.fpPRF[c.rat.fpRAT[i]][0], &c.fpPRF[c.rat.fpRAT[i]][1])
+		stream = append(stream, &c.fpPRF[c.rat[ratSlot(clsFP, uint8(i))]][0], &c.fpPRF[c.rat[ratSlot(clsFP, uint8(i))]][1])
 	}
 	digest := func() uint64 {
 		c.streamDigest = deltaOffset

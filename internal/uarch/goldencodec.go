@@ -31,7 +31,7 @@ import (
 // ace/intervals_codec.go under it) stays for one reason only: the frozen
 // benchmark/layers.go probes call EncodeGoldenArtifacts,
 // DecodeGoldenArtifacts and ace.AppendIntervalRecorder. Its deletion is
-// ROADMAP item 5. Its bytes moved twice since it stopped being persisted:
+// ROADMAP item 7. Its bytes moved twice since it stopped being persisted:
 // the µop record lost its waitSrc byte when issue moved to wake-up lists,
 // bundles gained a checkpoint when the golden run began keeping one at
 // cycle 0, and again when it began keeping one every 128 cycles, whose
@@ -48,14 +48,16 @@ import (
 // release) sits under an explicit Decoding() test.
 //
 // Serializing a Checkpoint means serializing a full Core snapshot. The
-// codec's field inventory deliberately mirrors Core.copyState — the
-// authoritative list of what constitutes dynamic simulator state — and
-// the same exclusions apply: run-loop scratch (progressed, wbReadyAt,
-// skipped, the wake-up lists and ready set that restore rebuilds),
-// delta arming (re-derived by RestoreFrom), the predecode table (derived
-// from the program: the decoder's init builds one per checkpoint) and
-// per-run instrumentation (coverage tracking, recorders, trace sinks)
-// are not state.
+// codec walks what a copy carries: the register files, queues and
+// structures Core.copyState copies one by one, and pipeState, the
+// authoritative list of scalar simulator state, field by field (all but
+// the execute stage's bus, which a copy rebinds). The same exclusions
+// apply: runScratch (run-loop scratch, the checkpoint schedule and delta
+// arming, re-derived by RestoreFrom), the wake-up lists and ready set
+// that restore rebuilds, the predecode table (derived from the program:
+// the decoder's init builds one per checkpoint) and per-run
+// instrumentation (coverage tracking, recorders, trace sinks) are not
+// state.
 // ROB entries outside the live window ∪ in-flight set hold dead values
 // that rename always resets before reuse, exactly as pooled-core copies
 // carry them; only the live subset is serialized. The memory digest is
@@ -169,7 +171,7 @@ func (ck *Checkpoint) ownBytes() int {
 	cp := ck.core
 	n := int(unsafe.Sizeof(*ck)) + int(unsafe.Sizeof(*cp)) + int(unsafe.Sizeof(*cp.cache))
 	n += 9*len(cp.intPRF) + 17*len(cp.fpPRF) + 2*len(cp.flagPRF)
-	n += 2 * (len(cp.intFree) + len(cp.fpFree) + len(cp.flagFree))
+	n += 2 * (len(cp.free[clsInt]) + len(cp.free[clsFP]) + len(cp.free[clsFlag]))
 	n += 8*(len(cp.iq)+len(cp.sq)+len(cp.inflight)) + int(unsafe.Sizeof(fqEntry{}))*len(cp.fq)
 	n += len(cp.bp.table)
 	n += (int(unsafe.Sizeof(uop{})) + 4) * len(ck.rob)
@@ -280,14 +282,9 @@ func (g gaCodec) crashValue(e *arch.CrashError) {
 }
 
 func (g gaCodec) rat(r *ratSnapshot) {
-	c := g.Codec
-	for i := range r.intRAT {
-		binfmt.U16(c, &r.intRAT[i])
+	for i := range r {
+		binfmt.U16(g.Codec, &r[i])
 	}
-	for i := range r.fpRAT {
-		binfmt.U16(c, &r.fpRAT[i])
-	}
-	binfmt.U16(c, &r.flagRAT)
 }
 
 func (g gaCodec) recorder(rp **ace.IntervalRecorder) {
@@ -482,29 +479,29 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 	binfmt.I64(c, &cp.decBit)
 	g.inst(&cp.decInst)
 
-	// Rename maps.
+	// Rename map.
 	g.rat(&cp.rat)
 
 	// Physical register files, ready bits and free lists.
 	g.sized("int PRF", len(cp.intPRF))
 	for i := range cp.intPRF {
 		binfmt.U64(c, &cp.intPRF[i])
-		g.Bool(&cp.intReady[i])
+		g.Bool(&cp.ready[clsInt][i])
 	}
-	g.u16s(&cp.intFree)
+	g.u16s(&cp.free[clsInt])
 	g.sized("fp PRF", len(cp.fpPRF))
 	for i := range cp.fpPRF {
 		binfmt.U64(c, &cp.fpPRF[i][0])
 		binfmt.U64(c, &cp.fpPRF[i][1])
-		g.Bool(&cp.fpReady[i])
+		g.Bool(&cp.ready[clsFP][i])
 	}
-	g.u16s(&cp.fpFree)
+	g.u16s(&cp.free[clsFP])
 	g.sized("flag PRF", len(cp.flagPRF))
 	for i := range cp.flagPRF {
 		binfmt.U8(c, &cp.flagPRF[i])
-		g.Bool(&cp.flagRdy[i])
+		g.Bool(&cp.ready[clsFlag][i])
 	}
-	g.u16s(&cp.flagFree)
+	g.u16s(&cp.free[clsFlag])
 
 	// ROB: geometry, then the entries that carry state (Core.liveSlots),
 	// sorted by slot for a deterministic byte stream.

@@ -65,21 +65,11 @@ type wkNode struct {
 func (c *Core) wkReg(cls uint8, phys uint16) int {
 	switch cls {
 	case clsFP:
-		return len(c.intReady) + int(phys)
+		return len(c.ready[clsInt]) + int(phys)
 	case clsFlag:
-		return len(c.intReady) + len(c.fpReady) + int(phys)
+		return len(c.ready[clsInt]) + len(c.ready[clsFP]) + int(phys)
 	}
 	return int(phys)
-}
-
-func (c *Core) physReady(cls uint8, phys uint16) bool {
-	switch cls {
-	case clsFP:
-		return c.fpReady[phys]
-	case clsFlag:
-		return c.flagRdy[phys]
-	}
-	return c.intReady[phys]
 }
 
 // readySet returns the bitmap that holds the µop at ROB slot idx.
@@ -97,7 +87,7 @@ func (c *Core) watch(idx int) {
 	u := &c.rob[idx]
 	u.pending = 0
 	for _, s := range u.sources() {
-		if c.physReady(s.cls, s.phys) {
+		if c.ready[s.cls][s.phys] {
 			continue
 		}
 		u.pending++
@@ -164,7 +154,7 @@ func (c *Core) dropWaiters(r int) {
 // and the ready bits (init, and every copy: a checkpoint carries none of
 // it).
 func (c *Core) rebuildWakeup() {
-	c.wkHead = grow(c.wkHead, len(c.intReady)+len(c.fpReady)+len(c.flagRdy))
+	c.wkHead = grow(c.wkHead, len(c.ready[clsInt])+len(c.ready[clsFP])+len(c.ready[clsFlag]))
 	for i := range c.wkHead {
 		c.wkHead[i] = -1
 	}
@@ -485,9 +475,10 @@ func (c *Core) renameOne(f fqEntry) bool {
 		srcs, dsts = c.pre.operands(&e)
 	}
 	// Resource checks.
-	if int(e.need[clsInt]) > len(c.intFree) || int(e.need[clsFP]) > len(c.fpFree) ||
-		int(e.need[clsFlag]) > len(c.flagFree) {
-		return false
+	for cls, n := range e.need {
+		if int(n) > len(c.free[cls]) {
+			return false
+		}
 	}
 	if e.isLoad && c.nLoads >= c.cfg.LQSize {
 		return false
@@ -512,41 +503,17 @@ func (c *Core) renameOne(f fqEntry) bool {
 	u.isStore = e.isStore
 
 	for i, s := range srcs {
-		var phys uint16
-		switch s.cls {
-		case clsInt:
-			phys = c.rat.intRAT[s.arch]
-		case clsFP:
-			phys = c.rat.fpRAT[s.arch]
-		case clsFlag:
-			phys = c.rat.flagRAT
-		}
-		u.srcs[i] = rsrc{archRef: s, phys: phys}
+		u.srcs[i] = rsrc{archRef: s, phys: c.rat[ratSlot(s.cls, s.arch)]}
 	}
 	for i, d := range dsts {
-		var phys, old uint16
-		switch d.cls {
-		case clsInt:
-			phys = c.intFree[len(c.intFree)-1]
-			c.intFree = c.intFree[:len(c.intFree)-1]
-			old = c.rat.intRAT[d.arch]
-			c.rat.intRAT[d.arch] = phys
-			c.intReady[phys] = false
-		case clsFP:
-			phys = c.fpFree[len(c.fpFree)-1]
-			c.fpFree = c.fpFree[:len(c.fpFree)-1]
-			old = c.rat.fpRAT[d.arch]
-			c.rat.fpRAT[d.arch] = phys
-			c.fpReady[phys] = false
-		case clsFlag:
-			phys = c.flagFree[len(c.flagFree)-1]
-			c.flagFree = c.flagFree[:len(c.flagFree)-1]
-			old = c.rat.flagRAT
-			c.rat.flagRAT = phys
-			c.flagRdy[phys] = false
-		}
+		free := c.free[d.cls]
+		phys := free[len(free)-1]
+		c.free[d.cls] = free[:len(free)-1]
+		slot := ratSlot(d.cls, d.arch)
+		u.dsts[i] = rdst{cls: d.cls, arch: d.arch, phys: phys, old: c.rat[slot]}
+		c.rat[slot] = phys
+		c.ready[d.cls][phys] = false
 		c.dropWaiters(c.wkReg(d.cls, phys))
-		u.dsts[i] = rdst{cls: d.cls, arch: d.arch, phys: phys, old: old}
 	}
 	u.nSrcs, u.nDsts = uint8(len(srcs)), uint8(len(dsts))
 	if e.v.IsBranch || f.poison {

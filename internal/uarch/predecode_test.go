@@ -107,10 +107,8 @@ func renamedAlike(a, b *Core) error {
 	if !same {
 		return fmt.Errorf("µop %+v, on the spot %+v", *ua, *ub)
 	}
-	if a.rat != b.rat || !slices.Equal(a.intFree, b.intFree) || !slices.Equal(a.fpFree, b.fpFree) ||
-		!slices.Equal(a.flagFree, b.flagFree) || !slices.Equal(a.intReady, b.intReady) ||
-		!slices.Equal(a.fpReady, b.fpReady) || !slices.Equal(a.flagRdy, b.flagRdy) ||
-		!slices.Equal(a.iq, b.iq) || !slices.Equal(a.sq, b.sq) || a.nLoads != b.nLoads ||
+	if a.rat != b.rat || !slices.EqualFunc(a.free[:], b.free[:], slices.Equal) ||
+		!slices.EqualFunc(a.ready[:], b.ready[:], slices.Equal) || !slices.Equal(a.iq, b.iq) || !slices.Equal(a.sq, b.sq) || a.nLoads != b.nLoads ||
 		a.nStores != b.nStores || a.seq != b.seq ||
 		!slices.Equal(a.rdyOther, b.rdyOther) || !slices.Equal(a.rdyLoad, b.rdyLoad) {
 		return fmt.Errorf("rename state diverged after µop seq %d", ua.seq)

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"maps"
 	"math/rand/v2"
 	"reflect"
@@ -29,13 +30,17 @@ func touchAll(c *Core) {
 	}
 }
 
-// The core's state is listed by hand in copyState, stateHash and init.
-// coreState classifies every field of the structs that hold it, once:
-// a field missed in stateHash lets delta termination call a live fault
-// Masked, one missed in copyFrom breaks fast-forward ≡ from-zero, and the
-// differentials catch either only if a test program happens to reach the
-// field. TestCoreStateTableComplete finds every field by reflection;
-// TestCoreStateTablePerturbation proves the table is what the code does.
+// The core's state is hashed field by field in stateHash. copyState and
+// init list the register files, queues and structures one by one and
+// take the scalars as two values: pipeState, copied whole, and
+// runScratch, reset whole. coreState classifies every field of the
+// structs that hold the state, once: a field missed in stateHash lets
+// delta termination call a live fault Masked, one a copy drops (or a
+// scalar put in the wrong one of the two values) breaks fast-forward ≡
+// from-zero, and the differentials catch either only if a test program
+// happens to reach the field. TestCoreStateTableComplete finds every
+// field by reflection; TestCoreStateTablePerturbation proves the table
+// is what the code does.
 
 type stateClass int
 
@@ -67,6 +72,10 @@ type stateRow struct {
 	prep func(*Core)
 	// mut perturbs the field (nil: the generic perturbation of its value).
 	mut func(*Core)
+	// muts, when set, perturbs the field several ways instead of mut,
+	// each checked on its own: one per register class of a field indexed
+	// by class.
+	muts []func(*Core)
 	// eq compares the field of two cores (nil: reflect.DeepEqual).
 	eq func(a, b *Core) bool
 }
@@ -92,10 +101,21 @@ var (
 	executed = func(u *uop) bool { return u.st != uWaiting }
 )
 
-// liveInt, liveFP and liveFlag pick a mapped physical register.
-func liveInt(c *Core) int  { return int(c.rat.intRAT[0]) }
-func liveFP(c *Core) int   { return int(c.rat.fpRAT[0]) }
-func liveFlag(c *Core) int { return int(c.rat.flagRAT) }
+// livePhys picks a mapped physical register of class cls; liveInt,
+// liveFP and liveFlag pick one of each class.
+func livePhys(c *Core, cls uint8) int { return int(c.rat[ratSlot(cls, 0)]) }
+func liveInt(c *Core) int             { return livePhys(c, clsInt) }
+func liveFP(c *Core) int              { return livePhys(c, clsFP) }
+func liveFlag(c *Core) int            { return livePhys(c, clsFlag) }
+
+// perClass returns mut's perturbation of each register class.
+func perClass(mut func(c *Core, cls uint8)) []func(*Core) {
+	var muts []func(*Core)
+	for cls := range uint8(3) {
+		muts = append(muts, func(c *Core) { mut(c, cls) })
+	}
+	return muts
+}
 
 // firstValid returns the index of the first valid entry.
 func firstValid(valid func(int) bool, n int) int {
@@ -130,85 +150,90 @@ var coreState = map[string]stateRow{
 		mut: func(c *Core) { c.recIRF = ace.GetIntervalRecorder(64) }},
 	"Core.recFPRF": {class: scratch, why: whyRecorder,
 		mut: func(c *Core) { c.recFPRF = ace.GetIntervalRecorder(64) }},
-	"Core.sumIRF":   {class: scratch, why: whySum, mut: func(c *Core) { c.sumIRF = ace.NewSumRecorder(64) }},
-	"Core.sumFPRF":  {class: scratch, why: whySum, mut: func(c *Core) { c.sumFPRF = ace.NewSumRecorder(64) }},
-	"Core.sumL1D":   {class: scratch, why: whySum, mut: func(c *Core) { c.sumL1D = ace.NewSumRecorder(64) }},
-	"Core.ibrC":     {class: scratch, why: whyCoverage},
-	"Core.intPRF":   {class: hashed, elem: liveInt},
-	"Core.intReady": {class: hashed, elem: liveInt},
-	"Core.intFree":  {class: hashed, mut: func(c *Core) { swapFirst(c.intFree) }},
-	"Core.fpPRF":    {class: hashed, elem: liveFP},
-	"Core.fpReady":  {class: hashed, elem: liveFP},
-	"Core.fpFree":   {class: hashed, mut: func(c *Core) { swapFirst(c.fpFree) }},
-	"Core.flagPRF":  {class: hashed, elem: liveFlag},
-	"Core.flagRdy":  {class: hashed, elem: liveFlag},
-	"Core.flagFree": {class: hashed, mut: func(c *Core) { swapFirst(c.flagFree) }},
-	"Core.rat":      {class: hashed},
-	"Core.rob":      {class: hashed},
-	"Core.robHead":  {class: hashed},
-	"Core.robCnt":   {class: hashed},
-	"Core.iq":       {class: hashed, mut: func(c *Core) { c.iq = c.iq[1:] }},
-	"Core.sq":       {class: hashed, mut: func(c *Core) { c.sq = c.sq[1:] }},
+	"Core.sumIRF":  {class: scratch, why: whySum, mut: func(c *Core) { c.sumIRF = ace.NewSumRecorder(64) }},
+	"Core.sumFPRF": {class: scratch, why: whySum, mut: func(c *Core) { c.sumFPRF = ace.NewSumRecorder(64) }},
+	"Core.sumL1D":  {class: scratch, why: whySum, mut: func(c *Core) { c.sumL1D = ace.NewSumRecorder(64) }},
+	"Core.ibrC":    {class: scratch, why: whyCoverage},
+	"Core.intPRF":  {class: hashed, elem: liveInt},
+	"Core.fpPRF":   {class: hashed, elem: liveFP},
+	"Core.flagPRF": {class: hashed, elem: liveFlag},
+	// A live register's ready bit, and the pop order of the free list,
+	// of each class.
+	"Core.ready": {class: hashed, muts: perClass(func(c *Core, cls uint8) {
+		r := livePhys(c, cls)
+		c.ready[cls][r] = !c.ready[cls][r]
+	})},
+	"Core.free": {class: hashed, muts: perClass(func(c *Core, cls uint8) { swapFirst(c.free[cls]) })},
+	"Core.rob":  {class: hashed},
+	"Core.iq":   {class: hashed, mut: func(c *Core) { c.iq = c.iq[1:] }},
+	"Core.sq":   {class: hashed, mut: func(c *Core) { c.sq = c.sq[1:] }},
 	"Core.inflight": {class: hashed, mut: func(c *Core) {
 		// Writeback prunes squashed and written-back entries lazily, so
 		// only an issued one binds.
 		i := slices.IndexFunc(c.inflight, func(idx int) bool { return issuedOp(&c.rob[idx]) })
 		c.inflight = slices.Delete(slices.Clone(c.inflight), i, i+1)
 	}},
-	"Core.wkHead":          {class: scratch, why: whyWakeup},
-	"Core.wkNodes":         {class: scratch, why: whyWakeup},
-	"Core.wkFree":          {class: scratch, why: whyWakeup},
-	"Core.rdyOther":        {class: scratch, why: whyWakeup},
-	"Core.rdyLoad":         {class: scratch, why: whyWakeup},
-	"Core.fq":              {class: hashed},
-	"Core.fetchPC":         {class: hashed},
-	"Core.fetchStallUntil": {class: hashed, mut: func(c *Core) { c.fetchStallUntil = c.cycle + 100 }},
-	"Core.decArmed":        {class: hashed},
-	"Core.decBit":          {class: hashed, prep: func(c *Core) { c.decArmed = true }},
-	"Core.decInst": {class: hashed, prep: func(c *Core) {
+	"Core.wkHead":       {class: scratch, why: whyWakeup},
+	"Core.wkNodes":      {class: scratch, why: whyWakeup},
+	"Core.wkFree":       {class: scratch, why: whyWakeup},
+	"Core.rdyOther":     {class: scratch, why: whyWakeup},
+	"Core.rdyLoad":      {class: scratch, why: whyWakeup},
+	"Core.fq":           {class: hashed},
+	"Core.deltaScratch": {class: scratch, why: "stateHash's free-list scratch, overwritten before use"},
+	"Core.pipeState":    {class: hashed},
+	"Core.runScratch":   {class: scratch, why: "reset whole by copyFrom, armed whole by init: its own rows are the check"},
+
+	"pipeState.rat":             {class: hashed},
+	"pipeState.robHead":         {class: hashed},
+	"pipeState.robCnt":          {class: hashed},
+	"pipeState.fetchPC":         {class: hashed},
+	"pipeState.fetchStallUntil": {class: hashed, mut: func(c *Core) { c.fetchStallUntil = c.cycle + 100 }},
+	"pipeState.decArmed":        {class: hashed},
+	"pipeState.decBit":          {class: hashed, prep: func(c *Core) { c.decArmed = true }},
+	"pipeState.decInst": {class: hashed, prep: func(c *Core) {
 		u := &c.rob[c.robHead]
 		u.mutated, u.inst = true, &c.decInst
 	}},
-	"Core.cycle": {class: copied, why: "compare points match at equal cycles; timers hash relative to it",
+	"pipeState.cycle": {class: copied, why: "compare points match at equal cycles; timers hash relative to it",
 		prep: func(c *Core) { c.fetchStallUntil, c.divBusyUntil = 0, [2]uint64{} }},
-	"Core.seq":               {class: hashed},
-	"Core.instret":           {class: hashed},
-	"Core.nLoads":            {class: hashed},
-	"Core.nStores":           {class: hashed},
-	"Core.memPortsUsed":      {class: copied, why: whyIssueCtr},
-	"Core.unitUsed":          {class: copied, why: whyIssueCtr},
-	"Core.divBusyUntil":      {class: hashed, mut: func(c *Core) { c.divBusyUntil[0] = c.cycle + 100 }},
-	"Core.oldestUnexecStore": {class: copied, why: whyIssueCtr},
-	"Core.progressed":        {class: scratch, why: "per-cycle progress flag: copyFrom clears it"},
-	"Core.wbReadyAt":         {class: scratch, why: "lower bound on the next writeback: copyFrom resets it to 0, always safe"},
-	"Core.skipped":           {class: scratch, why: "skipped-cycle telemetry: copyFrom resets it"},
-	"Core.ckNext":            {class: scratch, why: "checkpoint capture schedule: init arms it from Config.Checkpoints, a copy captures none"},
-	"Core.ckSpacing":         {class: scratch, why: "checkpoint capture spacing: init resets it, only a capturing run reads it"},
-	"Core.streamDigest":      {class: copied, why: "compared on its own, as the point's Stream, before the state hash"},
-	"Core.deltaHashOn":       {class: scratch, why: whyArming},
-	"Core.deltaNextRec":      {class: scratch, why: whyArming},
-	"Core.deltaCmpIdx":       {class: scratch, why: whyArming},
-	"Core.deltaCmpFrom":      {class: scratch, why: whyArming},
-	"Core.reconverged":       {class: scratch, why: whyArming},
-	"Core.deltaScratch":      {class: scratch, why: "stateHash's free-list scratch, overwritten before use"},
+	"pipeState.seq":               {class: hashed},
+	"pipeState.instret":           {class: hashed},
+	"pipeState.nLoads":            {class: hashed},
+	"pipeState.nStores":           {class: hashed},
+	"pipeState.memPortsUsed":      {class: copied, why: whyIssueCtr},
+	"pipeState.unitUsed":          {class: copied, why: whyIssueCtr},
+	"pipeState.divBusyUntil":      {class: hashed, mut: func(c *Core) { c.divBusyUntil[0] = c.cycle + 100 }},
+	"pipeState.oldestUnexecStore": {class: copied, why: whyIssueCtr},
+	"pipeState.streamDigest":      {class: copied, why: "compared on its own, as the point's Stream, before the state hash"},
 	// Of the execute stage's scratch state only the nondeterminism
 	// counter binds: execUop loads every operand a µop reads before use
 	// (DebugScrub poisons the rest to prove it).
-	"Core.execState": {class: hashed, mut: func(c *Core) {
+	"pipeState.execState": {class: hashed, mut: func(c *Core) {
 		c.execState.RestoreNondetCounter(c.execState.NondetCounter() + 1)
 	}},
-	"Core.bus": {class: scratch, why: "execute-stage memory bus: copyFrom rebinds it to the copy",
+	"pipeState.bus": {class: scratch, why: "execute-stage memory bus: copyFrom rebinds it to the copy",
 		mut: func(c *Core) { c.bus.u = &c.rob[c.robHead] },
 		eq: func(a, b *Core) bool {
 			return a.bus == execBus{c: a} && b.bus == execBus{c: b}
 		}},
-	"Core.branches":    {class: copied, why: whyTelemetry},
-	"Core.mispredicts": {class: copied, why: whyTelemetry},
-	"Core.flushes":     {class: copied, why: whyTelemetry},
-	"Core.crash": {class: copied, why: whyTerminal,
+	"pipeState.branches":    {class: copied, why: whyTelemetry},
+	"pipeState.mispredicts": {class: copied, why: whyTelemetry},
+	"pipeState.flushes":     {class: copied, why: whyTelemetry},
+	"pipeState.crash": {class: copied, why: whyTerminal,
 		mut: func(c *Core) { c.crash = &arch.CrashError{Kind: arch.CrashBadBranch} }},
-	"Core.timedOut": {class: copied, why: whyTerminal},
-	"Core.finished": {class: copied, why: whyTerminal},
+	"pipeState.timedOut": {class: copied, why: whyTerminal},
+	"pipeState.finished": {class: copied, why: whyTerminal},
+
+	"runScratch.progressed":   {class: scratch, why: "per-cycle progress flag: copyFrom clears it"},
+	"runScratch.wbReadyAt":    {class: scratch, why: "lower bound on the next writeback: copyFrom resets it to 0, always safe"},
+	"runScratch.skipped":      {class: scratch, why: "skipped-cycle telemetry: copyFrom resets it"},
+	"runScratch.ckNext":       {class: scratch, why: "checkpoint capture schedule: init arms it from Config.Checkpoints, a copy captures none"},
+	"runScratch.ckSpacing":    {class: scratch, why: "checkpoint capture spacing: init resets it, only a capturing run reads it"},
+	"runScratch.deltaHashOn":  {class: scratch, why: whyArming},
+	"runScratch.deltaNextRec": {class: scratch, why: whyArming},
+	"runScratch.deltaCmpIdx":  {class: scratch, why: whyArming},
+	"runScratch.deltaCmpFrom": {class: scratch, why: whyArming},
+	"runScratch.reconverged":  {class: scratch, why: whyArming},
 
 	"uop.seq": {class: hashed},
 	"uop.pc":  {class: hashed},
@@ -303,20 +328,34 @@ var coreState = map[string]stateRow{
 // stateStructs are the structs whose every field coreState classifies. A
 // field of one of these types is composite: its own rows are the check.
 var stateStructs = map[string]reflect.Type{
-	"Core":      reflect.TypeFor[Core](),
-	"uop":       reflect.TypeFor[uop](),
-	"dcache":    reflect.TypeFor[dcache](),
-	"cacheLine": reflect.TypeFor[cacheLine](),
-	"l2tags":    reflect.TypeFor[l2tags](),
-	"gshare":    reflect.TypeFor[gshare](),
+	"Core":       reflect.TypeFor[Core](),
+	"pipeState":  reflect.TypeFor[pipeState](),
+	"runScratch": reflect.TypeFor[runScratch](),
+	"uop":        reflect.TypeFor[uop](),
+	"dcache":     reflect.TypeFor[dcache](),
+	"cacheLine":  reflect.TypeFor[cacheLine](),
+	"l2tags":     reflect.TypeFor[l2tags](),
+	"gshare":     reflect.TypeFor[gshare](),
 }
 
-func composite(t reflect.Type) bool {
+// composite returns the name of the state struct a field of type t
+// holds ("" for none).
+func composite(t reflect.Type) string {
 	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
 		t = t.Elem()
 	}
-	for _, st := range stateStructs {
+	for name, st := range stateStructs {
 		if t == st {
+			return name
+		}
+	}
+	return ""
+}
+
+// holdsHashed reports whether any field of state struct name is hashed.
+func holdsHashed(name string) bool {
+	for key, row := range coreState {
+		if typ, _, _ := strings.Cut(key, "."); typ == name && row.class == hashed {
 			return true
 		}
 	}
@@ -389,6 +428,10 @@ func (s stateSite) field(c *Core, key string) reflect.Value {
 	switch typ {
 	case "Core":
 		host = c
+	case "pipeState":
+		host = &c.pipeState
+	case "runScratch":
+		host = &c.runScratch
 	case "uop":
 		host = &c.rob[s.slot]
 	case "dcache":
@@ -404,7 +447,9 @@ func (s stateSite) field(c *Core, key string) reflect.Value {
 }
 
 // TestCoreStateTableComplete: every field of the core's state structs is
-// classified, and every row names a field that exists.
+// classified, and every row names a field that exists. A field that holds
+// a state struct is classified hashed when any of that struct's fields is
+// hashed.
 func TestCoreStateTableComplete(t *testing.T) {
 	seen := map[string]bool{}
 	for name, typ := range stateStructs {
@@ -417,8 +462,9 @@ func TestCoreStateTableComplete(t *testing.T) {
 				t.Errorf("%s (%s) is not classified: add a row saying whether copyFrom copies it and stateHash covers it", key, typ.Field(i).Type)
 			case row.class != hashed && row.why == "":
 				t.Errorf("%s is not hashed but gives no reason", key)
-			case composite(typ.Field(i).Type) && row.class != hashed:
-				t.Errorf("%s holds state structs but is not classified hashed", key)
+			case composite(typ.Field(i).Type) != "" && holdsHashed(composite(typ.Field(i).Type)) != (row.class == hashed):
+				t.Errorf("%s holds state struct %s, but its class %v disagrees with whether that holds a hashed field",
+					key, composite(typ.Field(i).Type), row.class)
 			}
 		}
 	}
@@ -470,33 +516,25 @@ func TestCoreStateTablePerturbation(t *testing.T) {
 	for _, key := range slices.Sorted(maps.Keys(coreState)) {
 		row := coreState[key]
 		typ, name, _ := strings.Cut(key, ".")
-		if f, _ := stateStructs[typ].FieldByName(name); composite(f.Type) {
-			continue // checked through its own struct's rows
+		f, ok := stateStructs[typ].FieldByName(name)
+		if !ok || composite(f.Type) != "" {
+			continue // reported by TestCoreStateTableComplete, or checked through its own struct's rows
 		}
 		site := stateSite{slot: liveSlot(src, row.live), line: validLine(src)}
-		base, pert := new(Core), new(Core)
-		base.copyFrom(src)
-		pert.copyFrom(src)
-		if row.prep != nil {
-			row.prep(base)
-			row.prep(pert)
-		}
-		if row.mut != nil {
-			row.mut(pert)
-		} else {
-			elem := 0
-			if row.elem != nil {
-				elem = row.elem(pert)
+		muts := row.muts
+		if muts == nil {
+			mut := row.mut
+			if mut == nil {
+				mut = func(c *Core) {
+					elem := 0
+					if row.elem != nil {
+						elem = row.elem(c)
+					}
+					perturb(site.field(c, key), elem)
+				}
 			}
-			perturb(site.field(pert, key), elem)
+			muts = []func(*Core){mut}
 		}
-		touchAll(pert)
-
-		moved := base.stateHash() != pert.stateHash()
-		if moved != (row.class == hashed) {
-			t.Errorf("%s: classified %v, but perturbing it moves stateHash: %v", key, row.class, moved)
-		}
-
 		eq := row.eq
 		if eq == nil {
 			eq = func(a, b *Core) bool {
@@ -507,17 +545,38 @@ func TestCoreStateTablePerturbation(t *testing.T) {
 				return reflect.DeepEqual(writable(x).Interface(), writable(y).Interface())
 			}
 		}
-		fromBase, fromPert := new(Core), new(Core)
-		fromBase.copyFrom(base)
-		fromPert.copyFrom(pert)
-		switch row.class {
-		case hashed, copied:
-			if !eq(fromPert, pert) || eq(fromPert, fromBase) {
-				t.Errorf("%s: classified %v, but copyFrom does not carry its perturbation", key, row.class)
+		for i, mut := range muts {
+			what := key
+			if len(muts) > 1 {
+				what = fmt.Sprintf("%s (perturbation %d)", key, i)
 			}
-		case scratch:
-			if !eq(fromPert, fromBase) {
-				t.Errorf("%s: classified scratch, but copyFrom carries its perturbation", key)
+			base, pert := new(Core), new(Core)
+			base.copyFrom(src)
+			pert.copyFrom(src)
+			if row.prep != nil {
+				row.prep(base)
+				row.prep(pert)
+			}
+			mut(pert)
+			touchAll(pert)
+
+			moved := base.stateHash() != pert.stateHash()
+			if moved != (row.class == hashed) {
+				t.Errorf("%s: classified %v, but perturbing it moves stateHash: %v", what, row.class, moved)
+			}
+
+			fromBase, fromPert := new(Core), new(Core)
+			fromBase.copyFrom(base)
+			fromPert.copyFrom(pert)
+			switch row.class {
+			case hashed, copied:
+				if !eq(fromPert, pert) || eq(fromPert, fromBase) {
+					t.Errorf("%s: classified %v, but copyFrom does not carry its perturbation", what, row.class)
+				}
+			case scratch:
+				if !eq(fromPert, fromBase) {
+					t.Errorf("%s: classified scratch, but copyFrom carries its perturbation", what)
+				}
 			}
 		}
 	}

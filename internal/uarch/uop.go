@@ -57,12 +57,21 @@ type ibrEvent struct {
 	a, b uint64
 }
 
-// ratSnapshot captures the rename maps at a branch for recovery.
-type ratSnapshot struct {
-	intRAT  [isa.NumGPR]uint16
-	fpRAT   [isa.NumXMM]uint16
-	flagRAT uint16
-}
+// ratSnapshot is the rename map, one slot per architectural register:
+// the integer registers, then the XMM registers, then the flags. A branch
+// keeps a copy of it for recovery.
+type ratSnapshot [isa.NumGPR + isa.NumXMM + 1]uint16
+
+// ratBase is where each register class's slots start in a ratSnapshot,
+// archRegs how many it has.
+var (
+	ratBase  = [3]uint8{clsInt: 0, clsFP: isa.NumGPR, clsFlag: isa.NumGPR + isa.NumXMM}
+	archRegs = [3]int{clsInt: isa.NumGPR, clsFP: isa.NumXMM, clsFlag: 1}
+)
+
+// ratSlot returns the rename-map slot of architectural register arch of
+// class cls.
+func ratSlot(cls, arch uint8) uint8 { return ratBase[cls] + arch }
 
 // The ISA bounds a µop's lists (DESIGN.md §4.7): summarize asserts the
 // first two as it predecodes an instruction, and TestUopListBounds checks

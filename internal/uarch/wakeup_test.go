@@ -54,7 +54,7 @@ type wakeupOracle struct {
 // scanReady is the old source test: every source, no memo.
 func (c *Core) scanReady(u *uop) bool {
 	for _, s := range u.sources() {
-		if !c.physReady(s.cls, s.phys) {
+		if !c.ready[s.cls][s.phys] {
 			return false
 		}
 	}
@@ -195,7 +195,7 @@ func (o *wakeupOracle) check(c *Core) error {
 		}
 		unready := 0
 		for i, s := range u.sources() {
-			if c.physReady(s.cls, s.phys) {
+			if c.ready[s.cls][s.phys] {
 				continue
 			}
 			unready++
