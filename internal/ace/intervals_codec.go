@@ -2,6 +2,7 @@ package ace
 
 import (
 	"fmt"
+	"unsafe"
 
 	"harpocrates/internal/binfmt"
 )
@@ -9,10 +10,13 @@ import (
 // Binary layout for embedding an IntervalRecorder inside a larger
 // container (the golden artifact bundle's HXGA codec): little-endian,
 // a uint32 cell count, then per cell the last-write cycle, a span
-// count and the (start, end] span pairs. The recorder's fields are
-// private to this package, so the walker lives here. Like HXGA it is
-// kept only for the frozen benchmark/layers.go probes and is deleted
-// with them (ROADMAP item 10; see uarch/goldencodec.go).
+// count and the (start, end] span pairs. A cell's spans are its log as
+// cellSpans merges it, and a cell of a whole block gives the block's
+// write, so the bytes do not depend on how the recorder split its log
+// between cells and segments. The recorder's fields are private to this
+// package, so the walker lives here. Like HXGA it is kept only for the
+// frozen benchmark/layers.go probes and is deleted with them (ROADMAP
+// item 7; see uarch/goldencodec.go).
 
 // maxCodecCells bounds a decoded recorder (the largest real recorder —
 // the L1D data array — is a quarter-million cells; 1<<28 leaves three
@@ -21,23 +25,35 @@ const maxCodecCells = 1 << 28
 
 // codec walks r's layout in whichever direction c runs; decoding resizes
 // r to the stored cell count (12 bytes is the smallest cell: its
-// last-write cycle and an empty span list) and derives each cell's last
-// read and the consumed total from its spans.
+// last-write cycle and an empty span list), keeps every cell per cell
+// with its spans in its own list, and derives the consumed total from
+// them.
 func (r *IntervalRecorder) codec(c *binfmt.Codec) {
-	cells := c.Len(len(r.lastWrite), 12, maxCodecCells)
-	if c.Decoding() {
+	cells := c.Len(r.cells, 12, maxCodecCells)
+	dec := c.Decoding()
+	if dec {
 		r.Reset(cells)
+		r.growCells()
+		for b := range r.blocks {
+			r.blocks[b].whole = false
+		}
 	}
 	span := func(sp *ivalSpan) {
 		binfmt.U64(c, &sp.start)
 		binfmt.U64(c, &sp.end)
 	}
-	for i := 0; i < len(r.lastWrite) && c.Err() == nil; i++ {
-		binfmt.U64(c, &r.lastWrite[i])
-		binfmt.Slice(c, &r.spans[i], 16, maxCodecCells, span)
-		if s := r.spans[i]; c.Decoding() && len(s) > 0 {
-			r.lastRead[i] = s[len(s)-1].end
-			for _, sp := range s {
+	var spans []ivalSpan
+	for i := 0; i < r.cells && c.Err() == nil; i++ {
+		var w uint64
+		if !dec {
+			w, spans = r.writeOf(i), r.cellSpans(spans[:0], i)
+		}
+		binfmt.U64(c, &w)
+		binfmt.Slice(c, &spans, 16, maxCodecCells, span)
+		if dec && c.Err() == nil {
+			r.lastWrite[i] = w
+			for _, sp := range spans {
+				r.push(&r.cellLog[i], sp)
 				r.consumed += sp.end - sp.start
 			}
 		}
@@ -88,9 +104,7 @@ func (r *IntervalRecorder) ApproxBytes() int {
 	if r == nil {
 		return 0
 	}
-	n := 16*len(r.lastWrite) + 24*len(r.spans)
-	for _, s := range r.spans {
-		n += 16 * cap(s)
-	}
-	return n
+	return 8*len(r.lastWrite) + 8*len(r.lastRead) + int(unsafe.Sizeof(spanList{}))*len(r.cellLog) +
+		int(unsafe.Sizeof(segBlock{}))*len(r.blocks) + int(unsafe.Sizeof(segLog{}))*len(r.segLog) +
+		int(unsafe.Sizeof([chunkLen]spanNode{}))*len(r.arena)
 }

@@ -9,10 +9,10 @@ import (
 // the documented layout and checks both directions against them, so the
 // embedded format cannot drift.
 func TestIntervalCodecPinned(t *testing.T) {
-	rec := &IntervalRecorder{
-		lastWrite: []uint64{5, 0x0102030405060708},
-		spans:     [][]ivalSpan{{{start: 1, end: 3}, {start: 4, end: 0x100}}, nil},
-	}
+	rec := NewIntervalRecorder(2)
+	rec.lastWrite = []uint64{5, 0x0102030405060708}
+	rec.push(&rec.cellLog[0], ivalSpan{start: 1, end: 3})
+	rec.push(&rec.cellLog[0], ivalSpan{start: 4, end: 0x100})
 	want := []byte{
 		2, 0, 0, 0, // cells
 		5, 0, 0, 0, 0, 0, 0, 0, // cell 0 last write

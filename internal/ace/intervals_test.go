@@ -54,7 +54,7 @@ func TestIntervalRecorderMergesAdjacentReads(t *testing.T) {
 	r.Read(0, 5)
 	r.Read(0, 9)
 	r.Read(0, 9) // duplicate same-cycle read
-	if got := len(r.spans[0]); got != 1 {
+	if got := len(r.cellSpans(nil, 0)); got != 1 {
 		t.Fatalf("expected 1 merged span, got %d", got)
 	}
 	if !r.Consumed(0, 7) || !r.Consumed(0, 9) || r.Consumed(0, 10) {
@@ -179,7 +179,7 @@ func TestTrackerReset(t *testing.T) {
 		t.Fatal("recorder accumulated nothing")
 	}
 	r.Reset(4 * 64)
-	if r.consumed != 0 || r.NumCells() != 4*64 || r.LastEvent(64) != 0 || r.spans != nil {
+	if r.consumed != 0 || r.NumCells() != 4*64 || r.LastEvent(64) != 0 || r.arena != nil {
 		t.Fatal("Reset did not clear state")
 	}
 	// After reset a read credits from the implicit reset write, not from

@@ -19,6 +19,36 @@ func sumOp(write bool, step, width, at byte) []byte {
 	return []byte{b0, width, at}
 }
 
+// replayOps drives each recorder through the events data encodes (see
+// sumOp) and returns the cycle of the last.
+func replayOps(data []byte, recs ...interface {
+	WriteRange(cell, n int, cycle uint64)
+	ReadRange(cell, n int, cycle uint64)
+}) uint64 {
+	var cycle uint64
+	for ; len(data) >= 3; data = data[3:] {
+		write := data[0]&1 != 0
+		cycle += uint64(data[0] >> 1 & 3)
+		var cell, n int
+		if data[1]&0x80 != 0 {
+			n = []int{8, 16, 32, 64, 128}[int(data[1]&0x7f)%5]
+			cell = int(data[2]%4) * blockCells
+		} else {
+			n = int(data[1])%128 + 1
+			cell = int(data[2]) % sumFuzzCells
+		}
+		n = min(n, sumFuzzCells-cell)
+		for _, r := range recs {
+			if write {
+				r.WriteRange(cell, n, cycle)
+			} else {
+				r.ReadRange(cell, n, cycle)
+			}
+		}
+	}
+	return cycle
+}
+
 // aligned is the width byte of an aligned block-prefix access of n cells.
 func aligned(n int) byte {
 	for i, w := range []int{8, 16, 32, 64, 128} {
@@ -30,9 +60,9 @@ func aligned(n int) byte {
 }
 
 // FuzzSumRecorder: a sum-only recorder — segment state for whole blocks,
-// per-cell state for the rest — consumes exactly what a log-keeping
-// recorder does on any event sequence, and both equal the log's span
-// total.
+// per-cell state for the rest — consumes exactly what the per-cell rule
+// (refLog) does on any event sequence, and so does a log-keeping
+// recorder, whose span total equals it.
 func FuzzSumRecorder(f *testing.F) {
 	// IRF: whole-register writes, reads of 8/16/32/64 bits from bit 0.
 	var irf []byte
@@ -52,37 +82,18 @@ func FuzzSumRecorder(f *testing.F) {
 	f.Add([]byte{0, 127, 200, 3, 0x80, 3, 6, 0x83, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sum, log := NewSumRecorder(sumFuzzCells), NewIntervalRecorder(sumFuzzCells)
-		var cycle uint64
-		for ; len(data) >= 3; data = data[3:] {
-			write := data[0]&1 != 0
-			cycle += uint64(data[0] >> 1 & 3)
-			var cell, n int
-			if data[1]&0x80 != 0 {
-				n = []int{8, 16, 32, 64, 128}[int(data[1]&0x7f)%5]
-				cell = int(data[2]%4) * blockCells
-			} else {
-				n = int(data[1])%128 + 1
-				cell = int(data[2]) % sumFuzzCells
-			}
-			n = min(n, sumFuzzCells-cell)
-			if write {
-				sum.WriteRange(cell, n, cycle)
-				log.WriteRange(cell, n, cycle)
-			} else {
-				sum.ReadRange(cell, n, cycle)
-				log.ReadRange(cell, n, cycle)
-			}
-		}
-		if sum.consumed != log.consumed || log.consumed != log.SpanCycles() {
-			t.Fatalf("sum-only %d, log-keeping %d, spans %d", sum.consumed, log.consumed, log.SpanCycles())
+		sum, log, ref := NewSumRecorder(sumFuzzCells), NewIntervalRecorder(sumFuzzCells), newRefLog(sumFuzzCells)
+		cycle := replayOps(data, sum, log, ref)
+		if sum.consumed != ref.consumed || log.consumed != ref.consumed || log.SpanCycles() != ref.consumed {
+			t.Fatalf("sum-only %d, log-keeping %d, spans %d, want %d", sum.consumed, log.consumed, log.SpanCycles(), ref.consumed)
 		}
 		if a, b := sum.Vulnerability(cycle+1), log.Vulnerability(cycle+1); a != b {
 			t.Fatalf("vulnerability %v sum-only, %v log-keeping", a, b)
 		}
 		for c := range sumFuzzCells {
-			if sum.LastEvent(c) != log.LastEvent(c) {
-				t.Fatalf("cell %d: last event %d sum-only, %d log-keeping", c, sum.LastEvent(c), log.LastEvent(c))
+			want := max(ref.lastWrite[c], ref.lastRead[c])
+			if sum.LastEvent(c) != want || log.LastEvent(c) != want {
+				t.Fatalf("cell %d: last event %d sum-only, %d log-keeping, want %d", c, sum.LastEvent(c), log.LastEvent(c), want)
 			}
 		}
 	})

@@ -387,7 +387,7 @@ func (c *Coordinator) submit(req *dist.JobRequest, frame []byte) (*dist.JobSubmi
 	}
 	j.seq = c.nextSeq
 	j.id = fmt.Sprintf("j-%06d", j.seq)
-	if err := c.wal.append(recSubmit, submitRecord(&walSubmit{ID: j.id, Seq: j.seq, Bounds: bounds}, frame)); err != nil {
+	if err := c.wal.appendFrame(recSubmit, submitRecord(&walSubmit{ID: j.id, Seq: j.seq, Bounds: bounds}, frame)); err != nil {
 		return nil, err // nothing reached the log: the sequence number stays unused
 	}
 	// From here the log may hold the job's records whatever the sync

@@ -117,7 +117,10 @@ func TestUnrunnableJobRefusedOrFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.wal.Append(recSubmit, submitRecord(&walSubmit{ID: "j-000000", Bounds: [][2]int{{0, 8}}}, frame)); err != nil {
+	if err := coord.wal.appendFrame(recSubmit, submitRecord(&walSubmit{ID: "j-000000", Bounds: [][2]int{{0, 8}}}, frame)); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	crashCoordinator(coord)

@@ -276,9 +276,10 @@ func (s *walSubmit) codec(c *binfmt.Codec) {
 	})
 }
 
-// submitRecord encodes a submit record around a request's frame.
+// submitRecord encodes a submit record around a request's frame, in
+// place in a WAL frame (WAL.appendFrame), so the request is copied once.
 func submitRecord(s *walSubmit, frame []byte) []byte {
-	c := binfmt.NewEncoder(make([]byte, 0, 16+len(s.ID)+16*len(s.Bounds)+len(frame)))
+	c := binfmt.NewEncoder(walFormat.Frame(16 + len(s.ID) + 16*len(s.Bounds) + len(frame)))
 	s.codec(c)
 	c.Raw(frame)
 	return c.Encoded()

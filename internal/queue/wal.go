@@ -78,7 +78,13 @@ func (w *WAL) Append(kind byte, payload []byte) error {
 // append writes one record without the fsync: the caller owes a Sync,
 // which may cover several records (a submit's).
 func (w *WAL) append(kind byte, payload []byte) error {
-	if _, err := w.Log.Append([]byte{kind}, payload); err != nil {
+	return w.appendFrame(kind, append(walFormat.Frame(len(payload)), payload...))
+}
+
+// appendFrame is append for a record built in place in a
+// walFormat.Frame: its payload is written without another copy.
+func (w *WAL) appendFrame(kind byte, frame []byte) error {
+	if _, err := w.Log.AppendFrame([]byte{kind}, frame); err != nil {
 		return fmt.Errorf("queue: wal append: %w", err)
 	}
 	return nil

@@ -47,6 +47,11 @@ func (f Format) header() []byte {
 
 func (f Format) frameSize() int { return f.TagSize + 8 }
 
+// Frame returns an empty frame with room for an n-byte payload: its
+// header's bytes reserved, for the caller to append the payload to and
+// hand to Log.AppendFrame.
+func (f Format) Frame(n int) []byte { return make([]byte, f.frameSize(), f.frameSize()+n) }
+
 // File is what a Log needs of its backing file (*os.File in production,
 // a failing fake in tests).
 type File interface {
@@ -168,26 +173,36 @@ func replay(r io.ReaderAt, off, size int64, format Format, visit func(tag []byte
 // write the log is truncated back (best effort) and its size unchanged,
 // so the next append overwrites whatever the failed one left behind.
 func (l *Log) Append(tag, payload []byte) (int64, error) {
+	return l.AppendFrame(tag, append(l.fmt.Frame(len(payload)), payload...))
+}
+
+// AppendFrame is Append for a record its caller built in place: frame is
+// a Format.Frame with the payload appended. The header is filled in
+// where the frame reserved it, so the payload is not copied again.
+func (l *Log) AppendFrame(tag, frame []byte) (int64, error) {
 	if len(tag) != l.fmt.TagSize {
 		return 0, fmt.Errorf("segstore: tag of %d bytes, log uses %d", len(tag), l.fmt.TagSize)
 	}
+	hs := l.fmt.frameSize()
+	if len(frame) < hs {
+		return 0, fmt.Errorf("segstore: frame of %d bytes has no room for its %d-byte header", len(frame), hs)
+	}
+	payload := frame[hs:]
 	if uint64(len(payload)) > uint64(l.fmt.MaxPayload) {
 		return 0, fmt.Errorf("segstore: record of %d bytes exceeds limit %d", len(payload), l.fmt.MaxPayload)
 	}
-	buf := make([]byte, 0, l.fmt.frameSize()+len(payload))
-	buf = append(buf, tag...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	buf = append(buf, payload...)
+	copy(frame, tag)
+	binary.LittleEndian.PutUint32(frame[l.fmt.TagSize:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[l.fmt.TagSize+4:], crc32.ChecksumIEEE(payload))
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.WriteAt(buf, l.size); err != nil {
+	if _, err := l.f.WriteAt(frame, l.size); err != nil {
 		_ = l.f.Truncate(l.size) // best effort; the next append overwrites anyway
 		return 0, fmt.Errorf("segstore: append: %w", err)
 	}
-	off := l.size + int64(l.fmt.frameSize())
-	l.size += int64(len(buf))
+	off := l.size + int64(hs)
+	l.size += int64(len(frame))
 	return off, nil
 }
 

@@ -134,6 +134,31 @@ func TestFailedAppendIsOverwritten(t *testing.T) {
 	}
 }
 
+// A frame built in place goes out byte for byte as Append would write
+// its payload, and one with no room for its header is refused without
+// touching the log.
+func TestAppendFrameInPlace(t *testing.T) {
+	for _, format := range testFormats {
+		f := &memFile{}
+		l, err := NewLog(f, 0, format, skip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := bytes.Repeat([]byte{9}, format.TagSize)
+		if _, err := l.AppendFrame(tag, make([]byte, format.TagSize)); err == nil {
+			t.Fatal("a frame shorter than its header was accepted")
+		}
+		off, err := l.AppendFrame(tag, append(format.Frame(7), "payload"...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(header(format), frame(tag, []byte("payload"))...)
+		if !bytes.Equal(f.data, want) || off != int64(len(want)-7) {
+			t.Fatalf("tag %d: wrote %x at payload offset %d, want %x", format.TagSize, f.data, off, want)
+		}
+	}
+}
+
 // Open/Append/Close against a real file, for every format: the
 // bytes on disk are exactly header + hand-built frames.
 func TestLogOnDisk(t *testing.T) {
