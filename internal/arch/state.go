@@ -58,9 +58,9 @@ func (k CrashKind) Exception() isa.Exception {
 
 // CrashError is an architectural fault raised during execution.
 type CrashError struct {
-	Kind CrashKind
 	Addr uint64 // faulting address for memory crashes
 	PC   int    // instruction index, filled by the executor
+	Kind CrashKind
 
 	// Exc, when set, overrides the Kind-derived architectural exception
 	// (e.g. a push/pop fault is #SS, not the generic #PF its

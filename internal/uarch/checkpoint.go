@@ -7,7 +7,6 @@ import (
 
 	"harpocrates/internal/arch"
 	"harpocrates/internal/coverage"
-	"harpocrates/internal/isa"
 )
 
 // CheckpointSpacing is the cycle spacing of the checkpoints a run
@@ -69,8 +68,7 @@ type ckState struct {
 	// core holds everything but the ROB entries and the cache arrays
 	// (copyState): its rob, L1D lines and SRAM and L2 tag arrays are nil.
 	core *Core
-	// rob holds the live µops (liveSlots), with the variant and
-	// instruction pointing into core; slots[i] is rob[i]'s ROB slot.
+	// rob holds the live µops (liveSlots); slots[i] is rob[i]'s ROB slot.
 	rob   []uop
 	slots []int32
 	l1d   []*l1dLine // one per L1D line
@@ -127,7 +125,7 @@ func (c *Core) snapshot(s *ckState) *Checkpoint {
 	ck.slots = c.liveSlots(ck.slots[:0])
 	ck.rob = grow(ck.rob, len(ck.slots))
 	for i, s := range ck.slots {
-		ck.core.copyUop(&ck.rob[i], &c.rob[s])
+		copyUop(&ck.rob[i], &c.rob[s])
 	}
 	ck.captureCache(c.cache)
 	return ck
@@ -201,7 +199,7 @@ func (c *Core) restore(ck *Checkpoint) {
 	c.copyState(ck.core)
 	c.rob = grow(c.rob, c.cfg.ROBSize)
 	for i, s := range ck.slots {
-		c.copyUop(&c.rob[s], &ck.rob[i])
+		copyUop(&c.rob[s], &ck.rob[i])
 	}
 	ck.restoreCache(c.cache)
 	c.rebuildWakeup()
@@ -305,30 +303,11 @@ func (c *Core) liveSlots(dst []int32) []int32 {
 	return dst
 }
 
-// copyUop makes d, a µop of core c, a copy of s: a struct copy without
-// the buffered IBR events (coverage state), the variant and instruction
-// re-derived for c (the checkpoint's core on capture, the running one on
-// restore). rebuildWakeup sets pending.
-func (c *Core) copyUop(d, s *uop) {
+// copyUop makes d a copy of s without the buffered IBR events (coverage
+// state). rebuildWakeup sets pending.
+func copyUop(d, s *uop) {
 	*d = *s
 	d.nIBR = 0
-	c.deriveInst(d)
-}
-
-// deriveInst sets u's variant and instruction as renameOne set them:
-// poison and undecodable µops carry the zero variant and no instruction,
-// a mutated one executes c's corrupted decInst, every other one its
-// program instruction.
-func (c *Core) deriveInst(u *uop) {
-	switch {
-	case u.poison || u.bad:
-		u.v, u.inst = isa.Lookup(0), nil
-	case u.mutated:
-		u.v, u.inst = isa.Lookup(c.decInst.V), &c.decInst
-	default:
-		u.inst = &c.prog[u.pc]
-		u.v = isa.Lookup(u.inst.V)
-	}
 }
 
 // isSet reports bit k of a bitmap.

@@ -627,11 +627,11 @@ func (c *Core) traceCommit(u *uop) {
 	switch {
 	case u.bad:
 		text = "(bad-decode)"
-	case u.inst != nil:
-		text = u.inst.String()
+	case !u.poison:
+		text = c.instOf(u).String()
 	}
 	fmt.Fprintf(c.cfg.Trace, "cyc=%-8d seq=%-6d pc=%-6d issued@%-8d %s\n",
-		c.cycle, u.seq, u.pc, u.doneAt-uint64(u.v.Latency+u.memLat), text)
+		c.cycle, u.seq, u.pc, u.doneAt-uint64(u.variant().Latency+u.memLat), text)
 }
 
 // --- commit -----------------------------------------------------------
@@ -676,7 +676,7 @@ retire:
 		if u.isLoad {
 			c.nLoads--
 		}
-		if u.v != nil && u.v.IsBranch {
+		if u.variant().IsBranch {
 			c.bp.update(u.pc, u.actualNext != u.pc+1)
 			c.branches++
 		}
@@ -733,7 +733,7 @@ func (c *Core) writeback() {
 			c.ready[d.cls][d.phys] = true
 			c.wake(c.wkReg(d.cls, d.phys))
 		}
-		if u.v != nil && u.v.IsBranch && !u.crashed() && u.actualNext != u.predNext {
+		if u.variant().IsBranch && !u.crashed() && u.actualNext != u.predNext {
 			c.squashAfter(idx, u.actualNext)
 			c.mispredicts++
 			// Entries after the branch were removed; the in-flight list

@@ -401,7 +401,7 @@ func (c *Core) stateHash() uint64 {
 		if u.mutated {
 			// The corrupted instruction lives outside the program image;
 			// its contents decide this µop's entire future behaviour.
-			hashInst(&h, u.inst)
+			hashInst(&h, c.instOf(u))
 		}
 		mixBool(u.isLoad)
 		mixBool(u.isStore)

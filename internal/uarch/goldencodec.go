@@ -31,7 +31,7 @@ import (
 // ace/intervals_codec.go under it) stays for one reason only: the frozen
 // benchmark/layers.go probes call EncodeGoldenArtifacts,
 // DecodeGoldenArtifacts and ace.AppendIntervalRecorder. Its deletion is
-// ROADMAP item 7. Its bytes moved twice since it stopped being persisted:
+// ROADMAP item 8. Its bytes moved twice since it stopped being persisted:
 // the µop record lost its waitSrc byte when issue moved to wake-up lists,
 // bundles gained a checkpoint when the golden run began keeping one at
 // cycle 0, and again when it began keeping one every 128 cycles, whose
@@ -44,7 +44,7 @@ import (
 // result, core, uop, inst, crash — each naming its fields once and
 // serving both EncodeGoldenArtifacts and DecodeGoldenArtifacts; what
 // only one direction needs (the encoder's refusals, the decoder's
-// config-vs-stream and index-range checks, pointer rebinding, pool
+// config-vs-stream and index-range checks, µop variants, pool
 // release) sits under an explicit Decoding() test.
 //
 // Serializing a Checkpoint means serializing a full Core snapshot. The
@@ -239,7 +239,9 @@ func (g gaCodec) u16s(s *[]uint16) {
 
 func (g gaCodec) inst(in *isa.Inst) {
 	c := g.Codec
-	binfmt.U16(c, &in.V)
+	if binfmt.U16(c, &in.V); g.Decoding() && int(in.V) >= isa.NumVariants() {
+		g.Fail("instruction of variant %d outside the ISA table", in.V)
+	}
 	binfmt.U8(c, &in.NOps)
 	for i := range in.Ops {
 		op := &in.Ops[i]
@@ -322,7 +324,7 @@ func (g gaCodec) result(r *Result) {
 func (g gaCodec) uop(cp *Core, u *uop) {
 	c := g.Codec
 	if g.Decoding() {
-		u.reset()
+		*u = uop{}
 	}
 	binfmt.U64(c, &u.seq)
 	binfmt.I64(c, &u.pc)
@@ -355,12 +357,17 @@ func (g gaCodec) uop(cp *Core, u *uop) {
 		binfmt.U64(c, &w.data)
 		binfmt.U8(c, &w.size)
 	})
-	// The variant and instruction are not serialized: a checkpoint drops
-	// them and a restore re-derives them (Core.deriveInst), from pc for a
-	// µop that is not poison, undecodable or mutated.
-	if g.Decoding() && !u.poison && !u.bad && !u.mutated && (u.pc < 0 || u.pc >= len(cp.prog)) {
-		g.Fail("µop pc %d outside program of %d instructions", u.pc, len(cp.prog))
+	// The variant is not serialized: decoding sets it from the instruction
+	// the µop executes (Core.instOf; decInst is walked before the ROB).
+	// Poison and undecodable µops keep the zero variant.
+	if !g.Decoding() || u.poison || u.bad {
+		return
 	}
+	if !u.mutated && (u.pc < 0 || u.pc >= len(cp.prog)) {
+		g.Fail("µop pc %d outside program of %d instructions", u.pc, len(cp.prog))
+		return
+	}
+	u.vid = cp.instOf(u).V
 }
 
 // uopList walks a µop's list, a's first *n elements, as binfmt.Slice
@@ -741,9 +748,9 @@ func EncodeGoldenArtifacts(ga *GoldenArtifacts) ([]byte, error) {
 
 // DecodeGoldenArtifacts parses HXGA bytes back into a bundle. The
 // program must be the exact instruction slice the bundle was computed
-// for (the cache key guarantees this) — µop instruction pointers are
-// rebound to it. On error every pooled resource acquired during the
-// partial decode is released.
+// for (the cache key guarantees this) — a µop's variant is read from it
+// (a mutated µop's from the decoded decInst). On error every pooled
+// resource acquired during the partial decode is released.
 func DecodeGoldenArtifacts(data []byte, prog []isa.Inst) (*GoldenArtifacts, error) {
 	g := gaCodec{binfmt.NewDecoder(data)}
 	ga := &GoldenArtifacts{}

@@ -190,6 +190,97 @@ func TestGoldenCodecRefusesUopPastBounds(t *testing.T) {
 	}
 }
 
+// mutatedBundle encodes a bundle whose one checkpoint holds a live
+// decoder-mutated µop, executing another variant than its pc's
+// instruction, and a live poison µop, and returns the program, the bytes
+// and a copy of the checkpoint's µops. A cold load at pc 0 holds the ROB
+// head while the fault corrupts the fetch of pc 2 and the jump at pc 3
+// leaves the program; the first fault bit that gives such a checkpoint
+// is taken.
+func mutatedBundle(t testing.TB) ([]isa.Inst, []byte, []uop) {
+	t.Helper()
+	jmp := findV(t, isa.OpJMP, isa.W32, isa.KImm)
+	prog := []isa.Inst{
+		isa.MakeInst(findV(t, isa.OpMOV, isa.W64, isa.KReg, isa.KMem), isa.RegOp(isa.RAX), isa.MemOp(isa.RSI, 64)),
+		isa.MakeInst(jmp, isa.ImmOp(0)),
+		isa.MakeInst(findV(t, isa.OpADD, isa.W64, isa.KReg, isa.KReg), isa.RegOp(isa.RBX), isa.RegOp(isa.RCX)),
+		isa.MakeInst(jmp, isa.ImmOp(100)),
+	}
+	for bit := range 8 * len(isa.Encode(nil, &prog[2])) {
+		cfg := Config{L1D: CacheConfig{SizeBytes: 1024, Ways: 2, LineBytes: 64}, GshareBits: 4}.WithDefaults()
+		ga := &GoldenArtifacts{}
+		armed := false
+		cfg.OnCycle = func(c *Core, _ uint64) {
+			if !armed && c.fetchPC == 2 {
+				c.ArmDecoderFault(bit)
+				armed = true
+			}
+			var mutated, poison bool
+			for k := range c.robCnt {
+				u := &c.rob[(c.robHead+k)%len(c.rob)]
+				mutated = mutated || u.mutated && c.decInst.V != prog[u.pc].V
+				poison = poison || u.poison
+			}
+			if mutated && poison && len(ga.Checkpoints) == 0 {
+				ga.Checkpoints = append(ga.Checkpoints, c.Checkpoint())
+			}
+		}
+		ga.Result = Run(prog, newInitState(t, 3), cfg)
+		if len(ga.Checkpoints) == 0 {
+			continue
+		}
+		data, err := EncodeGoldenArtifacts(ga)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := slices.Clone(ga.Checkpoints[0].rob)
+		ga.Release()
+		return prog, data, live
+	}
+	t.Fatal("no fault bit gives a checkpoint with a live mutated µop beside a live poison one")
+	return nil, nil, nil
+}
+
+// TestGoldenCodecDerivesVariant: HXGA does not serialize a µop's variant;
+// decoding sets it from the instruction the µop executes (decInst for a
+// mutated µop) and leaves poison µops the zero variant. The re-encode
+// check of FuzzDecodeGoldenArtifacts cannot see it, so every decoded live
+// µop is compared with its source. A decInst that names no variant of
+// the ISA table is refused: a mutated µop or fetch-queue entry would
+// look it up.
+func TestGoldenCodecDerivesVariant(t *testing.T) {
+	prog, data, want := mutatedBundle(t)
+	ga, err := DecodeGoldenArtifacts(data, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ga.Release()
+	got := ga.Checkpoints[0]
+	if len(got.rob) != len(want) {
+		t.Fatalf("%d live µops decoded, %d encoded", len(got.rob), len(want))
+	}
+	for i := range want {
+		g, w := &got.rob[i], &want[i]
+		if g.seq != w.seq || g.vid != w.vid {
+			t.Errorf("µop seq %d (pc %d, mutated %v, poison %v): variant %v, want µop seq %d variant %v",
+				g.seq, g.pc, g.mutated, g.poison, g.vid, w.seq, w.vid)
+		}
+	}
+
+	got.core.decInst.V = isa.VariantID(isa.NumVariants())
+	bad, err := EncodeGoldenArtifacts(ga)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cks := LiveCheckpoints()
+	if _, err := DecodeGoldenArtifacts(bad, prog); err == nil || !strings.Contains(err.Error(), "outside the ISA table") {
+		t.Errorf("decInst of variant %d: %v", isa.NumVariants(), err)
+	}
+	if got := LiveCheckpoints(); got != cks {
+		t.Fatalf("failed decode leaked %d checkpoints", got-cks)
+	}
+}
+
 // FuzzDecodeGoldenArtifacts: arbitrary bytes never panic, never
 // allocate beyond a pooled core plus a bounded multiple of the input,
 // and never leak a pooled checkpoint, recorder or trajectory; whatever
@@ -197,6 +288,10 @@ func TestGoldenCodecRefusesUopPastBounds(t *testing.T) {
 func FuzzDecodeGoldenArtifacts(f *testing.F) {
 	prog, good := smallBundle(f)
 	f.Add(good)
+	// Decoded against the fixture program like any input, this one still
+	// walks the mutated and poison µop branches of the µop walker.
+	_, mutated, _ := mutatedBundle(f)
+	f.Add(mutated)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:len(good)-1])
 	flipped := append([]byte{}, good...)

@@ -223,7 +223,7 @@ func (c *Core) issue() {
 		for cand := (c.rdyOther[w] | c.rdyLoad[w]&lm) & m; cand != 0 && issued < width; cand &= cand - 1 {
 			idx := w<<6 | bits.TrailingZeros64(cand)
 			u := &c.rob[idx]
-			unit := u.v.Unit
+			unit := u.variant().Unit
 			needMem := u.isLoad || u.isStore
 			if c.unitUsed[unit] >= c.unitCapacity(unit) ||
 				(needMem && c.memPortsUsed >= c.cfg.NumMemPort) ||
@@ -308,7 +308,7 @@ func (c *Core) execUop(idx int) {
 			ms.Flags = c.flagPRF[s.phys]
 		}
 	}
-	if c.cfg.TrackIBR && u.inst != nil {
+	if c.cfg.TrackIBR && !u.poison && !u.bad {
 		c.captureIBR(u, ms)
 	}
 	ms.FU = c.activeFU()
@@ -321,10 +321,9 @@ func (c *Core) execUop(idx int) {
 		// The fetched bytes did not decode: architecturally a #UD trap.
 		u.err = arch.CrashError{Kind: arch.CrashInvalidOpcode, PC: u.pc, Exc: isa.ExcInvalidOpcode}
 	default:
-		// u.inst is &c.prog[u.pc] for clean fetches and the core's
-		// decoder-corrupted instruction for mutated ones; either way it
-		// executes with the original PC's control-flow context.
-		if err := ms.StepInst(c.prog, u.inst); err != nil {
+		// A mutated µop executes the core's decoder-corrupted instruction
+		// with the original PC's control-flow context.
+		if err := ms.StepInst(c.prog, c.instOf(u)); err != nil {
 			u.err = *err
 		}
 	}
@@ -349,16 +348,17 @@ func (c *Core) execUop(idx int) {
 			}
 		}
 	}
-	lat := u.v.Latency + u.memLat
+	v := u.variant()
+	lat := v.Latency + u.memLat
 	if lat < 1 {
 		lat = 1
 	}
 	u.st = uIssued
 	u.doneAt = c.cycle + uint64(lat)
-	if u.v.Unit == isa.UIntDiv {
+	if v.Unit == isa.UIntDiv {
 		c.divBusyUntil[0] = u.doneAt
 	}
-	if u.v.Unit == isa.UFPDiv {
+	if v.Unit == isa.UFPDiv {
 		c.divBusyUntil[1] = u.doneAt
 	}
 	if u.doneAt < c.wbReadyAt {
@@ -372,12 +372,12 @@ func (c *Core) execUop(idx int) {
 // this operation exercises (paper §II-D footnote 5). Memory operands are
 // approximated at full operation width.
 func (c *Core) captureIBR(u *uop, ms *arch.State) {
-	st, ok := coverage.FUOf(u.v)
+	v := u.variant()
+	st, ok := coverage.FUOf(v)
 	if !ok {
 		return
 	}
-	in := u.inst
-	v := u.v
+	in := c.instOf(u)
 	intOp := func(i int) uint64 {
 		op := &in.Ops[i]
 		switch op.Kind {
@@ -455,7 +455,6 @@ func (c *Core) renameOne(f fqEntry) bool {
 		return false
 	}
 	var e predecoded
-	var in *isa.Inst
 	var srcs, dsts []archRef
 	switch {
 	case f.poison, f.bad:
@@ -465,12 +464,10 @@ func (c *Core) renameOne(f fqEntry) bool {
 	case f.mutated:
 		// The decoder-corrupted instruction is in no table: derive it here
 		// (a decoder fault corrupts one fetch per run).
-		in = &c.decInst
-		v := isa.Lookup(in.V)
-		srcs, dsts = collectRefs(in, v, nil, nil)
+		v := isa.Lookup(c.decInst.V)
+		srcs, dsts = collectRefs(&c.decInst, v, nil, nil)
 		e = summarize(v, srcs, dsts)
 	default:
-		in = &c.prog[f.pc]
 		e = c.pre.ops[f.pc]
 		srcs, dsts = c.pre.operands(&e)
 	}
@@ -493,8 +490,7 @@ func (c *Core) renameOne(f fqEntry) bool {
 	u.seq = c.seq
 	c.seq++
 	u.pc = f.pc
-	u.v = e.v
-	u.inst = in
+	u.vid = e.v.ID
 	u.poison = f.poison
 	u.mutated = f.mutated
 	u.bad = f.bad

@@ -98,8 +98,9 @@ func renamedAlike(a, b *Core) error {
 	ia := (a.robHead + a.robCnt - 1) % len(a.rob)
 	ib := (b.robHead + b.robCnt - 1) % len(b.rob)
 	ua, ub := &a.rob[ia], &b.rob[ib]
-	same := ia == ib && ua.seq == ub.seq && ua.v == ub.v &&
-		(ua.inst == nil) == (ub.inst == nil) && (ua.inst == nil || *ua.inst == *ub.inst) &&
+	noInst := ua.poison || ua.bad
+	same := ia == ib && ua.seq == ub.seq && ua.vid == ub.vid &&
+		noInst == (ub.poison || ub.bad) && (noInst || *a.instOf(ua) == *b.instOf(ub)) &&
 		slices.Equal(ua.sources(), ub.sources()) && slices.Equal(ua.dests(), ub.dests()) &&
 		ua.st == ub.st && ua.pending == ub.pending && ua.isLoad == ub.isLoad && ua.isStore == ub.isStore &&
 		ua.poison == ub.poison && ua.bad == ub.bad && ua.predNext == ub.predNext &&

@@ -59,9 +59,6 @@ func imageOf(c *Core) coreImage {
 		if !u.snapValid {
 			u.snap = ratSnapshot{} // dead
 		}
-		if u.mutated {
-			u.inst = nil // the core's own decInst, compared through the hash
-		}
 		im.rob[i] = u
 	}
 	return im

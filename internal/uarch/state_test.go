@@ -12,7 +12,6 @@ import (
 
 	"harpocrates/internal/ace"
 	"harpocrates/internal/arch"
-	"harpocrates/internal/isa"
 )
 
 // copyFrom makes c a copy of src the way every checkpoint and restore
@@ -90,7 +89,6 @@ const (
 	whyTerminal  = "set only as the run stops, before any later compare point"
 	whyWakeup    = "derived from iq and the ready bits: rebuilt by copyFrom and init"
 	whyArming    = "delta arming: re-derived by RestoreFrom"
-	whyDerived   = "fixed by pc (by decInst for a mutated µop, hashed as such): a restore re-derives it as rename set it"
 	whyFrom      = "the checkpoint chunks the arrays last equaled: set by every capture and restore"
 	whyTouched   = "chunks written since the arrays last equaled their from chunks: a capture or restore clears it"
 )
@@ -190,10 +188,7 @@ var coreState = map[string]stateRow{
 	"pipeState.fetchStallUntil": {class: hashed, mut: func(c *Core) { c.fetchStallUntil = c.cycle + 100 }},
 	"pipeState.decArmed":        {class: hashed},
 	"pipeState.decBit":          {class: hashed, prep: func(c *Core) { c.decArmed = true }},
-	"pipeState.decInst": {class: hashed, prep: func(c *Core) {
-		u := &c.rob[c.robHead]
-		u.mutated, u.inst = true, &c.decInst
-	}},
+	"pipeState.decInst":         {class: hashed, prep: func(c *Core) { c.rob[c.robHead].mutated = true }},
 	"pipeState.cycle": {class: copied, why: "compare points match at equal cycles; timers hash relative to it",
 		prep: func(c *Core) { c.fetchStallUntil, c.divBusyUntil = 0, [2]uint64{} }},
 	"pipeState.seq":               {class: hashed},
@@ -235,12 +230,9 @@ var coreState = map[string]stateRow{
 	"runScratch.deltaCmpFrom": {class: scratch, why: whyArming},
 	"runScratch.reconverged":  {class: scratch, why: whyArming},
 
-	"uop.seq": {class: hashed},
-	"uop.pc":  {class: hashed},
-	"uop.v": {class: scratch, why: whyDerived,
-		mut: func(c *Core) { u := &c.rob[liveSlot(c, nil)]; u.v = isa.Lookup(u.v.ID + 1) }},
-	"uop.inst": {class: scratch, why: whyDerived,
-		mut: func(c *Core) { u := &c.rob[liveSlot(c, nil)]; in := *u.inst; in.Ops[0].Imm++; u.inst = &in }},
+	"uop.seq":        {class: hashed},
+	"uop.pc":         {class: hashed},
+	"uop.vid":        {class: copied, why: "the variant of the instruction the µop executes, which pc (decInst for a mutated µop) fixes and the hash covers"},
 	"uop.srcs":       {class: hashed, live: func(u *uop) bool { return u.nSrcs > 0 }},
 	"uop.dsts":       {class: hashed, live: func(u *uop) bool { return u.nDsts > 0 }},
 	"uop.nSrcs":      {class: hashed, live: func(u *uop) bool { return u.nSrcs < maxSrcs }},

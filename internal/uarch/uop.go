@@ -83,14 +83,13 @@ const (
 	maxIBR    = 2
 )
 
-// uop is one in-flight instruction (fused micro-op), a plain value: its
-// lists are inline arrays with a count each, its only pointers the
-// variant and instruction deriveInst re-derives.
+// uop is one in-flight instruction (fused micro-op), plain data: its
+// lists are inline arrays with a count each, its variant an ID, and its
+// instruction reached through Core.instOf, so copying one is a struct
+// assignment and TestUopIsPlainData finds no pointer in it.
 type uop struct {
 	seq    uint64
 	pc     int
-	v      *isa.Variant
-	inst   *isa.Inst
 	doneAt uint64
 
 	memLat, predNext, actualNext int
@@ -108,15 +107,31 @@ type uop struct {
 	st      uopState
 	pending uint8 // sources not yet ready while waiting (wake-up count)
 	poison  bool  // fetched from an invalid PC: crashes if committed
-	mutated bool  // decoder fault: inst is the core's corrupted decInst
+	mutated bool  // decoder fault: executes the core's corrupted decInst
 	bad     bool  // decoder fault: fetched bytes undecodable, #UD at execute
 
 	isLoad, isStore, snapValid, squashed bool
+
+	vid isa.VariantID // 0 for poison and undecodable µops
 }
 
 func (u *uop) sources() []rsrc      { return u.srcs[:u.nSrcs] }
 func (u *uop) dests() []rdst        { return u.dsts[:u.nDsts] }
 func (u *uop) stores() []storeWrite { return u.writes[:u.nWrites] }
+
+// variant returns the variant u executes (the zero variant for poison
+// and undecodable µops).
+func (u *uop) variant() *isa.Variant { return isa.Lookup(u.vid) }
+
+// instOf returns the instruction u executes: the core's corrupted decInst
+// for a mutated µop, its program instruction otherwise. Poison and
+// undecodable µops have none.
+func (c *Core) instOf(u *uop) *isa.Inst {
+	if u.mutated {
+		return &c.decInst
+	}
+	return &c.prog[u.pc]
+}
 
 // crashed reports whether execute raised a crash.
 func (u *uop) crashed() bool { return u.err.Kind != arch.CrashNone }

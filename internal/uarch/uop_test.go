@@ -2,8 +2,10 @@ package uarch
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"harpocrates/internal/baselines/dcdiag"
 	"harpocrates/internal/baselines/mibench"
@@ -72,6 +74,29 @@ func TestUopListBounds(t *testing.T) {
 	if writesMax != maxWrites || ibrMax != maxIBR {
 		t.Errorf("fullest µops: %d stores, %d IBR events; bounds %d and %d", writesMax, ibrMax, maxWrites, maxIBR)
 	}
+}
+
+// TestUopIsPlainData: a µop holds no reference of any kind, so copying
+// one is a struct assignment that shares nothing and the collector never
+// scans a checkpoint's µops. The walk recurses through arrays and
+// structs.
+func TestUopIsPlainData(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface,
+			reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %v (%v): a uop must be plain data", path, typ.Kind(), typ)
+		}
+	}
+	walk("uop", reflect.TypeFor[uop]())
+	t.Logf("unsafe.Sizeof(uop{}) = %d bytes", unsafe.Sizeof(uop{}))
 }
 
 // TestSummarizePanicsPastBounds: an instruction whose operands overflow

@@ -86,7 +86,7 @@ func (c *Core) scanIssue(cen *issueCensus) []int {
 			cen.heldLoads++
 			continue
 		}
-		unit := u.v.Unit
+		unit := u.variant().Unit
 		needMem := u.isLoad || u.isStore
 		if unitUsed[unit] >= c.unitCapacity(unit) ||
 			(needMem && memPorts >= c.cfg.NumMemPort) ||
