@@ -177,17 +177,17 @@ func BenchmarkAblationDeltaTermination(b *testing.B) {
 
 // BenchmarkAblationGoldenReuse measures the golden artifact cache
 // (DESIGN.md §4.16) on the workload it exists for: one program ranked
-// against six structures, all of the plain golden class so a single
+// against five structures, all of the plain golden class so a single
 // bundle serves every one. Off, every campaign recomputes the
 // instrumented golden run; on, a fresh cache per iteration sees one
-// cold compute and five warm hits (not an ever-warm steady state).
+// cold compute and four warm hits (not an ever-warm steady state).
 // Fault-injection work is identical on both sides.
 func BenchmarkAblationGoldenReuse(b *testing.B) {
 	p := ablationProgram(4000, 8)
 	progHash := stats.Mix64(stats.HashInit, ablationSeed|1)
 	targets := []coverage.Structure{
 		coverage.IRF, coverage.FPRF, coverage.L1D,
-		coverage.Decoder, coverage.Gshare, coverage.LSQ,
+		coverage.Decoder, coverage.LSQ,
 	}
 	benchOffOn(b, "golden reuse", func(off bool) ([]*inject.Stats, error) {
 		var gc *inject.GoldenCache // nil: every campaign computes its own golden

@@ -37,7 +37,7 @@ func main() {
 		name   = flag.String("prog", "", "program name within the suite")
 		random = flag.Int("random", 0, "use a freshly generated random program of N instructions instead")
 		load   = flag.String("load", "", "load a saved .hxpg program file instead")
-		target = flag.String("target", "irf", "target structure (see coverage names: irf, l1d, fprf, intadd, intmul, fpadd, fpmul, decoder, gshare, lsq, rob, l2tags)")
+		target = flag.String("target", "irf", "target structure: irf, l1d, fprf, intadd, intmul, fpadd, fpmul, decoder, lsq (gshare, rob and l2 are not fault targets)")
 		ftype  = flag.String("type", "", "fault type: transient, intermittent, permanent (default per structure)")
 		n      = flag.Int("n", 50, "number of injections")
 		seed   = flag.Uint64("seed", 1, "random seed")
@@ -98,6 +98,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+	}
+	// Refuse a model the injector lacks before printing anything.
+	model := inject.Campaign{Target: st, Type: ft, BurstLen: *burst, Cfg: uarch.DefaultConfig()}
+	if err := model.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if *corpusDir != "" {

@@ -46,8 +46,11 @@ type Structure = coverage.Structure
 
 // The six structures of the paper's evaluation (§III-B2), plus the
 // extension targets: the FP register file and the post-paper
-// microarchitectural fault sites (decoder, branch predictor, store
-// buffer, ROB metadata, L2 tags — SFI-only, transient faults).
+// microarchitectural fault sites (decoder and store buffer: SFI-only,
+// transient faults). Gshare, ROBMeta and L2Tags name structures that
+// are not fault targets — a campaign on one is refused, saying why —
+// and are kept because coverage.NumStructures sizes the coverage block
+// of a loop checkpoint (HXCK).
 const (
 	IRF      = coverage.IRF
 	L1D      = coverage.L1D

@@ -20,11 +20,14 @@ type Structure int
 // Target structures: the paper's six plus the FP physical register
 // file, an extension target demonstrating that the methodology applies
 // to "any other hardware structure" (§III-B2), and the post-paper
-// microarchitectural sites (decoder, branch predictor, store buffer,
-// ROB metadata, L2 tags). ACE-tracked bit arrays come first, then the
-// functional units, then the new sites. Order is part of the dist wire
-// protocol (names travel, but Snapshot arrays index by Structure), so
-// new structures must only ever be appended.
+// microarchitectural sites (decoder, store buffer). ACE-tracked bit
+// arrays come first, then the functional units, then the new sites.
+// Gshare, ROBMeta and L2Tags name structures that are not fault
+// targets (inject refuses them, saying why); they keep their values
+// because NumStructures sizes the coverage block of the HXCK loop
+// checkpoint. Order is part of the dist wire protocol (names travel,
+// but Snapshot arrays index by Structure), so new structures must only
+// ever be appended.
 const (
 	IRF      Structure = iota // physical (integer) register file
 	L1D                       // L1 data cache
@@ -34,10 +37,10 @@ const (
 	FPAdd                     // SSE FP adder
 	FPMul                     // SSE FP multiplier
 	Decoder                   // instruction-fetch bytes before decode
-	Gshare                    // branch-predictor pattern-history table
+	Gshare                    // branch-predictor counters: not a fault target, kept for NumStructures
 	LSQ                       // store-buffer (captured store data/address)
-	ROBMeta                   // ROB next-PC metadata
-	L2Tags                    // L2 tag array
+	ROBMeta                   // ROB next-PC metadata: not a fault target, kept for NumStructures
+	L2Tags                    // L2 tag array: not a fault target, kept for NumStructures
 
 	NumStructures
 )

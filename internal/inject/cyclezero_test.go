@@ -87,9 +87,7 @@ func TestResumeFromCycleZeroBitIdentical(t *testing.T) {
 		{coverage.IntMul, Permanent}, {coverage.IntMul, Intermittent},
 		{coverage.FPAdd, Permanent}, {coverage.FPAdd, Intermittent},
 		{coverage.FPMul, Permanent}, {coverage.FPMul, Intermittent},
-		{coverage.Decoder, Transient}, {coverage.Gshare, Transient},
-		{coverage.LSQ, Transient}, {coverage.ROBMeta, Transient},
-		{coverage.L2Tags, Transient},
+		{coverage.Decoder, Transient}, {coverage.LSQ, Transient},
 	}
 	var fuPermanentRuns int64
 	for _, m := range models {

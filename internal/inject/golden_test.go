@@ -53,7 +53,6 @@ func TestGoldenCacheBitIdenticalStats(t *testing.T) {
 		{coverage.FPRF, Transient, 32},
 		{coverage.L1D, Transient, 32},
 		{coverage.Decoder, Transient, 24},
-		{coverage.Gshare, Transient, 24},
 		{coverage.LSQ, Transient, 24},
 		{coverage.IRF, Intermittent, 12},
 		{coverage.L1D, Intermittent, 12},
@@ -99,17 +98,17 @@ func TestGoldenCacheBitIdenticalStats(t *testing.T) {
 	}
 }
 
-// TestGoldenCacheSingleComputePerProgram: the whole point — six
+// TestGoldenCacheSingleComputePerProgram: the whole point — five
 // per-structure campaigns on one program with one shared configuration
-// compute the golden run once. All six targets share the plain golden
-// class, so the second through sixth campaigns hit.
+// compute the golden run once. All five targets share the plain golden
+// class, so the second through fifth campaigns hit.
 func TestGoldenCacheSingleComputePerProgram(t *testing.T) {
 	gc := NewGoldenCache(0)
 	reg := obs.NewRegistry()
 	ob := obs.New(reg, nil)
 	targets := []coverage.Structure{
 		coverage.IRF, coverage.FPRF, coverage.L1D,
-		coverage.Decoder, coverage.Gshare, coverage.LSQ,
+		coverage.Decoder, coverage.LSQ,
 	}
 	for _, target := range targets {
 		c := testProgram(t, 350, nil)
@@ -125,7 +124,7 @@ func TestGoldenCacheSingleComputePerProgram(t *testing.T) {
 		}
 	}
 	if got := reg.Counter("inject.golden.cache.misses").Load(); got != 1 {
-		t.Fatalf("six same-program campaigns computed the golden %d times, want 1", got)
+		t.Fatalf("five same-program campaigns computed the golden %d times, want 1", got)
 	}
 	if got := reg.Counter("inject.golden.cache.hits").Load(); got != int64(len(targets)-1) {
 		t.Fatalf("golden cache hits = %d, want %d", got, len(targets)-1)
@@ -151,7 +150,7 @@ func TestGoldenCacheConcurrentCampaigns(t *testing.T) {
 		c.Obs = ob
 		return c
 	}
-	targets := []coverage.Structure{coverage.IRF, coverage.FPRF, coverage.L1D, coverage.Gshare}
+	targets := []coverage.Structure{coverage.IRF, coverage.FPRF, coverage.L1D}
 	want := make(map[coverage.Structure]*Stats)
 	for _, target := range targets {
 		st, err := newCampaign(target, nil, nil).Run()

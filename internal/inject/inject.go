@@ -87,7 +87,14 @@ func ParseFaultType(name string) (FaultType, error) {
 
 // DefaultFaultType returns the paper's fault model for each structure:
 // transients for bit arrays, gate-level permanents for functional units.
-func DefaultFaultType(st coverage.Structure) FaultType { return targets[st].models.types[0] }
+// A structure that is not a fault target gets Transient, which Validate
+// refuses naming why.
+func DefaultFaultType(st coverage.Structure) FaultType {
+	if st < 0 || st >= coverage.NumStructures || len(targets[st].models.types) == 0 {
+		return Transient
+	}
+	return targets[st].models.types[0]
+}
 
 // Outcome classifies one faulty run against the golden run (§II-E).
 type Outcome int
@@ -809,9 +816,6 @@ func (c *Campaign) Validate() error {
 	if w := c.burstWidth(); c.BurstLen < 0 || c.BurstLen > w {
 		return fmt.Errorf("inject: burst length %d outside 0..%d for target %v (0 or 1 = single-bit; only IRF, FPRF and L1D take wider bursts, up to a register or an L1D line)",
 			c.BurstLen, w, c.Target)
-	}
-	if t.entries != nil && t.entries(&c.Cfg) == 0 {
-		return fmt.Errorf("inject: target %v is disabled in this core configuration (it has no entries to fault)", c.Target)
 	}
 	return nil
 }

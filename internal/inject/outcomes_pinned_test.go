@@ -58,10 +58,7 @@ func TestCampaignOutcomesPinned(t *testing.T) {
 		{coverage.FPMul, Permanent, 0, 0xa1c0667c9b175ee6, 0xe36cc9ded7182a07},
 		{coverage.FPMul, Intermittent, 0, 0xc72bd852c012def2, 0x33dcfb5a703824e9},
 		{coverage.Decoder, Transient, 0, 0x5d65104574667ca, 0xe2ecdf0c7d432544},
-		{coverage.Gshare, Transient, 0, 0xa82032c36d10910e, 0x581efd1aee9fe321},
 		{coverage.LSQ, Transient, 0, 0x7683f537895ba11, 0x195b5a7854e6c471},
-		{coverage.ROBMeta, Transient, 0, 0x47d2522509839e23, 0x581efd1aee9fe321},
-		{coverage.L2Tags, Transient, 0, 0x65bb61d665ca972d, 0x581efd1aee9fe321},
 		{coverage.IRF, Transient, 3, 0x5e1a04335452661a, 0x84afa8f4d949a10b},
 		{coverage.IRF, Transient, 64, 0x5e1a04335452661a, 0xe4b4fcec8313e47a},
 		{coverage.IRF, Intermittent, 3, 0xe518f508ce3d6fd2, 0xe2b47f0850cd1656},

@@ -80,9 +80,7 @@ func TestCheckpointSharingBitIdentical(t *testing.T) {
 		{coverage.IRF, coverage.IRF, Transient}, {coverage.IRF, coverage.IRF, Intermittent},
 		{coverage.IRF, coverage.FPRF, Transient}, {coverage.IRF, coverage.FPRF, Intermittent},
 		{coverage.L1D, coverage.L1D, Transient}, {coverage.L1D, coverage.L1D, Intermittent},
-		{coverage.IRF, coverage.Decoder, Transient}, {coverage.IRF, coverage.Gshare, Transient},
-		{coverage.IRF, coverage.LSQ, Transient}, {coverage.IRF, coverage.ROBMeta, Transient},
-		{coverage.L1D, coverage.L2Tags, Transient},
+		{coverage.IRF, coverage.Decoder, Transient}, {coverage.IRF, coverage.LSQ, Transient},
 		{coverage.IntMul, coverage.IntAdder, Permanent}, {coverage.IntMul, coverage.IntAdder, Intermittent},
 		{coverage.IntMul, coverage.IntMul, Permanent}, {coverage.IntMul, coverage.IntMul, Intermittent},
 		{coverage.IntMul, coverage.FPAdd, Permanent}, {coverage.IntMul, coverage.FPAdd, Intermittent},

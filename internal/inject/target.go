@@ -15,8 +15,7 @@ type target struct {
 	models models
 
 	// Bit arrays and microarchitectural sites: a fault draws an entry
-	// below entries (nil: no entry draw; 0: the core has none, and
-	// Validate refuses the target), then a bit below bits, and flips
+	// below entries (nil: no entry draw), then a bit below bits, and flips
 	// (transient) or forces (intermittent) burst bits from there,
 	// wrapping modulo bits. burst is the widest burst (nil: single-bit
 	// only).
@@ -45,7 +44,8 @@ type target struct {
 }
 
 // models are the fault types a structure implements, its default
-// (DefaultFaultType) first, and how Validate's refusal describes them.
+// (DefaultFaultType) first, and how Validate's refusal describes them;
+// a structure with none is not a fault target.
 type models struct {
 	types []FaultType
 	doc   string
@@ -147,29 +147,23 @@ var targets = [coverage.NumStructures]target{
 		bits: fixed(1024),
 		flip: func(c *uarch.Core, _, bit int) { c.ArmDecoderFault(bit) },
 	},
-	coverage.Gshare: {
-		models: siteModels,
-		bits:   func(cfg *uarch.Config) int { return 2 << uint(cfg.GshareBits) },
-		flip:   func(c *uarch.Core, _, bit int) { c.FlipGshareBit(bit) },
-	},
 	coverage.LSQ: {
 		models:  siteModels,
 		entries: func(cfg *uarch.Config) int { return cfg.SQSize },
 		bits:    fixed(256),
 		flip:    (*uarch.Core).FlipStoreBufferBit,
 	},
-	coverage.ROBMeta: {
-		models:  siteModels,
-		entries: func(cfg *uarch.Config) int { return cfg.ROBSize },
-		bits:    fixed(31),
-		flip:    (*uarch.Core).FlipROBNextBit,
-	},
-	coverage.L2Tags: {
-		models:  siteModels,
-		entries: func(cfg *uarch.Config) int { return cfg.L2.SizeBytes / max(cfg.L2.LineBytes, 1) },
-		bits:    fixed(64),
-		flip:    (*uarch.Core).FlipL2TagBit,
-	},
+	// Structures that are not fault targets: a flip in them (almost)
+	// never changes what a program computes, so a campaign on one is
+	// Masked throughout and cannot tell two programs apart. Their rows
+	// have no models, and Validate refuses them with the reason.
+	coverage.Gshare: {models: models{doc: "not a fault target: a gshare counter steers only speculation, " +
+		"so a flip changes timing, never a result"}},
+	coverage.ROBMeta: {models: models{doc: "not a fault target: retirement follows the fetched path, " +
+		"so a flipped next-PC reaches the program only through an issued branch's writeback " +
+		"or the end-of-program check, and nearly every flip is Masked"}},
+	coverage.L2Tags: {models: models{doc: "not a fault target: the L2 holds tags only and data comes from memory, " +
+		"so a flipped tag changes hit/miss timing, never a result"}},
 }
 
 // row returns the campaign's target row. Validate has checked Target.

@@ -1,10 +1,17 @@
 package queue
 
 import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"harpocrates/internal/corpus"
+	"harpocrates/internal/coverage"
 	"harpocrates/internal/dist"
+	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/uarch"
 )
@@ -131,5 +138,78 @@ func TestUnrunnableJobRefusedOrFailed(t *testing.T) {
 	}
 	if st, _ := coord.Status("j-000000"); !strings.Contains(st.Error, "uarch: config") {
 		t.Fatalf("replayed cfg-less job failed with %q", st.Error)
+	}
+}
+
+// TestNotAFaultTargetRefused: the gshare counters, the ROB's next-PC
+// fields and the L2 tags are structures but not fault targets. Every door
+// a campaign comes through — Validate, corpus ranking and POST /v1/jobs
+// (400) — refuses each under every name it parses from, saying which
+// structure and why, and none panics on the way (DefaultFaultType comes
+// first in faultsim, corpus rank and NewDetectionCampaign).
+func TestNotAFaultTargetRefused(t *testing.T) {
+	c, p := testCampaign(t, 8)
+	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
+	defer closeCoordinator(t, coord)
+	srv := httptest.NewServer(NewServer(coord).Handler())
+	defer srv.Close()
+	store, err := corpus.Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		names []string
+		why   string
+	}{
+		{[]string{"Gshare", "bpred", "bp"}, "gshare counter"},
+		{[]string{"ROBMeta", "rob"}, "next-PC"},
+		{[]string{"L2Tags", "l2", "l2tag"}, "tags only"},
+	} {
+		for _, name := range tc.names {
+			st, err := coverage.Parse(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.Add(p, nil, corpus.Meta{Structure: st.String()}); err != nil {
+				t.Fatal(err)
+			}
+			refused := func(door, msg string) {
+				if !strings.Contains(msg, st.String()) || !strings.Contains(msg, tc.why) {
+					t.Errorf("%s through %s: %q; want a refusal naming %v and why", name, door, msg, st)
+				}
+			}
+			ft := inject.DefaultFaultType(st)
+			model := *c
+			model.Target, model.Type = st, ft
+			if err := model.Validate(); err == nil {
+				t.Errorf("%s: Validate accepted it", name)
+			} else {
+				refused("Validate", err.Error())
+			}
+			if ranked, _, err := store.Rank(corpus.RankOptions{Structure: st, Type: ft, N: 4}); err == nil || ranked != 0 {
+				t.Errorf("%s: corpus.Rank ranked %d, err %v", name, ranked, err)
+			} else {
+				refused("corpus.Rank", err.Error())
+			}
+			req := campaignJob(t, c, p)
+			req.Inject.Target, req.Inject.Type = name, ft.String()
+			frame, err := dist.EncodeJobRequest(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := srv.Client().Post(srv.URL+dist.PathJobs, dist.JobContentType, bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: POST %s answered %s", name, dist.PathJobs, resp.Status)
+			}
+			refused("POST "+dist.PathJobs, string(msg))
+		}
+	}
+	if jobs := coord.List(); len(jobs) != 0 {
+		t.Fatalf("refused jobs are listed: %+v", jobs)
 	}
 }

@@ -189,11 +189,7 @@ type pipeState struct {
 	instret uint64
 
 	nLoads, nStores int
-	memPortsUsed    int
-	unitUsed        [isa.NumUnits]int
 	divBusyUntil    [2]uint64 // int div, fp div
-
-	oldestUnexecStore uint64 // seq of oldest unexecuted store (or ^0)
 
 	// streamDigest folds every committed instruction (PC, next PC,
 	// destination values, store writes) since the last trajectory point;
@@ -432,24 +428,6 @@ func (c *Core) ArmDecoderFault(bit int) {
 	c.decBit = bit
 }
 
-// FlipGshareBit flips one bit of a 2-bit gshare counter. The predictor
-// is purely speculative state, so the flip can only perturb timing —
-// architectural results must stay byte-identical (asserted by tests).
-func (c *Core) FlipGshareBit(bit int) {
-	c.bp.table[(bit/2)%len(c.bp.table)] ^= 1 << uint(bit%2)
-}
-
-// FlipL2TagBit flips one bit of an L2 tag entry. The L2 is a tag-only
-// timing model (data always comes from backing memory), so like gshare
-// faults this perturbs hit/miss latency at most; a flip in an invalid
-// entry's tag is dead state.
-func (c *Core) FlipL2TagBit(entry, bit int) {
-	if c.cache.l2 == nil {
-		return
-	}
-	c.cache.l2.flipTagBit(entry%len(c.cache.l2.tag), bit)
-}
-
 // FlipStoreBufferBit flips one bit of a pending store-buffer entry:
 // entry selects (modulo occupancy) an in-flight store in the store
 // queue, and bit addresses its captured write as a 128-bit record —
@@ -471,38 +449,6 @@ func (c *Core) FlipStoreBufferBit(entry, bit int) {
 		w.data ^= 1 << uint(b)
 	} else {
 		w.addr ^= 1 << uint(b-64)
-	}
-}
-
-// FlipROBNextBit flips one bit of a ROB entry's next-PC metadata: entry
-// selects (modulo occupancy) a live ROB µop, and bits are reduced modulo
-// 31 to keep the PC an int on 32-bit hosts. Retirement follows the
-// fetched path, not these fields, so a flip almost never changes what
-// the program computes:
-//   - a waiting µop takes it in its predicted next PC, which only a
-//     branch's writeback reads: a correctly predicted branch squashes and
-//     refetches the same path (timing only); a mispredicted one skips its
-//     squash, committing its wrong path, only if the flip makes the
-//     prediction equal the resolved target;
-//   - an issued branch not yet written back takes it in its resolved next
-//     PC, and writeback redirects fetch there — the one wild-branch path;
-//   - any other executed µop takes it in its resolved next PC, read again
-//     only by the predictor update (timing) and commit's end-of-program
-//     check: the run ends early if the flip makes it equal len(prog), and
-//     a flip of the last instruction's keeps it from ending the run.
-func (c *Core) FlipROBNextBit(entry, bit int) {
-	if c.robCnt == 0 {
-		return
-	}
-	u := &c.rob[(c.robHead+entry%c.robCnt)%len(c.rob)]
-	if u.squashed {
-		return
-	}
-	mask := 1 << uint(bit%31)
-	if u.st == uWaiting {
-		u.predNext ^= mask
-	} else {
-		u.actualNext ^= mask
 	}
 }
 

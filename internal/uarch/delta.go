@@ -33,7 +33,6 @@ import (
 // on excluding only state that provably cannot: values of free physical
 // registers (no reader can hold a freed mapping — any µop that renamed
 // against it must have committed before the overwriter freed it),
-// recomputed-per-cycle scratch (oldestUnexecStore, unit/port counters),
 // scan lower bounds (wbReadyAt), state derived from hashed state (the
 // wake-up lists, the ready set and each µop's pending count, all
 // functions of the IQ and the ready bits, rebuilt by every copy), state

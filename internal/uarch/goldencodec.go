@@ -63,8 +63,9 @@ import (
 // carry them; only the live subset is serialized. The memory digest is
 // not serialized either: it is content-pure, so the one the decoder's
 // page writes build matches the encode side's bit for bit. A checkpoint
-// carries no coverage state (Core.Checkpoint), so µops have no buffered
-// IBR events to encode.
+// carries no coverage state (Core.Checkpoint), so neither the core's IBR
+// counters nor µops' buffered IBR events are encoded: a decoded value
+// there would be dropped by the capture, and re-encoding would differ.
 
 // GoldenArtifacts bundles everything a campaign derives from one golden
 // instrumented run. Checkpoints are in ascending cycle order; Trajectory
@@ -613,18 +614,9 @@ func (g gaCodec) core(cp *Core, prog []isa.Inst, cfg Config) *Core {
 	binfmt.U64(c, &cp.flushes)
 	binfmt.I64(c, &cp.nLoads)
 	binfmt.I64(c, &cp.nStores)
-	binfmt.I64(c, &cp.memPortsUsed)
-	for i := range cp.unitUsed {
-		binfmt.I64(c, &cp.unitUsed[i])
-	}
 	binfmt.U64(c, &cp.divBusyUntil[0])
 	binfmt.U64(c, &cp.divBusyUntil[1])
-	binfmt.U64(c, &cp.oldestUnexecStore)
 	binfmt.U64(c, &cp.streamDigest)
-	for s := range cp.ibrC {
-		binfmt.U64(c, &cp.ibrC[s].EffBits)
-		binfmt.U64(c, &cp.ibrC[s].Uses)
-	}
 	g.crash(&cp.crash)
 	g.Bool(&cp.timedOut)
 	g.Bool(&cp.finished)

@@ -175,14 +175,12 @@ func (c *Core) rebuildWakeup() {
 	}
 }
 
-// computeOldestUnexecStore records the sequence number of the oldest
-// store that has not executed (^0 if none) and returns its ROB slot (-1).
+// computeOldestUnexecStore returns the ROB slot of the oldest store that
+// has not executed (-1 if none).
 func (c *Core) computeOldestUnexecStore() int {
-	c.oldestUnexecStore = ^uint64(0)
 	for _, si := range c.sq {
 		su := &c.rob[si]
 		if !su.squashed && su.st == uWaiting {
-			c.oldestUnexecStore = su.seq
 			return si
 		}
 	}
@@ -195,10 +193,8 @@ func (c *Core) computeOldestUnexecStore() int {
 // walk; the store's own slot stays in, since a read-modify-write µop is
 // that store and a load at once.
 func (c *Core) issue() {
-	c.memPortsUsed = 0
-	for i := range c.unitUsed {
-		c.unitUsed[i] = 0
-	}
+	var unitUsed [isa.NumUnits]int
+	memPortsUsed := 0
 	n := len(c.rob)
 	head, end := c.robHead, c.robHead+c.robCnt // positions, unwrapped
 	ldEnd := end
@@ -225,15 +221,15 @@ func (c *Core) issue() {
 			u := &c.rob[idx]
 			unit := u.variant().Unit
 			needMem := u.isLoad || u.isStore
-			if c.unitUsed[unit] >= c.unitCapacity(unit) ||
-				(needMem && c.memPortsUsed >= c.cfg.NumMemPort) ||
+			if unitUsed[unit] >= c.unitCapacity(unit) ||
+				(needMem && memPortsUsed >= c.cfg.NumMemPort) ||
 				(unit == isa.UIntDiv && c.divBusyUntil[0] > c.cycle) ||
 				(unit == isa.UFPDiv && c.divBusyUntil[1] > c.cycle) {
 				continue
 			}
-			c.unitUsed[unit]++
+			unitUsed[unit]++
 			if needMem {
-				c.memPortsUsed++
+				memPortsUsed++
 			}
 			c.readySet(idx)[w] &^= 1 << (idx & 63)
 			c.execUop(idx)

@@ -120,9 +120,3 @@ func (t *l2tags) fill(set int, tag, cycle uint64) {
 	t.lastUse[victim] = cycle
 	t.touch(set)
 }
-
-// flipTagBit flips one bit of tag entry i (transient fault).
-func (t *l2tags) flipTagBit(i, bit int) {
-	t.touch(i / t.ways)
-	t.tag[i] ^= 1 << uint(bit%64)
-}

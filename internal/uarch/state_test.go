@@ -85,7 +85,6 @@ const (
 	whyCoverage  = "coverage telemetry of a tracking run: a copy tracks nothing and starts it empty, as init does"
 	whyRecorder  = "interval recorder: golden-run instrumentation, nil in every copy"
 	whySum       = "sum-only ACE recorder the core keeps for reuse: init resets it, no copy carries it"
-	whyIssueCtr  = "recomputed at the top of every issue stage; copied only because HXGA encodes it"
 	whyTerminal  = "set only as the run stops, before any later compare point"
 	whyWakeup    = "derived from iq and the ready bits: rebuilt by copyFrom and init"
 	whyArming    = "delta arming: re-derived by RestoreFrom"
@@ -191,15 +190,12 @@ var coreState = map[string]stateRow{
 	"pipeState.decInst":         {class: hashed, prep: func(c *Core) { c.rob[c.robHead].mutated = true }},
 	"pipeState.cycle": {class: copied, why: "compare points match at equal cycles; timers hash relative to it",
 		prep: func(c *Core) { c.fetchStallUntil, c.divBusyUntil = 0, [2]uint64{} }},
-	"pipeState.seq":               {class: hashed},
-	"pipeState.instret":           {class: hashed},
-	"pipeState.nLoads":            {class: hashed},
-	"pipeState.nStores":           {class: hashed},
-	"pipeState.memPortsUsed":      {class: copied, why: whyIssueCtr},
-	"pipeState.unitUsed":          {class: copied, why: whyIssueCtr},
-	"pipeState.divBusyUntil":      {class: hashed, mut: func(c *Core) { c.divBusyUntil[0] = c.cycle + 100 }},
-	"pipeState.oldestUnexecStore": {class: copied, why: whyIssueCtr},
-	"pipeState.streamDigest":      {class: copied, why: "compared on its own, as the point's Stream, before the state hash"},
+	"pipeState.seq":          {class: hashed},
+	"pipeState.instret":      {class: hashed},
+	"pipeState.nLoads":       {class: hashed},
+	"pipeState.nStores":      {class: hashed},
+	"pipeState.divBusyUntil": {class: hashed, mut: func(c *Core) { c.divBusyUntil[0] = c.cycle + 100 }},
+	"pipeState.streamDigest": {class: copied, why: "compared on its own, as the point's Stream, before the state hash"},
 	// Of the execute stage's scratch state only the nondeterminism
 	// counter binds: execUop loads every operand a µop reads before use
 	// (DebugScrub poisons the rest to prove it).

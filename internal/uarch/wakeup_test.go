@@ -386,8 +386,8 @@ func rmwKernel(t testing.TB) *prog.Program {
 // µops the old IQ scan moves, on every cycle of generated programs over
 // every preset, the four baseline suites, the 8000-instruction L1D
 // programs, runs resumed from checkpoints and faulty runs (register,
-// cache, decoder, store-buffer and ROB-next faults, the last two forcing
-// squashes), and its state always equals its own rebuild.
+// cache, decoder and store-buffer faults), and its state always equals
+// its own rebuild.
 func TestIssueWakeupDifferential(t *testing.T) {
 	o := &wakeupOracle{}
 	cfg := DefaultConfig()
@@ -438,12 +438,11 @@ func TestIssueWakeupDifferential(t *testing.T) {
 		faults := map[string]func(c *Core, _ uint64){}
 		for k := 0; k < 2; k++ {
 			reg, ibit, cbit := rng.IntN(cfg.IntPRF), rng.IntN(64), rng.IntN(cfg.L1D.SizeBytes*8)
-			dbit, entry, sbit, rbit := rng.IntN(48), rng.IntN(64), rng.IntN(128), rng.IntN(31)
+			dbit, entry, sbit := rng.IntN(48), rng.IntN(64), rng.IntN(128)
 			faults[fmt.Sprintf("irf%d", k)] = func(c *Core, _ uint64) { c.FlipIntPRFBit(reg, ibit) }
 			faults[fmt.Sprintf("l1d%d", k)] = func(c *Core, _ uint64) { c.FlipCacheBit(cbit) }
 			faults[fmt.Sprintf("decoder%d", k)] = func(c *Core, _ uint64) { c.ArmDecoderFault(dbit) }
 			faults[fmt.Sprintf("sq%d", k)] = func(c *Core, _ uint64) { c.FlipStoreBufferBit(entry, sbit) }
-			faults[fmt.Sprintf("rob%d", k)] = func(c *Core, _ uint64) { c.FlipROBNextBit(entry, rbit) }
 		}
 		events := map[string][]CycleEvent{}
 		for _, name := range slices.Sorted(maps.Keys(faults)) {
