@@ -1,13 +1,15 @@
 // Command corpus manages a persistent archive of Harpocrates test
-// programs: list and import entries, measure their fault-detection
-// capability, distill the archive to a minimal covering subset, and
-// export ranked programs for fleet deployment.
+// programs: list and import entries, distill the archive to a minimal
+// covering subset, and export ranked programs for fleet deployment.
+// Ranking — measuring each program's fault-detection capability — is a
+// fault-injection campaign, so it is faultsim's corpus mode
+// (faultsim -corpus DIR).
 //
 // Usage:
 //
 //	corpus ls      -dir corpus
 //	corpus add     -dir corpus -file best.hxpg -structure irf
-//	corpus rank    -dir corpus -structure irf -n 100 -seed 1
+//	faultsim -corpus corpus -target irf -n 100 -seed 1 -resume
 //	corpus distill -dir corpus -structure irf -apply
 //	corpus export  -dir corpus -structure irf -out fleet/ -top 4
 package main
@@ -20,7 +22,6 @@ import (
 	"harpocrates"
 	"harpocrates/internal/corpus"
 	"harpocrates/internal/coverage"
-	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
 )
@@ -31,13 +32,13 @@ func usage() {
 commands:
   ls       list archived programs (hash, structure, fitness, detection)
   add      import a .hxpg program file into the archive
-  rank     run fault-injection campaigns over the archive, recording
-           each program's detection rate and detected-fault set
   distill  minimize the archive to the smallest subset preserving the
            union of detected-fault sets (greedy set cover)
   export   copy the top-ranked programs out as .hxpg files
 
-run "corpus <command> -h" for command flags
+run "corpus <command> -h" for command flags; rank the archive (record
+each program's detection rate and detected-fault set) with
+"faultsim -corpus DIR -target STRUCTURE"
 `)
 	os.Exit(2)
 }
@@ -68,8 +69,6 @@ func main() {
 		cmdLs(args)
 	case "add":
 		cmdAdd(args)
-	case "rank":
-		cmdRank(args)
 	case "distill":
 		cmdDistill(args)
 	case "export":
@@ -154,59 +153,6 @@ func cmdAdd(args []string) {
 	}
 	for _, h := range res.Evicted {
 		fmt.Printf("evicted %s\n", h)
-	}
-}
-
-func cmdRank(args []string) {
-	fs := flag.NewFlagSet("corpus rank", flag.ExitOnError)
-	dir := fs.String("dir", "", "corpus directory")
-	structure := fs.String("structure", "", "structure to rank")
-	n := fs.Int("n", 100, "injections per program")
-	seed := fs.Uint64("seed", 1, "campaign seed")
-	ftype := fs.String("type", "", "fault type: transient, intermittent, permanent (default per structure)")
-	window := fs.Uint64("window", 100, "intermittent fault window (cycles)")
-	force := fs.Bool("force", false, "re-rank entries already measured with this configuration")
-	metrics := fs.Bool("metrics", false, "print a metrics summary at exit")
-	fs.Parse(args)
-	if *structure == "" {
-		fatal(fmt.Errorf("corpus rank: -structure is required"))
-	}
-	c, err := coverage.Parse(*structure)
-	if err != nil {
-		fatal(err)
-	}
-	ob, obFinish, err := obs.SetupCLI("", *metrics, "")
-	if err != nil {
-		fatal(err)
-	}
-	st := openStore(*dir, ob)
-
-	ft := inject.DefaultFaultType(c)
-	if *ftype != "" {
-		if ft, err = inject.ParseFaultType(*ftype); err != nil {
-			fatal(err)
-		}
-	}
-
-	ranked, skipped, err := st.Rank(corpus.RankOptions{
-		Structure:       c,
-		Type:            ft,
-		N:               *n,
-		Seed:            *seed,
-		IntermittentLen: *window,
-		Force:           *force,
-		GoldenCache:     inject.SharedGoldenCache(),
-		Obs:             ob,
-		Progress: func(m *corpus.Meta, s *inject.Stats) {
-			fmt.Printf("  %s  %s\n", m.Hash, s)
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("ranked %d programs (%d already measured, skipped)\n", ranked, skipped)
-	if err := obFinish(os.Stdout); err != nil {
-		fatal(err)
 	}
 }
 

@@ -48,7 +48,7 @@ func main() {
 		list   = flag.Bool("list", false, "list available programs and exit")
 
 		corpusDir = flag.String("corpus", "", "rank a corpus archive: run the campaign on every archived program of the target structure and record detection metadata")
-		resume    = flag.Bool("resume", false, "with -corpus: skip entries already measured with this campaign configuration (resume an interrupted sweep)")
+		resume    = flag.Bool("resume", false, "with -corpus: skip entries already measured under this fault model (type, -n, -seed, -window, -burst): resume an interrupted sweep")
 
 		workers  = flag.String("workers", "", "comma-separated harpod worker URLs to shard the campaign across (e.g. http://host1:9090,http://host2:9090)")
 		queueURL = flag.String("queue", "", "harpoq coordinator URL: submit the campaign as a durable queue job and await the merged result")
@@ -77,8 +77,8 @@ func main() {
 		"dcdiag":  dcdiag.Programs(*scale),
 	}
 	if *list {
-		for s, ps := range suites {
-			for _, p := range ps {
+		for _, s := range []string{"mibench", "dcdiag"} {
+			for _, p := range suites[s] {
 				fmt.Printf("%-8s %s (%d instructions)\n", s, p.Name, len(p.Insts))
 			}
 		}
@@ -99,16 +99,28 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	// Refuse a model the injector lacks before printing anything.
-	model := inject.Campaign{Target: st, Type: ft, BurstLen: *burst, Cfg: uarch.DefaultConfig()}
-	if err := model.Validate(); err != nil {
+	// The campaign is the fault model; each mode below gives it its
+	// program(s). Refuse a model the injector lacks before printing
+	// anything.
+	c := &inject.Campaign{
+		Target:          st,
+		Type:            ft,
+		N:               *n,
+		IntermittentLen: *window,
+		BurstLen:        *burst,
+		Seed:            *seed,
+		Cfg:             uarch.DefaultConfig(),
+		GoldenCache:     inject.SharedGoldenCache(),
+		Obs:             ob,
+	}
+	if err := c.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
 	if *corpusDir != "" {
 		// Corpus mode: rank the archive instead of one program. With
-		// -resume, entries already measured under this configuration are
+		// -resume, entries already measured under this fault model are
 		// skipped, so an interrupted sweep picks up where it stopped.
 		store, err := corpus.Open(*corpusDir, ob)
 		if err != nil {
@@ -116,18 +128,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("ranking corpus %s: target=%v faults=%v injections=%d\n", *corpusDir, st, ft, *n)
-		ranked, skipped, err := store.Rank(corpus.RankOptions{
-			Structure:       st,
-			Type:            ft,
-			N:               *n,
-			Seed:            *seed,
-			IntermittentLen: *window,
-			Force:           !*resume,
-			GoldenCache:     inject.SharedGoldenCache(),
-			Obs:             ob,
-			Progress: func(m *corpus.Meta, s *inject.Stats) {
-				fmt.Printf("  %s  %s\n", m.Hash, s)
-			},
+		ranked, skipped, err := store.Rank(c, !*resume, func(m *corpus.Meta, s *inject.Stats) {
+			fmt.Printf("  %s  %s\n", m.Hash, s)
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -168,20 +170,7 @@ func main() {
 		}
 	}
 
-	c := &inject.Campaign{
-		Prog:            p.Insts,
-		Init:            p.InitFunc(),
-		Target:          st,
-		Type:            ft,
-		N:               *n,
-		IntermittentLen: *window,
-		BurstLen:        *burst,
-		Seed:            *seed,
-		Cfg:             uarch.DefaultConfig(),
-		GoldenCache:     inject.SharedGoldenCache(),
-		ProgramHash:     corpus.HashProgram(p),
-		Obs:             ob,
-	}
+	c.Prog, c.Init, c.ProgramHash = p.Insts, p.InitFunc(), corpus.HashProgram(p)
 	fmt.Printf("program %s: %d instructions\n", p.Name, len(p.Insts))
 	fmt.Printf("campaign: target=%v faults=%v injections=%d\n", st, ft, *n)
 	var stats *inject.Stats

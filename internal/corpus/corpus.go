@@ -33,6 +33,7 @@ import (
 
 	"harpocrates/internal/binfmt"
 	"harpocrates/internal/gen"
+	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
 	"harpocrates/internal/prog"
 	"harpocrates/internal/segstore"
@@ -77,19 +78,49 @@ type Meta struct {
 	Genotype bool `json:"genotype,omitempty"`
 
 	// Fault-detection measurement, filled by ranking. Detected holds the
-	// sorted injection indices the program detects under the campaign
-	// configuration (FaultType, FaultN, FaultSeed); indices are
-	// comparable across programs because injection i's fault parameters
-	// are a pure function of (FaultSeed, i).
-	FaultType string  `json:"fault_type,omitempty"`
-	FaultN    int     `json:"fault_n,omitempty"`
-	FaultSeed uint64  `json:"fault_seed,omitempty"`
-	Detection float64 `json:"detection,omitempty"`
-	Detected  []int   `json:"detected,omitempty"`
+	// sorted injection indices the program detects under the fault model
+	// (FaultType, FaultN, FaultSeed, FaultWindow, FaultBurst); indices
+	// are comparable across programs because injection i's fault
+	// parameters are a pure function of the model and i.
+	FaultType   string  `json:"fault_type,omitempty"`
+	FaultN      int     `json:"fault_n,omitempty"`
+	FaultSeed   uint64  `json:"fault_seed,omitempty"`
+	FaultWindow uint64  `json:"fault_window,omitempty"`
+	FaultBurst  int     `json:"fault_burst,omitempty"`
+	Detection   float64 `json:"detection,omitempty"`
+	Detected    []int   `json:"detected,omitempty"`
 }
 
 // Ranked reports whether the entry carries a detection measurement.
 func (m *Meta) Ranked() bool { return m.FaultN > 0 }
+
+// setFaults records c's fault model as the injector reads it, so two
+// spellings of one model record the same universe: the window only of
+// an intermittent model (the others never read it) and at least 1 cycle,
+// the burst only when it is wider than one bit.
+func (m *Meta) setFaults(c *inject.Campaign) {
+	m.FaultType, m.FaultN, m.FaultSeed = c.Type.String(), c.N, c.Seed
+	m.FaultWindow, m.FaultBurst = 0, 0
+	if c.Type == inject.Intermittent {
+		m.FaultWindow = max(c.IntermittentLen, 1)
+	}
+	if c.BurstLen > 1 {
+		m.FaultBurst = c.BurstLen
+	}
+}
+
+// sameFaults reports whether two measurements index one fault universe,
+// the one condition under which their detected sets are comparable.
+func (m *Meta) sameFaults(o *Meta) bool {
+	return m.FaultType == o.FaultType && m.FaultN == o.FaultN && m.FaultSeed == o.FaultSeed &&
+		m.FaultWindow == o.FaultWindow && m.FaultBurst == o.FaultBurst
+}
+
+// faults names the fault model in a refusal.
+func (m *Meta) faults() string {
+	return fmt.Sprintf("%s N=%d seed=%d window=%d burst=%d",
+		m.FaultType, m.FaultN, m.FaultSeed, m.FaultWindow, m.FaultBurst)
+}
 
 // clone deep-copies the metadata (callers get copies, never the
 // store's internal pointers).
@@ -385,23 +416,20 @@ func (s *Store) Elites(structure string, k int) ([]*gen.Genotype, error) {
 	return out, nil
 }
 
-// SetDetection records a fault-detection measurement for an entry.
-// detected is the campaign's detected-injection index vector
+// SetDetection records campaign c's measurement st of an entry: c's
+// fault model, the detection rate and the detected-injection indices
 // (inject.Stats.DetectedSet): every injection whose outcome deviated
 // from Masked — SDC, crash, hang or detected-by-trap alike.
-func (s *Store) SetDetection(hash, faultType string, faultN int, faultSeed uint64, detection float64, detected []int) error {
+func (s *Store) SetDetection(hash string, c *inject.Campaign, st *inject.Stats) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, ok := s.entries[hash]
 	if !ok {
 		return fmt.Errorf("corpus: no entry %s", hash)
 	}
-	m.FaultType = faultType
-	m.FaultN = faultN
-	m.FaultSeed = faultSeed
-	m.Detection = detection
-	m.Detected = append([]int(nil), detected...)
-	sort.Ints(m.Detected)
+	m.setFaults(c)
+	m.Detection = st.Detection()
+	m.Detected = st.DetectedSet()
 	return s.flushLocked()
 }
 

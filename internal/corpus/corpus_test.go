@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"harpocrates/internal/gen"
+	"harpocrates/internal/inject"
 	"harpocrates/internal/prog"
 )
 
@@ -26,6 +27,18 @@ func testProgram(seed uint64) (*gen.Genotype, *prog.Program) {
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	g := gen.NewRandom(&cfg, rng)
 	return g, gen.Materialize(g, &cfg)
+}
+
+// detecting returns the statistics of an n-injection campaign that
+// detected exactly the given injections (as SDCs).
+func detecting(n int, detected ...int) *inject.Stats {
+	st := &inject.Stats{N: n, Masked: n, Outcomes: make([]inject.Outcome, n)}
+	for _, i := range detected {
+		st.Outcomes[i] = inject.SDC
+		st.SDC++
+		st.Masked--
+	}
+	return st
 }
 
 func mustOpen(t *testing.T, dir string) *Store {
@@ -51,7 +64,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !res.Added || res.Hash != Key(g.Hash()) {
 		t.Fatalf("add: %+v", res)
 	}
-	if err := s.SetDetection(res.Hash, "permanent", 10, 3, 0.4, []int{4, 1, 8}); err != nil {
+	model := &inject.Campaign{Type: inject.Intermittent, N: 10, Seed: 3, IntermittentLen: 500, BurstLen: 4}
+	if err := s.SetDetection(res.Hash, model, detecting(10, 4, 1, 8)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,8 +78,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	want := &Meta{
 		Hash: res.Hash, Name: p.Name, Structure: "IntAdder", Fitness: 0.5,
 		Seed: g.Seed, Iteration: 7, Insts: len(p.Insts), Genotype: true,
-		FaultType: "permanent", FaultN: 10, FaultSeed: 3, Detection: 0.4,
-		Detected: []int{1, 4, 8}, // stored sorted
+		FaultType: "intermittent", FaultN: 10, FaultSeed: 3, FaultWindow: 500, FaultBurst: 4,
+		Detection: 0.3, Detected: []int{1, 4, 8}, // stored sorted
 	}
 	if !reflect.DeepEqual(m, want) {
 		t.Fatalf("metadata diverged across reopen:\ngot  %+v\nwant %+v", m, want)
@@ -254,8 +268,8 @@ func TestStoreDistillApply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det := float64(len(sets[i])) / 10
-		if err := s.SetDetection(res.Hash, "transient", 10, 1, det, sets[i]); err != nil {
+		model := &inject.Campaign{Type: inject.Transient, N: 10, Seed: 1}
+		if err := s.SetDetection(res.Hash, model, detecting(10, sets[i]...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,23 +299,57 @@ func TestStoreDistillApply(t *testing.T) {
 }
 
 // TestStoreDistillRejectsMixedConfigs: fault indices from different
-// campaign configurations are not comparable; distilling across them
-// must fail.
+// fault models are not comparable; distilling across them must fail,
+// whichever one field of the model differs. The window and burst cases
+// were distilled as one universe when the manifest recorded only type,
+// N and seed.
 func TestStoreDistillRejectsMixedConfigs(t *testing.T) {
+	base := inject.Campaign{Type: inject.Intermittent, N: 10, Seed: 1, IntermittentLen: 100}
+	for _, tc := range []struct {
+		name string
+		vary func(c *inject.Campaign)
+	}{
+		{"type", func(c *inject.Campaign) { c.Type = inject.Transient }},
+		{"N", func(c *inject.Campaign) { c.N = 11 }},
+		{"seed", func(c *inject.Campaign) { c.Seed = 2 }},
+		{"window", func(c *inject.Campaign) { c.IntermittentLen = 7 }},
+		{"burst", func(c *inject.Campaign) { c.BurstLen = 2 }},
+	} {
+		s := mustOpen(t, t.TempDir())
+		for i, seed := range []uint64{40, 41} {
+			g, p := testProgram(seed)
+			res, err := s.Add(p, g, Meta{Structure: "L1D", Fitness: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := base
+			if i == 1 {
+				tc.vary(&model)
+			}
+			if err := s.SetDetection(res.Hash, &model, detecting(model.N, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.Distill("L1D", false); err == nil {
+			t.Errorf("distill across fault models differing in %s succeeded; want error", tc.name)
+		}
+	}
+	// Two spellings of one model are one universe: burst 0 and 1 are
+	// both single-bit, and a transient model reads no window.
 	s := mustOpen(t, t.TempDir())
-	for i, seed := range []uint64{40, 41} {
+	for i, seed := range []uint64{42, 43} {
 		g, p := testProgram(seed)
 		res, err := s.Add(p, g, Meta{Structure: "L1D", Fitness: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Same type, different N: not comparable.
-		if err := s.SetDetection(res.Hash, "transient", 10+i, 1, 0.2, []int{0}); err != nil {
+		model := &inject.Campaign{Type: inject.Transient, N: 10, Seed: 1, IntermittentLen: uint64(100 * i), BurstLen: i}
+		if err := s.SetDetection(res.Hash, model, detecting(10, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := s.Distill("L1D", false); err == nil {
-		t.Fatal("distill across mixed campaign configs succeeded; want error")
+	if _, _, err := s.Distill("L1D", false); err != nil {
+		t.Fatalf("distill of one fault model spelled twice: %v", err)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 
 // Distill computes a greedy minimum-set-cover subset of the given
 // entries whose combined detected-fault sets equal the union over all
-// entries. Entries must have been ranked under the same campaign
-// configuration for their fault indices to be comparable (Store.Distill
-// enforces this). The returned subset is in pick order (largest
+// entries. Entries must have been ranked under the same fault model for
+// their fault indices to be comparable (Store.Distill enforces this). The returned subset is in pick order (largest
 // marginal coverage first); ties break toward higher fitness, then
 // lower hash, so the result is deterministic. The second result is the
 // size of the covered universe.
@@ -94,16 +93,16 @@ func (s *Store) Distill(structure string, apply bool) (kept, dropped []*Meta, er
 		}
 	}
 	if len(ranked) == 0 {
-		return nil, nil, fmt.Errorf("corpus: no ranked %s entries to distill (run rank first)", structure)
+		return nil, nil, fmt.Errorf("corpus: no ranked %s entries to distill (rank them with faultsim -corpus first)", structure)
 	}
-	// Fault indices are only comparable under one campaign
-	// configuration; a mixed archive must be re-ranked first.
+	// Fault indices are only comparable under one fault model; a mixed
+	// archive must be re-ranked first.
 	ref := ranked[0]
 	for _, m := range ranked[1:] {
-		if m.FaultType != ref.FaultType || m.FaultN != ref.FaultN || m.FaultSeed != ref.FaultSeed {
+		if !m.sameFaults(ref) {
 			return nil, nil, fmt.Errorf(
-				"corpus: %s entries ranked under mixed campaign configs (%s/%d/%d vs %s/%d/%d); re-rank before distilling",
-				structure, ref.FaultType, ref.FaultN, ref.FaultSeed, m.FaultType, m.FaultN, m.FaultSeed)
+				"corpus: %s entries ranked under mixed fault models (%s vs %s); re-rank before distilling",
+				structure, ref.faults(), m.faults())
 		}
 	}
 

@@ -85,7 +85,7 @@ func (r *JobRequest) Validate() error {
 			// happens to hold.
 			return fmt.Errorf("dist: a campaign job carries its program, not a program_hash")
 		}
-		if _, _, err := r.Inject.shape(); err != nil {
+		if _, err := r.Inject.model(); err != nil {
 			return err
 		}
 	case JobEval:
@@ -244,38 +244,20 @@ func (req *EvalRequest) structure() (coverage.Structure, error) {
 	return st, err
 }
 
-// shape parses the request's names and checks, through
-// inject.Campaign.Validate, its core configuration and that the two, with
-// the burst length, name a fault model the injector implements.
-func (req *InjectRequest) shape() (coverage.Structure, inject.FaultType, error) {
+// model parses the request's names into the campaign it describes,
+// without its program, and checks it through inject.Campaign.Validate:
+// a buildable core and a fault model (target, type and burst length) the
+// injector implements.
+func (req *InjectRequest) model() (*inject.Campaign, error) {
 	target, err := coverage.Parse(req.Target)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	ftype, err := inject.ParseFaultType(req.Type)
 	if err != nil {
-		return 0, 0, err
-	}
-	model := inject.Campaign{Target: target, Type: ftype, BurstLen: req.BurstLen, Cfg: req.Cfg}
-	return target, ftype, model.Validate()
-}
-
-// CampaignFor reconstructs a campaign from a shard request. The
-// hook-free scalar config arrives on the wire; structure-specific hooks
-// are rebuilt by the campaign itself, so the executing side's faulty
-// runs are bit-identical to the submitting side's.
-func CampaignFor(req *InjectRequest, ob *obs.Observer) (*inject.Campaign, error) {
-	target, ftype, err := req.shape()
-	if err != nil {
 		return nil, err
 	}
-	p, programHash, err := programs.decode(req.Program, ob)
-	if err != nil {
-		return nil, err
-	}
-	return &inject.Campaign{
-		Prog:            p.Insts,
-		Init:            p.InitFunc(),
+	c := &inject.Campaign{
 		Target:          target,
 		Type:            ftype,
 		N:               req.N,
@@ -283,10 +265,31 @@ func CampaignFor(req *InjectRequest, ob *obs.Observer) (*inject.Campaign, error)
 		BurstLen:        req.BurstLen,
 		Seed:            req.Seed,
 		Cfg:             req.Cfg,
-		// The golden cache key's program component is the content hash
-		// of the wire bytes — the same convention the queue result cache
-		// uses, so both caches agree about what "same program" means.
-		ProgramHash: programHash,
-		Obs:         ob,
-	}, nil
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// CampaignFor reconstructs a campaign from a shard request. The
+// hook-free scalar config arrives on the wire; structure-specific hooks
+// are rebuilt by the campaign itself, so the executing side's faulty
+// runs are bit-identical to the submitting side's.
+func CampaignFor(req *InjectRequest, ob *obs.Observer) (*inject.Campaign, error) {
+	c, err := req.model()
+	if err != nil {
+		return nil, err
+	}
+	p, programHash, err := programs.decode(req.Program, ob)
+	if err != nil {
+		return nil, err
+	}
+	c.Prog, c.Init = p.Insts, p.InitFunc()
+	// The golden cache key's program component is the content hash of
+	// the wire bytes — the same convention the queue result cache uses,
+	// so both caches agree about what "same program" means.
+	c.ProgramHash = programHash
+	c.Obs = ob
+	return c, nil
 }

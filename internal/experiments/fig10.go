@@ -87,7 +87,8 @@ func fig10(st coverage.Structure, pp Params) (*Convergence, error) {
 
 	conv := &Convergence{Structure: st, Iterations: res.Iterations, Result: res, GenCfg: o.Gen}
 	det := make(map[int]float64)
-	detStats := make(map[int]*inject.Stats)
+	var lastCamp *inject.Campaign
+	var lastStats *inject.Stats
 	for _, c := range checks {
 		p := gen.Materialize(c.g, &o.Gen)
 		camp := &inject.Campaign{
@@ -105,7 +106,7 @@ func fig10(st coverage.Structure, pp Params) (*Convergence, error) {
 			return nil, fmt.Errorf("fig10 %v checkpoint %d: %w", st, c.it, err)
 		}
 		det[c.it] = s.Detection()
-		detStats[c.it] = s
+		lastCamp, lastStats = camp, s
 	}
 	for it, cov := range res.History.Best {
 		p := ConvergencePoint{Iteration: it, Coverage: cov, Detection: -1}
@@ -132,9 +133,7 @@ func fig10(st coverage.Structure, pp Params) (*Convergence, error) {
 			return nil, fmt.Errorf("fig10 %v: archive: %w", st, err)
 		}
 		if last := checks[len(checks)-1]; len(checks) > 0 && add.Added && last.g.Hash() == res.Best.G.Hash() {
-			s := detStats[last.it]
-			if err := pp.Corpus.SetDetection(add.Hash, inject.DefaultFaultType(st).String(),
-				s.N, pp.Seed, s.Detection(), s.DetectedSet()); err != nil {
+			if err := pp.Corpus.SetDetection(add.Hash, lastCamp, lastStats); err != nil {
 				return nil, fmt.Errorf("fig10 %v: archive detection: %w", st, err)
 			}
 		}

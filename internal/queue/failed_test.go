@@ -146,7 +146,7 @@ func TestUnrunnableJobRefusedOrFailed(t *testing.T) {
 // a campaign comes through — Validate, corpus ranking and POST /v1/jobs
 // (400) — refuses each under every name it parses from, saying which
 // structure and why, and none panics on the way (DefaultFaultType comes
-// first in faultsim, corpus rank and NewDetectionCampaign).
+// first in faultsim and NewDetectionCampaign).
 func TestNotAFaultTargetRefused(t *testing.T) {
 	c, p := testCampaign(t, 8)
 	coord := newTestCoordinator(t, t.TempDir(), 0, nil)
@@ -186,7 +186,7 @@ func TestNotAFaultTargetRefused(t *testing.T) {
 			} else {
 				refused("Validate", err.Error())
 			}
-			if ranked, _, err := store.Rank(corpus.RankOptions{Structure: st, Type: ft, N: 4}); err == nil || ranked != 0 {
+			if ranked, _, err := store.Rank(&model, false, nil); err == nil || ranked != 0 {
 				t.Errorf("%s: corpus.Rank ranked %d, err %v", name, ranked, err)
 			} else {
 				refused("corpus.Rank", err.Error())
