@@ -1,6 +1,8 @@
-// Command bench regenerates the paper's tables and figures (the same
-// harnesses as the repository-level Go benchmarks, in CLI form) — paper
-// tables and figures only; timing lives in benchmark/.
+// Command bench regenerates the paper's tables and figures from the
+// internal/experiments harnesses — paper tables and figures only;
+// timing lives in benchmark/. One experiments.Session per process
+// shares the baseline suites, Fig. 10 runs and measurements between
+// the figures it prints.
 //
 // Usage:
 //
@@ -45,6 +47,7 @@ func main() {
 
 	pp := experiments.DefaultParams()
 	pp.Obs = ob
+	sess := experiments.NewSession(pp)
 	fmt.Printf("scale=%d (HARPO_SCALE), injections per campaign: bit-array=%d adder=%d mul=%d fp=%d\n\n",
 		pp.Scale, pp.InjBitArray, pp.InjAdder, pp.InjMul, pp.InjFP)
 
@@ -54,8 +57,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	figBase := func(title string, f func(experiments.Params) ([]experiments.Measurement, error)) {
-		ms, err := f(pp)
+	figBase := func(title string, f func() ([]experiments.Measurement, error)) {
+		ms, err := f()
 		die(err)
 		experiments.FprintMeasurements(os.Stdout, title, ms)
 		experiments.FprintSummaries(os.Stdout, title+" — aggregates", experiments.Summarize(ms))
@@ -67,13 +70,13 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *fig == 4 {
-		figBase("Fig. 4 — IRF and L1D (transient faults)", experiments.Fig4)
+		figBase("Fig. 4 — IRF and L1D (transient faults)", sess.Fig4)
 	}
 	if *all || *fig == 5 {
-		figBase("Fig. 5 — Integer adder and multiplier (permanent gate faults)", experiments.Fig5)
+		figBase("Fig. 5 — Integer adder and multiplier (permanent gate faults)", sess.Fig5)
 	}
 	if *all || *fig == 6 {
-		figBase("Fig. 6 — SSE FP adder and multiplier (permanent gate faults)", experiments.Fig6)
+		figBase("Fig. 6 — SSE FP adder and multiplier (permanent gate faults)", sess.Fig6)
 	}
 	if *all || *fig == 8 {
 		experiments.FprintFig8(os.Stdout, experiments.Fig8Scenario(pp))
@@ -81,14 +84,14 @@ func main() {
 	}
 	if *all || *fig == 10 {
 		for _, st := range experiments.AllStructures() {
-			c, err := experiments.Fig10(st, pp)
+			c, err := sess.Fig10(st)
 			die(err)
 			experiments.FprintConvergence(os.Stdout, c)
 			fmt.Println()
 		}
 	}
 	if *all || *fig == 11 {
-		ss, _, err := experiments.Fig11(pp)
+		ss, _, err := sess.Fig11()
 		die(err)
 		experiments.FprintFig11(os.Stdout, ss)
 		fmt.Println()
@@ -114,7 +117,7 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *speed {
-		r, err := experiments.DetectionSpeed(pp)
+		r, err := sess.DetectionSpeed()
 		die(err)
 		experiments.FprintSpeed(os.Stdout, r)
 		fmt.Println()

@@ -59,13 +59,9 @@ var (
 	vMovAbs   isa.VariantID
 	vMovRM    = Find(isa.OpMOV, isa.W64, isa.KReg, isa.KMem)
 	vMovMR    = Find(isa.OpMOV, isa.W64, isa.KMem, isa.KReg)
-	vMovRM8   = Find(isa.OpMOV, isa.W8, isa.KReg, isa.KMem)
 	vMovMR8   = Find(isa.OpMOV, isa.W8, isa.KMem, isa.KReg)
-	vMovRM32  = Find(isa.OpMOV, isa.W32, isa.KReg, isa.KMem)
-	vMovMR32  = Find(isa.OpMOV, isa.W32, isa.KMem, isa.KReg)
 	vMovzxB64 isa.VariantID
 	vAddRR    = Find(isa.OpADD, isa.W64, isa.KReg, isa.KReg)
-	vAddRI    = Find(isa.OpADD, isa.W64, isa.KReg, isa.KImm)
 	vAddRM    = Find(isa.OpADD, isa.W64, isa.KReg, isa.KMem)
 	vSubRR    = Find(isa.OpSUB, isa.W64, isa.KReg, isa.KReg)
 	vSubRI    = Find(isa.OpSUB, isa.W64, isa.KReg, isa.KImm)
@@ -84,11 +80,9 @@ var (
 	vRorRI    = Find(isa.OpROR, isa.W64, isa.KReg, isa.KImm)
 	vIncR     = Find(isa.OpINC, isa.W64, isa.KReg)
 	vDecR     = Find(isa.OpDEC, isa.W64, isa.KReg)
-	vNegR     = Find(isa.OpNEG, isa.W64, isa.KReg)
 	vImulRR   = Find(isa.OpIMULRR, isa.W64, isa.KReg, isa.KReg)
 	vImulRRI  = Find(isa.OpIMULRRI, isa.W64, isa.KReg, isa.KReg, isa.KImm)
 	vJmp      = Find(isa.OpJMP, isa.W32, isa.KImm)
-	vLeaQ     = Find(isa.OpLEA, isa.W64, isa.KReg, isa.KMem)
 
 	vAddSD     = Find(isa.OpADDSD, isa.W64, isa.KXmm, isa.KXmm)
 	vSubSD     = Find(isa.OpSUBSD, isa.W64, isa.KXmm, isa.KXmm)
@@ -199,7 +193,6 @@ func (b *Builder) MovRI(r isa.Reg, v int64) {
 
 func (b *Builder) MovRR(d, s isa.Reg)       { b.I(vMovRR, isa.RegOp(d), isa.RegOp(s)) }
 func (b *Builder) AddRR(d, s isa.Reg)       { b.I(vAddRR, isa.RegOp(d), isa.RegOp(s)) }
-func (b *Builder) AddRI(d isa.Reg, v int64) { b.I(vAddRI, isa.RegOp(d), isa.ImmOp(v)) }
 func (b *Builder) SubRR(d, s isa.Reg)       { b.I(vSubRR, isa.RegOp(d), isa.RegOp(s)) }
 func (b *Builder) SubRI(d isa.Reg, v int64) { b.I(vSubRI, isa.RegOp(d), isa.ImmOp(v)) }
 func (b *Builder) AndRI(d isa.Reg, v int64) { b.I(vAndRI, isa.RegOp(d), isa.ImmOp(v)) }
@@ -217,7 +210,6 @@ func (b *Builder) RolRI(d isa.Reg, n int64) { b.I(vRolRI, isa.RegOp(d), isa.ImmO
 func (b *Builder) RorRI(d isa.Reg, n int64) { b.I(vRorRI, isa.RegOp(d), isa.ImmOp(n)) }
 func (b *Builder) Inc(d isa.Reg)            { b.I(vIncR, isa.RegOp(d)) }
 func (b *Builder) Dec(d isa.Reg)            { b.I(vDecR, isa.RegOp(d)) }
-func (b *Builder) Neg(d isa.Reg)            { b.I(vNegR, isa.RegOp(d)) }
 func (b *Builder) ImulRR(d, s isa.Reg)      { b.I(vImulRR, isa.RegOp(d), isa.RegOp(s)) }
 func (b *Builder) ImulRRI(d, s isa.Reg, v int64) {
 	b.I(vImulRRI, isa.RegOp(d), isa.RegOp(s), isa.ImmOp(v))
@@ -250,11 +242,7 @@ func (b *Builder) StoreIdx(base, index isa.Reg, scale uint8, disp int32, r isa.R
 	b.I(vMovMR, isa.MemIdxOp(base, index, scale, disp), isa.RegOp(r))
 }
 
-// LoadB / StoreB move single bytes; LoadBZX zero-extends into 64 bits.
-func (b *Builder) LoadB(r, base isa.Reg, disp int32) {
-	b.I(vMovRM8, isa.RegOp(r), isa.MemOp(base, disp))
-}
-
+// LoadBZXIdx zero-extends a byte into 64 bits; StoreBIdx stores one byte.
 func (b *Builder) LoadBZXIdx(r, base, index isa.Reg, scale uint8, disp int32) {
 	b.I(vMovzxB64, isa.RegOp(r), isa.MemIdxOp(base, index, scale, disp))
 }
@@ -263,23 +251,9 @@ func (b *Builder) StoreBIdx(base, index isa.Reg, scale uint8, disp int32, r isa.
 	b.I(vMovMR8, isa.MemIdxOp(base, index, scale, disp), isa.RegOp(r))
 }
 
-// Load32/Store32 move 32-bit words.
-func (b *Builder) Load32Idx(r, base, index isa.Reg, scale uint8, disp int32) {
-	b.I(vMovRM32, isa.RegOp(r), isa.MemIdxOp(base, index, scale, disp))
-}
-
-func (b *Builder) Store32Idx(base, index isa.Reg, scale uint8, disp int32, r isa.Reg) {
-	b.I(vMovMR32, isa.MemIdxOp(base, index, scale, disp), isa.RegOp(r))
-}
-
 // AddRM emits add r64, [base+idx*scale+disp].
 func (b *Builder) AddRMIdx(r, base, index isa.Reg, scale uint8, disp int32) {
 	b.I(vAddRM, isa.RegOp(r), isa.MemIdxOp(base, index, scale, disp))
-}
-
-// Lea emits lea r64, [base+index*scale+disp].
-func (b *Builder) Lea(r, base, index isa.Reg, scale uint8, disp int32) {
-	b.I(vLeaQ, isa.RegOp(r), isa.MemIdxOp(base, index, scale, disp))
 }
 
 // --- floating point ------------------------------------------------------

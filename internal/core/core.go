@@ -75,10 +75,8 @@ type Options struct {
 
 	// CheckpointPath, if set, persists a campaign snapshot (population,
 	// RNG state, iteration counter, history, fitness memo) to this file
-	// after every CheckpointEvery-th iteration, via atomic rename.
+	// after every iteration, via atomic rename.
 	CheckpointPath string
-	// CheckpointEvery is the snapshot stride in iterations (0 = 1).
-	CheckpointEvery int
 	// Resume restarts from the snapshot at CheckpointPath when one
 	// exists (a fresh run otherwise). The resumed trajectory — History,
 	// best genotype, convergence — is bit-identical to the same run
@@ -211,9 +209,6 @@ func (o *Options) normalize() error {
 	o.Core = o.Core.WithDefaults().TrackFor(o.Structure)
 	if o.Mutate == nil {
 		o.Mutate = mutate.ReplaceAll
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
 	}
 	if o.TopK > o.PopSize {
 		return fmt.Errorf("core: TopK %d > PopSize %d", o.TopK, o.PopSize)
@@ -417,7 +412,7 @@ func Run(o Options) (*Result, error) {
 		// population is assembled and evaluated, the RNG has consumed this
 		// iteration's mutation draws, and History holds entries 0..it.
 		// A run resumed from here is on the identical trajectory.
-		if o.CheckpointPath != "" && (it+1)%o.CheckpointEvery == 0 {
+		if o.CheckpointPath != "" {
 			stopCk := o.Obs.Phase("core.phase.checkpoint")
 			err := writeSnapshot(o.CheckpointPath, &snapshot{
 				optsHash: o.resumeHash(),

@@ -4,9 +4,12 @@
 // maps every experiment to its harness; EXPERIMENTS.md records
 // paper-versus-measured outcomes.
 //
-// All harnesses scale with the HARPO_SCALE environment variable
-// (default 1 = CI scale, minutes of CPU; larger values approach the
-// paper's full parameters).
+// A harness is a function of its Params, which DefaultParams scales
+// with the HARPO_SCALE environment variable (default 1 = CI scale,
+// minutes of CPU; larger values approach the paper's full parameters).
+// The harnesses that share inputs — the baseline suites, the Fig. 10
+// optimization runs and the per-(program, structure) measurements — are
+// methods of a Session, which computes each input once for its Params.
 package experiments
 
 import (
@@ -14,12 +17,10 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"sync"
 
 	"harpocrates/internal/baselines/dcdiag"
 	"harpocrates/internal/baselines/mibench"
 	"harpocrates/internal/baselines/silifuzz"
-	"harpocrates/internal/corpus"
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/inject"
 	"harpocrates/internal/obs"
@@ -50,12 +51,6 @@ type Params struct {
 	// Obs, if set, is threaded into every refinement loop and SFI
 	// campaign a harness runs (purely observational; nil disables).
 	Obs *obs.Observer
-
-	// Corpus, if set, archives the programs the harnesses evolve: Fig10
-	// adds each structure's final best program (with genotype and
-	// detection metadata) to the persistent store, so experiment runs
-	// feed the same corpus the CLI workflow uses.
-	Corpus *corpus.Store
 }
 
 // DefaultParams derives campaign sizes from the scale factor.
@@ -99,32 +94,52 @@ const (
 	FwHarpocrates = "Harpocrates"
 )
 
-var (
-	baselineOnce sync.Once
-	baselineSet  map[string][]*prog.Program
-)
+// Session runs the harnesses that share inputs for one Params. Each
+// input is computed on first use and kept for the session's lifetime:
+// the baseline suites, one Fig. 10 optimization run per structure, and
+// one measurement per (program, structure). Two sessions share
+// nothing. A Session is not safe for concurrent use; campaigns already
+// parallelize internally across all cores.
+type Session struct {
+	pp        Params
+	baselines map[string][]*prog.Program
+	conv      map[coverage.Structure]*Convergence
+	meas      map[measKey]Measurement
+}
 
-// BaselinePrograms returns the three baseline suites at the current
-// scale (SiliFuzz runs a fuzzing session on first use; results are
-// cached for the process).
-func BaselinePrograms() map[string][]*prog.Program {
-	baselineOnce.Do(func() {
-		s := Scale()
+type measKey struct {
+	p  *prog.Program
+	st coverage.Structure
+}
+
+// NewSession returns an empty session for pp.
+func NewSession(pp Params) *Session {
+	return &Session{
+		pp:   pp,
+		conv: map[coverage.Structure]*Convergence{},
+		meas: map[measKey]Measurement{},
+	}
+}
+
+// baselinePrograms returns the three baseline suites at pp.Scale
+// (SiliFuzz runs a fuzzing session on first use).
+func (s *Session) baselinePrograms() map[string][]*prog.Program {
+	if s.baselines == nil {
 		sf := silifuzz.Run(silifuzz.Options{
 			Seed:          7,
-			Rounds:        8000 * s,
+			Rounds:        8000 * s.pp.Scale,
 			MaxInputBytes: 100,
-			TargetInstrs:  1250 * s,
+			TargetInstrs:  1250 * s.pp.Scale,
 			NumTests:      8,
 			SnapshotSteps: 512,
 		})
-		baselineSet = map[string][]*prog.Program{
-			FwMiBench:    mibench.Programs(s),
+		s.baselines = map[string][]*prog.Program{
+			FwMiBench:    mibench.Programs(s.pp.Scale),
 			FwSiliFuzz:   sf.Tests,
-			FwOpenDCDiag: dcdiag.Programs(s),
+			FwOpenDCDiag: dcdiag.Programs(s.pp.Scale),
 		}
-	})
-	return baselineSet
+	}
+	return s.baselines
 }
 
 // Measurement is one (program, structure) evaluation: the hardware
@@ -141,28 +156,18 @@ type Measurement struct {
 	Uses      uint64 // operations on the target FU (0 for bit arrays)
 }
 
-// Measurements are memoized so overlapping harnesses (Fig. 4/5/6 and
-// Fig. 11) never repeat a campaign within a process.
-var (
-	measMu    sync.Mutex
-	measCache = map[string]Measurement{}
-)
-
 // Measure evaluates one program against one structure: a tracked run for
 // the coverage metric and an SFI campaign for detection (§II-C/§II-E).
-func Measure(p *prog.Program, st coverage.Structure, pp Params) (Measurement, error) {
-	key := fmt.Sprintf("%s|%d|%d|%d", p.Name, st, pp.Injections(st), pp.Seed)
-	measMu.Lock()
-	if m, ok := measCache[key]; ok {
-		measMu.Unlock()
+// Overlapping harnesses (Figs. 4/5/6, Fig. 11 and §VI-C) share the
+// result, so no campaign runs twice in a session.
+func (s *Session) Measure(p *prog.Program, st coverage.Structure) (Measurement, error) {
+	k := measKey{p, st}
+	if m, ok := s.meas[k]; ok {
 		return m, nil
 	}
-	measMu.Unlock()
-	m, err := measure(p, st, pp)
+	m, err := measure(p, st, s.pp)
 	if err == nil {
-		measMu.Lock()
-		measCache[key] = m
-		measMu.Unlock()
+		s.meas[k] = m
 	}
 	return m, err
 }

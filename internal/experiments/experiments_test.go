@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"harpocrates/internal/baselines/mibench"
-	"harpocrates/internal/corpus"
 	"harpocrates/internal/coverage"
+	"harpocrates/internal/obs"
+	"harpocrates/internal/prog"
 )
 
 func tinyParams() Params {
@@ -20,6 +22,11 @@ func tinyParams() Params {
 		Seed:        1,
 	}
 }
+
+// tinySession is shared by the tests that evolve at tinyParams, so the
+// IntAdder Fig. 10 run is made once per test binary. Tests do not run
+// in parallel, so the session is never used concurrently.
+var tinySession = sync.OnceValue(func() *Session { return NewSession(tinyParams()) })
 
 func TestFig1Data(t *testing.T) {
 	entries := Fig1DPPM()
@@ -37,10 +44,10 @@ func TestFig1Data(t *testing.T) {
 }
 
 func TestMeasureBitArrayAndFU(t *testing.T) {
-	pp := tinyParams()
+	s := NewSession(tinyParams())
 	p := mibench.Basicmath(1)
 	for _, st := range []coverage.Structure{coverage.IRF, coverage.IntAdder, coverage.IntMul} {
-		m, err := Measure(p, st, pp)
+		m, err := s.Measure(p, st)
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
 		}
@@ -52,7 +59,7 @@ func TestMeasureBitArrayAndFU(t *testing.T) {
 		}
 	}
 	// Basicmath is multiply-heavy: it must detect some multiplier faults.
-	m, err := Measure(p, coverage.IntMul, pp)
+	m, err := s.Measure(p, coverage.IntMul)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +69,21 @@ func TestMeasureBitArrayAndFU(t *testing.T) {
 }
 
 func TestMeasureMemoized(t *testing.T) {
-	pp := tinyParams()
+	s := NewSession(tinyParams())
 	p := mibench.Bitcount(1)
-	m1, err := Measure(p, coverage.IRF, pp)
+	m1, err := s.Measure(p, coverage.IRF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Measure(p, coverage.IRF, pp)
+	m2, err := s.Measure(p, coverage.IRF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 != m2 {
 		t.Fatal("memoized measurement differs")
+	}
+	if len(s.meas) != 1 {
+		t.Fatalf("session holds %d measurements after one (program, structure), want 1", len(s.meas))
 	}
 }
 
@@ -136,26 +146,13 @@ func TestFig10SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	pp := tinyParams()
-	// Attach a corpus store: the harness must archive the evolved best
-	// program with its genotype and detection measurement.
-	store, err := corpus.Open(t.TempDir(), nil)
+	// Scale 1's preset for IntAdder is already the cheapest run.
+	c, err := tinySession().Fig10(coverage.IntAdder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp.Corpus = store
-	// Override the preset with a very small run via scale 1; the preset
-	// for IntAdder is already the cheapest.
-	c, err := Fig10(coverage.IntAdder, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	archived := store.ListStructure(coverage.IntAdder.String())
-	if len(archived) != 1 {
-		t.Fatalf("corpus holds %d IntAdder entries, want 1", len(archived))
-	}
-	if m := archived[0]; !m.Genotype || m.Fitness != c.FinalCoverage || !m.Ranked() {
-		t.Fatalf("archived entry incomplete: %+v", m)
+	if c.Best == nil || c.Best.Name != "harpocrates/IntAdder" {
+		t.Fatalf("final best program missing or misnamed: %+v", c.Best)
 	}
 	if len(c.Points) == 0 {
 		t.Fatal("no convergence points")
@@ -193,12 +190,18 @@ func TestScaleEnv(t *testing.T) {
 
 func TestInterplayOrdering(t *testing.T) {
 	pp := tinyParams()
+	reg := obs.NewRegistry()
+	pp.Obs = obs.New(reg, nil)
 	r, err := Interplay(coverage.IRF, pp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
+	}
+	// Params.Obs reaches every campaign of the sweep.
+	if n := reg.Counter("inject.campaigns").Load(); n != int64(len(r.Points)) {
+		t.Fatalf("observer saw %d campaigns, want %d", n, len(r.Points))
 	}
 	// Whole-run stuck-at faults must detect at least as well as
 	// single-cycle transients (Fig. 2 containment), modulo CI noise.
@@ -208,5 +211,89 @@ func TestInterplayOrdering(t *testing.T) {
 	}
 	if _, err := Interplay(coverage.IntAdder, pp); err == nil {
 		t.Fatal("interplay accepted a functional unit")
+	}
+}
+
+func TestFprintInterplayVerdict(t *testing.T) {
+	row := func(label string, lo, hi float64) InterplayPoint {
+		return InterplayPoint{Label: label, Detection: (lo + hi) / 2, Lo: lo, Hi: hi}
+	}
+	for _, tc := range []struct {
+		name        string
+		first, last InterplayPoint
+		resolved    bool
+	}{
+		{"separated upward", row("transient", 0.006, 0.073), row("stuck-at", 0.156, 0.323), true},
+		{"overlapping", row("transient", 0.089, 0.230), row("stuck-at", 0.089, 0.230), false},
+		{"touching", row("transient", 0.05, 0.10), row("stuck-at", 0.10, 0.20), false},
+		{"separated downward", row("transient", 0.30, 0.40), row("stuck-at", 0.05, 0.10), false},
+	} {
+		var buf bytes.Buffer
+		mid := row("intermittent", 0, 1)
+		FprintInterplay(&buf, &InterplayResult{Structure: coverage.L1D, Program: "p",
+			Points: []InterplayPoint{tc.first, mid, tc.last}})
+		out := buf.String()
+		claims := strings.Contains(out, "longer-lived faults are easier to detect")
+		unresolved := strings.Contains(out, "unresolved")
+		if claims != tc.resolved || unresolved == tc.resolved {
+			t.Errorf("%s: claim=%v unresolved=%v, want claim=%v:\n%s", tc.name, claims, unresolved, tc.resolved, out)
+		}
+	}
+}
+
+// TestSessionsKeepTheirOwnParams runs two sessions that differ only in
+// Seed in one process: each must get the Fig. 10 run and measurements
+// of its own Params, never the other session's. The seed-1 session is
+// TestFig10SmallRun's, so only the seed-2 run is new here.
+func TestSessionsKeepTheirOwnParams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	sA, ppA, ppB := tinySession(), tinyParams(), tinyParams()
+	ppB.Seed = 2
+	sB := NewSession(ppB)
+	cA, err := sA.Fig10(coverage.IntAdder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cB, err := sB.Fig10(coverage.IntAdder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := sA.Fig10(coverage.IntAdder); again != cA {
+		t.Fatal("a session repeated its own Fig. 10 run")
+	}
+	if cA == cB || bytes.Equal(cA.Best.Encode(), cB.Best.Encode()) {
+		t.Fatal("the seed-2 session got the seed-1 session's Fig. 10 run")
+	}
+	// Bitcount's IRF detection differs between the two seeds, so a
+	// measurement served across sessions cannot go unnoticed.
+	bitcount := mibench.Bitcount(1)
+	sessions := []struct {
+		s  *Session
+		pp Params
+	}{{sA, ppA}, {sB, ppB}}
+	for _, tc := range []struct {
+		p  *prog.Program
+		st coverage.Structure
+	}{{cA.Best, coverage.IntAdder}, {cB.Best, coverage.IntAdder}, {bitcount, coverage.IRF}} {
+		var got [2]Measurement
+		for i, ss := range sessions {
+			m, err := ss.s.Measure(tc.p, tc.st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := measure(tc.p, tc.st, ss.pp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m != want {
+				t.Fatalf("seed-%d session measured %s on %v as %+v, its own Params give %+v", ss.pp.Seed, tc.p.Name, tc.st, m, want)
+			}
+			got[i] = m
+		}
+		if tc.p == bitcount && got[0] == got[1] {
+			t.Fatalf("%s on %v measures the same under both seeds; pick a pair that differs", tc.p.Name, tc.st)
+		}
 	}
 }

@@ -3,13 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"harpocrates/internal/core"
-	"harpocrates/internal/corpus"
 	"harpocrates/internal/coverage"
 	"harpocrates/internal/gen"
 	"harpocrates/internal/inject"
+	"harpocrates/internal/prog"
 	"harpocrates/internal/uarch"
 )
 
@@ -30,32 +29,22 @@ type Convergence struct {
 	FinalCoverage  float64
 	FinalDetection float64
 	Iterations     int
-	Result         *core.Result
-	GenCfg         gen.Config
+	// Best is the final best program, named harpocrates/<structure>:
+	// the Harpocrates entry of Fig. 11 and §VI-C.
+	Best *prog.Program
 }
-
-// Fig10 results are cached per structure so Fig. 11 and §VI-C reuse the
-// same optimization runs.
-var (
-	fig10Mu    sync.Mutex
-	fig10Cache = map[coverage.Structure]*Convergence{}
-)
 
 // Fig10 runs the Harpocrates loop for one structure and samples coverage
 // every iteration plus detection at ~8 checkpoints — the paper's
 // "coverage and detection measured across Harpocrates optimization".
-func Fig10(st coverage.Structure, pp Params) (*Convergence, error) {
-	fig10Mu.Lock()
-	if c, ok := fig10Cache[st]; ok {
-		fig10Mu.Unlock()
+// The run is made on first use and shared with Fig. 11 and §VI-C.
+func (s *Session) Fig10(st coverage.Structure) (*Convergence, error) {
+	if c, ok := s.conv[st]; ok {
 		return c, nil
 	}
-	fig10Mu.Unlock()
-	c, err := fig10(st, pp)
+	c, err := fig10(st, s.pp)
 	if err == nil {
-		fig10Mu.Lock()
-		fig10Cache[st] = c
-		fig10Mu.Unlock()
+		s.conv[st] = c
 	}
 	return c, err
 }
@@ -85,10 +74,10 @@ func fig10(st coverage.Structure, pp Params) (*Convergence, error) {
 		return nil, err
 	}
 
-	conv := &Convergence{Structure: st, Iterations: res.Iterations, Result: res, GenCfg: o.Gen}
+	best := gen.Materialize(res.Best.G, &o.Gen)
+	best.Name = fmt.Sprintf("harpocrates/%v", st)
+	conv := &Convergence{Structure: st, Iterations: res.Iterations, Best: best}
 	det := make(map[int]float64)
-	var lastCamp *inject.Campaign
-	var lastStats *inject.Stats
 	for _, c := range checks {
 		p := gen.Materialize(c.g, &o.Gen)
 		camp := &inject.Campaign{
@@ -106,7 +95,6 @@ func fig10(st coverage.Structure, pp Params) (*Convergence, error) {
 			return nil, fmt.Errorf("fig10 %v checkpoint %d: %w", st, c.it, err)
 		}
 		det[c.it] = s.Detection()
-		lastCamp, lastStats = camp, s
 	}
 	for it, cov := range res.History.Best {
 		p := ConvergencePoint{Iteration: it, Coverage: cov, Detection: -1}
@@ -118,25 +106,6 @@ func fig10(st coverage.Structure, pp Params) (*Convergence, error) {
 	conv.FinalCoverage = res.Best.Fitness
 	if len(checks) > 0 {
 		conv.FinalDetection = det[checks[len(checks)-1].it]
-	}
-
-	// Feed the persistent corpus: the evolved best program (with its
-	// genotype, so it can seed later runs) plus the final checkpoint's
-	// detection measurement when it belongs to the same genotype.
-	if pp.Corpus != nil {
-		add, err := pp.Corpus.Add(gen.Materialize(res.Best.G, &o.Gen), res.Best.G, corpus.Meta{
-			Structure: st.String(),
-			Fitness:   res.Best.Fitness,
-			Iteration: res.Iterations - 1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig10 %v: archive: %w", st, err)
-		}
-		if last := checks[len(checks)-1]; len(checks) > 0 && add.Added && last.g.Hash() == res.Best.G.Hash() {
-			if err := pp.Corpus.SetDetection(add.Hash, lastCamp, lastStats); err != nil {
-				return nil, fmt.Errorf("fig10 %v: archive detection: %w", st, err)
-			}
-		}
 	}
 	return conv, nil
 }

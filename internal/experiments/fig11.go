@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"harpocrates/internal/coverage"
-	"harpocrates/internal/gen"
-	"harpocrates/internal/prog"
 )
 
 // AllStructures lists the six evaluation targets in paper order.
@@ -19,45 +16,19 @@ func AllStructures() []coverage.Structure {
 	}
 }
 
-var (
-	harpoOnce sync.Once
-	harpoErr  error
-	harpoSet  map[coverage.Structure]*prog.Program
-)
-
-// HarpocratesPrograms evolves (and caches) one final Harpocrates test
-// program per structure at the current scale, reusing the Fig. 10
-// optimization runs.
-func HarpocratesPrograms(pp Params) (map[coverage.Structure]*prog.Program, error) {
-	harpoOnce.Do(func() {
-		harpoSet = map[coverage.Structure]*prog.Program{}
-		for _, st := range AllStructures() {
-			c, err := Fig10(st, pp)
-			if err != nil {
-				harpoErr = err
-				return
-			}
-			p := gen.Materialize(c.Result.Best.G, &c.GenCfg)
-			p.Name = fmt.Sprintf("harpocrates/%v", st)
-			harpoSet[st] = p
-		}
-	})
-	return harpoSet, harpoErr
-}
-
 // Fig11 reproduces the paper's headline comparison: maximum and average
 // detection capability of every framework for all six structures.
-func Fig11(pp Params) ([]Summary, []Measurement, error) {
-	ms, err := BaselineFigure(AllStructures(), pp)
-	if err != nil {
-		return nil, nil, err
-	}
-	harpo, err := HarpocratesPrograms(pp)
+func (s *Session) Fig11() ([]Summary, []Measurement, error) {
+	ms, err := s.BaselineFigure(AllStructures())
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, st := range AllStructures() {
-		m, err := Measure(harpo[st], st, pp)
+		c, err := s.Fig10(st)
+		if err != nil {
+			return nil, nil, err
+		}
+		m, err := s.Measure(c.Best, st)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -16,8 +16,8 @@ import (
 //	Fig. 4: IRF + L1D (transient faults, ACE coverage)
 //	Fig. 5: integer adder + multiplier (permanent gate faults, IBR)
 //	Fig. 6: SSE FP adder + multiplier (permanent gate faults, IBR)
-func BaselineFigure(structs []coverage.Structure, pp Params) ([]Measurement, error) {
-	suites := BaselinePrograms()
+func (s *Session) BaselineFigure(structs []coverage.Structure) ([]Measurement, error) {
+	suites := s.baselinePrograms()
 	type task struct {
 		fw string
 		p  *prog.Program
@@ -36,7 +36,7 @@ func BaselineFigure(structs []coverage.Structure, pp Params) ([]Measurement, err
 	// Campaigns parallelize internally across all cores; tasks run
 	// serially to bound memory.
 	for i, t := range tasks {
-		m, err := Measure(t.p, t.st, pp)
+		m, err := s.Measure(t.p, t.st)
 		m.Framework = t.fw
 		out[i] = m
 		errs[i] = err
@@ -50,19 +50,19 @@ func BaselineFigure(structs []coverage.Structure, pp Params) ([]Measurement, err
 }
 
 // Fig4 measures the IRF and L1D (bit arrays, transient faults).
-func Fig4(pp Params) ([]Measurement, error) {
-	return BaselineFigure([]coverage.Structure{coverage.IRF, coverage.L1D}, pp)
+func (s *Session) Fig4() ([]Measurement, error) {
+	return s.BaselineFigure([]coverage.Structure{coverage.IRF, coverage.L1D})
 }
 
 // Fig5 measures the integer adder and multiplier (permanent gate
 // faults).
-func Fig5(pp Params) ([]Measurement, error) {
-	return BaselineFigure([]coverage.Structure{coverage.IntAdder, coverage.IntMul}, pp)
+func (s *Session) Fig5() ([]Measurement, error) {
+	return s.BaselineFigure([]coverage.Structure{coverage.IntAdder, coverage.IntMul})
 }
 
 // Fig6 measures the SSE FP adder and multiplier (permanent gate faults).
-func Fig6(pp Params) ([]Measurement, error) {
-	return BaselineFigure([]coverage.Structure{coverage.FPAdd, coverage.FPMul}, pp)
+func (s *Session) Fig6() ([]Measurement, error) {
+	return s.BaselineFigure([]coverage.Structure{coverage.FPAdd, coverage.FPMul})
 }
 
 // Summary aggregates per framework and structure.

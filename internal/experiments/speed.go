@@ -25,13 +25,12 @@ type SpeedResult struct {
 }
 
 // DetectionSpeed runs the comparison for the integer adder.
-func DetectionSpeed(pp Params) (*SpeedResult, error) {
+func (s *Session) DetectionSpeed() (*SpeedResult, error) {
 	r := &SpeedResult{}
 
 	// Best baseline for the adder (by detection, across MiBench).
-	suites := BaselinePrograms()
-	for _, p := range suites[FwMiBench] {
-		m, err := Measure(p, coverage.IntAdder, pp)
+	for _, p := range s.baselinePrograms()[FwMiBench] {
+		m, err := s.Measure(p, coverage.IntAdder)
 		if err != nil {
 			return nil, err
 		}
@@ -42,11 +41,11 @@ func DetectionSpeed(pp Params) (*SpeedResult, error) {
 		}
 	}
 
-	harpo, err := HarpocratesPrograms(pp)
+	c, err := s.Fig10(coverage.IntAdder)
 	if err != nil {
 		return nil, err
 	}
-	m, err := Measure(harpo[coverage.IntAdder], coverage.IntAdder, pp)
+	m, err := s.Measure(c.Best, coverage.IntAdder)
 	if err != nil {
 		return nil, err
 	}

@@ -114,17 +114,3 @@ func CrossoverK(a, b *gen.Genotype, k int, rng *rand.Rand) *gen.Genotype {
 	child.Seed = a.Seed*0x9e3779b97f4a7c15 ^ b.Seed
 	return child
 }
-
-// Distinct returns the distinct variant IDs present in a genotype (a
-// small helper used by analyses and tests).
-func Distinct(g *gen.Genotype) []isa.VariantID {
-	seen := make(map[isa.VariantID]bool, 64)
-	var out []isa.VariantID
-	for _, v := range g.Variants {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}

@@ -224,13 +224,3 @@ func TestCrossoverKClampsToLength(t *testing.T) {
 		}
 	}
 }
-
-func TestDistinct(t *testing.T) {
-	c := cfg()
-	g := &gen.Genotype{Variants: nil, Seed: 1}
-	g.Variants = append(g.Variants, c.Allowed[0], c.Allowed[1], c.Allowed[0], c.Allowed[2])
-	d := Distinct(g)
-	if len(d) != 3 {
-		t.Fatalf("distinct = %d, want 3", len(d))
-	}
-}

@@ -33,40 +33,6 @@ func Wilson(k, n int) (lo, hi float64) {
 	return lo, hi
 }
 
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Max returns the maximum (0 for an empty slice).
-func Max(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum (0 for an empty slice).
-func Min(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Derive returns a deterministic RNG for subtask i of a seeded job, so
 // parallel campaigns are reproducible regardless of scheduling.
 func Derive(seed uint64, i int) *rand.Rand {
@@ -131,16 +97,3 @@ func MixBytes(h uint64, data []byte) uint64 {
 // result-cache keys and the golden artifact cache, so every subsystem
 // agrees about what "same content" means.
 func HashBytes(data []byte) uint64 { return MixBytes(HashInit, data) }
-
-// Thin returns at most k evenly spaced elements of xs (for plotting long
-// convergence series at the paper's sampling intervals).
-func Thin(xs []float64, k int) []float64 {
-	if len(xs) <= k || k <= 0 {
-		return xs
-	}
-	out := make([]float64, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, xs[i*len(xs)/k])
-	}
-	return out
-}

@@ -54,16 +54,6 @@ func TestWilsonNarrowsWithN(t *testing.T) {
 	}
 }
 
-func TestSummaries(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if Mean(xs) != 2.5 || Max(xs) != 4 || Min(xs) != 1 {
-		t.Fatal("summary stats wrong")
-	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
-		t.Fatal("empty summaries must be 0")
-	}
-}
-
 func TestDeriveDeterministic(t *testing.T) {
 	a := Derive(42, 7).Uint64()
 	b := Derive(42, 7).Uint64()
@@ -156,19 +146,5 @@ func BenchmarkHashBytes(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for b.Loop() {
 		hashSink = HashBytes(data)
-	}
-}
-
-func TestThin(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	th := Thin(xs, 10)
-	if len(th) != 10 || th[0] != 0 || th[9] != 90 {
-		t.Fatalf("Thin = %v", th)
-	}
-	if len(Thin(xs, 1000)) != 100 {
-		t.Fatal("Thin must not pad")
 	}
 }
